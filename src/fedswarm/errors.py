@@ -31,3 +31,15 @@ class EvaluationError(FedswarmError):
 
 class ConfigError(FedswarmError):
     """Malformed or internally inconsistent experiment configuration."""
+
+
+def check_int_fields(obj, *names) -> None:
+    """ConfigError unless each named field of ``obj`` is an int (not a bool).
+
+    Counts from a JSON config may arrive as floats or booleans; catching
+    them here keeps ``range()`` and array shapes from failing later.
+    """
+    for name in names:
+        v = getattr(obj, name)
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"{name} must be an integer, got {v!r}")

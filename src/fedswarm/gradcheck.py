@@ -1,12 +1,14 @@
 """Finite-difference validation of the analytic loss gradients.
 
-The production objective runs in float32 on the tape with hand-written
-backward rules. This module recomputes the same math independently in
-float64 with plain numpy reductions (different accumulation order on
-purpose) and differentiates it by central differences. Agreement on
-random heads validates every backward rule at once. The float64 round
-is what makes the 1e-4 tolerance reachable: differencing the float32
-loss itself would drown in rounding noise at any usable step size.
+The production objective (``losses.total_loss``) runs in float32 as one
+closed-form forward and backward pass over the whole minibatch, with
+the gradient of every term written out by hand. This module recomputes
+the same math independently in float64 with plain numpy reductions
+(different accumulation order on purpose) and differentiates it by
+central differences. Agreement on random heads validates that fused
+backward pass as a whole. The float64 round is what makes the 1e-4
+tolerance reachable: differencing the float32 loss itself would drown
+in rounding noise at any usable step size.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from .costs import (
     free_local_epochs,
     peak_training_memory,
 )
-from .errors import ConfigError, EvaluationError, PlanError
+from .errors import ConfigError, EvaluationError, PlanError, check_int_fields
 from .federation import NodeState, SimNetwork, run_session, write_trace
 from .losses import ClassPartition, LossConfig, sgd_step, total_loss
 from .model import (
@@ -97,6 +97,7 @@ class HeadSpec:
     init_sigma: float = 0.1
 
     def __post_init__(self):
+        check_int_fields(self, "hidden")
         if self.hidden < 1:
             raise ConfigError(f"hidden must be positive, got {self.hidden}")
         if not self.init_sigma > 0:
@@ -110,6 +111,11 @@ class PlanSpec:
     base_count: int = 4
     classes_per_session_per_node: int = 1
 
+    def __post_init__(self):
+        check_int_fields(
+            self, "num_classes", "num_nodes", "base_count", "classes_per_session_per_node"
+        )
+
 
 @dataclass(frozen=True)
 class TrainSpec:
@@ -117,6 +123,7 @@ class TrainSpec:
     rounds_per_session: int = 6
 
     def __post_init__(self):
+        check_int_fields(self, "t0_epochs", "rounds_per_session")
         if self.t0_epochs < 0 or self.rounds_per_session < 0:
             raise ConfigError("epoch and round counts must be nonnegative")
 
@@ -150,6 +157,7 @@ class DataSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
+        check_int_fields(self, "train_per_class", "test_per_class")
         if self.kind not in ("synthetic", "manifest"):
             raise ConfigError(f"data kind must be synthetic or manifest, got {self.kind!r}")
         if self.kind == "manifest" and not self.manifest_dir:

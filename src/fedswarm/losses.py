@@ -6,6 +6,12 @@ classes against the average logit of previously learned classes,
 excluding the sample's own target output. When the node holds a single
 new class (so the new-side set is empty after exclusion) it falls back
 to suppressing the old-class mean directly.
+
+``total_loss`` builds no graph: it stacks the minibatch and runs one
+closed-form forward and backward pass. Every sum is an ordered float32
+scan (``tensor._scan``) and gradients accumulate in the order the
+reverse-mode tape would use, so results are bit-identical to the
+per-sample tape.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, RegistryError
-from .model import TrainableHead, head_forward_graph, head_param_leaves
-from .tensor import Graph, Tensor, seq_sum
+from .errors import ConfigError, DimensionError, RegistryError, check_int_fields
+from .model import TrainableHead, _head_forward, flatten_params
+from .tensor import Tensor, _scan, mm_f32, seq_sum
 
 __all__ = [
     "LossConfig",
@@ -45,6 +51,7 @@ class LossConfig:
     local_epochs_per_round: int = 1
 
     def __post_init__(self):
+        check_int_fields(self, "batch_size", "local_epochs_per_round")
         if self.mu < 0:
             raise ConfigError(f"mu must be nonnegative, got {self.mu}")
         if self.lam < 0:
@@ -91,49 +98,78 @@ def _check_target(target: int, num_classes: int) -> int:
     return t
 
 
-def _ce_kernel(z: np.ndarray, target: int):
-    """Stabilized softmax cross-entropy; returns (loss, probabilities)."""
-    shifted = z - np.max(z)
+def _ce_kernel(z: np.ndarray, targets: np.ndarray):
+    """Stabilized softmax cross-entropy per row of (B, C) logits.
+
+    Returns (losses (B,), probabilities (B, C)).
+    """
+    shifted = z - z.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
-    total = seq_sum(exps)
-    loss = np.float32(np.log(total) - shifted[target])
-    return loss, exps / total
+    totals = _scan(exps.T)
+    losses = np.log(totals) - shifted[np.arange(len(targets)), targets]
+    return losses, exps / totals[:, None]
 
 
-def _mol_sets(target: int, part: ClassPartition, num_classes: int):
-    t = int(target)
-    if t not in part.new_classes and t not in part.old_classes:
-        raise RegistryError(f"target {t} is in neither side of the partition")
-    a = sorted(part.new_classes - {t})
-    b = sorted(part.old_classes - {t})
-    for c in a + b:
-        if not 0 <= c < num_classes:
-            raise IndexError(f"partition class {c} out of range for {num_classes} logits")
-    return a, b
+def _mol_masks(targets: np.ndarray, part: ClassPartition, num_classes: int):
+    """(new, old) membership masks, (B, C) each, the row's target excluded.
+
+    Checks each target in order as the per-sample sets would: it must be
+    on a side, and every other partition class must index a logit.
+    """
+    stray = [
+        c for c in sorted(part.new_classes) + sorted(part.old_classes)
+        if not 0 <= c < num_classes
+    ]
+    for t in targets:
+        if t not in part.new_classes and t not in part.old_classes:
+            raise RegistryError(f"target {t} is in neither side of the partition")
+        for c in stray:
+            if c != t:
+                raise IndexError(f"partition class {c} out of range for {num_classes} logits")
+    other = np.arange(num_classes)[None, :] != targets[:, None]
+    masks = []
+    for side in (part.new_classes, part.old_classes):
+        m = np.zeros(num_classes, dtype=bool)
+        m[[c for c in side if 0 <= c < num_classes]] = True
+        masks.append(m & other)
+    return masks
 
 
-def _mol_kernel(z: np.ndarray, a: list, b: list):
-    """Value and dL/dz of the mean-output term for precomputed index sets."""
-    grad = np.zeros_like(z)
-    if not b:
-        return np.float32(0.0), grad
-    mean_b = seq_sum(z[b]) / np.float32(len(b))
-    if a:
-        mean_a = seq_sum(z[a]) / np.float32(len(a))
-        diff = np.float32(mean_a - mean_b)
-        grad[a] = np.float32(2.0) * diff / np.float32(len(a))
-        grad[b] = np.float32(-2.0) * diff / np.float32(len(b))
-        return np.float32(diff * diff), grad
-    grad[b] = np.float32(2.0) * mean_b / np.float32(len(b))
-    return np.float32(mean_b * mean_b), grad
+def _mol_kernel(z: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Value (B,) and dL/dz (B, C) of the mean-output term per row.
+
+    ``a``/``b`` mask each row's new/old sides. Masked-out entries enter
+    the ordered sums as +0.0, which leaves a sum seeded with +0.0
+    unchanged, so each side's sum equals the loop over its members.
+    """
+    zero = np.float32(0.0)
+    two = np.float32(2.0)
+    na = a.sum(axis=1).astype(np.float32)
+    nb = b.sum(axis=1).astype(np.float32)
+    has_a, has_b = na > 0, nb > 0
+    mean_a = _scan(np.where(a, z, zero).T) / np.maximum(na, 1)
+    mean_b = _scan(np.where(b, z, zero).T) / np.maximum(nb, 1)
+    # with no new side left, -mean_b gives the fallback's value and
+    # gradient: (-2 * -m) / n == (2 * m) / n and (-m)^2 == m^2 bit for bit
+    diff = np.where(has_a, mean_a - mean_b, -mean_b)
+    value = np.where(has_b, diff * diff, zero)
+    grad_a = (two * diff / np.maximum(na, 1))[:, None]
+    grad_b = (-two * diff / np.maximum(nb, 1))[:, None]
+    grad = np.where(a & (has_a & has_b)[:, None], grad_a, np.where(b, grad_b, zero))
+    return value, grad
+
+
+def _logits(logits) -> np.ndarray:
+    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits, np.float32)
+    return z.reshape(1, -1)
 
 
 def cross_entropy(logits: Tensor, target: int) -> float:
     """-log softmax(logits)[target], max-shifted for stability."""
-    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits, np.float32)
+    z = _logits(logits)
     t = _check_target(target, z.size)
-    loss, _ = _ce_kernel(z.reshape(-1), t)
-    return float(loss)
+    loss, _ = _ce_kernel(z, np.array([t]))
+    return float(loss[0])
 
 
 def mol_loss(logits: Tensor, target: int, part: ClassPartition) -> float:
@@ -143,11 +179,10 @@ def mol_loss(logits: Tensor, target: int, part: ClassPartition) -> float:
     classes left after exclusion the old-class mean itself is squared;
     with no old classes the term vanishes.
     """
-    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits, np.float32)
-    z = z.reshape(-1)
-    a, b = _mol_sets(target, part, z.size)
+    z = _logits(logits)
+    a, b = _mol_masks(np.array([int(target)]), part, z.size)
     val, _ = _mol_kernel(z, a, b)
-    return float(val)
+    return float(val[0])
 
 
 def prox_loss(w: Tensor, w_global: Tensor, lam: float) -> float:
@@ -159,66 +194,17 @@ def prox_loss(w: Tensor, w_global: Tensor, lam: float) -> float:
     return float(half * seq_sum(d * d))
 
 
-def _ce_node(g: Graph, logits: int, target: int) -> int:
-    z = g.raw_value(logits).reshape(-1)
-    t = _check_target(target, z.size)
-    loss, probs = _ce_kernel(z, t)
-    shape = g.raw_value(logits).shape
+def _leaf_grad(per_sample: np.ndarray, prox) -> np.ndarray:
+    """One parameter's gradient, summed in the tape's order: from +0.0,
+    the prox part (absent at lam == 0), then samples B-1 down to 0.
 
-    def backward_fn(gout):
-        dz = probs.copy()
-        dz[t] -= np.float32(1.0)
-        return (dz.reshape(shape) * gout,)
-
-    return g.push_op("cross_entropy", (logits,), loss, backward_fn)
-
-
-def _mol_node(g: Graph, logits: int, target: int, part: ClassPartition) -> int:
-    z = g.raw_value(logits).reshape(-1)
-    a, b = _mol_sets(target, part, z.size)
-    val, dz = _mol_kernel(z, a, b)
-    shape = g.raw_value(logits).shape
-
-    def backward_fn(gout):
-        return (dz.reshape(shape) * gout,)
-
-    return g.push_op("mean_output", (logits,), val, backward_fn)
-
-
-def _mean_node(g: Graph, terms: list) -> int:
-    vals = np.array([g.raw_value(t) for t in terms], dtype=np.float32)
-    n = np.float32(len(terms))
-
-    def backward_fn(gout):
-        gin = gout / n
-        return (gin,) * len(terms)
-
-    return g.push_op("batch_mean", tuple(terms), seq_sum(vals) / n, backward_fn)
-
-
-def _prox_node(g: Graph, param_ids: dict, w_global: Tensor, lam: float) -> int:
-    order = ("conv_w", "conv_b", "cls_w", "cls_b")
-    leaves = [param_ids[k] for k in order]
-    values = [g.raw_value(i) for i in leaves]
-    flat = np.concatenate([v.reshape(-1) for v in values])
-    if flat.size != w_global.size:
-        raise DimensionError(
-            f"global snapshot has {w_global.size} values, head has {flat.size}"
-        )
-    d = flat - w_global.data
-    half = np.float32(0.5) * np.float32(lam)
-    lam32 = np.float32(lam)
-
-    def backward_fn(gout):
-        full = lam32 * d * gout
-        out = []
-        off = 0
-        for v in values:
-            out.append(full[off : off + v.size].reshape(v.shape))
-            off += v.size
-        return tuple(out)
-
-    return g.push_op("prox", tuple(leaves), half * seq_sum(d * d), backward_fn)
+    A loop, not ``_scan``: the sample axis is short and each slice is a
+    whole parameter tensor, where one vector add per sample is cheaper.
+    """
+    acc = np.zeros_like(per_sample[0]) if prox is None else np.float32(0.0) + prox
+    for g in per_sample[::-1]:
+        acc = acc + g
+    return acc
 
 
 def total_loss(
@@ -233,28 +219,69 @@ def total_loss(
     Per sample: cross_entropy + mu * mean-output term; batch-averaged,
     then the proximal pull toward ``w_global`` (a flat snapshot) is
     added once. Returns (loss value, HeadGrads).
+
+    One closed-form forward and backward pass over the stacked batch.
+    Every sum is an ordered ``_scan`` and every gradient is accumulated
+    in the order the reverse-mode tape would use, so the value and all
+    four gradients equal the per-sample tape bit for bit.
     """
     samples = list(batch)
     if not samples:
         raise DimensionError("total_loss needs a nonempty batch")
-    g = Graph()
-    params = head_param_leaves(g, head)
-    per_sample = []
-    for feats, target in samples:
-        logits = head_forward_graph(g, params, feats)
-        term = _ce_node(g, logits, target)
-        if cfg.mu != 0.0:
-            term = g.add(term, g.scale(_mol_node(g, logits, target, part), cfg.mu))
-        per_sample.append(term)
-    total = g.add(_mean_node(g, per_sample), _prox_node(g, params, w_global, cfg.lam))
-    g.backward(total)
+    n_cls = head.num_classes
+    rows = []
+    for feats, _ in samples:
+        f = feats.data if isinstance(feats, Tensor) else np.asarray(feats, np.float32)
+        if f.size != head.c_feat:
+            raise DimensionError(
+                f"features of size {f.size} do not match head input ({head.c_feat},)"
+            )
+        rows.append(f.reshape(-1))
+    targets = np.array([_check_target(t, n_cls) for _, t in samples])
+    if w_global.size != head.parameter_count:
+        raise DimensionError(
+            f"global snapshot has {w_global.size} values, head has {head.parameter_count}"
+        )
+    x = np.stack(rows)
+    hidden, z = _head_forward(head, x)
+    ce, probs = _ce_kernel(z, targets)
+
+    # d(batch mean)/d(term) = 1/B. The tape adds the MOL part to a +0.0
+    # slot, then the CE part; the slot's seed is dropped here because
+    # the CE part is never -0.0 (softmax probabilities are not).
+    inv_n = np.float32(1.0) / np.float32(len(samples))
+    dz = probs
+    dz[np.arange(len(samples)), targets] -= np.float32(1.0)
+    terms = ce
+    g_logits = dz * inv_n
+    if cfg.mu != 0.0:
+        mu = np.float32(cfg.mu)
+        mol, dmol = _mol_kernel(z, *_mol_masks(targets, part, n_cls))
+        terms = ce + mol * mu
+        g_logits = dmol * (inv_n * mu) + g_logits
+    value = seq_sum(terms) / np.float32(len(samples))
+
+    prox = dict.fromkeys(("conv_w", "conv_b", "cls_w", "cls_b"))
+    if cfg.lam != 0.0:
+        d = flatten_params(head).data - w_global.data
+        half = np.float32(0.5) * np.float32(cfg.lam)
+        value = value + half * seq_sum(d * d)
+        full = np.float32(cfg.lam) * d
+        off = 0
+        for name in prox:
+            t = getattr(head, name)
+            prox[name] = full[off : off + t.size].reshape(t.shape)
+            off += t.size
+
+    g_hidden = mm_f32(g_logits, head.cls_w.array)
+    g_pre = np.where(hidden > 0, g_hidden, np.float32(0.0))
     grads = HeadGrads(
-        conv_w=g.grad(params["conv_w"]),
-        conv_b=g.grad(params["conv_b"]),
-        cls_w=g.grad(params["cls_w"]),
-        cls_b=g.grad(params["cls_b"]),
+        conv_w=Tensor(_leaf_grad(g_pre[:, :, None] * x[:, None, :], prox["conv_w"])),
+        conv_b=Tensor(_leaf_grad(g_pre, prox["conv_b"])),
+        cls_w=Tensor(_leaf_grad(g_logits[:, :, None] * hidden[:, None, :], prox["cls_w"])),
+        cls_b=Tensor(_leaf_grad(g_logits, prox["cls_b"])),
     )
-    return float(g.raw_value(total)), grads
+    return float(value), grads
 
 
 def sgd_step(head: TrainableHead, grads: HeadGrads, lr: float) -> TrainableHead:

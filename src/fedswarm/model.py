@@ -114,15 +114,30 @@ def init_head(
     )
 
 
+def _head_forward(head: TrainableHead, feats: np.ndarray) -> tuple:
+    """(hidden, logits) of a (B, c_feat) float32 batch, one row per sample.
+
+    Both contractions are ``mm_f32`` scans in the tape's index order, so
+    each row equals the single-sample pass bit for bit.
+    """
+    pre = mm_f32(feats, head.conv_w.array.T) + head.conv_b.data
+    hidden = np.where(pre > 0, pre, np.float32(0.0))
+    return hidden, mm_f32(hidden, head.cls_w.array.T) + head.cls_b.data
+
+
 def head_logits(head: TrainableHead, features) -> Tensor:
-    """Eager head pass over a feature vector; same kernels as the graph."""
-    f = features.data if isinstance(features, Tensor) else np.asarray(features, np.float32)
-    if f.shape != (head.c_feat,):
-        raise DimensionError(f"features {f.shape} do not match head input ({head.c_feat},)")
-    hidden = mm_f32(head.conv_w.array, f[:, None])[:, 0] + head.conv_b.data
-    hidden = np.where(hidden > 0, hidden, np.float32(0.0))
-    logits = mm_f32(head.cls_w.array, hidden[:, None])[:, 0] + head.cls_b.data
-    return Tensor(logits, (head.num_classes,))
+    """Eager head pass over one feature vector or a (B, c_feat) batch.
+
+    Same kernels as the graph; a batch gives (B, num_classes) logits
+    whose rows equal the one-vector results exactly.
+    """
+    f = features.array if isinstance(features, Tensor) else np.asarray(features, np.float32)
+    if f.shape[-1:] != (head.c_feat,) or f.ndim > 2:
+        raise DimensionError(
+            f"features {f.shape} do not match head input ({head.c_feat},)"
+        )
+    _, logits = _head_forward(head, f.reshape(-1, head.c_feat))
+    return Tensor(logits.reshape(f.shape[:-1] + (head.num_classes,)))
 
 
 def forward(m: SplitModel, x: QuantTensor) -> Tensor:
@@ -219,7 +234,14 @@ def read_head(path) -> TrainableHead:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise NumericError(f"bad head container magic: {blob[:4]!r}")
+    if len(blob) < 16:
+        raise NumericError(f"head container truncated in its header: {len(blob)} bytes")
     c_feat, c_out, num_classes = struct.unpack_from("<III", blob, 4)
+    expected = 16 + 4 * (c_out * c_feat + c_out + num_classes * c_out + num_classes)
+    if len(blob) != expected:
+        raise NumericError(
+            f"head container holds {len(blob)} bytes, its header implies {expected}"
+        )
     template = TrainableHead(
         conv_w=Tensor.zeros((c_out, c_feat)),
         conv_b=Tensor.zeros((c_out,)),

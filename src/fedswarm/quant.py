@@ -282,18 +282,24 @@ def read_backbone(path) -> FrozenBackbone:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise NumericError(f"bad backbone container magic: {blob[:4]!r}")
-    (count,) = struct.unpack_from("<I", blob, 4)
-    off = 8
+    off = 4
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(blob):
+            raise NumericError(
+                f"backbone container truncated: needs {off + n} bytes, holds {len(blob)}"
+            )
+        off += n
+        return blob[off - n : off]
+
+    (count,) = struct.unpack("<I", take(4))
     layers = []
     for _ in range(count):
-        c_out, c_in = struct.unpack_from("<II", blob, off)
-        off += 8
-        w = np.frombuffer(blob, dtype="<i1", count=c_out * c_in, offset=off)
-        off += c_out * c_in
-        b = np.frombuffer(blob, dtype="<i4", count=c_out, offset=off)
-        off += 4 * c_out
-        w_scale, out_scale = struct.unpack_from("<ff", blob, off)
-        off += 8
+        c_out, c_in = struct.unpack("<II", take(8))
+        w = np.frombuffer(take(c_out * c_in), dtype="<i1")
+        b = np.frombuffer(take(4 * c_out), dtype="<i4")
+        w_scale, out_scale = struct.unpack("<ff", take(8))
         layers.append(
             QuantLayer(
                 weight=w.reshape(c_out, c_in).astype(np.int8),
@@ -302,4 +308,6 @@ def read_backbone(path) -> FrozenBackbone:
                 out_scale=out_scale,
             )
         )
+    if off != len(blob):
+        raise NumericError(f"backbone container has {len(blob) - off} trailing bytes")
     return FrozenBackbone(layers)

@@ -245,17 +245,15 @@ def evaluate(
     subset = [s for s in ds_test.samples if s.class_id in scored]
     if not subset:
         raise EvaluationError("empty test set for the given classes")
+    if features is not None:
+        feats = [features[s.sample_id] for s in subset]
+    else:
+        feats = [backbone_forward(model.backbone, s.x) for s in subset]
+    # one batched head pass; rows equal the per-sample logits bit for bit
+    z = head_logits(model.head, np.stack([f.data for f in feats])).array
     idx = np.array(seen)
-    correct = 0
-    for s in subset:
-        if features is not None:
-            feats = features[s.sample_id]
-        else:
-            feats = backbone_forward(model.backbone, s.x)
-        z = head_logits(model.head, feats).data
-        pred = int(idx[int(np.argmax(z[idx]))])  # first max = lowest class id
-        if pred == s.class_id:
-            correct += 1
+    pred = idx[np.argmax(z[:, idx], axis=1)]  # first max = lowest class id
+    correct = int(np.count_nonzero(pred == np.array([s.class_id for s in subset])))
     return correct / len(subset)
 
 

@@ -1,10 +1,12 @@
-"""Dense float32 tensors and a reverse-mode differentiation tape.
+"""Dense float32 tensors, ordered-scan kernels and a reverse-mode tape.
 
-The op set is deliberately small: it covers exactly what a two-layer
-trainable head (pointwise conv + linear classifier) and its losses
-need. All arithmetic is float32, and every contraction accumulates in
-a fixed index order, so forward and backward passes are bit-identical
-across runs.
+Every contraction in the package goes through ``_scan``: a float32 sum
+in a fixed index order, seeded with +0.0. Determinism rests on that
+order, not on precision: a scan gives the same bits whatever numpy's
+vector width. The production objective (``losses.total_loss``) calls
+these kernels directly in closed form. The tape (``Graph``) is
+the reference it is tested against bit for bit; its op set covers
+exactly the two-layer head (pointwise conv + linear classifier).
 """
 
 from __future__ import annotations
@@ -85,30 +87,48 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float32)
 
 
+# product elements per ``mm_f32`` block: bounds the scan's temporaries
+_SCAN_BLOCK = 1 << 14
+
+
+def _scan(x: np.ndarray) -> np.ndarray:
+    """Float32 sum of ``x`` over its leading axis, in index order from +0.0.
+
+    ``np.add.accumulate`` adds strictly left to right, so this equals the
+    loop ``acc = 0.0; for v in x: acc += v`` at every trailing index. The
+    leading zero slice is part of that contract: the loop turns a lone
+    -0.0 into +0.0, an unseeded scan would keep it. The last slice is
+    copied out so the prefix sums can be freed.
+    """
+    x = np.asarray(x, dtype=np.float32)
+    seeded = np.concatenate([np.zeros((1,) + x.shape[1:], np.float32), x])
+    return np.add.accumulate(seeded, axis=0)[-1].copy()
+
+
 def seq_sum(values: np.ndarray) -> np.float32:
     """Left-to-right float32 sum of a 1-D array."""
-    acc = np.float32(0.0)
-    for v in values:
-        acc = np.float32(acc + v)
-    return acc
+    return _scan(values)
 
 
 def mm_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(m,k) x (k,n) float32 product, accumulated over k in index order."""
+    """(m,k) x (k,n) float32 product, accumulated over k in index order.
+
+    Rows of ``a`` are independent, so they are taken in blocks that keep
+    the (k, rows, n) product small; the order within each sum is fixed.
+    """
     m, k = a.shape
     n = b.shape[1]
-    acc = np.zeros((m, n), dtype=np.float32)
-    for i in range(k):
-        acc += a[:, i, None] * b[i, :]
-    return acc
+    step = max(1, _SCAN_BLOCK // max(1, k * n))
+    if m <= step:
+        return _scan(a.T[:, :, None] * b[:, None, :])
+    return np.concatenate(
+        [mm_f32(a[i : i + step], b) for i in range(0, m, step)]
+    )
 
 
 def _sum_cols(x: np.ndarray) -> np.ndarray:
     """Sum a 2-D float32 array over axis 1, columns added in index order."""
-    acc = np.zeros(x.shape[0], dtype=np.float32)
-    for j in range(x.shape[1]):
-        acc += x[:, j]
-    return acc
+    return _scan(x.T)
 
 
 class _Node:

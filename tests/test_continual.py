@@ -19,8 +19,11 @@ from fedswarm import (
     SplitModel,
     Tensor,
     TrainableHead,
+    build_backbone,
     evaluate,
     gen_synthetic,
+    head_logits,
+    init_head,
     make_plan,
     node_train_view,
     precompute_features,
@@ -259,6 +262,24 @@ def test_evaluate_uses_feature_cache():
     model = SplitModel(bb, head)
     feats = precompute_features(bb, ds)
     assert evaluate(model, ds, range(4), features=feats) == evaluate(model, ds, range(4))
+
+
+def test_evaluate_matches_per_sample_argmax():
+    # the batched head pass must pick the same class as one pass per sample
+    train, test = gen_synthetic(SyntheticSpec(num_classes=6, train_per_class=1, test_per_class=9,
+                                              input_shape=(3, 2, 2)), np.random.default_rng(4))
+    bb = build_backbone((3, 8, 12), np.random.default_rng(5))
+    head = init_head(12, 5, 6, np.random.default_rng(6), sigma=1.0)
+    feats = precompute_features(bb, test)
+    for seen, scored in (([0, 1, 2, 3, 4, 5], None), ([1, 3, 4], [3]), ([0, 2], [0, 2, 5])):
+        wanted = seen if scored is None else scored
+        subset = [s for s in test.samples if s.class_id in wanted]
+        hits = 0
+        for s in subset:
+            z = head_logits(head, feats[s.sample_id]).data
+            hits += seen[int(np.argmax(z[seen]))] == s.class_id
+        got = evaluate(SplitModel(bb, head), test, seen, features=feats, sample_classes=scored)
+        assert got == hits / len(subset)
 
 
 def test_evaluate_error_cases():

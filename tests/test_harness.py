@@ -117,6 +117,21 @@ def test_config_validation():
         fs.load_config("/nonexistent/config.json")
 
 
+@pytest.mark.parametrize("section, key", [
+    ("plan", "num_classes"), ("plan", "num_nodes"), ("plan", "base_count"),
+    ("plan", "classes_per_session_per_node"), ("train", "t0_epochs"),
+    ("train", "rounds_per_session"), ("loss", "batch_size"),
+    ("loss", "local_epochs_per_round"), ("head", "hidden"),
+    ("data", "train_per_class"), ("data", "test_per_class"),
+])
+@pytest.mark.parametrize("value", [1.5, True, "4"])
+def test_config_rejects_non_integer_counts(section, key, value):
+    d = fs.config_to_dict(_small_config())
+    d[section][key] = value
+    with pytest.raises(fs.ConfigError, match=key):
+        fs.config_from_dict(d)
+
+
 def test_default_config_is_desk_scale():
     cfg = fs.default_config()
     assert cfg.plan.num_classes == 10
@@ -295,3 +310,17 @@ def test_cli_config_error_exit_code(tmp_path):
     res = _cli("run", "--config", str(bad), "--out", str(tmp_path / "out"))
     assert res.returncode == 1
     assert "config error" in res.stderr
+
+
+@pytest.mark.parametrize("bad", [
+    {"train": {"t0_epochs": 1.5}},
+    {"plan": {"num_nodes": True}},
+    {"loss": {"batch_size": 2.0}},
+])
+def test_cli_non_integer_count_is_a_config_error(tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    res = _cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: ")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedswarm import (
     DimensionError,
@@ -73,6 +75,21 @@ def test_head_shape_validation():
             cls_w=Tensor.zeros((1, 1)),
             cls_b=Tensor.zeros((1,)),
         )
+
+
+@given(
+    st.integers(1, 48), st.integers(1, 24), st.integers(1, 36), st.integers(1, 40),
+    st.sampled_from([0.0, 0.5]), st.integers(0, 2**32 - 1),
+)
+def test_batched_head_logits_rows_match_single_vectors(c_feat, hidden, classes, n, zero_frac, seed):
+    rng = np.random.default_rng(seed)
+    h = init_head(c_feat, hidden, classes, rng, sigma=1.0)
+    x = rng.standard_normal((n, c_feat)).astype(np.float32)
+    x[rng.random(x.shape) < zero_frac] = 0.0
+    z = head_logits(h, x)
+    assert z.shape == (n, classes)
+    for row, f in zip(z.array, x):
+        assert row.tobytes() == head_logits(h, Tensor(f)).tobytes()
 
 
 def test_head_logits_rejects_wrong_feature_length():
@@ -229,3 +246,23 @@ def test_head_checkpoint_rejects_bad_magic(tmp_path):
     path.write_bytes(b"WHAT" + b"\x00" * 32)
     with pytest.raises(NumericError):
         read_head(path)
+
+
+def test_head_checkpoint_rejects_truncated_file(tmp_path):
+    path = tmp_path / "head.fch"
+    write_head(init_head(7, 4, 6, np.random.default_rng(8)), path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):  # inside the header and inside the parameters
+        path.write_bytes(blob[:cut])
+        with pytest.raises(NumericError):
+            read_head(path)
+
+
+def test_head_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "head.fch"
+    write_head(init_head(7, 4, 6, np.random.default_rng(8)), path)
+    blob = path.read_bytes()
+    for pad in (b"\x00", b"\x00" * 4, b"FCH1" + blob[4:16]):
+        path.write_bytes(blob + pad)
+        with pytest.raises(NumericError):
+            read_head(path)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fedswarm import (
     ClassPartition,
@@ -23,7 +25,9 @@ from fedswarm import (
     total_loss,
 )
 from fedswarm.gradcheck import REL_TOL, check_case
-from fedswarm.tensor import seq_sum
+from fedswarm.losses import HeadGrads
+from fedswarm.model import head_forward_graph, head_param_leaves
+from fedswarm.tensor import Graph, _sum_cols, mm_f32, seq_sum
 
 
 # -- cross-entropy --------------------------------------------------------------
@@ -275,3 +279,253 @@ def test_loss_config_defaults():
     cfg = LossConfig()
     assert cfg.mu == 2.0 and cfg.lam == 3.8
     assert cfg.lr == 0.01 and cfg.batch_size == 4
+
+
+# -- fused kernel vs the per-sample tape -----------------------------------------
+#
+# The reference below is the objective as a reverse-mode tape: one graph
+# per minibatch, one head pass per sample, hand-written backward rules,
+# and the Python-loop sums the scan kernels replaced. ``total_loss`` must
+# reproduce its value and all four gradients bit for bit.
+
+
+def _loop_seq_sum(values):
+    acc = np.float32(0.0)
+    for v in values:
+        acc = np.float32(acc + v)
+    return acc
+
+
+def _loop_mm_f32(a, b):
+    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.float32)
+    for i in range(a.shape[1]):
+        acc += a[:, i, None] * b[i, :]
+    return acc
+
+
+def _loop_sum_cols(x):
+    acc = np.zeros(x.shape[0], dtype=np.float32)
+    for j in range(x.shape[1]):
+        acc += x[:, j]
+    return acc
+
+
+def _tape_ce(g, logits, target):
+    z = g.raw_value(logits).reshape(-1)
+    shifted = z - np.max(z)
+    exps = np.exp(shifted)
+    total = _loop_seq_sum(exps)
+    probs = exps / total
+    shape = g.raw_value(logits).shape
+
+    def backward_fn(gout):
+        dz = probs.copy()
+        dz[target] -= np.float32(1.0)
+        return (dz.reshape(shape) * gout,)
+
+    loss = np.float32(np.log(total) - shifted[target])
+    return g.push_op("cross_entropy", (logits,), loss, backward_fn)
+
+
+def _tape_mol(g, logits, target, part):
+    z = g.raw_value(logits).reshape(-1)
+    a = sorted(part.new_classes - {target})
+    b = sorted(part.old_classes - {target})
+    dz = np.zeros_like(z)
+    val = np.float32(0.0)
+    if b:
+        mean_b = _loop_seq_sum(z[b]) / np.float32(len(b))
+        if a:
+            mean_a = _loop_seq_sum(z[a]) / np.float32(len(a))
+            diff = np.float32(mean_a - mean_b)
+            dz[a] = np.float32(2.0) * diff / np.float32(len(a))
+            dz[b] = np.float32(-2.0) * diff / np.float32(len(b))
+            val = np.float32(diff * diff)
+        else:
+            dz[b] = np.float32(2.0) * mean_b / np.float32(len(b))
+            val = np.float32(mean_b * mean_b)
+    shape = g.raw_value(logits).shape
+
+    def backward_fn(gout):
+        return (dz.reshape(shape) * gout,)
+
+    return g.push_op("mean_output", (logits,), val, backward_fn)
+
+
+def _tape_mean(g, terms):
+    vals = np.array([g.raw_value(t) for t in terms], dtype=np.float32)
+    n = np.float32(len(terms))
+
+    def backward_fn(gout):
+        return (gout / n,) * len(terms)
+
+    return g.push_op("batch_mean", tuple(terms), _loop_seq_sum(vals) / n, backward_fn)
+
+
+def _tape_prox(g, params, w_global, lam):
+    leaves = [params[k] for k in ("conv_w", "conv_b", "cls_w", "cls_b")]
+    values = [g.raw_value(i) for i in leaves]
+    d = np.concatenate([v.reshape(-1) for v in values]) - w_global.data
+    lam32 = np.float32(lam)
+
+    def backward_fn(gout):
+        full = lam32 * d * gout
+        out, off = [], 0
+        for v in values:
+            out.append(full[off : off + v.size].reshape(v.shape))
+            off += v.size
+        return tuple(out)
+
+    value = np.float32(0.5) * lam32 * _loop_seq_sum(d * d)
+    return g.push_op("prox", tuple(leaves), value, backward_fn)
+
+
+def _tape_total_loss(head, batch, part, w_global, cfg):
+    g = Graph()
+    params = head_param_leaves(g, head)
+    terms = []
+    for feats, target in batch:
+        logits = head_forward_graph(g, params, feats)
+        term = _tape_ce(g, logits, target)
+        if cfg.mu != 0.0:
+            term = g.add(term, g.scale(_tape_mol(g, logits, target, part), cfg.mu))
+        terms.append(term)
+    total = g.add(_tape_mean(g, terms), _tape_prox(g, params, w_global, cfg.lam))
+    g.backward(total)
+    grads = HeadGrads(*(g.grad(params[k]) for k in ("conv_w", "conv_b", "cls_w", "cls_b")))
+    return float(g.raw_value(total)), grads
+
+
+def _bits(value, grads):
+    return (np.float64(value).tobytes(),) + tuple(
+        getattr(grads, k).tobytes() for k in ("conv_w", "conv_b", "cls_w", "cls_b")
+    )
+
+
+def _sparse(rng, shape, zero_frac, scale=1.0):
+    """Gaussian values with an exact-zero fraction (relu kinks, -0.0 products)."""
+    x = rng.standard_normal(shape).astype(np.float32) * np.float32(scale)
+    x[rng.random(shape) < zero_frac] = 0.0
+    return x
+
+
+@st.composite
+def _objective_cases(draw):
+    c_feat = draw(st.integers(1, 48))
+    hidden = draw(st.integers(1, 24))
+    classes = draw(st.integers(2, 36))
+    n = draw(st.integers(1, 8))
+    mu = draw(st.sampled_from([0.0, 2.0, 0.37]))
+    lam = draw(st.sampled_from([0.0, 3.8, 1.3]))
+    branch = draw(st.sampled_from(["both", "fallback", "no_old", "partial"]))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 0.8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    head = TrainableHead(
+        conv_w=Tensor(_sparse(rng, (hidden, c_feat), zero_frac / 2)),
+        conv_b=Tensor(_sparse(rng, hidden, zero_frac, 0.5)),
+        cls_w=Tensor(_sparse(rng, (classes, hidden), zero_frac / 2)),
+        cls_b=Tensor(_sparse(rng, classes, zero_frac, 0.5)),
+    )
+    if branch == "both":
+        split = int(rng.integers(1, classes))
+        part = ClassPartition(frozenset(range(split)), frozenset(range(split, classes)))
+    elif branch == "fallback":
+        part = ClassPartition(frozenset(range(classes - 1)), frozenset({classes - 1}))
+    elif branch == "no_old":
+        part = ClassPartition(frozenset(), frozenset(range(classes)))
+    else:  # some classes on neither side
+        side = rng.integers(0, 3, classes)
+        side[int(rng.integers(classes))] = 1
+        part = ClassPartition(
+            frozenset(int(c) for c in np.flatnonzero(side == 0)),
+            frozenset(int(c) for c in np.flatnonzero(side == 1)),
+        )
+    members = sorted(part.old_classes | part.new_classes)
+    if branch == "fallback":
+        members = [classes - 1]
+    batch = [
+        (Tensor(_sparse(rng, c_feat, zero_frac)), int(rng.choice(members)))
+        for _ in range(n)
+    ]
+    w_global = Tensor(flatten_params(head).data + _sparse(rng, head.parameter_count, zero_frac, 0.2))
+    cfg = LossConfig(mu=mu, lam=lam, lr=0.01, batch_size=n)
+    return head, batch, part, w_global, cfg
+
+
+@given(_objective_cases())
+def test_fused_total_loss_matches_tape_bit_for_bit(case):
+    fused = total_loss(*case)
+    tape = _tape_total_loss(*case)
+    assert _bits(*fused) == _bits(*tape)
+
+
+def test_fused_total_loss_keeps_sign_of_zero_gradients():
+    # zero features and a dead relu make every product a signed zero
+    head = TrainableHead(
+        conv_w=Tensor([[-1.0, 2.0], [0.5, -0.5]]),
+        conv_b=Tensor([0.0, -1.0]),
+        cls_w=Tensor([[-1.0, 0.0], [1.0, -2.0], [0.0, 0.0]]),
+        cls_b=Tensor([0.0, 0.0, -0.0]),
+    )
+    batch = [(Tensor([0.0, -0.0]), 1), (Tensor([0.0, 0.0]), 2)]
+    part = ClassPartition(frozenset({0}), frozenset({1, 2}))
+    for mu, lam in ((0.0, 0.0), (2.0, 0.0), (0.0, 3.8), (2.0, 3.8)):
+        cfg = LossConfig(mu=mu, lam=lam)
+        wg = Tensor(flatten_params(head).data * np.float32(-1.0))
+        assert _bits(*total_loss(head, batch, part, wg, cfg)) == _bits(
+            *_tape_total_loss(head, batch, part, wg, cfg)
+        )
+
+
+def test_total_loss_input_checks():
+    head = init_head(3, 2, 4, np.random.default_rng(9))
+    wg = flatten_params(head)
+    part = ClassPartition(frozenset({0, 1}), frozenset({2, 3}))
+    f = Tensor([1.0, 2.0, 3.0])
+    cfg = LossConfig()
+    with pytest.raises(DimensionError):  # feature length
+        total_loss(head, [(Tensor([1.0, 2.0]), 2)], part, wg, cfg)
+    with pytest.raises(IndexError):  # target beyond the logits
+        total_loss(head, [(f, 4)], part, wg, cfg)
+    with pytest.raises(DimensionError):  # snapshot size
+        total_loss(head, [(f, 2)], part, Tensor([1.0, 2.0]), cfg)
+    with pytest.raises(RegistryError):  # target on neither side
+        total_loss(head, [(f, 2)], ClassPartition(frozenset({0}), frozenset({1})), wg, cfg)
+    with pytest.raises(IndexError):  # partition class beyond the logits
+        total_loss(head, [(f, 2)], ClassPartition(frozenset({7}), frozenset({2})), wg, cfg)
+    # without the MOL term the partition is never consulted
+    loose = ClassPartition(frozenset({7}), frozenset({1}))
+    total_loss(head, [(f, 2)], loose, wg, LossConfig(mu=0.0))
+
+
+# -- scan kernels vs the Python loops they replaced -------------------------------
+
+
+@st.composite
+def _matrices(draw):
+    m, k, n = draw(st.integers(1, 40)), draw(st.integers(0, 50)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_frac = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    a = _sparse(rng, (m, k), zero_frac, draw(st.sampled_from([1e-3, 1.0, 1e4])))
+    b = _sparse(rng, (k, n), zero_frac)
+    return a, b
+
+
+_NEG_ZERO_PRODUCTS = (-np.ones((3, 5), np.float32), np.zeros((5, 4), np.float32))
+
+
+@given(_matrices())
+@example(_NEG_ZERO_PRODUCTS)
+def test_scan_kernels_match_python_loops(ab):
+    a, b = ab
+    assert mm_f32(a, b).tobytes() == _loop_mm_f32(a, b).tobytes()
+    assert _sum_cols(a).tobytes() == _loop_sum_cols(a).tobytes()
+    for row in a:
+        assert seq_sum(row).tobytes() == _loop_seq_sum(row).tobytes()
+
+
+def test_scan_turns_negative_zero_sums_positive():
+    a, b = _NEG_ZERO_PRODUCTS
+    assert np.signbit(a[:, :1] * b[:1, :]).all()  # every product is -0.0
+    assert not np.signbit(mm_f32(a, b)).any()
+    assert not np.signbit(seq_sum(np.full(4, -0.0, np.float32)))

@@ -234,3 +234,23 @@ def test_backbone_container_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(NumericError):
         read_backbone(path)
+
+
+def test_backbone_container_rejects_truncated_file(tmp_path):
+    path = tmp_path / "bb.fcb"
+    write_backbone(_dyadic_backbone(), path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):  # every layer header, weight, bias and scale
+        path.write_bytes(blob[:cut])
+        with pytest.raises(NumericError):
+            read_backbone(path)
+
+
+def test_backbone_container_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "bb.fcb"
+    write_backbone(_dyadic_backbone(), path)
+    blob = path.read_bytes()
+    for pad in (b"\x00", b"\x00" * 8, blob[8:]):
+        path.write_bytes(blob + pad)
+        with pytest.raises(NumericError):
+            read_backbone(path)
