@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and config field checks."""
+
+import math
 
 
 class FedswarmError(Exception):
@@ -41,5 +43,28 @@ def check_int_fields(obj, *names) -> None:
     """
     for name in names:
         v = getattr(obj, name)
-        if isinstance(v, bool) or not isinstance(v, int):
+        if not _is_int(v):
             raise ConfigError(f"{name} must be an integer, got {v!r}")
+
+
+def check_float_fields(obj, *names) -> None:
+    """ConfigError unless each named field of ``obj`` is a finite number.
+
+    Ints pass; strings, null, bools and NaN/inf do not, so a mistyped
+    JSON value fails here rather than deep inside a kernel.
+    """
+    for name in names:
+        v = getattr(obj, name)
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ConfigError(f"{name} must be a finite number, got {v!r}")
+
+
+def int_tuple(values, name: str) -> tuple:
+    """``values`` as a tuple, or ConfigError unless it is a list/tuple of ints."""
+    if not isinstance(values, (list, tuple)) or not all(_is_int(v) for v in values):
+        raise ConfigError(f"{name} must be a list of integers, got {values!r}")
+    return tuple(values)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)

@@ -10,7 +10,7 @@ reproducible for identical configs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,14 @@ from .costs import (
     free_local_epochs,
     peak_training_memory,
 )
-from .errors import ConfigError, EvaluationError, PlanError, check_int_fields
+from .errors import (
+    ConfigError,
+    EvaluationError,
+    PlanError,
+    check_float_fields,
+    check_int_fields,
+    int_tuple,
+)
 from .federation import NodeState, SimNetwork, run_session, write_trace
 from .losses import ClassPartition, LossConfig, sgd_step, total_loss
 from .model import (
@@ -86,7 +93,8 @@ class BackboneSpec:
     activation_range: float = 4.0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
+        object.__setattr__(self, "layer_dims", int_tuple(self.layer_dims, "layer_dims"))
+        check_float_fields(self, "weight_sigma", "activation_range")
         if len(self.layer_dims) < 2 or any(d < 1 for d in self.layer_dims):
             raise ConfigError(f"layer_dims needs >= 2 positive entries, got {self.layer_dims}")
 
@@ -98,6 +106,7 @@ class HeadSpec:
 
     def __post_init__(self):
         check_int_fields(self, "hidden")
+        check_float_fields(self, "init_sigma")
         if self.hidden < 1:
             raise ConfigError(f"hidden must be positive, got {self.hidden}")
         if not self.init_sigma > 0:
@@ -135,6 +144,8 @@ class CostSpec:
     samples_per_epoch: int = 28
 
     def __post_init__(self):
+        check_int_fields(self, "calibration_bytes", "samples_per_epoch")
+        check_float_fields(self, "calibration_seconds")
         if self.calibration_bytes < 1 or not self.calibration_seconds > 0:
             raise ConfigError("link calibration needs positive bytes and seconds")
         if self.samples_per_epoch < 1:
@@ -156,10 +167,13 @@ class DataSpec:
     manifest_dir: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
-        check_int_fields(self, "train_per_class", "test_per_class")
+        object.__setattr__(self, "input_shape", int_tuple(self.input_shape, "input_shape"))
+        check_int_fields(self, "train_per_class", "test_per_class", "input_zero_point")
+        check_float_fields(self, "sigma_between", "sigma_within", "input_scale")
         if self.kind not in ("synthetic", "manifest"):
             raise ConfigError(f"data kind must be synthetic or manifest, got {self.kind!r}")
+        if not isinstance(self.manifest_dir, str):
+            raise ConfigError(f"manifest_dir must be a string, got {self.manifest_dir!r}")
         if self.kind == "manifest" and not self.manifest_dir:
             raise ConfigError("manifest data needs manifest_dir")
 
@@ -191,6 +205,9 @@ class ExperimentConfig:
     data: DataSpec = field(default_factory=DataSpec)
 
     def __post_init__(self):
+        check_int_fields(self, "seed")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.data.kind == "synthetic" and self.backbone.layer_dims[0] != self.data.input_shape[0]:
@@ -250,11 +267,11 @@ def _build(cls, d: dict, where: str):
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     top = ("seed", "strategy", "backbone", "head", "plan", "loss", "train", "cost", "data")
-    d = _take(dict(d), top, "config")
-    loss_d = _take(dict(d.get("loss", {})), _LOSS_KEYS, "loss")
+    d = _take(d, top, "config")
+    loss_d = _take(d.get("loss", {}), _LOSS_KEYS, "loss")
     loss = LossConfig(**{_LOSS_KEYS[k]: v for k, v in loss_d.items()})
     return ExperimentConfig(
-        seed=int(d.get("seed", 1234)),
+        seed=d.get("seed", 1234),
         strategy=d.get("strategy", "odfcl"),
         backbone=_build(BackboneSpec, d.get("backbone", {}), "backbone"),
         head=_build(HeadSpec, d.get("head", {}), "head"),
@@ -365,9 +382,7 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
     feats.update(precompute_features(backbone, test))
 
     # T0: joint pretraining of the head on the base classes, plain CE
-    ce_cfg = LossConfig(mu=0.0, lam=0.0, lr=cfg.loss.lr,
-                        batch_size=cfg.loss.batch_size,
-                        local_epochs_per_round=cfg.loss.local_epochs_per_round)
+    ce_cfg = replace(cfg.loss, mu=0.0, lam=0.0)
     base = list(plan.base_classes)
     base_part = ClassPartition(frozenset(), frozenset(base))
     head = init_head(backbone.feature_dim, cfg.head.hidden, len(base), rng_head, cfg.head.init_sigma)
@@ -403,12 +418,7 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
     # strategy semantics: naive is the federated pipeline with both
     # regularizers off; odfcl uses the configured weights; joint pools
     # all seen data centrally with plain CE as the upper bound.
-    if cfg.strategy == "naive":
-        fed_cfg = LossConfig(mu=0.0, lam=0.0, lr=cfg.loss.lr,
-                             batch_size=cfg.loss.batch_size,
-                             local_epochs_per_round=cfg.loss.local_epochs_per_round)
-    else:
-        fed_cfg = cfg.loss
+    fed_cfg = ce_cfg if cfg.strategy == "naive" else cfg.loss
 
     for t in range(1, plan.num_sessions + 1):
         new_ids = plan.session_classes(t)

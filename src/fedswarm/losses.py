@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, RegistryError, check_int_fields
+from .errors import (
+    ConfigError,
+    DimensionError,
+    RegistryError,
+    check_float_fields,
+    check_int_fields,
+)
 from .model import TrainableHead, _head_forward, flatten_params
 from .tensor import Tensor, _scan, mm_f32, seq_sum
 
@@ -52,6 +58,7 @@ class LossConfig:
 
     def __post_init__(self):
         check_int_fields(self, "batch_size", "local_epochs_per_round")
+        check_float_fields(self, "mu", "lam", "lr")
         if self.mu < 0:
             raise ConfigError(f"mu must be nonnegative, got {self.mu}")
         if self.lam < 0:

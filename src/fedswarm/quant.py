@@ -5,6 +5,14 @@ weights, int32 biases) with relu after each layer, ending in a global
 average pool that yields a float feature vector. It stands in for a
 pretrained integerized feature extractor: its structure is
 configurable and its parameters never change after construction.
+
+``backbone_forward`` runs a dataset in blocks of same-shape samples,
+one float64 GEMM per layer. Integer sums are exact in any order as
+long as no partial sum leaves the exactly representable range, so a
+per-block bound (every |prefix sum| <= INT32_MAX) proves the GEMM
+equals the channel-by-channel int32 accumulation bit for bit. A block
+whose bound fails takes that exact pass sample by sample instead, so
+an accumulator overflow raises the same error for the same sample.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericError
-from .tensor import Tensor, _sum_cols
+from .tensor import Tensor, _scan, _sum_cols
 
 __all__ = [
     "QuantParams",
@@ -34,6 +42,8 @@ __all__ = [
 
 INT8_MIN, INT8_MAX = -128, 127
 _INT32_MAX = 2**31 - 1
+# float64 elements per layer temporary in the batched backbone pass
+_BLOCK = 1 << 15
 
 _MAGIC = b"FCB1"
 
@@ -181,20 +191,23 @@ def _check_int32(acc: np.ndarray, layer_idx: int) -> None:
         )
 
 
-def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> Tensor:
-    """Integer inference through the frozen chain; float feature vector out.
-
-    Per layer: int32-range accumulation over input channels in index
-    order (overflow detected, never wrapped), requantization by a float
-    multiply and round-half-even, relu as a clamp at the zero point.
-    The last layer is dequantized and average-pooled.
-    """
+def _check_input(bb: FrozenBackbone, x: QuantTensor) -> None:
     if len(x.shape) != 3:
         raise DimensionError(f"backbone input must be C x H x W, got {x.shape}")
     if x.shape[0] != bb.input_channels:
         raise DimensionError(
             f"input channels {x.shape[0]} do not match first layer {bb.input_channels}"
         )
+    if x.shape[1] < 1 or x.shape[2] < 1:
+        raise DimensionError(f"backbone input needs positive H and W, got {x.shape}")
+
+
+def _forward_checked(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
+    """One sample, accumulated channel by channel, every prefix checked.
+
+    The exact fallback of the batched pass: the first prefix sum that
+    leaves the int32 range raises, naming its layer and magnitude.
+    """
     c, h, w = x.shape
     acts = x.data.reshape(c, h * w).astype(np.int64)
     in_scale = float(x.qparams.scale)
@@ -216,8 +229,104 @@ def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> Tensor:
         in_scale = layer.out_scale
         in_zp = 0
     feats = q.astype(np.float32) * np.float32(bb.layers[-1].out_scale)
-    pooled = _sum_cols(feats) / np.float32(h * w)
-    return Tensor(pooled, (bb.feature_dim,))
+    return _sum_cols(feats) / np.float32(h * w)
+
+
+def _acc_bound(layer: QuantLayer, peak: int) -> int:
+    """Largest |prefix sum| a channel can reach with inputs in [-peak, peak]."""
+    absw = np.abs(layer.weight.astype(np.int64)).sum(axis=1)
+    return int((np.abs(layer.bias.astype(np.int64)) + absw * peak).max())
+
+
+def _blocks(bb: FrozenBackbone, xs):
+    """Consecutive runs of same-shape samples, sized so that no layer's
+    (channels, samples * H * W) temporary exceeds ``_BLOCK`` elements.
+
+    A sample's input checks run only once every earlier block is done,
+    so errors surface in the order a one-by-one pass would raise them.
+    """
+    width = max(max(layer.c_in, layer.c_out) for layer in bb.layers)
+    i = 0
+    while i < len(xs):
+        _check_input(bb, xs[i])
+        shape = xs[i].shape
+        step = max(1, _BLOCK // (width * shape[1] * shape[2]))
+        j = i + 1
+        while j < len(xs) and j - i < step and xs[j].shape == shape:
+            j += 1
+        yield xs[i:j]
+        i = j
+
+
+def _forward_block(bb: FrozenBackbone, block, later_bound: int) -> np.ndarray:
+    """(B, feature_dim) features of same-shape samples, one GEMM per layer."""
+    c, h, w = block[0].shape
+    n = len(block) * h * w
+    q = np.stack([x.data for x in block]).reshape(len(block), c, h * w)
+    zp = np.array([x.qparams.zero_point for x in block], np.float64)
+    # (channels, samples, H*W): every layer is one 2-D product over channels
+    acts = q.transpose(1, 0, 2).astype(np.float64, order="C")
+    acts -= zp[None, :, None]
+    first = bb.layers[0]
+    peak = int(np.abs(acts).max(initial=0))
+    if max(_acc_bound(first, peak), later_bound) > _INT32_MAX:
+        return np.stack([_forward_checked(bb, x) for x in block])
+    # per-sample requantization multipliers, formed exactly as one by one
+    mult = np.array(
+        [float(x.qparams.scale) * first.weight_scale / first.out_scale for x in block],
+        np.float64,
+    )[:, None]
+    for li, layer in enumerate(bb.layers):
+        if li:
+            mult = bb.layers[li - 1].out_scale * layer.weight_scale / layer.out_scale
+        acc = np.matmul(layer.weight.astype(np.float64), acts.reshape(layer.c_in, n))
+        acc += layer.bias.astype(np.float64)[:, None]
+        acc = acc.reshape(layer.c_out, len(block), h * w)
+        acc *= mult
+        np.rint(acc, out=acc)
+        np.clip(acc, 0, INT8_MAX, out=acc)
+        acts = acc
+    feats = acts.astype(np.float32) * np.float32(bb.layers[-1].out_scale)
+    # pool over H*W in index order, as the one-sample column sum does
+    return _scan(feats.transpose(2, 1, 0)) / np.float32(h * w)
+
+
+def backbone_forward(bb: FrozenBackbone, x):
+    """Integer inference through the frozen chain; float features out.
+
+    ``x`` is one C x H x W ``QuantTensor`` (a ``Tensor`` of
+    ``feature_dim`` comes back) or a sequence of them (a float32
+    ``(len(x), feature_dim)`` array comes back). Samples may differ in
+    shape and quantization parameters.
+
+    Per layer: int32-range accumulation over input channels (overflow
+    detected, never wrapped), requantization by a float multiply and
+    round-half-even, relu as a clamp at the zero point. The last layer
+    is dequantized and average-pooled with an ordered float32 sum.
+
+    Consecutive same-shape samples run in blocks, one float64 GEMM per
+    layer. Before a block runs, the bound
+    ``max_co(|b_co| + sum_ci |w_co,ci| * peak)`` is checked against
+    INT32_MAX for every layer, with ``peak`` the block's largest
+    ``|q - zero_point|`` in layer 0 and 127 (post-relu) after it. When
+    it holds, no prefix sum can overflow and every partial sum is an
+    integer below 2**31 < 2**53, so the GEMM is exact in any summation
+    order and the features equal the channel-by-channel integer pass
+    bit for bit. When it fails, the block's samples take that exact
+    pass one by one, checking every prefix sum, so an overflow raises
+    the same ``NumericError`` for the same first sample.
+    """
+    if isinstance(x, QuantTensor):
+        return Tensor(backbone_forward(bb, [x])[0], (bb.feature_dim,))
+    xs = list(x)
+    # later layers read post-relu activations in [0, 127]
+    later_bound = max((_acc_bound(layer, INT8_MAX) for layer in bb.layers[1:]), default=0)
+    out = np.empty((len(xs), bb.feature_dim), np.float32)
+    i = 0
+    for block in _blocks(bb, xs):
+        out[i : i + len(block)] = _forward_block(bb, block, later_bound)
+        i += len(block)
+    return out
 
 
 def build_backbone(

@@ -9,13 +9,14 @@ always runs over every class seen so far.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 
 from .errors import EvaluationError, PlanError, RegistryError
 from .model import SplitModel, head_logits
 from .quant import QuantParams, QuantTensor, backbone_forward
+from .tensor import Tensor
 
 __all__ = [
     "RegistryEntry",
@@ -213,9 +214,11 @@ def precompute_features(backbone, ds: LabeledDataset) -> dict:
     """Map sample id -> backbone feature vector, computed once.
 
     The backbone is frozen, so features never change; training and
-    evaluation both read from this cache.
+    evaluation both read from this cache. The whole split goes through
+    one batched ``backbone_forward`` call.
     """
-    return {s.sample_id: backbone_forward(backbone, s.x) for s in ds.samples}
+    feats = backbone_forward(backbone, [s.x for s in ds.samples])
+    return {s.sample_id: Tensor(f) for s, f in zip(ds.samples, feats)}
 
 
 def evaluate(
@@ -246,11 +249,11 @@ def evaluate(
     if not subset:
         raise EvaluationError("empty test set for the given classes")
     if features is not None:
-        feats = [features[s.sample_id] for s in subset]
+        feats = np.stack([features[s.sample_id].data for s in subset])
     else:
-        feats = [backbone_forward(model.backbone, s.x) for s in subset]
+        feats = backbone_forward(model.backbone, [s.x for s in subset])
     # one batched head pass; rows equal the per-sample logits bit for bit
-    z = head_logits(model.head, np.stack([f.data for f in feats])).array
+    z = head_logits(model.head, feats).array
     idx = np.array(seen)
     pred = idx[np.argmax(z[:, idx], axis=1)]  # first max = lowest class id
     correct = int(np.count_nonzero(pred == np.array([s.class_id for s in subset])))
@@ -300,20 +303,38 @@ def read_manifest(manifest_dir) -> tuple:
     path = root / _MANIFEST_NAME
     if not path.is_file():
         raise PlanError(f"no {_MANIFEST_NAME} under {root}")
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise PlanError(f"{path} is not a text manifest ({e.reason})") from None
     if not lines or tuple(lines[0].split("\t")) != _COLUMNS:
         raise PlanError(f"unrecognized manifest header in {path}")
     per_split = {"train": [], "test": []}
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
-        sid, split, cid, scale, zp, shape_s, rel = ln.split("\t")
+        where = f"{path} line {lineno}"
+        cells = ln.split("\t")
+        if len(cells) != len(_COLUMNS):
+            raise PlanError(f"{where}: expected {len(_COLUMNS)} columns, got {len(cells)}")
+        sid, split, cid, scale, zp, shape_s, rel = cells
         if split not in per_split:
             raise PlanError(f"unknown split {split!r} in {path}")
-        shape = tuple(int(d) for d in shape_s.split("x"))
-        raw = np.frombuffer((root / rel).read_bytes(), dtype=np.int8)
-        qt = QuantTensor(raw, shape, QuantParams(float(scale), int(zp)))
-        per_split[split].append(Sample(int(sid), int(cid), qt))
+        try:
+            sid, cid, zp, scale = int(sid), int(cid), int(zp), float(scale)
+            shape = tuple(int(d) for d in shape_s.split("x"))
+        except ValueError as e:
+            raise PlanError(f"{where}: malformed field ({e})") from None
+        # lexical containment: no absolute paths, no climbing out of root
+        blob = PurePosixPath(rel)
+        if blob.is_absolute() or ".." in blob.parts or not blob.parts:
+            raise PlanError(f"{where}: blob path {rel!r} is not inside {root}")
+        try:
+            raw = np.frombuffer((root / blob).read_bytes(), dtype=np.int8)
+        except OSError as e:
+            raise PlanError(f"{where}: cannot read blob {rel!r} ({e.strerror or e})") from None
+        qt = QuantTensor(raw, shape, QuantParams(scale, zp))
+        per_split[split].append(Sample(sid, cid, qt))
     return (
         LabeledDataset(tuple(per_split["train"]), "train"),
         LabeledDataset(tuple(per_split["test"]), "test"),

@@ -313,3 +313,47 @@ def test_manifest_missing_or_malformed(tmp_path):
     (bad / "manifest.tsv").write_text("not\ta\theader\n")
     with pytest.raises(PlanError):
         read_manifest(bad)
+
+
+def _hostile_manifest(tmp_path, edit):
+    """Write a small manifest, then rewrite its second data row with ``edit``."""
+    spec = SyntheticSpec(num_classes=2, train_per_class=2, test_per_class=1)
+    train, test = gen_synthetic(spec, np.random.default_rng(6))
+    root = tmp_path / "m"
+    write_manifest(train, test, root)
+    (tmp_path / "outside.bin").write_bytes(train.samples[1].x.data.tobytes())
+    path = root / "manifest.tsv"
+    lines = path.read_text().splitlines()
+    cells = lines[2].split("\t")
+    lines[2] = "\t".join(edit(cells, root))
+    path.write_text("\n".join(lines) + "\n")
+    return root
+
+
+def _set(col, value):
+    def edit(cells, root):
+        cells[col] = value(root) if callable(value) else value
+        return cells
+    return edit
+
+
+HOSTILE_ROWS = {
+    "too_few_columns": lambda cells, root: cells[:-1],
+    "too_many_columns": lambda cells, root: cells + ["extra"],
+    "sample_id_not_numeric": _set(0, "seven"),
+    "class_id_not_numeric": _set(2, "1.0"),
+    "zero_point_not_numeric": _set(4, "zp"),
+    "scale_not_numeric": _set(3, "big"),
+    "shape_not_numeric": _set(5, "4xAx3"),
+    "blob_missing": _set(6, "blobs/999999.bin"),
+    "blob_absolute": _set(6, lambda root: str((root / "blobs" / "000001.bin").resolve())),
+    "blob_climbs_out": _set(6, "../outside.bin"),
+    "blob_climbs_back_in": _set(6, "blobs/../blobs/000001.bin"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
+def test_manifest_rejects_hostile_rows(tmp_path, case):
+    root = _hostile_manifest(tmp_path, HOSTILE_ROWS[case])
+    with pytest.raises(PlanError, match="line 3"):
+        read_manifest(root)

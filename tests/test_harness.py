@@ -132,6 +132,41 @@ def test_config_rejects_non_integer_counts(section, key, value):
         fs.config_from_dict(d)
 
 
+MISTYPED = [
+    {"seed": "abc"},
+    {"seed": 12.5},
+    {"seed": True},
+    {"seed": -1},
+    {"loss": {"lr": "0.1"}},
+    {"loss": {"mu": None}},
+    {"loss": {"lambda": False}},
+    {"loss": {"mu": float("nan")}},
+    {"cost": {"calibration_seconds": "x"}},
+    {"cost": {"calibration_bytes": "24576"}},
+    {"head": {"init_sigma": [0.1]}},
+    {"backbone": {"layer_dims": "ab"}},
+    {"backbone": {"layer_dims": [3, 6.0, 8]}},
+    {"backbone": {"activation_range": None}},
+    {"data": {"input_shape": [4, "a"]}},
+    {"data": {"input_scale": "0.05"}},
+    {"data": {"input_zero_point": 0.5}},
+    {"data": {"manifest_dir": 7, "kind": "manifest"}},
+    {"loss": 3},
+]
+
+
+@pytest.mark.parametrize("bad", MISTYPED, ids=json.dumps)
+def test_config_rejects_mistyped_values(bad):
+    d = fs.config_to_dict(_small_config())
+    for section, value in bad.items():
+        if isinstance(value, dict):
+            d[section].update(value)
+        else:
+            d[section] = value
+    with pytest.raises(fs.ConfigError):
+        fs.config_from_dict(d)
+
+
 def test_default_config_is_desk_scale():
     cfg = fs.default_config()
     assert cfg.plan.num_classes == 10
@@ -316,6 +351,13 @@ def test_cli_config_error_exit_code(tmp_path):
     {"train": {"t0_epochs": 1.5}},
     {"plan": {"num_nodes": True}},
     {"loss": {"batch_size": 2.0}},
+    # mistyped floats, seed and shape lists
+    {"seed": "abc"},
+    {"loss": {"lr": "0.1"}},
+    {"loss": {"mu": None}},
+    {"cost": {"calibration_seconds": "x"}},
+    {"backbone": {"layer_dims": "ab"}},
+    {"data": {"input_shape": [4, "a"]}},
 ])
 def test_cli_non_integer_count_is_a_config_error(tmp_path, bad):
     path = tmp_path / "bad.json"
@@ -324,3 +366,24 @@ def test_cli_non_integer_count_is_a_config_error(tmp_path, bad):
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: ")
+
+
+@pytest.mark.parametrize("rel", ["../outside.bin", "blobs/missing.bin", "{tmp}/outside.bin"])
+def test_cli_hostile_manifest_row_is_a_runtime_error(tmp_path, rel):
+    cfg = _small_config()
+    train, test = fs.gen_synthetic(cfg.data.synthetic_spec(cfg.plan.num_classes),
+                                   np.random.default_rng(0))
+    data = tmp_path / "data"
+    fs.write_manifest(train, test, data)
+    (tmp_path / "outside.bin").write_bytes(train.samples[0].x.data.tobytes())
+    manifest = data / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    lines[1] = "\t".join(lines[1].split("\t")[:-1] + [rel.format(tmp=tmp_path.resolve())])
+    manifest.write_text("\n".join(lines) + "\n")
+    cfg_path = tmp_path / "config.json"
+    fs.save_config(replace(cfg, data=fs.DataSpec(kind="manifest", manifest_dir=str(data))),
+                   cfg_path)
+    res = _cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
