@@ -117,6 +117,6 @@ from .sessions import (
     write_manifest,
 )
 from .synthetic import SyntheticSpec, gen_synthetic
-from .tensor import Graph, Tensor, finite_diff_grad
+from .tensor import Tensor
 
 __version__ = "0.1.0"

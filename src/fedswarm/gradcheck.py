@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericError
 from .losses import ClassPartition, LossConfig, total_loss
-from .model import TrainableHead, flatten_params, unflatten_params
+from .model import TrainableHead, flatten_params
 from .tensor import Tensor
 
 __all__ = ["reference_total_loss", "check_case", "run_gradcheck", "format_gradcheck"]

@@ -28,6 +28,7 @@ from .errors import (
     ConfigError,
     EvaluationError,
     PlanError,
+    _is_int,
     check_float_fields,
     check_int_fields,
     int_tuple,
@@ -508,8 +509,28 @@ def parse_report(path) -> MetricsReport:
     except json.JSONDecodeError as e:
         raise ConfigError(f"report {p} is not valid JSON: {e}")
     keys = ("seed", "strategy", "config", "sessions", "cost")
-    raw = _take(raw, keys, "report")
+    raw = _take(raw, keys, f"report {p}")
+    missing = [k for k in keys if k not in raw]
+    if missing:
+        raise ConfigError(f"report {p} lacks keys {missing}")
+    if not isinstance(raw["strategy"], str):
+        raise ConfigError(f"report {p}: strategy must be a string, got {raw['strategy']!r}")
+    _check_session_rows(raw["sessions"], p)
     return MetricsReport(**{k: raw[k] for k in keys})
+
+
+def _check_session_rows(rows, p: Path) -> None:
+    """ConfigError unless ``rows`` is a list of mappings, each with an
+    int ``session`` and numeric accuracies; ranges stay with MetricsReport."""
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise ConfigError(f"report {p}: sessions must be a list of mappings")
+    for i, row in enumerate(rows):
+        if not _is_int(row.get("session")):
+            raise ConfigError(f"report {p}: sessions[{i}] needs an integer 'session'")
+        for key in ("accuracy_seen", "accuracy_base"):
+            v = row.get(key)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"report {p}: sessions[{i}].{key} must be a number, got {v!r}")
 
 
 def strategy_block_bytes(r: MetricsReport) -> bytes:

@@ -7,11 +7,12 @@ excluding the sample's own target output. When the node holds a single
 new class (so the new-side set is empty after exclusion) it falls back
 to suppressing the old-class mean directly.
 
-``total_loss`` builds no graph: it stacks the minibatch and runs one
-closed-form forward and backward pass. Every sum is an ordered float32
-scan (``tensor._scan``) and gradients accumulate in the order the
-reverse-mode tape would use, so results are bit-identical to the
-per-sample tape.
+``total_loss`` stacks the minibatch and runs one closed-form forward
+and backward pass, with the gradient of every term written out by
+hand. Every sum is an ordered float32 scan (``tensor._scan``) and
+gradients accumulate in a fixed order, so results are bit-identical to
+the per-sample reference in ``tests/test_objective.py``; the float64
+oracle in ``gradcheck`` checks the math itself.
 """
 
 from __future__ import annotations
@@ -202,8 +203,9 @@ def prox_loss(w: Tensor, w_global: Tensor, lam: float) -> float:
 
 
 def _leaf_grad(per_sample: np.ndarray, prox) -> np.ndarray:
-    """One parameter's gradient, summed in the tape's order: from +0.0,
-    the prox part (absent at lam == 0), then samples B-1 down to 0.
+    """One parameter's gradient, summed in the per-sample reference's
+    order: from +0.0, the prox part (absent at lam == 0), then samples
+    B-1 down to 0.
 
     A loop, not ``_scan``: the sample axis is short and each slice is a
     whole parameter tensor, where one vector add per sample is cheaper.
@@ -229,8 +231,8 @@ def total_loss(
 
     One closed-form forward and backward pass over the stacked batch.
     Every sum is an ordered ``_scan`` and every gradient is accumulated
-    in the order the reverse-mode tape would use, so the value and all
-    four gradients equal the per-sample tape bit for bit.
+    in the per-sample reference's order, so the value and all four
+    gradients equal that reference bit for bit.
     """
     samples = list(batch)
     if not samples:
@@ -253,9 +255,9 @@ def total_loss(
     hidden, z = _head_forward(head, x)
     ce, probs = _ce_kernel(z, targets)
 
-    # d(batch mean)/d(term) = 1/B. The tape adds the MOL part to a +0.0
-    # slot, then the CE part; the slot's seed is dropped here because
-    # the CE part is never -0.0 (softmax probabilities are not).
+    # d(batch mean)/d(term) = 1/B. The reference adds the MOL part to a
+    # +0.0 slot, then the CE part; the slot's seed is dropped here
+    # because the CE part is never -0.0 (softmax probabilities are not).
     inv_n = np.float32(1.0) / np.float32(len(samples))
     dz = probs
     dz[np.arange(len(samples)), targets] -= np.float32(1.0)

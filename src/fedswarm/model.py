@@ -2,8 +2,9 @@
 
 The head is a pointwise conv over the pooled feature vector, relu, and
 a linear classifier whose row count grows as new classes appear.
-Gradients flow into head parameters only; the backbone never enters
-the differentiation graph.
+``_head_forward`` is the one copy of the head math: ``head_logits``
+and ``losses.total_loss`` both run it. Gradients flow into head
+parameters only; the backbone's features enter as constants.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, RegistryError
 from .quant import FrozenBackbone, QuantTensor, backbone_forward
-from .tensor import Graph, Tensor, mm_f32
+from .tensor import Tensor, mm_f32
 
 __all__ = [
     "TrainableHead",
@@ -23,7 +24,6 @@ __all__ = [
     "init_head",
     "forward",
     "head_logits",
-    "head_forward_graph",
     "expand_classifier",
     "flatten_params",
     "unflatten_params",
@@ -117,8 +117,8 @@ def init_head(
 def _head_forward(head: TrainableHead, feats: np.ndarray) -> tuple:
     """(hidden, logits) of a (B, c_feat) float32 batch, one row per sample.
 
-    Both contractions are ``mm_f32`` scans in the tape's index order, so
-    each row equals the single-sample pass bit for bit.
+    Both contractions are ``mm_f32`` scans in the per-sample reference's
+    index order, so each row equals the single-sample pass bit for bit.
     """
     pre = mm_f32(feats, head.conv_w.array.T) + head.conv_b.data
     hidden = np.where(pre > 0, pre, np.float32(0.0))
@@ -128,8 +128,9 @@ def _head_forward(head: TrainableHead, feats: np.ndarray) -> tuple:
 def head_logits(head: TrainableHead, features) -> Tensor:
     """Eager head pass over one feature vector or a (B, c_feat) batch.
 
-    Same kernels as the graph; a batch gives (B, num_classes) logits
-    whose rows equal the one-vector results exactly.
+    Same kernels as the training objective; a batch gives
+    (B, num_classes) logits whose rows equal the one-vector results
+    exactly.
     """
     f = features.array if isinstance(features, Tensor) else np.asarray(features, np.float32)
     if f.shape[-1:] != (head.c_feat,) or f.ndim > 2:
@@ -143,28 +144,6 @@ def head_logits(head: TrainableHead, features) -> Tensor:
 def forward(m: SplitModel, x: QuantTensor) -> Tensor:
     """logits = cls(relu(conv(backbone(x)))); backbone sees no gradient."""
     return head_logits(m.head, backbone_forward(m.backbone, x))
-
-
-def head_forward_graph(g: Graph, param_ids: dict, features) -> int:
-    """Differentiable head pass; ``param_ids`` maps the four leaf names.
-
-    The feature vector enters as a constant leaf shaped for the two
-    pointwise convs, so only head parameters collect gradients.
-    """
-    f = features.data if isinstance(features, Tensor) else np.asarray(features, np.float32)
-    x = g.leaf(f.reshape(f.size, 1, 1))
-    hidden = g.relu(g.pointwise_conv(x, param_ids["conv_w"], param_ids["conv_b"]))
-    return g.pointwise_conv(hidden, param_ids["cls_w"], param_ids["cls_b"])
-
-
-def head_param_leaves(g: Graph, head: TrainableHead) -> dict:
-    """Register the head's parameters as graph leaves, canonical order."""
-    return {
-        "conv_w": g.leaf(head.conv_w),
-        "conv_b": g.leaf(head.conv_b),
-        "cls_w": g.leaf(head.cls_w),
-        "cls_b": g.leaf(head.cls_b),
-    }
 
 
 def expand_classifier(h: TrainableHead, new_class_ids) -> TrainableHead:

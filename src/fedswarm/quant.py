@@ -69,6 +69,8 @@ class QuantTensor:
 
     def __init__(self, data, shape, qparams: QuantParams):
         shape = tuple(int(s) for s in shape)
+        if any(s < 1 for s in shape):
+            raise DimensionError(f"shape entries must be positive, got {shape}")
         flat = np.asarray(data, dtype=np.int8).reshape(-1)
         expected = 1
         for s in shape:
@@ -198,8 +200,6 @@ def _check_input(bb: FrozenBackbone, x: QuantTensor) -> None:
         raise DimensionError(
             f"input channels {x.shape[0]} do not match first layer {bb.input_channels}"
         )
-    if x.shape[1] < 1 or x.shape[2] < 1:
-        raise DimensionError(f"backbone input needs positive H and W, got {x.shape}")
 
 
 def _forward_checked(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:

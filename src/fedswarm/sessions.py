@@ -323,6 +323,8 @@ def read_manifest(manifest_dir) -> tuple:
         try:
             sid, cid, zp, scale = int(sid), int(cid), int(zp), float(scale)
             shape = tuple(int(d) for d in shape_s.split("x"))
+            if min(shape) < 1:
+                raise ValueError(f"shape entries must be positive, got {shape_s!r}")
         except ValueError as e:
             raise PlanError(f"{where}: malformed field ({e})") from None
         # lexical containment: no absolute paths, no climbing out of root

@@ -345,6 +345,7 @@ HOSTILE_ROWS = {
     "zero_point_not_numeric": _set(4, "zp"),
     "scale_not_numeric": _set(3, "big"),
     "shape_not_numeric": _set(5, "4xAx3"),
+    "shape_not_positive": _set(5, "4x-1x-9"),
     "blob_missing": _set(6, "blobs/999999.bin"),
     "blob_absolute": _set(6, lambda root: str((root / "blobs" / "000001.bin").resolve())),
     "blob_climbs_out": _set(6, "../outside.bin"),

@@ -368,6 +368,33 @@ def test_cli_non_integer_count_is_a_config_error(tmp_path, bad):
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: ")
 
 
+_ROW = {"session": 0, "accuracy_seen": 1.0, "accuracy_base": 1.0}
+_REPORT = {"seed": 1, "strategy": "odfcl", "config": {}, "sessions": [_ROW], "cost": {}}
+HOSTILE_REPORTS = {
+    "sessions_not_a_list": dict(_REPORT, sessions=5),
+    "row_without_session": dict(_REPORT, sessions=[{}]),
+    "accuracy_is_a_string": dict(_REPORT, sessions=[dict(_ROW, accuracy_seen="0.9")]),
+    "strategy_is_null": dict(_REPORT, strategy=None),
+    "cost_missing": {k: v for k, v in _REPORT.items() if k != "cost"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_REPORTS))
+def test_cli_hostile_report_is_a_config_error(tmp_path, case):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(HOSTILE_REPORTS[case]))
+    res = _cli("report", str(path))
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: ")
+
+
+def test_well_formed_report_body_parses(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(_REPORT))
+    assert fs.parse_report(path).sessions == [_ROW]
+
+
 @pytest.mark.parametrize("rel", ["../outside.bin", "blobs/missing.bin", "{tmp}/outside.bin"])
 def test_cli_hostile_manifest_row_is_a_runtime_error(tmp_path, rel):
     cfg = _small_config()

@@ -26,8 +26,7 @@ from fedswarm import (
 )
 from fedswarm.gradcheck import REL_TOL, check_case
 from fedswarm.losses import HeadGrads
-from fedswarm.model import head_forward_graph, head_param_leaves
-from fedswarm.tensor import Graph, _sum_cols, mm_f32, seq_sum
+from fedswarm.tensor import _sum_cols, mm_f32, seq_sum
 
 
 # -- cross-entropy --------------------------------------------------------------
@@ -281,12 +280,15 @@ def test_loss_config_defaults():
     assert cfg.lr == 0.01 and cfg.batch_size == 4
 
 
-# -- fused kernel vs the per-sample tape -----------------------------------------
+# -- fused kernel vs the per-sample reference -------------------------------------
 #
-# The reference below is the objective as a reverse-mode tape: one graph
-# per minibatch, one head pass per sample, hand-written backward rules,
-# and the Python-loop sums the scan kernels replaced. ``total_loss`` must
-# reproduce its value and all four gradients bit for bit.
+# The reference below is the objective written one sample at a time with
+# the Python-loop sums the scan kernels replaced. Its summation order is
+# the contract: the loss is the ordered mean of the per-sample terms plus
+# the prox term; each logit gradient is (+0.0 + dMOL * (mu/B)) + dCE / B;
+# each parameter gradient starts from +0.0 plus its prox part and then
+# adds samples B-1 down to 0, each contribution a k=1 product. ``total_loss``
+# must reproduce its value and all four gradients bit for bit.
 
 
 def _loop_seq_sum(values):
@@ -310,90 +312,64 @@ def _loop_sum_cols(x):
     return acc
 
 
-def _tape_ce(g, logits, target):
-    z = g.raw_value(logits).reshape(-1)
-    shifted = z - np.max(z)
-    exps = np.exp(shifted)
-    total = _loop_seq_sum(exps)
-    probs = exps / total
-    shape = g.raw_value(logits).shape
-
-    def backward_fn(gout):
-        dz = probs.copy()
-        dz[target] -= np.float32(1.0)
-        return (dz.reshape(shape) * gout,)
-
-    loss = np.float32(np.log(total) - shifted[target])
-    return g.push_op("cross_entropy", (logits,), loss, backward_fn)
+def _ref_head(head, feats):
+    """(x, pre-activation, hidden, logits) of one sample as columns."""
+    x = feats.data.reshape(-1, 1)
+    pre = _loop_mm_f32(head.conv_w.array, x) + head.conv_b.array[:, None]
+    hidden = np.where(pre > 0, pre, np.float32(0.0))
+    z = _loop_mm_f32(head.cls_w.array, hidden) + head.cls_b.array[:, None]
+    return x, pre, hidden, z.reshape(-1)
 
 
-def _tape_mol(g, logits, target, part):
-    z = g.raw_value(logits).reshape(-1)
-    a = sorted(part.new_classes - {target})
-    b = sorted(part.old_classes - {target})
-    dz = np.zeros_like(z)
-    val = np.float32(0.0)
-    if b:
-        mean_b = _loop_seq_sum(z[b]) / np.float32(len(b))
-        if a:
-            mean_a = _loop_seq_sum(z[a]) / np.float32(len(a))
-            diff = np.float32(mean_a - mean_b)
-            dz[a] = np.float32(2.0) * diff / np.float32(len(a))
-            dz[b] = np.float32(-2.0) * diff / np.float32(len(b))
-            val = np.float32(diff * diff)
-        else:
-            dz[b] = np.float32(2.0) * mean_b / np.float32(len(b))
-            val = np.float32(mean_b * mean_b)
-    shape = g.raw_value(logits).shape
-
-    def backward_fn(gout):
-        return (dz.reshape(shape) * gout,)
-
-    return g.push_op("mean_output", (logits,), val, backward_fn)
-
-
-def _tape_mean(g, terms):
-    vals = np.array([g.raw_value(t) for t in terms], dtype=np.float32)
-    n = np.float32(len(terms))
-
-    def backward_fn(gout):
-        return (gout / n,) * len(terms)
-
-    return g.push_op("batch_mean", tuple(terms), _loop_seq_sum(vals) / n, backward_fn)
-
-
-def _tape_prox(g, params, w_global, lam):
-    leaves = [params[k] for k in ("conv_w", "conv_b", "cls_w", "cls_b")]
-    values = [g.raw_value(i) for i in leaves]
-    d = np.concatenate([v.reshape(-1) for v in values]) - w_global.data
-    lam32 = np.float32(lam)
-
-    def backward_fn(gout):
-        full = lam32 * d * gout
-        out, off = [], 0
-        for v in values:
-            out.append(full[off : off + v.size].reshape(v.shape))
-            off += v.size
-        return tuple(out)
-
-    value = np.float32(0.5) * lam32 * _loop_seq_sum(d * d)
-    return g.push_op("prox", tuple(leaves), value, backward_fn)
-
-
-def _tape_total_loss(head, batch, part, w_global, cfg):
-    g = Graph()
-    params = head_param_leaves(g, head)
-    terms = []
+def _ref_total_loss(head, batch, part, w_global, cfg):
+    params = [getattr(head, k).array for k in ("conv_w", "conv_b", "cls_w", "cls_b")]
+    n = np.float32(len(batch))
+    inv_n = np.float32(1.0) / n
+    mu, lam = np.float32(cfg.mu), np.float32(cfg.lam)
+    d = flatten_params(head).data - w_global.data
+    # every leaf gradient starts from +0.0 plus its prox part
+    grads, off = [], 0
+    for p in params:
+        grads.append(np.float32(0.0) + (lam * d[off : off + p.size]).reshape(p.shape))
+        off += p.size
+    terms, saved = [], []
     for feats, target in batch:
-        logits = head_forward_graph(g, params, feats)
-        term = _tape_ce(g, logits, target)
+        x, pre, hidden, z = _ref_head(head, feats)
+        shifted = z - np.max(z)
+        exps = np.exp(shifted)
+        total = _loop_seq_sum(exps)
+        dce = exps / total
+        dce[target] -= np.float32(1.0)
+        term = np.float32(np.log(total) - shifted[target])
+        g_z = np.zeros_like(z)
         if cfg.mu != 0.0:
-            term = g.add(term, g.scale(_tape_mol(g, logits, target, part), cfg.mu))
+            a = sorted(part.new_classes - {target})
+            b = sorted(part.old_classes - {target})
+            dmol, mol = np.zeros_like(z), np.float32(0.0)
+            if b:
+                mean_b = _loop_seq_sum(z[b]) / np.float32(len(b))
+                diff = -mean_b  # fallback: no new side left
+                if a:
+                    diff = np.float32(_loop_seq_sum(z[a]) / np.float32(len(a)) - mean_b)
+                    dmol[a] = np.float32(2.0) * diff / np.float32(len(a))
+                dmol[b] = np.float32(-2.0) * diff / np.float32(len(b))
+                mol = np.float32(diff * diff)
+            term = term + mol * mu
+            g_z = g_z + dmol * (inv_n * mu)
+        g_z = (g_z + dce * inv_n)[:, None]
         terms.append(term)
-    total = g.add(_tape_mean(g, terms), _tape_prox(g, params, w_global, cfg.lam))
-    g.backward(total)
-    grads = HeadGrads(*(g.grad(params[k]) for k in ("conv_w", "conv_b", "cls_w", "cls_b")))
-    return float(g.raw_value(total)), grads
+        saved.append((x, pre, hidden, g_z))
+    value = _loop_seq_sum(np.array(terms, np.float32)) / n
+    value = value + np.float32(0.5) * lam * _loop_seq_sum(d * d)
+    # samples B-1 down to 0, each a k=1 product or a one-column sum
+    for x, pre, hidden, g_z in reversed(saved):
+        g_pre = np.where(pre > 0, _loop_mm_f32(head.cls_w.array.T, g_z), np.float32(0.0))
+        parts = (
+            _loop_mm_f32(g_pre, x.T), _loop_sum_cols(g_pre),
+            _loop_mm_f32(g_z, hidden.T), _loop_sum_cols(g_z),
+        )
+        grads = [g + c for g, c in zip(grads, parts)]
+    return float(value), HeadGrads(*(Tensor(g) for g in grads))
 
 
 def _bits(value, grads):
@@ -403,9 +379,14 @@ def _bits(value, grads):
 
 
 def _sparse(rng, shape, zero_frac, scale=1.0):
-    """Gaussian values with an exact-zero fraction (relu kinks, -0.0 products)."""
+    """Gaussian values with an exact-zero fraction (relu kinks, -0.0 products).
+
+    Each zero keeps its value's sign, so parameters, snapshots and
+    features also hold -0.0 (a -0.0 prox part, a -0.0 contribution).
+    """
     x = rng.standard_normal(shape).astype(np.float32) * np.float32(scale)
-    x[rng.random(shape) < zero_frac] = 0.0
+    zeros = rng.random(shape) < zero_frac
+    x[zeros] = np.copysign(np.float32(0.0), x[zeros])
     return x
 
 
@@ -453,10 +434,8 @@ def _objective_cases(draw):
 
 
 @given(_objective_cases())
-def test_fused_total_loss_matches_tape_bit_for_bit(case):
-    fused = total_loss(*case)
-    tape = _tape_total_loss(*case)
-    assert _bits(*fused) == _bits(*tape)
+def test_fused_total_loss_matches_reference_bit_for_bit(case):
+    assert _bits(*total_loss(*case)) == _bits(*_ref_total_loss(*case))
 
 
 def test_fused_total_loss_keeps_sign_of_zero_gradients():
@@ -473,7 +452,7 @@ def test_fused_total_loss_keeps_sign_of_zero_gradients():
         cfg = LossConfig(mu=mu, lam=lam)
         wg = Tensor(flatten_params(head).data * np.float32(-1.0))
         assert _bits(*total_loss(head, batch, part, wg, cfg)) == _bits(
-            *_tape_total_loss(head, batch, part, wg, cfg)
+            *_ref_total_loss(head, batch, part, wg, cfg)
         )
 
 

@@ -92,6 +92,13 @@ def test_quant_tensor_shape_check_and_eq():
     assert a != QuantTensor(np.arange(4, dtype=np.int8), (2, 2), QuantParams(0.2))
 
 
+@pytest.mark.parametrize("shape", [(4, -1, -9), (-1, -1), (3, 0), (0,)])
+def test_quant_tensor_rejects_non_positive_shape(shape):
+    size = abs(int(np.prod(shape)))
+    with pytest.raises(DimensionError, match="must be positive"):
+        QuantTensor(np.zeros(size, np.int8), shape, QuantParams(0.1))
+
+
 # -- backbone forward ---------------------------------------------------------
 
 

@@ -1,29 +1,9 @@
-"""Tensor type and reverse-mode tape, validated against finite differences."""
+"""Tensor value semantics: shape checks, immutability, equality."""
 
 import numpy as np
 import pytest
 
-from fedswarm import DimensionError, Graph, NumericError, Tensor, finite_diff_grad
-
-H = 1e-3
-REL_TOL = 1e-4
-ABS_FLOOR = 1e-2  # entries below this are compared absolutely at 1e-6
-
-
-def _scaled_err(analytic: np.ndarray, expected: np.ndarray) -> float:
-    denom = np.maximum(np.abs(expected), ABS_FLOOR)
-    return float(np.max(np.abs(analytic - expected) / denom))
-
-
-def _weighted_sum(g: Graph, nid: int, w: np.ndarray) -> int:
-    """Scalar probe so any op output can feed backward()."""
-    w = np.asarray(w, dtype=np.float32)
-
-    def backward_fn(gout):
-        return (w * gout,)
-
-    return g.push_op("wsum", (nid,), np.float32((g.raw_value(nid) * w).sum()), backward_fn)
-
+from fedswarm import DimensionError, Tensor
 
 # -- value semantics ---------------------------------------------------------
 
@@ -49,242 +29,3 @@ def test_tensor_zeros_and_eq():
     assert np.array_equal(z.data, np.zeros(6, np.float32))
     assert z == Tensor(np.zeros((3, 2)))
     assert z != Tensor(np.ones((3, 2)))
-
-
-# -- forward examples --------------------------------------------------------
-
-
-def test_matmul_identity_exact():
-    g = Graph()
-    x = np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)
-    out = g.matmul(g.leaf(np.eye(2, dtype=np.float32)), g.leaf(x))
-    assert np.array_equal(g.raw_value(out), x)
-
-
-def test_matmul_identity_random_exact():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        x = rng.standard_normal((4, 3)).astype(np.float32)
-        g = Graph()
-        out = g.matmul(g.leaf(np.eye(4, dtype=np.float32)), g.leaf(x))
-        assert np.array_equal(g.raw_value(out), x)
-
-
-def test_matmul_annihilating():
-    g = Graph()
-    a = g.leaf(np.array([[1.0, 0.0], [0.0, 0.0]], np.float32))
-    b = g.leaf(np.array([[0.0, 0.0], [0.0, 1.0]], np.float32))
-    assert np.array_equal(g.raw_value(g.matmul(a, b)), np.zeros((2, 2), np.float32))
-
-
-def test_matmul_shape_error_names_both_shapes():
-    g = Graph()
-    a = g.leaf(np.zeros((2, 3), np.float32))
-    b = g.leaf(np.zeros((4, 2), np.float32))
-    with pytest.raises(DimensionError) as ei:
-        g.matmul(a, b)
-    assert "(2, 3)" in str(ei.value) and "(4, 2)" in str(ei.value)
-
-
-def test_pointwise_conv_identity_kernel():
-    g = Graph()
-    x = np.arange(6, dtype=np.float32).reshape(1, 2, 3)
-    out = g.pointwise_conv(
-        g.leaf(x), g.leaf(np.array([[1.0]], np.float32)), g.leaf(np.zeros(1, np.float32))
-    )
-    assert np.array_equal(g.raw_value(out), x)
-
-
-def test_pointwise_conv_zero_weights_bias_only():
-    g = Graph()
-    x = np.ones((3, 2, 2), np.float32)
-    b = np.array([0.5, -1.0], np.float32)
-    out = g.pointwise_conv(g.leaf(x), g.leaf(np.zeros((2, 3), np.float32)), g.leaf(b))
-    v = g.raw_value(out)
-    assert v.shape == (2, 2, 2)
-    assert np.array_equal(v, np.broadcast_to(b[:, None, None], (2, 2, 2)))
-
-
-def test_pointwise_conv_channel_mismatch():
-    g = Graph()
-    with pytest.raises(DimensionError):
-        g.pointwise_conv(
-            g.leaf(np.zeros((3, 2, 2), np.float32)),
-            g.leaf(np.zeros((2, 4), np.float32)),
-            g.leaf(np.zeros(2, np.float32)),
-        )
-
-
-def test_relu_values_and_subgradient_at_zero():
-    g = Graph()
-    x = g.leaf(np.array([-1.0, 2.0, 0.0], np.float32))
-    out = g.relu(x)
-    assert np.array_equal(g.raw_value(out), np.array([0.0, 2.0, 0.0], np.float32))
-    loss = _weighted_sum(g, out, np.ones(3, np.float32))
-    g.backward(loss)
-    assert np.array_equal(g.grad(x).data, np.array([0.0, 1.0, 0.0], np.float32))
-
-
-def test_global_avg_pool_constant_field():
-    g = Graph()
-    out = g.global_avg_pool(g.leaf(np.full((3, 2, 4), 0.5, np.float32)))
-    assert np.array_equal(g.raw_value(out), np.full(3, 0.5, np.float32))
-
-
-def test_scale_by_zero():
-    g = Graph()
-    out = g.scale(g.leaf(np.array([1.0, -2.0, 3.0], np.float32)), 0.0)
-    assert np.array_equal(g.raw_value(out), np.zeros(3, np.float32))
-
-
-def test_add_sub_shape_checks():
-    g = Graph()
-    a = g.leaf(np.zeros(3, np.float32))
-    b = g.leaf(np.zeros(4, np.float32))
-    with pytest.raises(DimensionError):
-        g.add(a, b)
-    with pytest.raises(DimensionError):
-        g.sub(a, b)
-
-
-# -- finite-difference oracle ------------------------------------------------
-
-
-def test_finite_diff_sum_is_ones():
-    # dyadic points and step make x +- h exact in float32
-    f = lambda t: float(t.data.astype(np.float64).sum())
-    fd = finite_diff_grad(f, Tensor([0.25, -1.5, 7.0]), 2.0**-10)
-    assert np.allclose(fd.data, 1.0, atol=1e-6)
-
-
-def test_finite_diff_half_square_norm():
-    # dyadic step keeps x +- h exact in float32, so the quadratic is
-    # differenced without representation error
-    f = lambda t: 0.5 * float((t.data.astype(np.float64) ** 2).sum())
-    fd = finite_diff_grad(f, Tensor([1.0, 2.0]), 2.0**-10)
-    assert np.allclose(fd.data, [1.0, 2.0], atol=1e-6)
-
-
-def test_finite_diff_rejects_bad_inputs():
-    with pytest.raises(NumericError):
-        finite_diff_grad(lambda t: 0.0, Tensor([1.0]), 0.0)
-    with pytest.raises(NumericError):
-        finite_diff_grad(lambda t: float("nan"), Tensor([1.0]), H)
-
-
-# -- gradient correctness per op ---------------------------------------------
-# Each case: seeded leaves -> op -> weighted-sum scalar; analytic backward
-# vs central differences of an independent float64 forward.
-
-
-def _fd_check(build, ref, leaves, rng):
-    g = Graph()
-    ids = [g.leaf(x) for x in leaves]
-    out = build(g, ids)
-    w = rng.standard_normal(g.raw_value(out).shape).astype(np.float32)
-    g.backward(_weighted_sum(g, out, w))
-    for k in range(len(leaves)):
-        def f(t, k=k):
-            args = [np.asarray(a, np.float64) for a in leaves]
-            args[k] = t.data.astype(np.float64).reshape(leaves[k].shape)
-            return float((ref(*args) * w).sum())
-
-        fd = finite_diff_grad(f, Tensor(leaves[k]), H)
-        err = _scaled_err(g.grad(ids[k]).data.astype(np.float64), fd.data.astype(np.float64))
-        assert err < REL_TOL, f"leaf {k}: scaled err {err:.3e}"
-
-
-def _away_from_zero(rng, shape):
-    # relu inputs clear of the kink so central differences stay one-sided
-    mag = rng.uniform(0.1, 1.1, size=shape)
-    return (mag * np.where(rng.random(shape) < 0.5, -1.0, 1.0)).astype(np.float32)
-
-
-def test_matmul_gradients_20_seeds():
-    for seed in range(20):
-        rng = np.random.default_rng(100 + seed)
-        a = rng.standard_normal((3, 4)).astype(np.float32)
-        b = rng.standard_normal((4, 2)).astype(np.float32)
-        _fd_check(lambda g, ids: g.matmul(ids[0], ids[1]), lambda a, b: a @ b, [a, b], rng)
-
-
-def test_pointwise_conv_gradients_20_seeds():
-    ref = lambda x, w, b: (w @ x.reshape(4, 9) + b[:, None]).reshape(5, 3, 3)
-    for seed in range(20):
-        rng = np.random.default_rng(200 + seed)
-        x = rng.standard_normal((4, 3, 3)).astype(np.float32)
-        w = rng.standard_normal((5, 4)).astype(np.float32)
-        b = rng.standard_normal(5).astype(np.float32)
-        _fd_check(lambda g, ids: g.pointwise_conv(*ids), ref, [x, w, b], rng)
-
-
-def test_relu_gradients_20_seeds():
-    for seed in range(20):
-        rng = np.random.default_rng(300 + seed)
-        x = _away_from_zero(rng, (7,))
-        _fd_check(lambda g, ids: g.relu(ids[0]), lambda x: np.maximum(x, 0.0), [x], rng)
-
-
-def test_add_sub_scale_gradients_20_seeds():
-    for seed in range(20):
-        rng = np.random.default_rng(400 + seed)
-        a = rng.standard_normal(5).astype(np.float32)
-        b = rng.standard_normal(5).astype(np.float32)
-        c = float(rng.uniform(-2.0, 2.0))
-        _fd_check(lambda g, ids: g.add(ids[0], ids[1]), lambda a, b: a + b, [a, b], rng)
-        _fd_check(lambda g, ids: g.sub(ids[0], ids[1]), lambda a, b: a - b, [a, b], rng)
-        _fd_check(lambda g, ids: g.scale(ids[0], c), lambda a: a * c, [a], rng)
-
-
-def test_global_avg_pool_gradients_20_seeds():
-    for seed in range(20):
-        rng = np.random.default_rng(500 + seed)
-        x = rng.standard_normal((3, 2, 4)).astype(np.float32)
-        _fd_check(
-            lambda g, ids: g.global_avg_pool(ids[0]),
-            lambda x: x.mean(axis=(1, 2)),
-            [x],
-            rng,
-        )
-
-
-# -- tape semantics ----------------------------------------------------------
-
-
-def _build_composite(seed: int):
-    rng = np.random.default_rng(seed)
-    g = Graph()
-    x = g.leaf(rng.standard_normal((4, 2, 2)).astype(np.float32))
-    w = g.leaf(rng.standard_normal((3, 4)).astype(np.float32))
-    b = g.leaf(rng.standard_normal(3).astype(np.float32))
-    pooled = g.global_avg_pool(g.relu(g.pointwise_conv(x, w, b)))
-    loss = _weighted_sum(g, pooled, rng.standard_normal(3).astype(np.float32))
-    g.backward(loss)
-    return g, (x, w, b)
-
-
-def test_backward_bit_identical_across_rebuilds():
-    g1, ids1 = _build_composite(42)
-    g2, ids2 = _build_composite(42)
-    for i1, i2 in zip(ids1, ids2):
-        assert np.array_equal(g1.grad(i1).data, g2.grad(i2).data)
-
-
-def test_backward_requires_scalar():
-    g = Graph()
-    x = g.leaf(np.ones(3, np.float32))
-    with pytest.raises(DimensionError):
-        g.backward(x)
-
-
-def test_backward_clears_previous_gradients():
-    g, (x, w, b) = _build_composite(7)
-    first = g.grad(w).data.copy()
-    g.backward(len(g.nodes) - 1)  # same loss node again
-    assert np.array_equal(g.grad(w).data, first)
-
-
-def test_gradient_shapes_match_values():
-    g, (x, w, b) = _build_composite(9)
-    for nid in (x, w, b):
-        assert g.grad(nid).shape == tuple(g.raw_value(nid).shape)
