@@ -10,6 +10,7 @@ import numpy as np
 
 from fedswarm import (
     ClassPartition,
+    LinkModel,
     LossConfig,
     NodeState,
     SimNetwork,
@@ -41,7 +42,8 @@ for i, node in enumerate(nodes):
     print(f"node {i} local epoch  : mean loss {loss:.4f}, max drift {drift:.4f}")
 
 pre = [flatten_params(n.head) for n in nodes]
-net = SimNetwork(throughput_bps=4 * p / 0.25)  # 0.25 s per message
+# the simulated link prices each message with the costs module's model
+net = SimNetwork(LinkModel(throughput_bps=4 * p / 0.25))  # 0.25 s per message
 comm = sync_round(nodes, net)
 print(f"sync round          : {len(net.events)} messages, {comm:.2f} s on the link")
 

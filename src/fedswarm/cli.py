@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from .harness import (
     default_config,
     emit_report,
     load_config,
+    load_dataset,
     parse_report,
     report_table,
     run_experiment,
@@ -28,7 +30,6 @@ from .harness import (
 )
 from .model import init_head
 from .sessions import write_manifest
-from .synthetic import gen_synthetic
 
 __all__ = ["main"]
 
@@ -63,16 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_report(path: str) -> Path:
     p = Path(path)
-    if p.is_dir():
-        return p / "report.json"
-    return p
+    return p / "report.json" if p.is_dir() else p
 
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config) if args.config else default_config()
     if args.strategy:
-        from dataclasses import replace
-
         cfg = replace(cfg, strategy=args.strategy)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -120,10 +117,7 @@ def _cmd_gen_data(args) -> int:
     cfg = load_config(args.config) if args.config else default_config()
     if cfg.data.kind != "synthetic":
         raise ConfigError("gen-data needs a synthetic data spec")
-    # child 0 is the data stream inside run_experiment too, so the
-    # materialized dataset is exactly what a run would generate
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    train, test = gen_synthetic(cfg.data.synthetic_spec(cfg.plan.num_classes), rng)
+    train, test = load_dataset(cfg)  # exactly what a run would generate
     path = write_manifest(train, test, args.out)
     print(f"wrote {path} ({len(train)} train / {len(test)} test samples)")
     return 0

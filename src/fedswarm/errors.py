@@ -1,6 +1,7 @@
 """Exception types shared across the library, and config field checks."""
 
 import math
+import sys
 
 
 class FedswarmError(Exception):
@@ -36,15 +37,16 @@ class ConfigError(FedswarmError):
 
 
 def check_int_fields(obj, *names) -> None:
-    """ConfigError unless each named field of ``obj`` is an int (not a bool).
+    """ConfigError unless each named field of ``obj`` is a 64-bit int (not a bool).
 
-    Counts from a JSON config may arrive as floats or booleans; catching
-    them here keeps ``range()`` and array shapes from failing later.
+    Counts from a JSON config may arrive as floats, booleans or integers
+    too large for an array size; catching them here keeps ``range()``
+    and array shapes from failing later.
     """
     for name in names:
         v = getattr(obj, name)
         if not _is_int(v):
-            raise ConfigError(f"{name} must be an integer, got {v!r}")
+            raise ConfigError(f"{name} must be a 64-bit integer, got {v!r}")
 
 
 def check_float_fields(obj, *names) -> None:
@@ -55,7 +57,7 @@ def check_float_fields(obj, *names) -> None:
     """
     for name in names:
         v = getattr(obj, name)
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not _is_finite(v):
             raise ConfigError(f"{name} must be a finite number, got {v!r}")
 
 
@@ -66,5 +68,12 @@ def int_tuple(values, name: str) -> tuple:
     return tuple(values)
 
 
+def _is_finite(v) -> bool:
+    if isinstance(v, float):
+        return math.isfinite(v)
+    # an int beyond the float range is not a usable number either
+    return isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    return isinstance(v, int) and not isinstance(v, bool) and -(2**63) <= v < 2**63

@@ -6,6 +6,11 @@ back. Nodes then replace both their working head and the proximal
 snapshot, so the swarm leaves every round in consensus. Aggregation
 accumulates in float64 after sorting by node id, which makes the
 average bit-exact under permutation and idempotent on identical heads.
+
+``local_epoch`` is the package's one minibatch-SGD loop: the harness
+runs central training (T0 pretraining, the joint strategy) through it
+too, on a single node holding the pooled data. ``SimNetwork`` prices
+each message with the ``costs`` link model.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .costs import LinkModel, message_time
 from .errors import AggregationError, DimensionError
 from .losses import ClassPartition, LossConfig, sgd_step, total_loss
 from .model import TrainableHead, flatten_params, unflatten_params
@@ -96,22 +102,19 @@ class TraceEvent:
 
 @dataclass
 class SimNetwork:
-    """Sequential link: one message in flight, no losses, shared clock."""
+    """Sequential link: one message in flight, no losses, shared clock.
 
-    throughput_bps: float
-    overhead_s: float = 0.0
+    Wire times come from ``costs.message_time`` on ``link``, so the
+    simulated clock and the analytic cost model price a message alike.
+    """
+
+    link: LinkModel
     clock_s: float = 0.0
     events: list = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.throughput_bps > 0:
-            raise AggregationError(f"throughput must be positive, got {self.throughput_bps}")
-        if self.overhead_s < 0:
-            raise AggregationError(f"overhead must be nonnegative, got {self.overhead_s}")
-
     def send(self, msg: SyncMessage) -> float:
         """Deliver one message; returns its wire time and advances the clock."""
-        dt = self.overhead_s + msg.byte_size / self.throughput_bps
+        dt = message_time(self.link, msg.byte_size)
         self.clock_s += dt
         self.events.append(TraceEvent(self.clock_s, msg.sender, msg.kind, msg.byte_size))
         return dt
@@ -193,11 +196,6 @@ def sync_round(nodes, net: SimNetwork, master_id: int = 0, weights=None) -> floa
     return elapsed
 
 
-def _minibatches(order, batch_size: int):
-    for i in range(0, len(order), batch_size):
-        yield order[i : i + batch_size]
-
-
 def local_epoch(
     node: NodeState,
     view,
@@ -217,8 +215,8 @@ def local_epoch(
     w_global = flatten_params(node.snapshot)
     order = [int(i) for i in rng.permutation(len(samples))]
     losses = []
-    for batch_idx in _minibatches(order, cfg.batch_size):
-        batch = [samples[i] for i in batch_idx]
+    for i in range(0, len(order), cfg.batch_size):
+        batch = [samples[j] for j in order[i : i + cfg.batch_size]]
         loss, grads = total_loss(node.head, batch, part, w_global, cfg)
         node.head = sgd_step(node.head, grads, cfg.lr)
         losses.append(loss)

@@ -1,10 +1,13 @@
 """Config-driven experiment driver and report I/O.
 
 One experiment = one strategy (naive, odfcl or joint) over a session
-plan, from a single seed. The seed is split hierarchically so data,
-initialization and the shuffle streams stay independent: adding a
-consumer never perturbs the others. Reports are canonical JSON, byte
-reproducible for identical configs.
+plan, from a single seed. The seed is split hierarchically (``_rng``)
+so data, initialization and the shuffle streams stay independent:
+adding a consumer never perturbs the others. Central training (T0
+pretraining, the joint strategy) runs ``federation.local_epoch`` on
+one node that holds the pooled data, so the package has a single
+minibatch-SGD loop. Reports are canonical JSON, byte reproducible for
+identical configs.
 """
 
 from __future__ import annotations
@@ -33,12 +36,13 @@ from .errors import (
     check_int_fields,
     int_tuple,
 )
-from .federation import NodeState, SimNetwork, run_session, write_trace
-from .losses import ClassPartition, LossConfig, sgd_step, total_loss
+from .federation import NodeState, SimNetwork, local_epoch, run_session, write_trace
+from .losses import ClassPartition, LossConfig
+# not called here; kept importable because perfbench/layers.py wraps them on this module
+from .losses import sgd_step, total_loss  # noqa: F401
 from .model import (
     SplitModel,
     expand_classifier,
-    flatten_params,
     head_message_bytes,
     init_head,
 )
@@ -66,6 +70,7 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
     "load_config",
+    "load_dataset",
     "save_config",
     "MetricsReport",
     "run_experiment",
@@ -211,19 +216,16 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.data.kind == "synthetic" and self.backbone.layer_dims[0] != self.data.input_shape[0]:
-            raise ConfigError(
-                f"backbone input channels {self.backbone.layer_dims[0]} do not match "
-                f"data channels {self.data.input_shape[0]}"
-            )
+        if self.data.kind == "synthetic":
+            self.data.synthetic_spec(self.plan.num_classes)  # checks shape and counts
+            if self.backbone.layer_dims[0] != self.data.input_shape[0]:
+                raise ConfigError(
+                    f"backbone input channels {self.backbone.layer_dims[0]} do not match "
+                    f"data channels {self.data.input_shape[0]}"
+                )
         # surfaces infeasible class counts early, as a config problem
         try:
-            make_plan(
-                self.plan.num_classes,
-                self.plan.num_nodes,
-                self.plan.base_count,
-                self.plan.classes_per_session_per_node,
-            )
+            make_plan(**asdict(self.plan))
         except PlanError as e:
             raise ConfigError(str(e))
 
@@ -245,13 +247,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "backbone": asdict(cfg.backbone),
         "head": asdict(cfg.head),
         "plan": asdict(cfg.plan),
-        "loss": {
-            "mu": cfg.loss.mu,
-            "lambda": cfg.loss.lam,
-            "lr": cfg.loss.lr,
-            "batch_size": cfg.loss.batch_size,
-            "local_epochs_per_round": cfg.loss.local_epochs_per_round,
-        },
+        "loss": {k: getattr(cfg.loss, f) for k, f in _LOSS_KEYS.items()},
         "train": asdict(cfg.train),
         "cost": asdict(cfg.cost),
         "data": asdict(cfg.data),
@@ -284,15 +280,23 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
-    p = Path(path)
+def _read_json(p: Path, what: str):
+    """Parsed JSON file; ConfigError if it is missing, unreadable, not
+    UTF-8 or not JSON."""
     try:
-        raw = json.loads(p.read_text())
+        return json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {p}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {p} is not valid JSON: {e}")
-    return config_from_dict(raw)
+        raise ConfigError(f"{what} file not found: {p}") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} {p}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{what} {p} is not UTF-8 text ({e.reason})") from None
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ConfigError(f"{what} {p} is not valid JSON: {e}") from None
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(_read_json(Path(path), "config"))
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -326,19 +330,34 @@ class MetricsReport:
         return self.sessions[-1]["accuracy_seen"]
 
 
-def _centralized_epochs(head, pairs, cfg: LossConfig, epochs: int, part, rng):
-    """Plain minibatch SGD on one pooled dataset (T0 and joint strategy)."""
-    for _ in range(epochs):
-        order = [int(i) for i in rng.permutation(len(pairs))]
-        for i in range(0, len(order), cfg.batch_size):
-            batch = [pairs[j] for j in order[i : i + cfg.batch_size]]
-            _, grads = total_loss(head, batch, part, flatten_params(head), cfg)
-            head = sgd_step(head, grads, cfg.lr)
-    return head
-
-
 def _pairs(samples, features):
     return [(features[s.sample_id], s.class_id) for s in samples]
+
+
+def _central_epochs(head, pairs, cfg: LossConfig, epochs: int, part, rng):
+    """Central training (T0, joint): local epochs of one node on pooled data."""
+    node = NodeState(0, head, head)
+    for _ in range(epochs):
+        local_epoch(node, pairs, part, cfg, rng)
+    return node.head
+
+
+def _rng(seed: int, stream: int) -> np.random.Generator:
+    """Independent stream of ``seed``: 0 data, 1 backbone, 2 head init,
+    3 T0, 4 federated shuffles, 5 joint shuffles."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(stream + 1)[stream])
+
+
+def load_dataset(cfg: ExperimentConfig) -> tuple:
+    """(train, test) of a run: generated from the data stream, or read
+    from the manifest, which must hold every planned class."""
+    if cfg.data.kind == "synthetic":
+        return gen_synthetic(cfg.data.synthetic_spec(cfg.plan.num_classes), _rng(cfg.seed, 0))
+    train, test = read_manifest(cfg.data.manifest_dir)
+    missing = set(range(cfg.plan.num_classes)) - train.class_ids()
+    if missing:
+        raise ConfigError(f"manifest lacks training classes {sorted(missing)}")
+    return train, test
 
 
 def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
@@ -349,30 +368,10 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
     start every session sequence from identical parameters. Pass
     ``trace_out`` to dump the simulated link's event log.
     """
-    children = np.random.SeedSequence(cfg.seed).spawn(6)
-    rng_data = np.random.default_rng(children[0])
-    rng_backbone = np.random.default_rng(children[1])
-    rng_head = np.random.default_rng(children[2])
-    rng_t0 = np.random.default_rng(children[3])
-    rng_fed = np.random.default_rng(children[4])
-    rng_joint = np.random.default_rng(children[5])
-
-    plan = make_plan(
-        cfg.plan.num_classes,
-        cfg.plan.num_nodes,
-        cfg.plan.base_count,
-        cfg.plan.classes_per_session_per_node,
-    )
+    rng_backbone, rng_head, rng_t0, rng_fed, rng_joint = (_rng(cfg.seed, i) for i in range(1, 6))
+    plan = make_plan(**asdict(cfg.plan))
     registry = registry_from_plan(plan)
-
-    if cfg.data.kind == "synthetic":
-        train, test = gen_synthetic(cfg.data.synthetic_spec(cfg.plan.num_classes), rng_data)
-    else:
-        train, test = read_manifest(cfg.data.manifest_dir)
-        missing = set(range(cfg.plan.num_classes)) - train.class_ids()
-        if missing:
-            raise ConfigError(f"manifest lacks training classes {sorted(missing)}")
-
+    train, test = load_dataset(cfg)
     backbone = build_backbone(
         cfg.backbone.layer_dims,
         rng_backbone,
@@ -387,7 +386,7 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
     base = list(plan.base_classes)
     base_part = ClassPartition(frozenset(), frozenset(base))
     head = init_head(backbone.feature_dim, cfg.head.hidden, len(base), rng_head, cfg.head.init_sigma)
-    head = _centralized_epochs(
+    head = _central_epochs(
         head, _pairs(train.of_classes(base).samples, feats), ce_cfg,
         cfg.train.t0_epochs, base_part, rng_t0,
     )
@@ -414,7 +413,7 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
     }]
 
     link = calibrated_uwb_link(cfg.cost.calibration_bytes, cfg.cost.calibration_seconds)
-    net = SimNetwork(link.throughput_bps, link.overhead_s)
+    net = SimNetwork(link)
 
     # strategy semantics: naive is the federated pipeline with both
     # regularizers off; odfcl uses the configured weights; joint pools
@@ -431,7 +430,7 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
             pool = _pairs(train.of_classes(seen).samples, feats)
             epochs = cfg.train.rounds_per_session * cfg.loss.local_epochs_per_round
             part = ClassPartition(frozenset(), frozenset(seen))
-            head = _centralized_epochs(head, pool, ce_cfg, epochs, part, rng_joint)
+            head = _central_epochs(head, pool, ce_cfg, epochs, part, rng_joint)
         else:
             nodes = [
                 NodeState(n, head, head, plan.node_classes(t, n))
@@ -502,12 +501,7 @@ def emit_report(r: MetricsReport, path) -> None:
 
 def parse_report(path) -> MetricsReport:
     p = Path(path)
-    try:
-        raw = json.loads(p.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"report file not found: {p}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"report {p} is not valid JSON: {e}")
+    raw = _read_json(p, "report")
     keys = ("seed", "strategy", "config", "sessions", "cost")
     raw = _take(raw, keys, f"report {p}")
     missing = [k for k in keys if k not in raw]

@@ -13,7 +13,7 @@ from pathlib import Path, PurePosixPath
 
 import numpy as np
 
-from .errors import EvaluationError, PlanError, RegistryError
+from .errors import DimensionError, EvaluationError, NumericError, PlanError, RegistryError
 from .model import SplitModel, head_logits
 from .quant import QuantParams, QuantTensor, backbone_forward
 from .tensor import Tensor
@@ -319,12 +319,10 @@ def read_manifest(manifest_dir) -> tuple:
             raise PlanError(f"{where}: expected {len(_COLUMNS)} columns, got {len(cells)}")
         sid, split, cid, scale, zp, shape_s, rel = cells
         if split not in per_split:
-            raise PlanError(f"unknown split {split!r} in {path}")
+            raise PlanError(f"{where}: unknown split {split!r}")
         try:
             sid, cid, zp, scale = int(sid), int(cid), int(zp), float(scale)
             shape = tuple(int(d) for d in shape_s.split("x"))
-            if min(shape) < 1:
-                raise ValueError(f"shape entries must be positive, got {shape_s!r}")
         except ValueError as e:
             raise PlanError(f"{where}: malformed field ({e})") from None
         # lexical containment: no absolute paths, no climbing out of root
@@ -333,9 +331,13 @@ def read_manifest(manifest_dir) -> tuple:
             raise PlanError(f"{where}: blob path {rel!r} is not inside {root}")
         try:
             raw = np.frombuffer((root / blob).read_bytes(), dtype=np.int8)
-        except OSError as e:
-            raise PlanError(f"{where}: cannot read blob {rel!r} ({e.strerror or e})") from None
-        qt = QuantTensor(raw, shape, QuantParams(scale, zp))
+        except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
+            reason = getattr(e, "strerror", None) or e
+            raise PlanError(f"{where}: cannot read blob {rel!r} ({reason})") from None
+        try:
+            qt = QuantTensor(raw, shape, QuantParams(scale, zp))
+        except (DimensionError, NumericError) as e:
+            raise PlanError(f"{where}: {e}") from None
         per_split[split].append(Sample(sid, cid, qt))
     return (
         LabeledDataset(tuple(per_split["train"]), "train"),

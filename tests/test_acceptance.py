@@ -167,7 +167,7 @@ def test_criterion_6_consensus_and_privacy():
         for i in range(3)
     }
     cfg = fs.LossConfig(mu=2.0, lam=3.8, lr=0.05, batch_size=3)
-    net = fs.SimNetwork(throughput_bps=4 * p / 0.5)
+    net = fs.SimNetwork(fs.LinkModel(throughput_bps=4 * p / 0.5))
     rounds, consensus = 4, True
     for _ in range(rounds):
         for n in nodes:

@@ -346,10 +346,12 @@ HOSTILE_ROWS = {
     "scale_not_numeric": _set(3, "big"),
     "shape_not_numeric": _set(5, "4xAx3"),
     "shape_not_positive": _set(5, "4x-1x-9"),
+    "shape_mismatch": _set(5, "4x3x2"),
     "blob_missing": _set(6, "blobs/999999.bin"),
     "blob_absolute": _set(6, lambda root: str((root / "blobs" / "000001.bin").resolve())),
     "blob_climbs_out": _set(6, "../outside.bin"),
     "blob_climbs_back_in": _set(6, "blobs/../blobs/000001.bin"),
+    "blob_nul_byte": _set(6, "blobs/\x00.bin"),
 }
 
 

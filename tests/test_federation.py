@@ -4,22 +4,31 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedswarm import (
     AggregationError,
     ClassPartition,
     DimensionError,
+    LinkModel,
     LossConfig,
     NodeState,
+    NumericError,
     SimNetwork,
     SyncMessage,
     Tensor,
+    calibrated_uwb_link,
     fedavg,
     flatten_params,
     init_head,
     local_epoch,
+    message_time,
     run_session,
+    sgd_step,
     sync_round,
+    total_loss,
+    unflatten_params,
     write_trace,
 )
 
@@ -98,14 +107,31 @@ def test_sync_message_validation():
 
 
 def test_network_clock_and_events():
-    net = SimNetwork(throughput_bps=100.0, overhead_s=0.5)
+    net = SimNetwork(LinkModel(throughput_bps=100.0, overhead_s=0.5))
     dt = net.send(SyncMessage("upload", 1, Tensor.zeros((25,))))
     assert dt == 0.5 + 100 / 100.0
     net.send(SyncMessage("broadcast", 0, Tensor.zeros((25,))))
     assert net.clock_s == 2 * dt
     assert [e.kind for e in net.events] == ["upload", "broadcast"]
-    with pytest.raises(AggregationError):
-        SimNetwork(throughput_bps=0.0)
+    # the link's own validation is the network's: no second copy
+    with pytest.raises(NumericError):
+        LinkModel(throughput_bps=0.0)
+
+
+@pytest.mark.parametrize("link", [
+    LinkModel(100.0, overhead_s=0.5),
+    LinkModel(24576 / 1.7, overhead_s=0.013),
+    LinkModel(3.0, overhead_s=1e-9),
+])
+def test_network_send_equals_cost_model_message_time(link):
+    net = SimNetwork(link)
+    clock = 0.0
+    for n in (1, 25, 6144, 7):
+        msg = SyncMessage("upload", 0, Tensor.zeros((n,)))
+        dt = net.send(msg)
+        assert dt == message_time(link, msg.byte_size)
+        clock += dt
+        assert net.clock_s == clock
 
 
 # -- sync rounds -----------------------------------------------------------------
@@ -123,14 +149,14 @@ def _swarm(n_nodes, c_feat=5, hidden=4, classes=3, seed=0):
 def test_sync_round_single_node_is_identity():
     (node,) = _swarm(1)
     before = flatten_params(node.head)
-    net = SimNetwork(1e6)
+    net = SimNetwork(LinkModel(1e6))
     sync_round([node], net)
     assert np.array_equal(flatten_params(node.head).data, before.data)
 
 
 def test_sync_round_reaches_consensus():
     nodes = _swarm(3)
-    net = SimNetwork(1e6)
+    net = SimNetwork(LinkModel(1e6))
     sync_round(nodes, net)
     ref = flatten_params(nodes[0].head).data
     for n in nodes:
@@ -146,7 +172,7 @@ def test_sync_round_communication_time():
     for i in range(3):
         h = init_head(158, 32, 32, rng)
         nodes.append(NodeState(i, h, h))
-    net = SimNetwork(24576 / 1.7)
+    net = SimNetwork(calibrated_uwb_link(24576, 1.7))
     elapsed = sync_round(nodes, net)
     assert elapsed == pytest.approx(3 * (1.7 + 1.7), rel=1e-12)
     assert net.clock_s == pytest.approx(10.2, rel=1e-12)
@@ -158,7 +184,7 @@ def test_sync_round_rejects_mixed_architectures():
     other = init_head(5, 4, 7, rng)
     nodes[1] = NodeState(1, other, other)
     with pytest.raises(AggregationError):
-        sync_round(nodes, SimNetwork(1e6))
+        sync_round(nodes, SimNetwork(LinkModel(1e6)))
 
 
 def test_node_state_architecture_check():
@@ -207,11 +233,52 @@ def test_local_epoch_trains_and_counts():
     assert node.epochs == 1
 
 
+def _reanchored_epoch(head, pairs, part, cfg, rng):
+    """The pooled-data loop central training used before it ran through
+    ``local_epoch``: same shuffle, prox anchor re-taken every batch.
+    Returns the trained head and the mean batch loss."""
+    order = [int(i) for i in rng.permutation(len(pairs))]
+    losses = []
+    for i in range(0, len(order), cfg.batch_size):
+        batch = [pairs[j] for j in order[i : i + cfg.batch_size]]
+        loss, grads = total_loss(head, batch, part, flatten_params(head), cfg)
+        head = sgd_step(head, grads, cfg.lr)
+        losses.append(loss)
+    return head, float(sum(losses) / len(losses))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 9),
+    batch_size=st.integers(1, 5),
+    mu=st.sampled_from([0.0, 1.5]),
+    snapshot=st.sampled_from(["head", "other", "huge", "zeros"]),
+)
+def test_local_epoch_at_zero_lam_ignores_the_snapshot(seed, n, batch_size, mu, snapshot):
+    rng = np.random.default_rng(seed)
+    head = init_head(5, 4, 3, rng)
+    anchor = {
+        "head": head,
+        "other": init_head(5, 4, 3, rng),
+        "huge": init_head(5, 4, 3, rng, sigma=1e30),
+        "zeros": unflatten_params(head, Tensor.zeros((head.parameter_count,))),
+    }[snapshot]
+    pairs = [(Tensor(rng.standard_normal(5).astype(np.float32)), int(rng.integers(3)))
+             for _ in range(n)]
+    part = ClassPartition(frozenset({0}), frozenset({1, 2}))
+    cfg = LossConfig(mu=mu, lam=0.0, lr=0.1, batch_size=batch_size)
+    node = NodeState(0, head, anchor)
+    loss = local_epoch(node, pairs, part, cfg, np.random.default_rng(seed))
+    ref, ref_loss = _reanchored_epoch(head, pairs, part, cfg, np.random.default_rng(seed))
+    assert np.array_equal(flatten_params(node.head).data, flatten_params(ref).data)
+    assert loss == ref_loss
+
+
 def test_run_session_zero_rounds():
     nodes = _swarm(3)
     before = flatten_params(nodes[0].head)
     views, parts = _views(nodes, 3)
-    head, trace = run_session(nodes, SimNetwork(1e6), 0, views, parts,
+    head, trace = run_session(nodes, SimNetwork(LinkModel(1e6)), 0, views, parts,
                               LossConfig(lr=0.1), np.random.default_rng(0))
     assert trace == []
     assert np.array_equal(flatten_params(head).data, before.data)
@@ -224,7 +291,7 @@ def test_run_session_all_empty_views_keeps_head():
     before = flatten_params(nodes[0].head)
     views = {n.node_id: [] for n in nodes}
     parts = {n.node_id: ClassPartition(frozenset(), frozenset({0})) for n in nodes}
-    head, trace = run_session(nodes, SimNetwork(1e6), 4, views, parts,
+    head, trace = run_session(nodes, SimNetwork(LinkModel(1e6)), 4, views, parts,
                               LossConfig(lr=0.1), np.random.default_rng(0))
     assert np.array_equal(flatten_params(head).data, before.data)
     assert all(e["mean_loss"] == {"0": 0.0, "1": 0.0, "2": 0.0} for e in trace)
@@ -234,7 +301,7 @@ def test_run_session_trace_reproducible():
     def go():
         nodes = _swarm(3, seed=7)
         views, parts = _views(nodes, 3)
-        net = SimNetwork(1e5)
+        net = SimNetwork(LinkModel(1e5))
         head, trace = run_session(nodes, net, 3, views, parts,
                                   LossConfig(mu=2.0, lam=3.8, lr=0.05),
                                   np.random.default_rng(11))
@@ -250,7 +317,7 @@ def test_run_session_rejects_negative_rounds():
     nodes = _swarm(2)
     views, parts = _views(nodes, 3)
     with pytest.raises(AggregationError):
-        run_session(nodes, SimNetwork(1e6), -1, views, parts,
+        run_session(nodes, SimNetwork(LinkModel(1e6)), -1, views, parts,
                     LossConfig(), np.random.default_rng(0))
 
 
@@ -260,7 +327,7 @@ def test_run_session_rejects_negative_rounds():
 def test_trace_log_format_and_audit(tmp_path):
     nodes = _swarm(3, seed=9)
     views, parts = _views(nodes, 3)
-    net = SimNetwork(1e5)
+    net = SimNetwork(LinkModel(1e5))
     run_session(nodes, net, 2, views, parts, LossConfig(lr=0.05),
                 np.random.default_rng(1))
     path = tmp_path / "trace.tsv"

@@ -132,6 +132,21 @@ def test_config_rejects_non_integer_counts(section, key, value):
         fs.config_from_dict(d)
 
 
+def test_config_rejects_integers_out_of_range():
+    # JSON integers have no size limit: counts must fit 64 bits, and a
+    # float field's int must fit a float
+    for section, key, value in [("plan", "num_nodes", 2**63), ("head", "hidden", -(2**63) - 1),
+                                ("loss", "mu", 10**400), ("cost", "calibration_seconds", -10**400)]:
+        d = fs.config_to_dict(_small_config())
+        d[section][key] = value
+        with pytest.raises(fs.ConfigError, match=key):
+            fs.config_from_dict(d)
+    d = fs.config_to_dict(_small_config())
+    d["plan"]["num_nodes"], d["loss"]["mu"] = 2**63 - 1, 10**300
+    with pytest.raises(fs.ConfigError, match="incremental classes"):  # in range, fails the plan
+        fs.config_from_dict(d)
+
+
 MISTYPED = [
     {"seed": "abc"},
     {"seed": 12.5},
@@ -345,6 +360,16 @@ def test_cli_config_error_exit_code(tmp_path):
     res = _cli("run", "--config", str(bad), "--out", str(tmp_path / "out"))
     assert res.returncode == 1
     assert "config error" in res.stderr
+    # unreadable config files: a directory, non-UTF-8 bytes, nesting too deep to parse
+    unreadable = {"a_directory": tmp_path, "not_utf8": tmp_path / "binary.json",
+                  "nested_too_deep": tmp_path / "deep.json"}
+    unreadable["not_utf8"].write_bytes(b'{"strategy": "\xff"}')
+    unreadable["nested_too_deep"].write_text("[" * 100_000)
+    for case, path in unreadable.items():
+        res = _cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert res.returncode == 1, case
+        assert "Traceback" not in res.stderr, case
+        assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: "), case
 
 
 @pytest.mark.parametrize("bad", [
@@ -376,14 +401,24 @@ HOSTILE_REPORTS = {
     "accuracy_is_a_string": dict(_REPORT, sessions=[dict(_ROW, accuracy_seen="0.9")]),
     "strategy_is_null": dict(_REPORT, strategy=None),
     "cost_missing": {k: v for k, v in _REPORT.items() if k != "cost"},
+    # raw bytes, or None for a report.json that is a directory
+    "not_utf8": b'{"seed": 1, "strategy": "\xff"}',
+    "nested_too_deep": b"[" * 100_000,
+    "a_directory": None,
 }
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_REPORTS))
 def test_cli_hostile_report_is_a_config_error(tmp_path, case):
-    path = tmp_path / "report.json"
-    path.write_text(json.dumps(HOSTILE_REPORTS[case]))
-    res = _cli("report", str(path))
+    run_dir = tmp_path / "out"
+    body = HOSTILE_REPORTS[case]
+    if body is None:
+        (run_dir / "report.json").mkdir(parents=True)
+    else:
+        run_dir.mkdir()
+        raw = body if isinstance(body, bytes) else json.dumps(body).encode()
+        (run_dir / "report.json").write_bytes(raw)
+    res = _cli("report", str(run_dir))
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: ")
