@@ -1,7 +1,8 @@
 """Check the training objective's hand-written gradient against an oracle.
 
-``total_loss`` computes the loss and all four head gradients in float32
-in one closed-form pass. ``gradcheck.reference_total_loss`` recomputes
+``total_loss`` computes the loss and the gradient of every head
+parameter (one flat vector in ``flatten_params`` order) in float32 in
+one closed-form pass. ``gradcheck.reference_total_loss`` recomputes
 the same objective independently in float64; ``check_case``
 differentiates that reference by central differences and compares it
 with the analytic gradient. This is the check behind criterion 1 of the
@@ -10,7 +11,15 @@ acceptance gate and behind ``fedswarm gradcheck``.
 
 import numpy as np
 
-from fedswarm import ClassPartition, LossConfig, Tensor, flatten_params, init_head, total_loss
+from fedswarm import (
+    ClassPartition,
+    LossConfig,
+    Tensor,
+    flatten_params,
+    init_head,
+    total_loss,
+    unflatten_params,
+)
 from fedswarm.gradcheck import REL_TOL, check_case
 
 rng = np.random.default_rng(17)
@@ -25,7 +34,7 @@ cfg = LossConfig(mu=2.0, lam=3.8, lr=0.01, batch_size=len(batch))
 
 loss, grads = total_loss(head, batch, part, w_global, cfg)
 print(f"float32 loss              : {loss:.6f}")
-print(f"analytic dLoss/dcls_b     : {grads.cls_b.data}")
+print(f"analytic dLoss/dcls_b     : {unflatten_params(head, Tensor(grads)).cls_b}")
 
 r = check_case(head, batch, part, w_global, cfg)
 print(f"parameters checked        : {r['params']}")

@@ -2,7 +2,8 @@
 
 Three nodes train locally against the composite objective (CE plus
 the mean-logit separation term plus the proximal pull toward the last
-broadcast), then upload their heads over a simulated serial link. The
+broadcast), stepped in lockstep by one ``local_epoch`` call, then
+upload their heads over a simulated serial link. The
 master averages and broadcasts; everyone leaves in bit-exact consensus.
 """
 
@@ -36,8 +37,10 @@ views = {
 }
 cfg = LossConfig(mu=2.0, lam=3.8, lr=0.05, batch_size=3)
 
-for i, node in enumerate(nodes):
-    loss = local_epoch(node, views[i], part, cfg, rng)
+# one lockstep call trains every node: minibatch k of all three nodes is
+# one stacked pass, bit-identical to training the nodes one by one
+losses = local_epoch(nodes, [views[i] for i in range(3)], [part] * 3, cfg, rng)
+for i, (node, loss) in enumerate(zip(nodes, losses)):
     drift = np.abs(flatten_params(node.head).data - flatten_params(shared).data).max()
     print(f"node {i} local epoch  : mean loss {loss:.4f}, max drift {drift:.4f}")
 

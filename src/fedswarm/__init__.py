@@ -66,16 +66,7 @@ from .harness import (
     save_config,
     strategy_block_bytes,
 )
-from .losses import (
-    ClassPartition,
-    HeadGrads,
-    LossConfig,
-    cross_entropy,
-    mol_loss,
-    prox_loss,
-    sgd_step,
-    total_loss,
-)
+from .losses import ClassPartition, LossConfig, sgd_step, total_loss
 from .model import (
     SplitModel,
     TrainableHead,

@@ -7,10 +7,13 @@ snapshot, so the swarm leaves every round in consensus. Aggregation
 accumulates in float64 after sorting by node id, which makes the
 average bit-exact under permutation and idempotent on identical heads.
 
-``local_epoch`` is the package's one minibatch-SGD loop: the harness
-runs central training (T0 pretraining, the joint strategy) through it
-too, on a single node holding the pooled data. ``SimNetwork`` prices
-each message with the ``costs`` link model.
+``local_epoch`` is the package's one minibatch-SGD loop. Between syncs
+the nodes are independent, so it trains all of a round's nodes in
+lockstep: minibatch k of every node is one ``total_loss`` pass with the
+node as a batch axis, which gives each node the bits it would get
+alone. The harness runs central training (T0 pretraining, the joint
+strategy) through it too, as N = 1 on the pooled data. ``SimNetwork``
+prices each message with the ``costs`` link model.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .costs import LinkModel, message_time
-from .errors import AggregationError, DimensionError
-from .losses import ClassPartition, LossConfig, sgd_step, total_loss
-from .model import TrainableHead, flatten_params, unflatten_params
+from .errors import AggregationError, DimensionError, NumericError
+from .losses import LossConfig, Minibatch, sgd_step, stack_pairs, total_loss
+from .model import TrainableHead, check_finite, flatten_params, unflatten_params
 from .tensor import Tensor
 
 __all__ = [
@@ -40,12 +43,7 @@ __all__ = [
 
 
 def _same_architecture(a: TrainableHead, b: TrainableHead) -> bool:
-    return (
-        a.conv_w.shape == b.conv_w.shape
-        and a.conv_b.shape == b.conv_b.shape
-        and a.cls_w.shape == b.cls_w.shape
-        and a.cls_b.shape == b.cls_b.shape
-    )
+    return (a.c_feat, a.c_out, a.num_classes) == (b.c_feat, b.c_out, b.num_classes)
 
 
 @dataclass
@@ -163,7 +161,10 @@ def fedavg(heads, weights=None, node_ids=None) -> Tensor:
     acc = np.zeros(size, dtype=np.float64)
     for _, w, v in sorted(zip(node_ids, weights, vecs), key=lambda t: t[0]):
         acc += w * v.data.astype(np.float64)
-    return Tensor((acc / total_w).astype(np.float32), (size,))
+    mean = (acc / total_w).astype(np.float32)
+    if not np.isfinite(mean).all():
+        raise NumericError("non-finite values in the averaged parameters")
+    return Tensor(mean, (size,))
 
 
 def sync_round(nodes, net: SimNetwork, master_id: int = 0, weights=None) -> float:
@@ -196,32 +197,74 @@ def sync_round(nodes, net: SimNetwork, master_id: int = 0, weights=None) -> floa
     return elapsed
 
 
-def local_epoch(
-    node: NodeState,
-    view,
-    part: ClassPartition,
-    cfg: LossConfig,
-    rng: np.random.Generator,
-) -> float:
-    """One shuffled pass over the node's (features, target) pairs.
+def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
+                epochs: int = 1) -> list:
+    """``epochs`` shuffled passes of each node over its own pairs.
 
-    Minibatch SGD against the composite loss, proximal term anchored to
-    the node's stored snapshot. Returns the mean batch loss (0.0 for an
-    empty view, which leaves the head untouched).
+    ``views[i]`` and ``parts[i]`` are node i's (features, target) pairs
+    and class partition. Minibatch SGD against the composite loss, the
+    proximal term anchored to each node's stored snapshot. Every node's
+    permutations are drawn up front, node-major, which is the order of
+    running the nodes one after another. Then minibatch k of all nodes
+    with a full-size batch is one ``total_loss`` pass; ragged tails
+    step in groups of equal batch size. Returns each node's mean batch
+    loss over its last epoch (0.0 for an empty view, which leaves the
+    head untouched and draws nothing).
     """
-    samples = list(view)
-    if not samples:
-        return 0.0
-    w_global = flatten_params(node.snapshot)
-    order = [int(i) for i in rng.permutation(len(samples))]
-    losses = []
-    for i in range(0, len(order), cfg.batch_size):
-        batch = [samples[j] for j in order[i : i + cfg.batch_size]]
-        loss, grads = total_loss(node.head, batch, part, w_global, cfg)
-        node.head = sgd_step(node.head, grads, cfg.lr)
-        losses.append(loss)
-    node.epochs += 1
-    return float(sum(losses) / len(losses))
+    nodes = list(nodes)
+    arch = nodes[0].head
+    for n in nodes:
+        if not (_same_architecture(n.head, arch) and _same_architecture(n.snapshot, arch)):
+            raise AggregationError(f"node {n.node_id} head architecture differs from node {nodes[0].node_id}")
+    stacked = [stack_pairs(arch, view, part, cfg) for view, part in zip(views, parts)]
+    sizes = np.array([len(t) for _, t, _ in stacked])
+    perms = [[rng.permutation(m) for _ in range(epochs)] if m else [] for m in sizes]
+    live = np.flatnonzero(sizes)
+    losses = [0.0] * len(nodes)
+    if epochs == 0 or not live.size:
+        return losses
+    # views padded to the longest one; pad rows are never gathered
+    n, longest, b = len(nodes), sizes.max(), cfg.batch_size
+    x = np.zeros((n, longest, arch.c_feat), np.float32)
+    targets = np.zeros((n, longest), np.intp)
+    for i, (xi, ti, _) in enumerate(stacked):
+        x[i, : len(ti)], targets[i, : len(ti)] = xi, ti
+    masks = [np.stack([m[k] for _, _, m in stacked]) for k in (0, 1)]
+    params = np.stack([n.head.params for n in nodes])
+    snaps = np.stack([n.snapshot.params for n in nodes])
+    # one entry per lockstep pass: (step, width, the nodes whose batch at
+    # that step has that width); a slice when it is every node
+    steps = []
+    for k in range(0, longest, b):
+        width = np.minimum(sizes - k, b)
+        for w in sorted(set(width[width > 0].tolist())):
+            idx = np.flatnonzero(width == w)
+            sel = slice(None) if len(idx) == n else idx
+            steps.append((k, w, sel, tuple(m[sel] for m in masks), snaps[sel]))
+    step_losses = np.zeros((n, -(-longest // b)))
+    order = np.zeros(targets.shape, np.intp)
+    rows = np.arange(n)[:, None]
+    # diverging runs overflow here; finiteness is checked once at the end
+    with np.errstate(all="ignore"):
+        for e in range(epochs):
+            for i in live:
+                order[i, : sizes[i]] = perms[i][e]
+            xe, te = x[rows, order], targets[rows, order]
+            for k, w, sel, sel_masks, sel_snaps in steps:
+                head = arch.with_params(params[sel])
+                batch = Minibatch(xe[sel, k : k + w], te[sel, k : k + w])
+                values, grads = total_loss(head, batch, sel_masks, sel_snaps, cfg)
+                params[sel] = sgd_step(head, grads, cfg.lr).params
+                step_losses[sel, k // b] = values
+    for i in live:
+        node = nodes[i]
+        head = arch.with_params(params[i].copy())
+        check_finite(head)
+        node.head = head
+        node.epochs += epochs
+        count = -(-sizes[i] // b)
+        losses[i] = float(sum(step_losses[i, :count].tolist()) / count)
+    return losses
 
 
 def run_session(
@@ -238,8 +281,10 @@ def run_session(
 
     ``views`` and ``parts`` map node id to that node's training pairs
     and class partition; heads must already be expanded for the session.
-    Returns (global head, per-round trace). Each trace entry records the
-    round number, mean local loss per node, communication seconds and,
+    Each round trains every node with a nonempty view in one lockstep
+    ``local_epoch`` call. Returns (global head, per-round trace). Each
+    trace entry records the round number, mean local loss per node
+    (over its last local epoch), communication seconds and,
     when an ``evaluator`` callable is given, its value on the new global
     head.
     """
@@ -248,14 +293,14 @@ def run_session(
     order = sorted(nodes, key=lambda n: n.node_id)
     trace = []
     for r in range(rounds):
-        losses = {}
-        for n in order:
-            view = views.get(n.node_id, ())
-            if not view:
-                losses[n.node_id] = 0.0
-                continue
-            for _ in range(cfg.local_epochs_per_round):
-                losses[n.node_id] = local_epoch(n, view, parts[n.node_id], cfg, rng)
+        losses = dict.fromkeys((n.node_id for n in order), 0.0)
+        active = [n for n in order if views.get(n.node_id)]
+        if active:
+            trained = local_epoch(
+                active, [views[n.node_id] for n in active], [parts[n.node_id] for n in active],
+                cfg, rng, cfg.local_epochs_per_round,
+            )
+            losses.update(zip((n.node_id for n in active), trained))
         comm_s = sync_round(nodes, net)
         entry = {
             "round": r,

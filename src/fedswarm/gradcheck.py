@@ -67,9 +67,7 @@ def _scaled_err(analytic: np.ndarray, expected: np.ndarray) -> float:
 def check_case(head, batch, part, w_global, cfg: LossConfig, h: float = 1e-3) -> dict:
     """One head instance: analytic f32 gradient vs f64 central differences."""
     loss32, grads = total_loss(head, batch, part, w_global, cfg)
-    analytic = np.concatenate(
-        [grads.conv_w.data, grads.conv_b.data, grads.cls_w.data, grads.cls_b.data]
-    ).astype(np.float64)
+    analytic = grads.astype(np.float64)
     theta0 = flatten_params(head).data.astype(np.float64)
     wg = w_global.data
 
@@ -97,8 +95,8 @@ def _min_preactivation(head: TrainableHead, batch) -> float:
     """Distance of the hidden relu inputs from the kink; small values
     would poison central differences."""
     worst = np.inf
-    cw = head.conv_w.array.astype(np.float64)
-    cb = head.conv_b.data.astype(np.float64)
+    cw = head.conv_w.astype(np.float64)
+    cb = head.conv_b.astype(np.float64)
     for feats, _ in batch:
         f = np.asarray(feats.data, np.float64)
         worst = min(worst, float(np.abs(cw @ f + cb).min()))

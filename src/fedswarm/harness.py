@@ -42,22 +42,27 @@ from .losses import ClassPartition, LossConfig
 from .losses import sgd_step, total_loss  # noqa: F401
 from .model import (
     SplitModel,
+    _head,
     expand_classifier,
     head_message_bytes,
     init_head,
 )
 from .quant import build_backbone
 from .sessions import (
+    accuracy,
     evaluate,
     make_plan,
     node_train_view,
     precompute_features,
+    predict,
     read_manifest,
     registry_from_plan,
 )
 from .synthetic import SyntheticSpec, gen_synthetic
 
 __all__ = [
+    "MAX_TENSOR_ELEMENTS",
+    "MAX_TRAINING_BYTES",
     "BackboneSpec",
     "HeadSpec",
     "PlanSpec",
@@ -81,6 +86,11 @@ __all__ = [
 ]
 
 STRATEGIES = ("naive", "odfcl", "joint")
+# size caps: a config is rejected before anything is allocated when a
+# head or backbone weight tensor holds more elements, or the cost
+# model's peak training memory is larger
+MAX_TENSOR_ELEMENTS = 1 << 20
+MAX_TRAINING_BYTES = 1 << 26
 
 
 def _take(d: dict, allowed, where: str) -> dict:
@@ -216,6 +226,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        self._check_sizes()
         if self.data.kind == "synthetic":
             self.data.synthetic_spec(self.plan.num_classes)  # checks shape and counts
             if self.backbone.layer_dims[0] != self.data.input_shape[0]:
@@ -228,6 +239,27 @@ class ExperimentConfig:
             make_plan(**asdict(self.plan))
         except PlanError as e:
             raise ConfigError(str(e))
+
+    def _check_sizes(self):
+        """ConfigError if a weight tensor or the training memory exceeds its cap."""
+        dims = self.backbone.layer_dims
+        # a class count below 1 is the plan's to reject
+        feat, hidden, classes = dims[-1], self.head.hidden, max(self.plan.num_classes, 1)
+        tensors = [("backbone layer", a, b) for a, b in zip(dims, dims[1:])]
+        tensors += [("head conv", hidden, feat), ("head classifier", classes, hidden)]
+        for name, rows, cols in tensors:
+            if rows * cols > MAX_TENSOR_ELEMENTS:
+                raise ConfigError(
+                    f"{name} weights of {rows}x{cols} exceed the cap of {MAX_TENSOR_ELEMENTS} elements"
+                )
+        # a head of the configured shape; zero strides, so nothing is allocated
+        size = hidden * (feat + 1) + classes * (hidden + 1)
+        shape_only = _head(np.broadcast_to(np.float32(0.0), (size,)), feat, hidden, classes)
+        peak = peak_training_memory(shape_only, self.loss.batch_size)
+        if peak > MAX_TRAINING_BYTES:
+            raise ConfigError(
+                f"peak training memory of {peak} bytes exceeds the cap of {MAX_TRAINING_BYTES}"
+            )
 
 
 def default_config(strategy: str = "odfcl", seed: int = 1234) -> ExperimentConfig:
@@ -337,8 +369,7 @@ def _pairs(samples, features):
 def _central_epochs(head, pairs, cfg: LossConfig, epochs: int, part, rng):
     """Central training (T0, joint): local epochs of one node on pooled data."""
     node = NodeState(0, head, head)
-    for _ in range(epochs):
-        local_epoch(node, pairs, part, cfg, rng)
+    local_epoch([node], [pairs], [part], cfg, rng, epochs)
     return node.head
 
 
@@ -391,26 +422,21 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
         cfg.train.t0_epochs, base_part, rng_t0,
     )
 
-    def acc(h, seen, subset=None):
-        # subset narrows the scored samples; predictions always argmax
-        # over every seen class (the usual forgetting measurement)
-        return evaluate(
-            SplitModel(backbone, h), test, seen, features=feats, sample_classes=subset
-        )
+    def scores(h, seen) -> dict:
+        # one prediction vector over the seen classes' test samples; the
+        # base and per-class rates narrow the scored samples, never the
+        # argmax (the usual forgetting measurement)
+        subset = test.of_classes(seen).samples
+        truth = np.array([s.class_id for s in subset], np.intp)
+        hits = predict(SplitModel(backbone, h), subset, seen, feats) == truth
+        return {
+            "accuracy_seen": accuracy(hits),
+            "accuracy_base": accuracy(hits[np.isin(truth, base)]),
+            "accuracy_per_class": {str(c): accuracy(hits[truth == c]) for c in seen},
+        }
 
-    def per_class(h, seen):
-        return {str(c): acc(h, seen, [c]) for c in seen}
-
-    t0_acc = acc(head, base)
-    sessions = [{
-        "session": 0,
-        "seen_classes": base,
-        "new_classes": base,
-        "accuracy_seen": t0_acc,
-        "accuracy_base": t0_acc,
-        "accuracy_per_class": per_class(head, base),
-        "rounds": [],
-    }]
+    sessions = [{"session": 0, "seen_classes": base, "new_classes": base, "rounds": [],
+                 **scores(head, base)}]
 
     link = calibrated_uwb_link(cfg.cost.calibration_bytes, cfg.cost.calibration_seconds)
     net = SimNetwork(link)
@@ -446,17 +472,10 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
             }
             head, trace = run_session(
                 nodes, net, cfg.train.rounds_per_session, views, parts, fed_cfg,
-                rng_fed, evaluator=lambda h: acc(h, seen),
+                rng_fed, evaluator=lambda h: evaluate(SplitModel(backbone, h), test, seen, feats),
             )
-        sessions.append({
-            "session": t,
-            "seen_classes": seen,
-            "new_classes": new_ids,
-            "accuracy_seen": acc(head, seen),
-            "accuracy_base": acc(head, seen, base),
-            "accuracy_per_class": per_class(head, seen),
-            "rounds": trace,
-        })
+        sessions.append({"session": t, "seen_classes": seen, "new_classes": new_ids,
+                         "rounds": trace, **scores(head, seen)})
 
     msg_bytes = head_message_bytes(head)
     fed_s = federated_epoch_time(HPM, link, plan.num_nodes, msg_bytes)

@@ -7,12 +7,15 @@ excluding the sample's own target output. When the node holds a single
 new class (so the new-side set is empty after exclusion) it falls back
 to suppressing the old-class mean directly.
 
-``total_loss`` stacks the minibatch and runs one closed-form forward
-and backward pass, with the gradient of every term written out by
-hand. Every sum is an ordered float32 scan (``tensor._scan``) and
-gradients accumulate in a fixed order, so results are bit-identical to
-the per-sample reference in ``tests/test_objective.py``; the float64
-oracle in ``gradcheck`` checks the math itself.
+``total_loss`` is one closed-form forward and backward pass with the
+gradient of every term written out by hand. It steps N heads at once,
+node as the leading axis (the lockstep training loop), and one head
+with a list of (features, target) pairs is its N = 1 case. Gradients
+are flat vectors in ``flatten_params`` order. Every sum is an ordered
+float32 scan (``tensor._scan``) and gradients accumulate in a fixed
+order, so each node's results are bit-identical to the per-sample
+reference in ``tests/test_objective.py``; the float64 oracle in
+``gradcheck`` checks the math itself.
 """
 
 from __future__ import annotations
@@ -28,16 +31,14 @@ from .errors import (
     check_float_fields,
     check_int_fields,
 )
-from .model import TrainableHead, _head_forward, flatten_params
-from .tensor import Tensor, _scan, mm_f32, seq_sum
+from .model import TrainableHead, _f32, _head_forward
+from .tensor import _scan, mm_f32
 
 __all__ = [
     "LossConfig",
     "ClassPartition",
-    "HeadGrads",
-    "cross_entropy",
-    "mol_loss",
-    "prox_loss",
+    "Minibatch",
+    "stack_pairs",
     "total_loss",
     "sgd_step",
 ]
@@ -90,20 +91,16 @@ class ClassPartition:
 
 
 @dataclass(frozen=True)
-class HeadGrads:
-    """Gradient of the total loss with respect to each head tensor."""
+class Minibatch:
+    """Minibatch k of N nodes, stacked with the node as the leading axis:
+    ``x`` (N, B, c_feat) features and ``targets`` (N, B) class ids. Its
+    length is the step's sample count, N * B."""
 
-    conv_w: Tensor
-    conv_b: Tensor
-    cls_w: Tensor
-    cls_b: Tensor
+    x: np.ndarray
+    targets: np.ndarray
 
-
-def _check_target(target: int, num_classes: int) -> int:
-    t = int(target)
-    if not 0 <= t < num_classes:
-        raise IndexError(f"target {t} out of range for {num_classes} classes")
-    return t
+    def __len__(self) -> int:
+        return self.targets.size
 
 
 def _ce_kernel(z: np.ndarray, targets: np.ndarray):
@@ -118,29 +115,44 @@ def _ce_kernel(z: np.ndarray, targets: np.ndarray):
     return losses, exps / totals[:, None]
 
 
-def _mol_masks(targets: np.ndarray, part: ClassPartition, num_classes: int):
-    """(new, old) membership masks, (B, C) each, the row's target excluded.
+def stack_pairs(head: TrainableHead, pairs, part: ClassPartition, cfg: LossConfig) -> tuple:
+    """Check one node's (features, target) pairs once and stack them.
 
-    Checks each target in order as the per-sample sets would: it must be
-    on a side, and every other partition class must index a logit.
+    Returns (x (M, c_feat), targets (M,), (new, old) class masks of
+    ``part``). Features must match the head's input (DimensionError) and
+    targets index a logit (IndexError). With the MOL term on, each
+    target must lie on a side of ``part`` (RegistryError) and every
+    other partition class must index a logit (IndexError).
     """
-    stray = [
-        c for c in sorted(part.new_classes) + sorted(part.old_classes)
-        if not 0 <= c < num_classes
-    ]
-    for t in targets:
-        if t not in part.new_classes and t not in part.old_classes:
-            raise RegistryError(f"target {t} is in neither side of the partition")
-        for c in stray:
-            if c != t:
-                raise IndexError(f"partition class {c} out of range for {num_classes} logits")
-    other = np.arange(num_classes)[None, :] != targets[:, None]
+    c = head.num_classes
+    rows = []
+    for feats, _ in pairs:
+        f = _f32(feats)
+        if f.size != head.c_feat:
+            raise DimensionError(
+                f"features of size {f.size} do not match head input ({head.c_feat},)"
+            )
+        rows.append(f.reshape(-1))
+    targets = np.array([int(t) for _, t in pairs], dtype=np.intp)
+    bad = (targets < 0) | (targets >= c)
+    if bad.any():
+        raise IndexError(f"target {targets[bad][0]} out of range for {c} classes")
+    if cfg.mu != 0.0:
+        stray = [k for k in sorted(part.new_classes) + sorted(part.old_classes)
+                 if not 0 <= k < c]
+        for t in dict.fromkeys(targets.tolist()):
+            if t not in part.new_classes and t not in part.old_classes:
+                raise RegistryError(f"target {t} is in neither side of the partition")
+            for k in stray:
+                if k != t:
+                    raise IndexError(f"partition class {k} out of range for {c} logits")
     masks = []
     for side in (part.new_classes, part.old_classes):
-        m = np.zeros(num_classes, dtype=bool)
-        m[[c for c in side if 0 <= c < num_classes]] = True
-        masks.append(m & other)
-    return masks
+        m = np.zeros(c, dtype=bool)
+        m[[k for k in side if 0 <= k < c]] = True
+        masks.append(m)
+    x = np.stack(rows) if rows else np.zeros((0, head.c_feat), np.float32)
+    return x, targets, tuple(masks)
 
 
 def _mol_kernel(z: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -167,144 +179,95 @@ def _mol_kernel(z: np.ndarray, a: np.ndarray, b: np.ndarray):
     return value, grad
 
 
-def _logits(logits) -> np.ndarray:
-    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits, np.float32)
-    return z.reshape(1, -1)
+def total_loss(head, batch, part, w_global, cfg: LossConfig):
+    """Composite loss and its gradient.
 
+    Per sample: cross-entropy + mu * mean-output term; batch-averaged,
+    then the proximal pull toward the flat snapshot ``w_global`` is
+    added once.
 
-def cross_entropy(logits: Tensor, target: int) -> float:
-    """-log softmax(logits)[target], max-shifted for stability."""
-    z = _logits(logits)
-    t = _check_target(target, z.size)
-    loss, _ = _ce_kernel(z, np.array([t]))
-    return float(loss[0])
-
-
-def mol_loss(logits: Tensor, target: int, part: ClassPartition) -> float:
-    """Squared gap between new-class and old-class mean logits.
-
-    The target's own logit is excluded from both sides. With no new
-    classes left after exclusion the old-class mean itself is squared;
-    with no old classes the term vanishes.
+    One head: ``batch`` is a sequence of (features, target) pairs,
+    ``part`` a ClassPartition and ``w_global`` a flat Tensor; returns
+    (loss value, flat float32 gradient). Lockstep, as the training loop
+    calls it: ``head`` is an (N, P) stack, ``batch`` a ``Minibatch``,
+    ``part`` the (new, old) (N, num_classes) class masks and
+    ``w_global`` the (N, P) snapshots; returns ((N,) values, (N, P)
+    gradients). The one-head form checks its input and runs the
+    lockstep form with N = 1.
     """
-    z = _logits(logits)
-    a, b = _mol_masks(np.array([int(target)]), part, z.size)
-    val, _ = _mol_kernel(z, a, b)
-    return float(val[0])
-
-
-def prox_loss(w: Tensor, w_global: Tensor, lam: float) -> float:
-    """(lam/2) * squared distance from the stored global parameters."""
-    if w.size != w_global.size:
-        raise DimensionError(f"parameter vectors differ: {w.size} vs {w_global.size}")
-    d = w.data - w_global.data
-    half = np.float32(0.5) * np.float32(lam)
-    return float(half * seq_sum(d * d))
-
-
-def _leaf_grad(per_sample: np.ndarray, prox) -> np.ndarray:
-    """One parameter's gradient, summed in the per-sample reference's
-    order: from +0.0, the prox part (absent at lam == 0), then samples
-    B-1 down to 0.
-
-    A loop, not ``_scan``: the sample axis is short and each slice is a
-    whole parameter tensor, where one vector add per sample is cheaper.
-    """
-    acc = np.zeros_like(per_sample[0]) if prox is None else np.float32(0.0) + prox
-    for g in per_sample[::-1]:
-        acc = acc + g
-    return acc
-
-
-def total_loss(
-    head: TrainableHead,
-    batch,
-    part: ClassPartition,
-    w_global: Tensor,
-    cfg: LossConfig,
-):
-    """Composite loss over a batch of (features, target) pairs.
-
-    Per sample: cross_entropy + mu * mean-output term; batch-averaged,
-    then the proximal pull toward ``w_global`` (a flat snapshot) is
-    added once. Returns (loss value, HeadGrads).
-
-    One closed-form forward and backward pass over the stacked batch.
-    Every sum is an ordered ``_scan`` and every gradient is accumulated
-    in the per-sample reference's order, so the value and all four
-    gradients equal that reference bit for bit.
-    """
+    if isinstance(batch, Minibatch):
+        return _lockstep_loss(head, batch, part, w_global, cfg)
     samples = list(batch)
     if not samples:
         raise DimensionError("total_loss needs a nonempty batch")
-    n_cls = head.num_classes
-    rows = []
-    for feats, _ in samples:
-        f = feats.data if isinstance(feats, Tensor) else np.asarray(feats, np.float32)
-        if f.size != head.c_feat:
-            raise DimensionError(
-                f"features of size {f.size} do not match head input ({head.c_feat},)"
-            )
-        rows.append(f.reshape(-1))
-    targets = np.array([_check_target(t, n_cls) for _, t in samples])
+    x, targets, masks = stack_pairs(head, samples, part, cfg)
     if w_global.size != head.parameter_count:
         raise DimensionError(
             f"global snapshot has {w_global.size} values, head has {head.parameter_count}"
         )
-    x = np.stack(rows)
+    values, grads = _lockstep_loss(
+        head.with_params(head.params[None]), Minibatch(x[None], targets[None]),
+        tuple(m[None] for m in masks), w_global.data[None], cfg,
+    )
+    return float(values[0]), grads[0]
+
+
+def _lockstep_loss(head: TrainableHead, batch: Minibatch, masks, snaps, cfg: LossConfig):
+    """((N,) values, (N, P) gradients) of N heads over their minibatches.
+
+    Rows are independent, so each node's value and gradient equal the
+    one-head pass over its own rows bit for bit.
+    """
+    x, targets = batch.x, batch.targets
+    n, b = targets.shape
+    n_cls = head.num_classes
     hidden, z = _head_forward(head, x)
-    ce, probs = _ce_kernel(z, targets)
+    rows = np.arange(n * b)
+    flat_t = targets.reshape(-1)
+    ce, probs = _ce_kernel(z.reshape(n * b, n_cls), flat_t)
 
     # d(batch mean)/d(term) = 1/B. The reference adds the MOL part to a
     # +0.0 slot, then the CE part; the slot's seed is dropped here
     # because the CE part is never -0.0 (softmax probabilities are not).
-    inv_n = np.float32(1.0) / np.float32(len(samples))
+    inv_n = np.float32(1.0) / np.float32(b)
     dz = probs
-    dz[np.arange(len(samples)), targets] -= np.float32(1.0)
+    dz[rows, flat_t] -= np.float32(1.0)
     terms = ce
     g_logits = dz * inv_n
     if cfg.mu != 0.0:
         mu = np.float32(cfg.mu)
-        mol, dmol = _mol_kernel(z, *_mol_masks(targets, part, n_cls))
+        other = np.arange(n_cls) != targets[..., None]
+        new, old = ((m[:, None, :] & other).reshape(n * b, n_cls) for m in masks)
+        mol, dmol = _mol_kernel(z.reshape(n * b, n_cls), new, old)
         terms = ce + mol * mu
         g_logits = dmol * (inv_n * mu) + g_logits
-    value = seq_sum(terms) / np.float32(len(samples))
+    values = _scan(terms.reshape(n, b).T) / np.float32(b)
 
-    prox = dict.fromkeys(("conv_w", "conv_b", "cls_w", "cls_b"))
+    # each gradient sums, from +0.0, the prox part (+0.0 at lam == 0) and
+    # then samples B-1 down to 0, the per-sample reference's order
+    prox = np.zeros_like(head.params)
     if cfg.lam != 0.0:
-        d = flatten_params(head).data - w_global.data
+        d = head.params - snaps
         half = np.float32(0.5) * np.float32(cfg.lam)
-        value = value + half * seq_sum(d * d)
-        full = np.float32(cfg.lam) * d
-        off = 0
-        for name in prox:
-            t = getattr(head, name)
-            prox[name] = full[off : off + t.size].reshape(t.shape)
-            off += t.size
+        values = values + half * _scan((d * d).T)
+        prox = np.float32(cfg.lam) * d
 
-    g_hidden = mm_f32(g_logits, head.cls_w.array)
+    g_logits = g_logits.reshape(n, b, n_cls)
+    g_hidden = mm_f32(g_logits, head.cls_w)
     g_pre = np.where(hidden > 0, g_hidden, np.float32(0.0))
-    grads = HeadGrads(
-        conv_w=Tensor(_leaf_grad(g_pre[:, :, None] * x[:, None, :], prox["conv_w"])),
-        conv_b=Tensor(_leaf_grad(g_pre, prox["conv_b"])),
-        cls_w=Tensor(_leaf_grad(g_logits[:, :, None] * hidden[:, None, :], prox["cls_w"])),
-        cls_b=Tensor(_leaf_grad(g_logits, prox["cls_b"])),
-    )
-    return float(value), grads
+    per_sample = np.concatenate([
+        (g_pre[..., None] * x[..., None, :]).reshape(n, b, -1),
+        g_pre,
+        (g_logits[..., None] * hidden[..., None, :]).reshape(n, b, -1),
+        g_logits,
+    ], axis=-1)
+    grads = _scan(np.concatenate([prox[None], np.moveaxis(per_sample, 1, 0)[::-1]]))
+    return values, grads
 
 
-def sgd_step(head: TrainableHead, grads: HeadGrads, lr: float) -> TrainableHead:
-    """One vanilla descent step: w <- w - lr * g on every head tensor."""
-    lr32 = np.float32(lr)
-
-    def step(w: Tensor, gr: Tensor) -> Tensor:
-        if w.shape != gr.shape:
-            raise DimensionError(f"gradient shape {gr.shape} vs parameter {w.shape}")
-        return Tensor(w.data - lr32 * gr.data, w.shape)
-
-    return TrainableHead(
-        conv_w=step(head.conv_w, grads.conv_w),
-        conv_b=step(head.conv_b, grads.conv_b),
-        cls_w=step(head.cls_w, grads.cls_w),
-        cls_b=step(head.cls_b, grads.cls_b),
-    )
+def sgd_step(head: TrainableHead, grads: np.ndarray, lr: float) -> TrainableHead:
+    """One vanilla descent step, w <- w - lr * g, on the flat parameters
+    (elementwise, so a stack steps each head as it would alone)."""
+    if grads.shape != head.params.shape:
+        raise DimensionError(f"gradient shape {grads.shape} vs parameters {head.params.shape}")
+    return head.with_params(head.params - np.float32(lr) * grads)

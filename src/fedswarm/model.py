@@ -1,14 +1,18 @@
 """Split model: frozen quantized backbone plus a small trainable head.
 
 The head is a pointwise conv over the pooled feature vector, relu, and
-a linear classifier whose row count grows as new classes appear.
-``_head_forward`` is the one copy of the head math: ``head_logits``
-and ``losses.total_loss`` both run it. Gradients flow into head
+a linear classifier whose row count grows as new classes appear. A
+head is one flat float32 vector with four reshaped views, so
+``flatten_params`` is a view, ``unflatten_params`` a reshape and an SGD
+step one vector update. ``_head_forward`` is the one copy of the head
+math: ``head_logits`` and ``losses.total_loss`` both run it, the
+latter also on (N, P) stacks of heads. Gradients flow into head
 parameters only; the backbone's features enter as constants.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -21,6 +25,7 @@ from .tensor import Tensor, mm_f32
 __all__ = [
     "TrainableHead",
     "SplitModel",
+    "check_finite",
     "init_head",
     "forward",
     "head_logits",
@@ -35,54 +40,116 @@ __all__ = [
 _MAGIC = b"FCH1"
 
 
-@dataclass(frozen=True)
 class TrainableHead:
-    """The float32 trainable parameters: conv + expandable classifier."""
+    """The float32 trainable parameters: conv + expandable classifier.
 
-    conv_w: Tensor  # (c_out, c_feat)
-    conv_b: Tensor  # (c_out,)
-    cls_w: Tensor  # (num_classes, c_out)
-    cls_b: Tensor  # (num_classes,)
+    ``params`` is one read-only vector holding conv_w (c_out, c_feat),
+    conv_b (c_out,), cls_w (num_classes, c_out) and cls_b (num_classes,)
+    in that order, each row-major; the four attributes are reshaped
+    read-only views of it. The training loop also builds heads whose
+    ``params`` is an (N, P) stack of N same-architecture heads, stepped
+    in lockstep; their views gain the leading node axis.
 
-    def __post_init__(self):
-        if len(self.conv_w.shape) != 2 or len(self.cls_w.shape) != 2:
+    The constructor checks shapes and finiteness. Heads derived from
+    another head (``with_params``, SGD steps, expansion, averaging) skip
+    both; training checks finiteness at its epoch and sync boundaries.
+    """
+
+    __slots__ = ("params", "c_feat", "c_out", "num_classes")
+
+    def __init__(self, conv_w, conv_b, cls_w, cls_b):
+        parts = [_f32(t) for t in (conv_w, conv_b, cls_w, cls_b)]
+        conv_w, conv_b, cls_w, cls_b = parts
+        if conv_w.ndim != 2 or cls_w.ndim != 2:
             raise DimensionError("conv_w and cls_w must be matrices")
-        c_out = self.conv_w.shape[0]
-        if self.conv_b.shape != (c_out,):
+        c_out = conv_w.shape[0]
+        if conv_b.shape != (c_out,):
             raise DimensionError(
-                f"conv bias {self.conv_b.shape} does not match conv weights {self.conv_w.shape}"
+                f"conv bias {conv_b.shape} does not match conv weights {conv_w.shape}"
             )
-        if self.cls_w.shape[1] != c_out:
+        if cls_w.shape[1] != c_out:
             raise DimensionError(
-                f"classifier weights {self.cls_w.shape} do not match conv output {c_out}"
+                f"classifier weights {cls_w.shape} do not match conv output {c_out}"
             )
-        if self.cls_b.shape != (self.cls_w.shape[0],):
+        if cls_b.shape != (cls_w.shape[0],):
             raise DimensionError(
-                f"classifier bias {self.cls_b.shape} does not match weights {self.cls_w.shape}"
+                f"classifier bias {cls_b.shape} does not match weights {cls_w.shape}"
             )
-        if self.num_classes < 1:
-            raise DimensionError("head needs at least one class")
-        for name in ("conv_w", "conv_b", "cls_w", "cls_b"):
-            if not np.all(np.isfinite(getattr(self, name).data)):
+        if min(conv_w.shape + cls_w.shape) < 1:
+            raise DimensionError("head needs at least one class, feature and hidden unit")
+        for name, t in zip(_PARTS, parts):
+            if not np.isfinite(t).all():
                 raise NumericError(f"non-finite values in {name}")
+        _fill(self, np.concatenate([t.reshape(-1) for t in parts]),
+              conv_w.shape[1], c_out, cls_w.shape[0])
+
+    def with_params(self, params: np.ndarray) -> "TrainableHead":
+        """A head of this architecture over ``params``, (P,) or (N, P),
+        unchecked and uncopied: the caller hands the array over."""
+        return _head(params, self.c_feat, self.c_out, self.num_classes)
+
+    def _view(self, start: int, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        return self.params[..., start : start + size].reshape(self.params.shape[:-1] + shape)
 
     @property
-    def c_feat(self) -> int:
-        return self.conv_w.shape[1]
+    def conv_w(self) -> np.ndarray:
+        return self._view(0, (self.c_out, self.c_feat))
 
     @property
-    def c_out(self) -> int:
-        return self.conv_w.shape[0]
+    def conv_b(self) -> np.ndarray:
+        return self._view(self.c_out * self.c_feat, (self.c_out,))
 
     @property
-    def num_classes(self) -> int:
-        return self.cls_w.shape[0]
+    def cls_w(self) -> np.ndarray:
+        return self._view(self.c_out * (self.c_feat + 1), (self.num_classes, self.c_out))
+
+    @property
+    def cls_b(self) -> np.ndarray:
+        start = self.c_out * (self.c_feat + 1 + self.num_classes)
+        return self._view(start, (self.num_classes,))
 
     @property
     def parameter_count(self) -> int:
-        return (
-            self.conv_w.size + self.conv_b.size + self.cls_w.size + self.cls_b.size
-        )
+        return self.params.shape[-1]
+
+    def __eq__(self, other):
+        if not isinstance(other, TrainableHead):
+            return NotImplemented
+        return (self.c_feat, self.c_out, self.num_classes) == (
+            other.c_feat, other.c_out, other.num_classes
+        ) and bool(np.array_equal(self.params, other.params))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"TrainableHead(c_feat={self.c_feat}, c_out={self.c_out}, "
+                f"num_classes={self.num_classes})")
+
+
+_PARTS = ("conv_w", "conv_b", "cls_w", "cls_b")
+
+
+def _f32(x) -> np.ndarray:
+    return x.array if isinstance(x, Tensor) else np.asarray(x, np.float32)
+
+
+def _fill(h: TrainableHead, params: np.ndarray, c_feat: int, c_out: int, num_classes: int):
+    params.flags.writeable = False
+    h.params, h.c_feat, h.c_out, h.num_classes = params, c_feat, c_out, num_classes
+    return h
+
+
+def _head(params: np.ndarray, c_feat: int, c_out: int, num_classes: int) -> TrainableHead:
+    return _fill(TrainableHead.__new__(TrainableHead), params, c_feat, c_out, num_classes)
+
+
+def check_finite(h: TrainableHead) -> None:
+    """NumericError naming the first head tensor that holds a NaN or inf."""
+    if not np.isfinite(h.params).all():
+        for name in _PARTS:
+            if not np.isfinite(getattr(h, name)).all():
+                raise NumericError(f"non-finite values in {name}")
 
 
 @dataclass(frozen=True)
@@ -107,22 +174,24 @@ def init_head(
 ) -> TrainableHead:
     """Seeded Gaussian initialization for all four parameter tensors."""
     return TrainableHead(
-        conv_w=Tensor((rng.standard_normal((c_out, c_feat)) * sigma).astype(np.float32)),
-        conv_b=Tensor((rng.standard_normal(c_out) * sigma).astype(np.float32)),
-        cls_w=Tensor((rng.standard_normal((num_classes, c_out)) * sigma).astype(np.float32)),
-        cls_b=Tensor((rng.standard_normal(num_classes) * sigma).astype(np.float32)),
+        conv_w=(rng.standard_normal((c_out, c_feat)) * sigma).astype(np.float32),
+        conv_b=(rng.standard_normal(c_out) * sigma).astype(np.float32),
+        cls_w=(rng.standard_normal((num_classes, c_out)) * sigma).astype(np.float32),
+        cls_b=(rng.standard_normal(num_classes) * sigma).astype(np.float32),
     )
 
 
 def _head_forward(head: TrainableHead, feats: np.ndarray) -> tuple:
-    """(hidden, logits) of a (B, c_feat) float32 batch, one row per sample.
+    """(hidden, logits) of a (B, c_feat) float32 batch, one row per sample;
+    a head stack takes (N, B, c_feat) and gives (N, B, ...).
 
     Both contractions are ``mm_f32`` scans in the per-sample reference's
     index order, so each row equals the single-sample pass bit for bit.
     """
-    pre = mm_f32(feats, head.conv_w.array.T) + head.conv_b.data
+    pre = mm_f32(feats, np.swapaxes(head.conv_w, -1, -2)) + head.conv_b[..., None, :]
     hidden = np.where(pre > 0, pre, np.float32(0.0))
-    return hidden, mm_f32(hidden, head.cls_w.array.T) + head.cls_b.data
+    logits = mm_f32(hidden, np.swapaxes(head.cls_w, -1, -2)) + head.cls_b[..., None, :]
+    return hidden, logits
 
 
 def head_logits(head: TrainableHead, features) -> Tensor:
@@ -132,7 +201,7 @@ def head_logits(head: TrainableHead, features) -> Tensor:
     (B, num_classes) logits whose rows equal the one-vector results
     exactly.
     """
-    f = features.array if isinstance(features, Tensor) else np.asarray(features, np.float32)
+    f = _f32(features)
     if f.shape[-1:] != (head.c_feat,) or f.ndim > 2:
         raise DimensionError(
             f"features {f.shape} do not match head input ({head.c_feat},)"
@@ -164,35 +233,29 @@ def expand_classifier(h: TrainableHead, new_class_ids) -> TrainableHead:
             f"(head already has {h.num_classes} classes)"
         )
     n_new = len(ids)
-    cls_w = np.concatenate(
-        [h.cls_w.array, np.zeros((n_new, h.c_out), dtype=np.float32)], axis=0
-    )
-    cls_b = np.concatenate([h.cls_b.data, np.zeros(n_new, dtype=np.float32)])
-    return TrainableHead(h.conv_w, h.conv_b, Tensor(cls_w), Tensor(cls_b))
+    end_w = h.c_out * (h.c_feat + 1 + h.num_classes)  # conv_w, conv_b, cls_w
+    params = np.concatenate([
+        h.params[:end_w], np.zeros(n_new * h.c_out, np.float32),
+        h.params[end_w:], np.zeros(n_new, np.float32),
+    ])
+    return _head(params, h.c_feat, h.c_out, h.num_classes + n_new)
 
 
 def flatten_params(h: TrainableHead) -> Tensor:
-    """Canonical flat order: conv_w, conv_b, cls_w, cls_b, each row-major."""
-    return Tensor(
-        np.concatenate([h.conv_w.data, h.conv_b.data, h.cls_w.data, h.cls_b.data]),
-        (h.parameter_count,),
-    )
+    """Canonical flat order: conv_w, conv_b, cls_w, cls_b, each row-major.
+
+    A view of the head's own read-only vector; nothing is copied.
+    """
+    return Tensor._wrap(h.params)
 
 
 def unflatten_params(h: TrainableHead, v: Tensor) -> TrainableHead:
-    """Rebuild a head with ``h``'s architecture from a flat vector."""
+    """A head with ``h``'s architecture over a flat vector (a reshape)."""
     if v.size != h.parameter_count:
         raise DimensionError(
             f"flat vector has {v.size} values, head needs {h.parameter_count}"
         )
-    sizes = [h.conv_w.size, h.conv_b.size, h.cls_w.size, h.cls_b.size]
-    shapes = [h.conv_w.shape, h.conv_b.shape, h.cls_w.shape, h.cls_b.shape]
-    parts = []
-    off = 0
-    for size, shape in zip(sizes, shapes):
-        parts.append(Tensor(v.data[off : off + size], shape))
-        off += size
-    return TrainableHead(*parts)
+    return h.with_params(v.data)
 
 
 def head_message_bytes(h: TrainableHead) -> int:
@@ -221,11 +284,9 @@ def read_head(path) -> TrainableHead:
         raise NumericError(
             f"head container holds {len(blob)} bytes, its header implies {expected}"
         )
-    template = TrainableHead(
-        conv_w=Tensor.zeros((c_out, c_feat)),
-        conv_b=Tensor.zeros((c_out,)),
-        cls_w=Tensor.zeros((num_classes, c_out)),
-        cls_b=Tensor.zeros((num_classes,)),
-    )
-    flat = np.frombuffer(blob, dtype="<f4", offset=16, count=template.parameter_count)
-    return unflatten_params(template, Tensor(flat, (template.parameter_count,)))
+    if min(c_feat, c_out, num_classes) < 1:
+        raise DimensionError(f"head container dims must be positive: {(c_feat, c_out, num_classes)}")
+    flat = np.frombuffer(blob, dtype="<f4", offset=16).astype(np.float32)
+    head = _head(flat, c_feat, c_out, num_classes)
+    check_finite(head)
+    return head

@@ -28,6 +28,8 @@ __all__ = [
     "LabeledDataset",
     "node_train_view",
     "precompute_features",
+    "predict",
+    "accuracy",
     "evaluate",
     "write_manifest",
     "read_manifest",
@@ -221,6 +223,39 @@ def precompute_features(backbone, ds: LabeledDataset) -> dict:
     return {s.sample_id: Tensor(f) for s, f in zip(ds.samples, feats)}
 
 
+def predict(model: SplitModel, samples, seen_classes, features: dict | None = None) -> np.ndarray:
+    """Seen-class argmax of each sample's logits, one batched head pass.
+
+    The lowest class id wins ties. Pass a ``precompute_features`` cache
+    to skip the integer backbone pass.
+    """
+    seen = sorted(int(c) for c in seen_classes)
+    if not seen:
+        raise EvaluationError("no classes to evaluate on")
+    if max(seen) >= model.head.num_classes or min(seen) < 0:
+        raise EvaluationError(
+            f"seen classes {seen} exceed classifier outputs {model.head.num_classes}"
+        )
+    if not samples:
+        return np.zeros(0, np.intp)
+    if features is not None:
+        feats = np.stack([features[s.sample_id].data for s in samples])
+    else:
+        feats = backbone_forward(model.backbone, [s.x for s in samples])
+    # rows equal the per-sample logits bit for bit
+    z = head_logits(model.head, feats).array
+    idx = np.array(seen)
+    return idx[np.argmax(z[:, idx], axis=1)]  # first max = lowest class id
+
+
+def accuracy(hits: np.ndarray) -> float:
+    """Share of true entries in a boolean hit vector; EvaluationError
+    when it is empty."""
+    if not hits.size:
+        raise EvaluationError("empty test set for the given classes")
+    return int(np.count_nonzero(hits)) / hits.size
+
+
 def evaluate(
     model: SplitModel,
     ds_test: LabeledDataset,
@@ -238,26 +273,10 @@ def evaluate(
     backbone pass.
     """
     seen = sorted(int(c) for c in seen_classes)
-    if not seen:
-        raise EvaluationError("no classes to evaluate on")
-    if max(seen) >= model.head.num_classes or min(seen) < 0:
-        raise EvaluationError(
-            f"seen classes {seen} exceed classifier outputs {model.head.num_classes}"
-        )
     scored = set(seen) if sample_classes is None else set(int(c) for c in sample_classes)
     subset = [s for s in ds_test.samples if s.class_id in scored]
-    if not subset:
-        raise EvaluationError("empty test set for the given classes")
-    if features is not None:
-        feats = np.stack([features[s.sample_id].data for s in subset])
-    else:
-        feats = backbone_forward(model.backbone, [s.x for s in subset])
-    # one batched head pass; rows equal the per-sample logits bit for bit
-    z = head_logits(model.head, feats).array
-    idx = np.array(seen)
-    pred = idx[np.argmax(z[:, idx], axis=1)]  # first max = lowest class id
-    correct = int(np.count_nonzero(pred == np.array([s.class_id for s in subset])))
-    return correct / len(subset)
+    truth = np.array([s.class_id for s in subset], np.intp)
+    return accuracy(predict(model, subset, seen, features) == truth)
 
 
 # -- manifest I/O -----------------------------------------------------------

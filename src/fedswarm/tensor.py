@@ -4,10 +4,13 @@ Every contraction in the package goes through ``_scan``: a float32 sum
 in a fixed index order, seeded with +0.0. Determinism rests on that
 order, not on precision: a scan gives the same bits whatever numpy's
 vector width. The head (``model._head_forward``) and the objective
-(``losses.total_loss``) call these kernels directly in closed form.
+(``losses.total_loss``) call these kernels directly in closed form, on
+one head or on a stack of heads trained in lockstep.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,6 +47,16 @@ class Tensor:
         self.data = flat
 
     @classmethod
+    def _wrap(cls, flat: np.ndarray) -> "Tensor":
+        """A 1-D Tensor over ``flat`` without the copy. ``flat`` must be a
+        read-only float32 vector that nothing writes through another
+        reference, such as a head's parameter vector."""
+        t = cls.__new__(cls)
+        t.shape = (flat.size,)
+        t.data = flat
+        return t
+
+    @classmethod
     def zeros(cls, shape):
         shape = tuple(int(s) for s in shape)
         n = 1
@@ -78,41 +91,55 @@ class Tensor:
 
 
 # product elements per ``mm_f32`` block: bounds the scan's temporaries
-_SCAN_BLOCK = 1 << 14
+_SCAN_BLOCK = 1 << 16
 
 
 def _scan(x: np.ndarray) -> np.ndarray:
     """Float32 sum of ``x`` over its leading axis, in index order from +0.0.
 
-    ``np.add.accumulate`` adds strictly left to right, so this equals the
-    loop ``acc = 0.0; for v in x: acc += v`` at every trailing index. The
-    leading zero slice is part of that contract: the loop turns a lone
-    -0.0 into +0.0, an unseeded scan would keep it. The last slice is
-    copied out so the prefix sums can be freed.
+    Equals the loop ``acc = 0.0; for v in x: acc += v`` at every trailing
+    index. The +0.0 seed is part of that contract: the loop turns a lone
+    -0.0 into +0.0, an unseeded sum would keep it. Short, wide inputs
+    run that loop as one vector add per slice; long, narrow ones run
+    ``np.add.accumulate`` (strictly left to right) along a last axis,
+    which numpy walks with one inner loop per trailing index. Both give
+    the same bits; only the speed differs.
     """
     x = np.asarray(x, dtype=np.float32)
-    seeded = np.concatenate([np.zeros((1,) + x.shape[1:], np.float32), x])
-    return np.add.accumulate(seeded, axis=0)[-1].copy()
+    if x.ndim > 1 and math.prod(x.shape[1:]) > 2 * len(x):
+        acc = np.zeros(x.shape[1:], np.float32)
+        for v in x:
+            acc += v
+        return acc
+    rows = x.transpose(tuple(range(1, x.ndim)) + (0,))
+    seeded = np.concatenate([np.zeros(rows.shape[:-1] + (1,), np.float32), rows], axis=-1)
+    return np.add.accumulate(seeded, axis=-1)[..., -1].copy()
 
 
 def seq_sum(values: np.ndarray) -> np.float32:
     """Left-to-right float32 sum of a 1-D array."""
-    return _scan(values)
+    return _scan(values)[()]
 
 
 def mm_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(m,k) x (k,n) float32 product, accumulated over k in index order.
+    """(..., m, k) x (..., k, n) float32 product, accumulated over k in
+    index order; leading axes (the lockstep node axis) pair up.
 
     Rows of ``a`` are independent, so they are taken in blocks that keep
-    the (k, rows, n) product small; the order within each sum is fixed.
+    the (k, ..., rows, n) product small; the order within each sum is
+    fixed.
     """
-    m, k = a.shape
-    n = b.shape[1]
-    step = max(1, _SCAN_BLOCK // max(1, k * n))
+    m, k = a.shape[-2:]
+    lead = tuple(range(a.ndim - 2))
+    width = k * b.shape[-1] * math.prod(a.shape[:-2])
+    step = max(1, _SCAN_BLOCK // max(1, width))
     if m <= step:
-        return _scan(a.T[:, :, None] * b[:, None, :])
+        # k leads: (k, ..., m, 1) * (k, ..., 1, n)
+        a_k = a.transpose((a.ndim - 1,) + lead + (a.ndim - 2,))
+        b_k = b.transpose((b.ndim - 2,) + lead + (b.ndim - 1,))
+        return _scan(a_k[..., None] * b_k[..., None, :])
     return np.concatenate(
-        [mm_f32(a[i : i + step], b) for i in range(0, m, step)]
+        [mm_f32(a[..., i : i + step, :], b) for i in range(0, m, step)], axis=-2
     )
 
 

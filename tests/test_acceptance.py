@@ -170,8 +170,7 @@ def test_criterion_6_consensus_and_privacy():
     net = fs.SimNetwork(fs.LinkModel(throughput_bps=4 * p / 0.5))
     rounds, consensus = 4, True
     for _ in range(rounds):
-        for n in nodes:
-            fs.local_epoch(n, views[n.node_id], part, cfg, rng)
+        fs.local_epoch(nodes, [views[n.node_id] for n in nodes], [part] * len(nodes), cfg, rng)
         uploads = [fs.flatten_params(n.head) for n in nodes]
         expected = fs.fedavg(uploads, node_ids=[n.node_id for n in nodes])
         fs.sync_round(nodes, net)

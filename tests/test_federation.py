@@ -215,9 +215,10 @@ def test_local_epoch_empty_view_is_noop():
     (node,) = _swarm(1)
     before = node.head
     cfg = LossConfig(lr=0.1)
-    loss = local_epoch(node, [], ClassPartition(frozenset(), frozenset({0})),
-                       cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    (loss,) = local_epoch([node], [[]], [ClassPartition(frozenset(), frozenset({0}))], cfg, rng)
     assert loss == 0.0
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
     assert node.head == before
     assert node.epochs == 0
 
@@ -226,8 +227,8 @@ def test_local_epoch_trains_and_counts():
     (node,) = _swarm(1)
     views, parts = _views([node], 3)
     before = node.head
-    loss = local_epoch(node, views[0], parts[0], LossConfig(lr=0.1),
-                       np.random.default_rng(0))
+    (loss,) = local_epoch([node], [views[0]], [parts[0]], LossConfig(lr=0.1),
+                          np.random.default_rng(0))
     assert loss > 0.0
     assert node.head != before
     assert node.epochs == 1
@@ -268,7 +269,7 @@ def test_local_epoch_at_zero_lam_ignores_the_snapshot(seed, n, batch_size, mu, s
     part = ClassPartition(frozenset({0}), frozenset({1, 2}))
     cfg = LossConfig(mu=mu, lam=0.0, lr=0.1, batch_size=batch_size)
     node = NodeState(0, head, anchor)
-    loss = local_epoch(node, pairs, part, cfg, np.random.default_rng(seed))
+    (loss,) = local_epoch([node], [pairs], [part], cfg, np.random.default_rng(seed))
     ref, ref_loss = _reanchored_epoch(head, pairs, part, cfg, np.random.default_rng(seed))
     assert np.array_equal(flatten_params(node.head).data, flatten_params(ref).data)
     assert loss == ref_loss

@@ -163,11 +163,13 @@ def test_expand_appends_zero_rows():
     h = init_head(6, 4, 4, rng)
     h7 = expand_classifier(h, [4, 5, 6])
     assert h7.num_classes == 7
-    assert np.array_equal(h7.cls_w.array[:4], h.cls_w.array)
-    assert np.array_equal(h7.cls_b.data[:4], h.cls_b.data)
-    assert np.array_equal(h7.cls_w.array[4:], np.zeros((3, 4), np.float32))
-    assert np.array_equal(h7.cls_b.data[4:], np.zeros(3, np.float32))
-    assert h7.conv_w is h.conv_w and h7.conv_b is h.conv_b
+    assert np.array_equal(h7.cls_w[:4], h.cls_w)
+    assert np.array_equal(h7.cls_b[:4], h.cls_b)
+    assert np.array_equal(h7.cls_w[4:], np.zeros((3, 4), np.float32))
+    assert np.array_equal(h7.cls_b[4:], np.zeros(3, np.float32))
+    # one flat vector per head: the conv tensors are copied, bit for bit
+    assert h7.conv_w.tobytes() == h.conv_w.tobytes()
+    assert h7.conv_b.tobytes() == h.conv_b.tobytes()
 
 
 def test_expand_preserves_old_logits_exactly():

@@ -15,21 +15,24 @@ from fedswarm import (
     RegistryError,
     Tensor,
     TrainableHead,
-    cross_entropy,
     flatten_params,
     head_logits,
     init_head,
-    mol_loss,
-    prox_loss,
     sgd_step,
     total_loss,
 )
 from fedswarm.gradcheck import REL_TOL, check_case
-from fedswarm.losses import HeadGrads
-from fedswarm.tensor import _sum_cols, mm_f32, seq_sum
+from fedswarm.losses import _ce_kernel, _mol_kernel, stack_pairs
+from fedswarm.tensor import _scan, _sum_cols, mm_f32, seq_sum
 
 
 # -- cross-entropy --------------------------------------------------------------
+
+
+def cross_entropy(logits: Tensor, target: int) -> float:
+    """-log softmax(logits)[target] of one logit vector, through the kernel."""
+    losses, _ = _ce_kernel(logits.data[None], np.array([target]))
+    return float(losses[0])
 
 
 def test_ce_uniform_logits():
@@ -47,10 +50,10 @@ def test_ce_reference_value():
 
 
 def test_ce_target_out_of_range():
-    with pytest.raises(IndexError):
-        cross_entropy(Tensor([1.0, 2.0]), 2)
-    with pytest.raises(IndexError):
-        cross_entropy(Tensor([1.0, 2.0]), -1)
+    head = init_head(1, 1, 2, np.random.default_rng(0))
+    for bad in (2, -1):
+        with pytest.raises(IndexError):
+            stack_pairs(head, [(Tensor([1.0]), bad)], ClassPartition(set(), {0, 1}), LossConfig())
 
 
 def test_ce_nonnegative_random():
@@ -65,6 +68,16 @@ def test_ce_nonnegative_random():
 
 def _part(old, new):
     return ClassPartition(frozenset(old), frozenset(new))
+
+
+def mol_loss(logits: Tensor, target: int, part: ClassPartition) -> float:
+    """Mean-output term of one logit vector, through the kernel: the
+    partition is checked and masked as in training, the target excluded."""
+    head = init_head(1, 1, logits.size, np.random.default_rng(0))
+    _, _, (new, old) = stack_pairs(head, [(Tensor([0.0]), target)], part, LossConfig())
+    other = np.arange(logits.size) != target
+    value, _ = _mol_kernel(logits.data[None], (new & other)[None], (old & other)[None])
+    return float(value[0])
 
 
 def test_mol_zero_for_equal_logits():
@@ -116,28 +129,42 @@ def test_mol_shift_invariant_when_both_sides_present():
 # -- proximal term ----------------------------------------------------------------
 
 
+def prox_loss(head, w_global: Tensor, lam: float) -> float:
+    """The proximal term alone: the loss with ``lam`` minus the loss without."""
+    batch = [(Tensor(np.ones(head.c_feat, np.float32)), 0)]
+    part = ClassPartition(frozenset(), frozenset({0}))
+
+    def loss(at):
+        return total_loss(head, batch, part, w_global, LossConfig(mu=0.0, lam=at))[0]
+
+    return loss(lam) - loss(0.0)
+
+
 def test_prox_zero_at_global():
-    w = Tensor([1.0, 2.0, 3.0])
-    assert prox_loss(w, w, 3.8) == 0.0
+    h = init_head(3, 2, 2, np.random.default_rng(10))
+    assert prox_loss(h, flatten_params(h), 3.8) == 0.0
 
 
 def test_prox_reference_value():
-    w = Tensor([2.0, 0.0])
-    wg = Tensor([1.0, 1.0])  # diff [1, -1]
-    assert abs(prox_loss(w, wg, 3.8) - 3.8) < 1e-6
+    h = init_head(3, 2, 2, np.random.default_rng(11))
+    diff = np.where(np.arange(h.parameter_count) % 2 == 0, 1.0, -1.0).astype(np.float32)
+    wg = Tensor(flatten_params(h).data - diff)
+    # (3.8 / 2) * P squared unit differences
+    assert abs(prox_loss(h, wg, 3.8) - 1.9 * h.parameter_count) < 1e-4
 
 
 def test_prox_disabled_at_zero_lambda():
     rng = np.random.default_rng(2)
-    w = Tensor(rng.standard_normal(10).astype(np.float32))
-    wg = Tensor(rng.standard_normal(10).astype(np.float32))
-    assert prox_loss(w, wg, 0.0) == 0.0
-    assert prox_loss(w, wg, 1.0) >= 0.0
+    h = init_head(3, 2, 2, rng)
+    wg = Tensor(rng.standard_normal(h.parameter_count).astype(np.float32))
+    assert prox_loss(h, wg, 0.0) == 0.0
+    assert prox_loss(h, wg, 1.0) >= 0.0
 
 
 def test_prox_length_mismatch():
+    h = init_head(3, 2, 2, np.random.default_rng(12))
     with pytest.raises(DimensionError):
-        prox_loss(Tensor([1.0]), Tensor([1.0, 2.0]), 1.0)
+        prox_loss(h, Tensor([1.0, 2.0]), 1.0)
 
 
 # -- total loss --------------------------------------------------------------------
@@ -215,25 +242,15 @@ def test_sgd_zero_lr_is_identity():
 
 
 def test_sgd_single_step_arithmetic():
-    from fedswarm import HeadGrads
-
     head = _unit_head(1.0)
-    grads = HeadGrads(
-        conv_w=Tensor([[2.0]]), conv_b=Tensor([2.0]),
-        cls_w=Tensor([[2.0]]), cls_b=Tensor([2.0]),
-    )
+    grads = np.full(4, 2.0, np.float32)  # flat, in flatten_params order
     stepped = sgd_step(head, grads, 0.5)
     assert stepped == _unit_head(0.0)
 
 
 def test_sgd_shape_mismatch():
-    from fedswarm import HeadGrads
-
     head = _unit_head(1.0)
-    grads = HeadGrads(
-        conv_w=Tensor([[2.0, 1.0]]), conv_b=Tensor([2.0]),
-        cls_w=Tensor([[2.0]]), cls_b=Tensor([2.0]),
-    )
+    grads = np.full(5, 2.0, np.float32)  # one value too many
     with pytest.raises(DimensionError):
         sgd_step(head, grads, 0.5)
 
@@ -315,14 +332,14 @@ def _loop_sum_cols(x):
 def _ref_head(head, feats):
     """(x, pre-activation, hidden, logits) of one sample as columns."""
     x = feats.data.reshape(-1, 1)
-    pre = _loop_mm_f32(head.conv_w.array, x) + head.conv_b.array[:, None]
+    pre = _loop_mm_f32(head.conv_w, x) + head.conv_b[:, None]
     hidden = np.where(pre > 0, pre, np.float32(0.0))
-    z = _loop_mm_f32(head.cls_w.array, hidden) + head.cls_b.array[:, None]
+    z = _loop_mm_f32(head.cls_w, hidden) + head.cls_b[:, None]
     return x, pre, hidden, z.reshape(-1)
 
 
 def _ref_total_loss(head, batch, part, w_global, cfg):
-    params = [getattr(head, k).array for k in ("conv_w", "conv_b", "cls_w", "cls_b")]
+    params = [getattr(head, k) for k in ("conv_w", "conv_b", "cls_w", "cls_b")]
     n = np.float32(len(batch))
     inv_n = np.float32(1.0) / n
     mu, lam = np.float32(cfg.mu), np.float32(cfg.lam)
@@ -363,19 +380,17 @@ def _ref_total_loss(head, batch, part, w_global, cfg):
     value = value + np.float32(0.5) * lam * _loop_seq_sum(d * d)
     # samples B-1 down to 0, each a k=1 product or a one-column sum
     for x, pre, hidden, g_z in reversed(saved):
-        g_pre = np.where(pre > 0, _loop_mm_f32(head.cls_w.array.T, g_z), np.float32(0.0))
+        g_pre = np.where(pre > 0, _loop_mm_f32(head.cls_w.T, g_z), np.float32(0.0))
         parts = (
             _loop_mm_f32(g_pre, x.T), _loop_sum_cols(g_pre),
             _loop_mm_f32(g_z, hidden.T), _loop_sum_cols(g_z),
         )
         grads = [g + c for g, c in zip(grads, parts)]
-    return float(value), HeadGrads(*(Tensor(g) for g in grads))
+    return float(value), np.concatenate([g.reshape(-1) for g in grads])
 
 
 def _bits(value, grads):
-    return (np.float64(value).tobytes(),) + tuple(
-        getattr(grads, k).tobytes() for k in ("conv_w", "conv_b", "cls_w", "cls_b")
-    )
+    return np.float64(value).tobytes(), grads.tobytes()
 
 
 def _sparse(rng, shape, zero_frac, scale=1.0):
