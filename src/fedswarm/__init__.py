@@ -7,22 +7,6 @@ also carries the analytic cost model (latency, energy, memory,
 bandwidth) for the target hardware operating points.
 """
 
-from .costs import (
-    HPM,
-    LPM,
-    LinkModel,
-    MemoryModel,
-    OperatingPoint,
-    calibrated_uwb_link,
-    cost_report,
-    epoch_energy,
-    federated_epoch_time,
-    free_local_epochs,
-    message_time,
-    peak_training_memory,
-    per_sample_latency,
-    training_memory,
-)
 from .errors import (
     AggregationError,
     ConfigError,
@@ -33,81 +17,17 @@ from .errors import (
     PlanError,
     RegistryError,
 )
-from .federation import (
-    NodeState,
-    SimNetwork,
-    SyncMessage,
-    TraceEvent,
-    fedavg,
-    local_epoch,
-    run_session,
-    sync_round,
-    write_trace,
-)
-from .gradcheck import format_gradcheck, reference_total_loss, run_gradcheck
-from .harness import (
-    STRATEGIES,
-    BackboneSpec,
-    CostSpec,
-    DataSpec,
-    ExperimentConfig,
-    HeadSpec,
-    MetricsReport,
-    PlanSpec,
-    TrainSpec,
-    config_from_dict,
-    config_to_dict,
-    default_config,
-    emit_report,
-    load_config,
-    parse_report,
-    report_table,
-    run_experiment,
-    save_config,
-    strategy_block_bytes,
-)
-from .losses import ClassPartition, LossConfig, sgd_step, total_loss
-from .model import (
-    SplitModel,
-    TrainableHead,
-    expand_classifier,
-    flatten_params,
-    forward,
-    head_logits,
-    head_message_bytes,
-    init_head,
-    read_head,
-    unflatten_params,
-    write_head,
-)
-from .quant import (
-    FrozenBackbone,
-    QuantLayer,
-    QuantParams,
-    QuantTensor,
-    backbone_digest,
-    backbone_forward,
-    build_backbone,
-    dequantize,
-    quantize,
-    read_backbone,
-    write_backbone,
-)
-from .sessions import (
-    ClassRegistry,
-    LabeledDataset,
-    RegistryEntry,
-    Sample,
-    SessionPlan,
-    evaluate,
-    make_plan,
-    node_train_view,
-    precompute_features,
-    read_manifest,
-    registry_from_plan,
-    write_manifest,
-)
-from .synthetic import SyntheticSpec, gen_synthetic
-from .tensor import Tensor
+
+# every module's public names (its ``__all__``) are the package's
+from .costs import *  # noqa: F401,F403
+from .federation import *  # noqa: F401,F403
+from .gradcheck import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .losses import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .quant import *  # noqa: F401,F403
+from .sessions import *  # noqa: F401,F403
+from .synthetic import *  # noqa: F401,F403
+from .tensor import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ __all__ = [
 
 
 def _same_architecture(a: TrainableHead, b: TrainableHead) -> bool:
-    return (a.c_feat, a.c_out, a.num_classes) == (b.c_feat, b.c_out, b.num_classes)
+    return a.dims == b.dims
 
 
 @dataclass
@@ -215,14 +215,13 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     arch = nodes[0].head
     for n in nodes:
         if not (_same_architecture(n.head, arch) and _same_architecture(n.snapshot, arch)):
-            raise AggregationError(f"node {n.node_id} head architecture differs from node {nodes[0].node_id}")
+            raise AggregationError(
+                f"node {n.node_id} head architecture differs from node {nodes[0].node_id}"
+            )
     stacked = [stack_pairs(arch, view, part, cfg) for view, part in zip(views, parts)]
     sizes = np.array([len(t) for _, t, _ in stacked])
     perms = [[rng.permutation(m) for _ in range(epochs)] if m else [] for m in sizes]
     live = np.flatnonzero(sizes)
-    losses = [0.0] * len(nodes)
-    if epochs == 0 or not live.size:
-        return losses
     # views padded to the longest one; pad rows are never gathered
     n, longest, b = len(nodes), sizes.max(), cfg.batch_size
     x = np.zeros((n, longest, arch.c_feat), np.float32)
@@ -256,6 +255,7 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
                 values, grads = total_loss(head, batch, sel_masks, sel_snaps, cfg)
                 params[sel] = sgd_step(head, grads, cfg.lr).params
                 step_losses[sel, k // b] = values
+    losses = [0.0] * n
     for i in live:
         node = nodes[i]
         head = arch.with_params(params[i].copy())

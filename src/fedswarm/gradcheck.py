@@ -28,14 +28,8 @@ ABS_TOL = 1e-6
 
 def reference_total_loss(theta, head: TrainableHead, batch, part, w_global, mu, lam):
     """The objective recomputed in float64 from a flat parameter vector."""
-    theta = np.asarray(theta, dtype=np.float64)
-    shapes = [head.conv_w.shape, head.conv_b.shape, head.cls_w.shape, head.cls_b.shape]
-    parts, off = [], 0
-    for sh in shapes:
-        n = int(np.prod(sh))
-        parts.append(theta[off : off + n].reshape(sh))
-        off += n
-    conv_w, conv_b, cls_w, cls_b = parts
+    h64 = head.with_params(np.array(theta, dtype=np.float64))  # flat layout, float64 values
+    conv_w, conv_b, cls_w, cls_b = h64.conv_w, h64.conv_b, h64.cls_w, h64.cls_b
     total = 0.0
     for feats, target in batch:
         f = np.asarray(feats.data if isinstance(feats, Tensor) else feats, np.float64)

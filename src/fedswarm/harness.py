@@ -250,7 +250,7 @@ class ExperimentConfig:
         for name, rows, cols in tensors:
             if rows * cols > MAX_TENSOR_ELEMENTS:
                 raise ConfigError(
-                    f"{name} weights of {rows}x{cols} exceed the cap of {MAX_TENSOR_ELEMENTS} elements"
+                    f"{name} weights of {rows}x{cols} exceed the cap of {MAX_TENSOR_ELEMENTS}"
                 )
         # a head of the configured shape; zero strides, so nothing is allocated
         size = hidden * (feat + 1) + classes * (hidden + 1)

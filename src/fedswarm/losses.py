@@ -125,34 +125,27 @@ def stack_pairs(head: TrainableHead, pairs, part: ClassPartition, cfg: LossConfi
     other partition class must index a logit (IndexError).
     """
     c = head.num_classes
-    rows = []
-    for feats, _ in pairs:
-        f = _f32(feats)
-        if f.size != head.c_feat:
+    rows = [_f32(f).reshape(-1) for f, _ in pairs]
+    for r in rows:
+        if r.size != head.c_feat:
             raise DimensionError(
-                f"features of size {f.size} do not match head input ({head.c_feat},)"
+                f"features of size {r.size} do not match head input ({head.c_feat},)"
             )
-        rows.append(f.reshape(-1))
     targets = np.array([int(t) for _, t in pairs], dtype=np.intp)
     bad = (targets < 0) | (targets >= c)
     if bad.any():
         raise IndexError(f"target {targets[bad][0]} out of range for {c} classes")
     if cfg.mu != 0.0:
-        stray = [k for k in sorted(part.new_classes) + sorted(part.old_classes)
-                 if not 0 <= k < c]
+        stray = [k for k in sorted(part.new_classes) + sorted(part.old_classes) if not 0 <= k < c]
         for t in dict.fromkeys(targets.tolist()):
             if t not in part.new_classes and t not in part.old_classes:
                 raise RegistryError(f"target {t} is in neither side of the partition")
             for k in stray:
                 if k != t:
                     raise IndexError(f"partition class {k} out of range for {c} logits")
-    masks = []
-    for side in (part.new_classes, part.old_classes):
-        m = np.zeros(c, dtype=bool)
-        m[[k for k in side if 0 <= k < c]] = True
-        masks.append(m)
-    x = np.stack(rows) if rows else np.zeros((0, head.c_feat), np.float32)
-    return x, targets, tuple(masks)
+    sides = (part.new_classes, part.old_classes)
+    masks = tuple(np.isin(np.arange(c), sorted(side)) for side in sides)
+    return np.array(rows, np.float32).reshape(-1, head.c_feat), targets, masks
 
 
 def _mol_kernel(z: np.ndarray, a: np.ndarray, b: np.ndarray):

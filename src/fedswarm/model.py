@@ -80,51 +80,29 @@ class TrainableHead:
         for name, t in zip(_PARTS, parts):
             if not np.isfinite(t).all():
                 raise NumericError(f"non-finite values in {name}")
-        _fill(self, np.concatenate([t.reshape(-1) for t in parts]),
-              conv_w.shape[1], c_out, cls_w.shape[0])
+        flat = np.concatenate([t.reshape(-1) for t in parts])
+        _fill(self, flat, conv_w.shape[1], c_out, cls_w.shape[0])
 
     def with_params(self, params: np.ndarray) -> "TrainableHead":
         """A head of this architecture over ``params``, (P,) or (N, P),
         unchecked and uncopied: the caller hands the array over."""
-        return _head(params, self.c_feat, self.c_out, self.num_classes)
+        return _head(params, *self.dims)
 
     def _view(self, start: int, shape: tuple) -> np.ndarray:
-        size = math.prod(shape)
-        return self.params[..., start : start + size].reshape(self.params.shape[:-1] + shape)
+        lead = self.params.shape[:-1]
+        return self.params[..., start : start + math.prod(shape)].reshape(lead + shape)
 
-    @property
-    def conv_w(self) -> np.ndarray:
-        return self._view(0, (self.c_out, self.c_feat))
-
-    @property
-    def conv_b(self) -> np.ndarray:
-        return self._view(self.c_out * self.c_feat, (self.c_out,))
-
-    @property
-    def cls_w(self) -> np.ndarray:
-        return self._view(self.c_out * (self.c_feat + 1), (self.num_classes, self.c_out))
-
-    @property
-    def cls_b(self) -> np.ndarray:
-        start = self.c_out * (self.c_feat + 1 + self.num_classes)
-        return self._view(start, (self.num_classes,))
-
-    @property
-    def parameter_count(self) -> int:
-        return self.params.shape[-1]
+    dims = property(lambda h: (h.c_feat, h.c_out, h.num_classes))
+    parameter_count = property(lambda h: h.params.shape[-1])
+    conv_w = property(lambda h: h._view(0, (h.c_out, h.c_feat)))
+    conv_b = property(lambda h: h._view(h.c_out * h.c_feat, (h.c_out,)))
+    cls_w = property(lambda h: h._view(h.c_out * (h.c_feat + 1), (h.num_classes, h.c_out)))
+    cls_b = property(lambda h: h._view(h.c_out * (h.c_feat + 1 + h.num_classes), (h.num_classes,)))
 
     def __eq__(self, other):
         if not isinstance(other, TrainableHead):
             return NotImplemented
-        return (self.c_feat, self.c_out, self.num_classes) == (
-            other.c_feat, other.c_out, other.num_classes
-        ) and bool(np.array_equal(self.params, other.params))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"TrainableHead(c_feat={self.c_feat}, c_out={self.c_out}, "
-                f"num_classes={self.num_classes})")
+        return self.dims == other.dims and bool(np.array_equal(self.params, other.params))
 
 
 _PARTS = ("conv_w", "conv_b", "cls_w", "cls_b")
@@ -141,6 +119,7 @@ def _fill(h: TrainableHead, params: np.ndarray, c_feat: int, c_out: int, num_cla
 
 
 def _head(params: np.ndarray, c_feat: int, c_out: int, num_classes: int) -> TrainableHead:
+    """The unchecked constructor: a head over ``params`` as given."""
     return _fill(TrainableHead.__new__(TrainableHead), params, c_feat, c_out, num_classes)
 
 
@@ -285,7 +264,7 @@ def read_head(path) -> TrainableHead:
             f"head container holds {len(blob)} bytes, its header implies {expected}"
         )
     if min(c_feat, c_out, num_classes) < 1:
-        raise DimensionError(f"head container dims must be positive: {(c_feat, c_out, num_classes)}")
+        raise DimensionError(f"head container dims must be positive: {c_feat, c_out, num_classes}")
     flat = np.frombuffer(blob, dtype="<f4", offset=16).astype(np.float32)
     head = _head(flat, c_feat, c_out, num_classes)
     check_finite(head)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericError
-from .tensor import Tensor, _scan, _sum_cols
+from .tensor import Tensor, _scan
 
 __all__ = [
     "QuantParams",
@@ -229,7 +229,7 @@ def _forward_checked(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
         in_scale = layer.out_scale
         in_zp = 0
     feats = q.astype(np.float32) * np.float32(bb.layers[-1].out_scale)
-    return _sum_cols(feats) / np.float32(h * w)
+    return _scan(feats.T) / np.float32(h * w)
 
 
 def _acc_bound(layer: QuantLayer, peak: int) -> int:

@@ -48,9 +48,8 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, flat: np.ndarray) -> "Tensor":
-        """A 1-D Tensor over ``flat`` without the copy. ``flat`` must be a
-        read-only float32 vector that nothing writes through another
-        reference, such as a head's parameter vector."""
+        """A 1-D Tensor over a read-only float32 vector that nothing else
+        writes (a head's parameters), without the copy."""
         t = cls.__new__(cls)
         t.shape = (flat.size,)
         t.data = flat
@@ -98,12 +97,10 @@ def _scan(x: np.ndarray) -> np.ndarray:
     """Float32 sum of ``x`` over its leading axis, in index order from +0.0.
 
     Equals the loop ``acc = 0.0; for v in x: acc += v`` at every trailing
-    index. The +0.0 seed is part of that contract: the loop turns a lone
-    -0.0 into +0.0, an unseeded sum would keep it. Short, wide inputs
-    run that loop as one vector add per slice; long, narrow ones run
-    ``np.add.accumulate`` (strictly left to right) along a last axis,
-    which numpy walks with one inner loop per trailing index. Both give
-    the same bits; only the speed differs.
+    index; the seed turns a lone -0.0 into +0.0. Wide inputs run that
+    loop as one vector add per slice, narrow ones ``np.add.accumulate``
+    (strictly left to right) along a contiguous last axis: same bits,
+    whichever is faster for the shape.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim > 1 and math.prod(x.shape[1:]) > 2 * len(x):
@@ -114,11 +111,6 @@ def _scan(x: np.ndarray) -> np.ndarray:
     rows = x.transpose(tuple(range(1, x.ndim)) + (0,))
     seeded = np.concatenate([np.zeros(rows.shape[:-1] + (1,), np.float32), rows], axis=-1)
     return np.add.accumulate(seeded, axis=-1)[..., -1].copy()
-
-
-def seq_sum(values: np.ndarray) -> np.float32:
-    """Left-to-right float32 sum of a 1-D array."""
-    return _scan(values)[()]
 
 
 def mm_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -141,8 +133,3 @@ def mm_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate(
         [mm_f32(a[..., i : i + step, :], b) for i in range(0, m, step)], axis=-2
     )
-
-
-def _sum_cols(x: np.ndarray) -> np.ndarray:
-    """Sum a 2-D float32 array over axis 1, columns added in index order."""
-    return _scan(x.T)

@@ -23,7 +23,7 @@ from fedswarm import (
 )
 from fedswarm.gradcheck import REL_TOL, check_case
 from fedswarm.losses import _ce_kernel, _mol_kernel, stack_pairs
-from fedswarm.tensor import _scan, _sum_cols, mm_f32, seq_sum
+from fedswarm.tensor import _scan, mm_f32
 
 
 # -- cross-entropy --------------------------------------------------------------
@@ -188,7 +188,7 @@ def test_total_loss_reduces_to_mean_ce():
     ces = np.array(
         [cross_entropy(head_logits(head, f), t) for f, t in batch], np.float32
     )
-    assert val == float(np.float32(seq_sum(ces) / np.float32(len(ces))))
+    assert val == float(np.float32(_scan(ces) / np.float32(len(ces))))
 
 
 def test_total_loss_single_sample_at_global_is_ce():
@@ -513,13 +513,13 @@ _NEG_ZERO_PRODUCTS = (-np.ones((3, 5), np.float32), np.zeros((5, 4), np.float32)
 def test_scan_kernels_match_python_loops(ab):
     a, b = ab
     assert mm_f32(a, b).tobytes() == _loop_mm_f32(a, b).tobytes()
-    assert _sum_cols(a).tobytes() == _loop_sum_cols(a).tobytes()
+    assert _scan(a.T).tobytes() == _loop_sum_cols(a).tobytes()
     for row in a:
-        assert seq_sum(row).tobytes() == _loop_seq_sum(row).tobytes()
+        assert _scan(row).tobytes() == _loop_seq_sum(row).tobytes()
 
 
 def test_scan_turns_negative_zero_sums_positive():
     a, b = _NEG_ZERO_PRODUCTS
     assert np.signbit(a[:, :1] * b[:1, :]).all()  # every product is -0.0
     assert not np.signbit(mm_f32(a, b)).any()
-    assert not np.signbit(seq_sum(np.full(4, -0.0, np.float32)))
+    assert not np.signbit(_scan(np.full(4, -0.0, np.float32)))
