@@ -22,3 +22,19 @@ def test_all_entries_resolve(name):
     module = importlib.import_module(f"fedswarm.{name}")
     missing = [e for e in getattr(module, "__all__", ()) if not hasattr(module, e)]
     assert not missing, f"fedswarm.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_package_exports_every_module_all():
+    # the package re-exports each library module's __all__ (the CLI's
+    # ``main`` stays in ``fedswarm.cli``), so the lists cannot drift
+    for name in set(MODULES) - {"cli"}:
+        module = importlib.import_module(f"fedswarm.{name}")
+        for entry in getattr(module, "__all__", ()):
+            assert getattr(fedswarm, entry) is getattr(module, entry), f"{name}.{entry}"
+
+
+def test_retired_names_are_gone():
+    # one flat gradient replaced HeadGrads; tests reach the loss kernels
+    # and the scan directly
+    for name in ("HeadGrads", "cross_entropy", "mol_loss", "prox_loss", "seq_sum"):
+        assert not hasattr(fedswarm, name), name

@@ -275,6 +275,68 @@ def test_local_epoch_at_zero_lam_ignores_the_snapshot(seed, n, batch_size, mu, s
     assert loss == ref_loss
 
 
+def _sequential_epochs(nodes, views, parts, cfg, rng, epochs):
+    """The loop before lockstep training: each node in turn, its epochs
+    one after another, one ``total_loss`` call per minibatch. Returns the
+    trained heads and each node's mean loss over its last epoch."""
+    heads, losses = [], []
+    for node, view, part in zip(nodes, views, parts):
+        head, loss = node.head, 0.0
+        w_global = flatten_params(node.snapshot)
+        for _ in range(epochs if view else 0):
+            order = [int(i) for i in rng.permutation(len(view))]
+            batch_losses = []
+            for i in range(0, len(order), cfg.batch_size):
+                batch = [view[j] for j in order[i : i + cfg.batch_size]]
+                value, grads = total_loss(head, batch, part, w_global, cfg)
+                head = sgd_step(head, grads, cfg.lr)
+                batch_losses.append(value)
+            loss = float(sum(batch_losses) / len(batch_losses))
+        heads.append(head)
+        losses.append(loss)
+    return heads, losses
+
+
+@st.composite
+def _rounds(draw):
+    n = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(0, 13), min_size=n, max_size=n))
+    cfg = LossConfig(
+        mu=draw(st.sampled_from([0.0, 1.5])), lam=draw(st.sampled_from([0.0, 3.8])),
+        lr=0.1, batch_size=draw(st.integers(1, 5)),
+    )
+    epochs = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c_feat, classes = int(rng.integers(1, 7)), int(rng.integers(2, 6))
+    nodes, views, parts = [], [], []
+    for i, m in enumerate(sizes):
+        # heads and snapshots differ per node, so each node's prox anchor counts
+        head = init_head(c_feat, 3, classes, rng, sigma=0.5)
+        nodes.append(NodeState(i, head, init_head(c_feat, 3, classes, rng, sigma=0.5)))
+        views.append([(Tensor(rng.standard_normal(c_feat).astype(np.float32)),
+                       int(rng.integers(classes))) for _ in range(m)])
+        new = rng.random(classes) < 0.5
+        parts.append(ClassPartition(frozenset(np.flatnonzero(~new).tolist()),
+                                    frozenset(np.flatnonzero(new).tolist())))
+    return nodes, views, parts, cfg, epochs, int(rng.integers(2**32))
+
+
+@given(_rounds())
+def test_lockstep_local_epoch_equals_nodes_one_by_one(case):
+    # covers uneven and empty views, whose ragged tails step apart
+    nodes, views, parts, cfg, epochs, seed = case
+    ref_rng = np.random.default_rng(seed)
+    ref_heads, ref_losses = _sequential_epochs(nodes, views, parts, cfg, ref_rng, epochs)
+    rng = np.random.default_rng(seed)
+    losses = local_epoch(nodes, views, parts, cfg, rng, epochs)
+    assert losses == ref_losses
+    for node, ref, view in zip(nodes, ref_heads, views):
+        assert node.head.params.tobytes() == ref.params.tobytes()
+        assert node.epochs == (epochs if view else 0)
+    # the shared stream is left where the one-by-one loop leaves it
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_run_session_zero_rounds():
     nodes = _swarm(3)
     before = flatten_params(nodes[0].head)

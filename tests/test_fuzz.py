@@ -32,13 +32,15 @@ from fedswarm import (
 )
 from fedswarm.cli import main
 
-# Sizes stay small because the cost table allocates a head of the
-# configured size; 10**400 still reaches every int field as an integer
-# that no float can hold.
+# Sizes beyond the config caps (harness.MAX_TENSOR_ELEMENTS and
+# MAX_TRAINING_BYTES) must be rejected before the cost table allocates a
+# head of the configured size; 10**400 still reaches every int field as
+# an integer that no float can hold.
 _LEAVES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 64),
+    st.sampled_from([2**20 + 1, 2**31, 2**62]),
     st.just(10**400),
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=4),
@@ -100,6 +102,8 @@ def _cli(argv):
 @example(d={"cost": {"calibration_seconds": 10**400}})  # OverflowError in the float check
 @example(d={"head": {"hidden": 10**400}})  # ValueError from numpy in the cost table
 @example(d={"data": {"input_shape": []}})  # IndexError in the channel check
+@example(d={"head": {"hidden": 2**62}})  # ValueError: array is too big
+@example(d={"plan": {"num_classes": 10**7}})  # plan and head of 10**7 classes: no end
 def test_mutated_config_raises_only_package_errors(tmp_path_factory, d):
     try:
         config_from_dict(d)

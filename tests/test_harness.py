@@ -393,6 +393,93 @@ def test_cli_non_integer_count_is_a_config_error(tmp_path, bad):
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: ")
 
 
+@pytest.mark.parametrize("bad", [
+    {"head": {"hidden": 2**62}},
+    {"plan": {"num_classes": 10**7}},
+], ids=json.dumps)
+def test_cli_size_cap_is_a_config_error(tmp_path, bad):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(bad))
+    for args in (["cost", "--config", str(path)],
+                 ["run", "--config", str(path), "--out", str(tmp_path / "out")]):
+        res = subprocess.run([sys.executable, "-m", "fedswarm", *args],
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: ")
+        assert "exceed" in res.stderr
+
+
+def test_config_size_caps():
+    # every weight tensor and the training memory have a cap; the
+    # defaults sit far below them
+    d = fs.config_to_dict(fs.default_config())
+    feat = d["backbone"]["layer_dims"][-1]
+    for section, key, value, message in [
+        ("head", "hidden", fs.MAX_TENSOR_ELEMENTS // feat + 1, "head conv"),
+        ("plan", "num_classes", fs.MAX_TENSOR_ELEMENTS, "head classifier"),
+        ("loss", "batch_size", fs.MAX_TRAINING_BYTES, "peak training memory"),
+    ]:
+        bad = fs.config_to_dict(fs.default_config())
+        bad[section][key] = value
+        with pytest.raises(fs.ConfigError, match=message):
+            fs.config_from_dict(bad)
+    bad["backbone"]["layer_dims"] = [4, fs.MAX_TENSOR_ELEMENTS // 4 + 1, 48]
+    with pytest.raises(fs.ConfigError, match="backbone layer"):
+        fs.config_from_dict(bad)
+    # a tensor of exactly the cap is allowed
+    at_cap = fs.config_to_dict(fs.default_config())
+    at_cap["head"]["hidden"] = fs.MAX_TENSOR_ELEMENTS // feat
+    fs.config_from_dict(at_cap)
+
+
+_DIVERGING = {
+    # T0 pretraining blows up: every step runs at lr 1e30
+    "t0": {"loss": {"lr": 1e30}},
+    # T0 trains plain CE (mu = 0); the federated rounds blow up
+    "federated": {"loss": {"mu": 1e30}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIVERGING))
+def test_cli_diverging_run_is_one_line_runtime_error(tmp_path, case):
+    d = fs.config_to_dict(_small_config())
+    for section, values in _DIVERGING[case].items():
+        d[section].update(values)
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(d))
+    res = _cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    # no numpy RuntimeWarning lines ahead of the error
+    assert res.stderr == "error: non-finite values in conv_w\n"
+
+
+def test_total_loss_lookups_count_every_trained_sample(monkeypatch):
+    # the benchmark's traced pass wraps fedswarm.federation.total_loss
+    # and checks that the summed len(batch) equals the samples trained
+    calls = []
+    kernel = fs.federation.total_loss
+
+    def counted(head, batch, *args):
+        calls.append(len(batch))
+        return kernel(head, batch, *args)
+
+    monkeypatch.setattr(fs.federation, "total_loss", counted)
+    for strategy in ("odfcl", "joint"):
+        cfg = _small_config(strategy)
+        calls.clear()
+        fs.run_experiment(cfg)
+        plan = fs.make_plan(**fs.config_to_dict(cfg)["plan"])
+        epochs = cfg.train.rounds_per_session * cfg.loss.local_epochs_per_round
+        classes = cfg.train.t0_epochs * len(plan.base_classes)
+        for t in range(1, plan.num_sessions + 1):
+            pooled = fs.registry_from_plan(plan).seen_through(t) if strategy == "joint" \
+                else plan.session_classes(t)
+            classes += epochs * len(pooled)
+        assert sum(calls) == classes * cfg.data.train_per_class
+        if strategy == "odfcl":  # one lookup per lockstep step: both nodes at once
+            assert len(calls) < sum(calls) // cfg.loss.batch_size
+
+
 _ROW = {"session": 0, "accuracy_seen": 1.0, "accuracy_base": 1.0}
 _REPORT = {"seed": 1, "strategy": "odfcl", "config": {}, "sessions": [_ROW], "cost": {}}
 HOSTILE_REPORTS = {
