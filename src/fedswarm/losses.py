@@ -254,7 +254,7 @@ def _lockstep_loss(head: TrainableHead, batch: Minibatch, masks, snaps, cfg: Los
         (g_logits[..., None] * hidden[..., None, :]).reshape(n, b, -1),
         g_logits,
     ], axis=-1)
-    grads = _scan(np.concatenate([prox[None], np.moveaxis(per_sample, 1, 0)[::-1]]))
+    grads = _scan(np.concatenate([prox[None], per_sample.transpose(1, 0, 2)[::-1]]))
     return values, grads
 
 

@@ -103,14 +103,15 @@ def _scan(x: np.ndarray) -> np.ndarray:
     whichever is faster for the shape.
     """
     x = np.asarray(x, dtype=np.float32)
-    if x.ndim > 1 and math.prod(x.shape[1:]) > 2 * len(x):
+    if not len(x) or (x.ndim > 1 and math.prod(x.shape[1:]) > 2 * len(x)):
         acc = np.zeros(x.shape[1:], np.float32)
         for v in x:
             acc += v
         return acc
+    # from +0.0 or unseeded, the folds differ only while every partial
+    # sum is a zero, and then only in its sign: adding +0.0 settles it
     rows = x.transpose(tuple(range(1, x.ndim)) + (0,))
-    seeded = np.concatenate([np.zeros(rows.shape[:-1] + (1,), np.float32), rows], axis=-1)
-    return np.add.accumulate(seeded, axis=-1)[..., -1].copy()
+    return np.add.accumulate(rows, axis=-1)[..., -1] + np.float32(0.0)
 
 
 def mm_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
