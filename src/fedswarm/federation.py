@@ -213,10 +213,10 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     """
     nodes = list(nodes)
     arch = nodes[0].head
-    for n in nodes:
-        if not (_same_architecture(n.head, arch) and _same_architecture(n.snapshot, arch)):
+    for node in nodes:
+        if not (_same_architecture(node.head, arch) and _same_architecture(node.snapshot, arch)):
             raise AggregationError(
-                f"node {n.node_id} head architecture differs from node {nodes[0].node_id}"
+                f"node {node.node_id} head architecture differs from node {nodes[0].node_id}"
             )
     stacked = [stack_pairs(arch, view, part, cfg) for view, part in zip(views, parts)]
     sizes = np.array([len(t) for _, t, _ in stacked])
@@ -229,8 +229,8 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     for i, (xi, ti, _) in enumerate(stacked):
         x[i, : len(ti)], targets[i, : len(ti)] = xi, ti
     masks = [np.stack([m[k] for _, _, m in stacked]) for k in (0, 1)]
-    params = np.stack([n.head.params for n in nodes])
-    snaps = np.stack([n.snapshot.params for n in nodes])
+    params = np.stack([node.head.params for node in nodes])
+    snaps = np.stack([node.snapshot.params for node in nodes])
     # one entry per lockstep pass: (step, width, the nodes whose batch at
     # that step has that width); a slice when it is every node
     steps = []
