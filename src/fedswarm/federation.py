@@ -42,10 +42,6 @@ __all__ = [
 ]
 
 
-def _same_architecture(a: TrainableHead, b: TrainableHead) -> bool:
-    return a.dims == b.dims
-
-
 @dataclass
 class NodeState:
     """One swarm member: local head, prox snapshot, session assignment."""
@@ -57,7 +53,7 @@ class NodeState:
     epochs: int = 0
 
     def __post_init__(self):
-        if not _same_architecture(self.head, self.snapshot):
+        if self.head.dims != self.snapshot.dims:
             raise AggregationError(
                 f"node {self.node_id}: head and snapshot architectures differ"
             )
@@ -179,7 +175,7 @@ def sync_round(nodes, net: SimNetwork, master_id: int = 0, weights=None) -> floa
         raise AggregationError("no nodes to synchronize")
     arch = order[0].head
     for n in order:
-        if not _same_architecture(n.head, arch):
+        if n.head.dims != arch.dims:
             raise AggregationError(
                 f"node {n.node_id} head architecture differs from node {order[0].node_id}"
             )
@@ -214,7 +210,7 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     nodes = list(nodes)
     arch = nodes[0].head
     for node in nodes:
-        if not (_same_architecture(node.head, arch) and _same_architecture(node.snapshot, arch)):
+        if not node.head.dims == node.snapshot.dims == arch.dims:
             raise AggregationError(
                 f"node {node.node_id} head architecture differs from node {nodes[0].node_id}"
             )

@@ -67,6 +67,8 @@ def test_fedavg_input_validation():
         fedavg([_vec(1.0), _vec(2.0)], weights=[1.0, -1.0])
     with pytest.raises(AggregationError):
         fedavg([_vec(1.0), _vec(2.0)], node_ids=[1, 1])
+    with pytest.raises(NumericError):  # the sync boundary checks finiteness
+        fedavg([_vec(1.0, np.inf), _vec(2.0, 3.0)])
 
 
 def test_fedavg_algebra_seeded():
@@ -221,6 +223,16 @@ def test_local_epoch_empty_view_is_noop():
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
     assert node.head == before
     assert node.epochs == 0
+
+
+def test_local_epoch_rejects_mixed_architectures():
+    nodes = _swarm(2)
+    other = init_head(5, 4, 7, np.random.default_rng(2))
+    nodes[1] = NodeState(1, other, other)
+    views, parts = _views(nodes, 3)
+    with pytest.raises(AggregationError):
+        local_epoch(nodes, [views[0], views[1]], [parts[0], parts[1]], LossConfig(),
+                    np.random.default_rng(0))
 
 
 def test_local_epoch_trains_and_counts():

@@ -257,6 +257,16 @@ def test_head_checkpoint_rejects_truncated_file(tmp_path):
             read_head(path)
 
 
+def test_head_checkpoint_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "head.fch"
+    write_head(init_head(7, 4, 6, np.random.default_rng(8)), path)
+    blob = bytearray(path.read_bytes())
+    blob[-4:] = np.float32(np.nan).tobytes()  # the last classifier bias
+    path.write_bytes(bytes(blob))
+    with pytest.raises(NumericError, match="cls_b"):
+        read_head(path)
+
+
 def test_head_checkpoint_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "head.fch"
     write_head(init_head(7, 4, 6, np.random.default_rng(8)), path)

@@ -149,8 +149,8 @@ def test_prox_reference_value():
     h = init_head(3, 2, 2, np.random.default_rng(11))
     diff = np.where(np.arange(h.parameter_count) % 2 == 0, 1.0, -1.0).astype(np.float32)
     wg = Tensor(flatten_params(h).data - diff)
-    # (3.8 / 2) * P squared unit differences
-    assert abs(prox_loss(h, wg, 3.8) - 1.9 * h.parameter_count) < 1e-4
+    # (3.8 / 2) * P squared unit differences, as tight as 1e-6 on 3.8
+    assert prox_loss(h, wg, 3.8) == pytest.approx(1.9 * h.parameter_count, rel=2.6e-7)
 
 
 def test_prox_disabled_at_zero_lambda():
