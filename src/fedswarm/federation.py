@@ -25,7 +25,7 @@ import numpy as np
 
 from .costs import LinkModel, message_time
 from .errors import AggregationError, DimensionError, NumericError
-from .losses import LossConfig, Minibatch, sgd_step, stack_pairs, total_loss
+from .losses import LossConfig, Minibatch, _sides, sgd_step, stack_pairs, total_loss
 from .model import TrainableHead, check_finite, flatten_params, unflatten_params
 from .tensor import Tensor
 
@@ -235,7 +235,7 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
         for w in sorted(set(width[width > 0].tolist())):
             idx = np.flatnonzero(width == w)
             sel = slice(None) if len(idx) == n else idx
-            steps.append((k, w, sel, tuple(m[sel] for m in masks), snaps[sel]))
+            steps.append((k, w, sel, snaps[sel]))
     step_losses = np.zeros((n, -(-longest // b)))
     order = np.zeros(targets.shape, np.intp)
     rows = np.arange(n)[:, None]
@@ -244,13 +244,21 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
         for e in range(epochs):
             for i in live:
                 order[i, : sizes[i]] = perms[i][e]
+            # the epoch's invariants: its sample order, and the MOL sides
+            # of every sample; steps take slices of them
             xe, te = x[rows, order], targets[rows, order]
-            for k, w, sel, sel_masks, sel_snaps in steps:
+            sides = _sides(masks, te) if cfg.mu != 0.0 else ()
+            # only the last epoch's losses are reported
+            last = e == epochs - 1
+            for k, w, sel, sel_snaps in steps:
+                cols = slice(k, k + w)
                 head = arch.with_params(params[sel])
-                batch = Minibatch(xe[sel, k : k + w], te[sel, k : k + w])
-                values, grads = total_loss(head, batch, sel_masks, sel_snaps, cfg)
+                batch = Minibatch(xe[sel, cols], te[sel, cols])
+                sel_sides = tuple(s[..., sel, cols] for s in sides)
+                values, grads = total_loss(head, batch, sel_sides, sel_snaps, cfg, values=last)
                 params[sel] = sgd_step(head, grads, cfg.lr).params
-                step_losses[sel, k // b] = values
+                if last:
+                    step_losses[sel, k // b] = values
     losses = [0.0] * n
     for i in live:
         node = nodes[i]

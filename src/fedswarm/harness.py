@@ -13,6 +13,7 @@ identical configs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from .federation import NodeState, SimNetwork, local_epoch, run_session, write_t
 from .losses import ClassPartition, LossConfig
 # not called here; kept importable because perfbench/layers.py wraps them on this module
 from .losses import sgd_step, total_loss  # noqa: F401
+from .sessions import evaluate  # noqa: F401
 from .model import (
     SplitModel,
     _head,
@@ -50,7 +52,6 @@ from .model import (
 from .quant import build_backbone
 from .sessions import (
     accuracy,
-    evaluate,
     make_plan,
     node_train_view,
     precompute_features,
@@ -63,6 +64,7 @@ from .synthetic import SyntheticSpec, gen_synthetic
 __all__ = [
     "MAX_TENSOR_ELEMENTS",
     "MAX_TRAINING_BYTES",
+    "MAX_DATA_BYTES",
     "BackboneSpec",
     "HeadSpec",
     "PlanSpec",
@@ -87,10 +89,13 @@ __all__ = [
 
 STRATEGIES = ("naive", "odfcl", "joint")
 # size caps: a config is rejected before anything is allocated when a
-# head or backbone weight tensor holds more elements, or the cost
-# model's peak training memory is larger
+# head or backbone weight tensor holds more elements, the cost model's
+# peak training memory is larger, or its synthetic data holds more int8
+# bytes (train plus test); a manifest whose rows hold more is rejected
+# before its blobs are read
 MAX_TENSOR_ELEMENTS = 1 << 20
 MAX_TRAINING_BYTES = 1 << 26
+MAX_DATA_BYTES = 1 << 27
 
 
 def _take(d: dict, allowed, where: str) -> dict:
@@ -241,7 +246,8 @@ class ExperimentConfig:
             raise ConfigError(str(e))
 
     def _check_sizes(self):
-        """ConfigError if a weight tensor or the training memory exceeds its cap."""
+        """ConfigError if a weight tensor, the training memory or the
+        synthetic data exceeds its cap."""
         dims = self.backbone.layer_dims
         # a class count below 1 is the plan's to reject
         feat, hidden, classes = dims[-1], self.head.hidden, max(self.plan.num_classes, 1)
@@ -260,6 +266,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"peak training memory of {peak} bytes exceeds the cap of {MAX_TRAINING_BYTES}"
             )
+        data = self.data
+        if data.kind == "synthetic":
+            # nonpositive counts are the data spec's to reject
+            dims = (self.plan.num_classes, data.train_per_class + data.test_per_class,
+                    *data.input_shape)
+            n_bytes = math.prod(max(d, 0) for d in dims)
+            if n_bytes > MAX_DATA_BYTES:
+                raise ConfigError(
+                    f"synthetic data of {n_bytes} int8 bytes exceeds the cap of {MAX_DATA_BYTES}"
+                )
 
 
 def default_config(strategy: str = "odfcl", seed: int = 1234) -> ExperimentConfig:
@@ -384,7 +400,7 @@ def load_dataset(cfg: ExperimentConfig) -> tuple:
     from the manifest, which must hold every planned class."""
     if cfg.data.kind == "synthetic":
         return gen_synthetic(cfg.data.synthetic_spec(cfg.plan.num_classes), _rng(cfg.seed, 0))
-    train, test = read_manifest(cfg.data.manifest_dir)
+    train, test = read_manifest(cfg.data.manifest_dir, MAX_DATA_BYTES)
     missing = set(range(cfg.plan.num_classes)) - train.class_ids()
     if missing:
         raise ConfigError(f"manifest lacks training classes {sorted(missing)}")
@@ -422,13 +438,23 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
         cfg.train.t0_epochs, base_part, rng_t0,
     )
 
+    scored = []  # (head, seen, truth, hits) of the last head scored
+
+    def hits_of(h, seen) -> tuple:
+        # one prediction vector over the seen classes' test samples. A
+        # session's last round scores the head its row reports, so the
+        # row reuses that pass.
+        if not scored or scored[0] is not h or scored[1] != seen:
+            subset = test.of_classes(seen).samples
+            truth = np.array([s.class_id for s in subset], np.intp)
+            hits = predict(SplitModel(backbone, h), subset, seen, feats) == truth
+            scored[:] = h, seen, truth, hits
+        return scored[2], scored[3]
+
     def scores(h, seen) -> dict:
-        # one prediction vector over the seen classes' test samples; the
-        # base and per-class rates narrow the scored samples, never the
-        # argmax (the usual forgetting measurement)
-        subset = test.of_classes(seen).samples
-        truth = np.array([s.class_id for s in subset], np.intp)
-        hits = predict(SplitModel(backbone, h), subset, seen, feats) == truth
+        # the base and per-class rates narrow the scored samples, never
+        # the argmax (the usual forgetting measurement)
+        truth, hits = hits_of(h, seen)
         return {
             "accuracy_seen": accuracy(hits),
             "accuracy_base": accuracy(hits[np.isin(truth, base)]),
@@ -472,7 +498,7 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
             }
             head, trace = run_session(
                 nodes, net, cfg.train.rounds_per_session, views, parts, fed_cfg,
-                rng_fed, evaluator=lambda h: evaluate(SplitModel(backbone, h), test, seen, feats),
+                rng_fed, evaluator=lambda h: accuracy(hits_of(h, seen)[1]),
             )
         sessions.append({"session": t, "seen_classes": seen, "new_classes": new_ids,
                          "rounds": trace, **scores(head, seen)})

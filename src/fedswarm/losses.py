@@ -32,7 +32,7 @@ from .errors import (
     check_int_fields,
 )
 from .model import TrainableHead, _f32, _head_forward
-from .tensor import _scan, mm_f32
+from .tensor import _SCAN_BLOCK, _scan, mm_f32
 
 __all__ = [
     "LossConfig",
@@ -103,16 +103,20 @@ class Minibatch:
         return self.targets.size
 
 
-def _ce_kernel(z: np.ndarray, targets: np.ndarray):
-    """Stabilized softmax cross-entropy per row of (B, C) logits.
+def _ce_kernel(z: np.ndarray, targets: np.ndarray, values: bool = True):
+    """Stabilized softmax cross-entropy per column of class-major (C, M)
+    logits.
 
-    Returns (losses (B,), probabilities (B, C)).
+    Returns (losses (M,), or None when ``values`` is off; probabilities
+    (C, M)). The softmax sums fold over the class axis directly.
     """
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=0)
     exps = np.exp(shifted)
-    totals = _scan(exps.T)
-    losses = np.log(totals) - shifted[np.arange(len(targets)), targets]
-    return losses, exps / totals[:, None]
+    totals = _scan(exps)
+    losses = None
+    if values:
+        losses = np.log(totals) - shifted[targets, np.arange(len(targets))]
+    return losses, exps / totals
 
 
 def stack_pairs(head: TrainableHead, pairs, part: ClassPartition, cfg: LossConfig) -> tuple:
@@ -148,31 +152,45 @@ def stack_pairs(head: TrainableHead, pairs, part: ClassPartition, cfg: LossConfi
     return np.array(rows, np.float32).reshape(-1, head.c_feat), targets, masks
 
 
-def _mol_kernel(z: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Value (B,) and dL/dz (B, C) of the mean-output term per row.
+def _sides(masks, targets: np.ndarray) -> tuple:
+    """The MOL term's per-sample sides in the kernel's layout.
 
-    ``a``/``b`` mask each row's new/old sides. Masked-out entries enter
-    the ordered sums as +0.0, which leaves a sum seeded with +0.0
-    unchanged, so each side's sum equals the loop over its members.
+    ``masks`` are the (new, old) (N, C) partition masks and ``targets``
+    (N, M) class ids. Returns the (C, 2, N, M) new/old side masks of
+    each sample with its own target excluded, and their (2, N, M)
+    float32 member counts.
+    """
+    other = np.arange(masks[0].shape[-1])[:, None, None] != targets
+    sides = np.stack([m.T[..., None] & other for m in masks], axis=1)
+    return sides, sides.sum(axis=0).astype(np.float32)
+
+
+def _mol_kernel(z: np.ndarray, sides: np.ndarray, counts: np.ndarray, values: bool = True):
+    """Value (M,) and dL/dz (C, M) of the mean-output term per column of
+    class-major logits; the value is None when ``values`` is off.
+
+    ``sides`` (C, 2, M) masks each column's new and old sides and
+    ``counts`` (2, M) counts them. Masked-out entries enter the ordered
+    sums as +0.0, which leaves a sum seeded with +0.0 unchanged, so each
+    side's sum equals the loop over its members.
     """
     zero = np.float32(0.0)
-    two = np.float32(2.0)
-    na = a.sum(axis=1).astype(np.float32)
-    nb = b.sum(axis=1).astype(np.float32)
-    has_a, has_b = na > 0, nb > 0
-    mean_a = _scan(np.where(a, z, zero).T) / np.maximum(na, 1)
-    mean_b = _scan(np.where(b, z, zero).T) / np.maximum(nb, 1)
+    div = np.maximum(counts, 1)
+    mean_a, mean_b = _scan(np.where(sides, z[:, None], zero)) / div
+    has_a, has_b = counts > 0
     # with no new side left, -mean_b gives the fallback's value and
     # gradient: (-2 * -m) / n == (2 * m) / n and (-m)^2 == m^2 bit for bit
     diff = np.where(has_a, mean_a - mean_b, -mean_b)
-    value = np.where(has_b, diff * diff, zero)
-    grad_a = (two * diff / np.maximum(na, 1))[:, None]
-    grad_b = (-two * diff / np.maximum(nb, 1))[:, None]
-    grad = np.where(a & (has_a & has_b)[:, None], grad_a, np.where(b, grad_b, zero))
+    value = np.where(has_b, diff * diff, zero) if values else None
+    grad_a, grad_b = _PLUS_MINUS_TWO * diff / div
+    grad = np.where(sides[:, 0] & (has_a & has_b), grad_a, np.where(sides[:, 1], grad_b, zero))
     return value, grad
 
 
-def total_loss(head, batch, part, w_global, cfg: LossConfig):
+_PLUS_MINUS_TWO = np.array([[2.0], [-2.0]], np.float32)
+
+
+def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = True):
     """Composite loss and its gradient.
 
     Per sample: cross-entropy + mu * mean-output term; batch-averaged,
@@ -183,13 +201,15 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig):
     ``part`` a ClassPartition and ``w_global`` a flat Tensor; returns
     (loss value, flat float32 gradient). Lockstep, as the training loop
     calls it: ``head`` is an (N, P) stack, ``batch`` a ``Minibatch``,
-    ``part`` the (new, old) (N, num_classes) class masks and
-    ``w_global`` the (N, P) snapshots; returns ((N,) values, (N, P)
+    ``part`` the batch's ``_sides`` (unused, may be None, with mu == 0)
+    and ``w_global`` the (N, P) snapshots; returns ((N,) values, (N, P)
     gradients). The one-head form checks its input and runs the
-    lockstep form with N = 1.
+    lockstep form with N = 1. With ``values`` off the loss values are
+    not computed and come back as None; the gradients are the same
+    bits either way.
     """
     if isinstance(batch, Minibatch):
-        return _lockstep_loss(head, batch, part, w_global, cfg)
+        return _lockstep_loss(head, batch, part, w_global, cfg, values)
     samples = list(batch)
     if not samples:
         raise DimensionError("total_loss needs a nonempty batch")
@@ -198,64 +218,97 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig):
         raise DimensionError(
             f"global snapshot has {w_global.size} values, head has {head.parameter_count}"
         )
-    values, grads = _lockstep_loss(
-        head.with_params(head.params[None]), Minibatch(x[None], targets[None]),
-        tuple(m[None] for m in masks), w_global.data[None], cfg,
+    targets = targets[None]
+    sides = _sides(tuple(m[None] for m in masks), targets) if cfg.mu != 0.0 else None
+    out, grads = _lockstep_loss(
+        head.with_params(head.params[None]), Minibatch(x[None], targets),
+        sides, w_global.data[None], cfg, values,
     )
-    return float(values[0]), grads[0]
+    return (float(out[0]) if values else None), grads[0]
 
 
-def _lockstep_loss(head: TrainableHead, batch: Minibatch, masks, snaps, cfg: LossConfig):
-    """((N,) values, (N, P) gradients) of N heads over their minibatches.
+def _lockstep_loss(head: TrainableHead, batch: Minibatch, sides, snaps, cfg: LossConfig,
+                   values: bool):
+    """((N,) values or None, (N, P) gradients) of N heads over their
+    minibatches.
 
     Rows are independent, so each node's value and gradient equal the
-    one-head pass over its own rows bit for bit.
+    one-head pass over its own rows bit for bit. Logits and their
+    gradient are class-major, (C, N, B), so the class sums fold over
+    axis 0; hidden units stay sample-major for the k-major products.
     """
     x, targets = batch.x, batch.targets
     n, b = targets.shape
     n_cls = head.num_classes
     hidden, z = _head_forward(head, x)
-    rows = np.arange(n * b)
+    z = np.ascontiguousarray(z.transpose(2, 0, 1)).reshape(n_cls, n * b)
     flat_t = targets.reshape(-1)
-    ce, probs = _ce_kernel(z.reshape(n * b, n_cls), flat_t)
+    ce, probs = _ce_kernel(z, flat_t, values)
 
     # d(batch mean)/d(term) = 1/B. The reference adds the MOL part to a
     # +0.0 slot, then the CE part; the slot's seed is dropped here
     # because the CE part is never -0.0 (softmax probabilities are not).
     inv_n = np.float32(1.0) / np.float32(b)
     dz = probs
-    dz[rows, flat_t] -= np.float32(1.0)
+    dz[flat_t, np.arange(n * b)] -= np.float32(1.0)
     terms = ce
     g_logits = dz * inv_n
     if cfg.mu != 0.0:
         mu = np.float32(cfg.mu)
-        other = np.arange(n_cls) != targets[..., None]
-        new, old = ((m[:, None, :] & other).reshape(n * b, n_cls) for m in masks)
-        mol, dmol = _mol_kernel(z.reshape(n * b, n_cls), new, old)
-        terms = ce + mol * mu
+        masks, counts = (s.reshape(s.shape[:-2] + (n * b,)) for s in sides)
+        mol, dmol = _mol_kernel(z, masks, counts, values)
+        if values:
+            terms = ce + mol * mu
         g_logits = dmol * (inv_n * mu) + g_logits
-    values = _scan(terms.reshape(n, b).T) / np.float32(b)
-
-    # each gradient sums, from +0.0, the prox part (+0.0 at lam == 0) and
-    # then samples B-1 down to 0, the per-sample reference's order
-    prox = np.zeros_like(head.params)
-    if cfg.lam != 0.0:
-        d = head.params - snaps
+    out = _scan(terms.reshape(n, b).T) / np.float32(b) if values else None
+    d = head.params - snaps if cfg.lam != 0.0 else None
+    if values and d is not None:
         half = np.float32(0.5) * np.float32(cfg.lam)
-        values = values + half * _scan((d * d).T)
-        prox = np.float32(cfg.lam) * d
+        out = out + half * _scan((d * d).T)
 
-    g_logits = g_logits.reshape(n, b, n_cls)
-    g_hidden = mm_f32(g_logits, head.cls_w)
+    g_logits = g_logits.reshape(n_cls, n, b)
+    g_hidden = mm_f32(g_logits.transpose(1, 2, 0), head.cls_w)
     g_pre = np.where(hidden > 0, g_hidden, np.float32(0.0))
-    per_sample = np.concatenate([
-        (g_pre[..., None] * x[..., None, :]).reshape(n, b, -1),
-        g_pre,
-        (g_logits[..., None] * hidden[..., None, :]).reshape(n, b, -1),
-        g_logits,
-    ], axis=-1)
-    grads = _scan(np.concatenate([prox[None], per_sample.transpose(1, 0, 2)[::-1]]))
-    return values, grads
+    return out, _sample_fold(head, d, cfg.lam, x, g_pre, hidden, g_logits)
+
+
+def _sample_fold(head: TrainableHead, d, lam: float, x, g_pre, hidden, g_logits):
+    """(N, P) parameter gradients: each sums, from +0.0, the prox part
+    (``lam * d``, +0.0 at lam == 0) and then samples B-1 down to 0, the
+    per-sample reference's order.
+
+    The per-sample terms are written straight into a (rows, N, P)
+    buffer whose row 0 holds the running sum, and folded by one
+    ``_scan``; samples are taken in blocks that keep the buffer near
+    ``_SCAN_BLOCK`` elements.
+    """
+    n, p = head.params.shape
+    c_feat, c_out, n_cls = head.dims
+    cuts = (c_out * c_feat, c_out * (c_feat + 1), c_out * (c_feat + 1 + n_cls))
+    # per-sample factors (B, N, units), last sample first
+    gp, xs, hs = (v.transpose(1, 0, 2)[::-1] for v in (g_pre, x, hidden))
+    gl = g_logits.transpose(2, 1, 0)[::-1]
+    step = max(1, _SCAN_BLOCK // (n * p))
+    acc = None
+    for i in range(0, len(gp), step):
+        blk = slice(i, i + step)
+        rows = len(gp[blk])
+        buf = np.empty((rows + 1, n, p), np.float32)
+        if acc is not None:
+            buf[0] = acc
+        elif d is not None:
+            np.multiply(np.float32(lam), d, out=buf[0])
+        else:
+            buf[0] = 0.0
+        terms = buf[1:]
+        np.multiply(gp[blk, ..., None], xs[blk, :, None],
+                    out=terms[..., : cuts[0]].reshape(rows, n, c_out, c_feat))
+        terms[..., cuts[0] : cuts[1]] = gp[blk]
+        np.multiply(gl[blk, ..., None], hs[blk, :, None],
+                    out=terms[..., cuts[1] : cuts[2]].reshape(rows, n, n_cls, c_out))
+        terms[..., cuts[2] :] = gl[blk]
+        acc = _scan(buf)
+    return acc
 
 
 def sgd_step(head: TrainableHead, grads: np.ndarray, lr: float) -> TrainableHead:

@@ -8,6 +8,7 @@ always runs over every class seen so far.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
@@ -316,8 +317,13 @@ def write_manifest(ds_train: LabeledDataset, ds_test: LabeledDataset, out_dir) -
     return path
 
 
-def read_manifest(manifest_dir) -> tuple:
-    """Load (train, test) datasets back from a manifest directory."""
+def read_manifest(manifest_dir, max_bytes: int | None = None) -> tuple:
+    """Load (train, test) datasets back from a manifest directory.
+
+    With ``max_bytes``, a manifest whose rows declare more int8 bytes
+    in total is a PlanError, raised before the blob that crosses it is
+    read.
+    """
     root = Path(manifest_dir)
     path = root / _MANIFEST_NAME
     if not path.is_file():
@@ -329,6 +335,7 @@ def read_manifest(manifest_dir) -> tuple:
     if not lines or tuple(lines[0].split("\t")) != _COLUMNS:
         raise PlanError(f"unrecognized manifest header in {path}")
     per_split = {"train": [], "test": []}
+    n_bytes = 0
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
@@ -344,6 +351,12 @@ def read_manifest(manifest_dir) -> tuple:
             shape = tuple(int(d) for d in shape_s.split("x"))
         except ValueError as e:
             raise PlanError(f"{where}: malformed field ({e})") from None
+        n_bytes += math.prod(max(d, 0) for d in shape)
+        if max_bytes is not None and n_bytes > max_bytes:
+            raise PlanError(
+                f"{path}: rows through line {lineno} hold {n_bytes} int8 bytes, "
+                f"over the cap of {max_bytes}"
+            )
         # lexical containment: no absolute paths, no climbing out of root
         blob = PurePosixPath(rel)
         if blob.is_absolute() or ".." in blob.parts or not blob.parts:

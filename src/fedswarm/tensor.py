@@ -89,7 +89,7 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-# product elements per ``mm_f32`` block: bounds the scan's temporaries
+# product elements per ``mm_f32`` block: bounds the fold's temporaries
 _SCAN_BLOCK = 1 << 16
 
 
@@ -97,30 +97,36 @@ def _scan(x: np.ndarray) -> np.ndarray:
     """Float32 sum of ``x`` over its leading axis, in index order from +0.0.
 
     Equals the loop ``acc = 0.0; for v in x: acc += v`` at every trailing
-    index; the seed turns a lone -0.0 into +0.0. Wide inputs run that
-    loop as one vector add per slice, narrow ones ``np.add.accumulate``
-    (strictly left to right) along a contiguous last axis: same bits,
-    whichever is faster for the shape.
+    index; the seed turns a lone -0.0 into +0.0. It is one numpy call:
+    ``np.add.reduce`` over axis 0 of a C-contiguous (k, W) block with
+    W >= 2 adds its W-wide rows in index order, so any other layout is
+    copied to C order first. A W == 1 block would be a 1-D reduce, which
+    numpy sums pairwise, so it runs ``np.add.accumulate`` (strictly left
+    to right) instead.
     """
     x = np.asarray(x, dtype=np.float32)
-    if not len(x) or (x.ndim > 1 and math.prod(x.shape[1:]) > 2 * len(x)):
-        acc = np.zeros(x.shape[1:], np.float32)
-        for v in x:
-            acc += v
-        return acc
+    trail = x.shape[1:]
+    width = math.prod(trail)
+    if width != 1:
+        total = np.add.reduce(np.ascontiguousarray(x).reshape(len(x), width), axis=0)
+    elif len(x):
+        total = np.add.accumulate(x.reshape(-1))[-1:]
+    else:
+        total = np.zeros(1, np.float32)
     # from +0.0 or unseeded, the folds differ only while every partial
     # sum is a zero, and then only in its sign: adding +0.0 settles it
-    rows = x.transpose(tuple(range(1, x.ndim)) + (0,))
-    return np.add.accumulate(rows, axis=-1)[..., -1] + np.float32(0.0)
+    return total.reshape(trail) + np.float32(0.0)
 
 
 def mm_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(..., m, k) x (..., k, n) float32 product, accumulated over k in
     index order; leading axes (the lockstep node axis) pair up.
 
-    Rows of ``a`` are independent, so they are taken in blocks that keep
-    the (k, ..., rows, n) product small; the order within each sum is
-    fixed.
+    The product is built k-major, (k, ..., m, n), C-contiguous and with
+    ``b`` copied contracted axis first so that the inner loop reads it
+    contiguously, then folded by one ``_scan``. Rows of ``a`` are
+    independent, so they are taken in blocks that keep the product near
+    ``_SCAN_BLOCK`` elements.
     """
     m, k = a.shape[-2:]
     lead = tuple(range(a.ndim - 2))
@@ -129,8 +135,8 @@ def mm_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if m <= step:
         # k leads: (k, ..., m, 1) * (k, ..., 1, n)
         a_k = a.transpose((a.ndim - 1,) + lead + (a.ndim - 2,))
-        b_k = b.transpose((b.ndim - 2,) + lead + (b.ndim - 1,))
-        return _scan(a_k[..., None] * b_k[..., None, :])
+        b_k = np.ascontiguousarray(b.transpose((b.ndim - 2,) + lead + (b.ndim - 1,)))
+        return _scan(np.multiply(a_k[..., None], b_k[..., None, :], order="C"))
     return np.concatenate(
         [mm_f32(a[..., i : i + step, :], b) for i in range(0, m, step)], axis=-2
     )

@@ -32,10 +32,11 @@ from fedswarm import (
 )
 from fedswarm.cli import main
 
-# Sizes beyond the config caps (harness.MAX_TENSOR_ELEMENTS and
-# MAX_TRAINING_BYTES) must be rejected before the cost table allocates a
-# head of the configured size; 10**400 still reaches every int field as
-# an integer that no float can hold.
+# Sizes beyond the config caps (harness.MAX_TENSOR_ELEMENTS,
+# MAX_TRAINING_BYTES and MAX_DATA_BYTES) must be rejected before the
+# cost table allocates a head, or a run its data, of the configured
+# size; 10**400 still reaches every int field as an integer that no
+# float can hold.
 _LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -104,6 +105,9 @@ def _cli(argv):
 @example(d={"data": {"input_shape": []}})  # IndexError in the channel check
 @example(d={"head": {"hidden": 2**62}})  # ValueError: array is too big
 @example(d={"plan": {"num_classes": 10**7}})  # plan and head of 10**7 classes: no end
+@example(d={"data": {"train_per_class": 2**40}})  # synthetic data past MAX_DATA_BYTES
+@example(d={"data": {"test_per_class": 2**40}})
+@example(d={"data": {"input_shape": [4, 4096, 4096]}})
 def test_mutated_config_raises_only_package_errors(tmp_path_factory, d):
     try:
         config_from_dict(d)

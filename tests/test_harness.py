@@ -1,6 +1,7 @@
 """Synthetic data, experiment configs, the three-strategy driver, CLI."""
 
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -396,6 +397,9 @@ def test_cli_non_integer_count_is_a_config_error(tmp_path, bad):
 @pytest.mark.parametrize("bad", [
     {"head": {"hidden": 2**62}},
     {"plan": {"num_classes": 10**7}},
+    {"data": {"train_per_class": 2**40}},
+    {"data": {"test_per_class": 2**40}},
+    {"data": {"input_shape": [4, 4096, 4096]}},
 ], ids=json.dumps)
 def test_cli_size_cap_is_a_config_error(tmp_path, bad):
     path = tmp_path / "huge.json"
@@ -432,6 +436,57 @@ def test_config_size_caps():
     fs.config_from_dict(at_cap)
 
 
+def test_config_data_cap():
+    # synthetic train plus test data: classes x samples x input bytes
+    d = fs.config_to_dict(fs.default_config())
+    per_sample = math.prod(d["data"]["input_shape"])
+    per_class = fs.MAX_DATA_BYTES // (d["plan"]["num_classes"] * per_sample)
+    d["data"]["train_per_class"] = per_class - d["data"]["test_per_class"]
+    fs.config_from_dict(d)  # exactly at the cap, or just below it
+    d["data"]["train_per_class"] += 1
+    with pytest.raises(fs.ConfigError, match="synthetic data of .* exceeds the cap"):
+        fs.config_from_dict(d)
+    # a manifest's data is checked when it is read, not in the config
+    d["data"].update(kind="manifest", manifest_dir="unread")
+    fs.config_from_dict(d)
+
+
+def _manifest_dir(tmp_path):
+    cfg = _small_config()
+    train, test = fs.gen_synthetic(cfg.data.synthetic_spec(cfg.plan.num_classes),
+                                   np.random.default_rng(0))
+    data = tmp_path / "data"
+    fs.write_manifest(train, test, data)
+    return cfg, data, sum(s.x.data.size for s in train.samples + test.samples)
+
+
+def test_manifest_data_cap(tmp_path):
+    _, data, n_bytes = _manifest_dir(tmp_path)
+    train, test = fs.read_manifest(data, n_bytes)  # exactly at the cap
+    assert len(train) + len(test) > 0
+    with pytest.raises(fs.PlanError, match=r"manifest\.tsv: rows through line \d+ hold"):
+        fs.read_manifest(data, n_bytes - 1)
+
+
+def test_cli_manifest_over_the_data_cap_is_a_runtime_error(tmp_path):
+    # one row declares a frame far past the cap; its blob is never read
+    cfg, data, _ = _manifest_dir(tmp_path)
+    manifest = data / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    cells = lines[1].split("\t")
+    cells[5] = "3x8192x8192"
+    lines[1] = "\t".join(cells)
+    manifest.write_text("\n".join(lines) + "\n")
+    cfg_path = tmp_path / "config.json"
+    fs.save_config(replace(cfg, data=fs.DataSpec(kind="manifest", manifest_dir=str(data))),
+                   cfg_path)
+    res = _cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+    assert f"{manifest}: rows through line 2 hold" in res.stderr
+    assert "over the cap" in res.stderr
+
+
 _DIVERGING = {
     # T0 pretraining blows up: every step runs at lr 1e30
     "t0": {"loss": {"lr": 1e30}},
@@ -453,15 +508,37 @@ def test_cli_diverging_run_is_one_line_runtime_error(tmp_path, case):
     assert res.stderr == "error: non-finite values in conv_w\n"
 
 
+def test_session_end_head_is_scored_once(monkeypatch):
+    # the last round's evaluation and the session row share one head
+    # pass: one per round plus the T0 row (odfcl), one per row (joint)
+    passes = []
+    kernel = fs.sessions.head_logits
+
+    def counted(head, features):
+        passes.append(head)
+        return kernel(head, features)
+
+    monkeypatch.setattr(fs.sessions, "head_logits", counted)
+    for strategy in ("odfcl", "joint"):
+        cfg = _small_config(strategy)
+        passes.clear()
+        report = fs.run_experiment(cfg)
+        rounds = cfg.train.rounds_per_session if strategy == "odfcl" else 0
+        assert len(passes) == 1 + (len(report.sessions) - 1) * max(rounds, 1)
+        for row in report.sessions[1:]:
+            if row["rounds"]:
+                assert row["rounds"][-1]["accuracy"] == row["accuracy_seen"]
+
+
 def test_total_loss_lookups_count_every_trained_sample(monkeypatch):
     # the benchmark's traced pass wraps fedswarm.federation.total_loss
     # and checks that the summed len(batch) equals the samples trained
     calls = []
     kernel = fs.federation.total_loss
 
-    def counted(head, batch, *args):
+    def counted(head, batch, *args, **kwargs):
         calls.append(len(batch))
-        return kernel(head, batch, *args)
+        return kernel(head, batch, *args, **kwargs)
 
     monkeypatch.setattr(fs.federation, "total_loss", counted)
     for strategy in ("odfcl", "joint"):

@@ -22,7 +22,7 @@ from fedswarm import (
     total_loss,
 )
 from fedswarm.gradcheck import REL_TOL, check_case
-from fedswarm.losses import _ce_kernel, _mol_kernel, stack_pairs
+from fedswarm.losses import Minibatch, _ce_kernel, _mol_kernel, _sides, stack_pairs
 from fedswarm.tensor import _scan, mm_f32
 
 
@@ -30,8 +30,9 @@ from fedswarm.tensor import _scan, mm_f32
 
 
 def cross_entropy(logits: Tensor, target: int) -> float:
-    """-log softmax(logits)[target] of one logit vector, through the kernel."""
-    losses, _ = _ce_kernel(logits.data[None], np.array([target]))
+    """-log softmax(logits)[target] of one logit vector, through the kernel
+    (class-major: the vector is the kernel's one column)."""
+    losses, _ = _ce_kernel(logits.data[:, None], np.array([target]))
     return float(losses[0])
 
 
@@ -74,9 +75,9 @@ def mol_loss(logits: Tensor, target: int, part: ClassPartition) -> float:
     """Mean-output term of one logit vector, through the kernel: the
     partition is checked and masked as in training, the target excluded."""
     head = init_head(1, 1, logits.size, np.random.default_rng(0))
-    _, _, (new, old) = stack_pairs(head, [(Tensor([0.0]), target)], part, LossConfig())
-    other = np.arange(logits.size) != target
-    value, _ = _mol_kernel(logits.data[None], (new & other)[None], (old & other)[None])
+    _, targets, masks = stack_pairs(head, [(Tensor([0.0]), target)], part, LossConfig())
+    sides, counts = _sides(tuple(m[None] for m in masks), targets[None])
+    value, _ = _mol_kernel(logits.data[:, None], sides[:, :, 0], counts[:, 0])
     return float(value[0])
 
 
@@ -407,15 +408,25 @@ def _sparse(rng, shape, zero_frac, scale=1.0):
 
 @st.composite
 def _objective_cases(draw):
+    """N = 1-8 nodes of one architecture, loss config and batch size, each
+    with its own head, partition, batch and snapshot: one lockstep step."""
     c_feat = draw(st.integers(1, 48))
     hidden = draw(st.integers(1, 24))
     classes = draw(st.integers(2, 36))
     n = draw(st.integers(1, 8))
     mu = draw(st.sampled_from([0.0, 2.0, 0.37]))
     lam = draw(st.sampled_from([0.0, 3.8, 1.3]))
-    branch = draw(st.sampled_from(["both", "fallback", "no_old", "partial"]))
     zero_frac = draw(st.sampled_from([0.0, 0.3, 0.8]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes = []
+    for _ in range(draw(st.integers(1, 8))):
+        branch = draw(st.sampled_from(["both", "fallback", "no_old", "partial"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        nodes.append(_node_case(rng, c_feat, hidden, classes, n, branch, zero_frac))
+    return nodes, LossConfig(mu=mu, lam=lam, lr=0.01, batch_size=n)
+
+
+def _node_case(rng, c_feat, hidden, classes, n, branch, zero_frac):
+    """(head, batch, partition, snapshot) of one node."""
     head = TrainableHead(
         conv_w=Tensor(_sparse(rng, (hidden, c_feat), zero_frac / 2)),
         conv_b=Tensor(_sparse(rng, hidden, zero_frac, 0.5)),
@@ -444,13 +455,36 @@ def _objective_cases(draw):
         for _ in range(n)
     ]
     w_global = Tensor(flatten_params(head).data + _sparse(rng, head.parameter_count, zero_frac, 0.2))
-    cfg = LossConfig(mu=mu, lam=lam, lr=0.01, batch_size=n)
-    return head, batch, part, w_global, cfg
+    return head, batch, part, w_global
+
+
+def _lockstep_args(nodes, cfg):
+    """The nodes' one-head arguments as one lockstep call's: an (N, P)
+    head stack, a Minibatch, the MOL sides and the (N, P) snapshots."""
+    stacked = [stack_pairs(head, batch, part, cfg) for head, batch, part, _ in nodes]
+    head = nodes[0][0].with_params(np.stack([h.params for h, *_ in nodes]))
+    targets = np.stack([t for _, t, _ in stacked])
+    masks = tuple(np.stack([m[k] for *_, m in stacked]) for k in (0, 1))
+    sides = _sides(masks, targets) if cfg.mu != 0.0 else None
+    batch = Minibatch(np.stack([x for x, _, _ in stacked]), targets)
+    return head, batch, sides, np.stack([w.data for *_, w in nodes])
 
 
 @given(_objective_cases())
 def test_fused_total_loss_matches_reference_bit_for_bit(case):
-    assert _bits(*total_loss(*case)) == _bits(*_ref_total_loss(*case))
+    nodes, cfg = case
+    refs = [_bits(*_ref_total_loss(*node, cfg)) for node in nodes]
+    assert [_bits(*total_loss(*node, cfg)) for node in nodes] == refs
+    # the lockstep stack gives each node its own bits; with the values
+    # switched off it skips them and leaves every gradient bit alone
+    args = _lockstep_args(nodes, cfg)
+    values, grads = total_loss(*args, cfg)
+    assert [_bits(v, g) for v, g in zip(values.tolist(), grads)] == refs
+    skipped, bare = total_loss(*args, cfg, values=False)
+    assert skipped is None
+    assert bare.tobytes() == grads.tobytes()
+    _, one_bare = total_loss(*nodes[0], cfg, values=False)
+    assert one_bare.tobytes() == grads[0].tobytes()
 
 
 def test_fused_total_loss_keeps_sign_of_zero_gradients():
