@@ -11,7 +11,9 @@ average bit-exact under permutation and idempotent on identical heads.
 the nodes are independent, so it trains all of a round's nodes in
 lockstep: minibatch k of every node is one ``total_loss`` pass with the
 node as a batch axis, which gives each node the bits it would get
-alone. The harness runs central training (T0 pretraining, the joint
+alone. Each epoch builds its shuffled batches and mean-output sides
+once, and only a call's last epoch, the one reported, asks for loss
+values. The harness runs central training (T0 pretraining, the joint
 strategy) through it too, as N = 1 on the pooled data. ``SimNetwork``
 prices each message with the ``costs`` link model.
 """
@@ -54,9 +56,7 @@ class NodeState:
 
     def __post_init__(self):
         if self.head.dims != self.snapshot.dims:
-            raise AggregationError(
-                f"node {self.node_id}: head and snapshot architectures differ"
-            )
+            raise AggregationError(f"node {self.node_id}: head and snapshot architectures differ")
         self.assignment = tuple(int(c) for c in self.assignment)
 
     def adopt_global(self, head: TrainableHead) -> None:
@@ -77,9 +77,7 @@ class SyncMessage:
         if self.kind not in ("upload", "broadcast"):
             raise AggregationError(f"unknown message kind {self.kind!r}")
         if len(self.payload.shape) != 1:
-            raise DimensionError(
-                f"payload must be a flat vector, got shape {self.payload.shape}"
-            )
+            raise DimensionError(f"payload must be a flat vector, got shape {self.payload.shape}")
 
     @property
     def byte_size(self) -> int:
@@ -117,9 +115,7 @@ class SimNetwork:
 def write_trace(net: SimNetwork, path) -> None:
     """Event log: tab-separated time, node, kind, bytes; one line each."""
     lines = ["time_s\tnode\tkind\tbytes"]
-    lines.extend(
-        f"{e.time_s!r}\t{e.node}\t{e.kind}\t{e.n_bytes}" for e in net.events
-    )
+    lines.extend(f"{e.time_s!r}\t{e.node}\t{e.kind}\t{e.n_bytes}" for e in net.events)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -140,9 +136,7 @@ def fedavg(heads, weights=None, node_ids=None) -> Tensor:
         node_ids = list(range(len(vecs)))
     node_ids = [int(n) for n in node_ids]
     if len(weights) != len(vecs) or len(node_ids) != len(vecs):
-        raise AggregationError(
-            f"{len(vecs)} vectors, {len(weights)} weights, {len(node_ids)} ids"
-        )
+        raise AggregationError(f"{len(vecs)} vectors, {len(weights)} weights, {len(node_ids)} ids")
     if len(set(node_ids)) != len(node_ids):
         raise AggregationError(f"duplicate node ids: {sorted(node_ids)}")
     size = vecs[0].size
@@ -205,7 +199,8 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     with a full-size batch is one ``total_loss`` pass; ragged tails
     step in groups of equal batch size. Returns each node's mean batch
     loss over its last epoch (0.0 for an empty view, which leaves the
-    head untouched and draws nothing).
+    head untouched and draws nothing); earlier epochs skip the loss
+    values, which leaves the gradients unchanged.
     """
     nodes = list(nodes)
     arch = nodes[0].head
@@ -244,12 +239,10 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
         for e in range(epochs):
             for i in live:
                 order[i, : sizes[i]] = perms[i][e]
-            # the epoch's invariants: its sample order, and the MOL sides
-            # of every sample; steps take slices of them
+            # the epoch's batches and MOL sides, sliced by its steps
             xe, te = x[rows, order], targets[rows, order]
             sides = _sides(masks, te) if cfg.mu != 0.0 else ()
-            # only the last epoch's losses are reported
-            last = e == epochs - 1
+            last = e == epochs - 1  # the one epoch whose losses are reported
             for k, w, sel, sel_snaps in steps:
                 cols = slice(k, k + w)
                 head = arch.with_params(params[sel])

@@ -90,9 +90,8 @@ __all__ = [
 STRATEGIES = ("naive", "odfcl", "joint")
 # size caps: a config is rejected before anything is allocated when a
 # head or backbone weight tensor holds more elements, the cost model's
-# peak training memory is larger, or its synthetic data holds more int8
-# bytes (train plus test); a manifest whose rows hold more is rejected
-# before its blobs are read
+# peak training memory is larger, or its synthetic train+test data holds
+# more int8 bytes; so is a manifest, before its blobs are read
 MAX_TENSOR_ELEMENTS = 1 << 20
 MAX_TRAINING_BYTES = 1 << 26
 MAX_DATA_BYTES = 1 << 27
@@ -246,8 +245,7 @@ class ExperimentConfig:
             raise ConfigError(str(e))
 
     def _check_sizes(self):
-        """ConfigError if a weight tensor, the training memory or the
-        synthetic data exceeds its cap."""
+        """ConfigError if a weight tensor, training memory or data exceeds its cap."""
         dims = self.backbone.layer_dims
         # a class count below 1 is the plan's to reject
         feat, hidden, classes = dims[-1], self.head.hidden, max(self.plan.num_classes, 1)
@@ -266,16 +264,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"peak training memory of {peak} bytes exceeds the cap of {MAX_TRAINING_BYTES}"
             )
-        data = self.data
-        if data.kind == "synthetic":
-            # nonpositive counts are the data spec's to reject
-            dims = (self.plan.num_classes, data.train_per_class + data.test_per_class,
-                    *data.input_shape)
-            n_bytes = math.prod(max(d, 0) for d in dims)
-            if n_bytes > MAX_DATA_BYTES:
-                raise ConfigError(
-                    f"synthetic data of {n_bytes} int8 bytes exceeds the cap of {MAX_DATA_BYTES}"
-                )
+        d = self.data  # nonpositive counts are the data spec's to reject
+        dims = (self.plan.num_classes, d.train_per_class + d.test_per_class, *d.input_shape)
+        n_bytes = math.prod(max(n, 0) for n in dims)
+        if d.kind == "synthetic" and n_bytes > MAX_DATA_BYTES:
+            raise ConfigError(
+                f"synthetic data of {n_bytes} int8 bytes exceeds the cap of {MAX_DATA_BYTES}"
+            )
 
 
 def default_config(strategy: str = "odfcl", seed: int = 1234) -> ExperimentConfig:
@@ -438,18 +433,17 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
         cfg.train.t0_epochs, base_part, rng_t0,
     )
 
-    scored = []  # (head, seen, truth, hits) of the last head scored
+    scored = []  # head, seen, truth, hits of the last scoring
 
-    def hits_of(h, seen) -> tuple:
-        # one prediction vector over the seen classes' test samples. A
-        # session's last round scores the head its row reports, so the
-        # row reuses that pass.
-        if not scored or scored[0] is not h or scored[1] != seen:
+    def hits_of(h, seen) -> list:
+        # one prediction vector over the seen classes' test samples; a session's
+        # last round scores the head its row reports, so the row reuses that pass
+        if scored[:2] != [h, seen]:
             subset = test.of_classes(seen).samples
             truth = np.array([s.class_id for s in subset], np.intp)
             hits = predict(SplitModel(backbone, h), subset, seen, feats) == truth
             scored[:] = h, seen, truth, hits
-        return scored[2], scored[3]
+        return scored[2:]
 
     def scores(h, seen) -> dict:
         # the base and per-class rates narrow the scored samples, never
@@ -578,9 +572,7 @@ def strategy_block_bytes(r: MetricsReport) -> bytes:
     Two runs that differ only in declared strategy labels (naive vs
     odfcl with both weights zero) must agree on these bytes exactly.
     """
-    return json.dumps(
-        {"sessions": r.sessions, "cost": r.cost}, sort_keys=True, indent=2
-    ).encode()
+    return json.dumps({"sessions": r.sessions, "cost": r.cost}, sort_keys=True, indent=2).encode()
 
 
 def report_table(reports) -> str:

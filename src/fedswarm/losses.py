@@ -12,10 +12,16 @@ gradient of every term written out by hand. It steps N heads at once,
 node as the leading axis (the lockstep training loop), and one head
 with a list of (features, target) pairs is its N = 1 case. Gradients
 are flat vectors in ``flatten_params`` order. Every sum is an ordered
-float32 scan (``tensor._scan``) and gradients accumulate in a fixed
+float32 fold (``tensor._scan``) and gradients accumulate in a fixed
 order, so each node's results are bit-identical to the per-sample
 reference in ``tests/test_objective.py``; the float64 oracle in
 ``gradcheck`` checks the math itself.
+
+Layout: each contraction is one k-major ``mm_f32`` fold; logits are
+class-major (C, N, B), so the softmax and mean-output sums fold over
+axis 0; the per-sample gradient terms go into one (B + 1, N, P) buffer
+(row 0 the prox part) folded in one call. ``values=False`` skips the
+loss values and leaves the gradient bits alone.
 """
 
 from __future__ import annotations
@@ -105,17 +111,12 @@ class Minibatch:
 
 def _ce_kernel(z: np.ndarray, targets: np.ndarray, values: bool = True):
     """Stabilized softmax cross-entropy per column of class-major (C, M)
-    logits.
-
-    Returns (losses (M,), or None when ``values`` is off; probabilities
-    (C, M)). The softmax sums fold over the class axis directly.
+    logits: (losses (M,) or None without ``values``, probabilities (C, M)).
     """
     shifted = z - z.max(axis=0)
     exps = np.exp(shifted)
     totals = _scan(exps)
-    losses = None
-    if values:
-        losses = np.log(totals) - shifted[targets, np.arange(len(targets))]
+    losses = np.log(totals) - shifted[targets, np.arange(len(targets))] if values else None
     return losses, exps / totals
 
 
@@ -153,26 +154,20 @@ def stack_pairs(head: TrainableHead, pairs, part: ClassPartition, cfg: LossConfi
 
 
 def _sides(masks, targets: np.ndarray) -> tuple:
-    """The MOL term's per-sample sides in the kernel's layout.
-
-    ``masks`` are the (new, old) (N, C) partition masks and ``targets``
-    (N, M) class ids. Returns the (C, 2, N, M) new/old side masks of
-    each sample with its own target excluded, and their (2, N, M)
-    float32 member counts.
-    """
+    """(C, 2, N, M) new/old side masks of each sample, its own target
+    excluded, and their (2, N, M) float32 counts, from the (new, old)
+    (N, C) partition masks and (N, M) targets."""
     other = np.arange(masks[0].shape[-1])[:, None, None] != targets
     sides = np.stack([m.T[..., None] & other for m in masks], axis=1)
     return sides, sides.sum(axis=0).astype(np.float32)
 
 
 def _mol_kernel(z: np.ndarray, sides: np.ndarray, counts: np.ndarray, values: bool = True):
-    """Value (M,) and dL/dz (C, M) of the mean-output term per column of
-    class-major logits; the value is None when ``values`` is off.
-
-    ``sides`` (C, 2, M) masks each column's new and old sides and
-    ``counts`` (2, M) counts them. Masked-out entries enter the ordered
-    sums as +0.0, which leaves a sum seeded with +0.0 unchanged, so each
-    side's sum equals the loop over its members.
+    """Value (M,) (None without ``values``) and dL/dz (C, M) of the
+    mean-output term per column of class-major logits, given the columns'
+    (C, 2, M) ``_sides`` and their (2, M) counts. Masked-out entries enter
+    the ordered sums as +0.0, which leaves a sum seeded with +0.0
+    unchanged, so each side's sum equals the loop over its members.
     """
     zero = np.float32(0.0)
     div = np.maximum(counts, 1)
@@ -204,9 +199,7 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = T
     ``part`` the batch's ``_sides`` (unused, may be None, with mu == 0)
     and ``w_global`` the (N, P) snapshots; returns ((N,) values, (N, P)
     gradients). The one-head form checks its input and runs the
-    lockstep form with N = 1. With ``values`` off the loss values are
-    not computed and come back as None; the gradients are the same
-    bits either way.
+    lockstep form with N = 1. Without ``values`` the values are None.
     """
     if isinstance(batch, Minibatch):
         return _lockstep_loss(head, batch, part, w_global, cfg, values)
@@ -227,15 +220,12 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = T
     return (float(out[0]) if values else None), grads[0]
 
 
-def _lockstep_loss(head: TrainableHead, batch: Minibatch, sides, snaps, cfg: LossConfig,
-                   values: bool):
+def _lockstep_loss(head: TrainableHead, batch: Minibatch, sides, snaps, cfg: LossConfig, values):
     """((N,) values or None, (N, P) gradients) of N heads over their
     minibatches.
 
     Rows are independent, so each node's value and gradient equal the
-    one-head pass over its own rows bit for bit. Logits and their
-    gradient are class-major, (C, N, B), so the class sums fold over
-    axis 0; hidden units stay sample-major for the k-major products.
+    one-head pass over its own rows bit for bit.
     """
     x, targets = batch.x, batch.targets
     n, b = targets.shape
@@ -261,54 +251,41 @@ def _lockstep_loss(head: TrainableHead, batch: Minibatch, sides, snaps, cfg: Los
             terms = ce + mol * mu
         g_logits = dmol * (inv_n * mu) + g_logits
     out = _scan(terms.reshape(n, b).T) / np.float32(b) if values else None
-    d = head.params - snaps if cfg.lam != 0.0 else None
-    if values and d is not None:
-        half = np.float32(0.5) * np.float32(cfg.lam)
-        out = out + half * _scan((d * d).T)
+    prox = np.float32(0.0)
+    if cfg.lam != 0.0:
+        d = head.params - snaps
+        prox = np.float32(cfg.lam) * d
+        if values:
+            out = out + np.float32(0.5) * np.float32(cfg.lam) * _scan((d * d).T)
 
     g_logits = g_logits.reshape(n_cls, n, b)
     g_hidden = mm_f32(g_logits.transpose(1, 2, 0), head.cls_w)
     g_pre = np.where(hidden > 0, g_hidden, np.float32(0.0))
-    return out, _sample_fold(head, d, cfg.lam, x, g_pre, hidden, g_logits)
+    return out, _sample_fold(head, prox, x, g_pre, hidden, g_logits)
 
 
-def _sample_fold(head: TrainableHead, d, lam: float, x, g_pre, hidden, g_logits):
-    """(N, P) parameter gradients: each sums, from +0.0, the prox part
-    (``lam * d``, +0.0 at lam == 0) and then samples B-1 down to 0, the
-    per-sample reference's order.
-
-    The per-sample terms are written straight into a (rows, N, P)
-    buffer whose row 0 holds the running sum, and folded by one
-    ``_scan``; samples are taken in blocks that keep the buffer near
-    ``_SCAN_BLOCK`` elements.
-    """
-    n, p = head.params.shape
-    c_feat, c_out, n_cls = head.dims
-    cuts = (c_out * c_feat, c_out * (c_feat + 1), c_out * (c_feat + 1 + n_cls))
+def _sample_fold(head: TrainableHead, prox, x, g_pre, hidden, g_logits):
+    """(N, P) gradients: each sums, from +0.0, ``prox`` (+0.0 at lam == 0)
+    and then samples B-1 down to 0, the per-sample reference's order. The
+    terms go straight into a (rows, N, P) buffer, row 0 the running sum,
+    folded by one ``_scan``, in blocks of samples near ``_SCAN_BLOCK``."""
+    (n, p), (c_feat, c_out, n_cls) = head.params.shape, head.dims
+    ends = (0, c_out * c_feat, c_out * (c_feat + 1), c_out * (c_feat + 1 + n_cls), p)
     # per-sample factors (B, N, units), last sample first
     gp, xs, hs = (v.transpose(1, 0, 2)[::-1] for v in (g_pre, x, hidden))
     gl = g_logits.transpose(2, 1, 0)[::-1]
     step = max(1, _SCAN_BLOCK // (n * p))
-    acc = None
     for i in range(0, len(gp), step):
         blk = slice(i, i + step)
         rows = len(gp[blk])
         buf = np.empty((rows + 1, n, p), np.float32)
-        if acc is not None:
-            buf[0] = acc
-        elif d is not None:
-            np.multiply(np.float32(lam), d, out=buf[0])
-        else:
-            buf[0] = 0.0
-        terms = buf[1:]
-        np.multiply(gp[blk, ..., None], xs[blk, :, None],
-                    out=terms[..., : cuts[0]].reshape(rows, n, c_out, c_feat))
-        terms[..., cuts[0] : cuts[1]] = gp[blk]
-        np.multiply(gl[blk, ..., None], hs[blk, :, None],
-                    out=terms[..., cuts[1] : cuts[2]].reshape(rows, n, n_cls, c_out))
-        terms[..., cuts[2] :] = gl[blk]
-        acc = _scan(buf)
-    return acc
+        buf[0] = prox
+        w, wb, c, cb = (buf[1:, :, lo:hi] for lo, hi in zip(ends, ends[1:]))
+        np.multiply(gp[blk, ..., None], xs[blk, :, None], out=w.reshape(rows, n, c_out, c_feat))
+        np.multiply(gl[blk, ..., None], hs[blk, :, None], out=c.reshape(rows, n, n_cls, c_out))
+        wb[...], cb[...] = gp[blk], gl[blk]
+        prox = _scan(buf)
+    return prox
 
 
 def sgd_step(head: TrainableHead, grads: np.ndarray, lr: float) -> TrainableHead:

@@ -83,11 +83,8 @@ class SessionPlan:
         if self.num_nodes < 1:
             raise PlanError(f"need at least one node, got {self.num_nodes}")
         object.__setattr__(self, "base_classes", tuple(int(c) for c in self.base_classes))
-        norm = []
-        for assignment in self.sessions:
-            norm.append(
-                {int(n): tuple(int(c) for c in cs) for n, cs in sorted(assignment.items())}
-            )
+        norm = ({int(n): tuple(int(c) for c in cs) for n, cs in sorted(a.items())}
+                for a in self.sessions)
         object.__setattr__(self, "sessions", tuple(norm))
         seen = set(self.base_classes)
         if len(seen) != len(self.base_classes):
@@ -108,9 +105,7 @@ class SessionPlan:
 
     def node_classes(self, session: int, node: int) -> tuple:
         if not 1 <= session <= self.num_sessions:
-            raise PlanError(
-                f"session {session} out of range 1..{self.num_sessions}"
-            )
+            raise PlanError(f"session {session} out of range 1..{self.num_sessions}")
         if not 0 <= node < self.num_nodes:
             raise PlanError(f"node {node} out of range for {self.num_nodes} nodes")
         return self.sessions[session - 1].get(node, ())
@@ -195,9 +190,7 @@ class LabeledDataset:
 
     def of_classes(self, class_ids) -> "LabeledDataset":
         wanted = set(int(c) for c in class_ids)
-        return LabeledDataset(
-            tuple(s for s in self.samples if s.class_id in wanted), self.split
-        )
+        return LabeledDataset(tuple(s for s in self.samples if s.class_id in wanted), self.split)
 
 
 def node_train_view(
@@ -318,12 +311,9 @@ def write_manifest(ds_train: LabeledDataset, ds_test: LabeledDataset, out_dir) -
 
 
 def read_manifest(manifest_dir, max_bytes: int | None = None) -> tuple:
-    """Load (train, test) datasets back from a manifest directory.
-
-    With ``max_bytes``, a manifest whose rows declare more int8 bytes
-    in total is a PlanError, raised before the blob that crosses it is
-    read.
-    """
+    """Load (train, test) datasets back from a manifest directory; with
+    ``max_bytes``, rows declaring more int8 bytes in all are a PlanError,
+    raised before the blob that crosses the cap is read."""
     root = Path(manifest_dir)
     path = root / _MANIFEST_NAME
     if not path.is_file():
@@ -353,10 +343,8 @@ def read_manifest(manifest_dir, max_bytes: int | None = None) -> tuple:
             raise PlanError(f"{where}: malformed field ({e})") from None
         n_bytes += math.prod(max(d, 0) for d in shape)
         if max_bytes is not None and n_bytes > max_bytes:
-            raise PlanError(
-                f"{path}: rows through line {lineno} hold {n_bytes} int8 bytes, "
-                f"over the cap of {max_bytes}"
-            )
+            raise PlanError(f"{path}: rows through line {lineno} hold {n_bytes} "
+                            f"int8 bytes, over the cap of {max_bytes}")
         # lexical containment: no absolute paths, no climbing out of root
         blob = PurePosixPath(rel)
         if blob.is_absolute() or ".." in blob.parts or not blob.parts:

@@ -1,11 +1,11 @@
-"""Dense float32 tensors and the ordered-scan kernels.
+"""Dense float32 tensors and the ordered-fold kernels.
 
 Every contraction in the package goes through ``_scan``: a float32 sum
-in a fixed index order, seeded with +0.0. Determinism rests on that
-order, not on precision: a scan gives the same bits whatever numpy's
-vector width. The head (``model._head_forward``) and the objective
-(``losses.total_loss``) call these kernels directly in closed form, on
-one head or on a stack of heads trained in lockstep.
+in a fixed index order, seeded with +0.0, in one numpy call (see its
+docstring for the fold contract). Determinism rests on that order, not
+on precision. The head (``model._head_forward``), the objective
+(``losses.total_loss``) and the backbone's pooling (``quant``) call
+these kernels directly, on one head or on a stack of lockstep heads.
 """
 
 from __future__ import annotations
@@ -34,13 +34,9 @@ class Tensor:
             flat = np.asarray(data, dtype=np.float32).reshape(-1)
         if any(s <= 0 for s in shape):
             raise DimensionError(f"shape entries must be positive, got {shape}")
-        expected = 1
-        for s in shape:
-            expected *= s
+        expected = math.prod(shape)
         if flat.size != expected:
-            raise DimensionError(
-                f"shape {shape} expects {expected} elements, got {flat.size}"
-            )
+            raise DimensionError(f"shape {shape} expects {expected} elements, got {flat.size}")
         flat = np.array(flat, dtype=np.float32, copy=True)
         flat.flags.writeable = False
         self.shape = shape
@@ -58,10 +54,7 @@ class Tensor:
     @classmethod
     def zeros(cls, shape):
         shape = tuple(int(s) for s in shape)
-        n = 1
-        for s in shape:
-            n *= s
-        return cls(np.zeros(n, dtype=np.float32), shape)
+        return cls(np.zeros(math.prod(shape), dtype=np.float32), shape)
 
     @property
     def size(self) -> int:
@@ -78,9 +71,7 @@ class Tensor:
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self.shape == other.shape and bool(
-            np.array_equal(self.data, other.data)
-        )
+        return self.shape == other.shape and bool(np.array_equal(self.data, other.data))
 
     def __hash__(self):
         return hash((self.shape, self.data.tobytes()))
@@ -97,12 +88,11 @@ def _scan(x: np.ndarray) -> np.ndarray:
     """Float32 sum of ``x`` over its leading axis, in index order from +0.0.
 
     Equals the loop ``acc = 0.0; for v in x: acc += v`` at every trailing
-    index; the seed turns a lone -0.0 into +0.0. It is one numpy call:
-    ``np.add.reduce`` over axis 0 of a C-contiguous (k, W) block with
-    W >= 2 adds its W-wide rows in index order, so any other layout is
-    copied to C order first. A W == 1 block would be a 1-D reduce, which
-    numpy sums pairwise, so it runs ``np.add.accumulate`` (strictly left
-    to right) instead.
+    index; the seed turns a lone -0.0 into +0.0. The fold contract:
+    ``np.add.reduce`` over axis 0 of a C-contiguous (k, W >= 2) block
+    adds its W-wide rows in index order, so other layouts are copied to
+    C order first; a W == 1 block would be a 1-D reduce, which numpy
+    sums pairwise, so it runs ``np.add.accumulate`` instead.
     """
     x = np.asarray(x, dtype=np.float32)
     trail = x.shape[1:]
@@ -122,21 +112,15 @@ def mm_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(..., m, k) x (..., k, n) float32 product, accumulated over k in
     index order; leading axes (the lockstep node axis) pair up.
 
-    The product is built k-major, (k, ..., m, n), C-contiguous and with
-    ``b`` copied contracted axis first so that the inner loop reads it
-    contiguously, then folded by one ``_scan``. Rows of ``a`` are
-    independent, so they are taken in blocks that keep the product near
-    ``_SCAN_BLOCK`` elements.
+    The (k, ..., m, n) product is built C-contiguous, ``b`` copied k-major
+    so the inner loop reads it contiguously, and folded by one ``_scan``;
+    rows of ``a`` come in blocks that keep it near ``_SCAN_BLOCK``.
     """
-    m, k = a.shape[-2:]
-    lead = tuple(range(a.ndim - 2))
-    width = k * b.shape[-1] * math.prod(a.shape[:-2])
-    step = max(1, _SCAN_BLOCK // max(1, width))
+    m, lead = a.shape[-2], tuple(range(a.ndim - 2))
+    step = max(1, _SCAN_BLOCK // max(1, b.size))  # b: (..., k, n)
     if m <= step:
         # k leads: (k, ..., m, 1) * (k, ..., 1, n)
         a_k = a.transpose((a.ndim - 1,) + lead + (a.ndim - 2,))
         b_k = np.ascontiguousarray(b.transpose((b.ndim - 2,) + lead + (b.ndim - 1,)))
         return _scan(np.multiply(a_k[..., None], b_k[..., None, :], order="C"))
-    return np.concatenate(
-        [mm_f32(a[..., i : i + step, :], b) for i in range(0, m, step)], axis=-2
-    )
+    return np.concatenate([mm_f32(a[..., i : i + step, :], b) for i in range(0, m, step)], axis=-2)
