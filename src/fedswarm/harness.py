@@ -265,8 +265,8 @@ class ExperimentConfig:
                 f"peak training memory of {peak} bytes exceeds the cap of {MAX_TRAINING_BYTES}"
             )
         d = self.data  # nonpositive counts are the data spec's to reject
-        dims = (self.plan.num_classes, d.train_per_class + d.test_per_class, *d.input_shape)
-        n_bytes = math.prod(max(n, 0) for n in dims)
+        counts = (self.plan.num_classes, d.train_per_class + d.test_per_class, *d.input_shape)
+        n_bytes = math.prod(max(n, 0) for n in counts)
         if d.kind == "synthetic" and n_bytes > MAX_DATA_BYTES:
             raise ConfigError(
                 f"synthetic data of {n_bytes} int8 bytes exceeds the cap of {MAX_DATA_BYTES}"
