@@ -162,6 +162,9 @@ def _sides(masks, targets: np.ndarray) -> tuple:
     return sides, sides.sum(axis=0).astype(np.float32)
 
 
+_PLUS_MINUS_TWO = np.array([[2.0], [-2.0]], np.float32)
+
+
 def _mol_kernel(z: np.ndarray, sides: np.ndarray, counts: np.ndarray, values: bool = True):
     """Value (M,) (None without ``values``) and dL/dz (C, M) of the
     mean-output term per column of class-major logits, given the columns'
@@ -180,9 +183,6 @@ def _mol_kernel(z: np.ndarray, sides: np.ndarray, counts: np.ndarray, values: bo
     grad_a, grad_b = _PLUS_MINUS_TWO * diff / div
     grad = np.where(sides[:, 0] & (has_a & has_b), grad_a, np.where(sides[:, 1], grad_b, zero))
     return value, grad
-
-
-_PLUS_MINUS_TWO = np.array([[2.0], [-2.0]], np.float32)
 
 
 def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = True):
@@ -264,9 +264,9 @@ def _lockstep_loss(head: TrainableHead, batch: Minibatch, sides, snaps, cfg: Los
     return out, _sample_fold(head, prox, x, g_pre, hidden, g_logits)
 
 
-def _sample_fold(head: TrainableHead, prox, x, g_pre, hidden, g_logits):
-    """(N, P) gradients: each sums, from +0.0, ``prox`` (+0.0 at lam == 0)
-    and then samples B-1 down to 0, the per-sample reference's order. The
+def _sample_fold(head: TrainableHead, acc, x, g_pre, hidden, g_logits):
+    """(N, P) gradients: each sums, from +0.0, ``acc`` (the prox part, +0.0
+    at lam == 0) and then samples B-1 down to 0, the reference's order. The
     terms go straight into a (rows, N, P) buffer, row 0 the running sum,
     folded by one ``_scan``, in blocks of samples near ``_SCAN_BLOCK``."""
     (n, p), (c_feat, c_out, n_cls) = head.params.shape, head.dims
@@ -279,13 +279,13 @@ def _sample_fold(head: TrainableHead, prox, x, g_pre, hidden, g_logits):
         blk = slice(i, i + step)
         rows = len(gp[blk])
         buf = np.empty((rows + 1, n, p), np.float32)
-        buf[0] = prox
+        buf[0] = acc
         w, wb, c, cb = (buf[1:, :, lo:hi] for lo, hi in zip(ends, ends[1:]))
         np.multiply(gp[blk, ..., None], xs[blk, :, None], out=w.reshape(rows, n, c_out, c_feat))
         np.multiply(gl[blk, ..., None], hs[blk, :, None], out=c.reshape(rows, n, n_cls, c_out))
         wb[...], cb[...] = gp[blk], gl[blk]
-        prox = _scan(buf)
-    return prox
+        acc = _scan(buf)
+    return acc
 
 
 def sgd_step(head: TrainableHead, grads: np.ndarray, lr: float) -> TrainableHead:
