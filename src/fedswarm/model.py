@@ -167,9 +167,9 @@ def _head_forward(head: TrainableHead, feats: np.ndarray) -> tuple:
     Both contractions are ``mm_f32`` scans in the per-sample reference's
     index order, so each row equals the single-sample pass bit for bit.
     """
-    pre = mm_f32(feats, np.swapaxes(head.conv_w, -1, -2)) + head.conv_b[..., None, :]
+    pre = mm_f32(feats, head.conv_w.swapaxes(-1, -2)) + head.conv_b[..., None, :]
     hidden = np.where(pre > 0, pre, np.float32(0.0))
-    logits = mm_f32(hidden, np.swapaxes(head.cls_w, -1, -2)) + head.cls_b[..., None, :]
+    logits = mm_f32(hidden, head.cls_w.swapaxes(-1, -2)) + head.cls_b[..., None, :]
     return hidden, logits
 
 
