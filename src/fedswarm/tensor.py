@@ -80,7 +80,7 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-# product elements per ``mm_f32`` block: bounds the fold's temporaries
+# elements per ``mm_f32`` product or ``losses`` gradient-buffer block: bounds temporaries
 _SCAN_BLOCK = 1 << 16
 
 
