@@ -11,9 +11,8 @@ average bit-exact under permutation and idempotent on identical heads.
 the nodes are independent, so it trains all of a round's nodes in
 lockstep: minibatch k of every node is one ``total_loss`` pass with the
 node as a batch axis, which gives each node the bits it would get
-alone. Each epoch builds its shuffled batches and mean-output sides
-once, and only a call's last epoch, the one reported, asks for loss
-values. The harness runs central training (T0 pretraining, the joint
+alone. Each epoch gathers its shuffled batches once, and only a call's
+last epoch, the one reported, asks for loss values. The harness runs central training (T0 pretraining, the joint
 strategy) through it too, as N = 1 on the pooled data. ``SimNetwork``
 prices each message with the ``costs`` link model.
 """
@@ -27,7 +26,7 @@ import numpy as np
 
 from .costs import LinkModel, message_time
 from .errors import AggregationError, DimensionError, NumericError
-from .losses import LossConfig, Minibatch, _sides, sgd_step, stack_pairs, total_loss
+from .losses import LossConfig, Minibatch, sgd_step, stack_pairs, total_loss
 from .model import TrainableHead, check_finite, flatten_params, unflatten_params
 from .tensor import Tensor
 
@@ -56,7 +55,9 @@ class NodeState:
 
     def __post_init__(self):
         if self.head.dims != self.snapshot.dims:
-            raise AggregationError(f"node {self.node_id}: head and snapshot architectures differ")
+            raise AggregationError(
+                f"node {self.node_id}: head and snapshot architectures differ"
+            )
         self.assignment = tuple(int(c) for c in self.assignment)
 
     def adopt_global(self, head: TrainableHead) -> None:
@@ -77,7 +78,9 @@ class SyncMessage:
         if self.kind not in ("upload", "broadcast"):
             raise AggregationError(f"unknown message kind {self.kind!r}")
         if len(self.payload.shape) != 1:
-            raise DimensionError(f"payload must be a flat vector, got shape {self.payload.shape}")
+            raise DimensionError(
+                f"payload must be a flat vector, got shape {self.payload.shape}"
+            )
 
     @property
     def byte_size(self) -> int:
@@ -115,7 +118,9 @@ class SimNetwork:
 def write_trace(net: SimNetwork, path) -> None:
     """Event log: tab-separated time, node, kind, bytes; one line each."""
     lines = ["time_s\tnode\tkind\tbytes"]
-    lines.extend(f"{e.time_s!r}\t{e.node}\t{e.kind}\t{e.n_bytes}" for e in net.events)
+    lines.extend(
+        f"{e.time_s!r}\t{e.node}\t{e.kind}\t{e.n_bytes}" for e in net.events
+    )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -136,7 +141,9 @@ def fedavg(heads, weights=None, node_ids=None) -> Tensor:
         node_ids = list(range(len(vecs)))
     node_ids = [int(n) for n in node_ids]
     if len(weights) != len(vecs) or len(node_ids) != len(vecs):
-        raise AggregationError(f"{len(vecs)} vectors, {len(weights)} weights, {len(node_ids)} ids")
+        raise AggregationError(
+            f"{len(vecs)} vectors, {len(weights)} weights, {len(node_ids)} ids"
+        )
     if len(set(node_ids)) != len(node_ids):
         raise AggregationError(f"duplicate node ids: {sorted(node_ids)}")
     size = vecs[0].size
@@ -230,7 +237,7 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
         for w in sorted(set(width[width > 0].tolist())):
             idx = np.flatnonzero(width == w)
             sel = slice(None) if len(idx) == n else idx
-            steps.append((k, w, sel, snaps[sel]))
+            steps.append((k, w, sel, tuple(m[sel] for m in masks), snaps[sel]))
     step_losses = np.zeros((n, -(-longest // b)))
     order = np.zeros(targets.shape, np.intp)
     rows = np.arange(n)[:, None]
@@ -239,16 +246,12 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
         for e in range(epochs):
             for i in live:
                 order[i, : sizes[i]] = perms[i][e]
-            # the epoch's batches and MOL sides, sliced by its steps
             xe, te = x[rows, order], targets[rows, order]
-            sides = _sides(masks, te) if cfg.mu != 0.0 else ()
             last = e == epochs - 1  # the one epoch whose losses are reported
-            for k, w, sel, sel_snaps in steps:
-                cols = slice(k, k + w)
+            for k, w, sel, sel_masks, sel_snaps in steps:
                 head = arch.with_params(params[sel])
-                batch = Minibatch(xe[sel, cols], te[sel, cols])
-                sel_sides = tuple(s[..., sel, cols] for s in sides)
-                values, grads = total_loss(head, batch, sel_sides, sel_snaps, cfg, values=last)
+                batch = Minibatch(xe[sel, k : k + w], te[sel, k : k + w])
+                values, grads = total_loss(head, batch, sel_masks, sel_snaps, cfg, values=last)
                 params[sel] = sgd_step(head, grads, cfg.lr).params
                 if last:
                     step_losses[sel, k // b] = values

@@ -51,6 +51,7 @@ from .model import (
 )
 from .quant import build_backbone
 from .sessions import (
+    MAX_DATA_BYTES,
     accuracy,
     make_plan,
     node_train_view,
@@ -91,10 +92,9 @@ STRATEGIES = ("naive", "odfcl", "joint")
 # size caps: a config is rejected before anything is allocated when a
 # head or backbone weight tensor holds more elements, the cost model's
 # peak training memory is larger, or its synthetic train+test data holds
-# more int8 bytes; so is a manifest, before its blobs are read
+# more int8 bytes than ``sessions.MAX_DATA_BYTES``
 MAX_TENSOR_ELEMENTS = 1 << 20
 MAX_TRAINING_BYTES = 1 << 26
-MAX_DATA_BYTES = 1 << 27
 
 
 def _take(d: dict, allowed, where: str) -> dict:
@@ -395,7 +395,7 @@ def load_dataset(cfg: ExperimentConfig) -> tuple:
     from the manifest, which must hold every planned class."""
     if cfg.data.kind == "synthetic":
         return gen_synthetic(cfg.data.synthetic_spec(cfg.plan.num_classes), _rng(cfg.seed, 0))
-    train, test = read_manifest(cfg.data.manifest_dir, MAX_DATA_BYTES)
+    train, test = read_manifest(cfg.data.manifest_dir)
     missing = set(range(cfg.plan.num_classes)) - train.class_ids()
     if missing:
         raise ConfigError(f"manifest lacks training classes {sorted(missing)}")
@@ -572,7 +572,9 @@ def strategy_block_bytes(r: MetricsReport) -> bytes:
     Two runs that differ only in declared strategy labels (naive vs
     odfcl with both weights zero) must agree on these bytes exactly.
     """
-    return json.dumps({"sessions": r.sessions, "cost": r.cost}, sort_keys=True, indent=2).encode()
+    return json.dumps(
+        {"sessions": r.sessions, "cost": r.cost}, sort_keys=True, indent=2
+    ).encode()
 
 
 def report_table(reports) -> str:

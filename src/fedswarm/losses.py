@@ -19,8 +19,10 @@ reference in ``tests/test_objective.py``; the float64 oracle in
 
 Layout: each contraction is one k-major ``mm_f32`` fold; logits are
 class-major (C, N, B), so the softmax and mean-output sums fold over
-axis 0; the per-sample gradient terms go into one (B + 1, N, P) buffer
-(row 0 the prox part) folded in one call. ``values=False`` skips the
+axis 0; each step builds its samples' mean-output sides from the class
+masks, so they grow with the batch, not the view; the per-sample
+gradient terms go into one (B + 1, N, P) buffer (row 0 the prox part)
+folded in one call. ``values=False`` skips the
 loss values and leaves the gradient bits alone.
 """
 
@@ -196,8 +198,8 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = T
     ``part`` a ClassPartition and ``w_global`` a flat Tensor; returns
     (loss value, flat float32 gradient). Lockstep, as the training loop
     calls it: ``head`` is an (N, P) stack, ``batch`` a ``Minibatch``,
-    ``part`` the batch's ``_sides`` (unused, may be None, with mu == 0)
-    and ``w_global`` the (N, P) snapshots; returns ((N,) values, (N, P)
+    ``part`` the (new, old) (N, num_classes) class masks and
+    ``w_global`` the (N, P) snapshots; returns ((N,) values, (N, P)
     gradients). The one-head form checks its input and runs the
     lockstep form with N = 1. Without ``values`` the values are None.
     """
@@ -211,16 +213,14 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = T
         raise DimensionError(
             f"global snapshot has {w_global.size} values, head has {head.parameter_count}"
         )
-    targets = targets[None]
-    sides = _sides(tuple(m[None] for m in masks), targets) if cfg.mu != 0.0 else None
     out, grads = _lockstep_loss(
-        head.with_params(head.params[None]), Minibatch(x[None], targets),
-        sides, w_global.data[None], cfg, values,
+        head.with_params(head.params[None]), Minibatch(x[None], targets[None]),
+        tuple(m[None] for m in masks), w_global.data[None], cfg, values,
     )
     return (float(out[0]) if values else None), grads[0]
 
 
-def _lockstep_loss(head: TrainableHead, batch: Minibatch, sides, snaps, cfg: LossConfig, values):
+def _lockstep_loss(head: TrainableHead, batch: Minibatch, masks, snaps, cfg: LossConfig, values):
     """((N,) values or None, (N, P) gradients) of N heads over their
     minibatches.
 
@@ -245,8 +245,8 @@ def _lockstep_loss(head: TrainableHead, batch: Minibatch, sides, snaps, cfg: Los
     g_logits = dz * inv_n
     if cfg.mu != 0.0:
         mu = np.float32(cfg.mu)
-        masks, counts = (s.reshape(s.shape[:-2] + (n * b,)) for s in sides)
-        mol, dmol = _mol_kernel(z, masks, counts, values)
+        sides, counts = (s.reshape(s.shape[:-2] + (n * b,)) for s in _sides(masks, targets))
+        mol, dmol = _mol_kernel(z, sides, counts, values)
         if values:
             terms = ce + mol * mu
         g_logits = dmol * (inv_n * mu) + g_logits

@@ -18,7 +18,6 @@ an accumulator overflow raises the same error for the same sample.
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from dataclasses import dataclass
 
@@ -73,7 +72,9 @@ class QuantTensor:
         if any(s < 1 for s in shape):
             raise DimensionError(f"shape entries must be positive, got {shape}")
         flat = np.asarray(data, dtype=np.int8).reshape(-1)
-        expected = math.prod(shape)
+        expected = 1
+        for s in shape:
+            expected *= s
         if flat.size != expected:
             raise DimensionError(f"shape {shape} expects {expected} elements, got {flat.size}")
         flat = np.array(flat, dtype=np.int8, copy=True)
@@ -187,7 +188,9 @@ class FrozenBackbone:
 def _check_int32(acc: np.ndarray, layer_idx: int) -> None:
     peak = int(np.abs(acc).max())
     if peak > _INT32_MAX:
-        raise NumericError(f"int32 accumulator overflow in layer {layer_idx}: |acc| reached {peak}")
+        raise NumericError(
+            f"int32 accumulator overflow in layer {layer_idx}: |acc| reached {peak}"
+        )
 
 
 def _check_input(bb: FrozenBackbone, x: QuantTensor) -> None:
@@ -211,7 +214,9 @@ def _forward_checked(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
     in_zp = int(x.qparams.zero_point)
     q = None
     for li, layer in enumerate(bb.layers):
-        acc = np.broadcast_to(layer.bias.astype(np.int64)[:, None], (layer.c_out, h * w)).copy()
+        acc = np.broadcast_to(
+            layer.bias.astype(np.int64)[:, None], (layer.c_out, h * w)
+        ).copy()
         _check_int32(acc, li)
         centered = acts - in_zp
         wgt = layer.weight.astype(np.int64)

@@ -36,6 +36,10 @@ __all__ = [
     "read_manifest",
 ]
 
+# int8 bytes a run's data may hold, train plus test: ``read_manifest``
+# checks a manifest's rows against it, ``harness`` a synthetic config
+MAX_DATA_BYTES = 1 << 27
+
 
 @dataclass(frozen=True)
 class RegistryEntry:
@@ -83,8 +87,11 @@ class SessionPlan:
         if self.num_nodes < 1:
             raise PlanError(f"need at least one node, got {self.num_nodes}")
         object.__setattr__(self, "base_classes", tuple(int(c) for c in self.base_classes))
-        norm = ({int(n): tuple(int(c) for c in cs) for n, cs in sorted(a.items())}
-                for a in self.sessions)
+        norm = []
+        for assignment in self.sessions:
+            norm.append(
+                {int(n): tuple(int(c) for c in cs) for n, cs in sorted(assignment.items())}
+            )
         object.__setattr__(self, "sessions", tuple(norm))
         seen = set(self.base_classes)
         if len(seen) != len(self.base_classes):
@@ -105,7 +112,9 @@ class SessionPlan:
 
     def node_classes(self, session: int, node: int) -> tuple:
         if not 1 <= session <= self.num_sessions:
-            raise PlanError(f"session {session} out of range 1..{self.num_sessions}")
+            raise PlanError(
+                f"session {session} out of range 1..{self.num_sessions}"
+            )
         if not 0 <= node < self.num_nodes:
             raise PlanError(f"node {node} out of range for {self.num_nodes} nodes")
         return self.sessions[session - 1].get(node, ())
@@ -190,7 +199,9 @@ class LabeledDataset:
 
     def of_classes(self, class_ids) -> "LabeledDataset":
         wanted = set(int(c) for c in class_ids)
-        return LabeledDataset(tuple(s for s in self.samples if s.class_id in wanted), self.split)
+        return LabeledDataset(
+            tuple(s for s in self.samples if s.class_id in wanted), self.split
+        )
 
 
 def node_train_view(
@@ -310,10 +321,10 @@ def write_manifest(ds_train: LabeledDataset, ds_test: LabeledDataset, out_dir) -
     return path
 
 
-def read_manifest(manifest_dir, max_bytes: int | None = None) -> tuple:
-    """Load (train, test) datasets back from a manifest directory; with
-    ``max_bytes``, rows declaring more int8 bytes in all are a PlanError,
-    raised before the blob that crosses the cap is read."""
+def read_manifest(manifest_dir) -> tuple:
+    """Load (train, test) datasets back from a manifest directory. Rows
+    declaring more than ``MAX_DATA_BYTES`` int8 bytes in all are a
+    PlanError, raised before the blob that crosses the cap is read."""
     root = Path(manifest_dir)
     path = root / _MANIFEST_NAME
     if not path.is_file():
@@ -342,9 +353,9 @@ def read_manifest(manifest_dir, max_bytes: int | None = None) -> tuple:
         except ValueError as e:
             raise PlanError(f"{where}: malformed field ({e})") from None
         n_bytes += math.prod(max(d, 0) for d in shape)
-        if max_bytes is not None and n_bytes > max_bytes:
+        if n_bytes > MAX_DATA_BYTES:
             raise PlanError(f"{path}: rows through line {lineno} hold {n_bytes} "
-                            f"int8 bytes, over the cap of {max_bytes}")
+                            f"int8 bytes, over the cap of {MAX_DATA_BYTES}")
         # lexical containment: no absolute paths, no climbing out of root
         blob = PurePosixPath(rel)
         if blob.is_absolute() or ".." in blob.parts or not blob.parts:

@@ -34,9 +34,13 @@ class Tensor:
             flat = np.asarray(data, dtype=np.float32).reshape(-1)
         if any(s <= 0 for s in shape):
             raise DimensionError(f"shape entries must be positive, got {shape}")
-        expected = math.prod(shape)
+        expected = 1
+        for s in shape:
+            expected *= s
         if flat.size != expected:
-            raise DimensionError(f"shape {shape} expects {expected} elements, got {flat.size}")
+            raise DimensionError(
+                f"shape {shape} expects {expected} elements, got {flat.size}"
+            )
         flat = np.array(flat, dtype=np.float32, copy=True)
         flat.flags.writeable = False
         self.shape = shape
@@ -54,7 +58,10 @@ class Tensor:
     @classmethod
     def zeros(cls, shape):
         shape = tuple(int(s) for s in shape)
-        return cls(np.zeros(math.prod(shape), dtype=np.float32), shape)
+        n = 1
+        for s in shape:
+            n *= s
+        return cls(np.zeros(n, dtype=np.float32), shape)
 
     @property
     def size(self) -> int:
@@ -71,7 +78,9 @@ class Tensor:
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self.data, other.data))
+        return self.shape == other.shape and bool(
+            np.array_equal(self.data, other.data)
+        )
 
     def __hash__(self):
         return hash((self.shape, self.data.tobytes()))
@@ -116,11 +125,14 @@ def mm_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     so the inner loop reads it contiguously, and folded by one ``_scan``;
     rows of ``a`` come in blocks that keep it near ``_SCAN_BLOCK``.
     """
-    m, lead = a.shape[-2], tuple(range(a.ndim - 2))
+    m = a.shape[-2]
+    lead = tuple(range(a.ndim - 2))
     step = max(1, _SCAN_BLOCK // max(1, b.size))  # b: (..., k, n)
     if m <= step:
         # k leads: (k, ..., m, 1) * (k, ..., 1, n)
         a_k = a.transpose((a.ndim - 1,) + lead + (a.ndim - 2,))
         b_k = np.ascontiguousarray(b.transpose((b.ndim - 2,) + lead + (b.ndim - 1,)))
         return _scan(np.multiply(a_k[..., None], b_k[..., None, :], order="C"))
-    return np.concatenate([mm_f32(a[..., i : i + step, :], b) for i in range(0, m, step)], axis=-2)
+    return np.concatenate(
+        [mm_f32(a[..., i : i + step, :], b) for i in range(0, m, step)], axis=-2
+    )

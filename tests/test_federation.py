@@ -1,6 +1,7 @@
 """Parameter averaging, sync rounds and the simulated link."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,25 @@ def test_local_epoch_trains_and_counts():
     assert loss > 0.0
     assert node.head != before
     assert node.epochs == 1
+
+
+def test_local_epoch_memory_stays_per_step():
+    # many classes and a long view: the MOL sides are built per step, so
+    # nothing of classes x view size (4 MB of side masks here) is held
+    classes, m = 1000, 2000
+    rng = np.random.default_rng(3)
+    head = init_head(2, 2, classes, rng)
+    node = NodeState(0, head, head)
+    feats = rng.standard_normal((m, 2)).astype(np.float32)
+    pairs = [(Tensor(f), int(t)) for f, t in zip(feats, rng.integers(0, classes, m))]
+    part = ClassPartition(frozenset(range(500)), frozenset(range(500, classes)))
+    tracemalloc.start()
+    try:
+        local_epoch([node], [pairs], [part], LossConfig(), np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def _reanchored_epoch(head, pairs, part, cfg, rng):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fedswarm as fs
+from fedswarm import sessions
 
 
 def _small_config(strategy="odfcl", seed=5, **over):
@@ -460,12 +461,14 @@ def _manifest_dir(tmp_path):
     return cfg, data, sum(s.x.data.size for s in train.samples + test.samples)
 
 
-def test_manifest_data_cap(tmp_path):
+def test_manifest_data_cap(tmp_path, monkeypatch):
     _, data, n_bytes = _manifest_dir(tmp_path)
-    train, test = fs.read_manifest(data, n_bytes)  # exactly at the cap
+    monkeypatch.setattr(sessions, "MAX_DATA_BYTES", n_bytes)
+    train, test = fs.read_manifest(data)  # exactly at the cap
     assert len(train) + len(test) > 0
+    monkeypatch.setattr(sessions, "MAX_DATA_BYTES", n_bytes - 1)
     with pytest.raises(fs.PlanError, match=r"manifest\.tsv: rows through line \d+ hold"):
-        fs.read_manifest(data, n_bytes - 1)
+        fs.read_manifest(data)
 
 
 def test_cli_manifest_over_the_data_cap_is_a_runtime_error(tmp_path):

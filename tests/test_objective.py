@@ -460,14 +460,14 @@ def _node_case(rng, c_feat, hidden, classes, n, branch, zero_frac):
 
 def _lockstep_args(nodes, cfg):
     """The nodes' one-head arguments as one lockstep call's: an (N, P)
-    head stack, a Minibatch, the MOL sides and the (N, P) snapshots."""
+    head stack, a Minibatch, the (new, old) class masks and the (N, P)
+    snapshots."""
     stacked = [stack_pairs(head, batch, part, cfg) for head, batch, part, _ in nodes]
     head = nodes[0][0].with_params(np.stack([h.params for h, *_ in nodes]))
     targets = np.stack([t for _, t, _ in stacked])
     masks = tuple(np.stack([m[k] for *_, m in stacked]) for k in (0, 1))
-    sides = _sides(masks, targets) if cfg.mu != 0.0 else None
     batch = Minibatch(np.stack([x for x, _, _ in stacked]), targets)
-    return head, batch, sides, np.stack([w.data for *_, w in nodes])
+    return head, batch, masks, np.stack([w.data for *_, w in nodes])
 
 
 @given(_objective_cases())
