@@ -14,7 +14,6 @@ import numpy as np
 from fedswarm import (
     ClassPartition,
     LossConfig,
-    Tensor,
     flatten_params,
     init_head,
     total_loss,
@@ -27,14 +26,14 @@ rng = np.random.default_rng(17)
 # a 6-feature head with 4 hidden units over 5 classes: 0-2 learned in
 # earlier sessions, 3-4 arriving now, so all three loss terms are live
 head = init_head(6, 4, 5, rng, sigma=0.6)
-batch = [(Tensor(rng.standard_normal(6).astype(np.float32)), t) for t in (3, 4, 3)]
+batch = [(rng.standard_normal(6).astype(np.float32), t) for t in (3, 4, 3)]
 part = ClassPartition(frozenset({0, 1, 2}), frozenset({3, 4}))
-w_global = Tensor(flatten_params(head).data + np.float32(0.1))
+w_global = flatten_params(head) + np.float32(0.1)
 cfg = LossConfig(mu=2.0, lam=3.8, lr=0.01, batch_size=len(batch))
 
 loss, grads = total_loss(head, batch, part, w_global, cfg)
 print(f"float32 loss              : {loss:.6f}")
-print(f"analytic dLoss/dcls_b     : {unflatten_params(head, Tensor(grads)).cls_b}")
+print(f"analytic dLoss/dcls_b     : {unflatten_params(head, grads).cls_b}")
 
 r = check_case(head, batch, part, w_global, cfg)
 print(f"parameters checked        : {r['params']}")

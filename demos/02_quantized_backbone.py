@@ -20,7 +20,6 @@ from fedswarm import (
     quantize,
     read_backbone,
     write_backbone,
-    Tensor,
 )
 
 rng = np.random.default_rng(3)
@@ -32,20 +31,20 @@ print(f"digest               : {backbone_digest(backbone)[:16]}...")
 
 # a fake 4-channel 3x3 frame, quantized like the sensor would
 frame = rng.uniform(-0.5, 0.5, size=(4, 3, 3)).astype(np.float32)
-qframe = quantize(Tensor(frame), QuantParams(scale=0.05, zero_point=0))
+qframe = quantize(frame, QuantParams(scale=0.05, zero_point=0))
 print(f"int8 frame range     : [{qframe.data.min()}, {qframe.data.max()}]")
-err = np.abs(dequantize(qframe).array - frame).max()
+err = np.abs(dequantize(qframe) - frame).max()
 print(f"quantization error   : {err:.4f} (half step = {0.05 / 2})")
 
 feats = backbone_forward(backbone, qframe)
-print(f"features[:4]         : {feats.data[:4]}")
+print(f"features[:4]         : {feats[:4]}")
 
 # container round trip: same bytes in, same integers out
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "backbone.fcb"
     write_backbone(backbone, path)
     again = read_backbone(path)
-    same = np.array_equal(backbone_forward(again, qframe).data, feats.data)
+    same = np.array_equal(backbone_forward(again, qframe), feats)
     print(f"container size       : {path.stat().st_size} bytes")
     print(f"reload forward match : {same}")
     assert same and backbone_digest(again) == backbone_digest(backbone)

@@ -17,7 +17,6 @@ from fedswarm import (
     make_plan,
     node_train_view,
     registry_from_plan,
-    Tensor,
 )
 
 plan = make_plan(num_classes=10, num_nodes=3, base_count=4)
@@ -39,10 +38,10 @@ print(f"node 0, T2 view     : {len(view2)} samples, classes {sorted(view2.class_
 
 # growing the classifier must not disturb what the old classes compute
 head = init_head(c_feat=48, c_out=24, num_classes=4, rng=rng)
-feats = Tensor(rng.standard_normal(48).astype(np.float32))
-before = head_logits(head, feats).data
+feats = rng.standard_normal(48).astype(np.float32)
+before = head_logits(head, feats)
 grown = expand_classifier(head, registry.introduced_at(1))
-after = head_logits(grown, feats).data
+after = head_logits(grown, feats)
 print(f"logits before       : {np.round(before, 4)}")
 print(f"logits after expand : {np.round(after, 4)}")
 assert np.array_equal(before, after[:4])

@@ -15,7 +15,6 @@ from fedswarm import (
     LossConfig,
     NodeState,
     SimNetwork,
-    Tensor,
     fedavg,
     flatten_params,
     init_head,
@@ -32,7 +31,7 @@ print(f"head parameters     : {p} ({4 * p} bytes per message)")
 # node i trains class 2+i%2; classes 0,1 are the old ones to protect
 part = ClassPartition(old_classes=frozenset({0, 1}), new_classes=frozenset({2, 3}))
 views = {
-    i: [(Tensor(rng.standard_normal(8).astype(np.float32)), 2 + i % 2) for _ in range(6)]
+    i: [(rng.standard_normal(8).astype(np.float32), 2 + i % 2) for _ in range(6)]
     for i in range(3)
 }
 cfg = LossConfig(mu=2.0, lam=3.8, lr=0.05, batch_size=3)
@@ -41,7 +40,7 @@ cfg = LossConfig(mu=2.0, lam=3.8, lr=0.05, batch_size=3)
 # one stacked pass, bit-identical to training the nodes one by one
 losses = local_epoch(nodes, [views[i] for i in range(3)], [part] * 3, cfg, rng)
 for i, (node, loss) in enumerate(zip(nodes, losses)):
-    drift = np.abs(flatten_params(node.head).data - flatten_params(shared).data).max()
+    drift = np.abs(flatten_params(node.head) - flatten_params(shared)).max()
     print(f"node {i} local epoch  : mean loss {loss:.4f}, max drift {drift:.4f}")
 
 pre = [flatten_params(n.head) for n in nodes]
@@ -52,7 +51,7 @@ print(f"sync round          : {len(net.events)} messages, {comm:.2f} s on the li
 
 expected = fedavg(pre)
 agree = all(
-    np.array_equal(flatten_params(n.head).data, expected.data) for n in nodes
+    np.array_equal(flatten_params(n.head), expected) for n in nodes
 )
 print(f"consensus           : {agree} (every head equals the fedavg exactly)")
 anchored = all(n.snapshot is n.head for n in nodes)

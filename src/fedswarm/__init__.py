@@ -28,6 +28,5 @@ from .model import *  # noqa: F401,F403
 from .quant import *  # noqa: F401,F403
 from .sessions import *  # noqa: F401,F403
 from .synthetic import *  # noqa: F401,F403
-from .tensor import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

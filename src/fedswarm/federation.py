@@ -28,7 +28,6 @@ from .costs import LinkModel, message_time
 from .errors import AggregationError, DimensionError, NumericError
 from .losses import LossConfig, Minibatch, sgd_step, stack_pairs, total_loss
 from .model import TrainableHead, check_finite, flatten_params, unflatten_params
-from .tensor import Tensor
 
 __all__ = [
     "NodeState",
@@ -68,16 +67,16 @@ class NodeState:
 
 @dataclass(frozen=True)
 class SyncMessage:
-    """Parameter transfer; the payload type admits nothing but weights."""
+    """Parameter transfer: one flat float32 weight vector."""
 
     kind: str  # "upload" or "broadcast"
     sender: int
-    payload: Tensor
+    payload: np.ndarray
 
     def __post_init__(self):
         if self.kind not in ("upload", "broadcast"):
             raise AggregationError(f"unknown message kind {self.kind!r}")
-        if len(self.payload.shape) != 1:
+        if self.payload.ndim != 1:
             raise DimensionError(
                 f"payload must be a flat vector, got shape {self.payload.shape}"
             )
@@ -124,7 +123,7 @@ def write_trace(net: SimNetwork, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def fedavg(heads, weights=None, node_ids=None) -> Tensor:
+def fedavg(heads, weights=None, node_ids=None) -> np.ndarray:
     """Weighted mean of flat parameter vectors, summed in node-id order.
 
     Accumulates in float64 and divides once, so averaging identical
@@ -148,8 +147,8 @@ def fedavg(heads, weights=None, node_ids=None) -> Tensor:
         raise AggregationError(f"duplicate node ids: {sorted(node_ids)}")
     size = vecs[0].size
     for v in vecs:
-        if v.size != size:
-            raise DimensionError(f"vector lengths differ: {v.size} vs {size}")
+        if v.shape != (size,):
+            raise DimensionError(f"vectors must be flat of length {size}, got shape {v.shape}")
     if any(w < 0 for w in weights):
         raise AggregationError("negative aggregation weight")
     total_w = sum(weights)
@@ -157,11 +156,11 @@ def fedavg(heads, weights=None, node_ids=None) -> Tensor:
         raise AggregationError("aggregation weights sum to zero")
     acc = np.zeros(size, dtype=np.float64)
     for _, w, v in sorted(zip(node_ids, weights, vecs), key=lambda t: t[0]):
-        acc += w * v.data.astype(np.float64)
+        acc += w * v.astype(np.float64)
     mean = (acc / total_w).astype(np.float32)
     if not np.isfinite(mean).all():
         raise NumericError("non-finite values in the averaged parameters")
-    return Tensor(mean, (size,))
+    return mean
 
 
 def sync_round(nodes, net: SimNetwork, master_id: int = 0, weights=None) -> float:

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import NumericError
 from .losses import ClassPartition, LossConfig, total_loss
 from .model import TrainableHead, flatten_params
-from .tensor import Tensor
 
 __all__ = ["reference_total_loss", "check_case", "run_gradcheck", "format_gradcheck"]
 
@@ -32,7 +31,7 @@ def reference_total_loss(theta, head: TrainableHead, batch, part, w_global, mu, 
     conv_w, conv_b, cls_w, cls_b = h64.conv_w, h64.conv_b, h64.cls_w, h64.cls_b
     total = 0.0
     for feats, target in batch:
-        f = np.asarray(feats.data if isinstance(feats, Tensor) else feats, np.float64)
+        f = np.asarray(feats, np.float64)
         hidden = np.maximum(conv_w @ f + conv_b, 0.0)
         z = cls_w @ hidden + cls_b
         zs = z - z.max()
@@ -62,8 +61,8 @@ def check_case(head, batch, part, w_global, cfg: LossConfig, h: float = 1e-3) ->
     """One head instance: analytic f32 gradient vs f64 central differences."""
     loss32, grads = total_loss(head, batch, part, w_global, cfg)
     analytic = grads.astype(np.float64)
-    theta0 = flatten_params(head).data.astype(np.float64)
-    wg = w_global.data
+    theta0 = flatten_params(head).astype(np.float64)
+    wg = np.asarray(w_global, np.float32)
 
     def f(theta):
         return reference_total_loss(theta, head, batch, part, wg, cfg.mu, cfg.lam)
@@ -92,7 +91,7 @@ def _min_preactivation(head: TrainableHead, batch) -> float:
     cw = head.conv_w.astype(np.float64)
     cb = head.conv_b.astype(np.float64)
     for feats, _ in batch:
-        f = np.asarray(feats.data, np.float64)
+        f = np.asarray(feats, np.float64)
         worst = min(worst, float(np.abs(cw @ f + cb).min()))
     return worst
 
@@ -106,13 +105,13 @@ def _make_case(idx: int, seed: int):
     c_feat, hidden, classes = dims
     for _ in range(50):
         head = TrainableHead(
-            conv_w=Tensor(rng.standard_normal((hidden, c_feat)).astype(np.float32) * 0.6),
-            conv_b=Tensor(rng.standard_normal(hidden).astype(np.float32) * 0.6),
-            cls_w=Tensor(rng.standard_normal((classes, hidden)).astype(np.float32) * 0.6),
-            cls_b=Tensor(rng.standard_normal(classes).astype(np.float32) * 0.6),
+            conv_w=rng.standard_normal((hidden, c_feat)).astype(np.float32) * 0.6,
+            conv_b=rng.standard_normal(hidden).astype(np.float32) * 0.6,
+            cls_w=rng.standard_normal((classes, hidden)).astype(np.float32) * 0.6,
+            cls_b=rng.standard_normal(classes).astype(np.float32) * 0.6,
         )
         batch = [
-            (Tensor(rng.standard_normal(c_feat).astype(np.float32)), t)
+            (rng.standard_normal(c_feat).astype(np.float32), t)
             for t in rng.integers(0, classes, size=3)
         ]
         if branch == "both":
@@ -126,8 +125,8 @@ def _make_case(idx: int, seed: int):
         else:
             part = ClassPartition(frozenset(), frozenset(range(classes)))
             batch = [(fx, int(t)) for fx, t in batch]
-        w_global = Tensor(
-            flatten_params(head).data + rng.standard_normal(head.parameter_count).astype(np.float32) * 0.2
+        w_global = (
+            flatten_params(head) + rng.standard_normal(head.parameter_count).astype(np.float32) * 0.2
         )
         if _min_preactivation(head, batch) > 0.05:
             break

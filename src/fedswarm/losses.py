@@ -10,8 +10,9 @@ to suppressing the old-class mean directly.
 ``total_loss`` is one closed-form forward and backward pass with the
 gradient of every term written out by hand. It steps N heads at once,
 node as the leading axis (the lockstep training loop), and one head
-with a list of (features, target) pairs is its N = 1 case. Gradients
-are flat vectors in ``flatten_params`` order. Every sum is an ordered
+with a list of (features, target) pairs is its N = 1 case. Features,
+snapshots and gradients are float32 arrays, gradients flat in
+``flatten_params`` order. Every sum is an ordered
 float32 fold (``tensor._scan``) and gradients accumulate in a fixed
 order, so each node's results are bit-identical to the per-sample
 reference in ``tests/test_objective.py``; the float64 oracle in
@@ -39,7 +40,7 @@ from .errors import (
     check_float_fields,
     check_int_fields,
 )
-from .model import TrainableHead, _f32, _head_forward
+from .model import TrainableHead, _head_forward
 from .tensor import _SCAN_BLOCK, _scan, mm_f32
 
 __all__ = [
@@ -132,7 +133,7 @@ def stack_pairs(head: TrainableHead, pairs, part: ClassPartition, cfg: LossConfi
     other partition class must index a logit (IndexError).
     """
     c = head.num_classes
-    rows = [_f32(f).reshape(-1) for f, _ in pairs]
+    rows = [np.asarray(f, np.float32).reshape(-1) for f, _ in pairs]
     for r in rows:
         if r.size != head.c_feat:
             raise DimensionError(
@@ -195,7 +196,7 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = T
     added once.
 
     One head: ``batch`` is a sequence of (features, target) pairs,
-    ``part`` a ClassPartition and ``w_global`` a flat Tensor; returns
+    ``part`` a ClassPartition and ``w_global`` a flat float32 array; returns
     (loss value, flat float32 gradient). Lockstep, as the training loop
     calls it: ``head`` is an (N, P) stack, ``batch`` a ``Minibatch``,
     ``part`` the (new, old) (N, num_classes) class masks and
@@ -209,13 +210,14 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = T
     if not samples:
         raise DimensionError("total_loss needs a nonempty batch")
     x, targets, masks = stack_pairs(head, samples, part, cfg)
+    w_global = np.asarray(w_global, np.float32).reshape(-1)
     if w_global.size != head.parameter_count:
         raise DimensionError(
             f"global snapshot has {w_global.size} values, head has {head.parameter_count}"
         )
     out, grads = _lockstep_loss(
         head.with_params(head.params[None]), Minibatch(x[None], targets[None]),
-        tuple(m[None] for m in masks), w_global.data[None], cfg, values,
+        tuple(m[None] for m in masks), w_global[None], cfg, values,
     )
     return (float(out[0]) if values else None), grads[0]
 

@@ -2,9 +2,10 @@
 
 The head is a pointwise conv over the pooled feature vector, relu, and
 a linear classifier whose row count grows as new classes appear. A
-head is one flat float32 vector with four reshaped views, so
-``flatten_params`` is a view, ``unflatten_params`` a reshape and an SGD
-step one vector update. ``_head_forward`` is the one copy of the head
+head is one read-only flat float32 array with four reshaped views, so
+``flatten_params`` returns that array, ``unflatten_params`` a reshape of
+a copy and an SGD step one vector update. Features and logits are
+float32 arrays too. ``_head_forward`` is the one copy of the head
 math: ``head_logits`` and ``losses.total_loss`` both run it, the
 latter also on (N, P) stacks of heads. Gradients flow into head
 parameters only; the backbone's features enter as constants.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, RegistryError
 from .quant import FrozenBackbone, QuantTensor, backbone_forward
-from .tensor import Tensor, mm_f32
+from .tensor import mm_f32
 
 __all__ = [
     "TrainableHead",
@@ -58,7 +59,7 @@ class TrainableHead:
     __slots__ = ("params", "c_feat", "c_out", "num_classes")
 
     def __init__(self, conv_w, conv_b, cls_w, cls_b):
-        parts = [_f32(t) for t in (conv_w, conv_b, cls_w, cls_b)]
+        parts = [np.asarray(t, np.float32) for t in (conv_w, conv_b, cls_w, cls_b)]
         conv_w, conv_b, cls_w, cls_b = parts
         if conv_w.ndim != 2 or cls_w.ndim != 2:
             raise DimensionError("conv_w and cls_w must be matrices")
@@ -106,10 +107,6 @@ class TrainableHead:
 
 
 _PARTS = ("conv_w", "conv_b", "cls_w", "cls_b")
-
-
-def _f32(x) -> np.ndarray:
-    return x.array if isinstance(x, Tensor) else np.asarray(x, np.float32)
 
 
 def _fill(h: TrainableHead, params: np.ndarray, c_feat: int, c_out: int, num_classes: int):
@@ -173,23 +170,23 @@ def _head_forward(head: TrainableHead, feats: np.ndarray) -> tuple:
     return hidden, logits
 
 
-def head_logits(head: TrainableHead, features) -> Tensor:
+def head_logits(head: TrainableHead, features) -> np.ndarray:
     """Eager head pass over one feature vector or a (B, c_feat) batch.
 
     Same kernels as the training objective; a batch gives
     (B, num_classes) logits whose rows equal the one-vector results
     exactly.
     """
-    f = _f32(features)
+    f = np.asarray(features, np.float32)
     if f.shape[-1:] != (head.c_feat,) or f.ndim > 2:
         raise DimensionError(
             f"features {f.shape} do not match head input ({head.c_feat},)"
         )
     _, logits = _head_forward(head, f.reshape(-1, head.c_feat))
-    return Tensor(logits.reshape(f.shape[:-1] + (head.num_classes,)))
+    return logits.reshape(f.shape[:-1] + (head.num_classes,))
 
 
-def forward(m: SplitModel, x: QuantTensor) -> Tensor:
+def forward(m: SplitModel, x: QuantTensor) -> np.ndarray:
     """logits = cls(relu(conv(backbone(x)))); backbone sees no gradient."""
     return head_logits(m.head, backbone_forward(m.backbone, x))
 
@@ -220,21 +217,23 @@ def expand_classifier(h: TrainableHead, new_class_ids) -> TrainableHead:
     return _head(params, h.c_feat, h.c_out, h.num_classes + n_new)
 
 
-def flatten_params(h: TrainableHead) -> Tensor:
+def flatten_params(h: TrainableHead) -> np.ndarray:
     """Canonical flat order: conv_w, conv_b, cls_w, cls_b, each row-major.
 
-    A view of the head's own read-only vector; nothing is copied.
+    The head's own read-only vector; nothing is copied.
     """
-    return Tensor._wrap(h.params)
+    return h.params
 
 
-def unflatten_params(h: TrainableHead, v: Tensor) -> TrainableHead:
-    """A head with ``h``'s architecture over a flat vector (a reshape)."""
-    if v.size != h.parameter_count:
+def unflatten_params(h: TrainableHead, v: np.ndarray) -> TrainableHead:
+    """A head with ``h``'s architecture over a float32 copy of a flat
+    vector (a reshape)."""
+    flat = np.array(v, np.float32)
+    if flat.shape != (h.parameter_count,):
         raise DimensionError(
-            f"flat vector has {v.size} values, head needs {h.parameter_count}"
+            f"flat vector of shape {flat.shape}, head needs ({h.parameter_count},)"
         )
-    return h.with_params(v.data)
+    return h.with_params(flat)
 
 
 def head_message_bytes(h: TrainableHead) -> int:
@@ -247,7 +246,7 @@ def write_head(h: TrainableHead, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", h.c_feat, h.c_out, h.num_classes))
-        fh.write(flatten_params(h).tobytes())
+        fh.write(h.params.astype("<f4").tobytes())
 
 
 def read_head(path) -> TrainableHead:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericError
-from .tensor import Tensor, _scan
+from .tensor import _scan
 
 __all__ = [
     "QuantParams",
@@ -103,21 +103,22 @@ class QuantTensor:
         return f"QuantTensor(shape={self.shape}, qparams={self.qparams})"
 
 
-def quantize(x: Tensor, qp: QuantParams) -> QuantTensor:
-    """q = clamp(round_half_even(x / scale) + zero_point, -128, 127)."""
-    vals = x.data
+def quantize(x: np.ndarray, qp: QuantParams) -> QuantTensor:
+    """q = clamp(round_half_even(x / scale) + zero_point, -128, 127) of
+    ``x`` cast to float32."""
+    vals = np.asarray(x, np.float32)
     if not np.all(np.isfinite(vals)):
         raise NumericError("cannot quantize non-finite values")
     # rounding computed in double precision to keep huge quotients exact
     q = np.rint(vals.astype(np.float64) / float(qp.scale)) + qp.zero_point
     q = np.clip(q, INT8_MIN, INT8_MAX)
-    return QuantTensor(q.astype(np.int8), x.shape, qp)
+    return QuantTensor(q.astype(np.int8), vals.shape, qp)
 
 
-def dequantize(q: QuantTensor) -> Tensor:
-    """x = scale * (q - zero_point), as float32."""
-    diff = q.data.astype(np.int32) - q.qparams.zero_point
-    return Tensor(diff.astype(np.float32) * np.float32(q.qparams.scale), q.shape)
+def dequantize(q: QuantTensor) -> np.ndarray:
+    """x = scale * (q - zero_point), as a float32 array of ``q``'s shape."""
+    diff = q.array.astype(np.int32) - q.qparams.zero_point
+    return diff.astype(np.float32) * np.float32(q.qparams.scale)
 
 
 @dataclass(frozen=True)
@@ -294,8 +295,8 @@ def _forward_block(bb: FrozenBackbone, block, later_bound: int) -> np.ndarray:
 def backbone_forward(bb: FrozenBackbone, x):
     """Integer inference through the frozen chain; float features out.
 
-    ``x`` is one C x H x W ``QuantTensor`` (a ``Tensor`` of
-    ``feature_dim`` comes back) or a sequence of them (a float32
+    ``x`` is one C x H x W ``QuantTensor`` (a float32 ``(feature_dim,)``
+    array comes back) or a sequence of them (a float32
     ``(len(x), feature_dim)`` array comes back). Samples may differ in
     shape and quantization parameters.
 
@@ -317,7 +318,7 @@ def backbone_forward(bb: FrozenBackbone, x):
     the same ``NumericError`` for the same first sample.
     """
     if isinstance(x, QuantTensor):
-        return Tensor(backbone_forward(bb, [x])[0], (bb.feature_dim,))
+        return backbone_forward(bb, [x])[0]
     xs = list(x)
     # later layers read post-relu activations in [0, 127]
     later_bound = max((_acc_bound(layer, INT8_MAX) for layer in bb.layers[1:]), default=0)

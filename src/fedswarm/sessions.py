@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DimensionError, EvaluationError, NumericError, PlanError, RegistryError
 from .model import SplitModel, head_logits
 from .quant import QuantParams, QuantTensor, backbone_forward
-from .tensor import Tensor
 
 __all__ = [
     "RegistryEntry",
@@ -222,10 +221,12 @@ def precompute_features(backbone, ds: LabeledDataset) -> dict:
 
     The backbone is frozen, so features never change; training and
     evaluation both read from this cache. The whole split goes through
-    one batched ``backbone_forward`` call.
+    one batched ``backbone_forward`` call, and the vectors are read-only
+    row views of its float32 output.
     """
     feats = backbone_forward(backbone, [s.x for s in ds.samples])
-    return {s.sample_id: Tensor(f) for s, f in zip(ds.samples, feats)}
+    feats.flags.writeable = False
+    return {s.sample_id: f for s, f in zip(ds.samples, feats)}
 
 
 def predict(model: SplitModel, samples, seen_classes, features: dict | None = None) -> np.ndarray:
@@ -244,11 +245,11 @@ def predict(model: SplitModel, samples, seen_classes, features: dict | None = No
     if not samples:
         return np.zeros(0, np.intp)
     if features is not None:
-        feats = np.stack([features[s.sample_id].data for s in samples])
+        feats = np.stack([features[s.sample_id] for s in samples])
     else:
         feats = backbone_forward(model.backbone, [s.x for s in samples])
     # rows equal the per-sample logits bit for bit
-    z = head_logits(model.head, feats).array
+    z = head_logits(model.head, feats)
     idx = np.array(seen)
     return idx[np.argmax(z[:, idx], axis=1)]  # first max = lowest class id
 

@@ -14,7 +14,6 @@ import numpy as np
 from .errors import ConfigError
 from .quant import QuantParams, quantize
 from .sessions import LabeledDataset, Sample
-from .tensor import Tensor
 
 __all__ = ["SyntheticSpec", "gen_synthetic"]
 
@@ -74,7 +73,7 @@ def gen_synthetic(spec: SyntheticSpec, rng) -> tuple:
         for bucket, count in ((train, spec.train_per_class), (test, spec.test_per_class)):
             for _ in range(count):
                 x = centers[class_id] + rng.standard_normal(dim) * spec.sigma_within
-                qx = quantize(Tensor(x.astype(np.float32), spec.input_shape), qp)
+                qx = quantize(x.reshape(spec.input_shape), qp)
                 bucket.append(Sample(sample_id, class_id, qx))
                 sample_id += 1
     return (

@@ -1,8 +1,10 @@
-"""Dense float32 tensors and the ordered-fold kernels.
+"""The ordered-fold kernels every float32 contraction runs on.
 
-Every contraction in the package goes through ``_scan``: a float32 sum
-in a fixed index order, seeded with +0.0, in one numpy call (see its
-docstring for the fold contract). Determinism rests on that order, not
+Float data (features, head parameters, gradients, averaged weights) is
+float32 numpy arrays throughout the package; this module holds no
+type of its own. Every contraction goes through ``_scan``: a float32
+sum in a fixed index order, seeded with +0.0, in one numpy call (see
+its docstring for the fold contract). Determinism rests on that order, not
 on precision. The head (``model._head_forward``), the objective
 (``losses.total_loss``) and the backbone's pooling (``quant``) call
 these kernels directly, on one head or on a stack of lockstep heads.
@@ -13,81 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import DimensionError
-
-__all__ = ["Tensor"]
-
-
-class Tensor:
-    """Immutable dense float32 value: a shape plus row-major flat data."""
-
-    __slots__ = ("shape", "data")
-
-    def __init__(self, data, shape=None):
-        if shape is None:
-            arr = np.asarray(data, dtype=np.float32)
-            shape = tuple(int(s) for s in arr.shape)
-            flat = arr.reshape(-1)
-        else:
-            shape = tuple(int(s) for s in shape)
-            flat = np.asarray(data, dtype=np.float32).reshape(-1)
-        if any(s <= 0 for s in shape):
-            raise DimensionError(f"shape entries must be positive, got {shape}")
-        expected = 1
-        for s in shape:
-            expected *= s
-        if flat.size != expected:
-            raise DimensionError(
-                f"shape {shape} expects {expected} elements, got {flat.size}"
-            )
-        flat = np.array(flat, dtype=np.float32, copy=True)
-        flat.flags.writeable = False
-        self.shape = shape
-        self.data = flat
-
-    @classmethod
-    def _wrap(cls, flat: np.ndarray) -> "Tensor":
-        """A 1-D Tensor over a read-only float32 vector that nothing else
-        writes (a head's parameters), without the copy."""
-        t = cls.__new__(cls)
-        t.shape = (flat.size,)
-        t.data = flat
-        return t
-
-    @classmethod
-    def zeros(cls, shape):
-        shape = tuple(int(s) for s in shape)
-        n = 1
-        for s in shape:
-            n *= s
-        return cls(np.zeros(n, dtype=np.float32), shape)
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only view of the data in its natural shape."""
-        return self.data.reshape(self.shape)
-
-    def tobytes(self) -> bytes:
-        return self.data.astype("<f4").tobytes()
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self.shape == other.shape and bool(
-            np.array_equal(self.data, other.data)
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.data.tobytes()))
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"
-
 
 # elements per ``mm_f32`` product or ``losses`` gradient-buffer block: bounds temporaries
 _SCAN_BLOCK = 1 << 16

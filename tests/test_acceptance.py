@@ -58,11 +58,11 @@ def test_criterion_2_quantizer_round_trip():
         qp = fs.QuantParams(scale, zp)
         lo, hi = scale * (-128 - zp), scale * (127 - zp)
         x = np.linspace(lo - 20 * scale, hi + 20 * scale, 4001).astype(np.float32)
-        back = fs.dequantize(fs.quantize(fs.Tensor(x), qp)).data
+        back = fs.dequantize(fs.quantize(x, qp))
         err = float(np.abs(back - np.clip(x, lo, hi)).max())
         bounds_ok = bounds_ok and err <= scale / 2 + 1e-6
         worst_ratio = max(worst_ratio, err / (scale / 2))
-    sat = fs.quantize(fs.Tensor(np.array([1e4, -1e4], np.float32)), fs.QuantParams(0.1, 0))
+    sat = fs.quantize(np.array([1e4, -1e4], np.float32), fs.QuantParams(0.1, 0))
     sat_ok = sat.data.tolist() == [127, -128]
     ok = bounds_ok and sat_ok
     assert _verdict(2, "quantizer round trip", ok,
@@ -104,27 +104,27 @@ def test_criterion_4_aggregation_algebra():
         rng = np.random.default_rng(np.random.SeedSequence((4242, case)))
         n = int(rng.integers(2, 7))
         size = int(rng.integers(1, 40))
-        vecs = [fs.Tensor(rng.standard_normal(size).astype(np.float32)) for _ in range(n)]
+        vecs = [rng.standard_normal(size).astype(np.float32) for _ in range(n)]
         w = [float(v) for v in rng.uniform(0.5, 2.0, size=n)]
         ids = [int(i) for i in rng.permutation(n * 3)[:n]]
 
         same = fs.fedavg([vecs[0]] * n, weights=w, node_ids=ids)
-        idempotent = np.array_equal(same.data, vecs[0].data)
+        idempotent = np.array_equal(same, vecs[0])
 
         avg = fs.fedavg(vecs, weights=w, node_ids=ids)
         perm = [int(i) for i in rng.permutation(n)]
         avg_p = fs.fedavg([vecs[i] for i in perm], weights=[w[i] for i in perm],
                           node_ids=[ids[i] for i in perm])
-        permutable = np.array_equal(avg.data, avg_p.data)
+        permutable = np.array_equal(avg, avg_p)
 
-        ref = np.average(np.stack([v.data.astype(np.float64) for v in vecs]),
+        ref = np.average(np.stack([v.astype(np.float64) for v in vecs]),
                          axis=0, weights=w).astype(np.float32)
-        correct = np.allclose(avg.data, ref, rtol=1e-6, atol=1e-7)
+        correct = np.allclose(avg, ref, rtol=1e-6, atol=1e-7)
 
-        stack = np.stack([v.data for v in vecs])
+        stack = np.stack(vecs)
         inside = bool(
-            np.all(avg.data >= stack.min(axis=0) - 1e-6)
-            and np.all(avg.data <= stack.max(axis=0) + 1e-6)
+            np.all(avg >= stack.min(axis=0) - 1e-6)
+            and np.all(avg <= stack.max(axis=0) + 1e-6)
         )
         if not (idempotent and permutable and correct and inside):
             bad.append(case)
@@ -162,7 +162,7 @@ def test_criterion_6_consensus_and_privacy():
     p = heads[0].parameter_count
     part = fs.ClassPartition(frozenset({0, 1}), frozenset({2, 3}))
     views = {
-        i: [(fs.Tensor(rng.standard_normal(6).astype(np.float32)), 2 + i % 2)
+        i: [(rng.standard_normal(6).astype(np.float32), 2 + i % 2)
             for _ in range(6)]
         for i in range(3)
     }
@@ -176,7 +176,7 @@ def test_criterion_6_consensus_and_privacy():
         fs.sync_round(nodes, net)
         for n in nodes:
             consensus = consensus and np.array_equal(
-                fs.flatten_params(n.head).data, expected.data
+                fs.flatten_params(n.head), expected
             )
             consensus = consensus and n.snapshot is n.head
     events = net.events

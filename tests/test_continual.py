@@ -17,7 +17,6 @@ from fedswarm import (
     Sample,
     SessionPlan,
     SplitModel,
-    Tensor,
     TrainableHead,
     build_backbone,
     evaluate,
@@ -209,8 +208,8 @@ def _identity_world(classes=4, per_class=3):
     ds = LabeledDataset(tuple(samples), "test")
     eye = np.eye(classes, dtype=np.float32)
     perfect = TrainableHead(
-        conv_w=Tensor(eye), conv_b=Tensor.zeros((classes,)),
-        cls_w=Tensor(eye), cls_b=Tensor.zeros((classes,)),
+        conv_w=np.asarray(eye, np.float32), conv_b=np.zeros((classes,), np.float32),
+        cls_w=np.asarray(eye, np.float32), cls_b=np.zeros((classes,), np.float32),
     )
     return bb, ds, perfect
 
@@ -223,9 +222,9 @@ def test_perfect_model_scores_one():
 def test_constant_predictor_scores_chance():
     bb, ds, _ = _identity_world()
     biased = TrainableHead(
-        conv_w=Tensor.zeros((4, 4)), conv_b=Tensor.zeros((4,)),
-        cls_w=Tensor.zeros((4, 4)),
-        cls_b=Tensor([1.0, 0.0, 0.0, 0.0]),  # always argmax class 0
+        conv_w=np.zeros((4, 4), np.float32), conv_b=np.zeros((4,), np.float32),
+        cls_w=np.zeros((4, 4), np.float32),
+        cls_b=np.asarray([1.0, 0.0, 0.0, 0.0], np.float32),  # always argmax class 0
     )
     assert evaluate(SplitModel(bb, biased), ds, range(4)) == 0.25
 
@@ -233,8 +232,8 @@ def test_constant_predictor_scores_chance():
 def test_tie_break_is_lowest_class_id():
     bb, ds, _ = _identity_world()
     flat = TrainableHead(
-        conv_w=Tensor.zeros((4, 4)), conv_b=Tensor.zeros((4,)),
-        cls_w=Tensor.zeros((4, 4)), cls_b=Tensor.zeros((4,)),
+        conv_w=np.zeros((4, 4), np.float32), conv_b=np.zeros((4,), np.float32),
+        cls_w=np.zeros((4, 4), np.float32), cls_b=np.zeros((4,), np.float32),
     )
     # all logits equal: every sample is predicted as the lowest seen id
     assert evaluate(SplitModel(bb, flat), ds, range(4)) == 0.25
@@ -276,7 +275,7 @@ def test_evaluate_matches_per_sample_argmax():
         subset = [s for s in test.samples if s.class_id in wanted]
         hits = 0
         for s in subset:
-            z = head_logits(head, feats[s.sample_id]).data
+            z = head_logits(head, feats[s.sample_id])
             hits += seen[int(np.argmax(z[seen]))] == s.class_id
         got = evaluate(SplitModel(bb, head), test, seen, features=feats, sample_classes=scored)
         assert got == hits / len(subset)

@@ -9,7 +9,6 @@ from fedswarm import (
     LinkModel,
     NumericError,
     OperatingPoint,
-    Tensor,
     TrainableHead,
     calibrated_uwb_link,
     cost_report,
@@ -25,10 +24,10 @@ from fedswarm import (
 
 def _head_6144() -> TrainableHead:
     return TrainableHead(
-        conv_w=Tensor.zeros((32, 158)),
-        conv_b=Tensor.zeros((32,)),
-        cls_w=Tensor.zeros((32, 32)),
-        cls_b=Tensor.zeros((32,)),
+        conv_w=np.zeros((32, 158), np.float32),
+        conv_b=np.zeros((32,), np.float32),
+        cls_w=np.zeros((32, 32), np.float32),
+        cls_b=np.zeros((32,), np.float32),
     )
 
 

@@ -18,7 +18,6 @@ from fedswarm import (
     NumericError,
     SimNetwork,
     SyncMessage,
-    Tensor,
     calibrated_uwb_link,
     fedavg,
     flatten_params,
@@ -35,7 +34,7 @@ from fedswarm import (
 
 
 def _vec(*values):
-    return Tensor(np.asarray(values, np.float32))
+    return np.asarray(values, np.float32)
 
 
 # -- fedavg ---------------------------------------------------------------------
@@ -44,17 +43,17 @@ def _vec(*values):
 def test_fedavg_idempotent_on_identical_vectors():
     v = _vec(0.1, -2.7, 3.3)  # awkward float32 values on purpose
     out = fedavg([v, v, v])
-    assert np.array_equal(out.data, v.data)
+    assert np.array_equal(out, v)
 
 
 def test_fedavg_midpoint():
     out = fedavg([_vec(0.0, 2.0), _vec(2.0, 4.0)])
-    assert np.array_equal(out.data, np.array([1.0, 3.0], np.float32))
+    assert np.array_equal(out, np.array([1.0, 3.0], np.float32))
 
 
 def test_fedavg_sample_count_weights():
     out = fedavg([_vec(0.0), _vec(3.0)], weights=[28, 56])
-    assert out.data[0] == 2.0
+    assert out[0] == 2.0
 
 
 def test_fedavg_input_validation():
@@ -77,7 +76,7 @@ def test_fedavg_algebra_seeded():
         rng = np.random.default_rng(900 + seed)
         k = int(rng.integers(1, 6))
         p = int(rng.integers(1, 40))
-        vecs = [Tensor(rng.standard_normal(p).astype(np.float32)) for _ in range(k)]
+        vecs = [rng.standard_normal(p).astype(np.float32) for _ in range(k)]
         weights = rng.uniform(0.1, 5.0, k).tolist()
         ids = list(rng.permutation(k * 2)[:k])
         avg = fedavg(vecs, weights, ids)
@@ -86,34 +85,34 @@ def test_fedavg_algebra_seeded():
         perm = list(rng.permutation(k))
         again = fedavg([vecs[i] for i in perm], [weights[i] for i in perm],
                        [ids[i] for i in perm])
-        assert np.array_equal(avg.data, again.data)
+        assert np.array_equal(avg, again)
 
         # componentwise bounds
-        stack = np.stack([v.data for v in vecs])
-        assert np.all(avg.data >= stack.min(axis=0))
-        assert np.all(avg.data <= stack.max(axis=0))
+        stack = np.stack(vecs)
+        assert np.all(avg >= stack.min(axis=0))
+        assert np.all(avg <= stack.max(axis=0))
 
 
 # -- messages and network -----------------------------------------------------
 
 
 def test_sync_message_byte_size():
-    msg = SyncMessage("upload", 0, Tensor.zeros((6144,)))
+    msg = SyncMessage("upload", 0, np.zeros((6144,), np.float32))
     assert msg.byte_size == 24576
 
 
 def test_sync_message_validation():
     with pytest.raises(AggregationError):
-        SyncMessage("gossip", 0, Tensor.zeros((4,)))
+        SyncMessage("gossip", 0, np.zeros((4,), np.float32))
     with pytest.raises(DimensionError):
-        SyncMessage("upload", 0, Tensor.zeros((2, 2)))  # only flat vectors
+        SyncMessage("upload", 0, np.zeros((2, 2), np.float32))  # only flat vectors
 
 
 def test_network_clock_and_events():
     net = SimNetwork(LinkModel(throughput_bps=100.0, overhead_s=0.5))
-    dt = net.send(SyncMessage("upload", 1, Tensor.zeros((25,))))
+    dt = net.send(SyncMessage("upload", 1, np.zeros((25,), np.float32)))
     assert dt == 0.5 + 100 / 100.0
-    net.send(SyncMessage("broadcast", 0, Tensor.zeros((25,))))
+    net.send(SyncMessage("broadcast", 0, np.zeros((25,), np.float32)))
     assert net.clock_s == 2 * dt
     assert [e.kind for e in net.events] == ["upload", "broadcast"]
     # the link's own validation is the network's: no second copy
@@ -130,7 +129,7 @@ def test_network_send_equals_cost_model_message_time(link):
     net = SimNetwork(link)
     clock = 0.0
     for n in (1, 25, 6144, 7):
-        msg = SyncMessage("upload", 0, Tensor.zeros((n,)))
+        msg = SyncMessage("upload", 0, np.zeros((n,), np.float32))
         dt = net.send(msg)
         assert dt == message_time(link, msg.byte_size)
         clock += dt
@@ -154,16 +153,16 @@ def test_sync_round_single_node_is_identity():
     before = flatten_params(node.head)
     net = SimNetwork(LinkModel(1e6))
     sync_round([node], net)
-    assert np.array_equal(flatten_params(node.head).data, before.data)
+    assert np.array_equal(flatten_params(node.head), before)
 
 
 def test_sync_round_reaches_consensus():
     nodes = _swarm(3)
     net = SimNetwork(LinkModel(1e6))
     sync_round(nodes, net)
-    ref = flatten_params(nodes[0].head).data
+    ref = flatten_params(nodes[0].head)
     for n in nodes:
-        assert np.array_equal(flatten_params(n.head).data, ref)
+        assert np.array_equal(flatten_params(n.head), ref)
         assert n.snapshot == n.head  # prox anchor replaced too
 
 
@@ -205,7 +204,7 @@ def _views(nodes, classes, per_node=6, seed=4):
     for n in nodes:
         c = n.node_id % classes
         views[n.node_id] = [
-            (Tensor(rng.standard_normal(n.head.c_feat).astype(np.float32)), c)
+            (rng.standard_normal(n.head.c_feat).astype(np.float32), c)
             for _ in range(per_node)
         ]
         parts[n.node_id] = ClassPartition(
@@ -255,7 +254,7 @@ def test_local_epoch_memory_stays_per_step():
     head = init_head(2, 2, classes, rng)
     node = NodeState(0, head, head)
     feats = rng.standard_normal((m, 2)).astype(np.float32)
-    pairs = [(Tensor(f), int(t)) for f, t in zip(feats, rng.integers(0, classes, m))]
+    pairs = [(np.asarray(f, np.float32), int(t)) for f, t in zip(feats, rng.integers(0, classes, m))]
     part = ClassPartition(frozenset(range(500)), frozenset(range(500, classes)))
     tracemalloc.start()
     try:
@@ -294,16 +293,16 @@ def test_local_epoch_at_zero_lam_ignores_the_snapshot(seed, n, batch_size, mu, s
         "head": head,
         "other": init_head(5, 4, 3, rng),
         "huge": init_head(5, 4, 3, rng, sigma=1e30),
-        "zeros": unflatten_params(head, Tensor.zeros((head.parameter_count,))),
+        "zeros": unflatten_params(head, np.zeros((head.parameter_count,), np.float32)),
     }[snapshot]
-    pairs = [(Tensor(rng.standard_normal(5).astype(np.float32)), int(rng.integers(3)))
+    pairs = [(rng.standard_normal(5).astype(np.float32), int(rng.integers(3)))
              for _ in range(n)]
     part = ClassPartition(frozenset({0}), frozenset({1, 2}))
     cfg = LossConfig(mu=mu, lam=0.0, lr=0.1, batch_size=batch_size)
     node = NodeState(0, head, anchor)
     (loss,) = local_epoch([node], [pairs], [part], cfg, np.random.default_rng(seed))
     ref, ref_loss = _reanchored_epoch(head, pairs, part, cfg, np.random.default_rng(seed))
-    assert np.array_equal(flatten_params(node.head).data, flatten_params(ref).data)
+    assert np.array_equal(flatten_params(node.head), flatten_params(ref))
     assert loss == ref_loss
 
 
@@ -345,7 +344,7 @@ def _rounds(draw):
         # heads and snapshots differ per node, so each node's prox anchor counts
         head = init_head(c_feat, 3, classes, rng, sigma=0.5)
         nodes.append(NodeState(i, head, init_head(c_feat, 3, classes, rng, sigma=0.5)))
-        views.append([(Tensor(rng.standard_normal(c_feat).astype(np.float32)),
+        views.append([(rng.standard_normal(c_feat).astype(np.float32),
                        int(rng.integers(classes))) for _ in range(m)])
         new = rng.random(classes) < 0.5
         parts.append(ClassPartition(frozenset(np.flatnonzero(~new).tolist()),
@@ -376,7 +375,7 @@ def test_run_session_zero_rounds():
     head, trace = run_session(nodes, SimNetwork(LinkModel(1e6)), 0, views, parts,
                               LossConfig(lr=0.1), np.random.default_rng(0))
     assert trace == []
-    assert np.array_equal(flatten_params(head).data, before.data)
+    assert np.array_equal(flatten_params(head), before)
 
 
 def test_run_session_all_empty_views_keeps_head():
@@ -388,7 +387,7 @@ def test_run_session_all_empty_views_keeps_head():
     parts = {n.node_id: ClassPartition(frozenset(), frozenset({0})) for n in nodes}
     head, trace = run_session(nodes, SimNetwork(LinkModel(1e6)), 4, views, parts,
                               LossConfig(lr=0.1), np.random.default_rng(0))
-    assert np.array_equal(flatten_params(head).data, before.data)
+    assert np.array_equal(flatten_params(head), before)
     assert all(e["mean_loss"] == {"0": 0.0, "1": 0.0, "2": 0.0} for e in trace)
 
 
@@ -400,7 +399,7 @@ def test_run_session_trace_reproducible():
         head, trace = run_session(nodes, net, 3, views, parts,
                                   LossConfig(mu=2.0, lam=3.8, lr=0.05),
                                   np.random.default_rng(11))
-        return flatten_params(head).data, json.dumps(trace, sort_keys=True)
+        return flatten_params(head), json.dumps(trace, sort_keys=True)
 
     h1, t1 = go()
     h2, t2 = go()

@@ -10,7 +10,6 @@ from fedswarm import (
     NumericError,
     RegistryError,
     SplitModel,
-    Tensor,
     TrainableHead,
     backbone_digest,
     build_backbone,
@@ -34,10 +33,10 @@ from test_objective import _ref_head
 
 def _zero_head(c_feat=4, c_out=3, classes=5) -> TrainableHead:
     return TrainableHead(
-        conv_w=Tensor.zeros((c_out, c_feat)),
-        conv_b=Tensor.zeros((c_out,)),
-        cls_w=Tensor.zeros((classes, c_out)),
-        cls_b=Tensor.zeros((classes,)),
+        conv_w=np.zeros((c_out, c_feat), np.float32),
+        conv_b=np.zeros((c_out,), np.float32),
+        cls_w=np.zeros((classes, c_out), np.float32),
+        cls_b=np.zeros((classes,), np.float32),
     )
 
 
@@ -46,33 +45,33 @@ def _zero_head(c_feat=4, c_out=3, classes=5) -> TrainableHead:
 
 def test_zero_head_gives_zero_logits():
     h = _zero_head()
-    z = head_logits(h, Tensor([1.0, -2.0, 3.0, 0.5]))
-    assert np.array_equal(z.data, np.zeros(5, np.float32))
+    z = head_logits(h, np.asarray([1.0, -2.0, 3.0, 0.5], np.float32))
+    assert np.array_equal(z, np.zeros(5, np.float32))
 
 
 def test_single_class_softmax_is_one():
     rng = np.random.default_rng(0)
     h = init_head(4, 3, 1, rng)
-    z = head_logits(h, Tensor(rng.standard_normal(4).astype(np.float32)))
+    z = head_logits(h, rng.standard_normal(4).astype(np.float32))
     assert z.shape == (1,)
-    probs = np.exp(z.data - z.data.max())
+    probs = np.exp(z - z.max())
     assert probs.sum() == 1.0
 
 
 def test_head_shape_validation():
     with pytest.raises(DimensionError):
         TrainableHead(
-            conv_w=Tensor.zeros((3, 4)),
-            conv_b=Tensor.zeros((2,)),  # wrong bias length
-            cls_w=Tensor.zeros((5, 3)),
-            cls_b=Tensor.zeros((5,)),
+            conv_w=np.zeros((3, 4), np.float32),
+            conv_b=np.zeros((2,), np.float32),  # wrong bias length
+            cls_w=np.zeros((5, 3), np.float32),
+            cls_b=np.zeros((5,), np.float32),
         )
     with pytest.raises(NumericError):
         TrainableHead(
-            conv_w=Tensor(np.array([[np.inf]], np.float32)),
-            conv_b=Tensor.zeros((1,)),
-            cls_w=Tensor.zeros((1, 1)),
-            cls_b=Tensor.zeros((1,)),
+            conv_w=np.array([[np.inf]], np.float32),
+            conv_b=np.zeros((1,), np.float32),
+            cls_w=np.zeros((1, 1), np.float32),
+            cls_b=np.zeros((1,), np.float32),
         )
 
 
@@ -87,14 +86,14 @@ def test_batched_head_logits_rows_match_single_vectors(c_feat, hidden, classes, 
     x[rng.random(x.shape) < zero_frac] = 0.0
     z = head_logits(h, x)
     assert z.shape == (n, classes)
-    for row, f in zip(z.array, x):
-        assert row.tobytes() == head_logits(h, Tensor(f)).tobytes()
+    for row, f in zip(z, x):
+        assert row.tobytes() == head_logits(h, f).tobytes()
 
 
 def test_head_logits_rejects_wrong_feature_length():
     h = _zero_head(c_feat=4)
     with pytest.raises(DimensionError):
-        head_logits(h, Tensor([1.0, 2.0]))
+        head_logits(h, np.asarray([1.0, 2.0], np.float32))
 
 
 def test_split_model_checks_feature_dim():
@@ -108,7 +107,7 @@ def test_forward_through_backbone():
     bb = build_backbone((3, 6), rng)
     head = init_head(6, 4, 5, rng)
     x = quantize(
-        Tensor(rng.standard_normal((3, 2, 2)).astype(np.float32)), QuantParams(0.05)
+        rng.standard_normal((3, 2, 2)).astype(np.float32), QuantParams(0.05)
     )
     z = forward(SplitModel(bb, head), x)
     assert z.shape == (5,)
@@ -122,7 +121,7 @@ def test_gradients_flow_into_head_only():
     bb = build_backbone((3, 5, 4), rng)
     head = init_head(4, 3, 4, rng)
     x = quantize(
-        Tensor(rng.standard_normal((3, 2, 2)).astype(np.float32)), QuantParams(0.05)
+        rng.standard_normal((3, 2, 2)).astype(np.float32), QuantParams(0.05)
     )
     before = backbone_digest(bb)
     feats = backbone_forward(bb, x)
@@ -141,7 +140,7 @@ def test_head_gradient_matches_finite_differences():
     bb = build_backbone((3, 4), rng)
     head = init_head(4, 3, 4, rng)
     x = quantize(
-        Tensor(rng.uniform(-1, 1, (3, 2, 2)).astype(np.float32)), QuantParams(0.05)
+        rng.uniform(-1, 1, (3, 2, 2)).astype(np.float32), QuantParams(0.05)
     )
     batch = [(backbone_forward(bb, x), 1)]
     part = ClassPartition(frozenset(), frozenset(range(4)))
@@ -177,8 +176,8 @@ def test_expand_preserves_old_logits_exactly():
     h = init_head(5, 4, 4, rng)
     h6 = expand_classifier(h, [4, 5])
     for _ in range(10):
-        f = Tensor(rng.standard_normal(5).astype(np.float32))
-        assert np.array_equal(head_logits(h6, f).data[:4], head_logits(h, f).data)
+        f = rng.standard_normal(5).astype(np.float32)
+        assert np.array_equal(head_logits(h6, f)[:4], head_logits(h, f))
 
 
 def test_expand_rejects_bad_ids():
@@ -202,13 +201,13 @@ def test_flatten_unflatten_round_trip():
 
 def test_flatten_canonical_order():
     h = TrainableHead(
-        conv_w=Tensor([[1.0, 2.0]]),
-        conv_b=Tensor([3.0]),
-        cls_w=Tensor([[4.0], [5.0]]),
-        cls_b=Tensor([6.0, 7.0]),
+        conv_w=np.asarray([[1.0, 2.0]], np.float32),
+        conv_b=np.asarray([3.0], np.float32),
+        cls_w=np.asarray([[4.0], [5.0]], np.float32),
+        cls_b=np.asarray([6.0, 7.0], np.float32),
     )
     assert np.array_equal(
-        flatten_params(h).data, np.array([1, 2, 3, 4, 5, 6, 7], np.float32)
+        flatten_params(h), np.array([1, 2, 3, 4, 5, 6, 7], np.float32)
     )
 
 
@@ -226,7 +225,7 @@ def test_message_bytes_6144_param_head():
 def test_unflatten_length_mismatch():
     h = _zero_head()
     with pytest.raises(DimensionError):
-        unflatten_params(h, Tensor.zeros((h.parameter_count + 1,)))
+        unflatten_params(h, np.zeros((h.parameter_count + 1,), np.float32))
 
 
 # -- checkpoint container --------------------------------------------------------

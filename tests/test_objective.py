@@ -13,7 +13,6 @@ from fedswarm import (
     DimensionError,
     LossConfig,
     RegistryError,
-    Tensor,
     TrainableHead,
     flatten_params,
     head_logits,
@@ -29,38 +28,38 @@ from fedswarm.tensor import _scan, mm_f32
 # -- cross-entropy --------------------------------------------------------------
 
 
-def cross_entropy(logits: Tensor, target: int) -> float:
+def cross_entropy(logits: np.ndarray, target: int) -> float:
     """-log softmax(logits)[target] of one logit vector, through the kernel
     (class-major: the vector is the kernel's one column)."""
-    losses, _ = _ce_kernel(logits.data[:, None], np.array([target]))
+    losses, _ = _ce_kernel(logits[:, None], np.array([target]))
     return float(losses[0])
 
 
 def test_ce_uniform_logits():
-    assert abs(cross_entropy(Tensor([0.7, 0.7, 0.7, 0.7]), 1) - math.log(4)) < 1e-6
+    assert abs(cross_entropy(np.asarray([0.7, 0.7, 0.7, 0.7], np.float32), 1) - math.log(4)) < 1e-6
 
 
 def test_ce_is_stable_for_huge_logits():
-    v = cross_entropy(Tensor([1000.0, 0.0]), 0)
+    v = cross_entropy(np.asarray([1000.0, 0.0], np.float32), 0)
     assert math.isfinite(v)
     assert v < 1e-6
 
 
 def test_ce_reference_value():
-    assert abs(cross_entropy(Tensor([1.0, 2.0, 3.0]), 2) - 0.40760596) < 1e-6
+    assert abs(cross_entropy(np.asarray([1.0, 2.0, 3.0], np.float32), 2) - 0.40760596) < 1e-6
 
 
 def test_ce_target_out_of_range():
     head = init_head(1, 1, 2, np.random.default_rng(0))
     for bad in (2, -1):
         with pytest.raises(IndexError):
-            stack_pairs(head, [(Tensor([1.0]), bad)], ClassPartition(set(), {0, 1}), LossConfig())
+            stack_pairs(head, [(np.asarray([1.0], np.float32), bad)], ClassPartition(set(), {0, 1}), LossConfig())
 
 
 def test_ce_nonnegative_random():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        z = Tensor(rng.standard_normal(6).astype(np.float32))
+        z = rng.standard_normal(6).astype(np.float32)
         assert cross_entropy(z, int(rng.integers(6))) >= 0.0
 
 
@@ -71,43 +70,43 @@ def _part(old, new):
     return ClassPartition(frozenset(old), frozenset(new))
 
 
-def mol_loss(logits: Tensor, target: int, part: ClassPartition) -> float:
+def mol_loss(logits: np.ndarray, target: int, part: ClassPartition) -> float:
     """Mean-output term of one logit vector, through the kernel: the
     partition is checked and masked as in training, the target excluded."""
     head = init_head(1, 1, logits.size, np.random.default_rng(0))
-    _, targets, masks = stack_pairs(head, [(Tensor([0.0]), target)], part, LossConfig())
+    _, targets, masks = stack_pairs(head, [(np.asarray([0.0], np.float32), target)], part, LossConfig())
     sides, counts = _sides(tuple(m[None] for m in masks), targets[None])
-    value, _ = _mol_kernel(logits.data[:, None], sides[:, :, 0], counts[:, 0])
+    value, _ = _mol_kernel(logits[:, None], sides[:, :, 0], counts[:, 0])
     return float(value[0])
 
 
 def test_mol_zero_for_equal_logits():
     p = _part({2, 3}, {0, 1})
-    assert mol_loss(Tensor([1.0, 1.0, 1.0, 1.0]), 0, p) == 0.0
+    assert mol_loss(np.asarray([1.0, 1.0, 1.0, 1.0], np.float32), 0, p) == 0.0
 
 
 def test_mol_both_sides():
     # A = new \ {target} = {1} with mean 0, B = {2, 3} with mean 2
     p = _part({2, 3}, {0, 1})
-    assert mol_loss(Tensor([2.0, 0.0, 4.0, 0.0]), 0, p) == 4.0
+    assert mol_loss(np.asarray([2.0, 0.0, 4.0, 0.0], np.float32), 0, p) == 4.0
 
 
 def test_mol_fallback_squares_old_mean():
     # lone new class is the target, so only the old mean remains
     p = _part({1, 2}, {0})
-    assert mol_loss(Tensor([5.0, 1.0, 3.0]), 0, p) == 4.0
+    assert mol_loss(np.asarray([5.0, 1.0, 3.0], np.float32), 0, p) == 4.0
 
 
 def test_mol_no_old_classes_vanishes():
     p = _part(set(), {0, 1, 2})
-    assert mol_loss(Tensor([9.0, -3.0, 2.0]), 1, p) == 0.0
+    assert mol_loss(np.asarray([9.0, -3.0, 2.0], np.float32), 1, p) == 0.0
 
 
 def test_mol_target_must_be_in_partition():
     with pytest.raises(RegistryError):
-        mol_loss(Tensor([1.0, 2.0, 3.0]), 2, _part({0}, {1}))
+        mol_loss(np.asarray([1.0, 2.0, 3.0], np.float32), 2, _part({0}, {1}))
     with pytest.raises(IndexError):
-        mol_loss(Tensor([1.0, 2.0]), 0, _part({5}, {0}))
+        mol_loss(np.asarray([1.0, 2.0], np.float32), 0, _part({5}, {0}))
 
 
 def test_partition_sides_disjoint():
@@ -121,8 +120,8 @@ def test_mol_shift_invariant_when_both_sides_present():
     for _ in range(20):
         z = rng.standard_normal(6).astype(np.float32)
         c = np.float32(rng.uniform(-3, 3))
-        a = mol_loss(Tensor(z), 4, p)
-        b = mol_loss(Tensor(z + c), 4, p)
+        a = mol_loss(np.asarray(z, np.float32), 4, p)
+        b = mol_loss(np.asarray(z + c, np.float32), 4, p)
         assert abs(a - b) < 1e-4 * max(1.0, abs(a))
         assert a >= 0.0
 
@@ -130,9 +129,9 @@ def test_mol_shift_invariant_when_both_sides_present():
 # -- proximal term ----------------------------------------------------------------
 
 
-def prox_loss(head, w_global: Tensor, lam: float) -> float:
+def prox_loss(head, w_global: np.ndarray, lam: float) -> float:
     """The proximal term alone: the loss with ``lam`` minus the loss without."""
-    batch = [(Tensor(np.ones(head.c_feat, np.float32)), 0)]
+    batch = [(np.ones(head.c_feat, np.float32), 0)]
     part = ClassPartition(frozenset(), frozenset({0}))
 
     def loss(at):
@@ -149,7 +148,7 @@ def test_prox_zero_at_global():
 def test_prox_reference_value():
     h = init_head(3, 2, 2, np.random.default_rng(11))
     diff = np.where(np.arange(h.parameter_count) % 2 == 0, 1.0, -1.0).astype(np.float32)
-    wg = Tensor(flatten_params(h).data - diff)
+    wg = flatten_params(h) - diff
     # (3.8 / 2) * P squared unit differences, as tight as 1e-6 on 3.8
     assert prox_loss(h, wg, 3.8) == pytest.approx(1.9 * h.parameter_count, rel=2.6e-7)
 
@@ -157,7 +156,7 @@ def test_prox_reference_value():
 def test_prox_disabled_at_zero_lambda():
     rng = np.random.default_rng(2)
     h = init_head(3, 2, 2, rng)
-    wg = Tensor(rng.standard_normal(h.parameter_count).astype(np.float32))
+    wg = rng.standard_normal(h.parameter_count).astype(np.float32)
     assert prox_loss(h, wg, 0.0) == 0.0
     assert prox_loss(h, wg, 1.0) >= 0.0
 
@@ -165,7 +164,7 @@ def test_prox_disabled_at_zero_lambda():
 def test_prox_length_mismatch():
     h = init_head(3, 2, 2, np.random.default_rng(12))
     with pytest.raises(DimensionError):
-        prox_loss(h, Tensor([1.0, 2.0]), 1.0)
+        prox_loss(h, np.asarray([1.0, 2.0], np.float32), 1.0)
 
 
 # -- total loss --------------------------------------------------------------------
@@ -173,7 +172,7 @@ def test_prox_length_mismatch():
 
 def _batch(rng, head, n, classes):
     return [
-        (Tensor(rng.standard_normal(head.c_feat).astype(np.float32)), int(t))
+        (rng.standard_normal(head.c_feat).astype(np.float32), int(t))
         for t in rng.integers(0, classes, n)
     ]
 
@@ -195,7 +194,7 @@ def test_total_loss_reduces_to_mean_ce():
 def test_total_loss_single_sample_at_global_is_ce():
     rng = np.random.default_rng(4)
     head = init_head(4, 3, 4, rng)
-    f = Tensor(rng.standard_normal(4).astype(np.float32))
+    f = rng.standard_normal(4).astype(np.float32)
     part = ClassPartition(frozenset(), frozenset(range(4)))
     cfg = LossConfig(mu=0.0, lam=3.8, lr=0.01)
     val, _ = total_loss(head, [(f, 2)], part, flatten_params(head), cfg)
@@ -205,9 +204,9 @@ def test_total_loss_single_sample_at_global_is_ce():
 def test_total_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     head = init_head(3, 2, 4, rng)
-    batch = [(Tensor(rng.standard_normal(3).astype(np.float32)), 2 + int(t)) for t in rng.integers(0, 2, 3)]
+    batch = [(rng.standard_normal(3).astype(np.float32), 2 + int(t)) for t in rng.integers(0, 2, 3)]
     part = ClassPartition(frozenset({0, 1}), frozenset({2, 3}))
-    wg = Tensor(flatten_params(head).data + 0.1)
+    wg = flatten_params(head) + 0.1
     cfg = LossConfig(mu=2.0, lam=3.8, lr=0.01)
     r = check_case(head, batch, part, wg, cfg)
     assert r["max_scaled_err"] < REL_TOL
@@ -225,10 +224,10 @@ def test_total_loss_empty_batch():
 
 def _unit_head(value: float) -> TrainableHead:
     return TrainableHead(
-        conv_w=Tensor([[value]]),
-        conv_b=Tensor([value]),
-        cls_w=Tensor([[value]]),
-        cls_b=Tensor([value]),
+        conv_w=np.asarray([[value]], np.float32),
+        conv_b=np.asarray([value], np.float32),
+        cls_w=np.asarray([[value]], np.float32),
+        cls_b=np.asarray([value], np.float32),
     )
 
 
@@ -263,7 +262,7 @@ def test_sgd_drives_down_separable_toy_loss():
     for i in range(8):
         center = np.array([1.5, 0.0] if i % 2 == 0 else [-1.5, 0.0], np.float32)
         x = center + rng.standard_normal(2).astype(np.float32) * 0.1
-        batch.append((Tensor(x), i % 2))
+        batch.append((np.asarray(x, np.float32), i % 2))
     part = ClassPartition(frozenset(), frozenset({0, 1}))
     cfg = LossConfig(mu=0.0, lam=0.0, lr=0.1, batch_size=8)
     losses = []
@@ -332,7 +331,7 @@ def _loop_sum_cols(x):
 
 def _ref_head(head, feats):
     """(x, pre-activation, hidden, logits) of one sample as columns."""
-    x = feats.data.reshape(-1, 1)
+    x = feats.reshape(-1, 1)
     pre = _loop_mm_f32(head.conv_w, x) + head.conv_b[:, None]
     hidden = np.where(pre > 0, pre, np.float32(0.0))
     z = _loop_mm_f32(head.cls_w, hidden) + head.cls_b[:, None]
@@ -344,7 +343,7 @@ def _ref_total_loss(head, batch, part, w_global, cfg):
     n = np.float32(len(batch))
     inv_n = np.float32(1.0) / n
     mu, lam = np.float32(cfg.mu), np.float32(cfg.lam)
-    d = flatten_params(head).data - w_global.data
+    d = flatten_params(head) - w_global
     # every leaf gradient starts from +0.0 plus its prox part
     grads, off = [], 0
     for p in params:
@@ -428,10 +427,10 @@ def _objective_cases(draw):
 def _node_case(rng, c_feat, hidden, classes, n, branch, zero_frac):
     """(head, batch, partition, snapshot) of one node."""
     head = TrainableHead(
-        conv_w=Tensor(_sparse(rng, (hidden, c_feat), zero_frac / 2)),
-        conv_b=Tensor(_sparse(rng, hidden, zero_frac, 0.5)),
-        cls_w=Tensor(_sparse(rng, (classes, hidden), zero_frac / 2)),
-        cls_b=Tensor(_sparse(rng, classes, zero_frac, 0.5)),
+        conv_w=_sparse(rng, (hidden, c_feat), zero_frac / 2),
+        conv_b=_sparse(rng, hidden, zero_frac, 0.5),
+        cls_w=_sparse(rng, (classes, hidden), zero_frac / 2),
+        cls_b=_sparse(rng, classes, zero_frac, 0.5),
     )
     if branch == "both":
         split = int(rng.integers(1, classes))
@@ -451,10 +450,10 @@ def _node_case(rng, c_feat, hidden, classes, n, branch, zero_frac):
     if branch == "fallback":
         members = [classes - 1]
     batch = [
-        (Tensor(_sparse(rng, c_feat, zero_frac)), int(rng.choice(members)))
+        (_sparse(rng, c_feat, zero_frac), int(rng.choice(members)))
         for _ in range(n)
     ]
-    w_global = Tensor(flatten_params(head).data + _sparse(rng, head.parameter_count, zero_frac, 0.2))
+    w_global = flatten_params(head) + _sparse(rng, head.parameter_count, zero_frac, 0.2)
     return head, batch, part, w_global
 
 
@@ -467,7 +466,7 @@ def _lockstep_args(nodes, cfg):
     targets = np.stack([t for _, t, _ in stacked])
     masks = tuple(np.stack([m[k] for *_, m in stacked]) for k in (0, 1))
     batch = Minibatch(np.stack([x for x, _, _ in stacked]), targets)
-    return head, batch, masks, np.stack([w.data for *_, w in nodes])
+    return head, batch, masks, np.stack([w for *_, w in nodes])
 
 
 @given(_objective_cases())
@@ -490,16 +489,16 @@ def test_fused_total_loss_matches_reference_bit_for_bit(case):
 def test_fused_total_loss_keeps_sign_of_zero_gradients():
     # zero features and a dead relu make every product a signed zero
     head = TrainableHead(
-        conv_w=Tensor([[-1.0, 2.0], [0.5, -0.5]]),
-        conv_b=Tensor([0.0, -1.0]),
-        cls_w=Tensor([[-1.0, 0.0], [1.0, -2.0], [0.0, 0.0]]),
-        cls_b=Tensor([0.0, 0.0, -0.0]),
+        conv_w=np.asarray([[-1.0, 2.0], [0.5, -0.5]], np.float32),
+        conv_b=np.asarray([0.0, -1.0], np.float32),
+        cls_w=np.asarray([[-1.0, 0.0], [1.0, -2.0], [0.0, 0.0]], np.float32),
+        cls_b=np.asarray([0.0, 0.0, -0.0], np.float32),
     )
-    batch = [(Tensor([0.0, -0.0]), 1), (Tensor([0.0, 0.0]), 2)]
+    batch = [(np.asarray([0.0, -0.0], np.float32), 1), (np.asarray([0.0, 0.0], np.float32), 2)]
     part = ClassPartition(frozenset({0}), frozenset({1, 2}))
     for mu, lam in ((0.0, 0.0), (2.0, 0.0), (0.0, 3.8), (2.0, 3.8)):
         cfg = LossConfig(mu=mu, lam=lam)
-        wg = Tensor(flatten_params(head).data * np.float32(-1.0))
+        wg = flatten_params(head) * np.float32(-1.0)
         assert _bits(*total_loss(head, batch, part, wg, cfg)) == _bits(
             *_ref_total_loss(head, batch, part, wg, cfg)
         )
@@ -509,14 +508,14 @@ def test_total_loss_input_checks():
     head = init_head(3, 2, 4, np.random.default_rng(9))
     wg = flatten_params(head)
     part = ClassPartition(frozenset({0, 1}), frozenset({2, 3}))
-    f = Tensor([1.0, 2.0, 3.0])
+    f = np.asarray([1.0, 2.0, 3.0], np.float32)
     cfg = LossConfig()
     with pytest.raises(DimensionError):  # feature length
-        total_loss(head, [(Tensor([1.0, 2.0]), 2)], part, wg, cfg)
+        total_loss(head, [(np.asarray([1.0, 2.0], np.float32), 2)], part, wg, cfg)
     with pytest.raises(IndexError):  # target beyond the logits
         total_loss(head, [(f, 4)], part, wg, cfg)
     with pytest.raises(DimensionError):  # snapshot size
-        total_loss(head, [(f, 2)], part, Tensor([1.0, 2.0]), cfg)
+        total_loss(head, [(f, 2)], part, np.asarray([1.0, 2.0], np.float32), cfg)
     with pytest.raises(RegistryError):  # target on neither side
         total_loss(head, [(f, 2)], ClassPartition(frozenset({0}), frozenset({1})), wg, cfg)
     with pytest.raises(IndexError):  # partition class beyond the logits

@@ -15,7 +15,6 @@ from fedswarm import (
     QuantLayer,
     QuantParams,
     QuantTensor,
-    Tensor,
     backbone_digest,
     backbone_forward,
     build_backbone,
@@ -30,7 +29,7 @@ from fedswarm import quant
 
 def _q(values, scale, zp=0, shape=None):
     arr = np.asarray(values, dtype=np.float32)
-    return quantize(Tensor(arr, shape or arr.shape), QuantParams(scale, zp))
+    return quantize(arr.reshape(shape or arr.shape), QuantParams(scale, zp))
 
 
 # -- quantize / dequantize ----------------------------------------------------
@@ -68,18 +67,17 @@ def test_quant_params_validation():
 
 
 def test_dequantize_values():
-    assert dequantize(_q([0.0], 0.1)).data[0] == 0.0
-    assert abs(dequantize(_q([0.3], 0.1)).data[0] - 0.3) < 1e-7
+    assert dequantize(_q([0.0], 0.1))[0] == 0.0
+    assert abs(dequantize(_q([0.3], 0.1))[0] - 0.3) < 1e-7
     q = QuantTensor(np.array([-128], np.int8), (1,), QuantParams(0.5, -28))
-    assert dequantize(q).data[0] == -50.0
+    assert dequantize(q)[0] == -50.0
 
 
 def test_round_trip_error_within_half_scale():
     # 0.001-spaced sweep of the unsaturated range at scale 0.1
-    grid = (np.arange(-12700, 12701, dtype=np.int64) * 1e-3).astype(np.float32)
-    x = Tensor(grid)
+    x = (np.arange(-12700, 12701, dtype=np.int64) * 1e-3).astype(np.float32)
     back = dequantize(quantize(x, QuantParams(0.1, 0)))
-    err = np.abs(back.data.astype(np.float64) - x.data.astype(np.float64))
+    err = np.abs(back.astype(np.float64) - x.astype(np.float64))
     assert float(err.max()) <= 0.05 + 1e-6
 
 
@@ -120,8 +118,8 @@ def test_identity_layer_matches_pooled_dequantize():
     x = _q(rng.uniform(0.0, 3.0, (3, 2, 2)).astype(np.float32), 0.05)
     bb = _identity_backbone(3, 0.05)
     feats = backbone_forward(bb, x)
-    ref = dequantize(x).array.reshape(3, 4).mean(axis=1)
-    assert np.allclose(feats.data, ref, atol=bb.layers[0].out_scale)
+    ref = dequantize(x).reshape(3, 4).mean(axis=1)
+    assert np.allclose(feats, ref, atol=bb.layers[0].out_scale)
 
 
 def test_zero_weights_give_zero_features():
@@ -133,7 +131,7 @@ def test_zero_weights_give_zero_features():
     )
     x = _q(np.linspace(-1, 1, 12).astype(np.float32), 0.05, shape=(3, 2, 2))
     feats = backbone_forward(FrozenBackbone([layer]), x)
-    assert np.array_equal(feats.data, np.zeros(4, np.float32))
+    assert np.array_equal(feats, np.zeros(4, np.float32))
 
 
 def test_two_layer_backbone_close_to_float_reference():
@@ -141,10 +139,10 @@ def test_two_layer_backbone_close_to_float_reference():
         rng = np.random.default_rng(700 + seed)
         bb = build_backbone((3, 4, 5), rng, weight_sigma=0.25, activation_range=4.0)
         x = _q(rng.uniform(-0.5, 0.5, (3, 2, 2)).astype(np.float32), 0.05)
-        feats = backbone_forward(bb, x).data.astype(np.float64)
+        feats = backbone_forward(bb, x).astype(np.float64)
 
         # float chain over dequantized weights, same clamps, no requantization
-        act = dequantize(x).array.reshape(3, 4).astype(np.float64)
+        act = dequantize(x).reshape(3, 4).astype(np.float64)
         for layer in bb.layers:
             w = layer.weight.astype(np.float64) * layer.weight_scale
             act = np.clip(w @ act, 0.0, 127 * layer.out_scale)
@@ -159,7 +157,7 @@ def test_backbone_forward_deterministic():
     x = _q(rng.standard_normal((4, 3, 3)).astype(np.float32), 0.05)
     a = backbone_forward(bb, x)
     b = backbone_forward(bb, x)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
 
 
 def test_backbone_input_validation():
@@ -292,7 +290,7 @@ def test_batched_features_cross_block_boundaries():
     shape = (4, 16, 16)
     per_block = quant._BLOCK // (48 * 16 * 16)
     xs = [
-        quantize(Tensor(rng.uniform(-4, 4, shape).astype(np.float32)),
+        quantize(rng.uniform(-4, 4, shape).astype(np.float32),
                  QuantParams(float(rng.uniform(0.02, 0.1)), int(rng.integers(-20, 20))))
         for _ in range(3 * per_block + 1)
     ]
@@ -300,7 +298,7 @@ def test_batched_features_cross_block_boundaries():
     got = backbone_forward(bb, xs)
     for row, x in zip(got, xs):
         assert row.tobytes() == _reference_features(bb, x).tobytes()
-    assert np.array_equal(backbone_forward(bb, xs[-1]).data, got[-1])
+    assert np.array_equal(backbone_forward(bb, xs[-1]), got[-1])
 
 
 def test_empty_batch_gives_no_features():
@@ -421,7 +419,7 @@ def test_backbone_container_round_trip(tmp_path):
     rt = read_backbone(path)
     assert backbone_digest(rt) == backbone_digest(bb)
     x = _q(np.linspace(-1, 1, 12).astype(np.float32), 0.0625, shape=(3, 2, 2))
-    assert np.array_equal(backbone_forward(bb, x).data, backbone_forward(rt, x).data)
+    assert np.array_equal(backbone_forward(bb, x), backbone_forward(rt, x))
 
 
 def test_backbone_container_rejects_bad_magic(tmp_path):

@@ -1,41 +1,10 @@
-"""Tensor value semantics (shape checks, immutability, equality) and the
-ordered fold every contraction runs on."""
+"""The ordered fold every contraction runs on."""
 
 import numpy as np
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fedswarm import DimensionError, Tensor
 from fedswarm.tensor import _scan
-
-# -- value semantics ---------------------------------------------------------
-
-
-def test_tensor_shape_data_agreement():
-    t = Tensor([1.0, 2.0, 3.0, 4.0], (2, 2))
-    assert t.shape == (2, 2)
-    assert t.size == 4
-    with pytest.raises(DimensionError):
-        Tensor([1.0, 2.0, 3.0], (2, 2))
-    with pytest.raises(DimensionError):
-        Tensor([], (0,))
-
-
-def test_tensor_immutable():
-    t = Tensor([1.0, 2.0])
-    with pytest.raises(ValueError):
-        t.data[0] = 5.0
-
-
-def test_tensor_zeros_and_eq():
-    z = Tensor.zeros((3, 2))
-    assert np.array_equal(z.data, np.zeros(6, np.float32))
-    assert z == Tensor(np.zeros((3, 2)))
-    assert z != Tensor(np.ones((3, 2)))
-
-
-# -- the ordered fold ----------------------------------------------------------
 
 # magnitudes that cancel: 2**24 + 1 rounds back to 2**24 in float32, so
 # any change in the order of a sum changes its bits; the signed zeros
