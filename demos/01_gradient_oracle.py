@@ -5,7 +5,8 @@ parameter (one flat vector in ``flatten_params`` order) in float32 in
 one closed-form pass. ``gradcheck.reference_total_loss`` recomputes
 the same objective independently in float64; ``check_case``
 differentiates that reference by central differences and compares it
-with the analytic gradient. This is the check behind criterion 1 of the
+with the analytic gradient. Features, the snapshot and the gradient are
+plain float32 numpy arrays. This is the check behind criterion 1 of the
 acceptance gate and behind ``fedswarm gradcheck``.
 """
 

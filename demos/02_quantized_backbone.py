@@ -1,7 +1,7 @@
 """Push a sensor frame through the frozen int8 feature extractor.
 
-Shows the full inference-side story: float frame -> affine int8
-quantization -> integer-only conv stack -> float feature vector, plus
+Shows the full inference-side story: float32 frame array -> affine
+int8 quantization -> integer-only conv stack -> float32 feature array, plus
 the on-disk container round trip and the digest that proves the
 backbone never changes during training.
 """

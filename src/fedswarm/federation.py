@@ -44,12 +44,11 @@ __all__ = [
 
 @dataclass
 class NodeState:
-    """One swarm member: local head, prox snapshot, session assignment."""
+    """One swarm member: local head and prox snapshot."""
 
     node_id: int
     head: TrainableHead
     snapshot: TrainableHead
-    assignment: tuple = ()
     epochs: int = 0
 
     def __post_init__(self):
@@ -57,7 +56,6 @@ class NodeState:
             raise AggregationError(
                 f"node {self.node_id}: head and snapshot architectures differ"
             )
-        self.assignment = tuple(int(c) for c in self.assignment)
 
     def adopt_global(self, head: TrainableHead) -> None:
         """Install a broadcast head as both working head and snapshot."""
@@ -163,8 +161,9 @@ def fedavg(heads, weights=None, node_ids=None) -> np.ndarray:
     return mean
 
 
-def sync_round(nodes, net: SimNetwork, master_id: int = 0, weights=None) -> float:
-    """Upload all heads, average at the master, broadcast the result.
+def sync_round(nodes, net: SimNetwork) -> float:
+    """Upload all heads, average them at the master (node 0), broadcast
+    the result.
 
     Every node ends the round holding the same global head as both its
     working model and its proximal snapshot. Returns the communication
@@ -185,10 +184,10 @@ def sync_round(nodes, net: SimNetwork, master_id: int = 0, weights=None) -> floa
         msg = SyncMessage("upload", n.node_id, flatten_params(n.head))
         elapsed += net.send(msg)
         uploads.append(msg.payload)
-    flat = fedavg(uploads, weights=weights, node_ids=[n.node_id for n in order])
+    flat = fedavg(uploads, node_ids=[n.node_id for n in order])
     global_head = unflatten_params(arch, flat)
     for n in order:
-        elapsed += net.send(SyncMessage("broadcast", master_id, flat))
+        elapsed += net.send(SyncMessage("broadcast", 0, flat))
         n.adopt_global(global_head)
     return elapsed
 
@@ -206,9 +205,15 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     step in groups of equal batch size. Returns each node's mean batch
     loss over its last epoch (0.0 for an empty view, which leaves the
     head untouched and draws nothing); earlier epochs skip the loss
-    values, which leaves the gradients unchanged.
+    values, which leaves the gradients unchanged. AggregationError
+    unless there is at least one node and one view and partition each.
     """
     nodes = list(nodes)
+    if not nodes or not len(nodes) == len(views) == len(parts):
+        raise AggregationError(
+            f"{len(nodes)} nodes, {len(views)} views and {len(parts)} partitions; "
+            "local training needs one view and one partition per node"
+        )
     arch = nodes[0].head
     for node in nodes:
         if not node.head.dims == node.snapshot.dims == arch.dims:

@@ -52,6 +52,7 @@ from .model import (
 from .quant import build_backbone
 from .sessions import (
     MAX_DATA_BYTES,
+    MAX_SAMPLES,
     accuracy,
     make_plan,
     node_train_view,
@@ -66,6 +67,7 @@ __all__ = [
     "MAX_TENSOR_ELEMENTS",
     "MAX_TRAINING_BYTES",
     "MAX_DATA_BYTES",
+    "MAX_SAMPLES",
     "BackboneSpec",
     "HeadSpec",
     "PlanSpec",
@@ -92,7 +94,8 @@ STRATEGIES = ("naive", "odfcl", "joint")
 # size caps: a config is rejected before anything is allocated when a
 # head or backbone weight tensor holds more elements, the cost model's
 # peak training memory is larger, or its synthetic train+test data holds
-# more int8 bytes than ``sessions.MAX_DATA_BYTES``
+# more int8 bytes than ``sessions.MAX_DATA_BYTES`` or more samples than
+# ``sessions.MAX_SAMPLES``
 MAX_TENSOR_ELEMENTS = 1 << 20
 MAX_TRAINING_BYTES = 1 << 26
 
@@ -267,9 +270,14 @@ class ExperimentConfig:
         d = self.data  # nonpositive counts are the data spec's to reject
         counts = (self.plan.num_classes, d.train_per_class + d.test_per_class, *d.input_shape)
         n_bytes = math.prod(max(n, 0) for n in counts)
+        n_samples = math.prod(max(n, 0) for n in counts[:2])
         if d.kind == "synthetic" and n_bytes > MAX_DATA_BYTES:
             raise ConfigError(
                 f"synthetic data of {n_bytes} int8 bytes exceeds the cap of {MAX_DATA_BYTES}"
+            )
+        if d.kind == "synthetic" and n_samples > MAX_SAMPLES:
+            raise ConfigError(
+                f"synthetic data of {n_samples} samples exceeds the cap of {MAX_SAMPLES}"
             )
 
 
@@ -478,17 +486,14 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
             part = ClassPartition(frozenset(), frozenset(seen))
             head = _central_epochs(head, pool, ce_cfg, epochs, part, rng_joint)
         else:
-            nodes = [
-                NodeState(n, head, head, plan.node_classes(t, n))
-                for n in range(plan.num_nodes)
-            ]
+            nodes = [NodeState(n, head, head) for n in range(plan.num_nodes)]
             views = {
-                n.node_id: _pairs(node_train_view(train, plan, t, n.node_id).samples, feats)
-                for n in nodes
+                n: _pairs(node_train_view(train, plan, t, n).samples, feats)
+                for n in range(plan.num_nodes)
             }
             parts = {
-                n.node_id: ClassPartition(frozenset(old), frozenset(n.assignment))
-                for n in nodes
+                n: ClassPartition(frozenset(old), frozenset(plan.node_classes(t, n)))
+                for n in range(plan.num_nodes)
             }
             head, trace = run_session(
                 nodes, net, cfg.train.rounds_per_session, views, parts, fed_cfg,

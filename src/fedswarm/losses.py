@@ -12,11 +12,11 @@ gradient of every term written out by hand. It steps N heads at once,
 node as the leading axis (the lockstep training loop), and one head
 with a list of (features, target) pairs is its N = 1 case. Features,
 snapshots and gradients are float32 arrays, gradients flat in
-``flatten_params`` order. Every sum is an ordered
-float32 fold (``tensor._scan``) and gradients accumulate in a fixed
-order, so each node's results are bit-identical to the per-sample
-reference in ``tests/test_objective.py``; the float64 oracle in
-``gradcheck`` checks the math itself.
+``flatten_params`` order. Every sum is an ordered float32 fold
+(``tensor._scan``) and gradients accumulate in a fixed order, so each
+node's results are bit-identical to the per-sample reference in
+``tests/test_objective.py``; the float64 oracle in ``gradcheck``
+checks the math itself.
 
 Layout: each contraction is one k-major ``mm_f32`` fold; logits are
 class-major (C, N, B), so the softmax and mean-output sums fold over

@@ -35,9 +35,12 @@ __all__ = [
     "read_manifest",
 ]
 
-# int8 bytes a run's data may hold, train plus test: ``read_manifest``
-# checks a manifest's rows against it, ``harness`` a synthetic config
+# int8 bytes and samples a run's data may hold, train plus test:
+# ``read_manifest`` checks a manifest's rows against them, ``harness`` a
+# synthetic config. Samples are capped apart from bytes because each one
+# costs about half a kilobyte of host memory beyond its int8 payload.
 MAX_DATA_BYTES = 1 << 27
+MAX_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -323,9 +326,12 @@ def write_manifest(ds_train: LabeledDataset, ds_test: LabeledDataset, out_dir) -
 
 
 def read_manifest(manifest_dir) -> tuple:
-    """Load (train, test) datasets back from a manifest directory. Rows
-    declaring more than ``MAX_DATA_BYTES`` int8 bytes in all are a
-    PlanError, raised before the blob that crosses the cap is read."""
+    """Load (train, test) datasets back from a manifest directory.
+
+    A sample id may appear once across both splits. A repeated id, and
+    rows declaring more than ``MAX_DATA_BYTES`` int8 bytes or
+    ``MAX_SAMPLES`` samples in all, are a PlanError naming the line,
+    raised before that line's blob is read."""
     root = Path(manifest_dir)
     path = root / _MANIFEST_NAME
     if not path.is_file():
@@ -338,6 +344,7 @@ def read_manifest(manifest_dir) -> tuple:
         raise PlanError(f"unrecognized manifest header in {path}")
     per_split = {"train": [], "test": []}
     n_bytes = 0
+    id_lines = {}  # sample id -> the line that declared it
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
@@ -357,6 +364,12 @@ def read_manifest(manifest_dir) -> tuple:
         if n_bytes > MAX_DATA_BYTES:
             raise PlanError(f"{path}: rows through line {lineno} hold {n_bytes} "
                             f"int8 bytes, over the cap of {MAX_DATA_BYTES}")
+        first = id_lines.setdefault(sid, lineno)
+        if first != lineno:
+            raise PlanError(f"{where}: sample id {sid} repeats line {first}")
+        if len(id_lines) > MAX_SAMPLES:
+            raise PlanError(f"{path}: rows through line {lineno} hold {len(id_lines)} "
+                            f"samples, over the cap of {MAX_SAMPLES}")
         # lexical containment: no absolute paths, no climbing out of root
         blob = PurePosixPath(rel)
         if blob.is_absolute() or ".." in blob.parts or not blob.parts:

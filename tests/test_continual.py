@@ -208,8 +208,8 @@ def _identity_world(classes=4, per_class=3):
     ds = LabeledDataset(tuple(samples), "test")
     eye = np.eye(classes, dtype=np.float32)
     perfect = TrainableHead(
-        conv_w=np.asarray(eye, np.float32), conv_b=np.zeros((classes,), np.float32),
-        cls_w=np.asarray(eye, np.float32), cls_b=np.zeros((classes,), np.float32),
+        conv_w=eye, conv_b=np.zeros((classes,), np.float32),
+        cls_w=eye, cls_b=np.zeros((classes,), np.float32),
     )
     return bb, ds, perfect
 
@@ -261,6 +261,7 @@ def test_evaluate_uses_feature_cache():
     model = SplitModel(bb, head)
     feats = precompute_features(bb, ds)
     assert evaluate(model, ds, range(4), features=feats) == evaluate(model, ds, range(4))
+    assert not any(f.flags.writeable for f in feats.values())  # shared, so read-only
 
 
 def test_evaluate_matches_per_sample_argmax():

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -36,5 +37,17 @@ def test_package_exports_every_module_all():
 def test_retired_names_are_gone():
     # one flat gradient replaced HeadGrads; tests reach the loss kernels
     # and the scan directly
-    for name in ("HeadGrads", "cross_entropy", "mol_loss", "prox_loss", "seq_sum"):
+    # float data is plain float32 arrays, so the Tensor wrapper is gone too
+    for name in ("HeadGrads", "cross_entropy", "mol_loss", "prox_loss", "seq_sum", "Tensor"):
         assert not hasattr(fedswarm, name), name
+    assert not hasattr(fedswarm.tensor, "Tensor")
+
+
+def test_benchmark_trace_sites_resolve(monkeypatch):
+    # the traced benchmark pass wraps each site at the module attribute its
+    # caller looks up; a renamed or deleted function would break that pass
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    layers = importlib.import_module("layers")
+    for module, attr, *_ in layers.SITES:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+    assert callable(fedswarm.federation.SimNetwork.send)

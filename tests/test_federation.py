@@ -235,6 +235,23 @@ def test_local_epoch_rejects_mixed_architectures():
                     np.random.default_rng(0))
 
 
+def test_local_epoch_needs_one_view_and_partition_per_node():
+    # a short list must not silently leave a node untrained
+    nodes = _swarm(3)
+    views, parts = _views(nodes, 3)
+    before = [n.head for n in nodes]
+    for args in (
+        (nodes, [views[0], views[1]], [parts[0], parts[1], parts[2]]),
+        (nodes, [views[0], views[1], views[2]], [parts[0], parts[1]]),
+        (nodes[:2], [views[0], views[1], views[2]], [parts[0], parts[1], parts[2]]),
+        ([], [], []),
+    ):
+        with pytest.raises(AggregationError, match="one view and one partition per node"):
+            local_epoch(*args, LossConfig(), np.random.default_rng(0))
+    assert [n.head for n in nodes] == before
+    assert all(n.epochs == 0 for n in nodes)
+
+
 def test_local_epoch_trains_and_counts():
     (node,) = _swarm(1)
     views, parts = _views([node], 3)
@@ -254,7 +271,7 @@ def test_local_epoch_memory_stays_per_step():
     head = init_head(2, 2, classes, rng)
     node = NodeState(0, head, head)
     feats = rng.standard_normal((m, 2)).astype(np.float32)
-    pairs = [(np.asarray(f, np.float32), int(t)) for f, t in zip(feats, rng.integers(0, classes, m))]
+    pairs = [(f, int(t)) for f, t in zip(feats, rng.integers(0, classes, m))]
     part = ClassPartition(frozenset(range(500)), frozenset(range(500, classes)))
     tracemalloc.start()
     try:

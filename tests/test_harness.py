@@ -401,6 +401,8 @@ def test_cli_non_integer_count_is_a_config_error(tmp_path, bad):
     {"data": {"train_per_class": 2**40}},
     {"data": {"test_per_class": 2**40}},
     {"data": {"input_shape": [4, 4096, 4096]}},
+    # 120 MB of int8 data, under the byte cap, but 30 million samples
+    {"data": {"input_shape": [4, 1, 1], "train_per_class": 3000000}},
 ], ids=json.dumps)
 def test_cli_size_cap_is_a_config_error(tmp_path, bad):
     path = tmp_path / "huge.json"
@@ -438,8 +440,10 @@ def test_config_size_caps():
 
 
 def test_config_data_cap():
-    # synthetic train plus test data: classes x samples x input bytes
+    # synthetic train plus test data: classes x samples x input bytes; frames
+    # of 1 KiB reach this cap below the sample cap
     d = fs.config_to_dict(fs.default_config())
+    d["data"]["input_shape"] = [4, 16, 16]
     per_sample = math.prod(d["data"]["input_shape"])
     per_class = fs.MAX_DATA_BYTES // (d["plan"]["num_classes"] * per_sample)
     d["data"]["train_per_class"] = per_class - d["data"]["test_per_class"]
@@ -450,6 +454,17 @@ def test_config_data_cap():
     # a manifest's data is checked when it is read, not in the config
     d["data"].update(kind="manifest", manifest_dir="unread")
     fs.config_from_dict(d)
+
+
+def test_config_sample_cap():
+    # synthetic train plus test samples: classes x samples per class
+    d = fs.config_to_dict(fs.default_config())
+    d["plan"]["num_classes"] = 16  # divides the cap
+    d["data"]["train_per_class"] = fs.MAX_SAMPLES // 16 - d["data"]["test_per_class"]
+    fs.config_from_dict(d)  # exactly at the cap
+    d["data"]["train_per_class"] += 1
+    with pytest.raises(fs.ConfigError, match="synthetic data of 262160 samples exceeds the cap"):
+        fs.config_from_dict(d)
 
 
 def _manifest_dir(tmp_path):
@@ -469,6 +484,55 @@ def test_manifest_data_cap(tmp_path, monkeypatch):
     monkeypatch.setattr(sessions, "MAX_DATA_BYTES", n_bytes - 1)
     with pytest.raises(fs.PlanError, match=r"manifest\.tsv: rows through line \d+ hold"):
         fs.read_manifest(data)
+
+
+def test_manifest_sample_cap(tmp_path, monkeypatch):
+    _, data, _ = _manifest_dir(tmp_path)
+    lines = (data / "manifest.tsv").read_text().splitlines()
+    monkeypatch.setattr(sessions, "MAX_SAMPLES", len(lines) - 1)
+    train, test = fs.read_manifest(data)  # exactly at the cap
+    assert len(train) + len(test) == len(lines) - 1
+    # the row past the cap fails before its blob is read
+    (data / lines[-1].split("\t")[-1]).unlink()
+    monkeypatch.setattr(sessions, "MAX_SAMPLES", len(lines) - 2)
+    with pytest.raises(fs.PlanError, match=rf"manifest\.tsv: rows through line {len(lines)} "
+                       rf"hold {len(lines) - 1} samples, over the cap of {len(lines) - 2}"):
+        fs.read_manifest(data)
+
+
+def _renumber(manifest, row, onto):
+    """Give data row ``row`` (1-based, header excluded) the sample id of row ``onto``."""
+    lines = manifest.read_text().splitlines()
+    cells = lines[row].split("\t")
+    cells[0] = lines[onto].split("\t")[0]
+    lines[row] = "\t".join(cells)
+    manifest.write_text("\n".join(lines) + "\n")
+    return cells[0]
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_manifest_rejects_repeated_sample_ids(tmp_path, split):
+    # a test row on a train id would merge into the train features by id
+    _, data, _ = _manifest_dir(tmp_path)
+    manifest = data / "manifest.tsv"
+    row = 2 if split == "train" else 8 * 8 + 1  # the first test row follows 64 train rows
+    sid = _renumber(manifest, row, 1)
+    with pytest.raises(fs.PlanError, match=rf"line {row + 1}: sample id {sid} repeats line 2$"):
+        fs.read_manifest(data)
+
+
+def test_cli_manifest_with_repeated_sample_ids_is_a_runtime_error(tmp_path):
+    cfg, data, _ = _manifest_dir(tmp_path)
+    manifest = data / "manifest.tsv"
+    for i in range(8 * 3):  # every test row onto a train id
+        _renumber(manifest, 8 * 8 + 1 + i, 1 + i)
+    cfg_path = tmp_path / "config.json"
+    fs.save_config(replace(cfg, data=fs.DataSpec(kind="manifest", manifest_dir=str(data))),
+                   cfg_path)
+    res = _cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+    assert f"{manifest} line 66: sample id 0 repeats line 2" in res.stderr
 
 
 def test_cli_manifest_over_the_data_cap_is_a_runtime_error(tmp_path):

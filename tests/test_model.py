@@ -199,6 +199,22 @@ def test_flatten_unflatten_round_trip():
     assert unflatten_params(h, flatten_params(h)) == h
 
 
+def test_head_parameters_are_read_only():
+    rng = np.random.default_rng(9)
+    h = init_head(4, 3, 5, rng)
+    with pytest.raises(ValueError):
+        flatten_params(h)[0] = 1.0
+    with pytest.raises(ValueError):
+        h.cls_w[0, 0] = 1.0
+    # unflatten_params keeps a float32 copy: the caller's vector stays its own
+    v = rng.standard_normal(h.parameter_count)
+    h2 = unflatten_params(h, v)
+    before = v.astype(np.float32)
+    assert np.array_equal(h2.params, before)
+    v[:] = 0.0
+    assert np.array_equal(h2.params, before)
+
+
 def test_flatten_canonical_order():
     h = TrainableHead(
         conv_w=np.asarray([[1.0, 2.0]], np.float32),

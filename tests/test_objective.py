@@ -120,8 +120,8 @@ def test_mol_shift_invariant_when_both_sides_present():
     for _ in range(20):
         z = rng.standard_normal(6).astype(np.float32)
         c = np.float32(rng.uniform(-3, 3))
-        a = mol_loss(np.asarray(z, np.float32), 4, p)
-        b = mol_loss(np.asarray(z + c, np.float32), 4, p)
+        a = mol_loss(z, 4, p)
+        b = mol_loss(z + c, 4, p)
         assert abs(a - b) < 1e-4 * max(1.0, abs(a))
         assert a >= 0.0
 
@@ -262,7 +262,7 @@ def test_sgd_drives_down_separable_toy_loss():
     for i in range(8):
         center = np.array([1.5, 0.0] if i % 2 == 0 else [-1.5, 0.0], np.float32)
         x = center + rng.standard_normal(2).astype(np.float32) * 0.1
-        batch.append((np.asarray(x, np.float32), i % 2))
+        batch.append((x, i % 2))
     part = ClassPartition(frozenset(), frozenset({0, 1}))
     cfg = LossConfig(mu=0.0, lam=0.0, lr=0.1, batch_size=8)
     losses = []
