@@ -3,8 +3,8 @@
 `naive` federates without any regularizer and forgets the base
 classes, `odfcl` adds the mean-logit separation and proximal terms,
 `joint` retrains centrally on everything seen (the upper bound no
-device could afford). Takes roughly 15 seconds at the package
-defaults; identical seeds reproduce identical reports, byte for byte.
+device could afford). Takes a second or two at the package defaults;
+identical seeds reproduce identical reports, byte for byte.
 """
 
 import time

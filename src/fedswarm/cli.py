@@ -3,13 +3,15 @@
 Subcommands: run (config -> report), report (pretty-print), gradcheck
 (oracle battery), cost (cost table), gen-data (materialize a synthetic
 dataset). Exit codes: 0 on success, 1 for configuration problems, 2
-for runtime or numeric failures.
+for runtime or numeric failures, including an output path that cannot
+be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,16 +69,31 @@ def _resolve_report(path: str) -> Path:
     return p / "report.json" if p.is_dir() else p
 
 
+@contextmanager
+def _writing(out: Path):
+    """Turn an OSError on the output path ``out`` (the directory itself,
+    a file under it or a parent directory being created) into a runtime
+    error naming that path; any other OSError propagates."""
+    try:
+        yield
+    except OSError as e:
+        path = Path(e.filename) if e.filename is not None else None
+        if path is None or not (path == out or out in path.parents or path in out.parents):
+            raise
+        raise FedswarmError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config) if args.config else default_config()
     if args.strategy:
         cfg = replace(cfg, strategy=args.strategy)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trace = out / "trace.tsv" if args.trace else None
-    report = run_experiment(cfg, trace_out=trace)
-    emit_report(report, out / "report.json")
-    save_config(cfg, out / "config.json")
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        trace = out / "trace.tsv" if args.trace else None
+        report = run_experiment(cfg, trace_out=trace)
+        emit_report(report, out / "report.json")
+        save_config(cfg, out / "config.json")
     print(f"wrote {out / 'report.json'}")
     print(report_table([report]), end="")
     return 0
@@ -118,7 +135,8 @@ def _cmd_gen_data(args) -> int:
     if cfg.data.kind != "synthetic":
         raise ConfigError("gen-data needs a synthetic data spec")
     train, test = load_dataset(cfg)  # exactly what a run would generate
-    path = write_manifest(train, test, args.out)
+    with _writing(Path(args.out)):
+        path = write_manifest(train, test, args.out)
     print(f"wrote {path} ({len(train)} train / {len(test)} test samples)")
     return 0
 

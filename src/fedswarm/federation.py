@@ -11,10 +11,13 @@ average bit-exact under permutation and idempotent on identical heads.
 the nodes are independent, so it trains all of a round's nodes in
 lockstep: minibatch k of every node is one ``total_loss`` pass with the
 node as a batch axis, which gives each node the bits it would get
-alone. Each epoch gathers its shuffled batches once, and only a call's
-last epoch, the one reported, asks for loss values. The harness runs central training (T0 pretraining, the joint
-strategy) through it too, as N = 1 on the pooled data. ``SimNetwork``
-prices each message with the ``costs`` link model.
+alone, followed by one ``sgd_step``. Each width group of steps runs on
+one ``losses.StepSpace``, whose buffers are allocated once per call;
+each epoch gathers its shuffled batches once, and only a call's last
+epoch, the one reported, asks for loss values. The harness runs
+central training (T0 pretraining, the joint strategy) through it too,
+as N = 1 on the pooled data. ``SimNetwork`` prices each message with
+the ``costs`` link model.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .costs import LinkModel, message_time
 from .errors import AggregationError, DimensionError, NumericError
-from .losses import LossConfig, Minibatch, sgd_step, stack_pairs, total_loss
+from .losses import LossConfig, Minibatch, StepSpace, sgd_step, stack_pairs, total_loss
 from .model import TrainableHead, check_finite, flatten_params, unflatten_params
 
 __all__ = [
@@ -201,12 +204,15 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     proximal term anchored to each node's stored snapshot. Every node's
     permutations are drawn up front, node-major, which is the order of
     running the nodes one after another. Then minibatch k of all nodes
-    with a full-size batch is one ``total_loss`` pass; ragged tails
-    step in groups of equal batch size. Returns each node's mean batch
-    loss over its last epoch (0.0 for an empty view, which leaves the
-    head untouched and draws nothing); earlier epochs skip the loss
-    values, which leaves the gradients unchanged. AggregationError
-    unless there is at least one node and one view and partition each.
+    with a full-size batch is one ``total_loss`` pass, then one
+    ``sgd_step``; ragged tails step in groups of equal batch size. Each
+    group gets one ``StepSpace`` for the call, and each epoch gathers
+    every step's batch into one buffer before its first step. Returns
+    each node's mean batch loss over its last epoch (0.0 for an empty
+    view, which leaves the head untouched and draws nothing); earlier
+    epochs skip the loss values, which leaves the gradients unchanged.
+    AggregationError unless there is at least one node and one view and
+    partition each.
     """
     nodes = list(nodes)
     if not nodes or not len(nodes) == len(views) == len(parts):
@@ -222,43 +228,59 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
             )
     stacked = [stack_pairs(arch, view, part, cfg) for view, part in zip(views, parts)]
     sizes = np.array([len(t) for _, t, _ in stacked])
-    perms = [[rng.permutation(m) for _ in range(epochs)] if m else [] for m in sizes]
     live = np.flatnonzero(sizes)
-    # views padded to the longest one; pad rows are never gathered
     n, longest, b = len(nodes), sizes.max(), cfg.batch_size
-    x = np.zeros((n, longest, arch.c_feat), np.float32)
-    targets = np.zeros((n, longest), np.intp)
-    for i, (xi, ti, _) in enumerate(stacked):
-        x[i, : len(ti)], targets[i, : len(ti)] = xi, ti
+    if not longest:
+        return [0.0] * n
+    # every view's rows, node after node; order[e] is epoch e's shuffle
+    # as rows of them, drawn node-major
+    x = np.concatenate([xi for xi, _, _ in stacked])
+    targets = np.concatenate([ti for _, ti, _ in stacked])
+    starts = np.cumsum(sizes) - sizes
+    order = np.empty((epochs, len(x)), np.intp)
+    for i in live:
+        for e in range(epochs):
+            order[e, starts[i] : starts[i] + sizes[i]] = rng.permutation(sizes[i]) + starts[i]
     masks = [np.stack([m[k] for _, _, m in stacked]) for k in (0, 1)]
     params = np.stack([node.head.params for node in nodes])
     snaps = np.stack([node.snapshot.params for node in nodes])
-    # one entry per lockstep pass: (step, width, the nodes whose batch at
-    # that step has that width); a slice when it is every node
-    steps = []
+    # one entry per lockstep pass: step k's nodes whose batch has width w
+    # (a slice when it is every node), their group's StepSpace and
+    # snapshots, and the Minibatch: sample-major views of xe and te,
+    # which each epoch fills by gathering its order at ``gather``
+    xe = np.empty(x.shape, np.float32)
+    te = np.empty(targets.shape, np.intp)
+    groups, steps, gather, at = {}, [], [], 0
     for k in range(0, longest, b):
         width = np.minimum(sizes - k, b)
         for w in sorted(set(width[width > 0].tolist())):
             idx = np.flatnonzero(width == w)
-            sel = slice(None) if len(idx) == n else idx
-            steps.append((k, w, sel, tuple(m[sel] for m in masks), snaps[sel]))
+            if (w, tuple(idx)) not in groups:
+                sel = slice(None) if len(idx) == n else idx
+                space = StepSpace(arch, len(idx), w, tuple(m[idx] for m in masks), cfg)
+                groups[w, tuple(idx)] = sel, space, snaps[sel]
+            cells = (starts[idx] + k + np.arange(w)[:, None]).reshape(-1)
+            batch = Minibatch(xe[at : at + len(cells)].reshape(w, len(idx), -1),
+                              te[at : at + len(cells)].reshape(w, len(idx)))
+            steps.append((k // b, *groups[w, tuple(idx)], batch))
+            gather.append(cells)
+            at += len(cells)
+    gather = np.concatenate(gather)
+    rows = np.empty_like(gather)
     step_losses = np.zeros((n, -(-longest // b)))
-    order = np.zeros(targets.shape, np.intp)
-    rows = np.arange(n)[:, None]
     # diverging runs overflow here; finiteness is checked once at the end
     with np.errstate(all="ignore"):
         for e in range(epochs):
-            for i in live:
-                order[i, : sizes[i]] = perms[i][e]
-            xe, te = x[rows, order], targets[rows, order]
+            np.take(order[e], gather, out=rows)
+            np.take(x, rows, axis=0, out=xe)
+            np.take(targets, rows, out=te)
             last = e == epochs - 1  # the one epoch whose losses are reported
-            for k, w, sel, sel_masks, sel_snaps in steps:
+            for j, sel, space, sel_snaps, batch in steps:
                 head = arch.with_params(params[sel])
-                batch = Minibatch(xe[sel, k : k + w], te[sel, k : k + w])
-                values, grads = total_loss(head, batch, sel_masks, sel_snaps, cfg, values=last)
+                values, grads = total_loss(head, batch, space, sel_snaps, cfg, values=last)
                 params[sel] = sgd_step(head, grads, cfg.lr).params
                 if last:
-                    step_losses[sel, k // b] = values
+                    step_losses[sel, j] = values
     losses = [0.0] * n
     for i in live:
         node = nodes[i]

@@ -9,22 +9,26 @@ to suppressing the old-class mean directly.
 
 ``total_loss`` is one closed-form forward and backward pass with the
 gradient of every term written out by hand. It steps N heads at once,
-node as the leading axis (the lockstep training loop), and one head
-with a list of (features, target) pairs is its N = 1 case. Features,
+node as a batch axis (the lockstep training loop), and one head with a
+list of (features, target) pairs is its N = 1 case. Features,
 snapshots and gradients are float32 arrays, gradients flat in
 ``flatten_params`` order. Every sum is an ordered float32 fold
-(``tensor._scan``) and gradients accumulate in a fixed order, so each
-node's results are bit-identical to the per-sample reference in
-``tests/test_objective.py``; the float64 oracle in ``gradcheck``
-checks the math itself.
+(``tensor.Fold`` or an ``np.add.accumulate`` along one axis) and
+gradients accumulate in a fixed order, so each node's results are
+bit-identical to the per-sample reference in ``tests/test_objective.py``;
+the float64 oracle in ``gradcheck`` checks the math itself.
 
-Layout: each contraction is one k-major ``mm_f32`` fold; logits are
-class-major (C, N, B), so the softmax and mean-output sums fold over
-axis 0; each step builds its samples' mean-output sides from the class
-masks, so they grow with the batch, not the view; the per-sample
-gradient terms go into one (B + 1, N, P) buffer (row 0 the prox part)
-folded in one call. ``values=False`` skips the
-loss values and leaves the gradient bits alone.
+The pass runs in a ``StepSpace``: the buffers and constants of one
+width group of a training call, allocated once and reused by every
+step, so a step is a fixed sequence of numpy calls that write into
+them. Samples are sample-major (B, N) cells; each contraction is a
+``Fold`` over a k-major product; logits stay sample-major and the
+softmax and mean-output sums run along the class axis; each step builds
+its samples' mean-output sides from the class masks, so they grow with
+the batch, not the view; the per-sample gradient terms go into one
+(B + 1, N, P) buffer, last sample first after the +0.0 and prox row,
+folded in one call. ``values=False`` skips the loss values and leaves
+the gradient bits alone.
 """
 
 from __future__ import annotations
@@ -40,13 +44,14 @@ from .errors import (
     check_float_fields,
     check_int_fields,
 )
-from .model import TrainableHead, _head_forward
-from .tensor import _SCAN_BLOCK, _scan, mm_f32
+from .model import TrainableHead, _Forward, _weight_views
+from .tensor import _SCAN_BLOCK, Fold
 
 __all__ = [
     "LossConfig",
     "ClassPartition",
     "Minibatch",
+    "StepSpace",
     "stack_pairs",
     "total_loss",
     "sgd_step",
@@ -101,26 +106,15 @@ class ClassPartition:
 
 @dataclass(frozen=True)
 class Minibatch:
-    """Minibatch k of N nodes, stacked with the node as the leading axis:
-    ``x`` (N, B, c_feat) features and ``targets`` (N, B) class ids. Its
-    length is the step's sample count, N * B."""
+    """Minibatch k of N nodes, sample-major: ``x`` (B, N, c_feat) features
+    and ``targets`` (B, N) class ids, row b holding sample b of every
+    node. Its length is the step's sample count, N * B."""
 
     x: np.ndarray
     targets: np.ndarray
 
     def __len__(self) -> int:
         return self.targets.size
-
-
-def _ce_kernel(z: np.ndarray, targets: np.ndarray, values: bool = True):
-    """Stabilized softmax cross-entropy per column of class-major (C, M)
-    logits: (losses (M,) or None without ``values``, probabilities (C, M)).
-    """
-    shifted = z - z.max(axis=0)
-    exps = np.exp(shifted)
-    totals = _scan(exps)
-    losses = np.log(totals) - shifted[targets, np.arange(len(targets))] if values else None
-    return losses, exps / totals
 
 
 def stack_pairs(head: TrainableHead, pairs, part: ClassPartition, cfg: LossConfig) -> tuple:
@@ -156,38 +150,6 @@ def stack_pairs(head: TrainableHead, pairs, part: ClassPartition, cfg: LossConfi
     return np.array(rows, np.float32).reshape(-1, head.c_feat), targets, masks
 
 
-def _sides(masks, targets: np.ndarray) -> tuple:
-    """(C, 2, N, M) new/old side masks of each sample, its own target
-    excluded, and their (2, N, M) float32 counts, from the (new, old)
-    (N, C) partition masks and (N, M) targets."""
-    other = np.arange(masks[0].shape[-1])[:, None, None] != targets
-    sides = np.stack([m.T[..., None] & other for m in masks], axis=1)
-    return sides, sides.sum(axis=0).astype(np.float32)
-
-
-_PLUS_MINUS_TWO = np.array([[2.0], [-2.0]], np.float32)
-
-
-def _mol_kernel(z: np.ndarray, sides: np.ndarray, counts: np.ndarray, values: bool = True):
-    """Value (M,) (None without ``values``) and dL/dz (C, M) of the
-    mean-output term per column of class-major logits, given the columns'
-    (C, 2, M) ``_sides`` and their (2, M) counts. Masked-out entries enter
-    the ordered sums as +0.0, which leaves a sum seeded with +0.0
-    unchanged, so each side's sum equals the loop over its members.
-    """
-    zero = np.float32(0.0)
-    div = np.maximum(counts, 1)
-    mean_a, mean_b = _scan(np.where(sides, z[:, None], zero)) / div
-    has_a, has_b = counts > 0
-    # with no new side left, -mean_b gives the fallback's value and
-    # gradient: (-2 * -m) / n == (2 * m) / n and (-m)^2 == m^2 bit for bit
-    diff = np.where(has_a, mean_a - mean_b, -mean_b)
-    value = np.where(has_b, diff * diff, zero) if values else None
-    grad_a, grad_b = _PLUS_MINUS_TWO * diff / div
-    grad = np.where(sides[:, 0] & (has_a & has_b), grad_a, np.where(sides[:, 1], grad_b, zero))
-    return value, grad
-
-
 def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = True):
     """Composite loss and its gradient.
 
@@ -196,16 +158,17 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = T
     added once.
 
     One head: ``batch`` is a sequence of (features, target) pairs,
-    ``part`` a ClassPartition and ``w_global`` a flat float32 array; returns
-    (loss value, flat float32 gradient). Lockstep, as the training loop
-    calls it: ``head`` is an (N, P) stack, ``batch`` a ``Minibatch``,
-    ``part`` the (new, old) (N, num_classes) class masks and
-    ``w_global`` the (N, P) snapshots; returns ((N,) values, (N, P)
-    gradients). The one-head form checks its input and runs the
-    lockstep form with N = 1. Without ``values`` the values are None.
+    ``part`` a ClassPartition and ``w_global`` a flat float32 array;
+    returns (loss value, flat float32 gradient). Lockstep, as the
+    training loop calls it: ``head`` is an (N, P) stack, ``batch`` a
+    ``Minibatch``, ``part`` the ``StepSpace`` built for this width
+    group, its class masks and ``cfg``, and ``w_global`` the (N, P)
+    snapshots; returns ((N,) values, (N, P) gradients). The one-head
+    form checks its input and runs the lockstep form with N = 1.
+    Without ``values`` the values are None. Gradients are new arrays.
     """
     if isinstance(batch, Minibatch):
-        return _lockstep_loss(head, batch, part, w_global, cfg, values)
+        return part.step(head.params, batch, w_global, values)
     samples = list(batch)
     if not samples:
         raise DimensionError("total_loss needs a nonempty batch")
@@ -215,79 +178,192 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = T
         raise DimensionError(
             f"global snapshot has {w_global.size} values, head has {head.parameter_count}"
         )
-    out, grads = _lockstep_loss(
-        head.with_params(head.params[None]), Minibatch(x[None], targets[None]),
-        tuple(m[None] for m in masks), w_global[None], cfg, values,
-    )
+    space = StepSpace(head, 1, len(targets), tuple(m[None] for m in masks), cfg)
+    out, grads = space.step(head.params[None], Minibatch(x[:, None], targets[:, None]),
+                            w_global[None], values)
     return (float(out[0]) if values else None), grads[0]
 
 
-def _lockstep_loss(head: TrainableHead, batch: Minibatch, masks, snaps, cfg: LossConfig, values):
-    """((N,) values or None, (N, P) gradients) of N heads over their
-    minibatches.
+_ZERO, _ONE = np.float32(0.0), np.float32(1.0)
+_PLUS_MINUS_TWO = np.array([2.0, -2.0], np.float32)
 
-    Rows are independent, so each node's value and gradient equal the
-    one-head pass over its own rows bit for bit.
+
+class StepSpace:
+    """Buffers and constants for lockstep steps of ``n`` heads of
+    ``arch``'s architecture over minibatches of ``w`` samples each.
+
+    ``masks`` are the steps' (new, old) (n, num_classes) class masks and
+    ``cfg`` their loss config. ``local_epoch`` builds one per width group
+    of a call and runs every step of that group through it; the one-head
+    ``total_loss`` builds one for its single step. A step whose sample
+    rows of n * P gradient terms would pass ``tensor._SCAN_BLOCK``
+    elements runs in chunks of samples, last chunk first, each chunk's
+    gradient fold starting from the sum the one before it left.
     """
-    x, targets = batch.x, batch.targets
-    n, b = targets.shape
-    n_cls = head.num_classes
-    hidden, z = _head_forward(head, x)
-    z = np.ascontiguousarray(z.transpose(2, 0, 1)).reshape(n_cls, n * b)
-    flat_t = targets.reshape(-1)
-    ce, probs = _ce_kernel(z, flat_t, values)
 
-    # d(batch mean)/d(term) = 1/B. The reference adds the MOL part to a
-    # +0.0 slot, then the CE part; the slot's seed is dropped here
-    # because the CE part is never -0.0 (softmax probabilities are not).
-    inv_n = np.float32(1.0) / np.float32(b)
-    dz = probs
-    dz[flat_t, np.arange(n * b)] -= np.float32(1.0)
-    terms = ce
-    g_logits = dz * inv_n
-    if cfg.mu != 0.0:
-        mu = np.float32(cfg.mu)
-        sides, counts = (s.reshape(s.shape[:-2] + (n * b,)) for s in _sides(masks, targets))
-        mol, dmol = _mol_kernel(z, sides, counts, values)
-        if values:
-            terms = ce + mol * mu
-        g_logits = dmol * (inv_n * mu) + g_logits
-    out = _scan(terms.reshape(n, b).T) / np.float32(b) if values else None
-    prox = np.float32(0.0)
-    if cfg.lam != 0.0:
-        d = head.params - snaps
-        prox = np.float32(cfg.lam) * d
-        if values:
-            out = out + np.float32(0.5) * np.float32(cfg.lam) * _scan((d * d).T)
+    def __init__(self, arch: TrainableHead, n: int, w: int, masks, cfg: LossConfig):
+        p = arch.parameter_count
+        self.heads = np.empty((n, p), np.float32)
+        self.weights = _weight_views(self.heads, arch.dims)
+        # cls_w k-major over classes, (num_classes, 1, n, c_out), for g_hidden
+        self.cls_w_c = arch.with_params(self.heads.view()).cls_w.transpose(1, 0, 2)[:, None]
+        self.shape = (n, p)
+        self.inv_b = _ONE / np.float32(w)
+        self.b = np.float32(w)
+        self.mu = np.float32(cfg.mu) if cfg.mu != 0.0 else None
+        self.inv_b_mu = self.inv_b * np.float32(cfg.mu)
+        self.side_masks = np.stack(masks, axis=1)[None]  # (1, n, 2, num_classes): new, old
+        self.lam = np.float32(cfg.lam) if cfg.lam != 0.0 else None
+        self.half_lam = np.float32(0.5) * np.float32(cfg.lam)
+        self.drift = np.empty((n, p), np.float32)
+        self.prox = Fold((p, n))
+        self.terms = Fold((w, n))
+        rows = max(1, min(w, _SCAN_BLOCK // (n * p)))
+        by_size, self.chunks = {}, []
+        for hi in range(w, 0, -rows):
+            lo = max(0, hi - rows)
+            if hi - lo not in by_size:
+                by_size[hi - lo] = _Rows(self, arch.dims, hi - lo)
+            self.chunks.append((lo, hi, by_size[hi - lo]))
 
-    g_logits = g_logits.reshape(n_cls, n, b)
-    g_hidden = mm_f32(g_logits.transpose(1, 2, 0), head.cls_w)
-    g_pre = np.where(hidden > 0, g_hidden, np.float32(0.0))
-    return out, _sample_fold(head, prox, x, g_pre, hidden, g_logits)
+    def step(self, params: np.ndarray, batch: "Minibatch", snaps: np.ndarray, values: bool):
+        """((n,) values or None, (n, P) gradients) of the heads ``params``
+        over ``batch``, the prox term anchored at ``snaps``."""
+        np.copyto(self.heads, params)
+        lead = self.chunks[0][2].lead
+        if self.lam is not None:  # row 0 of the first fold: +0.0 + the prox part
+            np.subtract(self.heads, snaps, out=self.drift)
+            np.multiply(self.drift, self.lam, out=lead)
+            np.add(lead, _ZERO, out=lead)
+        elif len(self.chunks) > 1:
+            lead.fill(0.0)
+        grads = None
+        for lo, hi, rows in self.chunks:
+            if grads is not None:
+                np.copyto(rows.lead, grads.reshape(self.shape))
+            grads = rows.run(self, batch.x[lo:hi], batch.targets[lo:hi],
+                             self.terms.terms[lo:hi] if values else None)
+        grads = grads.reshape(self.shape)
+        if not values:
+            return None, grads
+        self.terms.run()
+        out = self.terms.total / self.b
+        if self.lam is not None:
+            np.multiply(self.drift.T, self.drift.T, out=self.prox.terms)
+            self.prox.run()
+            out = out + self.half_lam * self.prox.total
+        return out, grads
 
 
-def _sample_fold(head: TrainableHead, acc, x, g_pre, hidden, g_logits):
-    """(N, P) gradients: each sums, from +0.0, ``acc`` (the prox part, +0.0
-    at lam == 0) and then samples B-1 down to 0, the reference's order. The
-    terms go straight into a (rows, N, P) buffer, row 0 the running sum,
-    folded by one ``_scan``, in blocks of samples near ``_SCAN_BLOCK``."""
-    (n, p), (c_feat, c_out, n_cls) = head.params.shape, head.dims
-    ends = (0, c_out * c_feat, c_out * (c_feat + 1), c_out * (c_feat + 1 + n_cls), p)
-    # per-sample factors (B, N, units), last sample first
-    gp, xs, hs = (v.transpose(1, 0, 2)[::-1] for v in (g_pre, x, hidden))
-    gl = g_logits.transpose(2, 1, 0)[::-1]
-    step = max(1, _SCAN_BLOCK // (n * p))
-    for i in range(0, len(gp), step):
-        blk = slice(i, i + step)
-        rows = len(gp[blk])
-        buf = np.empty((rows + 1, n, p), np.float32)
-        buf[0] = acc
-        w, wb, c, cb = (buf[1:, :, lo:hi] for lo, hi in zip(ends, ends[1:]))
-        np.multiply(gp[blk, ..., None], xs[blk, :, None], out=w.reshape(rows, n, c_out, c_feat))
-        np.multiply(gl[blk, ..., None], hs[blk, :, None], out=c.reshape(rows, n, n_cls, c_out))
-        wb[...], cb[...] = gp[blk], gl[blk]
-        acc = _scan(buf)
-    return acc
+class _Rows:
+    """One chunk's buffers in a StepSpace: ``rows`` samples of its n heads."""
+
+    def __init__(self, space: StepSpace, dims: tuple, rows: int):
+        c_feat, c_out, n_cls = dims
+        n, p = space.shape
+        self.fwd = _Forward(dims, rows, n)
+        hidden = self.fwd.hidden
+        self.top = np.empty((rows, n, 1), np.float32)
+        self.probs = np.empty((rows, n, n_cls), np.float32)  # becomes dL/dz
+        self.cum = np.empty_like(self.probs)
+        self.total = self.cum[..., -1:]
+        self.classes = np.arange(n_cls)
+        self.onehot = np.empty(self.probs.shape, bool)
+        self.cell = (np.arange(rows)[:, None], np.arange(n))
+        self.back = Fold((n_cls, rows, n, c_out))
+        self.g_z = self.probs.transpose(2, 0, 1)[..., None]
+        self.alive = np.empty(hidden.shape, bool)
+        grad = np.zeros((rows + 1, n, p), np.float32)
+        self.lead, self.fold = grad[0], grad.reshape(rows + 1, n * p)
+        ends = np.cumsum([0, c_out * c_feat, c_out, n_cls * c_out, n_cls])
+        g_conv_w, self.g_conv_b, g_cls_w, self.g_cls_b = (
+            grad[1:, :, lo:hi] for lo, hi in zip(ends, ends[1:]))
+        self.g_conv_w = g_conv_w.reshape(rows, n, c_out, c_feat)
+        self.g_cls_w = g_cls_w.reshape(rows, n, n_cls, c_out)
+        # the gradient rows run from the last sample to the first
+        self.g_hidden, self.alive_rev = self.back.total[::-1], self.alive[::-1]
+        self.g_pre = self.g_conv_b[..., None]
+        self.g_z_rev, self.hidden_rev = self.probs[::-1], hidden[::-1, :, None, :]
+        if space.mu is not None:
+            self.mol = _Mol(rows, n, n_cls, self.fwd.logits, self.onehot)
+
+    def run(self, s: StepSpace, x: np.ndarray, t: np.ndarray, terms):
+        """Write this chunk's per-sample gradient terms after ``lead`` and
+        fold them; with ``terms``, also each sample's loss term into it."""
+        self.fwd.run(s.weights, x.transpose(2, 0, 1)[..., None])
+        z, probs = self.fwd.logits, self.probs
+        # softmax cross-entropy per sample, along the class axis
+        np.maximum.reduce(z, axis=-1, keepdims=True, out=self.top)
+        np.subtract(z, self.top, out=probs)
+        if terms is not None:
+            shifted_t = probs[self.cell + (t,)]
+        np.exp(probs, out=probs)
+        np.add.accumulate(probs, axis=-1, out=self.cum)
+        if terms is not None:
+            terms[...] = np.log(self.total[..., 0]) - shifted_t
+        np.divide(probs, self.total, out=probs)
+        np.equal(t[..., None], self.classes, out=self.onehot)
+        np.subtract(probs, self.onehot, out=probs)
+        np.multiply(probs, s.inv_b, out=probs)
+        if s.mu is not None:
+            mol = self.mol.run(s, probs, terms is not None)
+            if terms is not None:
+                terms += mol * s.mu
+        # backward, each term into its gradient row
+        np.multiply(self.g_z, s.cls_w_c, out=self.back.terms)
+        self.back.run()
+        np.greater(self.fwd.hidden, _ZERO, out=self.alive)
+        self.g_conv_b.fill(0.0)
+        np.copyto(self.g_conv_b, self.g_hidden, where=self.alive_rev)
+        np.multiply(self.g_pre, x[::-1, :, None, :], out=self.g_conv_w)
+        np.multiply(self.g_z_rev[..., None], self.hidden_rev, out=self.g_cls_w)
+        np.copyto(self.g_cls_b, self.g_z_rev)
+        return np.add.reduce(self.fold, axis=0)
+
+
+class _Mol:
+    """The mean-output term's buffers for one chunk: the (rows, n, 2, C)
+    sides of each sample (its node's new and old classes, its own target
+    excluded) and their ordered sums."""
+
+    def __init__(self, rows: int, n: int, n_cls: int, z: np.ndarray, onehot: np.ndarray):
+        self.z, self.onehot = z[:, :, None, :], onehot[:, :, None, :]
+        self.sides = np.empty((rows, n, 2, n_cls), bool)
+        self.count = np.empty((rows, n, 2), np.float32)
+        self.div, self.mean, self.coef = (np.empty_like(self.count) for _ in range(3))
+        # column 0 of the masked logits is the +0.0 seed of each side's sum
+        self.masked = np.zeros((rows, n, 2, n_cls + 1), np.float32)
+        self.cum = np.empty_like(self.masked)
+        self.diff = np.empty((rows, n), np.float32)
+        self.no_old = np.empty((rows, n), bool)
+        self.grad = np.empty((rows, n, n_cls), np.float32)
+
+    def run(self, s: StepSpace, g_z: np.ndarray, values: bool):
+        """Add mu/B * dMOL/dz into ``g_z``; with ``values``, return the
+        (rows, n) term values."""
+        sides, masked = self.sides, self.masked[..., 1:]
+        np.greater(s.side_masks, self.onehot, out=sides)
+        np.add.reduce(sides, axis=-1, dtype=np.float32, out=self.count)
+        np.maximum(self.count, _ONE, out=self.div)
+        masked.fill(0.0)
+        np.copyto(masked, self.z, where=sides)
+        np.add.accumulate(self.masked, axis=-1, out=self.cum)
+        np.divide(self.cum[..., -1], self.div, out=self.mean)
+        # with no new side left its mean is +0.0, and 0 - m gives the
+        # fallback's value and gradient: it differs from -m only in a
+        # zero's sign, which neither diff * diff nor g_z's sum keeps
+        np.subtract(self.mean[..., 0], self.mean[..., 1], out=self.diff)
+        np.multiply(self.diff[..., None], _PLUS_MINUS_TWO, out=self.coef)
+        np.divide(self.coef, self.div, out=self.coef)
+        # no old side left: the term is zero
+        np.equal(self.count[..., 1], _ZERO, out=self.no_old)
+        np.copyto(self.coef, _ZERO, where=self.no_old[..., None])
+        self.grad.fill(0.0)
+        np.copyto(self.grad, self.coef[..., :1], where=sides[:, :, 0])
+        np.copyto(self.grad, self.coef[..., 1:], where=sides[:, :, 1])
+        np.multiply(self.grad, s.inv_b_mu, out=self.grad)
+        np.add(self.grad, g_z, out=g_z)
+        return np.where(self.no_old, _ZERO, self.diff * self.diff) if values else None
 
 
 def sgd_step(head: TrainableHead, grads: np.ndarray, lr: float) -> TrainableHead:

@@ -5,9 +5,10 @@ a linear classifier whose row count grows as new classes appear. A
 head is one read-only flat float32 array with four reshaped views, so
 ``flatten_params`` returns that array, ``unflatten_params`` a reshape of
 a copy and an SGD step one vector update. Features and logits are
-float32 arrays too. ``_head_forward`` is the one copy of the head
-math: ``head_logits`` and ``losses.total_loss`` both run it, the
-latter also on (N, P) stacks of heads. Gradients flow into head
+float32 arrays too. ``_Forward`` is the one copy of the head math, a
+pass over preallocated buffers: ``head_logits`` runs it, and so does
+``losses.StepSpace`` on (N, P) stacks of heads, reusing one set of
+buffers for every step of a training call. Gradients flow into head
 parameters only; the backbone's features enter as constants.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, RegistryError
 from .quant import FrozenBackbone, QuantTensor, backbone_forward
-from .tensor import mm_f32
+from .tensor import _SCAN_BLOCK, Fold
 
 __all__ = [
     "TrainableHead",
@@ -157,33 +158,78 @@ def init_head(
     )
 
 
-def _head_forward(head: TrainableHead, feats: np.ndarray) -> tuple:
-    """(hidden, logits) of a (B, c_feat) float32 batch, one row per sample;
-    a head stack takes (N, B, c_feat) and gives (N, B, ...).
+_ZERO = np.float32(0.0)
 
-    Both contractions are ``mm_f32`` scans in the per-sample reference's
-    index order, so each row equals the single-sample pass bit for bit.
+
+def _weight_views(params: np.ndarray, dims: tuple) -> tuple:
+    """(conv_w, conv_b, cls_w, cls_b) of an (n, P) head stack as the
+    forward reads them: the weights k-major, (c_feat, 1, n, c_out) and
+    (c_out, 1, n, num_classes); the biases (n, c_out) and (n, num_classes)."""
+    h = _head(params.view(), *dims)
+    return (h.conv_w.transpose(2, 0, 1)[:, None], h.conv_b,
+            h.cls_w.transpose(2, 0, 1)[:, None], h.cls_b)
+
+
+class _Forward:
+    """The head pass of n heads over ``rows`` samples each, in buffers
+    allocated once and reused by every ``run``.
+
+    A sample is a (row, node) cell, node innermost. ``run`` takes the
+    heads' ``_weight_views`` and (c_feat, rows, n, 1) k-major features
+    and leaves ``hidden`` (rows, n, c_out) and ``logits``
+    (rows, n, num_classes). Both contractions are ``Fold``s in the
+    per-sample reference's index order, so each sample's logits equal
+    its single-sample pass bit for bit. The relu is ``fmax(pre, 0)``:
+    it may keep a zero's sign where ``where(pre > 0, pre, 0)`` would not,
+    and hidden units enter only folds, which never show that sign.
     """
-    pre = mm_f32(feats, head.conv_w.swapaxes(-1, -2)) + head.conv_b[..., None, :]
-    hidden = np.where(pre > 0, pre, np.float32(0.0))
-    logits = mm_f32(hidden, head.cls_w.swapaxes(-1, -2)) + head.cls_b[..., None, :]
-    return hidden, logits
+
+    __slots__ = ("_pre", "_logits", "_hidden_k", "hidden", "logits")
+
+    def __init__(self, dims: tuple, rows: int, n: int):
+        c_feat, c_out, n_cls = dims
+        self._pre = Fold((c_feat, rows, n, c_out))
+        self._logits = Fold((c_out, rows, n, n_cls))
+        self.hidden, self.logits = self._pre.total, self._logits.total
+        self._hidden_k = self.hidden.transpose(2, 0, 1)[..., None]
+
+    def run(self, weights: tuple, x_k: np.ndarray) -> None:
+        conv_w, conv_b, cls_w, cls_b = weights
+        np.multiply(x_k, conv_w, out=self._pre.terms)
+        self._pre.run()
+        np.add(self.hidden, conv_b, out=self.hidden)
+        np.fmax(self.hidden, _ZERO, out=self.hidden)
+        np.multiply(self._hidden_k, cls_w, out=self._logits.terms)
+        self._logits.run()
+        np.add(self.logits, cls_b, out=self.logits)
 
 
 def head_logits(head: TrainableHead, features) -> np.ndarray:
     """Eager head pass over one feature vector or a (B, c_feat) batch.
 
-    Same kernels as the training objective; a batch gives
+    Same kernel as the training objective; a batch gives
     (B, num_classes) logits whose rows equal the one-vector results
-    exactly.
+    exactly. Long batches run in chunks of rows whose count times the
+    parameter count (which bounds each buffer's size per row) stays
+    within ``tensor._SCAN_BLOCK``.
     """
     f = np.asarray(features, np.float32)
     if f.shape[-1:] != (head.c_feat,) or f.ndim > 2:
         raise DimensionError(
             f"features {f.shape} do not match head input ({head.c_feat},)"
         )
-    _, logits = _head_forward(head, f.reshape(-1, head.c_feat))
-    return logits.reshape(f.shape[:-1] + (head.num_classes,))
+    rows = f.reshape(-1, head.c_feat)
+    out = np.empty((len(rows), head.num_classes), np.float32)
+    step = max(1, _SCAN_BLOCK // head.parameter_count)
+    weights = _weight_views(head.params[None], head.dims)
+    fwd = None
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo : lo + step]
+        if fwd is None or len(chunk) != len(fwd.logits):
+            fwd = _Forward(head.dims, len(chunk), 1)
+        fwd.run(weights, chunk.T[:, :, None, None])
+        out[lo : lo + len(chunk)] = fwd.logits[:, 0]
+    return out.reshape(f.shape[:-1] + (head.num_classes,))
 
 
 def forward(m: SplitModel, x: QuantTensor) -> np.ndarray:

@@ -12,10 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .quant import QuantParams, quantize
+from .quant import QuantParams, QuantTensor, quantize
 from .sessions import LabeledDataset, Sample
 
 __all__ = ["SyntheticSpec", "gen_synthetic"]
+
+# values per noise draw: bounds the float64 blocks whatever the class size
+_DRAW_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,11 @@ def gen_synthetic(spec: SyntheticSpec, rng) -> tuple:
 
     ``rng`` is an integer seed or a numpy Generator. Centers are drawn
     first (one per class), then per-sample noise in a fixed order:
-    class by class, train before test. The same seed always yields
-    byte-identical datasets.
+    class by class, train before test. Each split of a class is drawn as
+    (rows, dim) blocks of at most ``_DRAW_BLOCK`` values, each quantized
+    in one call; consecutive draws of any shape are the same stream as
+    one draw per sample. The same seed always yields byte-identical
+    datasets.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(int(rng))
@@ -67,15 +73,21 @@ def gen_synthetic(spec: SyntheticSpec, rng) -> tuple:
         dim *= d
     qp = spec.qparams
     centers = rng.standard_normal((spec.num_classes, dim)) * spec.sigma_between
+    step = max(1, _DRAW_BLOCK // dim)
     train, test = [], []
     sample_id = 0
     for class_id in range(spec.num_classes):
         for bucket, count in ((train, spec.train_per_class), (test, spec.test_per_class)):
-            for _ in range(count):
-                x = centers[class_id] + rng.standard_normal(dim) * spec.sigma_within
-                qx = quantize(x.reshape(spec.input_shape), qp)
-                bucket.append(Sample(sample_id, class_id, qx))
-                sample_id += 1
+            for lo in range(0, count, step):
+                rows = min(step, count - lo)
+                x = rng.standard_normal((rows, dim))
+                x *= spec.sigma_within
+                x += centers[class_id]
+                q = quantize(x.reshape((rows,) + spec.input_shape), qp).data.reshape(rows, dim)
+                for row in q:
+                    x_q = QuantTensor(row, spec.input_shape, qp)
+                    bucket.append(Sample(sample_id, class_id, x_q))
+                    sample_id += 1
     return (
         LabeledDataset(tuple(train), "train"),
         LabeledDataset(tuple(test), "test"),

@@ -2,22 +2,26 @@
 
 Float data (features, head parameters, gradients, averaged weights) is
 float32 numpy arrays throughout the package; this module holds no
-type of its own. Every contraction goes through ``_scan``: a float32
-sum in a fixed index order, seeded with +0.0, in one numpy call (see
-its docstring for the fold contract). Determinism rests on that order, not
-on precision. The head (``model._head_forward``), the objective
-(``losses.total_loss``) and the backbone's pooling (``quant``) call
-these kernels directly, on one head or on a stack of lockstep heads.
+type of its own. Every contraction is a float32 sum in a fixed index
+order, seeded with +0.0, in one numpy call: ``_scan`` folds an array it
+is given, ``Fold`` folds a preallocated buffer that its caller writes
+the terms into, so a step that repeats runs on the same memory.
+Determinism rests on that order, not on precision. The head pass
+(``model._Forward``), the objective's step (``losses.StepSpace``) and
+the backbone's pooling (``quant``) call these kernels directly, on one
+head or on a stack of lockstep heads.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
-# elements per ``mm_f32`` product or ``losses`` gradient-buffer block: bounds temporaries
-_SCAN_BLOCK = 1 << 16
+# elements per preallocated step buffer: a step longer than this runs in
+# chunks of samples, which bounds its memory whatever the batch size
+_SCAN_BLOCK = 1 << 17
 
 
 def _scan(x: np.ndarray) -> np.ndarray:
@@ -44,22 +48,29 @@ def _scan(x: np.ndarray) -> np.ndarray:
     return total.reshape(trail) + np.float32(0.0)
 
 
-def mm_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(..., m, k) x (..., k, n) float32 product, accumulated over k in
-    index order; leading axes (the lockstep node axis) pair up.
+class Fold:
+    """``_scan`` over a preallocated buffer: the caller writes the (k, ...)
+    terms into ``terms``, ``run()`` sums them over k into ``total``.
 
-    The (k, ..., m, n) product is built C-contiguous, ``b`` copied k-major
-    so the inner loop reads it contiguously, and folded by one ``_scan``;
-    rows of ``a`` come in blocks that keep it near ``_SCAN_BLOCK``.
+    The buffer is C-contiguous with one extra leading row holding the
+    +0.0 seed, so the one numpy call is the loop from +0.0 itself:
+    ``np.add.reduce`` over axis 0 when the trailing size W >= 2,
+    ``np.add.accumulate`` when W == 1 (``_scan``'s contract). A fold
+    never yields -0.0, so the sign of a zero term never shows in it.
     """
-    m = a.shape[-2]
-    lead = tuple(range(a.ndim - 2))
-    step = max(1, _SCAN_BLOCK // max(1, b.size))  # b: (..., k, n)
-    if m <= step:
-        # k leads: (k, ..., m, 1) * (k, ..., 1, n)
-        a_k = a.transpose((a.ndim - 1,) + lead + (a.ndim - 2,))
-        b_k = np.ascontiguousarray(b.transpose((b.ndim - 2,) + lead + (b.ndim - 1,)))
-        return _scan(np.multiply(a_k[..., None], b_k[..., None, :], order="C"))
-    return np.concatenate(
-        [mm_f32(a[..., i : i + step, :], b) for i in range(0, m, step)], axis=-2
-    )
+
+    __slots__ = ("terms", "total", "run")
+
+    def __init__(self, shape: tuple):
+        k, trail = shape[0], shape[1:]
+        width = math.prod(trail)
+        buf = np.zeros((k + 1, width), np.float32)
+        self.terms = buf[1:].reshape(shape)
+        if width != 1:
+            total = np.empty(width, np.float32)
+            self.run = partial(np.add.reduce, buf, 0, None, total)
+        else:
+            running = np.empty(k + 1, np.float32)
+            self.run = partial(np.add.accumulate, buf.reshape(-1), 0, None, running)
+            total = running[-1:]
+        self.total = total.reshape(trail)

@@ -282,6 +282,21 @@ def test_local_epoch_memory_stays_per_step():
     assert peak < 2 << 20
 
 
+def test_local_epoch_heads_outlive_the_next_call():
+    # a call's buffers are reused step after step; the heads it hands
+    # out must not be views of them, nor of the next call's
+    nodes, others = _swarm(3, seed=1), _swarm(3, seed=2)
+    views, parts = _views(nodes, 3)
+    cfg = LossConfig(lr=0.1)
+    local_epoch(nodes, [views[i] for i in range(3)], [parts[i] for i in range(3)], cfg,
+                np.random.default_rng(0), 2)
+    kept = [n.head.params.tobytes() for n in nodes]
+    local_epoch(others, [views[i] for i in range(3)], [parts[i] for i in range(3)], cfg,
+                np.random.default_rng(1), 2)
+    assert [n.head.params.tobytes() for n in nodes] == kept
+    assert not any(np.shares_memory(a.head.params, b.head.params) for a in nodes for b in others)
+
+
 def _reanchored_epoch(head, pairs, part, cfg, rng):
     """The pooled-data loop central training used before it ran through
     ``local_epoch``: same shuffle, prox anchor re-taken every batch.

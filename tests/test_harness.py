@@ -67,6 +67,42 @@ def test_synthetic_ids_globally_unique():
     assert len(set(ids)) == len(ids) == 20
 
 
+def _per_sample_synthetic(spec, rng):
+    """The generator one sample at a time: one noise draw and one
+    ``quantize`` call per sample, the order the batched draws follow."""
+    dim = int(np.prod(spec.input_shape))
+    centers = rng.standard_normal((spec.num_classes, dim)) * spec.sigma_between
+    splits, sample_id = ([], []), 0
+    for class_id in range(spec.num_classes):
+        for bucket, count in zip(splits, (spec.train_per_class, spec.test_per_class)):
+            for _ in range(count):
+                x = centers[class_id] + rng.standard_normal(dim) * spec.sigma_within
+                q = fs.quantize(x.reshape(spec.input_shape), spec.qparams)
+                bucket.append((sample_id, class_id, q.data.tobytes(), q.shape, q.qparams))
+                sample_id += 1
+    return splits
+
+
+@pytest.mark.parametrize("spec", [
+    fs.SyntheticSpec(num_classes=10),
+    fs.SyntheticSpec(num_classes=3, train_per_class=1, test_per_class=5, input_shape=(2, 1, 3)),
+    fs.SyntheticSpec(num_classes=5, train_per_class=4, test_per_class=2, sigma_within=0.0),
+    fs.SyntheticSpec(num_classes=2, train_per_class=3, test_per_class=3, sigma_between=40.0,
+                     input_scale=0.02, input_zero_point=-7),
+    # frames large enough that a split is drawn in several blocks
+    fs.SyntheticSpec(num_classes=2, train_per_class=70, test_per_class=33, input_shape=(4, 16, 16)),
+])
+def test_synthetic_batched_draws_equal_the_per_sample_loop(spec):
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    got = [
+        [(s.sample_id, s.class_id, s.x.data.tobytes(), s.x.shape, s.x.qparams) for s in ds.samples]
+        for ds in fs.gen_synthetic(spec, rng)
+    ]
+    assert got == [list(b) for b in _per_sample_synthetic(spec, ref_rng)]
+    # the generator is left where the per-sample draws leave it
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_synthetic_spec_validation():
     with pytest.raises(fs.ConfigError):
         fs.SyntheticSpec(num_classes=0)
@@ -349,6 +385,22 @@ def test_cli_gen_data(tmp_path):
     assert len(train) == 8 * 8 and len(test) == 8 * 3
 
 
+@pytest.mark.parametrize("command", ["run", "gen-data"])
+@pytest.mark.parametrize("where", ["a_file", "under_a_file"])
+def test_cli_unwritable_out_is_one_line_runtime_error(tmp_path, command, where):
+    cfg_path = tmp_path / "config.json"
+    fs.save_config(_small_config(), cfg_path)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker if where == "a_file" else blocker / "sub"
+    res = _cli(command, "--config", str(cfg_path), "--out", str(out))
+    assert res.returncode == 2
+    # the path named is the output directory or the first one under it
+    assert res.stderr.startswith(f"error: cannot write {out}")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_cli_cost():
     res = _cli("cost")
     assert res.returncode == 0, res.stderr
@@ -622,6 +674,31 @@ def test_total_loss_lookups_count_every_trained_sample(monkeypatch):
         assert sum(calls) == classes * cfg.data.train_per_class
         if strategy == "odfcl":  # one lookup per lockstep step: both nodes at once
             assert len(calls) < sum(calls) // cfg.loss.batch_size
+
+
+# (total_loss calls, sgd_step calls, samples in the batches) of one
+# desk-default run: one call of each per lockstep step, as the benchmark's
+# traced view counts them
+_DESK_STEPS = {"naive": (2100, 2100, 11760), "odfcl": (2100, 2100, 11760),
+               "joint": (5250, 5250, 21000)}
+
+
+@pytest.mark.parametrize("strategy", sorted(_DESK_STEPS))
+def test_every_step_calls_total_loss_and_sgd_step_once(monkeypatch, strategy):
+    counts = {"total_loss": 0, "sgd_step": 0, "samples": 0}
+
+    def counting(name, kernel):
+        def counted(head, batch_or_grads, *args, **kwargs):
+            counts[name] += 1
+            if name == "total_loss":
+                counts["samples"] += len(batch_or_grads)
+            return kernel(head, batch_or_grads, *args, **kwargs)
+        return counted
+
+    for name in ("total_loss", "sgd_step"):
+        monkeypatch.setattr(fs.federation, name, counting(name, getattr(fs.federation, name)))
+    fs.run_experiment(fs.default_config(strategy))
+    assert (counts["total_loss"], counts["sgd_step"], counts["samples"]) == _DESK_STEPS[strategy]
 
 
 _ROW = {"session": 0, "accuracy_seen": 1.0, "accuracy_base": 1.0}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fedswarm.model
 from fedswarm import (
     DimensionError,
     NumericError,
@@ -88,6 +89,10 @@ def test_batched_head_logits_rows_match_single_vectors(c_feat, hidden, classes, 
     assert z.shape == (n, classes)
     for row, f in zip(z, x):
         assert row.tobytes() == head_logits(h, f).tobytes()
+    # a long batch runs in chunks of rows through reused buffers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fedswarm.model, "_SCAN_BLOCK", 2 * h.parameter_count)
+        assert head_logits(h, x).tobytes() == z.tobytes()
 
 
 def test_head_logits_rejects_wrong_feature_length():

@@ -20,19 +20,31 @@ from fedswarm import (
     sgd_step,
     total_loss,
 )
+from fedswarm import losses
 from fedswarm.gradcheck import REL_TOL, check_case
-from fedswarm.losses import Minibatch, _ce_kernel, _mol_kernel, _sides, stack_pairs
-from fedswarm.tensor import _scan, mm_f32
+from fedswarm.losses import Minibatch, StepSpace, stack_pairs
+from fedswarm.tensor import Fold, _scan
 
 
 # -- cross-entropy --------------------------------------------------------------
 
 
+def _logit_head(logits: np.ndarray) -> TrainableHead:
+    """A head whose logits are ``logits`` for any input: zero weights, the
+    logits as the classifier bias."""
+    return TrainableHead(
+        conv_w=np.zeros((1, 1), np.float32), conv_b=np.zeros(1, np.float32),
+        cls_w=np.zeros((logits.size, 1), np.float32), cls_b=logits,
+    )
+
+
 def cross_entropy(logits: np.ndarray, target: int) -> float:
-    """-log softmax(logits)[target] of one logit vector, through the kernel
-    (class-major: the vector is the kernel's one column)."""
-    losses, _ = _ce_kernel(logits[:, None], np.array([target]))
-    return float(losses[0])
+    """-log softmax(logits)[target] of one logit vector, through the
+    objective's kernel: the one-sample loss with mu = lambda = 0."""
+    head = _logit_head(logits)
+    part = ClassPartition(frozenset(), frozenset(range(logits.size)))
+    batch = [(np.zeros(1, np.float32), target)]
+    return total_loss(head, batch, part, flatten_params(head), LossConfig(mu=0.0, lam=0.0))[0]
 
 
 def test_ce_uniform_logits():
@@ -71,13 +83,17 @@ def _part(old, new):
 
 
 def mol_loss(logits: np.ndarray, target: int, part: ClassPartition) -> float:
-    """Mean-output term of one logit vector, through the kernel: the
-    partition is checked and masked as in training, the target excluded."""
-    head = init_head(1, 1, logits.size, np.random.default_rng(0))
-    _, targets, masks = stack_pairs(head, [(np.asarray([0.0], np.float32), target)], part, LossConfig())
-    sides, counts = _sides(tuple(m[None] for m in masks), targets[None])
-    value, _ = _mol_kernel(logits[:, None], sides[:, :, 0], counts[:, 0])
-    return float(value[0])
+    """Mean-output term of one logit vector, through the objective's
+    kernel: the partition is checked and masked as in training, the
+    target excluded. The term never reads the target's own logit, so it
+    is raised until the cross-entropy is exactly 0 and the one-sample
+    loss at mu = 1, lambda = 0 is the term alone."""
+    z = np.array(logits, np.float32)
+    if 0 <= target < z.size:
+        z[target] = np.max(z) + np.float32(200.0)  # exp(-200) is 0 in float32
+    head = _logit_head(z)
+    batch = [(np.zeros(1, np.float32), target)]
+    return total_loss(head, batch, part, flatten_params(head), LossConfig(mu=1.0, lam=0.0))[0]
 
 
 def test_mol_zero_for_equal_logits():
@@ -459,14 +475,15 @@ def _node_case(rng, c_feat, hidden, classes, n, branch, zero_frac):
 
 def _lockstep_args(nodes, cfg):
     """The nodes' one-head arguments as one lockstep call's: an (N, P)
-    head stack, a Minibatch, the (new, old) class masks and the (N, P)
-    snapshots."""
+    head stack, a sample-major Minibatch, the StepSpace of their class
+    masks and the (N, P) snapshots."""
     stacked = [stack_pairs(head, batch, part, cfg) for head, batch, part, _ in nodes]
     head = nodes[0][0].with_params(np.stack([h.params for h, *_ in nodes]))
-    targets = np.stack([t for _, t, _ in stacked])
     masks = tuple(np.stack([m[k] for *_, m in stacked]) for k in (0, 1))
-    batch = Minibatch(np.stack([x for x, _, _ in stacked]), targets)
-    return head, batch, masks, np.stack([w for *_, w in nodes])
+    batch = Minibatch(np.stack([x for x, _, _ in stacked], axis=1),
+                      np.stack([t for _, t, _ in stacked], axis=1))
+    space = StepSpace(head, len(nodes), cfg.batch_size, masks, cfg)
+    return head, batch, space, np.stack([w for *_, w in nodes])
 
 
 @given(_objective_cases())
@@ -484,6 +501,44 @@ def test_fused_total_loss_matches_reference_bit_for_bit(case):
     assert bare.tobytes() == grads.tobytes()
     _, one_bare = total_loss(*nodes[0], cfg, values=False)
     assert one_bare.tobytes() == grads[0].tobytes()
+
+
+@given(_objective_cases())
+def test_chunked_steps_match_reference_bit_for_bit(case):
+    # a budget of two samples per buffer splits a step into chunks of two
+    # and, for an odd batch, a last chunk of one; each chunk's gradient
+    # fold starts from the sum the chunk before it left
+    nodes, cfg = case
+    refs = [_bits(*_ref_total_loss(*node, cfg)) for node in nodes]
+    p = nodes[0][0].parameter_count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "_SCAN_BLOCK", 2 * p)
+        assert [_bits(*total_loss(*node, cfg)) for node in nodes] == refs
+        mp.setattr(losses, "_SCAN_BLOCK", 2 * len(nodes) * p)
+        args = _lockstep_args(nodes, cfg)
+    for _ in range(2):  # the second step reuses every buffer
+        values, grads = total_loss(*args, cfg)
+        assert [_bits(v, g) for v, g in zip(values.tolist(), grads)] == refs
+
+
+def test_steps_return_arrays_they_do_not_reuse():
+    rng = np.random.default_rng(13)
+    head = init_head(4, 3, 5, rng)
+    part = ClassPartition(frozenset({0, 1}), frozenset({2, 3, 4}))
+    cfg = LossConfig(batch_size=3)
+    wg = flatten_params(head)
+    first_loss, first = total_loss(head, _batch(rng, head, 3, 5), part, wg, cfg)
+    kept = first.tobytes()
+    _, second = total_loss(head, _batch(rng, head, 3, 5), part, wg, cfg)
+    assert first.tobytes() == kept and not np.shares_memory(first, second)
+    # two steps through one StepSpace: the first results survive the second
+    nodes = [(head, _batch(rng, head, 3, 5), part, wg) for _ in range(2)]
+    args = _lockstep_args(nodes, cfg)
+    values, grads = total_loss(*args, cfg)
+    kept = values.tobytes(), grads.tobytes()
+    again = total_loss(args[0], Minibatch(args[1].x[::-1], args[1].targets[::-1]), *args[2:], cfg)
+    assert (values.tobytes(), grads.tobytes()) == kept
+    assert not any(np.shares_memory(a, b) for a in (values, grads) for b in again)
 
 
 def test_fused_total_loss_keeps_sign_of_zero_gradients():
@@ -541,11 +596,20 @@ def _matrices(draw):
 _NEG_ZERO_PRODUCTS = (-np.ones((3, 5), np.float32), np.zeros((5, 4), np.float32))
 
 
+def _fold_mm(a, b):
+    """(m, k) x (k, n) as the head's contractions run it: the k-major
+    product written into a ``Fold``'s terms, then one run."""
+    fold = Fold((a.shape[1], a.shape[0], b.shape[1]))
+    np.multiply(a.T[:, :, None], b[:, None, :], out=fold.terms)
+    fold.run()
+    return fold.total
+
+
 @given(_matrices())
 @example(_NEG_ZERO_PRODUCTS)
 def test_scan_kernels_match_python_loops(ab):
     a, b = ab
-    assert mm_f32(a, b).tobytes() == _loop_mm_f32(a, b).tobytes()
+    assert _fold_mm(a, b).tobytes() == _loop_mm_f32(a, b).tobytes()
     assert _scan(a.T).tobytes() == _loop_sum_cols(a).tobytes()
     for row in a:
         assert _scan(row).tobytes() == _loop_seq_sum(row).tobytes()
@@ -554,5 +618,5 @@ def test_scan_kernels_match_python_loops(ab):
 def test_scan_turns_negative_zero_sums_positive():
     a, b = _NEG_ZERO_PRODUCTS
     assert np.signbit(a[:, :1] * b[:1, :]).all()  # every product is -0.0
-    assert not np.signbit(mm_f32(a, b)).any()
+    assert not np.signbit(_fold_mm(a, b)).any()
     assert not np.signbit(_scan(np.full(4, -0.0, np.float32)))
