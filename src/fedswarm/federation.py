@@ -268,6 +268,7 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     gather = np.concatenate(gather)
     rows = np.empty_like(gather)
     step_losses = np.zeros((n, -(-longest // b)))
+    lr = np.float32(cfg.lr)
     # diverging runs overflow here; finiteness is checked once at the end
     with np.errstate(all="ignore"):
         for e in range(epochs):
@@ -278,7 +279,7 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
             for j, sel, space, sel_snaps, batch in steps:
                 head = arch.with_params(params[sel])
                 values, grads = total_loss(head, batch, space, sel_snaps, cfg, values=last)
-                params[sel] = sgd_step(head, grads, cfg.lr).params
+                params[sel] = sgd_step(head, grads, lr).params
                 if last:
                     step_losses[sel, j] = values
     losses = [0.0] * n

@@ -104,7 +104,7 @@ class ClassPartition:
             raise RegistryError(f"classes in both partitions: {sorted(overlap)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Minibatch:
     """Minibatch k of N nodes, sample-major: ``x`` (B, N, c_feat) features
     and ``targets`` (B, N) class ids, row b holding sample b of every

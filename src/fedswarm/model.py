@@ -221,7 +221,8 @@ def head_logits(head: TrainableHead, features) -> np.ndarray:
     rows = f.reshape(-1, head.c_feat)
     out = np.empty((len(rows), head.num_classes), np.float32)
     step = max(1, _SCAN_BLOCK // head.parameter_count)
-    weights = _weight_views(head.params[None], head.dims)
+    # fixed for the call: contiguous copies make the products' inner loops unit-stride
+    weights = tuple(np.ascontiguousarray(w) for w in _weight_views(head.params[None], head.dims))
     fwd = None
     for lo in range(0, len(rows), step):
         chunk = rows[lo : lo + step]

@@ -18,7 +18,7 @@ from .sessions import LabeledDataset, Sample
 __all__ = ["SyntheticSpec", "gen_synthetic"]
 
 # values per noise draw: bounds the float64 blocks whatever the class size
-_DRAW_BLOCK = 1 << 15
+_DRAW_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,9 @@ def _scan(x: np.ndarray) -> np.ndarray:
 
 
 class Fold:
-    """``_scan`` over a preallocated buffer: the caller writes the (k, ...)
-    terms into ``terms``, ``run()`` sums them over k into ``total``.
+    """``_scan`` over a preallocated buffer: the caller writes all the
+    (k, ...) terms into ``terms`` (they start uninitialised), then
+    ``run()`` sums them over k into ``total``.
 
     The buffer is C-contiguous with one extra leading row holding the
     +0.0 seed, so the one numpy call is the loop from +0.0 itself:
@@ -64,7 +65,8 @@ class Fold:
     def __init__(self, shape: tuple):
         k, trail = shape[0], shape[1:]
         width = math.prod(trail)
-        buf = np.zeros((k + 1, width), np.float32)
+        buf = np.empty((k + 1, width), np.float32)
+        buf[0] = 0.0
         self.terms = buf[1:].reshape(shape)
         if width != 1:
             total = np.empty(width, np.float32)

@@ -527,7 +527,7 @@ def test_steps_return_arrays_they_do_not_reuse():
     part = ClassPartition(frozenset({0, 1}), frozenset({2, 3, 4}))
     cfg = LossConfig(batch_size=3)
     wg = flatten_params(head)
-    first_loss, first = total_loss(head, _batch(rng, head, 3, 5), part, wg, cfg)
+    _, first = total_loss(head, _batch(rng, head, 3, 5), part, wg, cfg)
     kept = first.tobytes()
     _, second = total_loss(head, _batch(rng, head, 3, 5), part, wg, cfg)
     assert first.tobytes() == kept and not np.shares_memory(first, second)
