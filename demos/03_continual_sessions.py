@@ -30,11 +30,12 @@ print(f"seen through T1     : {registry.seen_through(1)}")
 rng = np.random.default_rng(11)
 train, _ = gen_synthetic(SyntheticSpec(num_classes=10, train_per_class=6, test_per_class=2), rng)
 
-# each node sees only its own new classes, and only this session's
-view = node_train_view(train, plan, session=1, node=0)
-print(f"node 0, T1 view     : {len(view)} samples, classes {sorted(view.class_ids())}")
-view2 = node_train_view(train, plan, session=2, node=0)
-print(f"node 0, T2 view     : {len(view2)} samples, classes {sorted(view2.class_ids())}")
+# each node sees only its own new classes, and only this session's:
+# a view is a mask over the rows of the train split
+for t in (1, 2):
+    rows = node_train_view(train, plan, session=t, node=0)
+    classes = sorted(set(train.classes[rows].tolist()))
+    print(f"node 0, T{t} view     : {rows.sum()} samples, classes {classes}")
 
 # growing the classifier must not disturb what the old classes compute
 head = init_head(c_feat=48, c_out=24, num_classes=4, rng=rng)

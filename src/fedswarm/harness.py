@@ -43,7 +43,6 @@ from .losses import ClassPartition, LossConfig
 from .losses import sgd_step, total_loss  # noqa: F401
 from .sessions import evaluate  # noqa: F401
 from .model import (
-    SplitModel,
     _head,
     expand_classifier,
     head_message_bytes,
@@ -381,8 +380,9 @@ class MetricsReport:
         return self.sessions[-1]["accuracy_seen"]
 
 
-def _pairs(samples, features):
-    return [(features[s.sample_id], s.class_id) for s in samples]
+def _pairs(features, classes, rows):
+    """The (features, target) pairs of the selected rows of a split."""
+    return list(zip(features[rows], classes[rows].tolist()))
 
 
 def _central_epochs(head, pairs, cfg: LossConfig, epochs: int, part, rng):
@@ -400,13 +400,15 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 def load_dataset(cfg: ExperimentConfig) -> tuple:
     """(train, test) of a run: generated from the data stream, or read
-    from the manifest, which must hold every planned class."""
+    from the manifest, which must hold train and test rows of every
+    planned class."""
     if cfg.data.kind == "synthetic":
         return gen_synthetic(cfg.data.synthetic_spec(cfg.plan.num_classes), _rng(cfg.seed, 0))
     train, test = read_manifest(cfg.data.manifest_dir)
-    missing = set(range(cfg.plan.num_classes)) - train.class_ids()
-    if missing:
-        raise ConfigError(f"manifest lacks training classes {sorted(missing)}")
+    for ds, rows in ((train, "training"), (test, "test")):
+        missing = sorted(set(range(cfg.plan.num_classes)) - set(ds.classes.tolist()))
+        if missing:
+            raise ConfigError(f"manifest lacks {rows} classes {missing}")
     return train, test
 
 
@@ -428,8 +430,7 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
         weight_sigma=cfg.backbone.weight_sigma,
         activation_range=cfg.backbone.activation_range,
     )
-    feats = precompute_features(backbone, train)
-    feats.update(precompute_features(backbone, test))
+    train_f, test_f = (precompute_features(backbone, ds) for ds in (train, test))
 
     # T0: joint pretraining of the head on the base classes, plain CE
     ce_cfg = replace(cfg.loss, mu=0.0, lam=0.0)
@@ -437,7 +438,7 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
     base_part = ClassPartition(frozenset(), frozenset(base))
     head = init_head(backbone.feature_dim, cfg.head.hidden, len(base), rng_head, cfg.head.init_sigma)
     head = _central_epochs(
-        head, _pairs(train.of_classes(base).samples, feats), ce_cfg,
+        head, _pairs(train_f, train.classes, np.isin(train.classes, base)), ce_cfg,
         cfg.train.t0_epochs, base_part, rng_t0,
     )
 
@@ -447,10 +448,9 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
         # one prediction vector over the seen classes' test samples; a session's
         # last round scores the head its row reports, so the row reuses that pass
         if scored[:2] != [h, seen]:
-            subset = test.of_classes(seen).samples
-            truth = np.array([s.class_id for s in subset], np.intp)
-            hits = predict(SplitModel(backbone, h), subset, seen, feats) == truth
-            scored[:] = h, seen, truth, hits
+            rows = np.isin(test.classes, seen)
+            truth = test.classes[rows]
+            scored[:] = h, seen, truth, predict(h, test_f[rows], seen) == truth
         return scored[2:]
 
     def scores(h, seen) -> dict:
@@ -481,14 +481,14 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
         head = expand_classifier(head, new_ids)
         trace = []
         if cfg.strategy == "joint":
-            pool = _pairs(train.of_classes(seen).samples, feats)
+            pool = _pairs(train_f, train.classes, np.isin(train.classes, seen))
             epochs = cfg.train.rounds_per_session * cfg.loss.local_epochs_per_round
             part = ClassPartition(frozenset(), frozenset(seen))
             head = _central_epochs(head, pool, ce_cfg, epochs, part, rng_joint)
         else:
             nodes = [NodeState(n, head, head) for n in range(plan.num_nodes)]
             views = {
-                n: _pairs(node_train_view(train, plan, t, n).samples, feats)
+                n: _pairs(train_f, train.classes, node_train_view(train, plan, t, n))
                 for n in range(plan.num_nodes)
             }
             parts = {

@@ -6,18 +6,20 @@ average pool that yields a float feature vector. It stands in for a
 pretrained integerized feature extractor: its structure is
 configurable and its parameters never change after construction.
 
-``backbone_forward`` runs a dataset in blocks of same-shape samples,
+``backbone_forward`` runs a batch of frames (one N x C x H x W
+``QuantTensor`` under one quantization) in fixed-size blocks of rows,
 one float64 GEMM per layer. Integer sums are exact in any order as
 long as no partial sum leaves the exactly representable range, so a
 per-block bound (every |prefix sum| <= INT32_MAX) proves the GEMM
 equals the channel-by-channel int32 accumulation bit for bit. A block
-whose bound fails takes that exact pass sample by sample instead, so
-an accumulator overflow raises the same error for the same sample.
+whose bound fails takes that exact pass frame by frame instead, so
+an accumulator overflow raises the same error for the same frame.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -63,24 +65,30 @@ class QuantParams:
 
 
 class QuantTensor:
-    """Immutable int8 payload with shape and quantization parameters."""
+    """Immutable int8 payload with shape and quantization parameters.
+
+    A 4-D tensor is a batch of N x C x H x W frames, and may hold none.
+    The payload is a read-only copy of ``data``, except that a read-only
+    C-ordered int8 array owning its memory is shared as it is: a caller
+    that froze a buffer it filled hands it over without a second copy.
+    """
 
     __slots__ = ("shape", "data", "qparams")
 
     def __init__(self, data, shape, qparams: QuantParams):
         shape = tuple(int(s) for s in shape)
-        if any(s < 1 for s in shape):
+        frame = shape[1:] if len(shape) == 4 else shape  # a batch may hold no frames
+        if any(s < 0 for s in shape) or any(s < 1 for s in frame):
             raise DimensionError(f"shape entries must be positive, got {shape}")
-        flat = np.asarray(data, dtype=np.int8).reshape(-1)
-        expected = 1
-        for s in shape:
-            expected *= s
+        flat = np.asarray(data, dtype=np.int8)
+        if flat.flags.writeable or not (flat.flags.owndata and flat.flags.c_contiguous):
+            flat = flat.copy()
+            flat.flags.writeable = False
+        expected = math.prod(shape)
         if flat.size != expected:
             raise DimensionError(f"shape {shape} expects {expected} elements, got {flat.size}")
-        flat = np.array(flat, dtype=np.int8, copy=True)
-        flat.flags.writeable = False
         self.shape = shape
-        self.data = flat
+        self.data = flat.reshape(-1)
         self.qparams = qparams
 
     @property
@@ -95,9 +103,6 @@ class QuantTensor:
             and self.qparams == other.qparams
             and bool(np.array_equal(self.data, other.data))
         )
-
-    def __hash__(self):
-        return hash((self.shape, self.qparams, self.data.tobytes()))
 
     def __repr__(self):
         return f"QuantTensor(shape={self.shape}, qparams={self.qparams})"
@@ -194,25 +199,16 @@ def _check_int32(acc: np.ndarray, layer_idx: int) -> None:
         )
 
 
-def _check_input(bb: FrozenBackbone, x: QuantTensor) -> None:
-    if len(x.shape) != 3:
-        raise DimensionError(f"backbone input must be C x H x W, got {x.shape}")
-    if x.shape[0] != bb.input_channels:
-        raise DimensionError(
-            f"input channels {x.shape[0]} do not match first layer {bb.input_channels}"
-        )
-
-
-def _forward_checked(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
-    """One sample, accumulated channel by channel, every prefix checked.
+def _forward_checked(bb: FrozenBackbone, frame: np.ndarray, qp: QuantParams) -> np.ndarray:
+    """One C x H x W frame, accumulated channel by channel, every prefix checked.
 
     The exact fallback of the batched pass: the first prefix sum that
     leaves the int32 range raises, naming its layer and magnitude.
     """
-    c, h, w = x.shape
-    acts = x.data.reshape(c, h * w).astype(np.int64)
-    in_scale = float(x.qparams.scale)
-    in_zp = int(x.qparams.zero_point)
+    c, h, w = frame.shape
+    acts = frame.reshape(c, h * w).astype(np.int64)
+    in_scale = float(qp.scale)
+    in_zp = int(qp.zero_point)
     q = None
     for li, layer in enumerate(bb.layers):
         acc = np.broadcast_to(
@@ -239,95 +235,75 @@ def _acc_bound(layer: QuantLayer, peak: int) -> int:
     return int((np.abs(layer.bias.astype(np.int64)) + absw * peak).max())
 
 
-def _blocks(bb: FrozenBackbone, xs):
-    """Consecutive runs of same-shape samples, sized so that no layer's
-    (channels, samples * H * W) temporary exceeds ``_BLOCK`` elements.
-
-    A sample's input checks run only once every earlier block is done,
-    so errors surface in the order a one-by-one pass would raise them.
-    """
-    width = max(max(layer.c_in, layer.c_out) for layer in bb.layers)
-    i = 0
-    while i < len(xs):
-        _check_input(bb, xs[i])
-        shape = xs[i].shape
-        step = max(1, _BLOCK // (width * shape[1] * shape[2]))
-        j = i + 1
-        while j < len(xs) and j - i < step and xs[j].shape == shape:
-            j += 1
-        yield xs[i:j]
-        i = j
-
-
-def _forward_block(bb: FrozenBackbone, block, later_bound: int) -> np.ndarray:
-    """(B, feature_dim) features of same-shape samples, one GEMM per layer."""
-    c, h, w = block[0].shape
-    n = len(block) * h * w
-    q = np.stack([x.data for x in block]).reshape(len(block), c, h * w)
-    zp = np.array([x.qparams.zero_point for x in block], np.float64)
-    # (channels, samples, H*W): every layer is one 2-D product over channels
-    acts = q.transpose(1, 0, 2).astype(np.float64, order="C")
-    acts -= zp[None, :, None]
+def _forward_block(bb: FrozenBackbone, q: np.ndarray, qp: QuantParams,
+                   later_bound: int) -> np.ndarray:
+    """(B, feature_dim) features of a (B, C, H, W) block, one GEMM per layer."""
+    b, c, h, w = q.shape
+    n = b * h * w
+    # (channels, frames, H*W): every layer is one 2-D product over channels
+    acts = q.reshape(b, c, h * w).transpose(1, 0, 2).astype(np.float64, order="C")
+    acts -= qp.zero_point
     first = bb.layers[0]
     peak = int(np.abs(acts).max(initial=0))
     if max(_acc_bound(first, peak), later_bound) > _INT32_MAX:
-        return np.stack([_forward_checked(bb, x) for x in block])
-    # per-sample requantization multipliers, formed exactly as one by one
-    mult = np.array(
-        [float(x.qparams.scale) * first.weight_scale / first.out_scale for x in block],
-        np.float64,
-    )[:, None]
+        return np.stack([_forward_checked(bb, frame, qp) for frame in q])
+    # requantization multipliers, formed exactly as the one-frame pass does
+    mult = float(qp.scale) * first.weight_scale / first.out_scale
     for li, layer in enumerate(bb.layers):
         if li:
             mult = bb.layers[li - 1].out_scale * layer.weight_scale / layer.out_scale
         acc = np.matmul(layer.weight.astype(np.float64), acts.reshape(layer.c_in, n))
         acc += layer.bias.astype(np.float64)[:, None]
-        acc = acc.reshape(layer.c_out, len(block), h * w)
+        acc = acc.reshape(layer.c_out, b, h * w)
         acc *= mult
         np.rint(acc, out=acc)
         np.clip(acc, 0, INT8_MAX, out=acc)
         acts = acc
     feats = acts.astype(np.float32) * np.float32(bb.layers[-1].out_scale)
-    # pool over H*W in index order, as the one-sample column sum does
+    # pool over H*W in index order, as the one-frame column sum does
     return _scan(feats.transpose(2, 1, 0)) / np.float32(h * w)
 
 
-def backbone_forward(bb: FrozenBackbone, x):
+def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
     """Integer inference through the frozen chain; float features out.
 
-    ``x`` is one C x H x W ``QuantTensor`` (a float32 ``(feature_dim,)``
-    array comes back) or a sequence of them (a float32
-    ``(len(x), feature_dim)`` array comes back). Samples may differ in
-    shape and quantization parameters.
+    ``x`` is one C x H x W frame (a float32 ``(feature_dim,)`` array
+    comes back) or an N x C x H x W batch under its one quantization (a
+    float32 ``(N, feature_dim)`` array comes back; an empty batch is
+    not checked further).
 
     Per layer: int32-range accumulation over input channels (overflow
     detected, never wrapped), requantization by a float multiply and
     round-half-even, relu as a clamp at the zero point. The last layer
     is dequantized and average-pooled with an ordered float32 sum.
 
-    Consecutive same-shape samples run in blocks, one float64 GEMM per
-    layer. Before a block runs, the bound
+    Frames run in blocks of rows, sized so that no layer's (channels,
+    rows * H * W) temporary exceeds ``_BLOCK`` elements, one float64
+    GEMM per layer. Before a block runs, the bound
     ``max_co(|b_co| + sum_ci |w_co,ci| * peak)`` is checked against
     INT32_MAX for every layer, with ``peak`` the block's largest
     ``|q - zero_point|`` in layer 0 and 127 (post-relu) after it. When
     it holds, no prefix sum can overflow and every partial sum is an
     integer below 2**31 < 2**53, so the GEMM is exact in any summation
     order and the features equal the channel-by-channel integer pass
-    bit for bit. When it fails, the block's samples take that exact
+    bit for bit. When it fails, the block's frames take that exact
     pass one by one, checking every prefix sum, so an overflow raises
-    the same ``NumericError`` for the same first sample.
+    the same ``NumericError`` for the same first frame.
     """
-    if isinstance(x, QuantTensor):
-        return backbone_forward(bb, [x])[0]
-    xs = list(x)
+    if len(x.shape) not in (3, 4):
+        raise DimensionError(f"backbone input must be C x H x W or N x C x H x W, got {x.shape}")
+    frames = x.data.reshape((-1,) + x.shape[-3:])
+    n, c, h, w = frames.shape
+    if n and c != bb.input_channels:
+        raise DimensionError(f"input channels {c} do not match first layer {bb.input_channels}")
     # later layers read post-relu activations in [0, 127]
     later_bound = max((_acc_bound(layer, INT8_MAX) for layer in bb.layers[1:]), default=0)
-    out = np.empty((len(xs), bb.feature_dim), np.float32)
-    i = 0
-    for block in _blocks(bb, xs):
-        out[i : i + len(block)] = _forward_block(bb, block, later_bound)
-        i += len(block)
-    return out
+    width = max(max(layer.c_in, layer.c_out) for layer in bb.layers)
+    step = max(1, _BLOCK // (width * h * w))
+    out = np.empty((n, bb.feature_dim), np.float32)
+    for lo in range(0, n, step):
+        out[lo : lo + step] = _forward_block(bb, frames[lo : lo + step], x.qparams, later_bound)
+    return out if len(x.shape) == 4 else out[0]
 
 
 def build_backbone(

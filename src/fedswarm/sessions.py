@@ -4,6 +4,11 @@ A plan starts from a jointly pretrained base session (T0) and then
 deals the remaining classes out to nodes over numbered sessions. Nodes
 never see data from earlier sessions again (no replay), and evaluation
 always runs over every class seen so far.
+
+A split is columnar: one array of sample ids, one of classes and one
+N x C x H x W int8 tensor of frames under one quantization. Its
+features are one (N, feature_dim) array aligned with those rows, and
+node views, pools and scored subsets are row masks by class.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from pathlib import Path, PurePosixPath
 
 import numpy as np
 
-from .errors import DimensionError, EvaluationError, NumericError, PlanError, RegistryError
-from .model import SplitModel, head_logits
+from .errors import DimensionError, EvaluationError, NumericError, PlanError, RegistryError, _is_int
+from .model import SplitModel, TrainableHead, head_logits
 from .quant import QuantParams, QuantTensor, backbone_forward
 
 __all__ = [
@@ -24,7 +29,6 @@ __all__ = [
     "SessionPlan",
     "make_plan",
     "registry_from_plan",
-    "Sample",
     "LabeledDataset",
     "node_train_view",
     "precompute_features",
@@ -38,7 +42,7 @@ __all__ = [
 # int8 bytes and samples a run's data may hold, train plus test:
 # ``read_manifest`` checks a manifest's rows against them, ``harness`` a
 # synthetic config. Samples are capped apart from bytes because each one
-# costs about half a kilobyte of host memory beyond its int8 payload.
+# holds an id, a class and a feature row beyond its int8 payload.
 MAX_DATA_BYTES = 1 << 27
 MAX_SAMPLES = 1 << 18
 
@@ -173,86 +177,90 @@ def registry_from_plan(plan: SessionPlan) -> ClassRegistry:
     return ClassRegistry(tuple(entries))
 
 
-@dataclass(frozen=True)
-class Sample:
-    sample_id: int
-    class_id: int
-    x: QuantTensor
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    samples: tuple
+    """One split as columns: row i is sample ``ids[i]`` of class
+    ``classes[i]`` with frame ``frames.array[i]``.
+
+    ``ids`` and ``classes`` are read-only int64 arrays; ``frames`` is one
+    N x C x H x W ``QuantTensor``, so a split has one frame shape and one
+    quantization. Sample ids are unique within a split.
+    """
+
+    ids: np.ndarray
+    classes: np.ndarray
+    frames: QuantTensor
     split: str  # "train" or "test"
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
         if self.split not in ("train", "test"):
             raise PlanError(f"split must be train or test, got {self.split!r}")
-        ids = [s.sample_id for s in self.samples]
-        if len(set(ids)) != len(ids):
+        for name in ("ids", "classes"):
+            col = np.array(getattr(self, name), np.int64).reshape(-1)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        if len(self.frames.shape) != 4:
+            raise DimensionError(f"frames must be N x C x H x W, got {self.frames.shape}")
+        if not len(self.ids) == len(self.classes) == self.frames.shape[0]:
+            raise DimensionError(
+                f"columns of unequal length: {len(self.ids)} ids, "
+                f"{len(self.classes)} classes, {self.frames.shape[0]} frames"
+            )
+        # a set: np.unique and np.sort map about 1 MB of numpy into a run
+        if len(set(self.ids.tolist())) != len(self.ids):
             raise PlanError("duplicate sample ids in dataset")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
-    def class_ids(self) -> set:
-        return {s.class_id for s in self.samples}
-
-    def of_classes(self, class_ids) -> "LabeledDataset":
-        wanted = set(int(c) for c in class_ids)
-        return LabeledDataset(
-            tuple(s for s in self.samples if s.class_id in wanted), self.split
-        )
+    def __eq__(self, other):
+        if not isinstance(other, LabeledDataset):
+            return NotImplemented
+        same = self.split == other.split and self.frames == other.frames
+        same = same and np.array_equal(self.ids, other.ids)
+        return same and np.array_equal(self.classes, other.classes)
 
 
 def node_train_view(
     ds: LabeledDataset, plan: SessionPlan, session: int, node: int
-) -> LabeledDataset:
-    """Exactly the train samples of the classes this node learns now.
+) -> np.ndarray:
+    """Row mask of the train samples of the classes this node learns now.
 
     Earlier sessions' classes never reappear here; an unassigned node
     gets an empty view and sits out local training.
     """
     if ds.split != "train":
         raise PlanError(f"training views come from the train split, got {ds.split!r}")
-    return ds.of_classes(plan.node_classes(session, node))
+    return np.isin(ds.classes, plan.node_classes(session, node))
 
 
-def precompute_features(backbone, ds: LabeledDataset) -> dict:
-    """Map sample id -> backbone feature vector, computed once.
+def precompute_features(backbone, ds: LabeledDataset) -> np.ndarray:
+    """The split's backbone features, one read-only (N, feature_dim)
+    float32 row per sample, computed once.
 
     The backbone is frozen, so features never change; training and
-    evaluation both read from this cache. The whole split goes through
-    one batched ``backbone_forward`` call, and the vectors are read-only
-    row views of its float32 output.
+    evaluation both select rows of this array. The whole split goes
+    through one batched ``backbone_forward`` call.
     """
-    feats = backbone_forward(backbone, [s.x for s in ds.samples])
+    feats = backbone_forward(backbone, ds.frames)
     feats.flags.writeable = False
-    return {s.sample_id: f for s, f in zip(ds.samples, feats)}
+    return feats
 
 
-def predict(model: SplitModel, samples, seen_classes, features: dict | None = None) -> np.ndarray:
-    """Seen-class argmax of each sample's logits, one batched head pass.
-
-    The lowest class id wins ties. Pass a ``precompute_features`` cache
-    to skip the integer backbone pass.
-    """
+def predict(head: TrainableHead, features, seen_classes) -> np.ndarray:
+    """Seen-class argmax of each (B, c_feat) feature row's logits, one
+    batched head pass. The lowest class id wins ties."""
     seen = sorted(int(c) for c in seen_classes)
     if not seen:
         raise EvaluationError("no classes to evaluate on")
-    if max(seen) >= model.head.num_classes or min(seen) < 0:
+    if max(seen) >= head.num_classes or min(seen) < 0:
         raise EvaluationError(
-            f"seen classes {seen} exceed classifier outputs {model.head.num_classes}"
+            f"seen classes {seen} exceed classifier outputs {head.num_classes}"
         )
-    if not samples:
-        return np.zeros(0, np.intp)
-    if features is not None:
-        feats = np.stack([features[s.sample_id] for s in samples])
-    else:
-        feats = backbone_forward(model.backbone, [s.x for s in samples])
+    if np.ndim(features) != 2:
+        raise DimensionError(f"features must be (rows, {head.c_feat}), got {np.shape(features)}")
     # rows equal the per-sample logits bit for bit
-    z = head_logits(model.head, feats)
+    z = head_logits(head, features)
     idx = np.array(seen)
     return idx[np.argmax(z[:, idx], axis=1)]  # first max = lowest class id
 
@@ -269,7 +277,7 @@ def evaluate(
     model: SplitModel,
     ds_test: LabeledDataset,
     seen_classes,
-    features: dict | None = None,
+    features=None,
     sample_classes=None,
 ) -> float:
     """Accuracy of seen-class argmax over a slice of the test set.
@@ -278,14 +286,17 @@ def evaluate(
     id wins ties). By default all test samples of seen classes are
     scored; ``sample_classes`` narrows the scored samples without
     narrowing the argmax, which is how forgetting on early classes is
-    measured. Pass a ``precompute_features`` cache to skip the integer
-    backbone pass.
+    measured. Pass the split's ``precompute_features`` rows to skip the
+    integer backbone pass.
     """
-    seen = sorted(int(c) for c in seen_classes)
-    scored = set(seen) if sample_classes is None else set(int(c) for c in sample_classes)
-    subset = [s for s in ds_test.samples if s.class_id in scored]
-    truth = np.array([s.class_id for s in subset], np.intp)
-    return accuracy(predict(model, subset, seen, features) == truth)
+    if features is None:
+        features = precompute_features(model.backbone, ds_test)
+    features = np.asarray(features)
+    if features.shape[:1] != (len(ds_test),):
+        raise DimensionError(f"features {features.shape} do not match {len(ds_test)} test rows")
+    scored = seen_classes if sample_classes is None else sample_classes
+    rows = np.isin(ds_test.classes, [int(c) for c in scored])
+    return accuracy(predict(model.head, features[rows], seen_classes) == ds_test.classes[rows])
 
 
 # -- manifest I/O -----------------------------------------------------------
@@ -304,20 +315,14 @@ def write_manifest(ds_train: LabeledDataset, ds_test: LabeledDataset, out_dir) -
     (out / "blobs").mkdir(parents=True, exist_ok=True)
     rows = []
     for ds in (ds_train, ds_test):
-        for s in sorted(ds.samples, key=lambda s: s.sample_id):
-            rel = f"blobs/{s.sample_id:06d}.bin"
-            (out / rel).write_bytes(s.x.data.tobytes())
-            rows.append(
-                (
-                    str(s.sample_id),
-                    ds.split,
-                    str(s.class_id),
-                    repr(s.x.qparams.scale),
-                    str(s.x.qparams.zero_point),
-                    "x".join(str(d) for d in s.x.shape),
-                    rel,
-                )
-            )
+        ids, classes, qp = ds.ids.tolist(), ds.classes.tolist(), ds.frames.qparams
+        blobs = ds.frames.data.reshape(len(ds), -1)
+        shape = "x".join(str(d) for d in ds.frames.shape[1:])
+        for i in sorted(range(len(ids)), key=ids.__getitem__):
+            rel = f"blobs/{ids[i]:06d}.bin"
+            (out / rel).write_bytes(blobs[i].tobytes())
+            rows.append((str(ids[i]), ds.split, str(classes[i]), repr(qp.scale),
+                         str(qp.zero_point), shape, rel))
     path = out / _MANIFEST_NAME
     lines = ["\t".join(_COLUMNS)]
     lines.extend("\t".join(r) for r in rows)
@@ -328,10 +333,13 @@ def write_manifest(ds_train: LabeledDataset, ds_test: LabeledDataset, out_dir) -
 def read_manifest(manifest_dir) -> tuple:
     """Load (train, test) datasets back from a manifest directory.
 
-    A sample id may appear once across both splits. A repeated id, and
-    rows declaring more than ``MAX_DATA_BYTES`` int8 bytes or
-    ``MAX_SAMPLES`` samples in all, are a PlanError naming the line,
-    raised before that line's blob is read."""
+    A sample id may appear once across both splits, and every row of a
+    split shares the split's first row's shape, scale and zero point. A
+    row that breaks either rule, and rows declaring more than
+    ``MAX_DATA_BYTES`` int8 bytes or ``MAX_SAMPLES`` samples in all, are
+    a PlanError naming the line. Every row is checked before any blob is
+    read; then the blobs are read in line order straight into one frame
+    buffer per split. A split without rows loads empty."""
     root = Path(manifest_dir)
     path = root / _MANIFEST_NAME
     if not path.is_file():
@@ -342,7 +350,9 @@ def read_manifest(manifest_dir) -> tuple:
         raise PlanError(f"{path} is not a text manifest ({e.reason})") from None
     if not lines or tuple(lines[0].split("\t")) != _COLUMNS:
         raise PlanError(f"unrecognized manifest header in {path}")
-    per_split = {"train": [], "test": []}
+    cols = {split: ([], []) for split in ("train", "test")}  # sample ids, class ids
+    layouts = {}  # split -> (shape, QuantParams, line) of its first row
+    blobs = []  # (line, split, row in split, blob path) of every row
     n_bytes = 0
     id_lines = {}  # sample id -> the line that declared it
     for lineno, ln in enumerate(lines[1:], start=2):
@@ -353,13 +363,15 @@ def read_manifest(manifest_dir) -> tuple:
         if len(cells) != len(_COLUMNS):
             raise PlanError(f"{where}: expected {len(_COLUMNS)} columns, got {len(cells)}")
         sid, split, cid, scale, zp, shape_s, rel = cells
-        if split not in per_split:
+        if split not in cols:
             raise PlanError(f"{where}: unknown split {split!r}")
         try:
             sid, cid, zp, scale = int(sid), int(cid), int(zp), float(scale)
             shape = tuple(int(d) for d in shape_s.split("x"))
         except ValueError as e:
             raise PlanError(f"{where}: malformed field ({e})") from None
+        if not (_is_int(sid) and _is_int(cid)):
+            raise PlanError(f"{where}: sample and class ids must be 64-bit integers")
         n_bytes += math.prod(max(d, 0) for d in shape)
         if n_bytes > MAX_DATA_BYTES:
             raise PlanError(f"{path}: rows through line {lineno} hold {n_bytes} "
@@ -370,21 +382,43 @@ def read_manifest(manifest_dir) -> tuple:
         if len(id_lines) > MAX_SAMPLES:
             raise PlanError(f"{path}: rows through line {lineno} hold {len(id_lines)} "
                             f"samples, over the cap of {MAX_SAMPLES}")
+        if split not in layouts:
+            if len(shape) != 3 or min(shape) < 1:
+                raise PlanError(f"{where}: shape {shape} is not C x H x W")
+            try:
+                layouts[split] = shape, QuantParams(scale, zp), lineno
+            except NumericError as e:
+                raise PlanError(f"{where}: {e}") from None
+        first, qp, first_line = layouts[split]
+        if (shape, scale, zp) != (first, qp.scale, qp.zero_point):
+            raise PlanError(f"{where}: shape {shape}, scale {scale!r} and zero point {zp} "
+                            f"differ from the split's first row, line {first_line}")
         # lexical containment: no absolute paths, no climbing out of root
         blob = PurePosixPath(rel)
         if blob.is_absolute() or ".." in blob.parts or not blob.parts:
             raise PlanError(f"{where}: blob path {rel!r} is not inside {root}")
+        ids, classes = cols[split]
+        blobs.append((lineno, split, len(ids), rel))
+        ids.append(sid)
+        classes.append(cid)
+    # a split without rows has no layout of its own: no frames, unit scale
+    layout = {s: layouts.get(s, ((1, 1, 1), QuantParams(1.0), None)) for s in cols}
+    frames = {s: np.empty((len(cols[s][0]),) + layout[s][0], np.int8) for s in cols}
+    for lineno, split, i, rel in blobs:
+        where = f"{path} line {lineno}"
         try:
-            raw = np.frombuffer((root / blob).read_bytes(), dtype=np.int8)
+            raw = (root / rel).read_bytes()
         except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
             reason = getattr(e, "strerror", None) or e
             raise PlanError(f"{where}: cannot read blob {rel!r} ({reason})") from None
-        try:
-            qt = QuantTensor(raw, shape, QuantParams(scale, zp))
-        except (DimensionError, NumericError) as e:
-            raise PlanError(f"{where}: {e}") from None
-        per_split[split].append(Sample(sid, cid, qt))
-    return (
-        LabeledDataset(tuple(per_split["train"]), "train"),
-        LabeledDataset(tuple(per_split["test"]), "test"),
-    )
+        frame = frames[split][i]
+        if len(raw) != frame.size:
+            raise PlanError(f"{where}: shape {frame.shape} expects {frame.size} "
+                            f"elements, got {len(raw)}")
+        frame[...] = np.frombuffer(raw, np.int8).reshape(frame.shape)
+    out = []
+    for split, (ids, classes) in cols.items():
+        frames[split].flags.writeable = False  # so the QuantTensor shares it
+        qt = QuantTensor(frames[split], frames[split].shape, layout[split][1])
+        out.append(LabeledDataset(ids, classes, qt, split))
+    return tuple(out)

@@ -7,13 +7,14 @@ exhibit forgetting dynamics without shipping a face dataset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .quant import QuantParams, QuantTensor, quantize
-from .sessions import LabeledDataset, Sample
+from .sessions import LabeledDataset
 
 __all__ = ["SyntheticSpec", "gen_synthetic"]
 
@@ -60,35 +61,35 @@ def gen_synthetic(spec: SyntheticSpec, rng) -> tuple:
 
     ``rng`` is an integer seed or a numpy Generator. Centers are drawn
     first (one per class), then per-sample noise in a fixed order:
-    class by class, train before test. Each split of a class is drawn as
-    (rows, dim) blocks of at most ``_DRAW_BLOCK`` values, each quantized
-    in one call; consecutive draws of any shape are the same stream as
-    one draw per sample. The same seed always yields byte-identical
-    datasets.
+    class by class, train before test, sample ids counting up in that
+    order. Each split of a class is drawn as (rows, dim) blocks of at
+    most ``_DRAW_BLOCK`` values, each quantized in one call and written
+    into its rows of the split's frame buffer; consecutive draws of any
+    shape are the same stream as one draw per sample. The same seed
+    always yields byte-identical datasets.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(int(rng))
-    dim = 1
-    for d in spec.input_shape:
-        dim *= d
-    qp = spec.qparams
-    centers = rng.standard_normal((spec.num_classes, dim)) * spec.sigma_between
+    k, dim, qp = spec.num_classes, math.prod(spec.input_shape), spec.qparams
+    centers = rng.standard_normal((k, dim)) * spec.sigma_between
     step = max(1, _DRAW_BLOCK // dim)
-    train, test = [], []
-    sample_id = 0
-    for class_id in range(spec.num_classes):
-        for bucket, count in ((train, spec.train_per_class), (test, spec.test_per_class)):
-            for lo in range(0, count, step):
-                rows = min(step, count - lo)
-                x = rng.standard_normal((rows, dim))
+    counts = (spec.train_per_class, spec.test_per_class)
+    frames = [np.empty((k, n, dim), np.int8) for n in counts]
+    for class_id in range(k):
+        for buf, n in zip(frames, counts):
+            for lo in range(0, n, step):
+                rows = buf[class_id, lo : lo + step]
+                x = rng.standard_normal(rows.shape)
                 x *= spec.sigma_within
                 x += centers[class_id]
-                q = quantize(x.reshape((rows,) + spec.input_shape), qp).data.reshape(rows, dim)
-                for row in q:
-                    x_q = QuantTensor(row, spec.input_shape, qp)
-                    bucket.append(Sample(sample_id, class_id, x_q))
-                    sample_id += 1
-    return (
-        LabeledDataset(tuple(train), "train"),
-        LabeledDataset(tuple(test), "test"),
+                rows[...] = quantize(x, qp).array
+    for buf in frames:
+        buf.flags.writeable = False  # so the split's QuantTensor shares it
+    ids = np.arange(k * sum(counts)).reshape(k, -1)
+    classes = np.broadcast_to(np.arange(k)[:, None], ids.shape)
+    cols = (slice(None, counts[0]), slice(counts[0], None))
+    return tuple(
+        LabeledDataset(ids[:, c], classes[:, c],
+                       QuantTensor(buf, (k * n,) + spec.input_shape, qp), split)
+        for c, buf, n, split in zip(cols, frames, counts, ("train", "test"))
     )

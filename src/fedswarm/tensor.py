@@ -25,39 +25,26 @@ _SCAN_BLOCK = 1 << 17
 
 
 def _scan(x: np.ndarray) -> np.ndarray:
-    """Float32 sum of ``x`` over its leading axis, in index order from +0.0.
-
-    Equals the loop ``acc = 0.0; for v in x: acc += v`` at every trailing
-    index; the seed turns a lone -0.0 into +0.0. The fold contract:
-    ``np.add.reduce`` over axis 0 of a C-contiguous (k, W >= 2) block
-    adds its W-wide rows in index order, so other layouts are copied to
-    C order first; a W == 1 block would be a 1-D reduce, which numpy
-    sums pairwise, so it runs ``np.add.accumulate`` instead.
-    """
-    x = np.asarray(x, dtype=np.float32)
-    trail = x.shape[1:]
-    width = math.prod(trail)
-    if width != 1:
-        total = np.add.reduce(np.ascontiguousarray(x).reshape(len(x), width), axis=0)
-    elif len(x):
-        total = np.add.accumulate(x.reshape(-1))[-1:]
-    else:
-        total = np.zeros(1, np.float32)
-    # from +0.0 or unseeded, the folds differ only while every partial
-    # sum is a zero, and then only in its sign: adding +0.0 settles it
-    return total.reshape(trail) + np.float32(0.0)
+    """Float32 sum of ``x`` over its leading axis, in index order from +0.0:
+    the loop ``acc = 0.0; for v in x: acc += v`` at every trailing index.
+    ``x`` is copied into a ``Fold``, whatever its layout or dtype."""
+    x = np.asarray(x)
+    fold = Fold(x.shape)
+    fold.terms[...] = x
+    fold.run()
+    return fold.total.copy()
 
 
 class Fold:
-    """``_scan`` over a preallocated buffer: the caller writes all the
-    (k, ...) terms into ``terms`` (they start uninitialised), then
-    ``run()`` sums them over k into ``total``.
+    """The ordered sum over a preallocated buffer: the caller writes the
+    (k, ...) terms into ``terms`` (uninitialised), then ``run()`` sums
+    them over k into ``total``, in index order from +0.0.
 
-    The buffer is C-contiguous with one extra leading row holding the
-    +0.0 seed, so the one numpy call is the loop from +0.0 itself:
-    ``np.add.reduce`` over axis 0 when the trailing size W >= 2,
-    ``np.add.accumulate`` when W == 1 (``_scan``'s contract). A fold
-    never yields -0.0, so the sign of a zero term never shows in it.
+    The C-contiguous buffer's extra leading row holds the +0.0 seed.
+    ``np.add.reduce`` over axis 0 of a (k, W >= 2) C block adds its rows
+    in index order; with W == 1 that would be a 1-D reduce, which numpy
+    sums pairwise, so ``np.add.accumulate`` runs instead. A fold never
+    yields -0.0, so the sign of a zero term never shows in it.
     """
 
     __slots__ = ("terms", "total", "run")

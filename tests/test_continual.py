@@ -5,6 +5,7 @@ import pytest
 
 from fedswarm import (
     ClassRegistry,
+    DimensionError,
     EvaluationError,
     FrozenBackbone,
     LabeledDataset,
@@ -14,7 +15,6 @@ from fedswarm import (
     QuantTensor,
     RegistryEntry,
     RegistryError,
-    Sample,
     SessionPlan,
     SplitModel,
     TrainableHead,
@@ -26,6 +26,7 @@ from fedswarm import (
     make_plan,
     node_train_view,
     precompute_features,
+    predict,
     read_manifest,
     registry_from_plan,
     write_manifest,
@@ -128,9 +129,10 @@ def _desk_data(seed=0, sigma_within=0.35):
 def test_node_view_desk_session_one():
     train, _ = _desk_data()
     plan = make_plan(**DESK)
-    view = node_train_view(train, plan, 1, 0)
-    assert len(view) == 28
-    assert view.class_ids() == {4}
+    rows = node_train_view(train, plan, 1, 0)
+    assert rows.dtype == bool and rows.shape == (len(train),)
+    assert np.count_nonzero(rows) == 28
+    assert set(train.classes[rows].tolist()) == {4}
 
 
 def test_node_view_union_covers_session():
@@ -139,11 +141,10 @@ def test_node_view_union_covers_session():
     for t in (1, 2):
         ids = set()
         for n in range(3):
-            view = node_train_view(train, plan, t, n)
-            got = {s.sample_id for s in view.samples}
+            got = set(train.ids[node_train_view(train, plan, t, n)].tolist())
             assert not (got & ids)  # disjoint across nodes
             ids |= got
-        full = {s.sample_id for s in train.of_classes(plan.session_classes(t)).samples}
+        full = set(train.ids[np.isin(train.classes, plan.session_classes(t))].tolist())
         assert ids == full
 
 
@@ -154,15 +155,16 @@ def test_node_view_never_replays_old_classes():
     for t in (1, 2):
         earlier = set(reg.seen_through(t - 1))
         for n in range(3):
-            assert not (node_train_view(train, plan, t, n).class_ids() & earlier)
+            rows = node_train_view(train, plan, t, n)
+            assert not (set(train.classes[rows].tolist()) & earlier)
 
 
 def test_unassigned_node_gets_empty_view():
     plan = SessionPlan(2, (0, 1), ({0: (2,)},))  # node 1 sits this one out
     spec = SyntheticSpec(num_classes=3, train_per_class=4, test_per_class=2)
     train, _ = gen_synthetic(spec, np.random.default_rng(1))
-    assert len(node_train_view(train, plan, 1, 1)) == 0
-    assert len(node_train_view(train, plan, 1, 0)) == 4
+    assert np.count_nonzero(node_train_view(train, plan, 1, 1)) == 0
+    assert np.count_nonzero(node_train_view(train, plan, 1, 0)) == 4
 
 
 def test_view_requires_train_split():
@@ -172,11 +174,40 @@ def test_view_requires_train_split():
         node_train_view(test, plan, 1, 0)
 
 
+def _frames(n, qp=QuantParams(0.1)):
+    return QuantTensor(np.zeros(4 * n, np.int8), (n, 4, 1, 1), qp)
+
+
 def test_dataset_rejects_duplicate_ids():
-    qp = QuantParams(0.1)
-    x = QuantTensor(np.zeros(4, np.int8), (4, 1, 1), qp)
     with pytest.raises(PlanError):
-        LabeledDataset((Sample(1, 0, x), Sample(1, 1, x)), "train")
+        LabeledDataset([1, 1], [0, 1], _frames(2), "train")
+
+
+@pytest.mark.parametrize("ids, classes, n", [
+    ([1, 2], [0], 2),
+    ([1], [0, 1], 2),
+    ([1, 2], [0, 1], 3),
+    ([], [], 1),
+])
+def test_dataset_rejects_columns_of_unequal_length(ids, classes, n):
+    with pytest.raises(DimensionError, match="columns of unequal length"):
+        LabeledDataset(ids, classes, _frames(n), "train")
+
+
+def test_dataset_columns_are_read_only_and_frames_batched():
+    ds = LabeledDataset([3, 1], [0, 2], _frames(2), "test")
+    assert ds.ids.dtype == ds.classes.dtype == np.int64
+    assert not ds.ids.flags.writeable and not ds.classes.flags.writeable
+    with pytest.raises(DimensionError, match="N x C x H x W"):
+        LabeledDataset([1], [0], QuantTensor(np.zeros(4, np.int8), (4, 1, 1), QuantParams(0.1)),
+                       "test")
+
+
+def test_empty_split_is_representable():
+    bb = build_backbone((4, 6), np.random.default_rng(0))
+    empty = LabeledDataset([], [], _frames(0), "test")
+    assert len(empty) == 0
+    assert precompute_features(bb, empty).shape == (0, 6)
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -196,16 +227,11 @@ def _identity_world(classes=4, per_class=3):
             )
         ]
     )
-    qp = QuantParams(0.1)
-    samples = []
-    for c in range(classes):
-        for i in range(per_class):
-            q = np.zeros(classes, np.int8)
-            q[c] = 5  # feature 0.5 on the class channel
-            samples.append(
-                Sample(c * per_class + i, c, QuantTensor(q, (classes, 1, 1), qp))
-            )
-    ds = LabeledDataset(tuple(samples), "test")
+    labels = np.repeat(np.arange(classes), per_class)
+    q = np.zeros((len(labels), classes), np.int8)
+    q[np.arange(len(labels)), labels] = 5  # feature 0.5 on the class channel
+    frames = QuantTensor(q, (len(labels), classes, 1, 1), QuantParams(0.1))
+    ds = LabeledDataset(np.arange(len(labels)), labels, frames, "test")
     eye = np.eye(classes, dtype=np.float32)
     perfect = TrainableHead(
         conv_w=eye, conv_b=np.zeros((classes,), np.float32),
@@ -243,9 +269,9 @@ def test_tie_break_is_lowest_class_id():
 def test_evaluate_permutation_invariant():
     bb, ds, head = _identity_world()
     rng = np.random.default_rng(3)
-    shuffled = LabeledDataset(
-        tuple(ds.samples[i] for i in rng.permutation(len(ds.samples))), "test"
-    )
+    p = rng.permutation(len(ds))
+    frames = QuantTensor(ds.frames.array[p], ds.frames.shape, ds.frames.qparams)
+    shuffled = LabeledDataset(ds.ids[p], ds.classes[p], frames, "test")
     model = SplitModel(bb, head)
     assert evaluate(model, ds, range(4)) == evaluate(model, shuffled, range(4))
 
@@ -260,8 +286,9 @@ def test_evaluate_uses_feature_cache():
     bb, ds, head = _identity_world()
     model = SplitModel(bb, head)
     feats = precompute_features(bb, ds)
+    assert feats.shape == (len(ds), 4) and feats.dtype == np.float32
     assert evaluate(model, ds, range(4), features=feats) == evaluate(model, ds, range(4))
-    assert not any(f.flags.writeable for f in feats.values())  # shared, so read-only
+    assert not feats.flags.writeable  # shared, so read-only
 
 
 def test_evaluate_matches_per_sample_argmax():
@@ -273,13 +300,14 @@ def test_evaluate_matches_per_sample_argmax():
     feats = precompute_features(bb, test)
     for seen, scored in (([0, 1, 2, 3, 4, 5], None), ([1, 3, 4], [3]), ([0, 2], [0, 2, 5])):
         wanted = seen if scored is None else scored
-        subset = [s for s in test.samples if s.class_id in wanted]
-        hits = 0
-        for s in subset:
-            z = head_logits(head, feats[s.sample_id])
-            hits += seen[int(np.argmax(z[seen]))] == s.class_id
+        hits = total = 0
+        for f, c in zip(feats, test.classes.tolist()):
+            if c in wanted:
+                z = head_logits(head, f)
+                hits += seen[int(np.argmax(z[seen]))] == c
+                total += 1
         got = evaluate(SplitModel(bb, head), test, seen, features=feats, sample_classes=scored)
-        assert got == hits / len(subset)
+        assert got == hits / total
 
 
 def test_evaluate_error_cases():
@@ -291,6 +319,20 @@ def test_evaluate_error_cases():
         evaluate(model, ds, [9])  # beyond classifier outputs
     with pytest.raises(EvaluationError):
         evaluate(model, ds, range(4), sample_classes=[17])  # nothing to score
+
+
+def test_predict_and_evaluate_reject_features_that_do_not_match_the_rows():
+    bb, ds, head = _identity_world()
+    feats = precompute_features(bb, ds)
+    assert np.array_equal(predict(head, feats, range(4)), ds.classes)
+    with pytest.raises(DimensionError):
+        evaluate(SplitModel(bb, head), ds, range(4), features=feats[1:])  # a row short
+    with pytest.raises(DimensionError):
+        evaluate(SplitModel(bb, head), ds, range(4), features=feats[:, :3])
+    with pytest.raises(DimensionError):
+        predict(head, feats[0], range(4))  # one vector, not rows
+    with pytest.raises(DimensionError):
+        predict(head, np.zeros((len(ds), 5), np.float32), range(4))  # rows wider than the head
 
 
 # -- manifest I/O -----------------------------------------------------------------
@@ -305,6 +347,19 @@ def test_manifest_round_trip(tmp_path):
     assert test2 == test
 
 
+def test_manifest_without_test_rows_loads(tmp_path):
+    spec = SyntheticSpec(num_classes=3, train_per_class=2, test_per_class=1)
+    train, test = gen_synthetic(spec, np.random.default_rng(4))
+    path = write_manifest(train, test, tmp_path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(ln for ln in lines if "\ttest\t" not in ln) + "\n")
+    train2, test2 = read_manifest(tmp_path)
+    assert train2 == train
+    assert len(test2) == 0 and test2.split == "test"
+    bb = build_backbone((4, 5), np.random.default_rng(0))
+    assert precompute_features(bb, test2).shape == (0, 5)
+
+
 def test_manifest_missing_or_malformed(tmp_path):
     with pytest.raises(PlanError):
         read_manifest(tmp_path / "nowhere")
@@ -315,17 +370,18 @@ def test_manifest_missing_or_malformed(tmp_path):
         read_manifest(bad)
 
 
-def _hostile_manifest(tmp_path, edit):
-    """Write a small manifest, then rewrite its second data row with ``edit``."""
+def _hostile_manifest(tmp_path, edit, row=2):
+    """Write a small manifest, then rewrite data row ``row`` with ``edit``."""
     spec = SyntheticSpec(num_classes=2, train_per_class=2, test_per_class=1)
     train, test = gen_synthetic(spec, np.random.default_rng(6))
     root = tmp_path / "m"
     write_manifest(train, test, root)
-    (tmp_path / "outside.bin").write_bytes(train.samples[1].x.data.tobytes())
+    (tmp_path / "outside.bin").write_bytes(train.frames.array[1].tobytes())
+    (root / "blobs" / "short.bin").write_bytes(train.frames.array[1].tobytes()[1:])
     path = root / "manifest.tsv"
     lines = path.read_text().splitlines()
-    cells = lines[2].split("\t")
-    lines[2] = "\t".join(edit(cells, root))
+    cells = lines[row].split("\t")
+    lines[row] = "\t".join(edit(cells, root))
     path.write_text("\n".join(lines) + "\n")
     return root
 
@@ -347,6 +403,11 @@ HOSTILE_ROWS = {
     "shape_not_numeric": _set(5, "4xAx3"),
     "shape_not_positive": _set(5, "4x-1x-9"),
     "shape_mismatch": _set(5, "4x3x2"),
+    "scale_differs": _set(3, "0.1"),
+    "zero_point_differs": _set(4, "1"),
+    "sample_id_beyond_int64": _set(0, str(2**63)),
+    "class_id_beyond_int64": _set(2, str(-(2**63) - 1)),
+    "blob_wrong_size": _set(6, "blobs/short.bin"),
     "blob_missing": _set(6, "blobs/999999.bin"),
     "blob_absolute": _set(6, lambda root: str((root / "blobs" / "000001.bin").resolve())),
     "blob_climbs_out": _set(6, "../outside.bin"),
@@ -360,3 +421,29 @@ def test_manifest_rejects_hostile_rows(tmp_path, case):
     root = _hostile_manifest(tmp_path, HOSTILE_ROWS[case])
     with pytest.raises(PlanError, match="line 3"):
         read_manifest(root)
+
+
+@pytest.mark.parametrize("case", ["shape_mismatch", "scale_differs", "zero_point_differs"])
+def test_manifest_row_must_share_its_splits_layout(tmp_path, case):
+    root = _hostile_manifest(tmp_path, HOSTILE_ROWS[case])
+    with pytest.raises(PlanError, match="line 3: .* differ from the split's first row"):
+        read_manifest(root)
+
+
+@pytest.mark.parametrize("shape, scale", [("36", "0.05"), ("4x9", "0.05"), ("4x3x3", "0")])
+def test_manifest_first_row_sets_a_valid_layout(tmp_path, shape, scale):
+    root = _hostile_manifest(tmp_path, lambda cells, root: cells[:3] + [scale, cells[4], shape]
+                             + cells[6:], row=1)
+    with pytest.raises(PlanError, match="line 2: "):
+        read_manifest(root)
+
+
+def test_manifest_splits_keep_their_own_layouts(tmp_path):
+    train, _ = gen_synthetic(SyntheticSpec(num_classes=2, train_per_class=3, test_per_class=1),
+                             np.random.default_rng(1))
+    spec = SyntheticSpec(num_classes=2, train_per_class=1, test_per_class=2,
+                         input_shape=(4, 1, 2), input_scale=0.02, input_zero_point=3)
+    _, test = gen_synthetic(spec, np.random.default_rng(2))
+    test = LabeledDataset(test.ids + 100, test.classes, test.frames, "test")
+    write_manifest(train, test, tmp_path)
+    assert read_manifest(tmp_path) == (train, test)

@@ -38,9 +38,14 @@ def test_retired_names_are_gone():
     # one flat gradient replaced HeadGrads; tests reach the loss kernels
     # and the scan directly
     # float data is plain float32 arrays, so the Tensor wrapper is gone too
-    for name in ("HeadGrads", "cross_entropy", "mol_loss", "prox_loss", "seq_sum", "Tensor"):
+    # a split is columns, so the per-sample record and the per-sample
+    # batching helpers of the backbone are gone as well
+    for name in ("HeadGrads", "cross_entropy", "mol_loss", "prox_loss", "seq_sum", "Tensor",
+                 "Sample"):
         assert not hasattr(fedswarm, name), name
     assert not hasattr(fedswarm.tensor, "Tensor")
+    for name in ("_blocks", "_check_input"):
+        assert not hasattr(fedswarm.quant, name), name
 
 
 def test_benchmark_trace_sites_resolve(monkeypatch):

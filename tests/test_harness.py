@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -39,8 +40,8 @@ def test_synthetic_counts():
     train, test = fs.gen_synthetic(spec, np.random.default_rng(0))
     assert len(train) == 280 and len(test) == 70
     for c in range(10):
-        assert len(train.of_classes([c])) == 28
-        assert len(test.of_classes([c])) == 7
+        assert np.count_nonzero(train.classes == c) == 28
+        assert np.count_nonzero(test.classes == c) == 7
 
 
 def test_synthetic_zero_within_noise_collapses_clusters():
@@ -48,8 +49,8 @@ def test_synthetic_zero_within_noise_collapses_clusters():
                             sigma_within=0.0)
     train, test = fs.gen_synthetic(spec, np.random.default_rng(1))
     for c in range(3):
-        group = train.of_classes([c]).samples + test.of_classes([c]).samples
-        assert all(s.x == group[0].x for s in group)  # all equal the quantized center
+        group = np.concatenate([ds.frames.array[ds.classes == c] for ds in (train, test)])
+        assert (group == group[0]).all()  # all equal the quantized center
 
 
 def test_synthetic_deterministic():
@@ -57,14 +58,14 @@ def test_synthetic_deterministic():
     a = fs.gen_synthetic(spec, np.random.default_rng(7))
     b = fs.gen_synthetic(spec, np.random.default_rng(7))
     c = fs.gen_synthetic(spec, np.random.default_rng(8))
-    assert a[0].samples == b[0].samples and a[1].samples == b[1].samples
-    assert a[0].samples != c[0].samples
+    assert a[0] == b[0] and a[1] == b[1]
+    assert a[0] != c[0]
 
 
 def test_synthetic_ids_globally_unique():
     spec = fs.SyntheticSpec(num_classes=4, train_per_class=3, test_per_class=2)
     train, test = fs.gen_synthetic(spec, np.random.default_rng(2))
-    ids = [s.sample_id for s in train.samples + test.samples]
+    ids = train.ids.tolist() + test.ids.tolist()
     assert len(set(ids)) == len(ids) == 20
 
 
@@ -96,7 +97,8 @@ def _per_sample_synthetic(spec, rng):
 def test_synthetic_batched_draws_equal_the_per_sample_loop(spec):
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
     got = [
-        [(s.sample_id, s.class_id, s.x.data.tobytes(), s.x.shape, s.x.qparams) for s in ds.samples]
+        [(sid, cid, frame.tobytes(), frame.shape, ds.frames.qparams)
+         for sid, cid, frame in zip(ds.ids.tolist(), ds.classes.tolist(), ds.frames.array)]
         for ds in fs.gen_synthetic(spec, rng)
     ]
     assert got == [list(b) for b in _per_sample_synthetic(spec, ref_rng)]
@@ -525,7 +527,7 @@ def _manifest_dir(tmp_path):
                                    np.random.default_rng(0))
     data = tmp_path / "data"
     fs.write_manifest(train, test, data)
-    return cfg, data, sum(s.x.data.size for s in train.samples + test.samples)
+    return cfg, data, train.frames.data.size + test.frames.data.size
 
 
 def test_manifest_data_cap(tmp_path, monkeypatch):
@@ -604,6 +606,60 @@ def test_cli_manifest_over_the_data_cap_is_a_runtime_error(tmp_path):
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
     assert f"{manifest}: rows through line 2 hold" in res.stderr
     assert "over the cap" in res.stderr
+
+
+def _manifest_run(tmp_path, capsys, edit):
+    """Exit code and stderr of ``fedswarm run`` on the small manifest after
+    ``edit`` rewrites its data rows (a list of cell lists)."""
+    cfg, data, _ = _manifest_dir(tmp_path)
+    manifest = data / "manifest.tsv"
+    header, *rows = manifest.read_text().splitlines()
+    rows = edit([r.split("\t") for r in rows])
+    manifest.write_text("\n".join([header] + ["\t".join(r) for r in rows]) + "\n")
+    cfg_path = tmp_path / "config.json"
+    fs.save_config(replace(cfg, data=fs.DataSpec(kind="manifest", manifest_dir=str(data))),
+                   cfg_path)
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split, rows", [("train", "training"), ("test", "test")])
+def test_cli_manifest_missing_a_planned_class_is_a_config_error(tmp_path, capsys, split, rows):
+    def drop_class_0(cells):
+        return [c for c in cells if (c[1], c[2]) != (split, "0")]
+
+    code, err = _manifest_run(tmp_path, capsys, drop_class_0)
+    assert code == 1
+    assert err == f"config error: manifest lacks {rows} classes [0]\n"
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("col, value", [(3, "0.25"), (4, "-3"), (5, "3x4x1")])
+def test_cli_manifest_row_with_another_layout_is_a_runtime_error(tmp_path, capsys, col, value):
+    def edit_fifth_test_row(cells):
+        cells[8 * 8 + 4][col] = value  # 64 train rows come first
+        return cells
+
+    code, err = _manifest_run(tmp_path, capsys, edit_fifth_test_row)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "manifest.tsv line 70: " in err and "differ from the split's first row" in err
+
+
+def test_synthetic_data_holds_few_heap_bytes_per_sample():
+    # ids, classes and frames are one array each: about 20 B per 4-byte frame
+    spec = fs.SyntheticSpec(num_classes=10, train_per_class=10000, test_per_class=1,
+                            input_shape=(4, 1, 1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = fs.gen_synthetic(spec, np.random.default_rng(0))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    samples = sum(len(ds) for ds in data)
+    assert samples == 100010
+    assert held / samples <= 64
 
 
 _DIVERGING = {
@@ -745,7 +801,7 @@ def test_cli_hostile_manifest_row_is_a_runtime_error(tmp_path, rel):
                                    np.random.default_rng(0))
     data = tmp_path / "data"
     fs.write_manifest(train, test, data)
-    (tmp_path / "outside.bin").write_bytes(train.samples[0].x.data.tobytes())
+    (tmp_path / "outside.bin").write_bytes(train.frames.array[0].tobytes())
     manifest = data / "manifest.tsv"
     lines = manifest.read_text().splitlines()
     lines[1] = "\t".join(lines[1].split("\t")[:-1] + [rel.format(tmp=tmp_path.resolve())])

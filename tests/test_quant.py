@@ -90,7 +90,22 @@ def test_quant_tensor_shape_check_and_eq():
     assert a != QuantTensor(np.arange(4, dtype=np.int8), (2, 2), QuantParams(0.2))
 
 
-@pytest.mark.parametrize("shape", [(4, -1, -9), (-1, -1), (3, 0), (0,)])
+def test_quant_tensor_copies_unless_handed_a_frozen_owned_array():
+    qp = QuantParams(0.1)
+    writable = np.arange(6, dtype=np.int8)
+    a = QuantTensor(writable, (1, 2, 3), qp)
+    writable[0] = 9
+    assert a.data[0] == 0 and not a.data.flags.writeable
+    frozen = np.arange(6, dtype=np.int8)
+    frozen.flags.writeable = False
+    assert np.shares_memory(QuantTensor(frozen, (1, 2, 3), qp).data, frozen)
+    assert not np.shares_memory(QuantTensor(frozen[::2], (3,), qp).data, frozen)
+    empty = QuantTensor(np.zeros(0, np.int8), (0, 4, 2, 2), qp)  # a batch of no frames
+    assert empty.array.shape == (0, 4, 2, 2)
+
+
+@pytest.mark.parametrize("shape", [(4, -1, -9), (-1, -1), (3, 0), (0,),
+                                   (0, 4, 0, 2), (-1, 4, 1, 1)])
 def test_quant_tensor_rejects_non_positive_shape(shape):
     size = abs(int(np.prod(shape)))
     with pytest.raises(DimensionError, match="must be positive"):
@@ -168,6 +183,10 @@ def test_backbone_input_validation():
         backbone_forward(bb, _q(np.zeros(12, np.float32), 0.1, shape=(3, 2, 2)))
     with pytest.raises(DimensionError):
         backbone_forward(bb, QuantTensor(np.zeros(0, np.int8), (4, 0, 3), QuantParams(0.1)))
+    with pytest.raises(DimensionError):  # a batch whose frames lack the backbone's channels
+        backbone_forward(bb, QuantTensor(np.zeros(12, np.int8), (2, 3, 2, 1), QuantParams(0.1)))
+    with pytest.raises(DimensionError):
+        backbone_forward(bb, QuantTensor(np.zeros(8, np.int8), (1, 2, 4, 1, 1), QuantParams(0.1)))
 
 
 def test_accumulator_overflow_detected():
@@ -223,6 +242,11 @@ def _reference_features(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
     return out
 
 
+def _frames(batch: QuantTensor) -> list:
+    """The C x H x W frames of an N x C x H x W batch, one QuantTensor each."""
+    return [QuantTensor(f, f.shape, batch.qparams) for f in batch.array]
+
+
 @st.composite
 def _backbone_and_batch(draw):
     dims = draw(st.lists(st.integers(1, 40), min_size=2, max_size=4))
@@ -237,29 +261,25 @@ def _backbone_and_batch(draw):
         for c_in, c_out in zip(dims, dims[1:])
     ]
     bb = FrozenBackbone(layers)
-    spatial = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)),
-                            min_size=1, max_size=3))
-    runs = draw(st.lists(st.tuples(st.integers(0, len(spatial) - 1), st.integers(1, 12)),
-                         min_size=1, max_size=4))
-    xs = []
-    for which, count in runs:
-        shape = (dims[0],) + spatial[which]
-        for _ in range(count):
-            qp = QuantParams(draw(st.floats(1e-3, 1.0)), draw(st.integers(-128, 127)))
-            data = rng.integers(-128, 128, int(np.prod(shape))).astype(np.int8)
-            xs.append(QuantTensor(data, shape, qp))
-    # a small block budget makes runs split into several blocks
-    return bb, xs, draw(st.sampled_from([quant._BLOCK, 1, 200, 2000]))
+    shape = (draw(st.integers(0, 40)), dims[0], draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    qp = QuantParams(draw(st.floats(1e-3, 1.0)), draw(st.integers(-128, 127)))
+    batch = QuantTensor(rng.integers(-128, 128, int(np.prod(shape))).astype(np.int8), shape, qp)
+    # a small block budget splits the batch into several blocks
+    return bb, batch, draw(st.sampled_from([quant._BLOCK, 1, 200, 2000]))
+
+
+def _empty_batch(channels: int) -> QuantTensor:
+    return QuantTensor(np.zeros(0, np.int8), (0, channels, 2, 2), QuantParams(0.1))
 
 
 @given(_backbone_and_batch())
-@example((build_backbone((3, 5), np.random.default_rng(0)), [], quant._BLOCK))
+@example((build_backbone((3, 5), np.random.default_rng(0)), _empty_batch(3), quant._BLOCK))
 def test_batched_features_equal_per_sample_reference(case):
-    bb, xs, block = case
+    bb, batch, block = case
     with mock.patch.object(quant, "_BLOCK", block):
-        got = backbone_forward(bb, xs)
-    assert got.dtype == np.float32 and got.shape == (len(xs), bb.feature_dim)
-    for row, x in zip(got, xs):
+        got = backbone_forward(bb, batch)
+    assert got.dtype == np.float32 and got.shape == (batch.shape[0], bb.feature_dim)
+    for row, x in zip(got, _frames(batch)):
         assert row.tobytes() == _reference_features(bb, x).tobytes()
 
 
@@ -275,37 +295,34 @@ def test_requantization_ties_follow_the_one_sample_multiplier(
     layer = QuantLayer(np.ones((1, 1), np.int8), np.zeros(1, np.int32),
                        weight_scale, out_scale)
     bb = FrozenBackbone([layer])
-    xs = [QuantTensor(np.array([v], np.int8), (1, 1, 1), QuantParams(sc))
-          for v, sc in ((acc, in_scale), (acc, 0.5), (acc, in_scale))]
-    got = backbone_forward(bb, xs)
+    batch = QuantTensor(np.array([acc, acc + 1, acc], np.int8), (3, 1, 1, 1),
+                        QuantParams(in_scale))
+    got = backbone_forward(bb, batch)
     tie = np.float32(np.rint(in_scale * weight_scale / out_scale * acc))
-    assert got[0, 0] == tie * np.float32(out_scale)
-    for row, x in zip(got, xs):
+    assert got[0, 0] == got[2, 0] == tie * np.float32(out_scale)
+    for row, x in zip(got, _frames(batch)):
         assert row.tobytes() == _reference_features(bb, x).tobytes()
 
 
 def test_batched_features_cross_block_boundaries():
     rng = np.random.default_rng(21)
     bb = build_backbone((4, 32, 48), rng)
-    shape = (4, 16, 16)
     per_block = quant._BLOCK // (48 * 16 * 16)
-    xs = [
-        quantize(rng.uniform(-4, 4, shape).astype(np.float32),
-                 QuantParams(float(rng.uniform(0.02, 0.1)), int(rng.integers(-20, 20))))
-        for _ in range(3 * per_block + 1)
-    ]
-    xs += [_q(rng.uniform(-2, 2, (4, 3, 5)).astype(np.float32), 0.05) for _ in range(5)]
-    got = backbone_forward(bb, xs)
-    for row, x in zip(got, xs):
+    shape = (3 * per_block + 1, 4, 16, 16)
+    batch = quantize(rng.uniform(-4, 4, shape).astype(np.float32), QuantParams(0.05, -7))
+    got = backbone_forward(bb, batch)
+    for row, x in zip(got, _frames(batch)):
         assert row.tobytes() == _reference_features(bb, x).tobytes()
-    assert np.array_equal(backbone_forward(bb, xs[-1]), got[-1])
+    assert np.array_equal(backbone_forward(bb, _frames(batch)[-1]), got[-1])
 
 
 def test_empty_batch_gives_no_features():
     bb = build_backbone((4, 6, 5), np.random.default_rng(3))
-    out = backbone_forward(bb, [])
+    out = backbone_forward(bb, _empty_batch(4))
     assert out.shape == (0, 5) and out.dtype == np.float32
-    assert precompute_features(bb, LabeledDataset((), "train")) == {}
+    ds = LabeledDataset([], [], _empty_batch(4), "train")
+    feats = precompute_features(bb, ds)
+    assert feats.shape == (0, 5) and feats.dtype == np.float32
 
 
 def _overflow_backbone() -> FrozenBackbone:
@@ -326,48 +343,41 @@ def _overflow_backbone() -> FrozenBackbone:
     return FrozenBackbone([l0, l1])
 
 
-def _scalar_sample(v: int, zp: int = 3) -> QuantTensor:
-    return QuantTensor(np.array([v + zp], np.int8), (1, 1, 1), QuantParams(1.0, zp))
+def _scalar_batch(values, zp: int = 3) -> QuantTensor:
+    data = np.array(values, np.int64) + zp
+    return QuantTensor(data.astype(np.int8), (len(data), 1, 1, 1), QuantParams(1.0, zp))
 
 
-def _reference_error(bb, xs) -> str:
+def _reference_error(bb, batch) -> str:
     with pytest.raises(NumericError) as err:
-        for x in xs:
+        for x in _frames(batch):
             _reference_features(bb, x)
     return str(err.value)
 
 
 @pytest.mark.parametrize("order", [
-    (10, 10, 10, 40, 10, 55),  # first fault: sample 3 in layer 1
-    (10, 10, 55, 10, 40),  # first fault: sample 2 in layer 0
+    (10, 10, 10, 40, 10, 55),  # first fault: frame 3 in layer 1
+    (10, 10, 55, 10, 40),  # first fault: frame 2 in layer 0
     (40, 55),
     (55,),
 ])
 def test_overflow_mid_batch_raises_the_reference_error(order):
     bb = _overflow_backbone()
-    xs = [_scalar_sample(v) for v in order]
-    expected = _reference_error(bb, xs)
+    batch = _scalar_batch(order)
+    expected = _reference_error(bb, batch)
     with pytest.raises(NumericError) as err:
-        backbone_forward(bb, xs)
+        backbone_forward(bb, batch)
     assert str(err.value) == expected
 
 
 def test_loose_bound_without_overflow_stays_exact():
     # the static bound of layer 1 fails, yet no prefix sum overflows
     bb = _overflow_backbone()
-    xs = [_scalar_sample(v, zp) for v in (0, 7, 30, -9) for zp in (-5, 3)]
-    got = backbone_forward(bb, xs)
-    for row, x in zip(got, xs):
-        assert row.tobytes() == _reference_features(bb, x).tobytes()
-
-
-def test_input_error_after_an_overflowing_sample_keeps_order():
-    bb = _overflow_backbone()
-    bad_shape = QuantTensor(np.zeros(2, np.int8), (2, 1, 1), QuantParams(1.0))
-    with pytest.raises(NumericError):
-        backbone_forward(bb, [_scalar_sample(10), _scalar_sample(40), bad_shape])
-    with pytest.raises(DimensionError):
-        backbone_forward(bb, [_scalar_sample(10), bad_shape, _scalar_sample(40)])
+    for zp in (-5, 3):
+        batch = _scalar_batch((0, 7, 30, -9), zp)
+        got = backbone_forward(bb, batch)
+        for row, x in zip(got, _frames(batch)):
+            assert row.tobytes() == _reference_features(bb, x).tobytes()
 
 
 # -- frozenness ---------------------------------------------------------------
