@@ -7,13 +7,16 @@ pretrained integerized feature extractor: its structure is
 configurable and its parameters never change after construction.
 
 ``backbone_forward`` runs a batch of frames (one N x C x H x W
-``QuantTensor`` under one quantization) in fixed-size blocks of rows,
-one float64 GEMM per layer. Integer sums are exact in any order as
-long as no partial sum leaves the exactly representable range, so a
-per-block bound (every |prefix sum| <= INT32_MAX) proves the GEMM
-equals the channel-by-channel int32 accumulation bit for bit. A block
-whose bound fails takes that exact pass frame by frame instead, so
-an accumulator overflow raises the same error for the same frame.
+``QuantTensor`` under one quantization) in fixed-size blocks of
+frames, in one workspace (``_Space``) allocated per call: its rows are
+pixel-major, each layer is one float64 GEMM into a preallocated
+buffer, and the last layer is dequantized straight into the buffer of
+the pooling fold. Integer sums are exact in any order as long as no
+partial sum leaves the exactly representable range, so a per-frame
+bound (every |prefix sum| <= INT32_MAX) proves the GEMM equals the
+channel-by-channel int32 accumulation bit for bit. A block with a
+frame whose bound fails takes that exact pass frame by frame instead,
+so an accumulator overflow raises the same error for the same frame.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericError
-from .tensor import _scan
+from .tensor import Fold, _scan
+
+try:
+    from numpy._core.umath import clip as _clip  # np.clip without its Python wrapper
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 __all__ = [
     "QuantParams",
@@ -229,39 +237,70 @@ def _forward_checked(bb: FrozenBackbone, frame: np.ndarray, qp: QuantParams) -> 
     return _scan(feats.T) / np.float32(h * w)
 
 
-def _acc_bound(layer: QuantLayer, peak: int) -> int:
-    """Largest |prefix sum| a channel can reach with inputs in [-peak, peak]."""
+def _acc_bound(layer: QuantLayer, peak):
+    """Largest |prefix sum| a channel can reach with inputs in [-peak, peak],
+    one bound per entry of an integer array ``peak``."""
     absw = np.abs(layer.weight.astype(np.int64)).sum(axis=1)
-    return int((np.abs(layer.bias.astype(np.int64)) + absw * peak).max())
+    return (np.abs(layer.bias.astype(np.int64)) + absw * np.asarray(peak)[..., None]).max(axis=-1)
 
 
-def _forward_block(bb: FrozenBackbone, q: np.ndarray, qp: QuantParams,
-                   later_bound: int) -> np.ndarray:
-    """(B, feature_dim) features of a (B, C, H, W) block, one GEMM per layer."""
-    b, c, h, w = q.shape
-    n = b * h * w
-    # (channels, frames, H*W): every layer is one 2-D product over channels
-    acts = q.reshape(b, c, h * w).transpose(1, 0, 2).astype(np.float64, order="C")
-    acts -= qp.zero_point
-    first = bb.layers[0]
-    peak = int(np.abs(acts).max(initial=0))
-    if max(_acc_bound(first, peak), later_bound) > _INT32_MAX:
-        return np.stack([_forward_checked(bb, frame, qp) for frame in q])
-    # requantization multipliers, formed exactly as the one-frame pass does
-    mult = float(qp.scale) * first.weight_scale / first.out_scale
-    for li, layer in enumerate(bb.layers):
-        if li:
-            mult = bb.layers[li - 1].out_scale * layer.weight_scale / layer.out_scale
-        acc = np.matmul(layer.weight.astype(np.float64), acts.reshape(layer.c_in, n))
-        acc += layer.bias.astype(np.float64)[:, None]
-        acc = acc.reshape(layer.c_out, b, h * w)
-        acc *= mult
-        np.rint(acc, out=acc)
-        np.clip(acc, 0, INT8_MAX, out=acc)
-        acts = acc
-    feats = acts.astype(np.float32) * np.float32(bb.layers[-1].out_scale)
-    # pool over H*W in index order, as the one-frame column sum does
-    return _scan(feats.transpose(2, 1, 0)) / np.float32(h * w)
+class _Space:
+    """The constants and buffers of one ``backbone_forward`` call.
+
+    Built once per call and sized for its largest block of ``rows``
+    frames (the whole batch, when that is smaller): per layer the
+    float64 weights as (c_in, c_out), the float64 bias (None when zero)
+    and the requantization multiplier, formed exactly as the one-frame
+    pass does; two float64 GEMM buffers that the layers write in turn;
+    and the pooling ``Fold``'s buffer. Rows are pixel-major, row
+    ``p * b + f`` holding pixel ``p`` of frame ``f``, so the last layer's
+    output already is the (H*W, b * feature_dim) terms of the pooling
+    fold. A shorter last block runs on prefix views of the same buffers.
+    """
+
+    __slots__ = ("layers", "rows", "hw", "zp", "out_scale", "pixels", "bufs", "fold_buf", "fold")
+
+    def __init__(self, bb: FrozenBackbone, qp: QuantParams, n: int, hw: int):
+        width = max(max(layer.c_in, layer.c_out) for layer in bb.layers)
+        self.rows = min(n, max(1, _BLOCK // (width * hw)))
+        self.hw = hw
+        self.zp = qp.zero_point
+        in_scales = [float(qp.scale)] + [layer.out_scale for layer in bb.layers[:-1]]
+        self.layers = tuple(
+            (layer.weight.T.astype(np.float64),
+             layer.bias.astype(np.float64) if layer.bias.any() else None,
+             in_scale * layer.weight_scale / layer.out_scale)
+            for layer, in_scale in zip(bb.layers, in_scales)
+        )
+        self.out_scale = np.float32(bb.layers[-1].out_scale)
+        self.pixels = np.float32(hw)
+        size = self.rows * hw * width
+        self.bufs = (np.empty(size), np.empty(size))
+        self.fold_buf = np.empty((hw + 1) * self.rows * bb.feature_dim, np.float32)
+        self.fold = Fold((hw, self.rows, bb.feature_dim), self.fold_buf)
+
+    def run(self, q: np.ndarray, out: np.ndarray) -> None:
+        """Write the (b, feature_dim) features of a (b, C, H, W) block into ``out``."""
+        b, c = q.shape[:2]
+        n, fd = b * self.hw, out.shape[1]
+        fold = self.fold if b == self.rows else Fold((self.hw, b, fd), self.fold_buf)
+        src, dst = self.bufs
+        np.subtract(q.reshape(b, c, self.hw).transpose(2, 0, 1), self.zp,
+                    out=src[: n * c].reshape(self.hw, b, c), dtype=np.float64)
+        for wt, bias, mult in self.layers:
+            c_in, c_out = wt.shape
+            acc = dst[: n * c_out].reshape(n, c_out)
+            np.matmul(src[: n * c_in].reshape(n, c_in), wt, out=acc)
+            if bias is not None:
+                np.add(acc, bias, out=acc)
+            np.multiply(acc, mult, out=acc)
+            np.rint(acc, out=acc)
+            _clip(acc, 0.0, 127.0, out=acc)
+            src, dst = dst, src
+        # dequantize into the fold's terms; pool over H*W in index order
+        np.multiply(acc, self.out_scale, out=fold.terms.reshape(n, fd))
+        fold.run()
+        np.divide(fold.total, self.pixels, out=out)
 
 
 def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
@@ -277,18 +316,20 @@ def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
     round-half-even, relu as a clamp at the zero point. The last layer
     is dequantized and average-pooled with an ordered float32 sum.
 
-    Frames run in blocks of rows, sized so that no layer's (channels,
-    rows * H * W) temporary exceeds ``_BLOCK`` elements, one float64
-    GEMM per layer. Before a block runs, the bound
-    ``max_co(|b_co| + sum_ci |w_co,ci| * peak)`` is checked against
-    INT32_MAX for every layer, with ``peak`` the block's largest
-    ``|q - zero_point|`` in layer 0 and 127 (post-relu) after it. When
-    it holds, no prefix sum can overflow and every partial sum is an
-    integer below 2**31 < 2**53, so the GEMM is exact in any summation
-    order and the features equal the channel-by-channel integer pass
-    bit for bit. When it fails, the block's frames take that exact
-    pass one by one, checking every prefix sum, so an overflow raises
-    the same ``NumericError`` for the same first frame.
+    Frames run in blocks, sized so that no layer's (rows * H * W,
+    channels) product exceeds ``_BLOCK`` elements, in one ``_Space``
+    allocated for the call: one float64 GEMM per layer over pixel-major
+    rows, the last layer's output dequantized straight into the pooling
+    fold. A frame's bound ``max_co(|b_co| + sum_ci |w_co,ci| * peak)``
+    is checked against INT32_MAX for every layer, with ``peak`` the
+    frame's largest ``|q - zero_point|`` in layer 0 and 127 (post-relu)
+    after it. When it holds for every frame of a block, no prefix sum
+    can overflow and every partial sum is an integer below
+    2**31 < 2**53, so the GEMM is exact in any summation order and the
+    features equal the channel-by-channel integer pass bit for bit.
+    When it fails, the block's frames take that exact pass one by one,
+    checking every prefix sum, so an overflow raises the same
+    ``NumericError`` for the same first frame.
     """
     if len(x.shape) not in (3, 4):
         raise DimensionError(f"backbone input must be C x H x W or N x C x H x W, got {x.shape}")
@@ -296,13 +337,23 @@ def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
     n, c, h, w = frames.shape
     if n and c != bb.input_channels:
         raise DimensionError(f"input channels {c} do not match first layer {bb.input_channels}")
-    # later layers read post-relu activations in [0, 127]
-    later_bound = max((_acc_bound(layer, INT8_MAX) for layer in bb.layers[1:]), default=0)
-    width = max(max(layer.c_in, layer.c_out) for layer in bb.layers)
-    step = max(1, _BLOCK // (width * h * w))
     out = np.empty((n, bb.feature_dim), np.float32)
-    for lo in range(0, n, step):
-        out[lo : lo + step] = _forward_block(bb, frames[lo : lo + step], x.qparams, later_bound)
+    if n:
+        # later layers read post-relu activations in [0, 127]
+        later_bound = max((int(_acc_bound(layer, INT8_MAX)) for layer in bb.layers[1:]), default=0)
+        # each frame's peak |q - zero_point| from int8 reductions, and whether it fits
+        flat, zp = frames.reshape(n, -1), x.qparams.zero_point
+        peaks = np.maximum(flat.max(axis=1).astype(np.int16) - zp,
+                           zp - flat.min(axis=1).astype(np.int16))
+        fits = _acc_bound(bb.layers[0], np.arange(256)) <= _INT32_MAX
+        exact = fits[peaks] & (later_bound <= _INT32_MAX)
+        space = _Space(bb, x.qparams, n, h * w)
+        for lo in range(0, n, space.rows):
+            hi = min(n, lo + space.rows)
+            if exact[lo:hi].all():
+                space.run(frames[lo:hi], out[lo:hi])
+            else:
+                out[lo:hi] = [_forward_checked(bb, frame, x.qparams) for frame in frames[lo:hi]]
     return out if len(x.shape) == 4 else out[0]
 
 

@@ -14,8 +14,9 @@ node views, pools and scored subsets are row masks by class.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
 import numpy as np
 
@@ -330,6 +331,14 @@ def write_manifest(ds_train: LabeledDataset, ds_test: LabeledDataset, out_dir) -
     return path
 
 
+def _blob_inside(rel: str) -> bool:
+    """Lexical containment of a manifest blob path, as ``PurePosixPath``
+    parts: not absolute, no ``..`` part, and some part that is neither
+    empty nor ``.``."""
+    parts = set(rel.split("/")) - {"", "."}
+    return bool(parts) and ".." not in parts and not rel.startswith("/")
+
+
 def read_manifest(manifest_dir) -> tuple:
     """Load (train, test) datasets back from a manifest directory.
 
@@ -339,7 +348,8 @@ def read_manifest(manifest_dir) -> tuple:
     ``MAX_DATA_BYTES`` int8 bytes or ``MAX_SAMPLES`` samples in all, are
     a PlanError naming the line. Every row is checked before any blob is
     read; then the blobs are read in line order straight into one frame
-    buffer per split. A split without rows loads empty."""
+    buffer per split, one ``readinto`` each. A split without rows loads
+    empty."""
     root = Path(manifest_dir)
     path = root / _MANIFEST_NAME
     if not path.is_file():
@@ -355,6 +365,7 @@ def read_manifest(manifest_dir) -> tuple:
     blobs = []  # (line, split, row in split, blob path) of every row
     n_bytes = 0
     id_lines = {}  # sample id -> the line that declared it
+    shapes = {}  # shape cell -> (shape, int8 bytes)
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
@@ -367,12 +378,15 @@ def read_manifest(manifest_dir) -> tuple:
             raise PlanError(f"{where}: unknown split {split!r}")
         try:
             sid, cid, zp, scale = int(sid), int(cid), int(zp), float(scale)
-            shape = tuple(int(d) for d in shape_s.split("x"))
+            if shape_s not in shapes:
+                shape = tuple(int(d) for d in shape_s.split("x"))
+                shapes[shape_s] = shape, math.prod(max(d, 0) for d in shape)
         except ValueError as e:
             raise PlanError(f"{where}: malformed field ({e})") from None
         if not (_is_int(sid) and _is_int(cid)):
             raise PlanError(f"{where}: sample and class ids must be 64-bit integers")
-        n_bytes += math.prod(max(d, 0) for d in shape)
+        shape, size = shapes[shape_s]
+        n_bytes += size
         if n_bytes > MAX_DATA_BYTES:
             raise PlanError(f"{path}: rows through line {lineno} hold {n_bytes} "
                             f"int8 bytes, over the cap of {MAX_DATA_BYTES}")
@@ -393,9 +407,7 @@ def read_manifest(manifest_dir) -> tuple:
         if (shape, scale, zp) != (first, qp.scale, qp.zero_point):
             raise PlanError(f"{where}: shape {shape}, scale {scale!r} and zero point {zp} "
                             f"differ from the split's first row, line {first_line}")
-        # lexical containment: no absolute paths, no climbing out of root
-        blob = PurePosixPath(rel)
-        if blob.is_absolute() or ".." in blob.parts or not blob.parts:
+        if not _blob_inside(rel):
             raise PlanError(f"{where}: blob path {rel!r} is not inside {root}")
         ids, classes = cols[split]
         blobs.append((lineno, split, len(ids), rel))
@@ -404,18 +416,21 @@ def read_manifest(manifest_dir) -> tuple:
     # a split without rows has no layout of its own: no frames, unit scale
     layout = {s: layouts.get(s, ((1, 1, 1), QuantParams(1.0), None)) for s in cols}
     frames = {s: np.empty((len(cols[s][0]),) + layout[s][0], np.int8) for s in cols}
+    base = os.fspath(root)
     for lineno, split, i, rel in blobs:
-        where = f"{path} line {lineno}"
+        frame = frames[split][i]
         try:
-            raw = (root / rel).read_bytes()
+            with open(os.path.join(base, rel), "rb", buffering=0) as fh:
+                got = fh.readinto(frame)
+                if got == frame.size and fh.read(1):  # longer than declared
+                    got += 1 + len(fh.read())
         except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
             reason = getattr(e, "strerror", None) or e
-            raise PlanError(f"{where}: cannot read blob {rel!r} ({reason})") from None
-        frame = frames[split][i]
-        if len(raw) != frame.size:
-            raise PlanError(f"{where}: shape {frame.shape} expects {frame.size} "
-                            f"elements, got {len(raw)}")
-        frame[...] = np.frombuffer(raw, np.int8).reshape(frame.shape)
+            raise PlanError(f"{path} line {lineno}: cannot read blob {rel!r} "
+                            f"({reason})") from None
+        if got != frame.size:
+            raise PlanError(f"{path} line {lineno}: shape {frame.shape} expects "
+                            f"{frame.size} elements, got {got}")
     out = []
     for split, (ids, classes) in cols.items():
         frames[split].flags.writeable = False  # so the QuantTensor shares it

@@ -378,6 +378,7 @@ def _hostile_manifest(tmp_path, edit, row=2):
     write_manifest(train, test, root)
     (tmp_path / "outside.bin").write_bytes(train.frames.array[1].tobytes())
     (root / "blobs" / "short.bin").write_bytes(train.frames.array[1].tobytes()[1:])
+    (root / "blobs" / "long.bin").write_bytes(train.frames.array[1].tobytes() + b"\x00")
     path = root / "manifest.tsv"
     lines = path.read_text().splitlines()
     cells = lines[row].split("\t")
@@ -408,6 +409,8 @@ HOSTILE_ROWS = {
     "sample_id_beyond_int64": _set(0, str(2**63)),
     "class_id_beyond_int64": _set(2, str(-(2**63) - 1)),
     "blob_wrong_size": _set(6, "blobs/short.bin"),
+    "blob_too_long": _set(6, "blobs/long.bin"),
+    "blob_is_directory": _set(6, "blobs"),
     "blob_missing": _set(6, "blobs/999999.bin"),
     "blob_absolute": _set(6, lambda root: str((root / "blobs" / "000001.bin").resolve())),
     "blob_climbs_out": _set(6, "../outside.bin"),
@@ -421,6 +424,13 @@ def test_manifest_rejects_hostile_rows(tmp_path, case):
     root = _hostile_manifest(tmp_path, HOSTILE_ROWS[case])
     with pytest.raises(PlanError, match="line 3"):
         read_manifest(root)
+
+
+@pytest.mark.parametrize("rel", ["./blobs/000001.bin", "blobs//000001.bin"])
+def test_manifest_blob_path_spellings_load_the_same_frame(tmp_path, rel):
+    plain = _hostile_manifest(tmp_path / "plain", _set(6, "blobs/000001.bin"))
+    spelled = _hostile_manifest(tmp_path / "spelled", _set(6, rel))
+    assert read_manifest(spelled) == read_manifest(plain)
 
 
 @pytest.mark.parametrize("case", ["shape_mismatch", "scale_differs", "zero_point_differs"])

@@ -1,5 +1,6 @@
 """Affine int8 quantization and the frozen integer backbone."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -314,6 +315,40 @@ def test_batched_features_cross_block_boundaries():
     for row, x in zip(got, _frames(batch)):
         assert row.tobytes() == _reference_features(bb, x).tobytes()
     assert np.array_equal(backbone_forward(bb, _frames(batch)[-1]), got[-1])
+
+
+def test_one_feature_pools_in_index_order_not_pairwise():
+    # one frame, feature_dim 1: the pooling fold is one column of 144
+    # terms, where a 1-D reduce would sum pairwise
+    rng = np.random.default_rng(0)
+    layer = QuantLayer(rng.integers(-128, 128, (1, 3)).astype(np.int8), np.zeros(1, np.int32),
+                       0.01, 0.0137)
+    bb = FrozenBackbone([layer])
+    x = QuantTensor(rng.integers(-128, 128, 3 * 12 * 12).astype(np.int8), (3, 12, 12),
+                    QuantParams(0.05))
+    acc = layer.weight.astype(np.int64) @ x.data.reshape(3, 144).astype(np.int64)
+    q = np.clip(np.rint(acc[0] * (0.05 * 0.01 / 0.0137)), 0, 127)
+    pairwise = np.sum(q.astype(np.float32) * np.float32(0.0137)) / np.float32(144)
+    ref = _reference_features(bb, x)
+    assert pairwise != ref[0]
+    assert backbone_forward(bb, x).tobytes() == ref.tobytes()
+    batch = QuantTensor(x.data, (1,) + x.shape, x.qparams)
+    assert backbone_forward(bb, batch).tobytes() == ref.tobytes()
+
+
+def test_batched_forward_memory_stays_per_block():
+    # one workspace per call: its buffers are sized by quant._BLOCK, not the batch
+    rng = np.random.default_rng(4)
+    bb = build_backbone((4, 32, 48), rng)
+    batch = QuantTensor(rng.integers(-128, 128, 1000 * 4 * 16 * 16).astype(np.int8),
+                        (1000, 4, 16, 16), QuantParams(0.05, -7))
+    tracemalloc.start()
+    try:
+        backbone_forward(bb, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_empty_batch_gives_no_features():
