@@ -282,23 +282,25 @@ class _Space:
     def run(self, q: np.ndarray, out: np.ndarray) -> None:
         """Write the (b, feature_dim) features of a (b, C, H, W) block into ``out``."""
         b, c = q.shape[:2]
-        n, fd = b * self.hw, out.shape[1]
+        m, fd = b * self.hw, out.shape[1]  # GEMM rows, features
         fold = self.fold if b == self.rows else Fold((self.hw, b, fd), self.fold_buf)
         src, dst = self.bufs
         np.subtract(q.reshape(b, c, self.hw).transpose(2, 0, 1), self.zp,
-                    out=src[: n * c].reshape(self.hw, b, c), dtype=np.float64)
+                    out=src[: m * c].reshape(self.hw, b, c), dtype=np.float64)
         for wt, bias, mult in self.layers:
             c_in, c_out = wt.shape
-            acc = dst[: n * c_out].reshape(n, c_out)
-            np.matmul(src[: n * c_in].reshape(n, c_in), wt, out=acc)
+            acc = dst[: m * c_out].reshape(m, c_out)
+            np.matmul(src[: m * c_in].reshape(m, c_in), wt, out=acc)
             if bias is not None:
                 np.add(acc, bias, out=acc)
             np.multiply(acc, mult, out=acc)
             np.rint(acc, out=acc)
             _clip(acc, 0.0, 127.0, out=acc)
             src, dst = dst, src
-        # dequantize into the fold's terms; pool over H*W in index order
-        np.multiply(acc, self.out_scale, out=fold.terms.reshape(n, fd))
+        # dequantize into the fold's terms (q <= 127 times a float32 scale is exact
+        # in float64, so its one rounding to float32 is the float32 product),
+        # then pool over H*W in index order
+        np.multiply(acc, self.out_scale, out=fold.terms.reshape(m, fd))
         fold.run()
         np.divide(fold.total, self.pixels, out=out)
 
