@@ -12,9 +12,13 @@ the nodes are independent, so it trains all of a round's nodes in
 lockstep: minibatch k of every node is one ``total_loss`` pass with the
 node as a batch axis, which gives each node the bits it would get
 alone, followed by one ``sgd_step``. Each width group of steps runs on
-one ``losses.StepSpace``, whose buffers are allocated once per call;
-each epoch gathers its shuffled batches once, and only a call's last
-epoch, the one reported, asks for loss values. The harness runs
+one ``losses.StepSpace``, whose buffers are allocated once per call
+and which holds the group's parameter rows for the whole call, so a
+step builds no head object and ``sgd_step`` updates the rows in place;
+the nodes' own heads and snapshots are only read, and each trained
+node gets a new head. Each epoch gathers its shuffled batches once,
+and only a call's last epoch, the one reported, asks for loss values.
+The harness runs
 central training (T0 pretraining, the joint strategy) through it too,
 as N = 1 on the pooled data. ``SimNetwork`` prices each message with
 the ``costs`` link model.
@@ -206,7 +210,10 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     running the nodes one after another. Then minibatch k of all nodes
     with a full-size batch is one ``total_loss`` pass, then one
     ``sgd_step``; ragged tails step in groups of equal batch size. Each
-    group gets one ``StepSpace`` for the call, and each epoch gathers
+    group gets one ``StepSpace`` for the call, holding its parameter
+    rows: the group of every node steps the call's (N, P) parameter
+    stack in place, a ragged group gathers its rows from the stack
+    before each step and scatters them back after. Each epoch gathers
     every step's batch into one buffer before its first step. Returns
     each node's mean batch loss over its last epoch (0.0 for an empty
     view, which leaves the head untouched and draws nothing); earlier
@@ -247,7 +254,9 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     # one entry per lockstep pass: step k's nodes whose batch has width w
     # (a slice when it is every node), their group's StepSpace and
     # snapshots, and the Minibatch: sample-major views of xe and te,
-    # which each epoch fills by gathering its order at ``gather``
+    # which each epoch fills by gathering its order at ``gather``. A
+    # group of every node steps ``params`` itself; a ragged group steps
+    # its space's own rows, gathered before each step, scattered after
     xe = np.empty(x.shape, np.float32)
     te = np.empty(targets.shape, np.intp)
     groups, steps, gather, at = {}, [], [], 0
@@ -256,8 +265,10 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
         for w in sorted(set(width[width > 0].tolist())):
             idx = np.flatnonzero(width == w)
             if (w, tuple(idx)) not in groups:
-                sel = slice(None) if len(idx) == n else idx
-                space = StepSpace(arch, len(idx), w, tuple(m[idx] for m in masks), cfg)
+                full = len(idx) == n
+                sel = slice(None) if full else idx
+                space = StepSpace(arch, len(idx), w, tuple(m[idx] for m in masks), cfg,
+                                  params if full else None)
                 groups[w, tuple(idx)] = sel, space, snaps[sel]
             cells = (starts[idx] + k + np.arange(w)[:, None]).reshape(-1)
             batch = Minibatch(xe[at : at + len(cells)].reshape(w, len(idx), -1),
@@ -266,20 +277,24 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
             gather.append(cells)
             at += len(cells)
     gather = np.concatenate(gather)
-    rows = np.empty_like(gather)
+    picks = np.empty_like(gather)
     step_losses = np.zeros((n, -(-longest // b)))
     lr = np.float32(cfg.lr)
     # diverging runs overflow here; finiteness is checked once at the end
     with np.errstate(all="ignore"):
         for e in range(epochs):
-            np.take(order[e], gather, out=rows)
-            np.take(x, rows, axis=0, out=xe)
-            np.take(targets, rows, out=te)
+            np.take(order[e], gather, out=picks)
+            np.take(x, picks, axis=0, out=xe)
+            np.take(targets, picks, out=te)
             last = e == epochs - 1  # the one epoch whose losses are reported
             for j, sel, space, sel_snaps, batch in steps:
-                head = arch.with_params(params[sel])
-                values, grads = total_loss(head, batch, space, sel_snaps, cfg, values=last)
-                params[sel] = sgd_step(head, grads, lr).params
+                rows = space.params
+                if rows is not params:
+                    np.take(params, sel, axis=0, out=rows)
+                values, grads = total_loss(rows, batch, space, sel_snaps, cfg, values=last)
+                sgd_step(rows, grads, lr)
+                if rows is not params:
+                    params[sel] = rows
                 if last:
                     step_losses[sel, j] = values
     losses = [0.0] * n

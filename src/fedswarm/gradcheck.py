@@ -8,7 +8,14 @@ the same math independently in float64 with plain numpy reductions
 central differences. Agreement on random heads validates that fused
 backward pass as a whole. The float64 round is what makes the 1e-4
 tolerance reachable: differencing the float32 loss itself would drown
-in rounding noise at any usable step size.
+in rounding noise at any usable step size. ``reference_total_loss``
+takes one parameter vector or a (T, P) stack of them, which it runs
+as one batched pass (float64 head views of the stack, batched
+matmuls, reductions along each row), and ``check_case`` puts all
+2P + 1 central-difference points of a case, theta0 +- h along each
+coordinate and theta0 itself, into one such stack: a few dozen numpy
+calls per case instead of that many per point. The stack holds
+(2P + 1) * P float64 values, which suits the small heads it checks.
 """
 
 from __future__ import annotations
@@ -26,28 +33,32 @@ ABS_TOL = 1e-6
 
 
 def reference_total_loss(theta, head: TrainableHead, batch, part, w_global, mu, lam):
-    """The objective recomputed in float64 from a flat parameter vector."""
-    h64 = head.with_params(np.array(theta, dtype=np.float64))  # flat layout, float64 values
-    conv_w, conv_b, cls_w, cls_b = h64.conv_w, h64.conv_b, h64.cls_w, h64.cls_b
+    """The objective recomputed in float64 from flat parameters: one (P,)
+    vector gives its value as a float, a (T, P) stack of them their (T,)
+    values from one batched pass."""
+    theta = np.asarray(theta, np.float64)
+    h64 = head.with_params(theta.reshape(-1, theta.shape[-1]))  # (T, P), float64 views
+    f = np.array([np.asarray(feats, np.float64).reshape(-1) for feats, _ in batch])
+    hidden = np.maximum(h64.conv_w @ f.T + h64.conv_b[..., None], 0.0)  # (T, c_out, M)
+    logits = h64.cls_w @ hidden + h64.cls_b[..., None]  # (T, C, M)
     total = 0.0
-    for feats, target in batch:
-        f = np.asarray(feats, np.float64)
-        hidden = np.maximum(conv_w @ f + conv_b, 0.0)
-        z = cls_w @ hidden + cls_b
-        zs = z - z.max()
-        ce = np.log(np.exp(zs).sum()) - zs[target]
+    for m, (_, target) in enumerate(batch):
+        z = logits[..., m]
+        zs = z - z.max(axis=1, keepdims=True)
+        ce = np.log(np.exp(zs).sum(axis=1)) - zs[:, target]
         a = sorted(part.new_classes - {target})
         b = sorted(part.old_classes - {target})
         if not b:
             mol = 0.0
         elif a:
-            mol = (z[a].mean() - z[b].mean()) ** 2
+            mol = (z[:, a].mean(axis=1) - z[:, b].mean(axis=1)) ** 2
         else:
-            mol = z[b].mean() ** 2
-        total += ce + mu * mol
-    total /= len(batch)
-    d = theta - np.asarray(w_global, dtype=np.float64)
-    return total + 0.5 * lam * (d * d).sum()
+            mol = z[:, b].mean(axis=1) ** 2
+        total = total + (ce + mu * mol)
+    total = total / len(batch)
+    d = h64.params - np.asarray(w_global, dtype=np.float64)
+    values = total + 0.5 * lam * (d * d).sum(axis=1)
+    return float(values[0]) if theta.ndim == 1 else values
 
 
 def _scaled_err(analytic: np.ndarray, expected: np.ndarray) -> float:
@@ -62,19 +73,15 @@ def check_case(head, batch, part, w_global, cfg: LossConfig, h: float = 1e-3) ->
     loss32, grads = total_loss(head, batch, part, w_global, cfg)
     analytic = grads.astype(np.float64)
     theta0 = flatten_params(head).astype(np.float64)
-    wg = np.asarray(w_global, np.float32)
-
-    def f(theta):
-        return reference_total_loss(theta, head, batch, part, wg, cfg.mu, cfg.lam)
-
-    fd = np.empty_like(theta0)
-    for i in range(theta0.size):
-        tp = theta0.copy()
-        tp[i] += h
-        tm = theta0.copy()
-        tm[i] -= h
-        fd[i] = (f(tp) - f(tm)) / (2.0 * h)
-    loss64 = f(theta0)
+    p = theta0.size
+    # every central-difference point, theta0 +- h at each coordinate, and
+    # theta0 itself: one (2P + 1, P) stack through the reference
+    moves = np.eye(p) * h
+    points = np.concatenate([theta0 + moves, theta0 - moves, theta0[None]])
+    values = reference_total_loss(points, head, batch, part, np.asarray(w_global, np.float32),
+                                  cfg.mu, cfg.lam)
+    fd = (values[:p] - values[p : 2 * p]) / (2.0 * h)
+    loss64 = float(values[-1])
     if not np.isfinite(fd).all():
         raise NumericError("non-finite finite-difference gradient")
     return {

@@ -18,10 +18,16 @@ gradients accumulate in a fixed order, so each node's results are
 bit-identical to the per-sample reference in ``tests/test_objective.py``;
 the float64 oracle in ``gradcheck`` checks the math itself.
 
-The pass runs in a ``StepSpace``: the buffers and constants of one
-width group of a training call, allocated once and reused by every
-step, so a step is a fixed sequence of numpy calls that write into
-them. Samples are sample-major (B, N) cells; each contraction is a
+The pass runs in a ``StepSpace``: the parameter rows, buffers and
+constants of one width group of a training call, allocated once and
+reused by every step, so a step is a fixed sequence of numpy calls
+that write into them. The rows stay resident for the whole call and
+no head object is built per step: the lockstep ``total_loss`` reads
+the space's rows, and the lockstep ``sgd_step`` updates them in place
+with the one-head step's two float32 operations (lr * g rounded, then
+the subtraction), so the bits are the same. A ``Minibatch`` carries
+the views of its samples that a step reads, built once per call.
+Samples are sample-major (B, N) cells; each contraction is a
 ``Fold`` over a k-major product; logits stay sample-major and the
 softmax and mean-output sums run along the class axis; each step builds
 its samples' mean-output sides from the class masks, so they grow with
@@ -33,7 +39,7 @@ the gradient bits alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,13 +114,30 @@ class ClassPartition:
 class Minibatch:
     """Minibatch k of N nodes, sample-major: ``x`` (B, N, c_feat) features
     and ``targets`` (B, N) class ids, row b holding sample b of every
-    node. Its length is the step's sample count, N * B."""
+    node. Its length is the step's sample count, N * B.
+
+    The views a step reads are built once with the batch: ``x_k``
+    (c_feat, B, N, 1) k-major features for the forward product,
+    ``x_rev`` (B, N, 1, c_feat) the samples last first for the conv_w
+    gradient, and ``t_col`` (B, N, 1) targets against the class ids."""
 
     x: np.ndarray
     targets: np.ndarray
+    x_k: np.ndarray = field(init=False, repr=False, compare=False)
+    x_rev: np.ndarray = field(init=False, repr=False, compare=False)
+    t_col: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "x_k", self.x.transpose(2, 0, 1)[..., None])
+        object.__setattr__(self, "x_rev", self.x[::-1, :, None, :])
+        object.__setattr__(self, "t_col", self.targets[..., None])
 
     def __len__(self) -> int:
         return self.targets.size
+
+    def rows(self, lo: int, hi: int) -> "Minibatch":
+        """Samples ``lo:hi`` of every node, as a chunked step reads them."""
+        return Minibatch(self.x[lo:hi], self.targets[lo:hi])
 
 
 def stack_pairs(head: TrainableHead, pairs, part: ClassPartition, cfg: LossConfig) -> tuple:
@@ -160,15 +183,19 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = T
     One head: ``batch`` is a sequence of (features, target) pairs,
     ``part`` a ClassPartition and ``w_global`` a flat float32 array;
     returns (loss value, flat float32 gradient). Lockstep, as the
-    training loop calls it: ``head`` is an (N, P) stack, ``batch`` a
-    ``Minibatch``, ``part`` the ``StepSpace`` built for this width
-    group, its class masks and ``cfg``, and ``w_global`` the (N, P)
-    snapshots; returns ((N,) values, (N, P) gradients). The one-head
-    form checks its input and runs the lockstep form with N = 1.
-    Without ``values`` the values are None. Gradients are new arrays.
+    training loop calls it: ``head`` is the (N, P) parameter rows (or
+    a head stack over them), ``batch`` a ``Minibatch``, ``part`` the
+    ``StepSpace`` built for this width group, its class masks and
+    ``cfg``, and ``w_global`` the (N, P) snapshots; returns ((N,)
+    values, (N, P) gradients). The training loop passes the space's
+    own ``params``, which it reads in place; other rows are copied in
+    first. The one-head form checks its input and runs the lockstep
+    form with N = 1. Without ``values`` the values are None. Gradients
+    are new arrays.
     """
     if isinstance(batch, Minibatch):
-        return part.step(head.params, batch, w_global, values)
+        return part.step(head.params if isinstance(head, TrainableHead) else head,
+                         batch, w_global, values)
     samples = list(batch)
     if not samples:
         raise DimensionError("total_loss needs a nonempty batch")
@@ -199,14 +226,21 @@ class StepSpace:
     rows of n * P gradient terms would pass ``tensor._SCAN_BLOCK``
     elements runs in chunks of samples, last chunk first, each chunk's
     gradient fold starting from the sum the one before it left.
+
+    ``params`` are the (n, P) float32 rows the steps read, resident for
+    the space's life with the weight views built over them once: the
+    rows given (``local_epoch`` passes a full group its parameter stack
+    itself, which the lockstep ``sgd_step`` then updates in place), or
+    new rows that each step copies its heads into.
     """
 
-    def __init__(self, arch: TrainableHead, n: int, w: int, masks, cfg: LossConfig):
+    def __init__(self, arch: TrainableHead, n: int, w: int, masks, cfg: LossConfig,
+                 params: np.ndarray | None = None):
         p = arch.parameter_count
-        self.heads = np.empty((n, p), np.float32)
-        self.weights = _weight_views(self.heads, arch.dims)
+        self.params = np.empty((n, p), np.float32) if params is None else params
+        self.weights = _weight_views(self.params, arch.dims)
         # cls_w k-major over classes, (num_classes, 1, n, c_out), for g_hidden
-        self.cls_w_c = arch.with_params(self.heads.view()).cls_w.transpose(1, 0, 2)[:, None]
+        self.cls_w_c = arch.with_params(self.params.view()).cls_w.transpose(1, 0, 2)[:, None]
         self.shape = (n, p)
         self.inv_b = _ONE / np.float32(w)
         self.b = np.float32(w)
@@ -224,25 +258,26 @@ class StepSpace:
             lo = max(0, hi - rows)
             if hi - lo not in by_size:
                 by_size[hi - lo] = _Rows(self, arch.dims, hi - lo)
-            self.chunks.append((lo, hi, by_size[hi - lo]))
+            self.chunks.append((lo, hi, by_size[hi - lo], self.terms.terms[lo:hi]))
 
     def step(self, params: np.ndarray, batch: "Minibatch", snaps: np.ndarray, values: bool):
         """((n,) values or None, (n, P) gradients) of the heads ``params``
         over ``batch``, the prox term anchored at ``snaps``."""
-        np.copyto(self.heads, params)
+        if params is not self.params:
+            np.copyto(self.params, params)
         lead = self.chunks[0][2].lead
         if self.lam is not None:  # row 0 of the first fold: +0.0 + the prox part
-            np.subtract(self.heads, snaps, out=self.drift)
+            np.subtract(self.params, snaps, out=self.drift)
             np.multiply(self.drift, self.lam, out=lead)
             np.add(lead, _ZERO, out=lead)
         elif len(self.chunks) > 1:
             lead.fill(0.0)
-        grads = None
-        for lo, hi, rows in self.chunks:
+        grads, whole = None, len(self.chunks) == 1
+        for lo, hi, rows, terms in self.chunks:
             if grads is not None:
                 np.copyto(rows.lead, grads.reshape(self.shape))
-            grads = rows.run(self, batch.x[lo:hi], batch.targets[lo:hi],
-                             self.terms.terms[lo:hi] if values else None)
+            grads = rows.run(self, batch if whole else batch.rows(lo, hi),
+                             terms if values else None)
         grads = grads.reshape(self.shape)
         if not values:
             return None, grads
@@ -284,25 +319,26 @@ class _Rows:
         self.g_hidden, self.alive_rev = self.back.total[::-1], self.alive[::-1]
         self.g_pre = self.g_conv_b[..., None]
         self.g_z_rev, self.hidden_rev = self.probs[::-1], hidden[::-1, :, None, :]
+        self.g_z_rev_col = self.g_z_rev[..., None]
         if space.mu is not None:
             self.mol = _Mol(rows, n, n_cls, self.fwd.logits, self.onehot)
 
-    def run(self, s: StepSpace, x: np.ndarray, t: np.ndarray, terms):
+    def run(self, s: StepSpace, batch: Minibatch, terms):
         """Write this chunk's per-sample gradient terms after ``lead`` and
         fold them; with ``terms``, also each sample's loss term into it."""
-        self.fwd.run(s.weights, x.transpose(2, 0, 1)[..., None])
+        self.fwd.run(s.weights, batch.x_k)
         z, probs = self.fwd.logits, self.probs
         # softmax cross-entropy per sample, along the class axis
         np.maximum.reduce(z, axis=-1, keepdims=True, out=self.top)
         np.subtract(z, self.top, out=probs)
         if terms is not None:
-            shifted_t = probs[self.cell + (t,)]
+            shifted_t = probs[self.cell + (batch.targets,)]
         np.exp(probs, out=probs)
         np.add.accumulate(probs, axis=-1, out=self.cum)
         if terms is not None:
             terms[...] = np.log(self.total[..., 0]) - shifted_t
         np.divide(probs, self.total, out=probs)
-        np.equal(t[..., None], self.classes, out=self.onehot)
+        np.equal(batch.t_col, self.classes, out=self.onehot)
         np.subtract(probs, self.onehot, out=probs)
         np.multiply(probs, s.inv_b, out=probs)
         if s.mu is not None:
@@ -315,8 +351,8 @@ class _Rows:
         np.greater(self.fwd.hidden, _ZERO, out=self.alive)
         self.g_conv_b.fill(0.0)
         np.copyto(self.g_conv_b, self.g_hidden, where=self.alive_rev)
-        np.multiply(self.g_pre, x[::-1, :, None, :], out=self.g_conv_w)
-        np.multiply(self.g_z_rev[..., None], self.hidden_rev, out=self.g_cls_w)
+        np.multiply(self.g_pre, batch.x_rev, out=self.g_conv_w)
+        np.multiply(self.g_z_rev_col, self.hidden_rev, out=self.g_cls_w)
         np.copyto(self.g_cls_b, self.g_z_rev)
         return np.add.reduce(self.fold, axis=0)
 
@@ -366,9 +402,21 @@ class _Mol:
         return np.where(self.no_old, _ZERO, self.diff * self.diff) if values else None
 
 
-def sgd_step(head: TrainableHead, grads: np.ndarray, lr: float) -> TrainableHead:
-    """One vanilla descent step, w <- w - lr * g, on the flat parameters
-    (elementwise, so a stack steps each head as it would alone)."""
-    if grads.shape != head.params.shape:
-        raise DimensionError(f"gradient shape {grads.shape} vs parameters {head.params.shape}")
-    return head.with_params(head.params - np.float32(lr) * grads)
+def sgd_step(head, grads: np.ndarray, lr: float):
+    """One vanilla descent step, w <- w - lr * g, on the flat parameters,
+    as two float32 operations: lr * g rounded, then the subtraction.
+
+    One head: returns a new head. Lockstep, as the training loop calls
+    it: ``head`` is the (N, P) parameter rows of a ``StepSpace``, which
+    are updated in place (elementwise, so each head steps as it would
+    alone) and returned; ``grads`` is overwritten with lr * g.
+    """
+    one = isinstance(head, TrainableHead)
+    params = head.params if one else head
+    if grads.shape != params.shape:
+        raise DimensionError(f"gradient shape {grads.shape} vs parameters {params.shape}")
+    lr = np.float32(lr)
+    if one:
+        return head.with_params(params - lr * grads)
+    np.multiply(grads, lr, out=grads)
+    return np.subtract(params, grads, out=params)

@@ -7,9 +7,11 @@ head is one read-only flat float32 array with four reshaped views, so
 a copy and an SGD step one vector update. Features and logits are
 float32 arrays too. ``_Forward`` is the one copy of the head math, a
 pass over preallocated buffers: ``head_logits`` runs it, and so does
-``losses.StepSpace`` on (N, P) stacks of heads, reusing one set of
-buffers for every step of a training call. Gradients flow into head
-parameters only; the backbone's features enter as constants.
+``losses.StepSpace`` on the (N, P) parameter rows of N heads, which
+stay in the space for a whole training call with ``_weight_views``
+built over them once, so training steps build no head objects.
+Gradients flow into head parameters only; the backbone's features
+enter as constants.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ class TrainableHead:
     ``params`` is one read-only vector holding conv_w (c_out, c_feat),
     conv_b (c_out,), cls_w (num_classes, c_out) and cls_b (num_classes,)
     in that order, each row-major; the four attributes are reshaped
-    read-only views of it. The training loop also builds heads whose
-    ``params`` is an (N, P) stack of N same-architecture heads, stepped
-    in lockstep; their views gain the leading node axis.
+    read-only views of it. ``with_params`` also takes an (N, P) stack
+    of N same-architecture heads, whose views gain the leading node
+    axis; the training loop itself steps bare (N, P) rows.
 
     The constructor checks shapes and finiteness. Heads derived from
     another head (``with_params``, SGD steps, expansion, averaging) skip

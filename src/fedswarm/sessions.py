@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -348,8 +349,11 @@ def read_manifest(manifest_dir) -> tuple:
     ``MAX_DATA_BYTES`` int8 bytes or ``MAX_SAMPLES`` samples in all, are
     a PlanError naming the line. Every row is checked before any blob is
     read; then the blobs are read in line order straight into one frame
-    buffer per split, one ``readinto`` each. A split without rows loads
-    empty."""
+    buffer per split, one read each. A blob that is not a regular file
+    (a directory, a device, a FIFO) is a PlanError naming the line, and
+    one of another length than its shape declares is one too, its
+    length taken from its size without reading it. A split without
+    rows loads empty."""
     root = Path(manifest_dir)
     path = root / _MANIFEST_NAME
     if not path.is_file():
@@ -420,14 +424,22 @@ def read_manifest(manifest_dir) -> tuple:
     for lineno, split, i, rel in blobs:
         frame = frames[split][i]
         try:
-            with open(os.path.join(base, rel), "rb", buffering=0) as fh:
-                got = fh.readinto(frame)
-                if got == frame.size and fh.read(1):  # longer than declared
-                    got += 1 + len(fh.read())
+            # non-blocking, so that a FIFO opens at once and is refused below
+            fd = os.open(os.path.join(base, rel), os.O_RDONLY | os.O_NONBLOCK)
+            try:
+                st = os.fstat(fd)
+                regular = stat.S_ISREG(st.st_mode)
+                got = st.st_size  # a blob of another length is not read
+                if regular and got == frame.size:
+                    got = os.readv(fd, [frame])
+            finally:
+                os.close(fd)
         except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
             reason = getattr(e, "strerror", None) or e
             raise PlanError(f"{path} line {lineno}: cannot read blob {rel!r} "
                             f"({reason})") from None
+        if not regular:  # a directory, a device (/dev/zero never ends), a FIFO
+            raise PlanError(f"{path} line {lineno}: blob {rel!r} is not a regular file")
         if got != frame.size:
             raise PlanError(f"{path} line {lineno}: shape {frame.shape} expects "
                             f"{frame.size} elements, got {got}")

@@ -1,5 +1,9 @@
 """Session planning, class registry, node data views and evaluation."""
 
+import contextlib
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -394,6 +398,15 @@ def _set(col, value):
     return edit
 
 
+def _special_blob(make):
+    """Point the row at ``blobs/special.bin``, made by ``make(path)``."""
+    def edit(cells, root):
+        make(root / "blobs" / "special.bin")
+        cells[6] = "blobs/special.bin"
+        return cells
+    return edit
+
+
 HOSTILE_ROWS = {
     "too_few_columns": lambda cells, root: cells[:-1],
     "too_many_columns": lambda cells, root: cells + ["extra"],
@@ -416,13 +429,47 @@ HOSTILE_ROWS = {
     "blob_climbs_out": _set(6, "../outside.bin"),
     "blob_climbs_back_in": _set(6, "blobs/../blobs/000001.bin"),
     "blob_nul_byte": _set(6, "blobs/\x00.bin"),
+    # a reader that waits for a writer, or reads to the end, never returns
+    "blob_is_fifo": _special_blob(os.mkfifo),
+    "blob_never_ends": _special_blob(lambda path: path.symlink_to("/dev/zero")),
 }
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the test once the block has run ``seconds``, so that a read
+    that blocks fails instead of hanging the suite. ``pytest.fail`` is no
+    OSError (as TimeoutError is), so no handler in the code under test
+    can turn it into an ordinary error."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
 def test_manifest_rejects_hostile_rows(tmp_path, case):
     root = _hostile_manifest(tmp_path, HOSTILE_ROWS[case])
-    with pytest.raises(PlanError, match="line 3"):
+    with _deadline(10), pytest.raises(PlanError, match="line 3"):
+        read_manifest(root)
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("blob_is_directory", "is not a regular file"),
+    ("blob_is_fifo", "is not a regular file"),
+    ("blob_never_ends", "is not a regular file"),
+    ("blob_too_long", r"expects 36 elements, got 37$"),
+    ("blob_wrong_size", r"expects 36 elements, got 35$"),
+])
+def test_manifest_names_what_is_wrong_with_a_blob(tmp_path, case, reason):
+    root = _hostile_manifest(tmp_path, HOSTILE_ROWS[case])
+    with _deadline(10), pytest.raises(PlanError, match=f"line 3: .*{reason}"):
         read_manifest(root)
 
 

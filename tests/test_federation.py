@@ -31,6 +31,7 @@ from fedswarm import (
     unflatten_params,
     write_trace,
 )
+from fedswarm import federation, losses
 
 
 def _vec(*values):
@@ -398,6 +399,55 @@ def test_lockstep_local_epoch_equals_nodes_one_by_one(case):
         assert node.epochs == (epochs if view else 0)
     # the shared stream is left where the one-by-one loop leaves it
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(_rounds())
+def test_chunked_lockstep_local_epoch_equals_nodes_one_by_one(case):
+    # a budget of two samples of one head per step buffer: groups of two or
+    # more nodes step one sample at a time, a lone node two, and each
+    # chunk's gradient fold carries on from the one before it
+    nodes, views, parts, cfg, epochs, seed = case
+    ref_rng = np.random.default_rng(seed)
+    ref_heads, ref_losses = _sequential_epochs(nodes, views, parts, cfg, ref_rng, epochs)
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "_SCAN_BLOCK", 2 * nodes[0].head.parameter_count)
+        assert local_epoch(nodes, views, parts, cfg, rng, epochs) == ref_losses
+    for node, ref in zip(nodes, ref_heads):
+        assert node.head.params.tobytes() == ref.params.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_local_epoch_steps_its_own_rows_and_hands_out_fresh_heads(monkeypatch):
+    # the steps update parameter rows in place; those rows are the call's
+    # own, never the caller's heads or snapshots, and the trained heads
+    # share no memory with them
+    spaces = []
+
+    class Recorded(losses.StepSpace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spaces.append(self)
+
+    monkeypatch.setattr(federation, "StepSpace", Recorded)
+    nodes = _swarm(3, seed=5)
+    nodes[1].snapshot = init_head(5, 4, 3, np.random.default_rng(6))
+    views, parts = _views(nodes, 3, per_node=8)
+    views[1], views[2] = views[1][:5], views[2][:6]  # 8, 5, 6 pairs: ragged tails
+    given_heads = [(n.head, n.head.params.tobytes(), n.snapshot, n.snapshot.params.tobytes())
+                   for n in nodes]
+    cfg = LossConfig(lr=0.1, batch_size=4)
+    local_epoch(nodes, [views[i] for i in range(3)], [parts[i] for i in range(3)], cfg,
+                np.random.default_rng(0), 2)
+    assert sorted(len(s.params) for s in spaces) == [1, 1, 1, 3]  # one full group, 3 ragged
+    for node, (head, head_bytes, snap, snap_bytes) in zip(nodes, given_heads):
+        assert head.params.tobytes() == head_bytes and snap.params.tobytes() == snap_bytes
+        assert node.snapshot is snap and node.head is not head
+        assert node.head.params.tobytes() != head_bytes
+        for space in spaces:
+            assert not np.shares_memory(node.head.params, space.params)
+            assert not np.shares_memory(head.params, space.params)
+            assert not np.shares_memory(snap.params, space.params)
 
 
 def test_run_session_zero_rounds():

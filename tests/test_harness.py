@@ -1,10 +1,14 @@
 """Synthetic data, experiment configs, the three-strategy driver, CLI."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -347,10 +351,32 @@ def test_report_table_layout():
 
 
 def _cli(*args, cwd=None):
+    """``fedswarm *args`` as a new process: the smoke tests, one per subcommand."""
     return subprocess.run(
         [sys.executable, "-m", "fedswarm", *args],
         capture_output=True, text=True, cwd=cwd,
     )
+
+
+def _main(*args):
+    """``fedswarm *args`` run in process through ``cli.main``, as a
+    CompletedProcess of its exit code and captured output.
+
+    Each warning the call emits is appended to its stderr as Python's
+    warning printer would write it, so stderr reads as the process's
+    would; an exception that escapes ``main`` fails the test, as a
+    traceback would. The call must leave numpy's error state, the working
+    directory and ``sys.argv`` as it found them."""
+    state = (np.geterr(), os.getcwd(), list(sys.argv))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(args))
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line))
+    assert (np.geterr(), os.getcwd(), list(sys.argv)) == state, "main leaked process state"
+    return subprocess.CompletedProcess(["fedswarm", *args], code, out.getvalue(), err.getvalue())
 
 
 def test_cli_run_and_report(tmp_path):
@@ -373,7 +399,7 @@ def test_cli_strategy_override(tmp_path):
     cfg_path = tmp_path / "config.json"
     fs.save_config(_small_config(), cfg_path)
     out = tmp_path / "out"
-    res = _cli("run", "--config", str(cfg_path), "--out", str(out),
+    res = _main("run", "--config", str(cfg_path), "--out", str(out),
                "--strategy", "joint")
     assert res.returncode == 0, res.stderr
     assert fs.parse_report(out / "report.json").strategy == "joint"
@@ -410,10 +436,16 @@ def test_cli_cost():
     assert "federated epoch" in res.stdout
 
 
+def test_cli_gradcheck():
+    res = _cli("gradcheck")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.endswith("20/20 gradient checks passed (tol 0.0001)\n")
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"strategy": "magic"}')
-    res = _cli("run", "--config", str(bad), "--out", str(tmp_path / "out"))
+    res = _main("run", "--config", str(bad), "--out", str(tmp_path / "out"))
     assert res.returncode == 1
     assert "config error" in res.stderr
     # unreadable config files: a directory, non-UTF-8 bytes, nesting too deep to parse
@@ -422,7 +454,7 @@ def test_cli_config_error_exit_code(tmp_path):
     unreadable["not_utf8"].write_bytes(b'{"strategy": "\xff"}')
     unreadable["nested_too_deep"].write_text("[" * 100_000)
     for case, path in unreadable.items():
-        res = _cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
+        res = _main("run", "--config", str(path), "--out", str(tmp_path / "out"))
         assert res.returncode == 1, case
         assert "Traceback" not in res.stderr, case
         assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: "), case
@@ -443,7 +475,7 @@ def test_cli_config_error_exit_code(tmp_path):
 def test_cli_non_integer_count_is_a_config_error(tmp_path, bad):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    res = _cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
+    res = _main("run", "--config", str(path), "--out", str(tmp_path / "out"))
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: ")
@@ -463,8 +495,7 @@ def test_cli_size_cap_is_a_config_error(tmp_path, bad):
     path.write_text(json.dumps(bad))
     for args in (["cost", "--config", str(path)],
                  ["run", "--config", str(path), "--out", str(tmp_path / "out")]):
-        res = subprocess.run([sys.executable, "-m", "fedswarm", *args],
-                             capture_output=True, text=True, timeout=60)
+        res = _main(*args)
         assert res.returncode == 1, res.stderr
         assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: ")
         assert "exceed" in res.stderr
@@ -583,7 +614,7 @@ def test_cli_manifest_with_repeated_sample_ids_is_a_runtime_error(tmp_path):
     cfg_path = tmp_path / "config.json"
     fs.save_config(replace(cfg, data=fs.DataSpec(kind="manifest", manifest_dir=str(data))),
                    cfg_path)
-    res = _cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    res = _main("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
     assert res.returncode == 2
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
     assert f"{manifest} line 66: sample id 0 repeats line 2" in res.stderr
@@ -601,7 +632,7 @@ def test_cli_manifest_over_the_data_cap_is_a_runtime_error(tmp_path):
     cfg_path = tmp_path / "config.json"
     fs.save_config(replace(cfg, data=fs.DataSpec(kind="manifest", manifest_dir=str(data))),
                    cfg_path)
-    res = _cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    res = _main("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
     assert res.returncode == 2
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
     assert f"{manifest}: rows through line 2 hold" in res.stderr
@@ -677,7 +708,7 @@ def test_cli_diverging_run_is_one_line_runtime_error(tmp_path, case):
         d[section].update(values)
     path = tmp_path / "diverge.json"
     path.write_text(json.dumps(d))
-    res = _cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
+    res = _main("run", "--config", str(path), "--out", str(tmp_path / "out"))
     assert res.returncode == 2
     # no numpy RuntimeWarning lines ahead of the error
     assert res.stderr == "error: non-finite values in conv_w\n"
@@ -782,7 +813,7 @@ def test_cli_hostile_report_is_a_config_error(tmp_path, case):
         run_dir.mkdir()
         raw = body if isinstance(body, bytes) else json.dumps(body).encode()
         (run_dir / "report.json").write_bytes(raw)
-    res = _cli("report", str(run_dir))
+    res = _main("report", str(run_dir))
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: ")
@@ -809,7 +840,7 @@ def test_cli_hostile_manifest_row_is_a_runtime_error(tmp_path, rel):
     cfg_path = tmp_path / "config.json"
     fs.save_config(replace(cfg, data=fs.DataSpec(kind="manifest", manifest_dir=str(data))),
                    cfg_path)
-    res = _cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    res = _main("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")

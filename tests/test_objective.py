@@ -21,7 +21,7 @@ from fedswarm import (
     total_loss,
 )
 from fedswarm import losses
-from fedswarm.gradcheck import REL_TOL, check_case
+from fedswarm.gradcheck import REL_TOL, _make_case, check_case, reference_total_loss
 from fedswarm.losses import Minibatch, StepSpace, stack_pairs
 from fedswarm.tensor import Fold, _scan
 
@@ -226,6 +226,22 @@ def test_total_loss_gradient_matches_finite_differences():
     cfg = LossConfig(mu=2.0, lam=3.8, lr=0.01)
     r = check_case(head, batch, part, wg, cfg)
     assert r["max_scaled_err"] < REL_TOL
+
+
+@pytest.mark.parametrize("idx", range(12))
+def test_reference_loss_of_a_stack_equals_its_rows(idx):
+    # the oracle's batched pass over (T, P) parameter rows gives each row
+    # the value of its own call, across all MOL branches and weights
+    _, head, batch, part, w_global, cfg = _make_case(idx, 3)
+    rng = np.random.default_rng(idx)
+    theta0 = flatten_params(head).astype(np.float64)
+    stack = theta0 + rng.standard_normal((5, theta0.size)) * 0.1
+    stack[0] = theta0
+    args = (head, batch, part, w_global, cfg.mu, cfg.lam)
+    values = reference_total_loss(stack, *args)
+    rows = [reference_total_loss(row, *args) for row in stack]
+    assert values.shape == (5,) and all(isinstance(v, float) for v in rows)
+    np.testing.assert_allclose(values, rows, rtol=1e-12, atol=0)
 
 
 def test_total_loss_empty_batch():
