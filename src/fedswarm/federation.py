@@ -11,17 +11,17 @@ average bit-exact under permutation and idempotent on identical heads.
 the nodes are independent, so it trains all of a round's nodes in
 lockstep: minibatch k of every node is one ``total_loss`` pass with the
 node as a batch axis, which gives each node the bits it would get
-alone, followed by one ``sgd_step``. Each width group of steps runs on
-one ``losses.StepSpace``, whose buffers are allocated once per call
-and which holds the group's parameter rows for the whole call, so a
-step builds no head object and ``sgd_step`` updates the rows in place;
-the nodes' own heads and snapshots are only read, and each trained
-node gets a new head. Each epoch gathers its shuffled batches once,
-and only a call's last epoch, the one reported, asks for loss values.
-The harness runs
-central training (T0 pretraining, the joint strategy) through it too,
-as N = 1 on the pooled data. ``SimNetwork`` prices each message with
-the ``costs`` link model.
+alone, followed by one ``sgd_step``. The call keeps its nodes'
+parameters in one (N, P) stack, longest view first, so each width
+group of steps is a contiguous slice of it. Each group runs on one
+``losses.StepSpace`` over its slice, whose buffers are allocated once
+per call, so a step builds no head object and ``sgd_step`` updates the
+stack in place; the nodes' own heads and snapshots are only read, and
+each trained node gets a new head. Each epoch gathers its shuffled
+batches once, and only a call's last epoch, the one reported, asks for
+loss values. The harness runs central training (T0 pretraining, the
+joint strategy) through it too, as N = 1 on the pooled data.
+``SimNetwork`` prices each message with the ``costs`` link model.
 """
 
 from __future__ import annotations
@@ -207,17 +207,17 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     and class partition. Minibatch SGD against the composite loss, the
     proximal term anchored to each node's stored snapshot. Every node's
     permutations are drawn up front, node-major, which is the order of
-    running the nodes one after another. Then minibatch k of all nodes
-    with a full-size batch is one ``total_loss`` pass, then one
-    ``sgd_step``; ragged tails step in groups of equal batch size. Each
-    group gets one ``StepSpace`` for the call, holding its parameter
-    rows: the group of every node steps the call's (N, P) parameter
-    stack in place, a ragged group gathers its rows from the stack
-    before each step and scatters them back after. Each epoch gathers
+    running the nodes one after another. The call's (N, P) parameter
+    stack, masks and snapshots hold the nodes longest view first (a
+    stable sort), so minibatch k of the nodes whose batch has width w
+    is one contiguous run of rows: one ``total_loss`` pass, then one
+    ``sgd_step``, through the ``StepSpace`` the group gets for the call
+    over its slice of the stack, which steps in place. Each epoch gathers
     every step's batch into one buffer before its first step. Returns
-    each node's mean batch loss over its last epoch (0.0 for an empty
-    view, which leaves the head untouched and draws nothing); earlier
-    epochs skip the loss values, which leaves the gradients unchanged.
+    each node's mean batch loss over its last epoch, in the caller's
+    order (0.0 for an empty view, which leaves the head untouched and
+    draws nothing); earlier epochs skip the loss values, which leaves
+    the gradients unchanged.
     AggregationError unless there is at least one node and one view and
     partition each.
     """
@@ -239,41 +239,44 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     n, longest, b = len(nodes), sizes.max(), cfg.batch_size
     if not longest:
         return [0.0] * n
-    # every view's rows, node after node; order[e] is epoch e's shuffle
-    # as rows of them, drawn node-major
+    # row r of the stack holds node rank[r], longest view first (a stable
+    # sort), so each step's nodes of one batch width are contiguous rows;
+    # sorted, not np.argsort: its first call maps ~0.45 MB of numpy 2.4 sort code
+    rank = sorted(range(n), key=sizes.__getitem__, reverse=True)
+    row = np.empty(n, np.intp)
+    row[rank] = range(n)
+    sizes, stacked = sizes[rank], [stacked[i] for i in rank]
+    # every view's rows, row after row; order[e] is epoch e's shuffle
+    # as rows of them, drawn node-major in the caller's node order
     x = np.concatenate([xi for xi, _, _ in stacked])
     targets = np.concatenate([ti for _, ti, _ in stacked])
     starts = np.cumsum(sizes) - sizes
     order = np.empty((epochs, len(x)), np.intp)
-    for i in live:
+    for r in row[live]:
         for e in range(epochs):
-            order[e, starts[i] : starts[i] + sizes[i]] = rng.permutation(sizes[i]) + starts[i]
+            order[e, starts[r] : starts[r] + sizes[r]] = rng.permutation(sizes[r]) + starts[r]
     masks = [np.stack([m[k] for _, _, m in stacked]) for k in (0, 1)]
-    params = np.stack([node.head.params for node in nodes])
-    snaps = np.stack([node.snapshot.params for node in nodes])
-    # one entry per lockstep pass: step k's nodes whose batch has width w
-    # (a slice when it is every node), their group's StepSpace and
-    # snapshots, and the Minibatch: sample-major views of xe and te,
-    # which each epoch fills by gathering its order at ``gather``. A
-    # group of every node steps ``params`` itself; a ragged group steps
-    # its space's own rows, gathered before each step, scattered after
+    params = np.stack([nodes[i].head.params for i in rank])
+    snaps = np.stack([nodes[i].snapshot.params for i in rank])
+    # one entry per lockstep pass: step k's rows lo:hi whose batch has
+    # width w, their group's StepSpace over params[lo:hi] and snapshots,
+    # and the Minibatch: sample-major views of xe and te, which each
+    # epoch fills by gathering its order at ``gather``. A node's last
+    # batch may be narrower over the same rows, so w is in the key
     xe = np.empty(x.shape, np.float32)
     te = np.empty(targets.shape, np.intp)
     groups, steps, gather, at = {}, [], [], 0
     for k in range(0, longest, b):
         width = np.minimum(sizes - k, b)
         for w in sorted(set(width[width > 0].tolist())):
-            idx = np.flatnonzero(width == w)
-            if (w, tuple(idx)) not in groups:
-                full = len(idx) == n
-                sel = slice(None) if full else idx
-                space = StepSpace(arch, len(idx), w, tuple(m[idx] for m in masks), cfg,
-                                  params if full else None)
-                groups[w, tuple(idx)] = sel, space, snaps[sel]
-            cells = (starts[idx] + k + np.arange(w)[:, None]).reshape(-1)
-            batch = Minibatch(xe[at : at + len(cells)].reshape(w, len(idx), -1),
-                              te[at : at + len(cells)].reshape(w, len(idx)))
-            steps.append((k // b, *groups[w, tuple(idx)], batch))
+            lo, hi = (np.flatnonzero(width == w)[[0, -1]] + (0, 1)).tolist()
+            if (w, lo, hi) not in groups:
+                space = StepSpace(arch, params[lo:hi], w, tuple(m[lo:hi] for m in masks), cfg)
+                groups[w, lo, hi] = space, snaps[lo:hi]
+            cells = (starts[lo:hi] + k + np.arange(w)[:, None]).reshape(-1)
+            batch = Minibatch(xe[at : at + len(cells)].reshape(w, hi - lo, -1),
+                              te[at : at + len(cells)].reshape(w, hi - lo))
+            steps.append((k // b, slice(lo, hi), *groups[w, lo, hi], batch))
             gather.append(cells)
             at += len(cells)
     gather = np.concatenate(gather)
@@ -287,25 +290,20 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
             np.take(x, picks, axis=0, out=xe)
             np.take(targets, picks, out=te)
             last = e == epochs - 1  # the one epoch whose losses are reported
-            for j, sel, space, sel_snaps, batch in steps:
-                rows = space.params
-                if rows is not params:
-                    np.take(params, sel, axis=0, out=rows)
-                values, grads = total_loss(rows, batch, space, sel_snaps, cfg, values=last)
-                sgd_step(rows, grads, lr)
-                if rows is not params:
-                    params[sel] = rows
+            for j, rows, space, anchor, batch in steps:
+                values, grads = total_loss(space.params, batch, space, anchor, cfg, values=last)
+                sgd_step(space.params, grads, lr)
                 if last:
-                    step_losses[sel, j] = values
+                    step_losses[rows, j] = values
     losses = [0.0] * n
-    for i in live:
+    for i, r in zip(live, row[live]):
         node = nodes[i]
-        head = arch.with_params(params[i].copy())
+        head = arch.with_params(params[r].copy())
         check_finite(head)
         node.head = head
         node.epochs += epochs
-        count = -(-sizes[i] // b)
-        losses[i] = float(sum(step_losses[i, :count].tolist()) / count)
+        count = -(-sizes[r] // b)
+        losses[i] = float(sum(step_losses[r, :count].tolist()) / count)
     return losses
 
 

@@ -37,7 +37,8 @@ from .errors import (
     check_int_fields,
     int_tuple,
 )
-from .federation import NodeState, SimNetwork, local_epoch, run_session, write_trace
+from . import federation
+from .federation import NodeState, SimNetwork, run_session, write_trace
 from .losses import ClassPartition, LossConfig
 # not called here; kept importable because perfbench/layers.py wraps them on this module
 from .losses import sgd_step, total_loss  # noqa: F401
@@ -388,7 +389,8 @@ def _pairs(features, classes, rows):
 def _central_epochs(head, pairs, cfg: LossConfig, epochs: int, part, rng):
     """Central training (T0, joint): local epochs of one node on pooled data."""
     node = NodeState(0, head, head)
-    local_epoch([node], [pairs], [part], cfg, rng, epochs)
+    # looked up at call time, so a wrapper on federation (a tracer) sees it
+    federation.local_epoch([node], [pairs], [part], cfg, rng, epochs)
     return node.head
 
 
@@ -554,7 +556,10 @@ def parse_report(path) -> MetricsReport:
     if not isinstance(raw["strategy"], str):
         raise ConfigError(f"report {p}: strategy must be a string, got {raw['strategy']!r}")
     _check_session_rows(raw["sessions"], p)
-    return MetricsReport(**{k: raw[k] for k in keys})
+    try:
+        return MetricsReport(**{k: raw[k] for k in keys})
+    except EvaluationError as e:
+        raise ConfigError(f"report {p}: {e}") from None
 
 
 def _check_session_rows(rows, p: Path) -> None:

@@ -18,14 +18,15 @@ gradients accumulate in a fixed order, so each node's results are
 bit-identical to the per-sample reference in ``tests/test_objective.py``;
 the float64 oracle in ``gradcheck`` checks the math itself.
 
-The pass runs in a ``StepSpace``: the parameter rows, buffers and
-constants of one width group of a training call, allocated once and
-reused by every step, so a step is a fixed sequence of numpy calls
-that write into them. The rows stay resident for the whole call and
-no head object is built per step: the lockstep ``total_loss`` reads
-the space's rows, and the lockstep ``sgd_step`` updates them in place
-with the one-head step's two float32 operations (lr * g rounded, then
-the subtraction), so the bits are the same. A ``Minibatch`` carries
+The pass runs in a ``StepSpace``: the buffers and constants of one
+width group of a training call, allocated once and reused by every
+step, so a step is a fixed sequence of numpy calls that write into
+them. The space borrows the group's parameter rows, a contiguous slice
+of the call's one parameter stack, for the whole call, and no head
+object is built per step: the lockstep ``total_loss`` reads those
+rows, and the lockstep ``sgd_step`` updates them in place with the
+one-head step's two float32 operations (lr * g rounded, then the
+subtraction), so the bits are the same. A ``Minibatch`` carries
 the views of its samples that a step reads, built once per call.
 Samples are sample-major (B, N) cells; each contraction is a
 ``Fold`` over a k-major product; logits stay sample-major and the
@@ -183,19 +184,18 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = T
     One head: ``batch`` is a sequence of (features, target) pairs,
     ``part`` a ClassPartition and ``w_global`` a flat float32 array;
     returns (loss value, flat float32 gradient). Lockstep, as the
-    training loop calls it: ``head`` is the (N, P) parameter rows (or
-    a head stack over them), ``batch`` a ``Minibatch``, ``part`` the
-    ``StepSpace`` built for this width group, its class masks and
-    ``cfg``, and ``w_global`` the (N, P) snapshots; returns ((N,)
-    values, (N, P) gradients). The training loop passes the space's
-    own ``params``, which it reads in place; other rows are copied in
-    first. The one-head form checks its input and runs the lockstep
-    form with N = 1. Without ``values`` the values are None. Gradients
-    are new arrays.
+    training loop calls it: ``head`` is the (N, P) parameter rows the
+    ``StepSpace`` ``part`` was built over (DimensionError for any other
+    array), ``batch`` a ``Minibatch`` and ``w_global`` the (N, P)
+    snapshots; returns ((N,) values, (N, P) gradients). The one-head
+    form checks its input and runs the lockstep form with N = 1 over
+    the head's own read-only rows. Without ``values`` the values are
+    None. Gradients are new arrays.
     """
     if isinstance(batch, Minibatch):
-        return part.step(head.params if isinstance(head, TrainableHead) else head,
-                         batch, w_global, values)
+        if head is not part.params:
+            raise DimensionError("a lockstep step reads the rows its StepSpace was built over")
+        return part.step(batch, w_global, values)
     samples = list(batch)
     if not samples:
         raise DimensionError("total_loss needs a nonempty batch")
@@ -205,9 +205,8 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = T
         raise DimensionError(
             f"global snapshot has {w_global.size} values, head has {head.parameter_count}"
         )
-    space = StepSpace(head, 1, len(targets), tuple(m[None] for m in masks), cfg)
-    out, grads = space.step(head.params[None], Minibatch(x[:, None], targets[:, None]),
-                            w_global[None], values)
+    space = StepSpace(head, head.params[None], len(targets), tuple(m[None] for m in masks), cfg)
+    out, grads = space.step(Minibatch(x[:, None], targets[:, None]), w_global[None], values)
     return (float(out[0]) if values else None), grads[0]
 
 
@@ -216,32 +215,29 @@ _PLUS_MINUS_TWO = np.array([2.0, -2.0], np.float32)
 
 
 class StepSpace:
-    """Buffers and constants for lockstep steps of ``n`` heads of
-    ``arch``'s architecture over minibatches of ``w`` samples each.
+    """Buffers and constants for lockstep steps of the (n, P) float32
+    parameter rows ``params``, heads of ``arch``'s architecture, over
+    minibatches of ``w`` samples each.
 
-    ``masks`` are the steps' (new, old) (n, num_classes) class masks and
-    ``cfg`` their loss config. ``local_epoch`` builds one per width group
-    of a call and runs every step of that group through it; the one-head
-    ``total_loss`` builds one for its single step. A step whose sample
-    rows of n * P gradient terms would pass ``tensor._SCAN_BLOCK``
-    elements runs in chunks of samples, last chunk first, each chunk's
-    gradient fold starting from the sum the one before it left.
-
-    ``params`` are the (n, P) float32 rows the steps read, resident for
-    the space's life with the weight views built over them once: the
-    rows given (``local_epoch`` passes a full group its parameter stack
-    itself, which the lockstep ``sgd_step`` then updates in place), or
-    new rows that each step copies its heads into.
+    The space borrows ``params`` for its life and builds the weight
+    views over them once; it holds no rows of its own. ``local_epoch``
+    builds one per width group of a call over the group's slice of the
+    call's parameter stack, runs every step of that group through it
+    and updates the slice in place with the lockstep ``sgd_step``; the
+    one-head ``total_loss`` builds one over the head's own rows for its
+    single step. ``masks`` are the steps' (new, old) (n, num_classes)
+    class masks and ``cfg`` their loss config. A step whose sample rows
+    of n * P gradient terms would pass ``tensor._SCAN_BLOCK`` elements
+    runs in chunks of samples, last chunk first, each chunk's gradient
+    fold starting from the sum the one before it left.
     """
 
-    def __init__(self, arch: TrainableHead, n: int, w: int, masks, cfg: LossConfig,
-                 params: np.ndarray | None = None):
-        p = arch.parameter_count
-        self.params = np.empty((n, p), np.float32) if params is None else params
-        self.weights = _weight_views(self.params, arch.dims)
+    def __init__(self, arch: TrainableHead, params: np.ndarray, w: int, masks, cfg: LossConfig):
+        n, p = self.shape = params.shape
+        self.params = params
+        self.weights = _weight_views(params, arch.dims)
         # cls_w k-major over classes, (num_classes, 1, n, c_out), for g_hidden
-        self.cls_w_c = arch.with_params(self.params.view()).cls_w.transpose(1, 0, 2)[:, None]
-        self.shape = (n, p)
+        self.cls_w_c = arch.with_params(params.view()).cls_w.transpose(1, 0, 2)[:, None]
         self.inv_b = _ONE / np.float32(w)
         self.b = np.float32(w)
         self.mu = np.float32(cfg.mu) if cfg.mu != 0.0 else None
@@ -260,11 +256,9 @@ class StepSpace:
                 by_size[hi - lo] = _Rows(self, arch.dims, hi - lo)
             self.chunks.append((lo, hi, by_size[hi - lo], self.terms.terms[lo:hi]))
 
-    def step(self, params: np.ndarray, batch: "Minibatch", snaps: np.ndarray, values: bool):
-        """((n,) values or None, (n, P) gradients) of the heads ``params``
+    def step(self, batch: "Minibatch", snaps: np.ndarray, values: bool):
+        """((n,) values or None, (n, P) gradients) of the space's rows
         over ``batch``, the prox term anchored at ``snaps``."""
-        if params is not self.params:
-            np.copyto(self.params, params)
         lead = self.chunks[0][2].lead
         if self.lam is not None:  # row 0 of the first fold: +0.0 + the prox part
             np.subtract(self.params, snaps, out=self.drift)

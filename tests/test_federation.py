@@ -387,7 +387,8 @@ def _rounds(draw):
 
 @given(_rounds())
 def test_lockstep_local_epoch_equals_nodes_one_by_one(case):
-    # covers uneven and empty views, whose ragged tails step apart
+    # covers uneven and empty views in any order; ragged tails step as
+    # narrower slices of the call's length-sorted stack
     nodes, views, parts, cfg, epochs, seed = case
     ref_rng = np.random.default_rng(seed)
     ref_heads, ref_losses = _sequential_epochs(nodes, views, parts, cfg, ref_rng, epochs)
@@ -419,9 +420,9 @@ def test_chunked_lockstep_local_epoch_equals_nodes_one_by_one(case):
 
 
 def test_local_epoch_steps_its_own_rows_and_hands_out_fresh_heads(monkeypatch):
-    # the steps update parameter rows in place; those rows are the call's
-    # own, never the caller's heads or snapshots, and the trained heads
-    # share no memory with them
+    # the steps update parameter rows in place; those rows are slices of
+    # the call's one stack, never the caller's heads or snapshots, and
+    # the trained heads share no memory with them
     spaces = []
 
     class Recorded(losses.StepSpace):
@@ -433,13 +434,17 @@ def test_local_epoch_steps_its_own_rows_and_hands_out_fresh_heads(monkeypatch):
     nodes = _swarm(3, seed=5)
     nodes[1].snapshot = init_head(5, 4, 3, np.random.default_rng(6))
     views, parts = _views(nodes, 3, per_node=8)
-    views[1], views[2] = views[1][:5], views[2][:6]  # 8, 5, 6 pairs: ragged tails
+    # 5, 8, 6 pairs, not longest first: ragged tails, each a slice of the stack
+    views[0], views[2] = views[0][:5], views[2][:6]
     given_heads = [(n.head, n.head.params.tobytes(), n.snapshot, n.snapshot.params.tobytes())
                    for n in nodes]
     cfg = LossConfig(lr=0.1, batch_size=4)
     local_epoch(nodes, [views[i] for i in range(3)], [parts[i] for i in range(3)], cfg,
                 np.random.default_rng(0), 2)
     assert sorted(len(s.params) for s in spaces) == [1, 1, 1, 3]  # one full group, 3 ragged
+    stack = spaces[0].params.base
+    assert stack is not None and stack.shape == (3, nodes[0].head.parameter_count)
+    assert all(s.params.base is stack for s in spaces)
     for node, (head, head_bytes, snap, snap_bytes) in zip(nodes, given_heads):
         assert head.params.tobytes() == head_bytes and snap.params.tobytes() == snap_bytes
         assert node.snapshot is snap and node.head is not head

@@ -788,12 +788,31 @@ def test_every_step_calls_total_loss_and_sgd_step_once(monkeypatch, strategy):
     assert (counts["total_loss"], counts["sgd_step"], counts["samples"]) == _DESK_STEPS[strategy]
 
 
+def test_central_training_goes_through_federation_local_epoch(monkeypatch):
+    # T0 and every joint session look local_epoch up on federation, so a
+    # wrapper there (as a tracer installs) sees each central call
+    calls = []
+    kernel = fs.federation.local_epoch
+
+    def counted(nodes, *args, **kwargs):
+        calls.append(len(nodes))
+        return kernel(nodes, *args, **kwargs)
+
+    monkeypatch.setattr(fs.federation, "local_epoch", counted)
+    report = fs.run_experiment(_small_config("joint"))
+    # one call for T0, then one per session after it
+    assert len(report.sessions) == 3 and calls == [1, 1, 1]
+
+
 _ROW = {"session": 0, "accuracy_seen": 1.0, "accuracy_base": 1.0}
 _REPORT = {"seed": 1, "strategy": "odfcl", "config": {}, "sessions": [_ROW], "cost": {}}
 HOSTILE_REPORTS = {
     "sessions_not_a_list": dict(_REPORT, sessions=5),
     "row_without_session": dict(_REPORT, sessions=[{}]),
     "accuracy_is_a_string": dict(_REPORT, sessions=[dict(_ROW, accuracy_seen="0.9")]),
+    "accuracy_above_one": dict(_REPORT, sessions=[dict(_ROW, accuracy_seen=1.5)]),
+    "accuracy_nan": dict(_REPORT, sessions=[dict(_ROW, accuracy_base=math.nan)]),
+    "sessions_not_consecutive": dict(_REPORT, sessions=[_ROW, dict(_ROW, session=2)]),
     "strategy_is_null": dict(_REPORT, strategy=None),
     "cost_missing": {k: v for k, v in _REPORT.items() if k != "cost"},
     # raw bytes, or None for a report.json that is a directory

@@ -490,16 +490,17 @@ def _node_case(rng, c_feat, hidden, classes, n, branch, zero_frac):
 
 
 def _lockstep_args(nodes, cfg):
-    """The nodes' one-head arguments as one lockstep call's: an (N, P)
-    head stack, a sample-major Minibatch, the StepSpace of their class
-    masks and the (N, P) snapshots."""
+    """The nodes' one-head arguments as one lockstep call's: the (N, P)
+    parameter rows of the StepSpace of their class masks, built over a
+    copy of their stack, a sample-major Minibatch, the space and the
+    (N, P) snapshots."""
     stacked = [stack_pairs(head, batch, part, cfg) for head, batch, part, _ in nodes]
-    head = nodes[0][0].with_params(np.stack([h.params for h, *_ in nodes]))
     masks = tuple(np.stack([m[k] for *_, m in stacked]) for k in (0, 1))
     batch = Minibatch(np.stack([x for x, _, _ in stacked], axis=1),
                       np.stack([t for _, t, _ in stacked], axis=1))
-    space = StepSpace(head, len(nodes), cfg.batch_size, masks, cfg)
-    return head, batch, space, np.stack([w for *_, w in nodes])
+    space = StepSpace(nodes[0][0], np.stack([h.params for h, *_ in nodes]), cfg.batch_size,
+                      masks, cfg)
+    return space.params, batch, space, np.stack([w for *_, w in nodes])
 
 
 @given(_objective_cases())
@@ -555,6 +556,11 @@ def test_steps_return_arrays_they_do_not_reuse():
     again = total_loss(args[0], Minibatch(args[1].x[::-1], args[1].targets[::-1]), *args[2:], cfg)
     assert (values.tobytes(), grads.tobytes()) == kept
     assert not any(np.shares_memory(a, b) for a in (values, grads) for b in again)
+    # the lockstep form reads only the rows its space was built over: not
+    # equal rows, a view of them or a head stack over them
+    for rows in (args[0].copy(), args[0][:], head.with_params(args[0].view())):
+        with pytest.raises(DimensionError):
+            total_loss(rows, *args[1:], cfg)
 
 
 def test_fused_total_loss_keeps_sign_of_zero_gradients():
