@@ -17,16 +17,20 @@ group of steps is a contiguous slice of it. Each group runs on one
 ``losses.StepSpace`` over its slice, whose buffers are allocated once
 per call, so a step builds no head object and ``sgd_step`` updates the
 stack in place; the nodes' own heads and snapshots are only read, and
-each trained node gets a new head. Each epoch gathers its shuffled
-batches once, and only a call's last epoch, the one reported, asks for
-loss values. The harness runs central training (T0 pretraining, the
+each trained node gets a new head. Each node's shuffles for all of a
+call's epochs are one generator draw, and the step schedule is worked
+out once per call from the sorted view lengths. Each epoch gathers its
+shuffled batches once, and only a call's last epoch, the one reported,
+asks for loss values. The harness runs central training (T0 pretraining, the
 joint strategy) through it too, as N = 1 on the pooled data.
 ``SimNetwork`` prices each message with the ``costs`` link model.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +203,14 @@ def sync_round(nodes, net: SimNetwork) -> float:
     return elapsed
 
 
+def _count(value, what: str) -> int:
+    """``value`` as a nonnegative int; AggregationError naming it when it
+    is not an integral number (a bool is not one) or is negative."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise AggregationError(f"{what} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
                 epochs: int = 1) -> list:
     """``epochs`` shuffled passes of each node over its own pairs.
@@ -207,7 +219,9 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     and class partition. Minibatch SGD against the composite loss, the
     proximal term anchored to each node's stored snapshot. Every node's
     permutations are drawn up front, node-major, which is the order of
-    running the nodes one after another. The call's (N, P) parameter
+    running the nodes one after another: one ``rng.permuted`` call per
+    node shuffles each row of an (epochs, size) block, the same draws
+    as one ``rng.permutation`` per epoch. The call's (N, P) parameter
     stack, masks and snapshots hold the nodes longest view first (a
     stable sort), so minibatch k of the nodes whose batch has width w
     is one contiguous run of rows: one ``total_loss`` pass, then one
@@ -219,7 +233,7 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     draws nothing); earlier epochs skip the loss values, which leaves
     the gradients unchanged.
     AggregationError unless there is at least one node and one view and
-    partition each.
+    partition each, and ``epochs`` is a nonnegative integer.
     """
     nodes = list(nodes)
     if not nodes or not len(nodes) == len(views) == len(parts):
@@ -227,6 +241,7 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
             f"{len(nodes)} nodes, {len(views)} views and {len(parts)} partitions; "
             "local training needs one view and one partition per node"
         )
+    epochs = _count(epochs, "epochs")
     arch = nodes[0].head
     for node in nodes:
         if not node.head.dims == node.snapshot.dims == arch.dims:
@@ -234,27 +249,31 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
                 f"node {node.node_id} head architecture differs from node {nodes[0].node_id}"
             )
     stacked = [stack_pairs(arch, view, part, cfg) for view, part in zip(views, parts)]
-    sizes = np.array([len(t) for _, t, _ in stacked])
-    live = np.flatnonzero(sizes)
-    n, longest, b = len(nodes), sizes.max(), cfg.batch_size
+    sizes = [len(t) for _, t, _ in stacked]
+    n, longest, b = len(nodes), max(sizes), cfg.batch_size
     if not longest:
         return [0.0] * n
     # row r of the stack holds node rank[r], longest view first (a stable
     # sort), so each step's nodes of one batch width are contiguous rows;
     # sorted, not np.argsort: its first call maps ~0.45 MB of numpy 2.4 sort code
     rank = sorted(range(n), key=sizes.__getitem__, reverse=True)
-    row = np.empty(n, np.intp)
-    row[rank] = range(n)
-    sizes, stacked = sizes[rank], [stacked[i] for i in rank]
+    row = [0] * n
+    for r, i in enumerate(rank):
+        row[i] = r
+    live = [i for i in range(n) if sizes[i]]
+    sizes, stacked = [sizes[i] for i in rank], [stacked[i] for i in rank]
+    starts = list(accumulate(sizes, initial=0))
     # every view's rows, row after row; order[e] is epoch e's shuffle
     # as rows of them, drawn node-major in the caller's node order
     x = np.concatenate([xi for xi, _, _ in stacked])
     targets = np.concatenate([ti for _, ti, _ in stacked])
-    starts = np.cumsum(sizes) - sizes
     order = np.empty((epochs, len(x)), np.intp)
-    for r in row[live]:
-        for e in range(epochs):
-            order[e, starts[r] : starts[r] + sizes[r]] = rng.permutation(sizes[r]) + starts[r]
+    index = np.arange(longest)
+    for i in live:
+        lo, size = starts[row[i]], sizes[row[i]]
+        block = order[:, lo : lo + size]
+        rng.permuted(np.broadcast_to(index[:size], block.shape), axis=1, out=block)
+        block += lo
     masks = [np.stack([m[k] for _, _, m in stacked]) for k in (0, 1)]
     params = np.stack([nodes[i].head.params for i in rank])
     snaps = np.stack([nodes[i].snapshot.params for i in rank])
@@ -262,24 +281,28 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     # width w, their group's StepSpace over params[lo:hi] and snapshots,
     # and the Minibatch: sample-major views of xe and te, which each
     # epoch fills by gathering its order at ``gather``. A node's last
-    # batch may be narrower over the same rows, so w is in the key
+    # batch may be narrower over the same rows, so w is in the key.
+    # Widths never grow down the sorted rows, so equal widths are runs
     xe = np.empty(x.shape, np.float32)
     te = np.empty(targets.shape, np.intp)
-    groups, steps, gather, at = {}, [], [], 0
+    groups, steps, gather = {}, [], []
     for k in range(0, longest, b):
-        width = np.minimum(sizes - k, b)
-        for w in sorted(set(width[width > 0].tolist())):
-            lo, hi = (np.flatnonzero(width == w)[[0, -1]] + (0, 1)).tolist()
+        lo = 0
+        while lo < n and sizes[lo] > k:
+            w = min(sizes[lo] - k, b)
+            hi = lo + 1
+            while hi < n and min(sizes[hi] - k, b) == w:
+                hi += 1
             if (w, lo, hi) not in groups:
                 space = StepSpace(arch, params[lo:hi], w, tuple(m[lo:hi] for m in masks), cfg)
                 groups[w, lo, hi] = space, snaps[lo:hi]
-            cells = (starts[lo:hi] + k + np.arange(w)[:, None]).reshape(-1)
-            batch = Minibatch(xe[at : at + len(cells)].reshape(w, hi - lo, -1),
-                              te[at : at + len(cells)].reshape(w, hi - lo))
+            at = len(gather)
+            gather += [s + j for j in range(k, k + w) for s in starts[lo:hi]]
+            batch = Minibatch(xe[at : len(gather)].reshape(w, hi - lo, -1),
+                              te[at : len(gather)].reshape(w, hi - lo))
             steps.append((k // b, slice(lo, hi), *groups[w, lo, hi], batch))
-            gather.append(cells)
-            at += len(cells)
-    gather = np.concatenate(gather)
+            lo = hi
+    gather = np.array(gather, np.intp)
     picks = np.empty_like(gather)
     step_losses = np.zeros((n, -(-longest // b)))
     lr = np.float32(cfg.lr)
@@ -295,15 +318,19 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
                 sgd_step(space.params, grads, lr)
                 if last:
                     step_losses[rows, j] = values
+    # one scan of the stack; only a diverged call looks for its first bad node
+    finite = bool(np.isfinite(params).all())
+    step_losses = step_losses.tolist()
     losses = [0.0] * n
-    for i, r in zip(live, row[live]):
-        node = nodes[i]
+    for i in live:
+        r, node = row[i], nodes[i]
         head = arch.with_params(params[r].copy())
-        check_finite(head)
+        if not finite:
+            check_finite(head)
         node.head = head
         node.epochs += epochs
         count = -(-sizes[r] // b)
-        losses[i] = float(sum(step_losses[r, :count].tolist()) / count)
+        losses[i] = float(sum(step_losses[r][:count]) / count)
     return losses
 
 
@@ -328,8 +355,7 @@ def run_session(
     when an ``evaluator`` callable is given, its value on the new global
     head.
     """
-    if rounds < 0:
-        raise AggregationError(f"negative round count {rounds}")
+    rounds = _count(rounds, "rounds")
     order = sorted(nodes, key=lambda n: n.node_id)
     trace = []
     for r in range(rounds):

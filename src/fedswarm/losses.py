@@ -148,15 +148,24 @@ def stack_pairs(head: TrainableHead, pairs, part: ClassPartition, cfg: LossConfi
     ``part``). Features must match the head's input (DimensionError) and
     targets index a logit (IndexError). With the MOL term on, each
     target must lie on a side of ``part`` (RegistryError) and every
-    other partition class must index a logit (IndexError).
+    other partition class must index a logit (IndexError). Features of
+    one shape convert in one call; a mask marks its side's classes by
+    index, and a partition class outside the logits (possible only with
+    the MOL term off) marks nothing.
     """
     c = head.num_classes
-    rows = [np.asarray(f, np.float32).reshape(-1) for f, _ in pairs]
-    for r in rows:
-        if r.size != head.c_feat:
-            raise DimensionError(
-                f"features of size {r.size} do not match head input ({head.c_feat},)"
-            )
+    try:
+        x = np.array([f for f, _ in pairs], np.float32)
+    except ValueError:  # features of unequal shapes
+        x = None
+    if x is None or x.size != len(pairs) * head.c_feat:
+        rows = [np.asarray(f, np.float32).reshape(-1) for f, _ in pairs]
+        for r in rows:
+            if r.size != head.c_feat:
+                raise DimensionError(
+                    f"features of size {r.size} do not match head input ({head.c_feat},)"
+                )
+        x = np.array(rows, np.float32)
     targets = np.array([int(t) for _, t in pairs], dtype=np.intp)
     bad = (targets < 0) | (targets >= c)
     if bad.any():
@@ -169,9 +178,10 @@ def stack_pairs(head: TrainableHead, pairs, part: ClassPartition, cfg: LossConfi
             for k in stray:
                 if k != t:
                     raise IndexError(f"partition class {k} out of range for {c} logits")
-    sides = (part.new_classes, part.old_classes)
-    masks = tuple(np.isin(np.arange(c), sorted(side)) for side in sides)
-    return np.array(rows, np.float32).reshape(-1, head.c_feat), targets, masks
+    masks = (np.zeros(c, bool), np.zeros(c, bool))
+    for m, side in zip(masks, (part.new_classes, part.old_classes)):
+        m[[k for k in side if 0 <= k < c]] = True
+    return x.reshape(-1, head.c_feat), targets, masks
 
 
 def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = True):

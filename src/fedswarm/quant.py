@@ -52,7 +52,7 @@ __all__ = [
 
 INT8_MIN, INT8_MAX = -128, 127
 _INT32_MAX = 2**31 - 1
-# float64 elements per layer temporary in the batched backbone pass
+# half the float64 elements of the batched backbone pass's two GEMM buffers
 _BLOCK = 1 << 15
 
 _MAGIC = b"FCB1"
@@ -251,9 +251,10 @@ class _Space:
     frames (the whole batch, when that is smaller): per layer the
     float64 weights as (c_in, c_out), the float64 bias (None when zero)
     and the requantization multiplier, formed exactly as the one-frame
-    pass does; two float64 GEMM buffers that the layers write in turn;
-    and the pooling ``Fold``'s buffer. Rows are pixel-major, row
-    ``p * b + f`` holding pixel ``p`` of frame ``f``, so the last layer's
+    pass does; two float64 GEMM buffers that the layers write in turn,
+    each as wide as the widest layer it holds, ``2 * _BLOCK`` elements
+    between them; and the pooling ``Fold``'s buffer. Rows are
+    pixel-major, row ``p * b + f`` holding pixel ``p`` of frame ``f``, so the last layer's
     output already is the (H*W, b * feature_dim) terms of the pooling
     fold. A shorter last block runs on prefix views of the same buffers.
     """
@@ -261,8 +262,11 @@ class _Space:
     __slots__ = ("layers", "rows", "hw", "zp", "out_scale", "pixels", "bufs", "fold_buf", "fold")
 
     def __init__(self, bb: FrozenBackbone, qp: QuantParams, n: int, hw: int):
-        width = max(max(layer.c_in, layer.c_out) for layer in bb.layers)
-        self.rows = min(n, max(1, _BLOCK // (width * hw)))
+        # buffer 0 holds the input and the outputs of layers 1, 3, ...,
+        # buffer 1 those of layers 0, 2, ...
+        held = [bb.layers[0].c_in] + [layer.c_out for layer in bb.layers]
+        widths = (max(held[0::2]), max(held[1::2]))
+        self.rows = min(n, max(1, 2 * _BLOCK // (sum(widths) * hw)))
         self.hw = hw
         self.zp = qp.zero_point
         in_scales = [float(qp.scale)] + [layer.out_scale for layer in bb.layers[:-1]]
@@ -274,8 +278,7 @@ class _Space:
         )
         self.out_scale = np.float32(bb.layers[-1].out_scale)
         self.pixels = np.float32(hw)
-        size = self.rows * hw * width
-        self.bufs = (np.empty(size), np.empty(size))
+        self.bufs = tuple(np.empty(self.rows * hw * width) for width in widths)
         self.fold_buf = np.empty((hw + 1) * self.rows * bb.feature_dim, np.float32)
         self.fold = Fold((hw, self.rows, bb.feature_dim), self.fold_buf)
 
@@ -318,11 +321,11 @@ def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
     round-half-even, relu as a clamp at the zero point. The last layer
     is dequantized and average-pooled with an ordered float32 sum.
 
-    Frames run in blocks, sized so that no layer's (rows * H * W,
-    channels) product exceeds ``_BLOCK`` elements, in one ``_Space``
-    allocated for the call: one float64 GEMM per layer over pixel-major
-    rows, the last layer's output dequantized straight into the pooling
-    fold. A frame's bound ``max_co(|b_co| + sum_ci |w_co,ci| * peak)``
+    Frames run in blocks, sized so that the two GEMM buffers the layers
+    write in turn hold at most ``2 * _BLOCK`` elements between them, in
+    one ``_Space`` allocated for the call: one float64 GEMM per layer
+    over pixel-major rows, the last layer's output dequantized straight
+    into the pooling fold. A frame's bound ``max_co(|b_co| + sum_ci |w_co,ci| * peak)``
     is checked against INT32_MAX for every layer, with ``peak`` the
     frame's largest ``|q - zero_point|`` in layer 0 and 127 (post-relu)
     after it. When it holds for every frame of a block, no prefix sum

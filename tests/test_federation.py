@@ -1,11 +1,12 @@
 """Parameter averaging, sync rounds and the simulated link."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedswarm import (
@@ -419,6 +420,63 @@ def test_chunked_lockstep_local_epoch_equals_nodes_one_by_one(case):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.sampled_from([0, 1, 2, 5, 28, 100, 300]) | st.integers(0, 300),
+                   min_size=1, max_size=4),
+    epochs=st.integers(0, 60),
+)
+@settings(max_examples=20)
+def test_local_epoch_draws_the_nested_permutation_stream(seed, sizes, epochs):
+    # one permuted draw per node gives the shuffles of one permutation per
+    # node and epoch, hence the same losses and heads, and leaves the
+    # generator where the nested loop does
+    rng = np.random.default_rng(seed)
+    cfg = LossConfig(mu=1.5, lam=3.8, lr=0.05, batch_size=int(rng.integers(16, 65)))
+    nodes, views, parts = [], [], []
+    for i, m in enumerate(sizes):
+        head = init_head(2, 2, 3, rng, sigma=0.5)
+        nodes.append(NodeState(i, head, init_head(2, 2, 3, rng, sigma=0.5)))
+        views.append([(f, int(t)) for f, t in zip(
+            rng.standard_normal((m, 2)).astype(np.float32), rng.integers(0, 3, m))])
+        parts.append(ClassPartition(frozenset({0}), frozenset({1, 2})))
+    ref_rng = np.random.default_rng(seed)
+    ref_heads, ref_losses = _sequential_epochs(nodes, views, parts, cfg, ref_rng, epochs)
+    got_rng = np.random.default_rng(seed)
+    assert local_epoch(nodes, views, parts, cfg, got_rng, epochs) == ref_losses
+    for node, ref in zip(nodes, ref_heads):
+        assert node.head.params.tobytes() == ref.params.tobytes()
+    assert got_rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+@pytest.mark.parametrize("epochs", [-1, 2.5, "3", None, True, np.float64(2.0)])
+def test_local_epoch_rejects_bad_epoch_counts(epochs):
+    nodes = _swarm(2)
+    views, parts = _views(nodes, 3)
+    before = [n.head for n in nodes]
+    rng = np.random.default_rng(0)
+    with pytest.raises(AggregationError, match=re.escape(repr(epochs))):
+        local_epoch(nodes, [views[0], views[1]], [parts[0], parts[1]], LossConfig(), rng, epochs)
+    assert [n.head for n in nodes] == before
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_local_epoch_takes_any_nonnegative_integral_count():
+    # T0 trains for t0_epochs, which may be 0; numpy integers count too
+    views, parts = _views(_swarm(2), 3)
+    args = [views[0], views[1]], [parts[0], parts[1]], LossConfig(lr=0.1)
+    nodes = _swarm(2)
+    assert local_epoch(nodes, *args, np.random.default_rng(0), 0) == [0.0, 0.0]
+    assert [n.head.params.tobytes() for n in nodes] == [
+        n.head.params.tobytes() for n in _swarm(2)]
+    runs = []
+    for epochs in (2, np.int64(2)):
+        nodes = _swarm(2)
+        losses = local_epoch(nodes, *args, np.random.default_rng(0), epochs)
+        runs.append((losses, [n.head.params.tobytes() for n in nodes], nodes[0].epochs))
+    assert runs[0] == runs[1] and runs[1][2] == 2 and type(runs[1][2]) is int
+
+
 def test_local_epoch_steps_its_own_rows_and_hands_out_fresh_heads(monkeypatch):
     # the steps update parameter rows in place; those rows are slices of
     # the call's one stack, never the caller's heads or snapshots, and
@@ -500,6 +558,26 @@ def test_run_session_rejects_negative_rounds():
     with pytest.raises(AggregationError):
         run_session(nodes, SimNetwork(LinkModel(1e6)), -1, views, parts,
                     LossConfig(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rounds", [2.5, "3", None, True])
+def test_run_session_rejects_non_integral_rounds(rounds):
+    nodes = _swarm(2)
+    views, parts = _views(nodes, 3)
+    net = SimNetwork(LinkModel(1e6))
+    with pytest.raises(AggregationError, match=re.escape(repr(rounds))):
+        run_session(nodes, net, rounds, views, parts, LossConfig(), np.random.default_rng(0))
+    assert net.events == []
+
+
+def test_run_session_counts_numpy_integer_rounds():
+    def go(rounds):
+        nodes = _swarm(2)
+        views, parts = _views(nodes, 3)
+        return run_session(nodes, SimNetwork(LinkModel(1e6)), rounds, views, parts,
+                           LossConfig(lr=0.1), np.random.default_rng(0))[1]
+
+    assert json.dumps(go(np.int64(2))) == json.dumps(go(2))
 
 
 # -- trace log ----------------------------------------------------------------------

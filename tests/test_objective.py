@@ -602,6 +602,37 @@ def test_total_loss_input_checks():
     total_loss(head, [(f, 2)], loose, wg, LossConfig(mu=0.0))
 
 
+@given(
+    classes=st.integers(1, 12),
+    new=st.frozensets(st.integers(-15, 20), max_size=8),
+    old=st.frozensets(st.integers(-15, 20), max_size=8),
+)
+@example(classes=4, new=frozenset({-1, 2}), old=frozenset({-4, 0, 9}))
+def test_stack_pairs_masks_mark_only_classes_in_range(classes, new, old):
+    # with the MOL term off a partition may name ids outside the logits;
+    # they mark nothing, and a negative id must not wrap to a class
+    head = init_head(2, 2, classes, np.random.default_rng(classes))
+    part = ClassPartition(old - new, new)
+    pairs = [(np.zeros(2, np.float32), 0)]
+    _, _, masks = stack_pairs(head, pairs, part, LossConfig(mu=0.0))
+    for mask, side in zip(masks, (part.new_classes, part.old_classes)):
+        assert mask.dtype == bool
+        assert np.array_equal(mask, np.isin(np.arange(classes), sorted(side)))
+
+
+def test_stack_pairs_features_of_mixed_shapes():
+    # features of one size in different shapes still stack, row by row;
+    # a feature of the wrong size is named
+    head = init_head(4, 2, 3, np.random.default_rng(1))
+    part = ClassPartition(frozenset(), frozenset({0, 1, 2}))
+    feats = [np.arange(4, dtype=np.float32), np.arange(4.0).reshape(2, 2), [4, 5, 6, 7]]
+    x, targets, _ = stack_pairs(head, [(f, i) for i, f in enumerate(feats)], part, LossConfig())
+    assert x.dtype == np.float32 and x.tolist() == [[0, 1, 2, 3], [0, 1, 2, 3], [4, 5, 6, 7]]
+    assert targets.tolist() == [0, 1, 2]
+    with pytest.raises(DimensionError, match="features of size 3"):
+        stack_pairs(head, [(feats[0], 0), (np.zeros(3, np.float32), 1)], part, LossConfig())
+
+
 # -- scan kernels vs the Python loops they replaced -------------------------------
 
 

@@ -308,7 +308,7 @@ def test_requantization_ties_follow_the_one_sample_multiplier(
 def test_batched_features_cross_block_boundaries():
     rng = np.random.default_rng(21)
     bb = build_backbone((4, 32, 48), rng)
-    per_block = quant._BLOCK // (48 * 16 * 16)
+    per_block = 2 * quant._BLOCK // ((48 + 32) * 16 * 16)
     shape = (3 * per_block + 1, 4, 16, 16)
     batch = quantize(rng.uniform(-4, 4, shape).astype(np.float32), QuantParams(0.05, -7))
     got = backbone_forward(bb, batch)
