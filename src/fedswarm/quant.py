@@ -253,7 +253,11 @@ class _Space:
     and the requantization multiplier, formed exactly as the one-frame
     pass does; two float64 GEMM buffers that the layers write in turn,
     each as wide as the widest layer it holds, ``2 * _BLOCK`` elements
-    between them; and the pooling ``Fold``'s buffer. Rows are
+    between them at most; and the pooling ``Fold``'s buffer. At the
+    default (4, 32, 48) layers on 16x16 frames that is 3 frames per
+    block, 61440 float64 in the GEMM buffers and 257 * 3 * 48 float32 in
+    the fold's, about 0.14 MB more than buffers both as wide as the
+    widest layer, which fit 2 frames. Rows are
     pixel-major, row ``p * b + f`` holding pixel ``p`` of frame ``f``, so the last layer's
     output already is the (H*W, b * feature_dim) terms of the pooling
     fold. A shorter last block runs on prefix views of the same buffers.
@@ -322,8 +326,10 @@ def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
     is dequantized and average-pooled with an ordered float32 sum.
 
     Frames run in blocks, sized so that the two GEMM buffers the layers
-    write in turn hold at most ``2 * _BLOCK`` elements between them, in
-    one ``_Space`` allocated for the call: one float64 GEMM per layer
+    write in turn hold at most ``2 * _BLOCK`` elements between them (each
+    as wide as the widest layer it holds: 3 frames per block, about
+    0.6 MB with the fold's buffer, at the default backbone on 16x16
+    frames), in one ``_Space`` allocated for the call: one float64 GEMM per layer
     over pixel-major rows, the last layer's output dequantized straight
     into the pooling fold. A frame's bound ``max_co(|b_co| + sum_ci |w_co,ci| * peak)``
     is checked against INT32_MAX for every layer, with ``peak`` the

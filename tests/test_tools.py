@@ -46,6 +46,14 @@ def test_fewer_than_ten_pairs_never_meet_the_rule():
     assert v["wins"] == 9 and v["verdict"] == "unresolved"
 
 
+def test_a_flagged_pair_counts_as_a_pair_not_won_and_never_meets_the_rule():
+    # eleven pairs, ten clear wins and one pair whose change run failed
+    change = [p - 0.03 for p in PARENT]
+    v = pairs.verdict(PARENT, change, True, flagged=1)
+    assert (v["pairs"], v["wins"], v["verdict"]) == (11, 10, "unresolved")
+    assert pairs.verdict(PARENT, change, True, flagged=0)["verdict"] == "met"
+
+
 def test_higher_is_better_metrics_flip_the_sign():
     rate = [1 / p for p in PARENT]
     assert pairs.verdict(rate, [r * 1.1 for r in rate], False)["verdict"] == "met"
