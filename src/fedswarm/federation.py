@@ -11,18 +11,23 @@ average bit-exact under permutation and idempotent on identical heads.
 the nodes are independent, so it trains all of a round's nodes in
 lockstep: minibatch k of every node is one ``total_loss`` pass with the
 node as a batch axis, which gives each node the bits it would get
-alone, followed by one ``sgd_step``. The call keeps its nodes'
-parameters in one (N, P) stack, longest view first, so each width
-group of steps is a contiguous slice of it. Each group runs on one
-``losses.StepSpace`` over its slice, whose buffers are allocated once
-per call, so a step builds no head object and ``sgd_step`` updates the
-stack in place; the nodes' own heads and snapshots are only read, and
-each trained node gets a new head. Each node's shuffles for all of a
-call's epochs are one generator draw, and the step schedule is worked
-out once per call from the sorted view lengths. Each epoch gathers its
-shuffled batches once, and only a call's last epoch, the one reported,
-asks for loss values. The harness runs central training (T0 pretraining, the
-joint strategy) through it too, as N = 1 on the pooled data.
+alone, followed by one ``sgd_step``. The nodes' parameters sit in one
+(N, P) stack, longest view first, so each width group of steps is a
+contiguous slice of it. Each group runs on one ``losses.StepSpace``
+over its slice, so a step builds no head object and ``sgd_step``
+updates the stack in place; the nodes' own heads and snapshots are
+only read, and each trained node gets a new head. All of that set-up
+depends only on the views, partitions and config: ``stack_pairs`` of
+every view, the sort, the stacks, the ``StepSpace``s, the minibatch
+views and the gather schedule. A session's views do not change, so
+``run_session`` builds it once per session, not once per round; a
+round then draws each node's shuffles for all of its epochs in one
+generator call, copies the heads and snapshots into the stacks and
+steps. Each epoch gathers its shuffled batches once, and only a
+round's last epoch, the one reported, asks for loss values. The
+harness runs central training (T0 pretraining, the joint strategy)
+through ``local_epoch``, which builds the state and runs one round, as
+N = 1 on the pooled data.
 ``SimNetwork`` prices each message with the ``costs`` link model.
 """
 
@@ -39,6 +44,10 @@ from .costs import LinkModel, message_time
 from .errors import AggregationError, DimensionError, NumericError
 from .losses import LossConfig, Minibatch, StepSpace, sgd_step, stack_pairs, total_loss
 from .model import TrainableHead, check_finite, flatten_params, unflatten_params
+
+# cap on a training call's (epochs, samples) shuffle table, and on a
+# config's peak training memory in the cost model (``harness``)
+MAX_TRAINING_BYTES = 1 << 26
 
 __all__ = [
     "NodeState",
@@ -211,6 +220,157 @@ def _count(value, what: str) -> int:
     return int(value)
 
 
+def _table_bytes(epochs: int, samples: int) -> int:
+    """Bytes of the (epochs, samples) intp shuffle table that training
+    ``epochs`` passes over ``samples`` pairs draws up front."""
+    return epochs * samples * np.dtype(np.intp).itemsize
+
+
+def _check_arch(nodes, dims) -> None:
+    for node in nodes:
+        if not node.head.dims == node.snapshot.dims == dims:
+            raise AggregationError(
+                f"node {node.node_id} head architecture differs from node {nodes[0].node_id}"
+            )
+
+
+class _Lockstep:
+    """Lockstep training of a fixed set of nodes over fixed views: the
+    state ``local_epoch`` builds for one call and ``run_session`` for a
+    whole session, and ``run`` trains one round of ``epochs`` passes.
+
+    Everything that depends only on the views, partitions and config is
+    built here, once: the checked and stacked pairs, the length sort,
+    the (N, P) parameter and snapshot stacks, the shuffle table, one
+    ``StepSpace`` per width group over its slice of the stack, the
+    ``Minibatch`` views and the gather schedule. AggregationError, as
+    ``local_epoch`` documents, before anything is allocated.
+    """
+
+    def __init__(self, nodes, views, parts, cfg: LossConfig, epochs):
+        if not nodes or not len(nodes) == len(views) == len(parts):
+            raise AggregationError(
+                f"{len(nodes)} nodes, {len(views)} views and {len(parts)} partitions; "
+                "local training needs one view and one partition per node"
+            )
+        self.epochs = epochs = _count(epochs, "epochs")
+        self.arch = arch = nodes[0].head
+        _check_arch(nodes, arch.dims)
+        samples = sum(map(len, views))
+        table = _table_bytes(epochs, samples)
+        if table > MAX_TRAINING_BYTES:
+            raise AggregationError(
+                f"epochs={epochs} over {samples} samples needs a shuffle table of {table} "
+                f"bytes, which exceeds the cap of {MAX_TRAINING_BYTES}"
+            )
+        stacked = [stack_pairs(arch, view, part, cfg) for view, part in zip(views, parts)]
+        sizes = [len(t) for _, t, _ in stacked]
+        n, longest, b = len(nodes), max(sizes), cfg.batch_size
+        self.n, self.steps = n, None
+        if not longest:
+            return
+        # row r of the stack holds node rank[r], longest view first (a stable
+        # sort), so each step's nodes of one batch width are contiguous rows;
+        # sorted, not np.argsort: its first call maps ~0.45 MB of numpy 2.4 sort code
+        self.rank = rank = sorted(range(n), key=sizes.__getitem__, reverse=True)
+        self.row = row = [0] * n
+        for r, i in enumerate(rank):
+            row[i] = r
+        self.live = [i for i in range(n) if sizes[i]]
+        self.sizes = sizes = [sizes[i] for i in rank]
+        stacked = [stacked[i] for i in rank]
+        self.starts = starts = list(accumulate(sizes, initial=0))
+        # every view's rows, row after row; order[e] is epoch e's shuffle
+        # as rows of them, drawn node-major in the caller's node order
+        self.x = x = np.concatenate([xi for xi, _, _ in stacked])
+        self.targets = np.concatenate([ti for _, ti, _ in stacked])
+        self.order = np.empty((epochs, len(x)), np.intp)
+        self.index = np.arange(longest)
+        masks = [np.stack([m[k] for _, _, m in stacked]) for k in (0, 1)]
+        self.params = params = np.empty((n, arch.parameter_count), np.float32)
+        self.snaps = snaps = np.empty_like(params)
+        # one entry per lockstep pass: step k's rows lo:hi whose batch has
+        # width w, their group's StepSpace over params[lo:hi] and snapshots,
+        # and the Minibatch: sample-major views of xe and te, which each
+        # epoch fills by gathering its order at ``gather``. A node's last
+        # batch may be narrower over the same rows, so w is in the key.
+        # Widths never grow down the sorted rows, so equal widths are runs
+        self.xe = xe = np.empty(x.shape, np.float32)
+        self.te = te = np.empty(self.targets.shape, np.intp)
+        groups, steps, gather = {}, [], []
+        for k in range(0, longest, b):
+            lo = 0
+            while lo < n and sizes[lo] > k:
+                w = min(sizes[lo] - k, b)
+                hi = lo + 1
+                while hi < n and min(sizes[hi] - k, b) == w:
+                    hi += 1
+                if (w, lo, hi) not in groups:
+                    space = StepSpace(arch, params[lo:hi], w, tuple(m[lo:hi] for m in masks), cfg)
+                    groups[w, lo, hi] = space, snaps[lo:hi]
+                at = len(gather)
+                gather += [s + j for j in range(k, k + w) for s in starts[lo:hi]]
+                batch = Minibatch(xe[at : len(gather)].reshape(w, hi - lo, -1),
+                                  te[at : len(gather)].reshape(w, hi - lo))
+                steps.append((k // b, slice(lo, hi), *groups[w, lo, hi], batch))
+                lo = hi
+        self.steps = steps
+        self.gather = np.array(gather, np.intp)
+        self.picks = np.empty_like(self.gather)
+        # a round's last epoch writes every entry its nodes' losses read
+        self.step_losses = np.zeros((n, -(-longest // b)))
+        self.cfg, self.lr, self.b = cfg, np.float32(cfg.lr), b
+
+    def run(self, nodes, rng: np.random.Generator) -> list:
+        """One round over ``nodes``, the nodes the state was built for in
+        the same order: their current heads and snapshots are copied
+        into the stacks and each trained node gets a new head. Returns
+        each node's mean batch loss over its last epoch."""
+        _check_arch(nodes, self.arch.dims)
+        n, epochs, steps = self.n, self.epochs, self.steps
+        if steps is None:
+            return [0.0] * n
+        order, params, row, starts, sizes = (
+            self.order, self.params, self.row, self.starts, self.sizes)
+        for i in self.live:
+            lo, size = starts[row[i]], sizes[row[i]]
+            block = order[:, lo : lo + size]
+            rng.permuted(np.broadcast_to(self.index[:size], block.shape), axis=1, out=block)
+            block += lo
+        np.stack([nodes[i].head.params for i in self.rank], out=params)
+        np.stack([nodes[i].snapshot.params for i in self.rank], out=self.snaps)
+        x, targets, xe, te, gather, picks = (
+            self.x, self.targets, self.xe, self.te, self.gather, self.picks)
+        step_losses, lr, cfg = self.step_losses, self.lr, self.cfg
+        # diverging runs overflow here; finiteness is checked once at the end
+        with np.errstate(all="ignore"):
+            for e in range(epochs):
+                np.take(order[e], gather, out=picks)
+                np.take(x, picks, axis=0, out=xe)
+                np.take(targets, picks, out=te)
+                last = e == epochs - 1  # the one epoch whose losses are reported
+                for j, rows, space, anchor, batch in steps:
+                    values, grads = total_loss(space.params, batch, space, anchor, cfg,
+                                               values=last)
+                    sgd_step(space.params, grads, lr)
+                    if last:
+                        step_losses[rows, j] = values
+        # one scan of the stack; only a diverged round looks for its first bad node
+        finite = bool(np.isfinite(params).all())
+        by_row = step_losses.tolist()
+        losses = [0.0] * n
+        for i in self.live:
+            r, node = row[i], nodes[i]
+            head = self.arch.with_params(params[r].copy())
+            if not finite:
+                check_finite(head)
+            node.head = head
+            node.epochs += epochs
+            count = -(-sizes[r] // self.b)
+            losses[i] = float(sum(by_row[r][:count]) / count)
+        return losses
+
+
 def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
                 epochs: int = 1) -> list:
     """``epochs`` shuffled passes of each node over its own pairs.
@@ -221,117 +381,28 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     permutations are drawn up front, node-major, which is the order of
     running the nodes one after another: one ``rng.permuted`` call per
     node shuffles each row of an (epochs, size) block, the same draws
-    as one ``rng.permutation`` per epoch. The call's (N, P) parameter
-    stack, masks and snapshots hold the nodes longest view first (a
-    stable sort), so minibatch k of the nodes whose batch has width w
-    is one contiguous run of rows: one ``total_loss`` pass, then one
-    ``sgd_step``, through the ``StepSpace`` the group gets for the call
-    over its slice of the stack, which steps in place. Each epoch gathers
-    every step's batch into one buffer before its first step. Returns
-    each node's mean batch loss over its last epoch, in the caller's
-    order (0.0 for an empty view, which leaves the head untouched and
-    draws nothing); earlier epochs skip the loss values, which leaves
-    the gradients unchanged.
+    as one ``rng.permutation`` per epoch. The (N, P) parameter stack,
+    masks and snapshots hold the nodes longest view first (a stable
+    sort), so minibatch k of the nodes whose batch has width w is one
+    contiguous run of rows: one ``total_loss`` pass, then one
+    ``sgd_step``, through the ``StepSpace`` the group gets over its
+    slice of the stack, which steps in place. Each epoch gathers every
+    step's batch into one buffer before its first step. Returns each
+    node's mean batch loss over its last epoch, in the caller's order
+    (0.0 for an empty view, which leaves the head untouched and draws
+    nothing); earlier epochs skip the loss values, which leaves the
+    gradients unchanged.
+
+    The call builds that state (``stack_pairs`` of every view, the
+    sort, the stacks, the ``StepSpace``s and the gather schedule) and
+    runs one round on it; ``run_session`` builds it once per session
+    and runs every round on it.
     AggregationError unless there is at least one node and one view and
-    partition each, and ``epochs`` is a nonnegative integer.
+    partition each, ``epochs`` is a nonnegative integer and the
+    (epochs, samples) shuffle table fits ``MAX_TRAINING_BYTES``.
     """
     nodes = list(nodes)
-    if not nodes or not len(nodes) == len(views) == len(parts):
-        raise AggregationError(
-            f"{len(nodes)} nodes, {len(views)} views and {len(parts)} partitions; "
-            "local training needs one view and one partition per node"
-        )
-    epochs = _count(epochs, "epochs")
-    arch = nodes[0].head
-    for node in nodes:
-        if not node.head.dims == node.snapshot.dims == arch.dims:
-            raise AggregationError(
-                f"node {node.node_id} head architecture differs from node {nodes[0].node_id}"
-            )
-    stacked = [stack_pairs(arch, view, part, cfg) for view, part in zip(views, parts)]
-    sizes = [len(t) for _, t, _ in stacked]
-    n, longest, b = len(nodes), max(sizes), cfg.batch_size
-    if not longest:
-        return [0.0] * n
-    # row r of the stack holds node rank[r], longest view first (a stable
-    # sort), so each step's nodes of one batch width are contiguous rows;
-    # sorted, not np.argsort: its first call maps ~0.45 MB of numpy 2.4 sort code
-    rank = sorted(range(n), key=sizes.__getitem__, reverse=True)
-    row = [0] * n
-    for r, i in enumerate(rank):
-        row[i] = r
-    live = [i for i in range(n) if sizes[i]]
-    sizes, stacked = [sizes[i] for i in rank], [stacked[i] for i in rank]
-    starts = list(accumulate(sizes, initial=0))
-    # every view's rows, row after row; order[e] is epoch e's shuffle
-    # as rows of them, drawn node-major in the caller's node order
-    x = np.concatenate([xi for xi, _, _ in stacked])
-    targets = np.concatenate([ti for _, ti, _ in stacked])
-    order = np.empty((epochs, len(x)), np.intp)
-    index = np.arange(longest)
-    for i in live:
-        lo, size = starts[row[i]], sizes[row[i]]
-        block = order[:, lo : lo + size]
-        rng.permuted(np.broadcast_to(index[:size], block.shape), axis=1, out=block)
-        block += lo
-    masks = [np.stack([m[k] for _, _, m in stacked]) for k in (0, 1)]
-    params = np.stack([nodes[i].head.params for i in rank])
-    snaps = np.stack([nodes[i].snapshot.params for i in rank])
-    # one entry per lockstep pass: step k's rows lo:hi whose batch has
-    # width w, their group's StepSpace over params[lo:hi] and snapshots,
-    # and the Minibatch: sample-major views of xe and te, which each
-    # epoch fills by gathering its order at ``gather``. A node's last
-    # batch may be narrower over the same rows, so w is in the key.
-    # Widths never grow down the sorted rows, so equal widths are runs
-    xe = np.empty(x.shape, np.float32)
-    te = np.empty(targets.shape, np.intp)
-    groups, steps, gather = {}, [], []
-    for k in range(0, longest, b):
-        lo = 0
-        while lo < n and sizes[lo] > k:
-            w = min(sizes[lo] - k, b)
-            hi = lo + 1
-            while hi < n and min(sizes[hi] - k, b) == w:
-                hi += 1
-            if (w, lo, hi) not in groups:
-                space = StepSpace(arch, params[lo:hi], w, tuple(m[lo:hi] for m in masks), cfg)
-                groups[w, lo, hi] = space, snaps[lo:hi]
-            at = len(gather)
-            gather += [s + j for j in range(k, k + w) for s in starts[lo:hi]]
-            batch = Minibatch(xe[at : len(gather)].reshape(w, hi - lo, -1),
-                              te[at : len(gather)].reshape(w, hi - lo))
-            steps.append((k // b, slice(lo, hi), *groups[w, lo, hi], batch))
-            lo = hi
-    gather = np.array(gather, np.intp)
-    picks = np.empty_like(gather)
-    step_losses = np.zeros((n, -(-longest // b)))
-    lr = np.float32(cfg.lr)
-    # diverging runs overflow here; finiteness is checked once at the end
-    with np.errstate(all="ignore"):
-        for e in range(epochs):
-            np.take(order[e], gather, out=picks)
-            np.take(x, picks, axis=0, out=xe)
-            np.take(targets, picks, out=te)
-            last = e == epochs - 1  # the one epoch whose losses are reported
-            for j, rows, space, anchor, batch in steps:
-                values, grads = total_loss(space.params, batch, space, anchor, cfg, values=last)
-                sgd_step(space.params, grads, lr)
-                if last:
-                    step_losses[rows, j] = values
-    # one scan of the stack; only a diverged call looks for its first bad node
-    finite = bool(np.isfinite(params).all())
-    step_losses = step_losses.tolist()
-    losses = [0.0] * n
-    for i in live:
-        r, node = row[i], nodes[i]
-        head = arch.with_params(params[r].copy())
-        if not finite:
-            check_finite(head)
-        node.head = head
-        node.epochs += epochs
-        count = -(-sizes[r] // b)
-        losses[i] = float(sum(step_losses[r][:count]) / count)
-    return losses
+    return _Lockstep(nodes, views, parts, cfg, epochs).run(nodes, rng)
 
 
 def run_session(
@@ -348,25 +419,29 @@ def run_session(
 
     ``views`` and ``parts`` map node id to that node's training pairs
     and class partition; heads must already be expanded for the session.
-    Each round trains every node with a nonempty view in one lockstep
-    ``local_epoch`` call. Returns (global head, per-round trace). Each
-    trace entry records the round number, mean local loss per node
-    (over its last local epoch), communication seconds and,
+    Every node with a nonempty view trains in lockstep, as in
+    ``local_epoch``; the views do not change within a session, so the
+    training state (``stack_pairs`` of every view, the sort, the stacks,
+    the ``StepSpace``s and the gather schedule) is built once per
+    session and each round only draws its shuffles, copies the nodes'
+    heads and snapshots in and trains. Returns (global head, per-round
+    trace). Each trace entry records the round number, mean local loss
+    per node (over its last local epoch), communication seconds and,
     when an ``evaluator`` callable is given, its value on the new global
     head.
     """
     rounds = _count(rounds, "rounds")
     order = sorted(nodes, key=lambda n: n.node_id)
+    active = [n for n in order if views.get(n.node_id)]
+    state = None
+    if active and rounds:
+        state = _Lockstep(active, [views[n.node_id] for n in active],
+                          [parts[n.node_id] for n in active], cfg, cfg.local_epochs_per_round)
     trace = []
     for r in range(rounds):
         losses = dict.fromkeys((n.node_id for n in order), 0.0)
-        active = [n for n in order if views.get(n.node_id)]
-        if active:
-            trained = local_epoch(
-                active, [views[n.node_id] for n in active], [parts[n.node_id] for n in active],
-                cfg, rng, cfg.local_epochs_per_round,
-            )
-            losses.update(zip((n.node_id for n in active), trained))
+        if state is not None:
+            losses.update(zip((n.node_id for n in active), state.run(active, rng)))
         comm_s = sync_round(nodes, net)
         entry = {
             "round": r,

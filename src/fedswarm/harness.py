@@ -38,7 +38,14 @@ from .errors import (
     int_tuple,
 )
 from . import federation
-from .federation import NodeState, SimNetwork, run_session, write_trace
+from .federation import (
+    MAX_TRAINING_BYTES,
+    NodeState,
+    SimNetwork,
+    _table_bytes,
+    run_session,
+    write_trace,
+)
 from .losses import ClassPartition, LossConfig
 # not called here; kept importable because perfbench/layers.py wraps them on this module
 from .losses import sgd_step, total_loss  # noqa: F401
@@ -93,11 +100,11 @@ __all__ = [
 STRATEGIES = ("naive", "odfcl", "joint")
 # size caps: a config is rejected before anything is allocated when a
 # head or backbone weight tensor holds more elements, the cost model's
-# peak training memory is larger, or its synthetic train+test data holds
-# more int8 bytes than ``sessions.MAX_DATA_BYTES`` or more samples than
-# ``sessions.MAX_SAMPLES``
+# peak training memory or a training call's shuffle table is larger
+# than ``federation.MAX_TRAINING_BYTES``, or its synthetic train+test
+# data holds more int8 bytes than ``sessions.MAX_DATA_BYTES`` or more
+# samples than ``sessions.MAX_SAMPLES``
 MAX_TENSOR_ELEMENTS = 1 << 20
-MAX_TRAINING_BYTES = 1 << 26
 
 
 def _take(d: dict, allowed, where: str) -> dict:
@@ -243,9 +250,11 @@ class ExperimentConfig:
                 )
         # surfaces infeasible class counts early, as a config problem
         try:
-            make_plan(**asdict(self.plan))
+            plan = make_plan(**asdict(self.plan))
         except PlanError as e:
             raise ConfigError(str(e))
+        if self.data.kind == "synthetic":
+            self._check_shuffle_tables(plan)
 
     def _check_sizes(self):
         """ConfigError if a weight tensor, training memory or data exceeds its cap."""
@@ -279,6 +288,31 @@ class ExperimentConfig:
             raise ConfigError(
                 f"synthetic data of {n_samples} samples exceeds the cap of {MAX_SAMPLES}"
             )
+
+
+    def _check_shuffle_tables(self, plan):
+        """ConfigError if a ``local_epoch`` call of the run would draw a
+        shuffle table past ``MAX_TRAINING_BYTES``: T0 over the base
+        classes, joint over the seen pool of the last session, a
+        federated round over the largest node view. Synthetic data
+        only; a manifest's sizes are checked by ``local_epoch``."""
+        per_class, rounds = self.data.train_per_class, self.train.rounds_per_session
+        local = self.loss.local_epochs_per_round
+        calls = [("t0_epochs", self.train.t0_epochs, len(plan.base_classes))]
+        if self.strategy == "joint":
+            seen = len(plan.base_classes) + sum(len(cs) for s in plan.sessions for cs in s.values())
+            calls.append(("rounds_per_session x local_epochs_per_round", rounds * local, seen))
+        elif rounds:
+            widest = max((len(cs) for s in plan.sessions for cs in s.values()), default=0)
+            calls.append(("local_epochs_per_round", local, widest))
+        for name, epochs, classes in calls:
+            n_bytes = _table_bytes(epochs, classes * per_class)
+            if n_bytes > MAX_TRAINING_BYTES:
+                raise ConfigError(
+                    f"{name} = {epochs} over {classes * per_class} training samples needs a "
+                    f"shuffle table of {n_bytes} bytes, which exceeds the cap of "
+                    f"{MAX_TRAINING_BYTES}"
+                )
 
 
 def default_config(strategy: str = "odfcl", seed: int = 1234) -> ExperimentConfig:

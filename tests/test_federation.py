@@ -3,6 +3,8 @@
 import json
 import re
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -458,6 +460,19 @@ def test_local_epoch_takes_any_nonnegative_integral_count():
     assert runs[0] == runs[1] and runs[1][2] == 2 and type(runs[1][2]) is int
 
 
+def test_local_epoch_rejects_a_shuffle_table_past_the_cap():
+    # 2**62 epochs of 12 pairs would need a 4e20-byte shuffle table
+    nodes = _swarm(2)
+    views, parts = _views(nodes, 3)
+    before = [n.head for n in nodes]
+    rng = np.random.default_rng(0)
+    with pytest.raises(AggregationError, match=f"epochs={2**62} over 12 samples"):
+        local_epoch(nodes, [views[0], views[1]], [parts[0], parts[1]], LossConfig(), rng,
+                    2**62)
+    assert [n.head for n in nodes] == before and all(n.epochs == 0 for n in nodes)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 def test_local_epoch_steps_its_own_rows_and_hands_out_fresh_heads(monkeypatch):
     # the steps update parameter rows in place; those rows are slices of
     # the call's one stack, never the caller's heads or snapshots, and
@@ -531,6 +546,79 @@ def test_run_session_trace_reproducible():
     h2, t2 = go()
     assert np.array_equal(h1, h2)
     assert t1 == t2
+
+
+def _rounds_by_hand(nodes, net, rounds, views, parts, cfg, rng, evaluator):
+    """``run_session`` as its rounds written out: one ``local_epoch``
+    call per round on the nodes with a nonempty view, then a sync."""
+    order = sorted(nodes, key=lambda n: n.node_id)
+    trace = []
+    for r in range(rounds):
+        losses = dict.fromkeys((n.node_id for n in order), 0.0)
+        active = [n for n in order if views.get(n.node_id)]
+        if active:
+            trained = local_epoch(active, [views[n.node_id] for n in active],
+                                  [parts[n.node_id] for n in active], cfg, rng,
+                                  cfg.local_epochs_per_round)
+            losses.update(zip((n.node_id for n in active), trained))
+        comm_s = sync_round(nodes, net)
+        trace.append({"round": r, "mean_loss": {str(k): v for k, v in sorted(losses.items())},
+                      "comm_s": comm_s, "accuracy": evaluator(order[0].head)})
+    return order[0].head, trace
+
+
+@given(_rounds(max_nodes=4), st.integers(0, 4))
+def test_run_session_equals_its_rounds_run_by_hand(case, rounds):
+    # the session builds its training state once and runs every round on
+    # it; that must be what one local_epoch call per round gives
+    nodes, views, parts, cfg, epochs, seed = case
+    cfg = replace(cfg, local_epochs_per_round=epochs)
+    views = {n.node_id: v for n, v in zip(nodes, views)}
+    parts = {n.node_id: p for n, p in zip(nodes, parts)}
+    runs = []
+    for session in (run_session, _rounds_by_hand):
+        seen = []
+
+        def evaluator(head):
+            seen.append((head, head.params.tobytes()))
+            return float(head.params.astype(np.float64).sum())
+
+        swarm = [NodeState(n.node_id, n.head, n.snapshot) for n in nodes]
+        net, rng = SimNetwork(calibrated_uwb_link()), np.random.default_rng(seed)
+        head, trace = session(swarm, net, rounds, views, parts, cfg, rng, evaluator)
+        # the session's stacks are overwritten every round: a head handed
+        # out must not be a view of them
+        assert [h.params.tobytes() for h, _ in seen] == [b for _, b in seen]
+        runs.append((head.params.tobytes(), json.dumps(trace, sort_keys=True), net.events,
+                     rng.bit_generator.state, [n.epochs for n in swarm]))
+    assert runs[0] == runs[1]
+
+
+def test_run_session_builds_its_training_state_once(monkeypatch):
+    built = Counter()
+
+    class Recorded(losses.StepSpace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built["StepSpace"] += 1
+
+    def recorded_stack_pairs(*args, **kwargs):
+        built["stack_pairs"] += 1
+        return losses.stack_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "StepSpace", Recorded)
+    monkeypatch.setattr(federation, "stack_pairs", recorded_stack_pairs)
+    per_session = {}
+    for rounds in (1, 4):
+        built.clear()
+        nodes = _swarm(3, seed=5)
+        views, parts = _views(nodes, 3, per_node=7)
+        views[1] = views[1][:5]  # ragged: more than one width group
+        run_session(nodes, SimNetwork(LinkModel(1e6)), rounds, views, parts,
+                    LossConfig(lr=0.1), np.random.default_rng(0))
+        per_session[rounds] = dict(built)
+    assert per_session[1]["stack_pairs"] == 3 and per_session[1]["StepSpace"] > 1
+    assert per_session[4] == per_session[1]
 
 
 def test_run_session_rejects_negative_rounds():

@@ -489,6 +489,10 @@ def test_cli_non_integer_count_is_a_config_error(tmp_path, bad):
     {"data": {"input_shape": [4, 4096, 4096]}},
     # 120 MB of int8 data, under the byte cap, but 30 million samples
     {"data": {"input_shape": [4, 1, 1], "train_per_class": 3000000}},
+    # shuffle tables of T0, of a joint session and of a federated round
+    {"train": {"t0_epochs": 4611686018427387904}},
+    {"strategy": "joint", "train": {"rounds_per_session": 2**40}},
+    {"loss": {"local_epochs_per_round": 2**50}},
 ], ids=json.dumps)
 def test_cli_size_cap_is_a_config_error(tmp_path, bad):
     path = tmp_path / "huge.json"
@@ -522,6 +526,41 @@ def test_config_size_caps():
     at_cap = fs.config_to_dict(fs.default_config())
     at_cap["head"]["hidden"] = fs.MAX_TENSOR_ELEMENTS // feat
     fs.config_from_dict(at_cap)
+
+
+def test_config_shuffle_table_cap():
+    # T0 draws a t0_epochs x base-samples intp table: 4 classes x 32 pairs
+    # is 1 KiB per epoch, so 65536 epochs meet the cap exactly
+    d = fs.config_to_dict(fs.default_config())
+    d["data"]["train_per_class"] = 32
+    d["train"]["t0_epochs"] = fs.MAX_TRAINING_BYTES // 1024
+    fs.config_from_dict(d)
+    d["train"]["t0_epochs"] += 1
+    with pytest.raises(fs.ConfigError, match="t0_epochs = 65537 over 128 training samples"):
+        fs.config_from_dict(d)
+    # a round only trains when there are rounds, and joint has no federated rounds
+    d = fs.config_to_dict(fs.default_config())
+    d["loss"]["local_epochs_per_round"] = 2**50
+    d["train"]["rounds_per_session"] = 0
+    fs.config_from_dict(d)
+    d["train"]["rounds_per_session"] = 1
+    with pytest.raises(fs.ConfigError, match="local_epochs_per_round"):
+        fs.config_from_dict(d)
+    d["strategy"] = "joint"
+    with pytest.raises(fs.ConfigError, match="rounds_per_session x local_epochs_per_round"):
+        fs.config_from_dict(d)
+
+
+def test_cli_manifest_run_past_the_shuffle_cap_is_a_runtime_error(tmp_path):
+    # a manifest's sizes are not in the config, so training refuses the count
+    cfg, data, _ = _manifest_dir(tmp_path)
+    cfg_path = tmp_path / "config.json"
+    fs.save_config(replace(cfg, data=fs.DataSpec(kind="manifest", manifest_dir=str(data)),
+                           train=replace(cfg.train, t0_epochs=2**62)), cfg_path)
+    res = _main("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+    assert f"epochs={2**62} over" in res.stderr and "shuffle table" in res.stderr
 
 
 def test_config_data_cap():
