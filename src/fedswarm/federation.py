@@ -339,15 +339,13 @@ class _Lockstep:
             block += lo
         np.stack([nodes[i].head.params for i in self.rank], out=params)
         np.stack([nodes[i].snapshot.params for i in self.rank], out=self.snaps)
-        x, targets, xe, te, gather, picks = (
-            self.x, self.targets, self.xe, self.te, self.gather, self.picks)
-        step_losses, lr, cfg = self.step_losses, self.lr, self.cfg
+        step_losses, lr, cfg, picks = self.step_losses, self.lr, self.cfg, self.picks
         # diverging runs overflow here; finiteness is checked once at the end
         with np.errstate(all="ignore"):
             for e in range(epochs):
-                np.take(order[e], gather, out=picks)
-                np.take(x, picks, axis=0, out=xe)
-                np.take(targets, picks, out=te)
+                np.take(order[e], self.gather, out=picks)
+                np.take(self.x, picks, axis=0, out=self.xe)
+                np.take(self.targets, picks, out=self.te)
                 last = e == epochs - 1  # the one epoch whose losses are reported
                 for j, rows, space, anchor, batch in steps:
                     values, grads = total_loss(space.params, batch, space, anchor, cfg,

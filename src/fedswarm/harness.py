@@ -289,7 +289,6 @@ class ExperimentConfig:
                 f"synthetic data of {n_samples} samples exceeds the cap of {MAX_SAMPLES}"
             )
 
-
     def _check_shuffle_tables(self, plan):
         """ConfigError if a ``local_epoch`` call of the run would draw a
         shuffle table past ``MAX_TRAINING_BYTES``: T0 over the base
@@ -298,13 +297,13 @@ class ExperimentConfig:
         only; a manifest's sizes are checked by ``local_epoch``."""
         per_class, rounds = self.data.train_per_class, self.train.rounds_per_session
         local = self.loss.local_epochs_per_round
+        views = [len(cs) for s in plan.sessions for cs in s.values()]
         calls = [("t0_epochs", self.train.t0_epochs, len(plan.base_classes))]
         if self.strategy == "joint":
-            seen = len(plan.base_classes) + sum(len(cs) for s in plan.sessions for cs in s.values())
-            calls.append(("rounds_per_session x local_epochs_per_round", rounds * local, seen))
+            calls.append(("rounds_per_session x local_epochs_per_round", rounds * local,
+                          len(plan.base_classes) + sum(views)))
         elif rounds:
-            widest = max((len(cs) for s in plan.sessions for cs in s.values()), default=0)
-            calls.append(("local_epochs_per_round", local, widest))
+            calls.append(("local_epochs_per_round", local, max(views, default=0)))
         for name, epochs, classes in calls:
             n_bytes = _table_bytes(epochs, classes * per_class)
             if n_bytes > MAX_TRAINING_BYTES:

@@ -19,15 +19,17 @@ bit-identical to the per-sample reference in ``tests/test_objective.py``;
 the float64 oracle in ``gradcheck`` checks the math itself.
 
 The pass runs in a ``StepSpace``: the buffers and constants of one
-width group of a training call, allocated once and reused by every
-step, so a step is a fixed sequence of numpy calls that write into
-them. The space borrows the group's parameter rows, a contiguous slice
-of the call's one parameter stack, for the whole call, and no head
-object is built per step: the lockstep ``total_loss`` reads those
-rows, and the lockstep ``sgd_step`` updates them in place with the
-one-head step's two float32 operations (lr * g rounded, then the
-subtraction), so the bits are the same. A ``Minibatch`` carries
-the views of its samples that a step reads, built once per call.
+width group of the training loop's lockstep state (built once per
+federated session, or per ``local_epoch`` call), allocated once and
+reused by every step, so a step is a fixed sequence of numpy calls
+that write into them. The space borrows the group's parameter rows, a
+contiguous slice of the state's one parameter stack, for as long as
+the state lives, and no head object is built per step: the lockstep
+``total_loss`` reads those rows, and the lockstep ``sgd_step``
+updates them in place with the one-head step's two float32 operations
+(lr * g rounded, then the subtraction), so the bits are the same. A
+``Minibatch`` carries the views of its samples that a step reads,
+built with the state.
 Samples are sample-major (B, N) cells; each contraction is a
 ``Fold`` over a k-major product; logits stay sample-major and the
 softmax and mean-output sums run along the class axis; each step builds
@@ -230,9 +232,9 @@ class StepSpace:
     minibatches of ``w`` samples each.
 
     The space borrows ``params`` for its life and builds the weight
-    views over them once; it holds no rows of its own. ``local_epoch``
-    builds one per width group of a call over the group's slice of the
-    call's parameter stack, runs every step of that group through it
+    views over them once; it holds no rows of its own. The training
+    loop's lockstep state builds one per width group over the group's
+    slice of its parameter stack, runs every step of that group through it
     and updates the slice in place with the lockstep ``sgd_step``; the
     one-head ``total_loss`` builds one over the head's own rows for its
     single step. ``masks`` are the steps' (new, old) (n, num_classes)

@@ -538,7 +538,8 @@ def test_config_shuffle_table_cap():
     d["train"]["t0_epochs"] += 1
     with pytest.raises(fs.ConfigError, match="t0_epochs = 65537 over 128 training samples"):
         fs.config_from_dict(d)
-    # a round only trains when there are rounds, and joint has no federated rounds
+    # a federated round's table counts only when there are rounds; joint
+    # trains its pool for rounds_per_session x local_epochs_per_round epochs
     d = fs.config_to_dict(fs.default_config())
     d["loss"]["local_epochs_per_round"] = 2**50
     d["train"]["rounds_per_session"] = 0

@@ -66,3 +66,29 @@ def test_unpaired_samples_are_refused():
         pairs.verdict(PARENT, PARENT[:9], True)
     with pytest.raises(ValueError):
         pairs.verdict([], [], True)
+
+
+def _traced(**spans):
+    """A ``--trace 1`` result's metrics: span -> (calls, self_s)."""
+    out = {"losses.total_loss.samples": {"value": 33600, "unit": "count"}}
+    for name, (calls, self_s) in spans.items():
+        out.update({f"{name}.calls": {"value": calls, "unit": "count"},
+                    f"{name}.busy_s": {"value": 2 * self_s, "unit": "s"},
+                    f"{name}.self_s": {"value": self_s, "unit": "s"}})
+    return out
+
+
+def test_trace_table_sets_each_span_beside_its_parent_figures():
+    parent = _traced(**{"federation.run_session": (4, 0.005), "federation.local_epoch": (25, 0.09),
+                        "sessions.evaluate": (0, 0.0)})
+    change = _traced(**{"federation.run_session": (4, 0.04), "federation.local_epoch": (1, 0.02),
+                        "sessions.evaluate": (0, 0.0), "quant.backbone_forward": (2, 0.003)})
+    header, *rows = pairs.trace_table(parent, change)
+    assert header.split() == ["span", "calls", "parent", "change", "self_s", "parent", "change",
+                              "delta"]
+    # spans neither side called are left out; one side's missing span reads 0
+    assert [r.split() for r in rows] == [
+        ["federation.run_session", "4", "4", "0.005000", "0.040000", "+0.035000"],
+        ["federation.local_epoch", "25", "1", "0.090000", "0.020000", "-0.070000"],
+        ["quant.backbone_forward", "0", "2", "0.000000", "0.003000", "+0.003000"],
+    ]

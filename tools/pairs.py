@@ -1,6 +1,7 @@
 """Alternating benchmark pairs of two checkouts, judged by the pair rule.
 
     python3 tools/pairs.py PARENT CHANGE --workload swarm [--pairs 10] [--seed 1234]
+        [--traced]
 
 PARENT and CHANGE are checkout roots, each with its own ``perfbench/``
 and ``src/``. Each pair runs ``perfbench/run.py --trace 0`` once in
@@ -18,6 +19,13 @@ quartiles; ``unresolved`` otherwise. A run whose result is not
 ``correct`` or counts failed passes is flagged; its pair keeps its
 place in the pair count as a pair CHANGE did not win, its metrics are
 left out of the quartiles, and the verdict is ``unresolved``.
+
+With ``--traced``, after the pairs each checkout runs ``--trace 1``
+once, in the same order as the first pair, and a table gives every
+span that either side called: its ``calls`` and ``self_s`` on each
+side and the change in ``self_s``, so a saving can be placed in the
+layer where it landed. A traced run that is not ``correct`` is flagged
+too.
 """
 
 import argparse
@@ -56,10 +64,27 @@ def verdict(parent, change, lower_is_better: bool, flagged: int = 0) -> dict:
             "verdict": "met" if met else "unresolved"}
 
 
-def run_once(root: Path, args, seconds) -> dict:
+def trace_table(parent: dict, change: dict) -> list:
+    """Lines comparing two ``--trace 1`` results' metrics (name ->
+    {"value": ...}): one row per span with calls on either side, in the
+    order the spans first appear, parent's first."""
+    names = [n[: -len(".calls")] for n in [*parent, *change] if n.endswith(".calls")]
+    lines = [f"{'span':<36} {'calls parent':>12} {'change':>8} "
+             f"{'self_s parent':>14} {'change':>10} {'delta':>10}"]
+    for name in dict.fromkeys(names):
+        calls, self_s = ([side.get(f"{name}.{key}", {"value": 0})["value"]
+                          for side in (parent, change)] for key in ("calls", "self_s"))
+        if not any(calls):
+            continue
+        lines.append(f"{name:<36} {calls[0]:>12} {calls[1]:>8} {self_s[0]:>14.6f} "
+                     f"{self_s[1]:>10.6f} {self_s[1] - self_s[0]:>+10.6f}")
+    return lines
+
+
+def run_once(root: Path, args, seconds, trace: int = 0) -> dict:
     """One benchmark run in ``root``; its last output line is the result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
-           str(args.seed), "--seconds", str(seconds), "--trace", "0"]
+           str(args.seed), "--seconds", str(seconds), "--trace", str(trace)]
     res = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = res.stdout.strip().splitlines()
     try:
@@ -76,6 +101,8 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--traced", action="store_true",
+                   help="after the pairs, compare one --trace 1 run of each side")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -114,6 +141,16 @@ def main(argv=None) -> int:
               f"parent q1/median/q3 {q(f'{x:.6g}' for x in v['parent'])}, "
               f"change {q(f'{x:.6g}' for x in v['change'])}, "
               f"change won {v['wins']}/{v['pairs']}: {v['verdict']}")
+    if args.traced:
+        traced = {name: run_once(sides[name], args, seconds, trace=1)
+                  for name in ("parent", "change")}
+        for name, result in traced.items():
+            if not result.get("correct") or result.get("failed") != 0:
+                flagged += 1
+                print(f"FLAG traced {name}: correct={result.get('correct')} "
+                      f"failed={result.get('failed')} {result.get('error', '')}")
+        print(f"{args.workload} seed {args.seed}, one traced pass per side (wall seconds)")
+        print("\n".join(trace_table(traced["parent"]["metrics"], traced["change"]["metrics"])))
     return 1 if flagged else 0
 
 
