@@ -21,6 +21,7 @@ from .costs import calibrated_uwb_link, cost_report
 from .errors import ConfigError, FedswarmError
 from .gradcheck import format_gradcheck, run_gradcheck
 from .harness import (
+    STRATEGIES,
     default_config,
     emit_report,
     load_config,
@@ -46,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="run one experiment and write its report")
     runp.add_argument("--config", help="JSON config file (defaults used when omitted)")
     runp.add_argument("--out", required=True, help="output directory")
-    runp.add_argument("--strategy", choices=("naive", "odfcl", "joint"),
+    runp.add_argument("--strategy", choices=STRATEGIES,
                       help="override the config's strategy")
     runp.add_argument("--trace", action="store_true", help="also write the link event log")
 

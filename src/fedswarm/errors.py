@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import Field, fields
 
 
 class FedswarmError(Exception):
@@ -36,36 +37,34 @@ class ConfigError(FedswarmError):
     """Malformed or internally inconsistent experiment configuration."""
 
 
-def check_int_fields(obj, *names) -> None:
-    """ConfigError unless each named field of ``obj`` is a 64-bit int (not a bool).
+def json_key(f: Field) -> str:
+    """The JSON key of a config field: its ``key`` metadata, else its name."""
+    return f.metadata.get("key", f.name)
 
-    Counts from a JSON config may arrive as floats, booleans or integers
-    too large for an array size; catching them here keeps ``range()``
-    and array shapes from failing later.
+
+def check_fields(obj) -> None:
+    """ConfigError unless each field of the dataclass ``obj`` holds a
+    value of its annotated type, named by its ``json_key``.
+
+    ``int`` is a 64-bit int (not a bool); ``float`` a finite number, ints
+    included; ``tuple`` a list or tuple of such ints, stored back as a
+    tuple; ``str`` a string. Other annotations, such as a config's nested
+    sections, are not checked. Counts from a JSON config may arrive as
+    floats, booleans or integers too large for an array size, and any
+    value as a string or null; catching them here keeps ``range()``,
+    array shapes and kernels from failing later.
     """
-    for name in names:
-        v = getattr(obj, name)
-        if not _is_int(v):
-            raise ConfigError(f"{name} must be a 64-bit integer, got {v!r}")
-
-
-def check_float_fields(obj, *names) -> None:
-    """ConfigError unless each named field of ``obj`` is a finite number.
-
-    Ints pass; strings, null, bools and NaN/inf do not, so a mistyped
-    JSON value fails here rather than deep inside a kernel.
-    """
-    for name in names:
-        v = getattr(obj, name)
-        if not _is_finite(v):
-            raise ConfigError(f"{name} must be a finite number, got {v!r}")
-
-
-def int_tuple(values, name: str) -> tuple:
-    """``values`` as a tuple, or ConfigError unless it is a list/tuple of ints."""
-    if not isinstance(values, (list, tuple)) or not all(_is_int(v) for v in values):
-        raise ConfigError(f"{name} must be a list of integers, got {values!r}")
-    return tuple(values)
+    for f in fields(obj):
+        # a string under ``from __future__ import annotations``
+        kind = getattr(f.type, "__name__", f.type)
+        if kind not in _KINDS:
+            continue
+        v = getattr(obj, f.name)
+        ok, what = _KINDS[kind]
+        if not ok(v):
+            raise ConfigError(f"{json_key(f)} must be {what}, got {v!r}")
+        if kind == "tuple":
+            object.__setattr__(obj, f.name, tuple(v))
 
 
 def _is_finite(v) -> bool:
@@ -77,3 +76,12 @@ def _is_finite(v) -> bool:
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and -(2**63) <= v < 2**63
+
+
+_KINDS = {
+    "int": (_is_int, "a 64-bit integer"),
+    "float": (_is_finite, "a finite number"),
+    "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+              "a list of integers"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}

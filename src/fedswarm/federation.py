@@ -319,7 +319,10 @@ class _Lockstep:
         self.picks = np.empty_like(self.gather)
         # a round's last epoch writes every entry its nodes' losses read
         self.step_losses = np.zeros((n, -(-longest // b)))
-        self.cfg, self.lr, self.b = cfg, np.float32(cfg.lr), b
+        self.cfg, self.b = cfg, b
+        # an lr past float32's range casts to inf, and the run diverges
+        with np.errstate(over="ignore"):
+            self.lr = np.float32(cfg.lr)
 
     def run(self, nodes, rng: np.random.Generator) -> list:
         """One round over ``nodes``, the nodes the state was built for in

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,15 +28,7 @@ from .costs import (
     free_local_epochs,
     peak_training_memory,
 )
-from .errors import (
-    ConfigError,
-    EvaluationError,
-    PlanError,
-    _is_int,
-    check_float_fields,
-    check_int_fields,
-    int_tuple,
-)
+from .errors import ConfigError, EvaluationError, PlanError, _is_int, check_fields, json_key
 from . import federation
 from .federation import (
     MAX_TRAINING_BYTES,
@@ -56,7 +48,7 @@ from .model import (
     head_message_bytes,
     init_head,
 )
-from .quant import build_backbone
+from .quant import INT8_MAX, INT8_MIN, build_backbone
 from .sessions import (
     MAX_DATA_BYTES,
     MAX_SAMPLES,
@@ -123,10 +115,11 @@ class BackboneSpec:
     activation_range: float = 4.0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_dims", int_tuple(self.layer_dims, "layer_dims"))
-        check_float_fields(self, "weight_sigma", "activation_range")
+        check_fields(self)
         if len(self.layer_dims) < 2 or any(d < 1 for d in self.layer_dims):
             raise ConfigError(f"layer_dims needs >= 2 positive entries, got {self.layer_dims}")
+        if not self.activation_range > 0:
+            raise ConfigError(f"activation_range must be positive, got {self.activation_range}")
 
 
 @dataclass(frozen=True)
@@ -135,8 +128,7 @@ class HeadSpec:
     init_sigma: float = 0.1
 
     def __post_init__(self):
-        check_int_fields(self, "hidden")
-        check_float_fields(self, "init_sigma")
+        check_fields(self)
         if self.hidden < 1:
             raise ConfigError(f"hidden must be positive, got {self.hidden}")
         if not self.init_sigma > 0:
@@ -151,9 +143,7 @@ class PlanSpec:
     classes_per_session_per_node: int = 1
 
     def __post_init__(self):
-        check_int_fields(
-            self, "num_classes", "num_nodes", "base_count", "classes_per_session_per_node"
-        )
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -162,7 +152,7 @@ class TrainSpec:
     rounds_per_session: int = 6
 
     def __post_init__(self):
-        check_int_fields(self, "t0_epochs", "rounds_per_session")
+        check_fields(self)
         if self.t0_epochs < 0 or self.rounds_per_session < 0:
             raise ConfigError("epoch and round counts must be nonnegative")
 
@@ -174,8 +164,7 @@ class CostSpec:
     samples_per_epoch: int = 28
 
     def __post_init__(self):
-        check_int_fields(self, "calibration_bytes", "samples_per_epoch")
-        check_float_fields(self, "calibration_seconds")
+        check_fields(self)
         if self.calibration_bytes < 1 or not self.calibration_seconds > 0:
             raise ConfigError("link calibration needs positive bytes and seconds")
         if self.samples_per_epoch < 1:
@@ -197,13 +186,11 @@ class DataSpec:
     manifest_dir: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", int_tuple(self.input_shape, "input_shape"))
-        check_int_fields(self, "train_per_class", "test_per_class", "input_zero_point")
-        check_float_fields(self, "sigma_between", "sigma_within", "input_scale")
+        check_fields(self)
         if self.kind not in ("synthetic", "manifest"):
             raise ConfigError(f"data kind must be synthetic or manifest, got {self.kind!r}")
-        if not isinstance(self.manifest_dir, str):
-            raise ConfigError(f"manifest_dir must be a string, got {self.manifest_dir!r}")
+        if not INT8_MIN <= self.input_zero_point <= INT8_MAX:
+            raise ConfigError(f"input_zero_point must fit int8, got {self.input_zero_point}")
         if self.kind == "manifest" and not self.manifest_dir:
             raise ConfigError("manifest data needs manifest_dir")
 
@@ -235,7 +222,7 @@ class ExperimentConfig:
     data: DataSpec = field(default_factory=DataSpec)
 
     def __post_init__(self):
-        check_int_fields(self, "seed")
+        check_fields(self)
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.strategy not in STRATEGIES:
@@ -320,48 +307,31 @@ def default_config(strategy: str = "odfcl", seed: int = 1234) -> ExperimentConfi
 
 # -- config (de)serialization ------------------------------------------------
 
-_LOSS_KEYS = {"mu": "mu", "lambda": "lam", "lr": "lr", "batch_size": "batch_size",
-              "local_epochs_per_round": "local_epochs_per_round"}
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = {
-        "seed": cfg.seed,
-        "strategy": cfg.strategy,
-        "backbone": asdict(cfg.backbone),
-        "head": asdict(cfg.head),
-        "plan": asdict(cfg.plan),
-        "loss": {k: getattr(cfg.loss, f) for k, f in _LOSS_KEYS.items()},
-        "train": asdict(cfg.train),
-        "cost": asdict(cfg.cost),
-        "data": asdict(cfg.data),
-    }
-    d["backbone"]["layer_dims"] = list(cfg.backbone.layer_dims)
-    d["data"]["input_shape"] = list(cfg.data.input_shape)
-    return d
+    """``cfg`` as plain JSON values: a mapping per section, keyed by
+    each field's ``json_key``, tuples as lists."""
 
+    def plain(v):
+        if is_dataclass(v):
+            return {json_key(f): plain(getattr(v, f.name)) for f in fields(v)}
+        return list(v) if isinstance(v, tuple) else v
 
-def _build(cls, d: dict, where: str):
-    names = [f for f in cls.__dataclass_fields__]
-    return cls(**_take(d, names, where))
+    return plain(cfg)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    top = ("seed", "strategy", "backbone", "head", "plan", "loss", "train", "cost", "data")
-    d = _take(d, top, "config")
-    loss_d = _take(d.get("loss", {}), _LOSS_KEYS, "loss")
-    loss = LossConfig(**{_LOSS_KEYS[k]: v for k, v in loss_d.items()})
-    return ExperimentConfig(
-        seed=d.get("seed", 1234),
-        strategy=d.get("strategy", "odfcl"),
-        backbone=_build(BackboneSpec, d.get("backbone", {}), "backbone"),
-        head=_build(HeadSpec, d.get("head", {}), "head"),
-        plan=_build(PlanSpec, d.get("plan", {}), "plan"),
-        loss=loss,
-        train=_build(TrainSpec, d.get("train", {}), "train"),
-        cost=_build(CostSpec, d.get("cost", {}), "cost"),
-        data=_build(DataSpec, d.get("data", {}), "data"),
-    )
+    """The config ``d`` describes: its keys replace those of
+    ``ExperimentConfig()`` section by section, so a key it leaves out
+    keeps the experiment's default."""
+    base = ExperimentConfig()
+    changes = {}
+    for name, value in _take(d, [f.name for f in fields(base)], "config").items():
+        section = getattr(base, name)
+        if is_dataclass(section):
+            names = {json_key(f): f.name for f in fields(section)}
+            value = replace(section, **{names[k]: v for k, v in _take(value, names, name).items()})
+        changes[name] = value
+    return replace(base, **changes)
 
 
 def _read_json(p: Path, what: str):
@@ -568,20 +538,14 @@ def emit_report(r: MetricsReport, path) -> None:
     Identical reports serialize to identical bytes, which is what the
     determinism checks compare.
     """
-    payload = {
-        "seed": r.seed,
-        "strategy": r.strategy,
-        "config": r.config,
-        "sessions": r.sessions,
-        "cost": r.cost,
-    }
+    payload = {f.name: getattr(r, f.name) for f in fields(r)}
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def parse_report(path) -> MetricsReport:
     p = Path(path)
     raw = _read_json(p, "report")
-    keys = ("seed", "strategy", "config", "sessions", "cost")
+    keys = [f.name for f in fields(MetricsReport)]
     raw = _take(raw, keys, f"report {p}")
     missing = [k for k in keys if k not in raw]
     if missing:

@@ -46,13 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionError,
-    RegistryError,
-    check_float_fields,
-    check_int_fields,
-)
+from .errors import ConfigError, DimensionError, RegistryError, check_fields
 from .model import TrainableHead, _Forward, _weight_views
 from .tensor import _SCAN_BLOCK, Fold
 
@@ -71,19 +65,19 @@ __all__ = [
 class LossConfig:
     """Loss weights and local-training knobs.
 
-    mu weights the mean-output regularizer, lam the proximal term.
-    Both at zero reduce the objective to plain cross-entropy.
+    mu weights the mean-output regularizer, lam the proximal term
+    (``"lambda"`` in a JSON config). Both at zero reduce the objective
+    to plain cross-entropy.
     """
 
     mu: float = 2.0
-    lam: float = 3.8
+    lam: float = field(default=3.8, metadata={"key": "lambda"})
     lr: float = 0.01
     batch_size: int = 4
     local_epochs_per_round: int = 1
 
     def __post_init__(self):
-        check_int_fields(self, "batch_size", "local_epochs_per_round")
-        check_float_fields(self, "mu", "lam", "lr")
+        check_fields(self)
         if self.mu < 0:
             raise ConfigError(f"mu must be nonnegative, got {self.mu}")
         if self.lam < 0:
@@ -252,11 +246,15 @@ class StepSpace:
         self.cls_w_c = arch.with_params(params.view()).cls_w.transpose(1, 0, 2)[:, None]
         self.inv_b = _ONE / np.float32(w)
         self.b = np.float32(w)
-        self.mu = np.float32(cfg.mu) if cfg.mu != 0.0 else None
-        self.inv_b_mu = self.inv_b * np.float32(cfg.mu)
+        # a weight past float32's range casts to inf: the run diverges,
+        # and the trained heads' finiteness check reports it
+        with np.errstate(over="ignore"):
+            mu, lam = np.float32(cfg.mu), np.float32(cfg.lam)
+        self.mu = mu if cfg.mu != 0.0 else None
+        self.inv_b_mu = self.inv_b * mu
         self.side_masks = np.stack(masks, axis=1)[None]  # (1, n, 2, num_classes): new, old
-        self.lam = np.float32(cfg.lam) if cfg.lam != 0.0 else None
-        self.half_lam = np.float32(0.5) * np.float32(cfg.lam)
+        self.lam = lam if cfg.lam != 0.0 else None
+        self.half_lam = np.float32(0.5) * lam
         self.drift = np.empty((n, p), np.float32)
         self.prox = Fold((p, n))
         self.terms = Fold((w, n))

@@ -152,12 +152,14 @@ def init_head(
     sigma: float = 0.1,
 ) -> TrainableHead:
     """Seeded Gaussian initialization for all four parameter tensors."""
-    return TrainableHead(
-        conv_w=(rng.standard_normal((c_out, c_feat)) * sigma).astype(np.float32),
-        conv_b=(rng.standard_normal(c_out) * sigma).astype(np.float32),
-        cls_w=(rng.standard_normal((num_classes, c_out)) * sigma).astype(np.float32),
-        cls_b=(rng.standard_normal(num_classes) * sigma).astype(np.float32),
-    )
+    # a sigma past float32's range casts to inf, which the head rejects
+    with np.errstate(over="ignore"):
+        return TrainableHead(
+            conv_w=(rng.standard_normal((c_out, c_feat)) * sigma).astype(np.float32),
+            conv_b=(rng.standard_normal(c_out) * sigma).astype(np.float32),
+            cls_w=(rng.standard_normal((num_classes, c_out)) * sigma).astype(np.float32),
+            cls_b=(rng.standard_normal(num_classes) * sigma).astype(np.float32),
+        )
 
 
 _ZERO = np.float32(0.0)

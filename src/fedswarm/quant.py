@@ -119,11 +119,14 @@ class QuantTensor:
 def quantize(x: np.ndarray, qp: QuantParams) -> QuantTensor:
     """q = clamp(round_half_even(x / scale) + zero_point, -128, 127) of
     ``x`` cast to float32."""
-    vals = np.asarray(x, np.float32)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("cannot quantize non-finite values")
-    # rounding computed in double precision to keep huge quotients exact
-    q = np.rint(vals.astype(np.float64) / float(qp.scale)) + qp.zero_point
+    # values past float32's range cast to inf and are refused; a
+    # quotient past float64's is inf too, and saturates
+    with np.errstate(over="ignore"):
+        vals = np.asarray(x, np.float32)
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("cannot quantize non-finite values")
+        # rounding computed in double precision to keep huge quotients exact
+        q = np.rint(vals.astype(np.float64) / float(qp.scale)) + qp.zero_point
     q = np.clip(q, INT8_MIN, INT8_MAX)
     return QuantTensor(q.astype(np.int8), vals.shape, qp)
 
@@ -386,11 +389,13 @@ def build_backbone(
         raise DimensionError(f"need at least input and output dims, got {dims}")
     layers = []
     for c_in, c_out in zip(dims, dims[1:]):
-        w = rng.standard_normal((c_out, c_in)) * weight_sigma
-        w_scale = float(np.abs(w).max()) / INT8_MAX
-        if w_scale <= 0:
-            w_scale = 1.0 / INT8_MAX
-        qw = np.clip(np.rint(w / w_scale), INT8_MIN, INT8_MAX).astype(np.int8)
+        # weights past float64's range give an inf scale, which QuantLayer refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = rng.standard_normal((c_out, c_in)) * weight_sigma
+            w_scale = float(np.abs(w).max()) / INT8_MAX
+            if w_scale <= 0:
+                w_scale = 1.0 / INT8_MAX
+            qw = np.clip(np.rint(w / w_scale), INT8_MIN, INT8_MAX).astype(np.int8)
         layers.append(
             QuantLayer(
                 weight=qw,

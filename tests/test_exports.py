@@ -46,6 +46,11 @@ def test_retired_names_are_gone():
     assert not hasattr(fedswarm.tensor, "Tensor")
     for name in ("_blocks", "_check_input"):
         assert not hasattr(fedswarm.quant, name), name
+    # config fields are declared once, in their dataclasses
+    for name in ("check_int_fields", "check_float_fields", "int_tuple"):
+        assert not hasattr(fedswarm.errors, name), name
+    for name in ("_LOSS_KEYS", "_build"):
+        assert not hasattr(fedswarm.harness, name), name
 
 
 def test_benchmark_trace_sites_resolve(monkeypatch):

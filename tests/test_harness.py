@@ -9,7 +9,8 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+import typing
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -162,15 +163,34 @@ def test_config_validation():
         fs.load_config("/nonexistent/config.json")
 
 
-@pytest.mark.parametrize("section, key", [
-    ("plan", "num_classes"), ("plan", "num_nodes"), ("plan", "base_count"),
-    ("plan", "classes_per_session_per_node"), ("train", "t0_epochs"),
-    ("train", "rounds_per_session"), ("loss", "batch_size"),
-    ("loss", "local_epochs_per_round"), ("head", "hidden"),
-    ("data", "train_per_class"), ("data", "test_per_class"),
-])
+def test_config_omitted_keys_take_the_experiment_defaults():
+    assert fs.config_from_dict({}) == fs.default_config()
+    cfg = fs.config_from_dict({"seed": 7, "loss": {"mu": 1.0}})
+    default = fs.default_config(seed=7)
+    assert cfg == replace(default, loss=replace(default.loss, mu=1.0))
+    assert (cfg.loss.lr, cfg.loss.local_epochs_per_round) == (0.1, 5)
+
+
+def _section_fields(kind) -> list:
+    """(section, JSON key) of every field of a config section annotated ``kind``."""
+    cfg = fs.default_config()
+    sections = [(s.name, getattr(cfg, s.name)) for s in fields(cfg)]
+    return [(name, fs.errors.json_key(f)) for name, section in sections if is_dataclass(section)
+            for f in fields(section) if typing.get_type_hints(type(section))[f.name] is kind]
+
+
+@pytest.mark.parametrize("section, key", _section_fields(int))
 @pytest.mark.parametrize("value", [1.5, True, "4"])
 def test_config_rejects_non_integer_counts(section, key, value):
+    d = fs.config_to_dict(_small_config())
+    d[section][key] = value
+    with pytest.raises(fs.ConfigError, match=key):
+        fs.config_from_dict(d)
+
+
+@pytest.mark.parametrize("section, key", _section_fields(float))
+@pytest.mark.parametrize("value", [float("nan"), -math.inf, False, "0.5", None], ids=repr)
+def test_config_rejects_non_finite_floats(section, key, value):
     d = fs.config_to_dict(_small_config())
     d[section][key] = value
     with pytest.raises(fs.ConfigError, match=key):
@@ -471,6 +491,9 @@ def test_cli_config_error_exit_code(tmp_path):
     {"cost": {"calibration_seconds": "x"}},
     {"backbone": {"layer_dims": "ab"}},
     {"data": {"input_shape": [4, "a"]}},
+    # values the backbone and the input quantizer would refuse at run time
+    {"backbone": {"activation_range": 0}},
+    {"data": {"input_zero_point": 300}},
 ])
 def test_cli_non_integer_count_is_a_config_error(tmp_path, bad):
     path = tmp_path / "bad.json"
@@ -733,25 +756,36 @@ def test_synthetic_data_holds_few_heap_bytes_per_sample():
     assert held / samples <= 64
 
 
+_NON_FINITE = (2, "error: non-finite values in conv_w\n")
 _DIVERGING = {
     # T0 pretraining blows up: every step runs at lr 1e30
-    "t0": {"loss": {"lr": 1e30}},
+    "t0": ({"loss": {"lr": 1e30}}, _NON_FINITE),
     # T0 trains plain CE (mu = 0); the federated rounds blow up
-    "federated": {"loss": {"mu": 1e30}},
+    "federated": ({"loss": {"mu": 1e30}}, _NON_FINITE),
+    # values past float32's range where they are cast
+    "lr_inf_in_float32": ({"loss": {"lr": 1e308}}, _NON_FINITE),
+    "lambda_inf_in_float32": ({"loss": {"lambda": 1e39}}, _NON_FINITE),
+    "init_sigma_inf_in_float32": ({"head": {"init_sigma": 1e300}}, _NON_FINITE),
+    # backbone weights past float64's range
+    "weight_sigma_overflow": ({"backbone": {"weight_sigma": 1e308}},
+                              (2, "error: weight_scale must be positive and finite, got inf\n")),
+    # input quotients past float64's range saturate: the run succeeds
+    "input_scale_underflow": ({"data": {"input_scale": 1e-320}}, (0, "")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_DIVERGING))
 def test_cli_diverging_run_is_one_line_runtime_error(tmp_path, case):
     d = fs.config_to_dict(_small_config())
-    for section, values in _DIVERGING[case].items():
+    change, (code, stderr) = _DIVERGING[case]
+    for section, values in change.items():
         d[section].update(values)
     path = tmp_path / "diverge.json"
     path.write_text(json.dumps(d))
     res = _main("run", "--config", str(path), "--out", str(tmp_path / "out"))
-    assert res.returncode == 2
+    assert res.returncode == code
     # no numpy RuntimeWarning lines ahead of the error
-    assert res.stderr == "error: non-finite values in conv_w\n"
+    assert res.stderr == stderr
 
 
 def test_session_end_head_is_scored_once(monkeypatch):
