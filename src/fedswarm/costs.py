@@ -110,7 +110,11 @@ def free_local_epochs(fed_epoch_s: float, local_epoch_s: float) -> int:
     """Whole low-power epochs that fit inside one federated epoch."""
     if fed_epoch_s <= 0 or local_epoch_s <= 0:
         raise NumericError("both durations must be positive")
-    return int(math.floor(fed_epoch_s / local_epoch_s))
+    ratio = fed_epoch_s / local_epoch_s
+    if not math.isfinite(ratio):
+        raise NumericError(f"a federated epoch of {fed_epoch_s} s holds no finite count "
+                           f"of {local_epoch_s} s local epochs")
+    return int(math.floor(ratio))
 
 
 @dataclass(frozen=True)

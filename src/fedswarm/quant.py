@@ -361,13 +361,17 @@ def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
                            zp - flat.min(axis=1).astype(np.int16))
         fits = _acc_bound(bb.layers[0], np.arange(256)) <= _INT32_MAX
         exact = fits[peaks] & (later_bound <= _INT32_MAX)
-        space = _Space(bb, x.qparams, n, h * w)
-        for lo in range(0, n, space.rows):
-            hi = min(n, lo + space.rows)
-            if exact[lo:hi].all():
-                space.run(frames[lo:hi], out[lo:hi])
-            else:
-                out[lo:hi] = [_forward_checked(bb, frame, x.qparams) for frame in frames[lo:hi]]
+        # a scale past float32's range, or a multiplier past float64's,
+        # gives inf or NaN features, which the head's finiteness checks refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            space = _Space(bb, x.qparams, n, h * w)
+            for lo in range(0, n, space.rows):
+                hi = min(n, lo + space.rows)
+                if exact[lo:hi].all():
+                    space.run(frames[lo:hi], out[lo:hi])
+                else:
+                    out[lo:hi] = [_forward_checked(bb, frame, x.qparams)
+                                  for frame in frames[lo:hi]]
     return out if len(x.shape) == 4 else out[0]
 
 

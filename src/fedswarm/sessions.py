@@ -13,6 +13,7 @@ node views, pools and scored subsets are row masks by class.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import stat
@@ -307,24 +308,57 @@ _MANIFEST_NAME = "manifest.tsv"
 _COLUMNS = ("sample_id", "split", "class_id", "scale", "zero_point", "shape", "file")
 
 
+def _write_blob(path: str, frame: memoryview) -> None:
+    """Write ``frame``'s bytes as the whole of the file at ``path``, in place.
+
+    The file is opened without ``O_TRUNC``, written from the start and
+    then cut to the frame's length, so an old blob's blocks are reused
+    and a longer old blob is trimmed. A new file gets mode ``0o666`` less
+    the umask. A target that is not a regular file (a directory, a
+    device, a FIFO) is refused before anything is written; non-blocking,
+    a FIFO without a reader fails to open instead of waiting for one.
+    Every failure is an OSError naming ``path``."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK, 0o666)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise OSError(errno.EINVAL, "not a regular file", path)
+        view = frame
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(frame))
+    except OSError as e:
+        if e.filename is None:
+            raise OSError(e.errno, e.strerror, path) from None
+        raise
+    finally:
+        os.close(fd)
+
+
 def write_manifest(ds_train: LabeledDataset, ds_test: LabeledDataset, out_dir) -> Path:
     """Materialize both splits: one int8 blob per sample plus an index.
 
     The index is tab-separated with a header row; blob files hold raw
     row-major int8 bytes. Rows are ordered train-then-test by sample id.
+    Writing over an earlier manifest rewrites each blob in place and
+    trims a longer old one, so the result is byte-identical to a fresh
+    write; blobs no row names are left alone. A blob path that cannot be
+    written, or holds something other than a regular file, is an OSError
+    naming that path.
     """
     out = Path(out_dir)
     (out / "blobs").mkdir(parents=True, exist_ok=True)
+    blob_dir = os.path.join(os.fspath(out), "blobs")
     rows = []
     for ds in (ds_train, ds_test):
         ids, classes, qp = ds.ids.tolist(), ds.classes.tolist(), ds.frames.qparams
-        blobs = ds.frames.data.reshape(len(ds), -1)
+        size = math.prod(ds.frames.shape[1:])
+        data = memoryview(ds.frames.data).cast("B")  # flat and C-ordered
         shape = "x".join(str(d) for d in ds.frames.shape[1:])
         for i in sorted(range(len(ids)), key=ids.__getitem__):
-            rel = f"blobs/{ids[i]:06d}.bin"
-            (out / rel).write_bytes(blobs[i].tobytes())
+            name = f"{ids[i]:06d}.bin"
+            _write_blob(f"{blob_dir}/{name}", data[i * size : (i + 1) * size])
             rows.append((str(ids[i]), ds.split, str(classes[i]), repr(qp.scale),
-                         str(qp.zero_point), shape, rel))
+                         str(qp.zero_point), shape, f"blobs/{name}"))
     path = out / _MANIFEST_NAME
     lines = ["\t".join(_COLUMNS)]
     lines.extend("\t".join(r) for r in rows)

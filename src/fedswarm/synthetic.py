@@ -71,18 +71,20 @@ def gen_synthetic(spec: SyntheticSpec, rng) -> tuple:
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(int(rng))
     k, dim, qp = spec.num_classes, math.prod(spec.input_shape), spec.qparams
-    centers = rng.standard_normal((k, dim)) * spec.sigma_between
     step = max(1, _DRAW_BLOCK // dim)
     counts = (spec.train_per_class, spec.test_per_class)
     frames = [np.empty((k, n, dim), np.int8) for n in counts]
-    for class_id in range(k):
-        for buf, n in zip(frames, counts):
-            for lo in range(0, n, step):
-                rows = buf[class_id, lo : lo + step]
-                x = rng.standard_normal(rows.shape)
-                x *= spec.sigma_within
-                x += centers[class_id]
-                rows[...] = quantize(x, qp).array
+    # sigmas near float64's limit give inf or NaN values, which quantize refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = rng.standard_normal((k, dim)) * spec.sigma_between
+        for class_id in range(k):
+            for buf, n in zip(frames, counts):
+                for lo in range(0, n, step):
+                    rows = buf[class_id, lo : lo + step]
+                    x = rng.standard_normal(rows.shape)
+                    x *= spec.sigma_within
+                    x += centers[class_id]
+                    rows[...] = quantize(x, qp).array
     for buf in frames:
         buf.flags.writeable = False  # so the split's QuantTensor shares it
     ids = np.arange(k * sum(counts)).reshape(k, -1)

@@ -351,6 +351,49 @@ def test_manifest_round_trip(tmp_path):
     assert test2 == test
 
 
+@pytest.mark.parametrize("old", ["fresh", "longer", "shorter", "identical", "other_bytes",
+                                 "missing", "mixed"])
+def test_manifest_written_over_an_old_one_equals_a_fresh_write(tmp_path, old):
+    spec = SyntheticSpec(num_classes=3, train_per_class=4, test_per_class=2, input_shape=(3, 2, 2))
+    train, test = gen_synthetic(spec, np.random.default_rng(4))
+    fresh, root = tmp_path / "fresh", tmp_path / "over"
+    missing = None  # names of the blobs the last write creates; None: all of them
+    mask = os.umask(0o027)
+    try:
+        write_manifest(train, test, fresh)
+        if old != "fresh":
+            write_manifest(train, test, root)
+            blobs = sorted((root / "blobs").iterdir())
+            for k, blob in enumerate(blobs):
+                kind = old if old != "mixed" else ["longer", "shorter", "identical",
+                                                    "other_bytes", "missing"][k % 5]
+                if kind == "longer":
+                    blob.write_bytes(blob.read_bytes() + b"\x7f" * 13)
+                elif kind == "shorter":
+                    blob.write_bytes(blob.read_bytes()[:5])
+                elif kind == "other_bytes":
+                    blob.write_bytes(bytes(255 - b for b in blob.read_bytes()))
+                elif kind == "missing":
+                    blob.unlink()
+            (root / "manifest.tsv").write_text("an older, longer index\n" * 40)
+            missing = {b.name for b in blobs if not b.exists()}
+        path = write_manifest(train, test, root)
+    finally:
+        os.umask(mask)
+    assert path == root / "manifest.tsv"
+    assert path.read_bytes() == (fresh / "manifest.tsv").read_bytes()
+    frames = {int(i): f.tobytes() for ds in (train, test)
+              for i, f in zip(ds.ids, ds.frames.array)}
+    assert sorted(p.name for p in (root / "blobs").iterdir()) == [
+        f"{i:06d}.bin" for i in sorted(frames)]
+    for i, frame in frames.items():
+        blob = root / "blobs" / f"{i:06d}.bin"
+        assert blob.read_bytes() == frame == (fresh / "blobs" / blob.name).read_bytes()
+        if missing is None or blob.name in missing:  # a new blob: the mode open() gives
+            assert blob.stat().st_mode & 0o777 == 0o666 & ~0o027
+    assert read_manifest(root) == (train, test)
+
+
 def test_manifest_without_test_rows_loads(tmp_path):
     spec = SyntheticSpec(num_classes=3, train_per_class=2, test_per_class=1)
     train, test = gen_synthetic(spec, np.random.default_rng(4))

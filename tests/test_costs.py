@@ -1,5 +1,7 @@
 """Analytic cost model: latency, power, energy, memory, link arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,10 @@ def test_free_local_epochs():
     assert free_local_epochs(fed, LPM.local_epoch_latency_s) == 57
     with pytest.raises(NumericError):
         free_local_epochs(0.0, 0.1784)
+    # a count past float64's range, or none at all, is not a whole number
+    for fed, local in [(1e308, 1e-3), (math.inf, 0.1784), (math.nan, 0.1784), (1.0, 5e-324)]:
+        with pytest.raises(NumericError, match="no finite count"):
+            free_local_epochs(fed, local)
 
 
 # -- memory ------------------------------------------------------------------------

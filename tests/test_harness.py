@@ -449,6 +449,35 @@ def test_cli_unwritable_out_is_one_line_runtime_error(tmp_path, capsys, command,
     assert blocker.read_text() == "not a directory\n"
 
 
+def _no_space(fd, data):
+    raise OSError(28, os.strerror(28))
+
+
+@pytest.mark.parametrize("blocker, reason", [
+    ("enospc", os.strerror(28)),  # every write fails, as on a full disk
+    ("fifo", os.strerror(6)),  # no reader: refused at once, never waited on
+    ("dev_full", "not a regular file"),
+])
+def test_cli_gen_data_unwritable_blob_is_one_line_runtime_error(tmp_path, monkeypatch,
+                                                                 blocker, reason):
+    cfg_path = tmp_path / "config.json"
+    fs.save_config(_small_config(), cfg_path)
+    out = tmp_path / "data"
+    blob = out / "blobs" / "000000.bin"
+    blob.parent.mkdir(parents=True)
+    if blocker == "fifo":
+        os.mkfifo(blob)
+    elif blocker == "dev_full":
+        blob.symlink_to("/dev/full")
+    with monkeypatch.context() as m:
+        if blocker == "enospc":
+            m.setattr(os, "write", _no_space)
+        res = _main("gen-data", "--config", str(cfg_path), "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr == f"error: cannot write {blob}: {reason}\n"
+    assert not (out / "manifest.tsv").exists()
+
+
 def test_cli_cost():
     res = _cli("cost")
     assert res.returncode == 0, res.stderr
@@ -757,6 +786,8 @@ def test_synthetic_data_holds_few_heap_bytes_per_sample():
 
 
 _NON_FINITE = (2, "error: non-finite values in conv_w\n")
+_NO_FREE_EPOCHS = (2, "error: a federated epoch of inf s holds no finite count "
+                      "of 0.1784 s local epochs\n")
 _DIVERGING = {
     # T0 pretraining blows up: every step runs at lr 1e30
     "t0": ({"loss": {"lr": 1e30}}, _NON_FINITE),
@@ -771,6 +802,18 @@ _DIVERGING = {
                               (2, "error: weight_scale must be positive and finite, got inf\n")),
     # input quotients past float64's range saturate: the run succeeds
     "input_scale_underflow": ({"data": {"input_scale": 1e-320}}, (0, "")),
+    # an output scale past float32's range, or a layer multiplier past
+    # float64's, gives non-finite features and then a non-finite head
+    "activation_range_overflow": ({"backbone": {"activation_range": 1e308}}, _NON_FINITE),
+    "activation_range_underflow": ({"backbone": {"activation_range": 1e-320}}, _NON_FINITE),
+    # synthetic values past float64's range
+    "sigma_between_overflow": ({"data": {"sigma_between": 1e308}},
+                               (2, "error: cannot quantize non-finite values\n")),
+    "sigma_within_overflow": ({"data": {"sigma_within": 1e308}},
+                              (2, "error: cannot quantize non-finite values\n")),
+    # a link so slow that no count of local epochs is finite
+    "calibration_seconds_overflow": ({"cost": {"calibration_bytes": 1, "calibration_seconds": 1e308}},
+                                     _NO_FREE_EPOCHS),
 }
 
 
@@ -786,6 +829,18 @@ def test_cli_diverging_run_is_one_line_runtime_error(tmp_path, case):
     assert res.returncode == code
     # no numpy RuntimeWarning lines ahead of the error
     assert res.stderr == stderr
+
+
+@pytest.mark.parametrize("cost", [{"calibration_seconds": 1e308},
+                                  {"calibration_bytes": 1, "calibration_seconds": 1e308}])
+def test_cli_cost_without_a_finite_count_of_free_epochs_is_one_line_runtime_error(tmp_path, cost):
+    path = tmp_path / "slow_link.json"
+    path.write_text(json.dumps({"cost": cost}))
+    res = _main("cost", "--config", str(path))
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1
+    assert res.stderr.startswith("error: a federated epoch of ")
+    assert res.stderr.endswith(" s holds no finite count of 0.1784 s local epochs\n")
 
 
 def test_session_end_head_is_scored_once(monkeypatch):
