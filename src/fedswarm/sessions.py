@@ -318,20 +318,21 @@ def _write_blob(path: str, frame: memoryview) -> None:
     device, a FIFO) is refused before anything is written; non-blocking,
     a FIFO without a reader fails to open instead of waiting for one.
     Every failure is an OSError naming ``path``."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK, 0o666)
     try:
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
-            raise OSError(errno.EINVAL, "not a regular file", path)
-        view = frame
-        while view:
-            view = view[os.write(fd, view):]
-        os.ftruncate(fd, len(frame))
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK, 0o666)
+        try:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                raise OSError(errno.EINVAL, "not a regular file", path)
+            view = frame
+            while view:
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(frame))
+        finally:
+            os.close(fd)
     except OSError as e:
-        if e.filename is None:
+        if e.filename is None:  # os.write, os.ftruncate and os.close name no file
             raise OSError(e.errno, e.strerror, path) from None
         raise
-    finally:
-        os.close(fd)
 
 
 def write_manifest(ds_train: LabeledDataset, ds_test: LabeledDataset, out_dir) -> Path:

@@ -394,6 +394,16 @@ def test_manifest_written_over_an_old_one_equals_a_fresh_write(tmp_path, old):
     assert read_manifest(root) == (train, test)
 
 
+def test_manifest_blobs_are_whole_after_short_writes(tmp_path, monkeypatch):
+    spec = SyntheticSpec(num_classes=2, train_per_class=3, test_per_class=1, input_shape=(3, 2, 2))
+    train, test = gen_synthetic(spec, np.random.default_rng(5))
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:5]))  # 5 bytes a call
+    write_manifest(train, test, tmp_path)
+    monkeypatch.undo()
+    assert read_manifest(tmp_path) == (train, test)
+
+
 def test_manifest_without_test_rows_loads(tmp_path):
     spec = SyntheticSpec(num_classes=3, train_per_class=2, test_per_class=1)
     train, test = gen_synthetic(spec, np.random.default_rng(4))

@@ -1,6 +1,7 @@
 """The pair rule of ``tools/pairs.py`` on canned samples."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -83,12 +84,74 @@ def test_trace_table_sets_each_span_beside_its_parent_figures():
                         "sessions.evaluate": (0, 0.0)})
     change = _traced(**{"federation.run_session": (4, 0.04), "federation.local_epoch": (1, 0.02),
                         "sessions.evaluate": (0, 0.0), "quant.backbone_forward": (2, 0.003)})
-    header, *rows = pairs.trace_table(parent, change)
-    assert header.split() == ["span", "calls", "parent", "change", "self_s", "parent", "change",
-                              "delta"]
-    # spans neither side called are left out; one side's missing span reads 0
+    header, *rows = pairs.trace_table([parent], [change])
+    assert header.split() == ["span", "calls", "parent", "change", "self_s", "parent", "median",
+                              "(q1-q3)", "change", "median", "(q1-q3)", "delta"]
+    # spans neither side called are left out; one side's missing span reads 0;
+    # one pass per side is its own median and quartiles
     assert [r.split() for r in rows] == [
-        ["federation.run_session", "4", "4", "0.005000", "0.040000", "+0.035000"],
-        ["federation.local_epoch", "25", "1", "0.090000", "0.020000", "-0.070000"],
-        ["quant.backbone_forward", "0", "2", "0.000000", "0.003000", "+0.003000"],
+        ["federation.run_session", "4", "4", "0.005000", "(0.005000-0.005000)",
+         "0.040000", "(0.040000-0.040000)", "+0.035000"],
+        ["federation.local_epoch", "25", "1", "0.090000", "(0.090000-0.090000)",
+         "0.020000", "(0.020000-0.020000)", "-0.070000"],
+        ["quant.backbone_forward", "0", "2", "0.000000", "(0.000000-0.000000)",
+         "0.003000", "(0.003000-0.003000)", "+0.003000"],
     ]
+
+
+def test_trace_table_gives_each_sides_median_and_quartiles_over_its_passes():
+    # five passes per side of one span whose time drifts with the host
+    parent = [_traced(**{"quant.backbone_forward": (2, t)}) for t in (0.10, 0.14, 0.09, 0.12, 0.11)]
+    change = [_traced(**{"quant.backbone_forward": (2, t)}) for t in (0.08, 0.07, 0.13, 0.09, 0.06)]
+    # a span one change pass alone called reads 0 calls and 0 s in the others
+    change[2]["sessions.predict.calls"] = {"value": 3, "unit": "count"}
+    change[2]["sessions.predict.self_s"] = {"value": 0.5, "unit": "s"}
+    _, *rows = pairs.trace_table(parent, change)
+    assert [r.split() for r in rows] == [
+        ["quant.backbone_forward", "2", "2", "0.110000", "(0.100000-0.120000)",
+         "0.080000", "(0.070000-0.090000)", "-0.030000"],
+        ["sessions.predict", "0", "0", "0.000000", "(0.000000-0.000000)",
+         "0.000000", "(0.000000-0.000000)", "+0.000000"],
+    ]
+
+
+def test_traced_runs_alternate_and_fill_the_table(tmp_path, monkeypatch, capsys):
+    # canned runs in place of perfbench: one pair, then three traced passes per side
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 30,
+        "end_to_end": [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    calls = []
+
+    def canned(root, args, seconds, trace=0):
+        calls.append((root.name, trace))
+        if not trace:
+            return {"correct": True, "failed": 0, "metrics": {"run_s": {"value": 0.2}}}
+        side = "p" if root.name == "parent" else "c"
+        n = sum(1 for c in calls if c == (root.name, 1))
+        if side == "c" and n == 2:  # a traced run that is not correct is flagged
+            return {"correct": False, "failed": 1, "metrics": {}}
+        return {"correct": True, "failed": 0,
+                "metrics": _traced(**{"quant.backbone_forward": (2, {"p": 0.1, "c": 0.05}[side]
+                                                                 * n)})}
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            (tmp_path / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(pairs, "run_once", canned)
+    code = pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                       "--workload", "ingest", "--pairs", "1", "--traced", "3"])
+    out = capsys.readouterr().out
+    assert code == 1  # the flagged traced run
+    assert calls == [("parent", 0), ("change", 0), ("parent", 1), ("change", 1),
+                     ("change", 1), ("parent", 1), ("parent", 1), ("change", 1)]
+    assert "FLAG traced 2 change: correct=False failed=1" in out
+    assert "ingest seed 1234, 3 traced passes per side, 3 and 2 correct" in out
+    row = out.splitlines()[-1].split()
+    # parent 0.1, 0.2, 0.3 s; change 0.05 and 0.15 s (its second pass was flagged)
+    assert row == ["quant.backbone_forward", "2", "2", "0.200000", "(0.150000-0.250000)",
+                   "0.100000", "(0.075000-0.125000)", "-0.100000"]
+    assert pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                       "--workload", "ingest", "--pairs", "1", "--traced"]) == 0
+    assert calls[-2:] == [("parent", 1), ("change", 1)]
+    assert "1 traced passes per side, 1 and 1 correct" in capsys.readouterr().out

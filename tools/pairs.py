@@ -1,7 +1,7 @@
 """Alternating benchmark pairs of two checkouts, judged by the pair rule.
 
     python3 tools/pairs.py PARENT CHANGE --workload swarm [--pairs 10] [--seed 1234]
-        [--traced]
+        [--traced [N]]
 
 PARENT and CHANGE are checkout roots, each with its own ``perfbench/``
 and ``src/``. Each pair runs ``perfbench/run.py --trace 0`` once in
@@ -20,12 +20,15 @@ quartiles; ``unresolved`` otherwise. A run whose result is not
 place in the pair count as a pair CHANGE did not win, its metrics are
 left out of the quartiles, and the verdict is ``unresolved``.
 
-With ``--traced``, after the pairs each checkout runs ``--trace 1``
-once, in the same order as the first pair, and a table gives every
-span that either side called: its ``calls`` and ``self_s`` on each
-side and the change in ``self_s``, so a saving can be placed in the
-layer where it landed. A traced run that is not ``correct`` is flagged
-too.
+With ``--traced N`` (``--traced`` alone is N = 1), after the pairs each
+checkout runs ``--trace 1`` N times, alternating as the pairs do, and a
+table gives every span that either side called: its median ``calls``
+and its ``self_s`` median and quartiles on each side, and the change in
+the median ``self_s``, so a saving can be placed in the layer where it
+landed. Span times are wall seconds of single passes and drift with the
+host, so a delta inside either side's quartiles places nothing. A
+traced run that is not ``correct`` is flagged too and left out of the
+table.
 """
 
 import argparse
@@ -64,20 +67,25 @@ def verdict(parent, change, lower_is_better: bool, flagged: int = 0) -> dict:
             "verdict": "met" if met else "unresolved"}
 
 
-def trace_table(parent: dict, change: dict) -> list:
-    """Lines comparing two ``--trace 1`` results' metrics (name ->
-    {"value": ...}): one row per span with calls on either side, in the
-    order the spans first appear, parent's first."""
-    names = [n[: -len(".calls")] for n in [*parent, *change] if n.endswith(".calls")]
+def trace_table(parent: list, change: list) -> list:
+    """Lines comparing two sides' ``--trace 1`` results, each a list of
+    passes' metrics (name -> {"value": ...}): one row per span with
+    calls on either side, in the order the spans first appear, parent's
+    first. A span a pass lacks reads 0 calls and 0 s in that pass."""
+    names = [n[: -len(".calls")] for side in (parent, change) for run in side for n in run
+             if n.endswith(".calls")]
     lines = [f"{'span':<36} {'calls parent':>12} {'change':>8} "
-             f"{'self_s parent':>14} {'change':>10} {'delta':>10}"]
+             f"{'self_s parent median (q1-q3)':>30} {'change median (q1-q3)':>30} {'delta':>10}"]
     for name in dict.fromkeys(names):
-        calls, self_s = ([side.get(f"{name}.{key}", {"value": 0})["value"]
+        calls, self_s = ([[run.get(f"{name}.{key}", {"value": 0})["value"] for run in side]
                           for side in (parent, change)] for key in ("calls", "self_s"))
-        if not any(calls):
+        if not any(map(any, calls)):
             continue
-        lines.append(f"{name:<36} {calls[0]:>12} {calls[1]:>8} {self_s[0]:>14.6f} "
-                     f"{self_s[1]:>10.6f} {self_s[1] - self_s[0]:>+10.6f}")
+        calls = [quartiles(c)[1] for c in calls]
+        self_s = [quartiles(t) for t in self_s]
+        spread = [f"{q[1]:.6f} ({q[0]:.6f}-{q[2]:.6f})" for q in self_s]
+        lines.append(f"{name:<36} {calls[0]:>12g} {calls[1]:>8g} {spread[0]:>30} "
+                     f"{spread[1]:>30} {self_s[1][1] - self_s[0][1]:>+10.6f}")
     return lines
 
 
@@ -101,11 +109,13 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--traced", action="store_true",
-                   help="after the pairs, compare one --trace 1 run of each side")
+    p.add_argument("--traced", type=int, nargs="?", const=1, default=0, metavar="N",
+                   help="after the pairs, compare N alternating --trace 1 runs of each side")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
+    if args.traced < 0:
+        p.error("--traced must be at least 0")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     spec, seconds = bench["end_to_end"], bench["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -142,15 +152,20 @@ def main(argv=None) -> int:
               f"change {q(f'{x:.6g}' for x in v['change'])}, "
               f"change won {v['wins']}/{v['pairs']}: {v['verdict']}")
     if args.traced:
-        traced = {name: run_once(sides[name], args, seconds, trace=1)
-                  for name in ("parent", "change")}
-        for name, result in traced.items():
-            if not result.get("correct") or result.get("failed") != 0:
-                flagged += 1
-                print(f"FLAG traced {name}: correct={result.get('correct')} "
-                      f"failed={result.get('failed')} {result.get('error', '')}")
-        print(f"{args.workload} seed {args.seed}, one traced pass per side (wall seconds)")
-        print("\n".join(trace_table(traced["parent"]["metrics"], traced["change"]["metrics"])))
+        traced = {name: [] for name in sides}
+        for i in range(1, args.traced + 1):
+            for name in ("parent", "change") if i % 2 else ("change", "parent"):
+                result = run_once(sides[name], args, seconds, trace=1)
+                if not result.get("correct") or result.get("failed") != 0:
+                    flagged += 1
+                    print(f"FLAG traced {i} {name}: correct={result.get('correct')} "
+                          f"failed={result.get('failed')} {result.get('error', '')}", flush=True)
+                else:
+                    traced[name].append(result["metrics"])
+        print(f"{args.workload} seed {args.seed}, {args.traced} traced passes per side, "
+              f"{len(traced['parent'])} and {len(traced['change'])} correct (wall seconds)")
+        if traced["parent"] and traced["change"]:
+            print("\n".join(trace_table(traced["parent"], traced["change"])))
     return 1 if flagged else 0
 
 
