@@ -1,6 +1,7 @@
 """Synthetic data, experiment configs, the three-strategy driver, CLI."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -450,12 +451,12 @@ def test_cli_unwritable_out_is_one_line_runtime_error(tmp_path, capsys, command,
 
 
 def _no_space(fd, data):
-    raise OSError(28, os.strerror(28))
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 @pytest.mark.parametrize("blocker, reason", [
-    ("enospc", os.strerror(28)),  # every write fails, as on a full disk
-    ("fifo", os.strerror(6)),  # no reader: refused at once, never waited on
+    ("enospc", os.strerror(errno.ENOSPC)),  # every write fails, as on a full disk
+    ("fifo", os.strerror(errno.ENXIO)),  # no reader: refused at once, never waited on
     ("dev_full", "not a regular file"),
 ])
 def test_cli_gen_data_unwritable_blob_is_one_line_runtime_error(tmp_path, monkeypatch,
