@@ -155,3 +155,12 @@ def test_traced_runs_alternate_and_fill_the_table(tmp_path, monkeypatch, capsys)
                        "--workload", "ingest", "--pairs", "1", "--traced"]) == 0
     assert calls[-2:] == [("parent", 1), ("change", 1)]
     assert "1 traced passes per side, 1 and 1 correct" in capsys.readouterr().out
+    # a failed untraced run flags its pair: no complete pairs, exit 1
+    monkeypatch.setattr(pairs, "run_once", lambda root, args, seconds, trace=0: (
+        {"correct": True, "failed": 2, "metrics": {"run_s": {"value": 0.2}}}
+        if root.name == "change" else canned(root, args, seconds, trace)))
+    assert pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                       "--workload", "ingest", "--pairs", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "FLAG pair 1 change: correct=True failed=2" in out
+    assert "1 runs flagged" in out and "run_s: no complete pairs" in out

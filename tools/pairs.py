@@ -89,6 +89,16 @@ def trace_table(parent: list, change: list) -> list:
     return lines
 
 
+def checked(label: str, result: dict) -> bool:
+    """Whether a run counts: its result is ``correct`` and no pass
+    failed. A run that does not count is printed as a FLAG line."""
+    if result.get("correct") and result.get("failed") == 0:
+        return True
+    print(f"FLAG {label}: correct={result.get('correct')} failed={result.get('failed')} "
+          f"{result.get('error', '')}", flush=True)
+    return False
+
+
 def run_once(root: Path, args, seconds, trace: int = 0) -> dict:
     """One benchmark run in ``root``; its last output line is the result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
@@ -122,16 +132,14 @@ def main(argv=None) -> int:
     values = {name: {m["name"]: [] for m in spec} for name in sides}
     flagged = flagged_pairs = 0
     for i in range(1, args.pairs + 1):
-        results = {}
+        results, counted = {}, []
         for name in ("parent", "change") if i % 2 else ("change", "parent"):
             results[name] = result = run_once(sides[name], args, seconds)
             cells = " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items())
             print(f"pair {i} {name}: {cells}", flush=True)
-            if not result.get("correct") or result.get("failed") != 0:
-                flagged += 1
-                print(f"FLAG pair {i} {name}: correct={result.get('correct')} "
-                      f"failed={result.get('failed')} {result.get('error', '')}", flush=True)
-        if not all(r.get("correct") and r.get("failed") == 0 for r in results.values()):
+            counted.append(checked(f"pair {i} {name}", result))
+        flagged += counted.count(False)
+        if not all(counted):
             flagged_pairs += 1
         else:
             for name, r in results.items():
@@ -156,12 +164,10 @@ def main(argv=None) -> int:
         for i in range(1, args.traced + 1):
             for name in ("parent", "change") if i % 2 else ("change", "parent"):
                 result = run_once(sides[name], args, seconds, trace=1)
-                if not result.get("correct") or result.get("failed") != 0:
-                    flagged += 1
-                    print(f"FLAG traced {i} {name}: correct={result.get('correct')} "
-                          f"failed={result.get('failed')} {result.get('error', '')}", flush=True)
-                else:
+                if checked(f"traced {i} {name}", result):
                     traced[name].append(result["metrics"])
+                else:
+                    flagged += 1
         print(f"{args.workload} seed {args.seed}, {args.traced} traced passes per side, "
               f"{len(traced['parent'])} and {len(traced['change'])} correct (wall seconds)")
         if traced["parent"] and traced["change"]:
