@@ -30,8 +30,9 @@ print(f"head parameters     : {p} ({4 * p} bytes per message)")
 
 # node i trains class 2+i%2; classes 0,1 are the old ones to protect
 part = ClassPartition(old_classes=frozenset({0, 1}), new_classes=frozenset({2, 3}))
+# each node's view: six rows of features and their class ids
 views = {
-    i: [(rng.standard_normal(8).astype(np.float32), 2 + i % 2) for _ in range(6)]
+    i: (rng.standard_normal((6, 8)).astype(np.float32), np.full(6, 2 + i % 2))
     for i in range(3)
 }
 cfg = LossConfig(mu=2.0, lam=3.8, lr=0.05, batch_size=3)

@@ -17,7 +17,7 @@ contiguous slice of it. Each group runs on one ``losses.StepSpace``
 over its slice, so a step builds no head object and ``sgd_step``
 updates the stack in place; the nodes' own heads and snapshots are
 only read, and each trained node gets a new head. All of that set-up
-depends only on the views, partitions and config: ``stack_pairs`` of
+depends only on the views, partitions and config: ``check_view`` of
 every view, the sort, the stacks, the ``StepSpace``s, the minibatch
 views and the gather schedule. A session's views do not change, so
 ``run_session`` builds it once per session, not once per round; a
@@ -42,7 +42,7 @@ import numpy as np
 
 from .costs import LinkModel, message_time
 from .errors import AggregationError, DimensionError, NumericError
-from .losses import LossConfig, Minibatch, StepSpace, sgd_step, stack_pairs, total_loss
+from .losses import LossConfig, Minibatch, StepSpace, check_view, sgd_step, total_loss
 from .model import TrainableHead, check_finite, flatten_params, unflatten_params
 
 # cap on a training call's (epochs, samples) shuffle table, and on a
@@ -222,7 +222,7 @@ def _count(value, what: str) -> int:
 
 def _table_bytes(epochs: int, samples: int) -> int:
     """Bytes of the (epochs, samples) intp shuffle table that training
-    ``epochs`` passes over ``samples`` pairs draws up front."""
+    ``epochs`` passes over ``samples`` rows draws up front."""
     return epochs * samples * np.dtype(np.intp).itemsize
 
 
@@ -240,11 +240,11 @@ class _Lockstep:
     whole session, and ``run`` trains one round of ``epochs`` passes.
 
     Everything that depends only on the views, partitions and config is
-    built here, once: the checked and stacked pairs, the length sort,
-    the (N, P) parameter and snapshot stacks, the shuffle table, one
-    ``StepSpace`` per width group over its slice of the stack, the
-    ``Minibatch`` views and the gather schedule. AggregationError, as
-    ``local_epoch`` documents, before anything is allocated.
+    built here, once: the checked views, the length sort, the (N, P)
+    parameter and snapshot stacks, the shuffle table, one ``StepSpace``
+    per width group over its slice of the stack, the ``Minibatch`` views
+    and the gather schedule. AggregationError, as ``local_epoch``
+    documents, before more than the views' class masks is allocated.
     """
 
     def __init__(self, nodes, views, parts, cfg: LossConfig, epochs):
@@ -256,15 +256,14 @@ class _Lockstep:
         self.epochs = epochs = _count(epochs, "epochs")
         self.arch = arch = nodes[0].head
         _check_arch(nodes, arch.dims)
-        samples = sum(map(len, views))
-        table = _table_bytes(epochs, samples)
+        stacked = [check_view(arch, view, part, cfg) for view, part in zip(views, parts)]
+        sizes = [len(t) for _, t, _ in stacked]
+        table = _table_bytes(epochs, sum(sizes))
         if table > MAX_TRAINING_BYTES:
             raise AggregationError(
-                f"epochs={epochs} over {samples} samples needs a shuffle table of {table} "
+                f"epochs={epochs} over {sum(sizes)} samples needs a shuffle table of {table} "
                 f"bytes, which exceeds the cap of {MAX_TRAINING_BYTES}"
             )
-        stacked = [stack_pairs(arch, view, part, cfg) for view, part in zip(views, parts)]
-        sizes = [len(t) for _, t, _ in stacked]
         n, longest, b = len(nodes), max(sizes), cfg.batch_size
         self.n, self.steps = n, None
         if not longest:
@@ -374,10 +373,10 @@ class _Lockstep:
 
 def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
                 epochs: int = 1) -> list:
-    """``epochs`` shuffled passes of each node over its own pairs.
+    """``epochs`` shuffled passes of each node over its own view.
 
-    ``views[i]`` and ``parts[i]`` are node i's (features, target) pairs
-    and class partition. Minibatch SGD against the composite loss, the
+    ``views[i]`` and ``parts[i]`` are node i's (x, targets) view and
+    class partition. Minibatch SGD against the composite loss, the
     proximal term anchored to each node's stored snapshot. Every node's
     permutations are drawn up front, node-major, which is the order of
     running the nodes one after another: one ``rng.permuted`` call per
@@ -390,11 +389,11 @@ def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
     slice of the stack, which steps in place. Each epoch gathers every
     step's batch into one buffer before its first step. Returns each
     node's mean batch loss over its last epoch, in the caller's order
-    (0.0 for an empty view, which leaves the head untouched and draws
-    nothing); earlier epochs skip the loss values, which leaves the
-    gradients unchanged.
+    (0.0 for a view with no rows, which leaves the head untouched and
+    draws nothing); earlier epochs skip the loss values, which leaves
+    the gradients unchanged.
 
-    The call builds that state (``stack_pairs`` of every view, the
+    The call builds that state (``check_view`` of every view, the
     sort, the stacks, the ``StepSpace``s and the gather schedule) and
     runs one round on it; ``run_session`` builds it once per session
     and runs every round on it.
@@ -418,11 +417,11 @@ def run_session(
 ) -> tuple:
     """Federated training: per round, local epochs on every node, then sync.
 
-    ``views`` and ``parts`` map node id to that node's training pairs
+    ``views`` and ``parts`` map node id to that node's (x, targets) view
     and class partition; heads must already be expanded for the session.
-    Every node with a nonempty view trains in lockstep, as in
-    ``local_epoch``; the views do not change within a session, so the
-    training state (``stack_pairs`` of every view, the sort, the stacks,
+    The nodes train in lockstep, as in ``local_epoch``, a view with no
+    rows sitting out; the views do not change within a session, so the
+    training state (``check_view`` of every view, the sort, the stacks,
     the ``StepSpace``s and the gather schedule) is built once per
     session and each round only draws its shuffles, copies the nodes'
     heads and snapshots in and trains. Returns (global head, per-round
@@ -433,7 +432,7 @@ def run_session(
     """
     rounds = _count(rounds, "rounds")
     order = sorted(nodes, key=lambda n: n.node_id)
-    active = [n for n in order if views.get(n.node_id)]
+    active = [n for n in order if n.node_id in views]
     state = None
     if active and rounds:
         state = _Lockstep(active, [views[n.node_id] for n in active],

@@ -33,16 +33,18 @@ ABS_TOL = 1e-6
 
 
 def reference_total_loss(theta, head: TrainableHead, batch, part, w_global, mu, lam):
-    """The objective recomputed in float64 from flat parameters: one (P,)
-    vector gives its value as a float, a (T, P) stack of them their (T,)
-    values from one batched pass."""
+    """The objective recomputed in float64 from flat parameters over the
+    training view ``batch``, (x, targets): one (P,) vector gives its
+    value as a float, a (T, P) stack of them their (T,) values from one
+    batched pass."""
     theta = np.asarray(theta, np.float64)
     h64 = head.with_params(theta.reshape(-1, theta.shape[-1]))  # (T, P), float64 views
-    f = np.array([np.asarray(feats, np.float64).reshape(-1) for feats, _ in batch])
+    x, targets = batch
+    f = np.asarray(x, np.float64)
     hidden = np.maximum(h64.conv_w @ f.T + h64.conv_b[..., None], 0.0)  # (T, c_out, M)
     logits = h64.cls_w @ hidden + h64.cls_b[..., None]  # (T, C, M)
     total = 0.0
-    for m, (_, target) in enumerate(batch):
+    for m, target in enumerate(np.asarray(targets).tolist()):
         z = logits[..., m]
         zs = z - z.max(axis=1, keepdims=True)
         ce = np.log(np.exp(zs).sum(axis=1)) - zs[:, target]
@@ -55,7 +57,7 @@ def reference_total_loss(theta, head: TrainableHead, batch, part, w_global, mu, 
         else:
             mol = z[:, b].mean(axis=1) ** 2
         total = total + (ce + mu * mol)
-    total = total / len(batch)
+    total = total / len(targets)
     d = h64.params - np.asarray(w_global, dtype=np.float64)
     values = total + 0.5 * lam * (d * d).sum(axis=1)
     return float(values[0]) if theta.ndim == 1 else values
@@ -91,16 +93,11 @@ def check_case(head, batch, part, w_global, cfg: LossConfig, h: float = 1e-3) ->
     }
 
 
-def _min_preactivation(head: TrainableHead, batch) -> float:
-    """Distance of the hidden relu inputs from the kink; small values
-    would poison central differences."""
-    worst = np.inf
-    cw = head.conv_w.astype(np.float64)
-    cb = head.conv_b.astype(np.float64)
-    for feats, _ in batch:
-        f = np.asarray(feats, np.float64)
-        worst = min(worst, float(np.abs(cw @ f + cb).min()))
-    return worst
+def _min_preactivation(head: TrainableHead, x: np.ndarray) -> float:
+    """Distance of the hidden relu inputs of the features ``x`` from the
+    kink; small values would poison central differences."""
+    pre = head.conv_w.astype(np.float64) @ x.T.astype(np.float64)
+    return float(np.abs(pre + head.conv_b.astype(np.float64)[:, None]).min())
 
 
 def _make_case(idx: int, seed: int):
@@ -117,31 +114,28 @@ def _make_case(idx: int, seed: int):
             cls_w=rng.standard_normal((classes, hidden)).astype(np.float32) * 0.6,
             cls_b=rng.standard_normal(classes).astype(np.float32) * 0.6,
         )
-        batch = [
-            (rng.standard_normal(c_feat).astype(np.float32), t)
-            for t in rng.integers(0, classes, size=3)
-        ]
+        targets = rng.integers(0, classes, size=3)
+        x = rng.standard_normal((3, c_feat)).astype(np.float32)
         if branch == "both":
             split = classes // 2
             part = ClassPartition(frozenset(range(split)), frozenset(range(split, classes)))
             # keep every target inside the partition's new side
-            batch = [(fx, split + int(t) % (classes - split)) for fx, t in batch]
+            targets = split + targets % (classes - split)
         elif branch == "fallback":
             part = ClassPartition(frozenset(range(classes - 1)), frozenset({classes - 1}))
-            batch = [(fx, classes - 1) for fx, _ in batch]  # target the lone new class
+            targets = np.full(3, classes - 1)  # target the lone new class
         else:
             part = ClassPartition(frozenset(), frozenset(range(classes)))
-            batch = [(fx, int(t)) for fx, t in batch]
         w_global = (
             flatten_params(head) + rng.standard_normal(head.parameter_count).astype(np.float32) * 0.2
         )
-        if _min_preactivation(head, batch) > 0.05:
+        if _min_preactivation(head, x) > 0.05:
             break
     else:
         raise NumericError(f"case {idx}: could not avoid the relu kink")
-    cfg = LossConfig(mu=mu, lam=lam, lr=0.01, batch_size=len(batch))
+    cfg = LossConfig(mu=mu, lam=lam, lr=0.01, batch_size=len(targets))
     name = f"case{idx:02d}_{branch}_mu{mu}_lam{lam}_p{head.parameter_count}"
-    return name, head, batch, part, w_global, cfg
+    return name, head, (x, targets), part, w_global, cfg
 
 
 def run_gradcheck(n_cases: int = 20, seed: int = 7) -> list:

@@ -28,7 +28,8 @@ from .costs import (
     free_local_epochs,
     peak_training_memory,
 )
-from .errors import ConfigError, EvaluationError, PlanError, _is_int, check_fields, json_key
+from .errors import (ConfigError, EvaluationError, NumericError, PlanError, _is_int,
+                     check_fields, json_key)
 from . import federation
 from .federation import (
     MAX_TRAINING_BYTES,
@@ -227,7 +228,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        self._check_sizes()
+        shape_only = self._check_sizes()
         if self.data.kind == "synthetic":
             self.data.synthetic_spec(self.plan.num_classes)  # checks shape and counts
             if self.backbone.layer_dims[0] != self.data.input_shape[0]:
@@ -242,9 +243,17 @@ class ExperimentConfig:
             raise ConfigError(str(e))
         if self.data.kind == "synthetic":
             self._check_shuffle_tables(plan)
+        # the cost block, priced now: a link too slow to price fails before training
+        try:
+            link = calibrated_uwb_link(self.cost.calibration_bytes, self.cost.calibration_seconds)
+            fed_s = federated_epoch_time(HPM, link, plan.num_nodes, head_message_bytes(shape_only))
+            free_local_epochs(fed_s, LPM.local_epoch_latency_s)
+        except NumericError as e:
+            raise ConfigError(str(e)) from None
 
     def _check_sizes(self):
-        """ConfigError if a weight tensor, training memory or data exceeds its cap."""
+        """ConfigError if a weight tensor, training memory or data exceeds
+        its cap; returns a shape-only head of the final shape."""
         dims = self.backbone.layer_dims
         # a class count below 1 is the plan's to reject
         feat, hidden, classes = dims[-1], self.head.hidden, max(self.plan.num_classes, 1)
@@ -275,6 +284,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"synthetic data of {n_samples} samples exceeds the cap of {MAX_SAMPLES}"
             )
+        return shape_only
 
     def _check_shuffle_tables(self, plan):
         """ConfigError if a ``local_epoch`` call of the run would draw a
@@ -384,16 +394,11 @@ class MetricsReport:
         return self.sessions[-1]["accuracy_seen"]
 
 
-def _pairs(features, classes, rows):
-    """The (features, target) pairs of the selected rows of a split."""
-    return list(zip(features[rows], classes[rows].tolist()))
-
-
-def _central_epochs(head, pairs, cfg: LossConfig, epochs: int, part, rng):
+def _central_epochs(head, view, cfg: LossConfig, epochs: int, part, rng):
     """Central training (T0, joint): local epochs of one node on pooled data."""
     node = NodeState(0, head, head)
     # looked up at call time, so a wrapper on federation (a tracer) sees it
-    federation.local_epoch([node], [pairs], [part], cfg, rng, epochs)
+    federation.local_epoch([node], [view], [part], cfg, rng, epochs)
     return node.head
 
 
@@ -442,10 +447,9 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
     base = list(plan.base_classes)
     base_part = ClassPartition(frozenset(), frozenset(base))
     head = init_head(backbone.feature_dim, cfg.head.hidden, len(base), rng_head, cfg.head.init_sigma)
-    head = _central_epochs(
-        head, _pairs(train_f, train.classes, np.isin(train.classes, base)), ce_cfg,
-        cfg.train.t0_epochs, base_part, rng_t0,
-    )
+    rows = np.isin(train.classes, base)
+    head = _central_epochs(head, (train_f[rows], train.classes[rows]), ce_cfg,
+                           cfg.train.t0_epochs, base_part, rng_t0)
 
     scored = []  # head, seen, truth, hits of the last scoring
 
@@ -486,16 +490,15 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
         head = expand_classifier(head, new_ids)
         trace = []
         if cfg.strategy == "joint":
-            pool = _pairs(train_f, train.classes, np.isin(train.classes, seen))
+            rows = np.isin(train.classes, seen)
             epochs = cfg.train.rounds_per_session * cfg.loss.local_epochs_per_round
             part = ClassPartition(frozenset(), frozenset(seen))
-            head = _central_epochs(head, pool, ce_cfg, epochs, part, rng_joint)
+            head = _central_epochs(head, (train_f[rows], train.classes[rows]), ce_cfg, epochs,
+                                   part, rng_joint)
         else:
             nodes = [NodeState(n, head, head) for n in range(plan.num_nodes)]
-            views = {
-                n: _pairs(train_f, train.classes, node_train_view(train, plan, t, n))
-                for n in range(plan.num_nodes)
-            }
+            masks = [node_train_view(train, plan, t, n) for n in range(plan.num_nodes)]
+            views = {n: (train_f[m], train.classes[m]) for n, m in enumerate(masks)}
             parts = {
                 n: ClassPartition(frozenset(old), frozenset(plan.node_classes(t, n)))
                 for n in range(plan.num_nodes)

@@ -9,8 +9,8 @@ to suppressing the old-class mean directly.
 
 ``total_loss`` is one closed-form forward and backward pass with the
 gradient of every term written out by hand. It steps N heads at once,
-node as a batch axis (the lockstep training loop), and one head with a
-list of (features, target) pairs is its N = 1 case. Features,
+node as a batch axis (the lockstep training loop), and one head on one
+training view, (x, targets) columns, is its N = 1 case. Features,
 snapshots and gradients are float32 arrays, gradients flat in
 ``flatten_params`` order. Every sum is an ordered float32 fold
 (``tensor.Fold`` or an ``np.add.accumulate`` along one axis) and
@@ -55,7 +55,7 @@ __all__ = [
     "ClassPartition",
     "Minibatch",
     "StepSpace",
-    "stack_pairs",
+    "check_view",
     "total_loss",
     "sgd_step",
 ]
@@ -137,32 +137,32 @@ class Minibatch:
         return Minibatch(self.x[lo:hi], self.targets[lo:hi])
 
 
-def stack_pairs(head: TrainableHead, pairs, part: ClassPartition, cfg: LossConfig) -> tuple:
-    """Check one node's (features, target) pairs once and stack them.
+def check_view(head: TrainableHead, view, part: ClassPartition, cfg: LossConfig) -> tuple:
+    """Check one node's training view against the head and partition.
 
-    Returns (x (M, c_feat), targets (M,), (new, old) class masks of
-    ``part``). Features must match the head's input (DimensionError) and
-    targets index a logit (IndexError). With the MOL term on, each
-    target must lie on a side of ``part`` (RegistryError) and every
-    other partition class must index a logit (IndexError). Features of
-    one shape convert in one call; a mask marks its side's classes by
-    index, and a partition class outside the logits (possible only with
+    ``view`` is (x, targets): (M, c_feat) float32 features and M integer
+    class ids. Returns (x, targets as intp, (new, old) class masks of
+    ``part``). Features that are not (M, c_feat), or targets that are
+    not M ids, raise DimensionError, and targets must index a logit
+    (IndexError). With the MOL term on, each target must lie on a side
+    of ``part`` (RegistryError) and every other partition class must
+    index a logit (IndexError). A mask marks its side's classes by
+    index; a partition class outside the logits (possible only with
     the MOL term off) marks nothing.
     """
     c = head.num_classes
     try:
-        x = np.array([f for f, _ in pairs], np.float32)
-    except ValueError:  # features of unequal shapes
-        x = None
-    if x is None or x.size != len(pairs) * head.c_feat:
-        rows = [np.asarray(f, np.float32).reshape(-1) for f, _ in pairs]
-        for r in rows:
-            if r.size != head.c_feat:
-                raise DimensionError(
-                    f"features of size {r.size} do not match head input ({head.c_feat},)"
-                )
-        x = np.array(rows, np.float32)
-    targets = np.array([int(t) for _, t in pairs], dtype=np.intp)
+        x, targets = view
+        x, targets = np.asarray(x, np.float32), np.asarray(targets, np.intp)
+    except (TypeError, ValueError):  # not two arrays: ragged, or a list of pairs
+        raise DimensionError(
+            f"a training view is (features (M, {head.c_feat}), targets (M,)) arrays"
+        ) from None
+    if x.ndim != 2 or x.shape[1] != head.c_feat or targets.shape != x.shape[:1]:
+        raise DimensionError(
+            f"features {x.shape} and targets {targets.shape} do not match head input "
+            f"(M, {head.c_feat}) and (M,)"
+        )
     bad = (targets < 0) | (targets >= c)
     if bad.any():
         raise IndexError(f"target {targets[bad][0]} out of range for {c} classes")
@@ -177,7 +177,7 @@ def stack_pairs(head: TrainableHead, pairs, part: ClassPartition, cfg: LossConfi
     masks = (np.zeros(c, bool), np.zeros(c, bool))
     for m, side in zip(masks, (part.new_classes, part.old_classes)):
         m[[k for k in side if 0 <= k < c]] = True
-    return x.reshape(-1, head.c_feat), targets, masks
+    return x, targets, masks
 
 
 def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = True):
@@ -187,8 +187,8 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = T
     then the proximal pull toward the flat snapshot ``w_global`` is
     added once.
 
-    One head: ``batch`` is a sequence of (features, target) pairs,
-    ``part`` a ClassPartition and ``w_global`` a flat float32 array;
+    One head: ``batch`` is a ``check_view`` view (x, targets), ``part``
+    a ClassPartition and ``w_global`` a flat float32 array;
     returns (loss value, flat float32 gradient). Lockstep, as the
     training loop calls it: ``head`` is the (N, P) parameter rows the
     ``StepSpace`` ``part`` was built over (DimensionError for any other
@@ -202,10 +202,9 @@ def total_loss(head, batch, part, w_global, cfg: LossConfig, *, values: bool = T
         if head is not part.params:
             raise DimensionError("a lockstep step reads the rows its StepSpace was built over")
         return part.step(batch, w_global, values)
-    samples = list(batch)
-    if not samples:
+    x, targets, masks = check_view(head, batch, part, cfg)
+    if not len(targets):
         raise DimensionError("total_loss needs a nonempty batch")
-    x, targets, masks = stack_pairs(head, samples, part, cfg)
     w_global = np.asarray(w_global, np.float32).reshape(-1)
     if w_global.size != head.parameter_count:
         raise DimensionError(

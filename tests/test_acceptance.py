@@ -162,8 +162,7 @@ def test_criterion_6_consensus_and_privacy():
     p = heads[0].parameter_count
     part = fs.ClassPartition(frozenset({0, 1}), frozenset({2, 3}))
     views = {
-        i: [(rng.standard_normal(6).astype(np.float32), 2 + i % 2)
-            for _ in range(6)]
+        i: (rng.standard_normal((6, 6)).astype(np.float32), np.full(6, 2 + i % 2))
         for i in range(3)
     }
     cfg = fs.LossConfig(mu=2.0, lam=3.8, lr=0.05, batch_size=3)

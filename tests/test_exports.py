@@ -51,6 +51,9 @@ def test_retired_names_are_gone():
         assert not hasattr(fedswarm.errors, name), name
     for name in ("_LOSS_KEYS", "_build"):
         assert not hasattr(fedswarm.harness, name), name
+    # a training view is (features, targets) columns, not per-sample pairs
+    assert not hasattr(fedswarm.losses, "stack_pairs")
+    assert not hasattr(fedswarm.harness, "_pairs")
 
 
 def test_benchmark_trace_sites_resolve(monkeypatch):

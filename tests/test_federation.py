@@ -207,14 +207,21 @@ def _views(nodes, classes, per_node=6, seed=4):
     views, parts = {}, {}
     for n in nodes:
         c = n.node_id % classes
-        views[n.node_id] = [
-            (rng.standard_normal(n.head.c_feat).astype(np.float32), c)
-            for _ in range(per_node)
-        ]
+        x = rng.standard_normal((per_node, n.head.c_feat)).astype(np.float32)
+        views[n.node_id] = (x, np.full(per_node, c))
         parts[n.node_id] = ClassPartition(
             frozenset(k for k in range(classes) if k != c), frozenset({c})
         )
     return views, parts
+
+
+def _empty_view(c_feat):
+    return np.empty((0, c_feat), np.float32), np.empty(0, np.intp)
+
+
+def _first_rows(view, m):
+    x, targets = view
+    return x[:m], targets[:m]
 
 
 def test_local_epoch_empty_view_is_noop():
@@ -222,7 +229,8 @@ def test_local_epoch_empty_view_is_noop():
     before = node.head
     cfg = LossConfig(lr=0.1)
     rng = np.random.default_rng(0)
-    (loss,) = local_epoch([node], [[]], [ClassPartition(frozenset(), frozenset({0}))], cfg, rng)
+    (loss,) = local_epoch([node], [_empty_view(node.head.c_feat)],
+                          [ClassPartition(frozenset(), frozenset({0}))], cfg, rng)
     assert loss == 0.0
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
     assert node.head == before
@@ -274,12 +282,11 @@ def test_local_epoch_memory_stays_per_step():
     rng = np.random.default_rng(3)
     head = init_head(2, 2, classes, rng)
     node = NodeState(0, head, head)
-    feats = rng.standard_normal((m, 2)).astype(np.float32)
-    pairs = [(f, int(t)) for f, t in zip(feats, rng.integers(0, classes, m))]
+    view = rng.standard_normal((m, 2)).astype(np.float32), rng.integers(0, classes, m)
     part = ClassPartition(frozenset(range(500)), frozenset(range(500, classes)))
     tracemalloc.start()
     try:
-        local_epoch([node], [pairs], [part], LossConfig(), np.random.default_rng(0))
+        local_epoch([node], [view], [part], LossConfig(), np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -301,15 +308,16 @@ def test_local_epoch_heads_outlive_the_next_call():
     assert not any(np.shares_memory(a.head.params, b.head.params) for a in nodes for b in others)
 
 
-def _reanchored_epoch(head, pairs, part, cfg, rng):
+def _reanchored_epoch(head, view, part, cfg, rng):
     """The pooled-data loop central training used before it ran through
     ``local_epoch``: same shuffle, prox anchor re-taken every batch.
     Returns the trained head and the mean batch loss."""
-    order = [int(i) for i in rng.permutation(len(pairs))]
+    x, targets = view
+    order = rng.permutation(len(targets))
     losses = []
     for i in range(0, len(order), cfg.batch_size):
-        batch = [pairs[j] for j in order[i : i + cfg.batch_size]]
-        loss, grads = total_loss(head, batch, part, flatten_params(head), cfg)
+        rows = order[i : i + cfg.batch_size]
+        loss, grads = total_loss(head, (x[rows], targets[rows]), part, flatten_params(head), cfg)
         head = sgd_step(head, grads, cfg.lr)
         losses.append(loss)
     return head, float(sum(losses) / len(losses))
@@ -331,13 +339,12 @@ def test_local_epoch_at_zero_lam_ignores_the_snapshot(seed, n, batch_size, mu, s
         "huge": init_head(5, 4, 3, rng, sigma=1e30),
         "zeros": unflatten_params(head, np.zeros((head.parameter_count,), np.float32)),
     }[snapshot]
-    pairs = [(rng.standard_normal(5).astype(np.float32), int(rng.integers(3)))
-             for _ in range(n)]
+    view = rng.standard_normal((n, 5)).astype(np.float32), rng.integers(3, size=n)
     part = ClassPartition(frozenset({0}), frozenset({1, 2}))
     cfg = LossConfig(mu=mu, lam=0.0, lr=0.1, batch_size=batch_size)
     node = NodeState(0, head, anchor)
-    (loss,) = local_epoch([node], [pairs], [part], cfg, np.random.default_rng(seed))
-    ref, ref_loss = _reanchored_epoch(head, pairs, part, cfg, np.random.default_rng(seed))
+    (loss,) = local_epoch([node], [view], [part], cfg, np.random.default_rng(seed))
+    ref, ref_loss = _reanchored_epoch(head, view, part, cfg, np.random.default_rng(seed))
     assert np.array_equal(flatten_params(node.head), flatten_params(ref))
     assert loss == ref_loss
 
@@ -347,15 +354,15 @@ def _sequential_epochs(nodes, views, parts, cfg, rng, epochs):
     one after another, one ``total_loss`` call per minibatch. Returns the
     trained heads and each node's mean loss over its last epoch."""
     heads, losses = [], []
-    for node, view, part in zip(nodes, views, parts):
+    for node, (x, targets), part in zip(nodes, views, parts):
         head, loss = node.head, 0.0
         w_global = flatten_params(node.snapshot)
-        for _ in range(epochs if view else 0):
-            order = [int(i) for i in rng.permutation(len(view))]
+        for _ in range(epochs if len(targets) else 0):
+            order = rng.permutation(len(targets))
             batch_losses = []
             for i in range(0, len(order), cfg.batch_size):
-                batch = [view[j] for j in order[i : i + cfg.batch_size]]
-                value, grads = total_loss(head, batch, part, w_global, cfg)
+                rows = order[i : i + cfg.batch_size]
+                value, grads = total_loss(head, (x[rows], targets[rows]), part, w_global, cfg)
                 head = sgd_step(head, grads, cfg.lr)
                 batch_losses.append(value)
             loss = float(sum(batch_losses) / len(batch_losses))
@@ -381,8 +388,8 @@ def _rounds(draw, max_nodes=8, sizes=st.integers(0, 13), epochs=st.integers(1, 3
         # heads and snapshots differ per node, so each node's prox anchor counts
         head = init_head(c_feat, 3, classes, rng, sigma=0.5)
         nodes.append(NodeState(i, head, init_head(c_feat, 3, classes, rng, sigma=0.5)))
-        views.append([(rng.standard_normal(c_feat).astype(np.float32),
-                       int(rng.integers(classes))) for _ in range(m)])
+        views.append((rng.standard_normal((m, c_feat)).astype(np.float32),
+                      rng.integers(classes, size=m)))
         new = rng.random(classes) < 0.5
         parts.append(ClassPartition(frozenset(np.flatnonzero(~new).tolist()),
                                     frozenset(np.flatnonzero(new).tolist())))
@@ -390,7 +397,7 @@ def _rounds(draw, max_nodes=8, sizes=st.integers(0, 13), epochs=st.integers(1, 3
 
 
 # wide views and long calls: one shuffle draw per node spans up to 60 epochs
-# of up to 300 pairs, and a call may hold no epoch at all
+# of up to 300 rows, and a call may hold no epoch at all
 _WIDE_ROUNDS = _rounds(
     max_nodes=4, sizes=st.sampled_from([0, 1, 2, 28, 100, 300]) | st.integers(0, 300),
     epochs=st.integers(0, 60), batch_sizes=st.integers(16, 64),
@@ -408,9 +415,9 @@ def test_lockstep_local_epoch_equals_nodes_one_by_one(case):
     rng = np.random.default_rng(seed)
     losses = local_epoch(nodes, views, parts, cfg, rng, epochs)
     assert losses == ref_losses
-    for node, ref, view in zip(nodes, ref_heads, views):
+    for node, ref, (_, targets) in zip(nodes, ref_heads, views):
         assert node.head.params.tobytes() == ref.params.tobytes()
-        assert node.epochs == (epochs if view else 0)
+        assert node.epochs == (epochs if len(targets) else 0)
     # the shared stream is left where the one-by-one loop leaves it
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -461,7 +468,7 @@ def test_local_epoch_takes_any_nonnegative_integral_count():
 
 
 def test_local_epoch_rejects_a_shuffle_table_past_the_cap():
-    # 2**62 epochs of 12 pairs would need a 4e20-byte shuffle table
+    # 2**62 epochs of 12 rows would need a 4e20-byte shuffle table
     nodes = _swarm(2)
     views, parts = _views(nodes, 3)
     before = [n.head for n in nodes]
@@ -488,8 +495,8 @@ def test_local_epoch_steps_its_own_rows_and_hands_out_fresh_heads(monkeypatch):
     nodes = _swarm(3, seed=5)
     nodes[1].snapshot = init_head(5, 4, 3, np.random.default_rng(6))
     views, parts = _views(nodes, 3, per_node=8)
-    # 5, 8, 6 pairs, not longest first: ragged tails, each a slice of the stack
-    views[0], views[2] = views[0][:5], views[2][:6]
+    # 5, 8, 6 rows, not longest first: ragged tails, each a slice of the stack
+    views[0], views[2] = _first_rows(views[0], 5), _first_rows(views[2], 6)
     given_heads = [(n.head, n.head.params.tobytes(), n.snapshot, n.snapshot.params.tobytes())
                    for n in nodes]
     cfg = LossConfig(lr=0.1, batch_size=4)
@@ -524,7 +531,7 @@ def test_run_session_all_empty_views_keeps_head():
     shared = init_head(5, 4, 3, np.random.default_rng(21))
     nodes = [NodeState(i, shared, shared) for i in range(3)]
     before = flatten_params(nodes[0].head)
-    views = {n.node_id: [] for n in nodes}
+    views = {n.node_id: _empty_view(5) for n in nodes}
     parts = {n.node_id: ClassPartition(frozenset(), frozenset({0})) for n in nodes}
     head, trace = run_session(nodes, SimNetwork(LinkModel(1e6)), 4, views, parts,
                               LossConfig(lr=0.1), np.random.default_rng(0))
@@ -555,7 +562,7 @@ def _rounds_by_hand(nodes, net, rounds, views, parts, cfg, rng, evaluator):
     trace = []
     for r in range(rounds):
         losses = dict.fromkeys((n.node_id for n in order), 0.0)
-        active = [n for n in order if views.get(n.node_id)]
+        active = [n for n in order if n.node_id in views and len(views[n.node_id][1])]
         if active:
             trained = local_epoch(active, [views[n.node_id] for n in active],
                                   [parts[n.node_id] for n in active], cfg, rng,
@@ -607,22 +614,22 @@ def test_run_session_builds_its_training_state_once(monkeypatch):
             super().__init__(*args, **kwargs)
             built["StepSpace"] += 1
 
-    def recorded_stack_pairs(*args, **kwargs):
-        built["stack_pairs"] += 1
-        return losses.stack_pairs(*args, **kwargs)
+    def recorded_check_view(*args, **kwargs):
+        built["check_view"] += 1
+        return losses.check_view(*args, **kwargs)
 
     monkeypatch.setattr(federation, "StepSpace", Recorded)
-    monkeypatch.setattr(federation, "stack_pairs", recorded_stack_pairs)
+    monkeypatch.setattr(federation, "check_view", recorded_check_view)
     per_session = {}
     for rounds in (1, 4):
         built.clear()
         nodes = _swarm(3, seed=5)
         views, parts = _views(nodes, 3, per_node=7)
-        views[1] = views[1][:5]  # ragged: more than one width group
+        views[1] = _first_rows(views[1], 5)  # ragged: more than one width group
         run_session(nodes, SimNetwork(LinkModel(1e6)), rounds, views, parts,
                     LossConfig(lr=0.1), np.random.default_rng(0))
         per_session[rounds] = dict(built)
-    assert per_session[1]["stack_pairs"] == 3 and per_session[1]["StepSpace"] > 1
+    assert per_session[1]["check_view"] == 3 and per_session[1]["StepSpace"] > 1
     assert per_session[4] == per_session[1]
 
 

@@ -787,7 +787,7 @@ def test_synthetic_data_holds_few_heap_bytes_per_sample():
 
 
 _NON_FINITE = (2, "error: non-finite values in conv_w\n")
-_NO_FREE_EPOCHS = (2, "error: a federated epoch of inf s holds no finite count "
+_NO_FREE_EPOCHS = (1, "config error: a federated epoch of inf s holds no finite count "
                       "of 0.1784 s local epochs\n")
 _DIVERGING = {
     # T0 pretraining blows up: every step runs at lr 1e30
@@ -812,7 +812,8 @@ _DIVERGING = {
                                (2, "error: cannot quantize non-finite values\n")),
     "sigma_within_overflow": ({"data": {"sigma_within": 1e308}},
                               (2, "error: cannot quantize non-finite values\n")),
-    # a link so slow that no count of local epochs is finite
+    # a link so slow that no count of local epochs is finite: the config
+    # check prices the cost block, so nothing trains and --out is not made
     "calibration_seconds_overflow": ({"cost": {"calibration_bytes": 1, "calibration_seconds": 1e308}},
                                      _NO_FREE_EPOCHS),
 }
@@ -830,17 +831,20 @@ def test_cli_diverging_run_is_one_line_runtime_error(tmp_path, case):
     assert res.returncode == code
     # no numpy RuntimeWarning lines ahead of the error
     assert res.stderr == stderr
+    if code == 1:  # rejected with the config, before anything is written
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cost", [{"calibration_seconds": 1e308},
                                   {"calibration_bytes": 1, "calibration_seconds": 1e308}])
 def test_cli_cost_without_a_finite_count_of_free_epochs_is_one_line_runtime_error(tmp_path, cost):
+    # the config check prices the cost block, so this is a config error
     path = tmp_path / "slow_link.json"
     path.write_text(json.dumps({"cost": cost}))
     res = _main("cost", "--config", str(path))
-    assert res.returncode == 2
+    assert res.returncode == 1
     assert res.stderr.count("\n") == 1
-    assert res.stderr.startswith("error: a federated epoch of ")
+    assert res.stderr.startswith("config error: a federated epoch of ")
     assert res.stderr.endswith(" s holds no finite count of 0.1784 s local epochs\n")
 
 

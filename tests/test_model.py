@@ -135,7 +135,7 @@ def test_gradients_flow_into_head_only():
     cfg = LossConfig(mu=2.0, lam=3.8, lr=0.1)
     part = ClassPartition(frozenset({0, 1}), frozenset({2, 3}))
     for _ in range(5):
-        _, grads = total_loss(head, [(feats, 2)], part, flatten_params(head), cfg)
+        _, grads = total_loss(head, (feats[None], [2]), part, flatten_params(head), cfg)
         head = sgd_step(head, grads, cfg.lr)
     assert backbone_digest(bb) == before  # frozen through training
 
@@ -147,7 +147,7 @@ def test_head_gradient_matches_finite_differences():
     x = quantize(
         rng.uniform(-1, 1, (3, 2, 2)).astype(np.float32), QuantParams(0.05)
     )
-    batch = [(backbone_forward(bb, x), 1)]
+    batch = (backbone_forward(bb, x)[None], [1])
     part = ClassPartition(frozenset(), frozenset(range(4)))
     cfg = LossConfig(mu=0.0, lam=0.0, lr=0.01, batch_size=1)
     r = check_case(head, batch, part, flatten_params(head), cfg)

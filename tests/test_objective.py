@@ -1,10 +1,12 @@
 """Composite loss (cross-entropy + mean-output + proximal) and SGD."""
 
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedswarm import (
@@ -22,7 +24,7 @@ from fedswarm import (
 )
 from fedswarm import losses
 from fedswarm.gradcheck import REL_TOL, _make_case, check_case, reference_total_loss
-from fedswarm.losses import Minibatch, StepSpace, stack_pairs
+from fedswarm.losses import Minibatch, StepSpace, check_view
 from fedswarm.tensor import Fold, _scan
 
 
@@ -43,7 +45,7 @@ def cross_entropy(logits: np.ndarray, target: int) -> float:
     objective's kernel: the one-sample loss with mu = lambda = 0."""
     head = _logit_head(logits)
     part = ClassPartition(frozenset(), frozenset(range(logits.size)))
-    batch = [(np.zeros(1, np.float32), target)]
+    batch = (np.zeros((1, 1), np.float32), [target])
     return total_loss(head, batch, part, flatten_params(head), LossConfig(mu=0.0, lam=0.0))[0]
 
 
@@ -65,7 +67,8 @@ def test_ce_target_out_of_range():
     head = init_head(1, 1, 2, np.random.default_rng(0))
     for bad in (2, -1):
         with pytest.raises(IndexError):
-            stack_pairs(head, [(np.asarray([1.0], np.float32), bad)], ClassPartition(set(), {0, 1}), LossConfig())
+            check_view(head, (np.ones((1, 1), np.float32), [bad]), ClassPartition(set(), {0, 1}),
+                       LossConfig())
 
 
 def test_ce_nonnegative_random():
@@ -92,7 +95,7 @@ def mol_loss(logits: np.ndarray, target: int, part: ClassPartition) -> float:
     if 0 <= target < z.size:
         z[target] = np.max(z) + np.float32(200.0)  # exp(-200) is 0 in float32
     head = _logit_head(z)
-    batch = [(np.zeros(1, np.float32), target)]
+    batch = (np.zeros((1, 1), np.float32), [target])
     return total_loss(head, batch, part, flatten_params(head), LossConfig(mu=1.0, lam=0.0))[0]
 
 
@@ -147,7 +150,7 @@ def test_mol_shift_invariant_when_both_sides_present():
 
 def prox_loss(head, w_global: np.ndarray, lam: float) -> float:
     """The proximal term alone: the loss with ``lam`` minus the loss without."""
-    batch = [(np.ones(head.c_feat, np.float32), 0)]
+    batch = (np.ones((1, head.c_feat), np.float32), [0])
     part = ClassPartition(frozenset(), frozenset({0}))
 
     def loss(at):
@@ -187,10 +190,8 @@ def test_prox_length_mismatch():
 
 
 def _batch(rng, head, n, classes):
-    return [
-        (rng.standard_normal(head.c_feat).astype(np.float32), int(t))
-        for t in rng.integers(0, classes, n)
-    ]
+    targets = rng.integers(0, classes, n)
+    return rng.standard_normal((n, head.c_feat)).astype(np.float32), targets
 
 
 def test_total_loss_reduces_to_mean_ce():
@@ -202,7 +203,7 @@ def test_total_loss_reduces_to_mean_ce():
     val, _ = total_loss(head, batch, part, flatten_params(head), cfg)
     # standalone path: eager per-sample CE, same fixed-order mean
     ces = np.array(
-        [cross_entropy(head_logits(head, f), t) for f, t in batch], np.float32
+        [cross_entropy(head_logits(head, f), t) for f, t in zip(*batch)], np.float32
     )
     assert val == float(np.float32(_scan(ces) / np.float32(len(ces))))
 
@@ -213,14 +214,15 @@ def test_total_loss_single_sample_at_global_is_ce():
     f = rng.standard_normal(4).astype(np.float32)
     part = ClassPartition(frozenset(), frozenset(range(4)))
     cfg = LossConfig(mu=0.0, lam=3.8, lr=0.01)
-    val, _ = total_loss(head, [(f, 2)], part, flatten_params(head), cfg)
+    val, _ = total_loss(head, (f[None], [2]), part, flatten_params(head), cfg)
     assert val == cross_entropy(head_logits(head, f), 2)
 
 
 def test_total_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     head = init_head(3, 2, 4, rng)
-    batch = [(rng.standard_normal(3).astype(np.float32), 2 + int(t)) for t in rng.integers(0, 2, 3)]
+    targets = 2 + rng.integers(0, 2, 3)
+    batch = (rng.standard_normal((3, 3)).astype(np.float32), targets)
     part = ClassPartition(frozenset({0, 1}), frozenset({2, 3}))
     wg = flatten_params(head) + 0.1
     cfg = LossConfig(mu=2.0, lam=3.8, lr=0.01)
@@ -244,11 +246,30 @@ def test_reference_loss_of_a_stack_equals_its_rows(idx):
     np.testing.assert_allclose(values, rows, rtol=1e-12, atol=0)
 
 
+# sha256 of the gradient battery's inputs, _make_case(idx, 7) for idx
+# 0-19: each case's head parameters, features, targets (as int64) and
+# snapshot, in that order
+_BATTERY_DIGEST = "a2ee568ea970488967686c28f6db77ff40834ea4ec397f175372858b32857513"
+
+
+def test_gradient_battery_inputs_are_pinned():
+    # criterion 1 runs these cases, so a change in their draws must fail
+    # here rather than only move an error figure
+    digest = hashlib.sha256()
+    for idx in range(20):
+        _, head, (x, targets), _, w_global, _ = _make_case(idx, 7)
+        for a in (flatten_params(head), np.ascontiguousarray(x, np.float32),
+                  np.asarray(targets, np.int64), np.asarray(w_global, np.float32)):
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == _BATTERY_DIGEST
+
+
 def test_total_loss_empty_batch():
     head = init_head(3, 2, 2, np.random.default_rng(6))
     part = ClassPartition(frozenset(), frozenset({0, 1}))
-    with pytest.raises(DimensionError):
-        total_loss(head, [], part, flatten_params(head), LossConfig())
+    empty = (np.empty((0, 3), np.float32), np.empty(0, np.intp))
+    with pytest.raises(DimensionError, match="nonempty"):
+        total_loss(head, empty, part, flatten_params(head), LossConfig())
 
 
 # -- SGD step ----------------------------------------------------------------------
@@ -290,11 +311,9 @@ def test_sgd_shape_mismatch():
 def test_sgd_drives_down_separable_toy_loss():
     rng = np.random.default_rng(8)
     head = init_head(2, 4, 2, rng)
-    batch = []
-    for i in range(8):
-        center = np.array([1.5, 0.0] if i % 2 == 0 else [-1.5, 0.0], np.float32)
-        x = center + rng.standard_normal(2).astype(np.float32) * 0.1
-        batch.append((x, i % 2))
+    targets = np.arange(8) % 2
+    centers = np.array([[1.5, 0.0], [-1.5, 0.0]], np.float32)[targets]
+    batch = (centers + rng.standard_normal((8, 2)).astype(np.float32) * 0.1, targets)
     part = ClassPartition(frozenset(), frozenset({0, 1}))
     cfg = LossConfig(mu=0.0, lam=0.0, lr=0.1, batch_size=8)
     losses = []
@@ -372,7 +391,8 @@ def _ref_head(head, feats):
 
 def _ref_total_loss(head, batch, part, w_global, cfg):
     params = [getattr(head, k) for k in ("conv_w", "conv_b", "cls_w", "cls_b")]
-    n = np.float32(len(batch))
+    x_rows, targets = batch
+    n = np.float32(len(targets))
     inv_n = np.float32(1.0) / n
     mu, lam = np.float32(cfg.mu), np.float32(cfg.lam)
     d = flatten_params(head) - w_global
@@ -382,7 +402,7 @@ def _ref_total_loss(head, batch, part, w_global, cfg):
         grads.append(np.float32(0.0) + (lam * d[off : off + p.size]).reshape(p.shape))
         off += p.size
     terms, saved = [], []
-    for feats, target in batch:
+    for feats, target in zip(x_rows, np.asarray(targets).tolist()):
         x, pre, hidden, z = _ref_head(head, feats)
         shifted = z - np.max(z)
         exps = np.exp(shifted)
@@ -481,10 +501,7 @@ def _node_case(rng, c_feat, hidden, classes, n, branch, zero_frac):
     members = sorted(part.old_classes | part.new_classes)
     if branch == "fallback":
         members = [classes - 1]
-    batch = [
-        (_sparse(rng, c_feat, zero_frac), int(rng.choice(members)))
-        for _ in range(n)
-    ]
+    batch = (_sparse(rng, (n, c_feat), zero_frac), rng.choice(members, n))
     w_global = flatten_params(head) + _sparse(rng, head.parameter_count, zero_frac, 0.2)
     return head, batch, part, w_global
 
@@ -494,7 +511,7 @@ def _lockstep_args(nodes, cfg):
     parameter rows of the StepSpace of their class masks, built over a
     copy of their stack, a sample-major Minibatch, the space and the
     (N, P) snapshots."""
-    stacked = [stack_pairs(head, batch, part, cfg) for head, batch, part, _ in nodes]
+    stacked = [check_view(head, batch, part, cfg) for head, batch, part, _ in nodes]
     masks = tuple(np.stack([m[k] for *_, m in stacked]) for k in (0, 1))
     batch = Minibatch(np.stack([x for x, _, _ in stacked], axis=1),
                       np.stack([t for _, t, _ in stacked], axis=1))
@@ -571,7 +588,7 @@ def test_fused_total_loss_keeps_sign_of_zero_gradients():
         cls_w=np.asarray([[-1.0, 0.0], [1.0, -2.0], [0.0, 0.0]], np.float32),
         cls_b=np.asarray([0.0, 0.0, -0.0], np.float32),
     )
-    batch = [(np.asarray([0.0, -0.0], np.float32), 1), (np.asarray([0.0, 0.0], np.float32), 2)]
+    batch = (np.asarray([[0.0, -0.0], [0.0, 0.0]], np.float32), [1, 2])
     part = ClassPartition(frozenset({0}), frozenset({1, 2}))
     for mu, lam in ((0.0, 0.0), (2.0, 0.0), (0.0, 3.8), (2.0, 3.8)):
         cfg = LossConfig(mu=mu, lam=lam)
@@ -585,21 +602,21 @@ def test_total_loss_input_checks():
     head = init_head(3, 2, 4, np.random.default_rng(9))
     wg = flatten_params(head)
     part = ClassPartition(frozenset({0, 1}), frozenset({2, 3}))
-    f = np.asarray([1.0, 2.0, 3.0], np.float32)
+    f = np.asarray([[1.0, 2.0, 3.0]], np.float32)
     cfg = LossConfig()
     with pytest.raises(DimensionError):  # feature length
-        total_loss(head, [(np.asarray([1.0, 2.0], np.float32), 2)], part, wg, cfg)
+        total_loss(head, (np.asarray([[1.0, 2.0]], np.float32), [2]), part, wg, cfg)
     with pytest.raises(IndexError):  # target beyond the logits
-        total_loss(head, [(f, 4)], part, wg, cfg)
+        total_loss(head, (f, [4]), part, wg, cfg)
     with pytest.raises(DimensionError):  # snapshot size
-        total_loss(head, [(f, 2)], part, np.asarray([1.0, 2.0], np.float32), cfg)
+        total_loss(head, (f, [2]), part, np.asarray([1.0, 2.0], np.float32), cfg)
     with pytest.raises(RegistryError):  # target on neither side
-        total_loss(head, [(f, 2)], ClassPartition(frozenset({0}), frozenset({1})), wg, cfg)
+        total_loss(head, (f, [2]), ClassPartition(frozenset({0}), frozenset({1})), wg, cfg)
     with pytest.raises(IndexError):  # partition class beyond the logits
-        total_loss(head, [(f, 2)], ClassPartition(frozenset({7}), frozenset({2})), wg, cfg)
+        total_loss(head, (f, [2]), ClassPartition(frozenset({7}), frozenset({2})), wg, cfg)
     # without the MOL term the partition is never consulted
     loose = ClassPartition(frozenset({7}), frozenset({1}))
-    total_loss(head, [(f, 2)], loose, wg, LossConfig(mu=0.0))
+    total_loss(head, (f, [2]), loose, wg, LossConfig(mu=0.0))
 
 
 @given(
@@ -608,29 +625,103 @@ def test_total_loss_input_checks():
     old=st.frozensets(st.integers(-15, 20), max_size=8),
 )
 @example(classes=4, new=frozenset({-1, 2}), old=frozenset({-4, 0, 9}))
-def test_stack_pairs_masks_mark_only_classes_in_range(classes, new, old):
+def test_check_view_masks_mark_only_classes_in_range(classes, new, old):
     # with the MOL term off a partition may name ids outside the logits;
     # they mark nothing, and a negative id must not wrap to a class
     head = init_head(2, 2, classes, np.random.default_rng(classes))
     part = ClassPartition(old - new, new)
-    pairs = [(np.zeros(2, np.float32), 0)]
-    _, _, masks = stack_pairs(head, pairs, part, LossConfig(mu=0.0))
+    view = (np.zeros((1, 2), np.float32), [0])
+    _, _, masks = check_view(head, view, part, LossConfig(mu=0.0))
     for mask, side in zip(masks, (part.new_classes, part.old_classes)):
         assert mask.dtype == bool
         assert np.array_equal(mask, np.isin(np.arange(classes), sorted(side)))
 
 
-def test_stack_pairs_features_of_mixed_shapes():
-    # features of one size in different shapes still stack, row by row;
-    # a feature of the wrong size is named
-    head = init_head(4, 2, 3, np.random.default_rng(1))
-    part = ClassPartition(frozenset(), frozenset({0, 1, 2}))
-    feats = [np.arange(4, dtype=np.float32), np.arange(4.0).reshape(2, 2), [4, 5, 6, 7]]
-    x, targets, _ = stack_pairs(head, [(f, i) for i, f in enumerate(feats)], part, LossConfig())
-    assert x.dtype == np.float32 and x.tolist() == [[0, 1, 2, 3], [0, 1, 2, 3], [4, 5, 6, 7]]
-    assert targets.tolist() == [0, 1, 2]
-    with pytest.raises(DimensionError, match="features of size 3"):
-        stack_pairs(head, [(feats[0], 0), (np.zeros(3, np.float32), 1)], part, LossConfig())
+_DEFECTS = ("flat", "deep", "columns", "length", "targets_2d", "ragged", "pairs",
+            "target_range")
+
+
+@st.composite
+def _views(draw):
+    """(c_feat, classes, view, partition, mu, expected): a view that is
+    valid or has one defect, and the error it must raise (None when
+    valid). Partitions may name classes outside the logits or miss a
+    target, which only the MOL term (mu != 0) checks."""
+    c_feat, classes = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    defect = draw(st.sampled_from((None,) + _DEFECTS))
+    m = draw(st.integers(2 if defect == "ragged" else 1 if defect == "target_range" else 0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = _sparse(rng, (m, c_feat), draw(st.sampled_from([0.0, 0.5])))
+    targets = rng.integers(0, classes, m)
+    ids = st.integers(-3, classes + 2)
+    new = draw(st.frozensets(ids, max_size=4))
+    part = ClassPartition(draw(st.frozensets(ids, max_size=4)) - new, new)
+    mu = draw(st.sampled_from([0.0, 1.0]))
+    view, expected = (x, targets), DimensionError
+    if defect == "flat":
+        view = (x.reshape(-1), targets)
+    elif defect == "deep":
+        view = (x[..., None], targets)
+    elif defect == "columns":
+        d = draw(st.sampled_from([-1, 1, 2]))
+        view = (np.zeros((m, c_feat + d), np.float32), targets)
+    elif defect == "length":
+        view = (x, rng.integers(0, classes, m + (draw(st.sampled_from([-1, 1])) if m else 1)))
+    elif defect == "targets_2d":
+        view = (x, targets[:, None])
+    elif defect == "ragged":
+        rows = [list(r) for r in x]
+        rows[-1] = rows[-1][1:] if draw(st.booleans()) else rows[-1] + [0.0]
+        view = (rows, targets)
+    elif defect == "pairs":  # a list of (features, target) pairs
+        view = list(zip(x, targets.tolist()))
+    elif defect == "target_range":
+        targets[draw(st.integers(0, m - 1))] = draw(st.sampled_from([-1, classes]))
+        expected = IndexError
+    else:
+        # the MOL rules: target by target in order of first appearance,
+        # each must lie on a side of the partition, and no other
+        # partition class may fall outside the logits
+        expected = None
+        stray = any(not 0 <= k < classes for k in part.new_classes | part.old_classes)
+        for t in dict.fromkeys(targets.tolist()) if mu else ():
+            if t not in part.new_classes | part.old_classes:
+                expected = RegistryError
+                break
+            if stray:
+                expected = IndexError
+                break
+    return c_feat, classes, view, part, mu, expected
+
+
+# a feature row of 3 values among rows of 4
+@example(case=(4, 3, ([np.arange(4, dtype=np.float32), np.zeros(3, np.float32)], [0, 1]),
+               ClassPartition(frozenset(), frozenset({0, 1, 2})), 2.0, DimensionError))
+# targets are checked in order of first appearance: target 2 lies on
+# neither side before target 0 meets the stray partition class 5
+@example(case=(1, 3, (np.zeros((2, 1), np.float32), np.array([2, 0])),
+               ClassPartition(frozenset(), frozenset({0, 5})), 1.0, RegistryError))
+@given(_views())
+@settings(max_examples=200)
+def test_check_view_contract(case):
+    # a view is (M, c_feat) float32 features and M class ids; anything
+    # else is a DimensionError naming the shapes, never numpy's ValueError
+    c_feat, classes, view, part, mu, expected = case
+    head = init_head(c_feat, 2, classes, np.random.default_rng(0))
+    cfg = LossConfig(mu=mu)
+    if expected is DimensionError:
+        with pytest.raises(DimensionError, match=re.escape(f"(M, {c_feat})")):
+            check_view(head, view, part, cfg)
+    elif expected is not None:
+        with pytest.raises(expected):
+            check_view(head, view, part, cfg)
+    else:
+        x, targets, masks = check_view(head, view, part, cfg)
+        assert x.dtype == np.float32 and x.tobytes() == view[0].tobytes()
+        assert x.shape == view[0].shape
+        assert targets.dtype == np.intp and targets.tolist() == view[1].tolist()
+        for mask, side in zip(masks, (part.new_classes, part.old_classes)):
+            assert np.array_equal(mask, np.isin(np.arange(classes), sorted(side)))
 
 
 # -- scan kernels vs the Python loops they replaced -------------------------------

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import py_compile
 from pathlib import Path
 
 import pytest
@@ -164,3 +166,58 @@ def test_traced_runs_alternate_and_fill_the_table(tmp_path, monkeypatch, capsys)
     out = capsys.readouterr().out
     assert "FLAG pair 1 change: correct=True failed=2" in out
     assert "1 runs flagged" in out and "run_s: no complete pairs" in out
+
+
+def _tree(root):
+    """Every file under ``root``: path -> (bytes, mtime_ns)."""
+    return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in root.rglob("*") if p.is_file()}
+
+
+def test_bytecode_caches_are_checked_before_the_pairs(tmp_path, monkeypatch, capsys):
+    # two checkouts of three sources each, compiled; then the change side
+    # gets one stale cache and one missing cache
+    for side in ("parent", "change"):
+        for rel in ("src/pkg/a.py", "src/pkg/b.py", "perfbench/run.py"):
+            source = tmp_path / side / rel
+            source.parent.mkdir(parents=True, exist_ok=True)
+            source.write_text("X = 1\n")
+            mode = py_compile.PycInvalidationMode
+            py_compile.compile(str(source), doraise=True, invalidation_mode=(
+                mode.CHECKED_HASH if rel.endswith("b.py") else mode.TIMESTAMP))
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 30,
+            "end_to_end": [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    assert pairs.bytecode_state(parent) == {"fresh": 3}
+    # a clear gain over ten pairs meets the rule while the caches agree
+    monkeypatch.setattr(pairs, "run_once", lambda root, args, seconds, trace=0: {
+        "correct": True, "failed": 0,
+        "metrics": {"run_s": {"value": 0.6 if root.name == "parent" else 0.5}}})
+    argv = [str(parent), str(change), "--workload", "desk"]
+    assert pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "bytecode parent: 3 fresh, 0 stale, 0 missing" in out and "FLAG" not in out
+    assert out.splitlines()[-1].endswith("change won 10/10: met")
+    # a source edited after compiling (same size, new mtime; new bytes
+    # under a hash-based cache) is stale; a deleted cache is missing
+    a, b = change / "src/pkg/a.py", change / "src/pkg/b.py"
+    st = a.stat()
+    os.utime(a, ns=(st.st_atime_ns, st.st_mtime_ns + 2 * 10**9))
+    b.write_text("X = 2\n")
+    Path(importlib.util.cache_from_source(change / "perfbench/run.py")).unlink()
+    states = {str(p.relative_to(change)): pairs.pyc_state(p) for p in change.rglob("*.py")}
+    assert states == {"perfbench/run.py": "missing", "src/pkg/a.py": "stale",
+                      "src/pkg/b.py": "stale"}
+    before = _tree(tmp_path)
+    assert pairs.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "bytecode change: 0 fresh, 2 stale, 1 missing" in out
+    assert "FLAG bytecode: parent fresh, change missing+stale;" in out
+    assert out.splitlines()[-1].endswith("change won 10/10: unresolved")
+    assert _tree(tmp_path) == before  # nothing in either checkout is written
+    # the same states on both sides compare alike again
+    os.utime(parent / "src/pkg/a.py", ns=(0, 10**9))
+    (parent / "src/pkg/b.py").write_text("X = 3\n")
+    Path(importlib.util.cache_from_source(parent / "perfbench/run.py")).unlink()
+    assert pairs.main(argv) == 0
+    assert "FLAG" not in capsys.readouterr().out

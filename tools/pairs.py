@@ -29,13 +29,26 @@ landed. Span times are wall seconds of single passes and drift with the
 host, so a delta inside either side's quartiles places nothing. A
 traced run that is not ``correct`` is flagged too and left out of the
 table.
+
+Before pair 1, each checkout's ``src/`` and ``perfbench/`` sources are
+checked against their bytecode caches for this interpreter: a ``.pyc``
+whose header (magic number and source mtime and size, or source hash
+for a hash-based one) matches its source is fresh, any other is stale,
+and a source without one is missing. Where caches are not written
+(``PYTHONDONTWRITEBYTECODE``), a stale or missing cache is compiled
+from source in every process, which lands in ``setup_s``. Each side's
+counts are printed; when the two sides differ in which of the three
+states occur, a FLAG line is printed and every verdict is
+``unresolved``. The check reads files and writes none.
 """
 
 import argparse
+import importlib.util
 import json
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 MIN_PAIRS = 10
@@ -99,6 +112,32 @@ def checked(label: str, result: dict) -> bool:
     return False
 
 
+def pyc_state(source: Path) -> str:
+    """``fresh``, ``stale`` or ``missing``: the state of the bytecode
+    cache this interpreter would load for ``source``."""
+    try:
+        with open(importlib.util.cache_from_source(source), "rb") as f:
+            header = f.read(16)
+    except OSError:
+        return "missing"
+    if len(header) < 16 or header[:4] != importlib.util.MAGIC_NUMBER:
+        return "stale"
+    if int.from_bytes(header[4:8], "little") & 1:  # hash-based
+        expected = importlib.util.source_hash(source.read_bytes())
+    else:
+        st = source.stat()
+        expected = b"".join((int(n) & 0xFFFFFFFF).to_bytes(4, "little")
+                            for n in (st.st_mtime, st.st_size))
+    return "fresh" if header[8:16] == expected else "stale"
+
+
+def bytecode_state(root: Path) -> Counter:
+    """How many of ``root``'s ``src/`` and ``perfbench/`` sources have a
+    fresh, stale or missing bytecode cache."""
+    return Counter(pyc_state(source) for top in ("src", "perfbench")
+                   for source in (root / top).rglob("*.py"))
+
+
 def run_once(root: Path, args, seconds, trace: int = 0) -> dict:
     """One benchmark run in ``root``; its last output line is the result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
@@ -131,6 +170,16 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     values = {name: {m["name"]: [] for m in spec} for name in sides}
     flagged = flagged_pairs = 0
+    caches = {}
+    for name, root in sides.items():
+        counts = bytecode_state(root)
+        caches[name] = "+".join(sorted(counts)) or "none"
+        print(f"bytecode {name}: " + ", ".join(
+            f"{counts[k]} {k}" for k in ("fresh", "stale", "missing")), flush=True)
+    unlike = caches["parent"] != caches["change"]
+    if unlike:
+        print(f"FLAG bytecode: parent {caches['parent']}, change {caches['change']}; "
+              "setup_s would compare unlike imports", flush=True)
     for i in range(1, args.pairs + 1):
         results, counted = {}, []
         for name in ("parent", "change") if i % 2 else ("change", "parent"):
@@ -154,6 +203,8 @@ def main(argv=None) -> int:
             print(f"{m['name']}: no complete pairs")
             continue
         v = verdict(parent, change, m["better"] == "lower", flagged_pairs)
+        if unlike:
+            v["verdict"] = "unresolved"
         q = " / ".join
         print(f"{m['name']} ({m['unit']}, {m['better']} is better): "
               f"parent q1/median/q3 {q(f'{x:.6g}' for x in v['parent'])}, "
@@ -172,7 +223,7 @@ def main(argv=None) -> int:
               f"{len(traced['parent'])} and {len(traced['change'])} correct (wall seconds)")
         if traced["parent"] and traced["change"]:
             print("\n".join(trace_table(traced["parent"], traced["change"])))
-    return 1 if flagged else 0
+    return 1 if flagged or unlike else 0
 
 
 if __name__ == "__main__":
