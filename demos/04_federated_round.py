@@ -4,7 +4,8 @@ Three nodes train locally against the composite objective (CE plus
 the mean-logit separation term plus the proximal pull toward the last
 broadcast), stepped in lockstep by one ``local_epoch`` call, then
 upload their heads over a simulated serial link. The
-master averages and broadcasts; everyone leaves in bit-exact consensus.
+master averages and broadcasts one global head, which every node
+starts the next round from and is pulled toward (the prox anchor).
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ from fedswarm import (
     ClassPartition,
     LinkModel,
     LossConfig,
-    NodeState,
     SimNetwork,
     fedavg,
     flatten_params,
@@ -24,37 +24,33 @@ from fedswarm import (
 
 rng = np.random.default_rng(5)
 shared = init_head(8, 6, 4, rng)  # everyone starts from the same broadcast
-nodes = [NodeState(i, shared, shared) for i in range(3)]
+heads = [shared] * 3  # node i is position i, its prox anchor the head it starts from
 p = shared.parameter_count
 print(f"head parameters     : {p} ({4 * p} bytes per message)")
 
 # node i trains class 2+i%2; classes 0,1 are the old ones to protect
 part = ClassPartition(old_classes=frozenset({0, 1}), new_classes=frozenset({2, 3}))
 # each node's view: six rows of features and their class ids
-views = {
-    i: (rng.standard_normal((6, 8)).astype(np.float32), np.full(6, 2 + i % 2))
-    for i in range(3)
-}
+views = [(rng.standard_normal((6, 8)).astype(np.float32), np.full(6, 2 + i % 2))
+         for i in range(3)]
 cfg = LossConfig(mu=2.0, lam=3.8, lr=0.05, batch_size=3)
 
 # one lockstep call trains every node: minibatch k of all three nodes is
 # one stacked pass, bit-identical to training the nodes one by one
-losses = local_epoch(nodes, [views[i] for i in range(3)], [part] * 3, cfg, rng)
-for i, (node, loss) in enumerate(zip(nodes, losses)):
-    drift = np.abs(flatten_params(node.head) - flatten_params(shared)).max()
+trained, losses = local_epoch(heads, views, [part] * 3, cfg, rng)
+for i, (head, loss) in enumerate(zip(trained, losses)):
+    drift = np.abs(flatten_params(head) - flatten_params(shared)).max()
     print(f"node {i} local epoch  : mean loss {loss:.4f}, max drift {drift:.4f}")
 
-pre = [flatten_params(n.head) for n in nodes]
+pre = [flatten_params(h) for h in trained]
 # the simulated link prices each message with the costs module's model
 net = SimNetwork(LinkModel(throughput_bps=4 * p / 0.25))  # 0.25 s per message
-comm = sync_round(nodes, net)
+global_head, comm = sync_round(trained, net)
 print(f"sync round          : {len(net.events)} messages, {comm:.2f} s on the link")
 
-expected = fedavg(pre)
-agree = all(
-    np.array_equal(flatten_params(n.head), expected) for n in nodes
-)
-print(f"consensus           : {agree} (every head equals the fedavg exactly)")
-anchored = all(n.snapshot is n.head for n in nodes)
-print(f"prox anchor updated : {anchored}")
-assert agree and anchored
+agree = np.array_equal(flatten_params(global_head), fedavg(pre))
+print(f"consensus           : {agree} (the broadcast head equals the fedavg exactly)")
+# the next round: every node starts from, and is anchored to, the broadcast head
+_, losses = local_epoch([global_head] * 3, views, [part] * 3, cfg, rng)
+print(f"next round losses   : {', '.join(f'{loss:.4f}' for loss in losses)}")
+assert agree

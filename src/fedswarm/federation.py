@@ -1,11 +1,13 @@
 """Master/slave synchronization over a simulated serial link.
 
-Every round each node uploads its head to the master (node 0 by
-convention), the master averages, and the global head is broadcast
-back. Nodes then replace both their working head and the proximal
-snapshot, so the swarm leaves every round in consensus. Aggregation
-accumulates in float64 after sorting by node id, which makes the
-average bit-exact under permutation and idempotent on identical heads.
+Between syncs the swarm's state is one global head. Every round each
+node starts from it, and it is also each node's proximal anchor
+(FedProx). Each node then uploads its trained head to the master
+(node 0 by convention), the master averages, and the new global head
+is broadcast back, so the swarm leaves every round in consensus. Node
+i is position i of every per-node sequence. Aggregation accumulates
+in float64 in node order, which makes the average bit-exact under
+permutation and idempotent on identical heads.
 
 ``local_epoch`` is the package's one minibatch-SGD loop. Between syncs
 the nodes are independent, so it trains all of a round's nodes in
@@ -15,15 +17,15 @@ alone, followed by one ``sgd_step``. The nodes' parameters sit in one
 (N, P) stack, longest view first, so each width group of steps is a
 contiguous slice of it. Each group runs on one ``losses.StepSpace``
 over its slice, so a step builds no head object and ``sgd_step``
-updates the stack in place; the nodes' own heads and snapshots are
-only read, and each trained node gets a new head. All of that set-up
-depends only on the views, partitions and config: ``check_view`` of
+updates the stack in place; the heads handed in are only read, and
+each trained node gets a new head. All of that set-up depends only on
+the architecture, views, partitions and config: ``check_view`` of
 every view, the sort, the stacks, the ``StepSpace``s, the minibatch
 views and the gather schedule. A session's views do not change, so
 ``run_session`` builds it once per session, not once per round; a
 round then draws each node's shuffles for all of its epochs in one
-generator call, copies the heads and snapshots into the stacks and
-steps. Each epoch gathers its shuffled batches once, and only a
+generator call, copies the heads into the stack and its anchor copy
+and steps. Each epoch gathers its shuffled batches once, and only a
 round's last epoch, the one reported, asks for loss values. The
 harness runs central training (T0 pretraining, the joint strategy)
 through ``local_epoch``, which builds the state and runs one round, as
@@ -43,14 +45,13 @@ import numpy as np
 from .costs import LinkModel, message_time
 from .errors import AggregationError, DimensionError, NumericError
 from .losses import LossConfig, Minibatch, StepSpace, check_view, sgd_step, total_loss
-from .model import TrainableHead, check_finite, flatten_params, unflatten_params
+from .model import check_finite, flatten_params, unflatten_params
 
 # cap on a training call's (epochs, samples) shuffle table, and on a
 # config's peak training memory in the cost model (``harness``)
 MAX_TRAINING_BYTES = 1 << 26
 
 __all__ = [
-    "NodeState",
     "SyncMessage",
     "TraceEvent",
     "SimNetwork",
@@ -60,27 +61,6 @@ __all__ = [
     "run_session",
     "write_trace",
 ]
-
-
-@dataclass
-class NodeState:
-    """One swarm member: local head and prox snapshot."""
-
-    node_id: int
-    head: TrainableHead
-    snapshot: TrainableHead
-    epochs: int = 0
-
-    def __post_init__(self):
-        if self.head.dims != self.snapshot.dims:
-            raise AggregationError(
-                f"node {self.node_id}: head and snapshot architectures differ"
-            )
-
-    def adopt_global(self, head: TrainableHead) -> None:
-        """Install a broadcast head as both working head and snapshot."""
-        self.head = head
-        self.snapshot = head
 
 
 @dataclass(frozen=True)
@@ -181,35 +161,28 @@ def fedavg(heads, weights=None, node_ids=None) -> np.ndarray:
     return mean
 
 
-def sync_round(nodes, net: SimNetwork) -> float:
-    """Upload all heads, average them at the master (node 0), broadcast
-    the result.
+def sync_round(heads, net: SimNetwork) -> tuple:
+    """Upload every node's head, average them at the master (node 0),
+    broadcast the result to every node.
 
-    Every node ends the round holding the same global head as both its
-    working model and its proximal snapshot. Returns the communication
-    time spent on the link (uplink plus downlink for every node).
+    Node i is ``heads[i]``: uploads go in index order, and the master
+    sends one broadcast per node. Returns (global head, communication
+    time on the link, uplink plus downlink for every node).
     """
-    order = sorted(nodes, key=lambda n: n.node_id)
-    if not order:
-        raise AggregationError("no nodes to synchronize")
-    arch = order[0].head
-    for n in order:
-        if n.head.dims != arch.dims:
-            raise AggregationError(
-                f"node {n.node_id} head architecture differs from node {order[0].node_id}"
-            )
+    heads = list(heads)
+    if not heads:
+        raise AggregationError("no heads to synchronize")
+    _check_arch(heads, heads[0].dims)
     elapsed = 0.0
     uploads = []
-    for n in order:
-        msg = SyncMessage("upload", n.node_id, flatten_params(n.head))
+    for i, head in enumerate(heads):
+        msg = SyncMessage("upload", i, flatten_params(head))
         elapsed += net.send(msg)
         uploads.append(msg.payload)
-    flat = fedavg(uploads, node_ids=[n.node_id for n in order])
-    global_head = unflatten_params(arch, flat)
-    for n in order:
+    flat = fedavg(uploads)
+    for _ in heads:
         elapsed += net.send(SyncMessage("broadcast", 0, flat))
-        n.adopt_global(global_head)
-    return elapsed
+    return unflatten_params(heads[0], flat), elapsed
 
 
 def _count(value, what: str) -> int:
@@ -226,36 +199,37 @@ def _table_bytes(epochs: int, samples: int) -> int:
     return epochs * samples * np.dtype(np.intp).itemsize
 
 
-def _check_arch(nodes, dims) -> None:
-    for node in nodes:
-        if not node.head.dims == node.snapshot.dims == dims:
-            raise AggregationError(
-                f"node {node.node_id} head architecture differs from node {nodes[0].node_id}"
-            )
+def _check_arch(heads, dims) -> None:
+    for i, head in enumerate(heads):
+        if head.dims != dims:
+            raise AggregationError(f"node {i} head architecture differs from node 0")
+
+
+def _check_counts(n: int, views, parts) -> None:
+    if not n or not n == len(views) == len(parts):
+        raise AggregationError(
+            f"{n} nodes, {len(views)} views and {len(parts)} partitions; "
+            "local training needs one view and one partition per node"
+        )
 
 
 class _Lockstep:
-    """Lockstep training of a fixed set of nodes over fixed views: the
+    """Lockstep training of one node per view, over fixed views: the
     state ``local_epoch`` builds for one call and ``run_session`` for a
     whole session, and ``run`` trains one round of ``epochs`` passes.
 
-    Everything that depends only on the views, partitions and config is
-    built here, once: the checked views, the length sort, the (N, P)
-    parameter and snapshot stacks, the shuffle table, one ``StepSpace``
-    per width group over its slice of the stack, the ``Minibatch`` views
-    and the gather schedule. AggregationError, as ``local_epoch``
-    documents, before more than the views' class masks is allocated.
+    Everything that depends only on the architecture ``arch``, the
+    views, partitions and config is built here, once: the checked
+    views, the length sort, the (N, P) parameter stack and its anchor
+    copy, the shuffle table, one ``StepSpace`` per width group over its
+    slice of the stack, the ``Minibatch`` views and the gather schedule.
+    AggregationError, as ``local_epoch`` documents, before more than the
+    views' class masks is allocated.
     """
 
-    def __init__(self, nodes, views, parts, cfg: LossConfig, epochs):
-        if not nodes or not len(nodes) == len(views) == len(parts):
-            raise AggregationError(
-                f"{len(nodes)} nodes, {len(views)} views and {len(parts)} partitions; "
-                "local training needs one view and one partition per node"
-            )
+    def __init__(self, arch, views, parts, cfg: LossConfig, epochs):
         self.epochs = epochs = _count(epochs, "epochs")
-        self.arch = arch = nodes[0].head
-        _check_arch(nodes, arch.dims)
+        self.arch = arch
         stacked = [check_view(arch, view, part, cfg) for view, part in zip(views, parts)]
         sizes = [len(t) for _, t, _ in stacked]
         table = _table_bytes(epochs, sum(sizes))
@@ -264,7 +238,7 @@ class _Lockstep:
                 f"epochs={epochs} over {sum(sizes)} samples needs a shuffle table of {table} "
                 f"bytes, which exceeds the cap of {MAX_TRAINING_BYTES}"
             )
-        n, longest, b = len(nodes), max(sizes), cfg.batch_size
+        n, longest, b = len(views), max(sizes), cfg.batch_size
         self.n, self.steps = n, None
         if not longest:
             return
@@ -289,7 +263,7 @@ class _Lockstep:
         self.params = params = np.empty((n, arch.parameter_count), np.float32)
         self.snaps = snaps = np.empty_like(params)
         # one entry per lockstep pass: step k's rows lo:hi whose batch has
-        # width w, their group's StepSpace over params[lo:hi] and snapshots,
+        # width w, their group's StepSpace over params[lo:hi] and anchors,
         # and the Minibatch: sample-major views of xe and te, which each
         # epoch fills by gathering its order at ``gather``. A node's last
         # batch may be narrower over the same rows, so w is in the key.
@@ -323,15 +297,16 @@ class _Lockstep:
         with np.errstate(over="ignore"):
             self.lr = np.float32(cfg.lr)
 
-    def run(self, nodes, rng: np.random.Generator) -> list:
-        """One round over ``nodes``, the nodes the state was built for in
-        the same order: their current heads and snapshots are copied
-        into the stacks and each trained node gets a new head. Returns
-        each node's mean batch loss over its last epoch."""
-        _check_arch(nodes, self.arch.dims)
+    def run(self, heads, rng: np.random.Generator) -> tuple:
+        """One round from ``heads``, node i's at position i, each also its
+        node's prox anchor: they are copied into the stack and its anchor
+        copy. Returns (heads, each node's mean batch loss over its last
+        epoch): a new head per trained node, a node with no rows keeping
+        the one it brought. The heads must share the state's architecture."""
+        heads = list(heads)
         n, epochs, steps = self.n, self.epochs, self.steps
         if steps is None:
-            return [0.0] * n
+            return heads, [0.0] * n
         order, params, row, starts, sizes = (
             self.order, self.params, self.row, self.starts, self.sizes)
         for i in self.live:
@@ -339,8 +314,8 @@ class _Lockstep:
             block = order[:, lo : lo + size]
             rng.permuted(np.broadcast_to(self.index[:size], block.shape), axis=1, out=block)
             block += lo
-        np.stack([nodes[i].head.params for i in self.rank], out=params)
-        np.stack([nodes[i].snapshot.params for i in self.rank], out=self.snaps)
+        np.stack([heads[i].params for i in self.rank], out=params)
+        np.copyto(self.snaps, params)
         step_losses, lr, cfg, picks = self.step_losses, self.lr, self.cfg, self.picks
         # diverging runs overflow here; finiteness is checked once at the end
         with np.errstate(all="ignore"):
@@ -360,95 +335,92 @@ class _Lockstep:
         by_row = step_losses.tolist()
         losses = [0.0] * n
         for i in self.live:
-            r, node = row[i], nodes[i]
-            head = self.arch.with_params(params[r].copy())
+            r = row[i]
+            heads[i] = self.arch.with_params(params[r].copy())
             if not finite:
-                check_finite(head)
-            node.head = head
-            node.epochs += epochs
+                check_finite(heads[i])
             count = -(-sizes[r] // self.b)
             losses[i] = float(sum(by_row[r][:count]) / count)
-        return losses
+        return heads, losses
 
 
-def local_epoch(nodes, views, parts, cfg: LossConfig, rng: np.random.Generator,
-                epochs: int = 1) -> list:
+def local_epoch(heads, views, parts, cfg: LossConfig, rng: np.random.Generator,
+                epochs: int = 1) -> tuple:
     """``epochs`` shuffled passes of each node over its own view.
 
-    ``views[i]`` and ``parts[i]`` are node i's (x, targets) view and
-    class partition. Minibatch SGD against the composite loss, the
-    proximal term anchored to each node's stored snapshot. Every node's
+    Node i starts from ``heads[i]`` and trains on ``views[i]``, its
+    (x, targets) view, with ``parts[i]``, its class partition. Minibatch
+    SGD against the composite loss, the proximal term anchored to the
+    head the node brought. Every node's
     permutations are drawn up front, node-major, which is the order of
     running the nodes one after another: one ``rng.permuted`` call per
     node shuffles each row of an (epochs, size) block, the same draws
     as one ``rng.permutation`` per epoch. The (N, P) parameter stack,
-    masks and snapshots hold the nodes longest view first (a stable
+    masks and anchors hold the nodes longest view first (a stable
     sort), so minibatch k of the nodes whose batch has width w is one
     contiguous run of rows: one ``total_loss`` pass, then one
     ``sgd_step``, through the ``StepSpace`` the group gets over its
     slice of the stack, which steps in place. Each epoch gathers every
-    step's batch into one buffer before its first step. Returns each
-    node's mean batch loss over its last epoch, in the caller's order
-    (0.0 for a view with no rows, which leaves the head untouched and
-    draws nothing); earlier epochs skip the loss values, which leaves
-    the gradients unchanged.
+    step's batch into one buffer before its first step. Returns
+    (heads, losses) in node order: each node's trained head and mean
+    batch loss over its last epoch (a view with no rows gets its own
+    head back and 0.0, and draws nothing); earlier epochs skip the loss
+    values, which leaves the gradients unchanged.
 
     The call builds that state (``check_view`` of every view, the
     sort, the stacks, the ``StepSpace``s and the gather schedule) and
     runs one round on it; ``run_session`` builds it once per session
     and runs every round on it.
-    AggregationError unless there is at least one node and one view and
-    partition each, ``epochs`` is a nonnegative integer and the
-    (epochs, samples) shuffle table fits ``MAX_TRAINING_BYTES``.
+    AggregationError unless there is at least one head and one view and
+    partition each, the heads share one architecture, ``epochs`` is a
+    nonnegative integer and the (epochs, samples) shuffle table fits
+    ``MAX_TRAINING_BYTES``.
     """
-    nodes = list(nodes)
-    return _Lockstep(nodes, views, parts, cfg, epochs).run(nodes, rng)
+    heads = list(heads)
+    _check_counts(len(heads), views, parts)
+    _check_arch(heads, heads[0].dims)
+    return _Lockstep(heads[0], views, parts, cfg, epochs).run(heads, rng)
 
 
 def run_session(
-    nodes,
+    head,
     net: SimNetwork,
     rounds: int,
-    views: dict,
-    parts: dict,
+    views,
+    parts,
     cfg: LossConfig,
     rng: np.random.Generator,
     evaluator=None,
 ) -> tuple:
     """Federated training: per round, local epochs on every node, then sync.
 
-    ``views`` and ``parts`` map node id to that node's (x, targets) view
-    and class partition; heads must already be expanded for the session.
-    The nodes train in lockstep, as in ``local_epoch``, a view with no
-    rows sitting out; the views do not change within a session, so the
+    ``views[i]`` and ``parts[i]`` are node i's (x, targets) view and
+    class partition; ``head`` must already be expanded for the session.
+    Each round every node trains from the global head, as in
+    ``local_epoch`` (a view with no rows sits out and uploads the head
+    unchanged), and ``sync_round`` averages the results into the next
+    global head. The views do not change within a session, so the
     training state (``check_view`` of every view, the sort, the stacks,
     the ``StepSpace``s and the gather schedule) is built once per
-    session and each round only draws its shuffles, copies the nodes'
-    heads and snapshots in and trains. Returns (global head, per-round
-    trace). Each trace entry records the round number, mean local loss
-    per node (over its last local epoch), communication seconds and,
-    when an ``evaluator`` callable is given, its value on the new global
-    head.
+    session and each round only draws its shuffles, copies the head in
+    and trains. Returns (global head, per-round trace). Each trace entry
+    records the round number, mean local loss per node (over its last
+    local epoch), communication seconds and, when an ``evaluator``
+    callable is given, its value on the new global head.
     """
     rounds = _count(rounds, "rounds")
-    order = sorted(nodes, key=lambda n: n.node_id)
-    active = [n for n in order if n.node_id in views]
-    state = None
-    if active and rounds:
-        state = _Lockstep(active, [views[n.node_id] for n in active],
-                          [parts[n.node_id] for n in active], cfg, cfg.local_epochs_per_round)
+    _check_counts(len(views), views, parts)
+    state = _Lockstep(head, views, parts, cfg, cfg.local_epochs_per_round) if rounds else None
     trace = []
     for r in range(rounds):
-        losses = dict.fromkeys((n.node_id for n in order), 0.0)
-        if state is not None:
-            losses.update(zip((n.node_id for n in active), state.run(active, rng)))
-        comm_s = sync_round(nodes, net)
+        heads, losses = state.run([head] * state.n, rng)
+        head, comm_s = sync_round(heads, net)
         entry = {
             "round": r,
-            "mean_loss": {str(k): v for k, v in sorted(losses.items())},
+            "mean_loss": {str(i): v for i, v in enumerate(losses)},
             "comm_s": comm_s,
         }
         if evaluator is not None:
-            entry["accuracy"] = evaluator(order[0].head)
+            entry["accuracy"] = evaluator(head)
         trace.append(entry)
-    return order[0].head, trace
+    return head, trace

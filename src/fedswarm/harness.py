@@ -33,7 +33,6 @@ from .errors import (ConfigError, EvaluationError, NumericError, PlanError, _is_
 from . import federation
 from .federation import (
     MAX_TRAINING_BYTES,
-    NodeState,
     SimNetwork,
     _table_bytes,
     run_session,
@@ -396,10 +395,9 @@ class MetricsReport:
 
 def _central_epochs(head, view, cfg: LossConfig, epochs: int, part, rng):
     """Central training (T0, joint): local epochs of one node on pooled data."""
-    node = NodeState(0, head, head)
     # looked up at call time, so a wrapper on federation (a tracer) sees it
-    federation.local_epoch([node], [view], [part], cfg, rng, epochs)
-    return node.head
+    (head,), _ = federation.local_epoch([head], [view], [part], cfg, rng, epochs)
+    return head
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -496,15 +494,12 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
             head = _central_epochs(head, (train_f[rows], train.classes[rows]), ce_cfg, epochs,
                                    part, rng_joint)
         else:
-            nodes = [NodeState(n, head, head) for n in range(plan.num_nodes)]
             masks = [node_train_view(train, plan, t, n) for n in range(plan.num_nodes)]
-            views = {n: (train_f[m], train.classes[m]) for n, m in enumerate(masks)}
-            parts = {
-                n: ClassPartition(frozenset(old), frozenset(plan.node_classes(t, n)))
-                for n in range(plan.num_nodes)
-            }
+            views = [(train_f[m], train.classes[m]) for m in masks]
+            parts = [ClassPartition(frozenset(old), frozenset(plan.node_classes(t, n)))
+                     for n in range(plan.num_nodes)]
             head, trace = run_session(
-                nodes, net, cfg.train.rounds_per_session, views, parts, fed_cfg,
+                head, net, cfg.train.rounds_per_session, views, parts, fed_cfg,
                 rng_fed, evaluator=lambda h: accuracy(hits_of(h, seen)[1]),
             )
         sessions.append({"session": t, "seen_classes": seen, "new_classes": new_ids,

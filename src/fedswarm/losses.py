@@ -143,8 +143,9 @@ def check_view(head: TrainableHead, view, part: ClassPartition, cfg: LossConfig)
     ``view`` is (x, targets): (M, c_feat) float32 features and M integer
     class ids. Returns (x, targets as intp, (new, old) class masks of
     ``part``). Features that are not (M, c_feat), or targets that are
-    not M ids, raise DimensionError, and targets must index a logit
-    (IndexError). With the MOL term on, each target must lie on a side
+    not M ids, raise DimensionError; so does a nonempty targets array
+    whose dtype is not an integer one (floats, bools and strings are
+    not class ids), and targets must index a logit (IndexError). With the MOL term on, each target must lie on a side
     of ``part`` (RegistryError) and every other partition class must
     index a logit (IndexError). A mask marks its side's classes by
     index; a partition class outside the logits (possible only with
@@ -153,7 +154,7 @@ def check_view(head: TrainableHead, view, part: ClassPartition, cfg: LossConfig)
     c = head.num_classes
     try:
         x, targets = view
-        x, targets = np.asarray(x, np.float32), np.asarray(targets, np.intp)
+        x, targets = np.asarray(x, np.float32), np.asarray(targets)
     except (TypeError, ValueError):  # not two arrays: ragged, or a list of pairs
         raise DimensionError(
             f"a training view is (features (M, {head.c_feat}), targets (M,)) arrays"
@@ -163,9 +164,16 @@ def check_view(head: TrainableHead, view, part: ClassPartition, cfg: LossConfig)
             f"features {x.shape} and targets {targets.shape} do not match head input "
             f"(M, {head.c_feat}) and (M,)"
         )
+    # an empty list is float64; a class id is any integer, never a float's floor
+    if targets.size and targets.dtype.kind not in "iu":
+        raise DimensionError(
+            f"targets of dtype {targets.dtype} are not class ids: a training view is "
+            f"(features (M, {head.c_feat}), targets (M,)) with integer targets"
+        )
     bad = (targets < 0) | (targets >= c)
     if bad.any():
         raise IndexError(f"target {targets[bad][0]} out of range for {c} classes")
+    targets = targets.astype(np.intp, copy=False)
     if cfg.mu != 0.0:
         stray = [k for k in sorted(part.new_classes) + sorted(part.old_classes) if not 0 <= k < c]
         for t in dict.fromkeys(targets.tolist()):

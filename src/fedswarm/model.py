@@ -17,7 +17,6 @@ enter as constants.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +36,7 @@ __all__ = [
     "flatten_params",
     "unflatten_params",
     "head_message_bytes",
-    "write_head",
-    "read_head",
 ]
-
-_MAGIC = b"FCH1"
-
 
 class TrainableHead:
     """The float32 trainable parameters: conv + expandable classifier.
@@ -290,32 +284,3 @@ def unflatten_params(h: TrainableHead, v: np.ndarray) -> TrainableHead:
 def head_message_bytes(h: TrainableHead) -> int:
     """Bytes on the wire for one head: 4 per float32 parameter."""
     return 4 * h.parameter_count
-
-
-def write_head(h: TrainableHead, path) -> None:
-    """Head checkpoint, same container style as the backbone."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", h.c_feat, h.c_out, h.num_classes))
-        fh.write(h.params.astype("<f4").tobytes())
-
-
-def read_head(path) -> TrainableHead:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise NumericError(f"bad head container magic: {blob[:4]!r}")
-    if len(blob) < 16:
-        raise NumericError(f"head container truncated in its header: {len(blob)} bytes")
-    c_feat, c_out, num_classes = struct.unpack_from("<III", blob, 4)
-    expected = 16 + 4 * (c_out * c_feat + c_out + num_classes * c_out + num_classes)
-    if len(blob) != expected:
-        raise NumericError(
-            f"head container holds {len(blob)} bytes, its header implies {expected}"
-        )
-    if min(c_feat, c_out, num_classes) < 1:
-        raise DimensionError(f"head container dims must be positive: {c_feat, c_out, num_classes}")
-    flat = np.frombuffer(blob, dtype="<f4", offset=16).astype(np.float32)
-    head = _head(flat, c_feat, c_out, num_classes)
-    check_finite(head)
-    return head

@@ -157,30 +157,24 @@ def test_criterion_5_forgetting_ordering(triple):
 
 def test_criterion_6_consensus_and_privacy():
     rng = np.random.default_rng(99)
+    # three different heads at the start, the global head in every later round
     heads = [fs.init_head(6, 5, 4, np.random.default_rng(i)) for i in range(3)]
-    nodes = [fs.NodeState(i, h, h) for i, h in enumerate(heads)]
     p = heads[0].parameter_count
     part = fs.ClassPartition(frozenset({0, 1}), frozenset({2, 3}))
-    views = {
-        i: (rng.standard_normal((6, 6)).astype(np.float32), np.full(6, 2 + i % 2))
-        for i in range(3)
-    }
+    views = [(rng.standard_normal((6, 6)).astype(np.float32), np.full(6, 2 + i % 2))
+             for i in range(3)]
     cfg = fs.LossConfig(mu=2.0, lam=3.8, lr=0.05, batch_size=3)
     net = fs.SimNetwork(fs.LinkModel(throughput_bps=4 * p / 0.5))
     rounds, consensus = 4, True
     for _ in range(rounds):
-        fs.local_epoch(nodes, [views[n.node_id] for n in nodes], [part] * len(nodes), cfg, rng)
-        uploads = [fs.flatten_params(n.head) for n in nodes]
-        expected = fs.fedavg(uploads, node_ids=[n.node_id for n in nodes])
-        fs.sync_round(nodes, net)
-        for n in nodes:
-            consensus = consensus and np.array_equal(
-                fs.flatten_params(n.head), expected
-            )
-            consensus = consensus and n.snapshot is n.head
+        trained, _ = fs.local_epoch(heads, views, [part] * len(heads), cfg, rng)
+        expected = fs.fedavg([fs.flatten_params(h) for h in trained])
+        head, _ = fs.sync_round(trained, net)
+        consensus = consensus and np.array_equal(fs.flatten_params(head), expected)
+        heads = [head] * len(heads)
     events = net.events
     privacy = (
-        len(events) == rounds * 2 * len(nodes)
+        len(events) == rounds * 2 * len(heads)
         and all(e.kind in ("upload", "broadcast") for e in events)
         and all(e.n_bytes == 4 * p for e in events)
         # the event log carries metadata only: no payload field at all

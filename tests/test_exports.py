@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -54,13 +55,42 @@ def test_retired_names_are_gone():
     # a training view is (features, targets) columns, not per-sample pairs
     assert not hasattr(fedswarm.losses, "stack_pairs")
     assert not hasattr(fedswarm.harness, "_pairs")
+    # the swarm's state is one global head between syncs, and nothing
+    # reads or writes a head checkpoint
+    for name in ("NodeState", "write_head", "read_head"):
+        assert not hasattr(fedswarm, name), name
+
+
+def _perfbench(monkeypatch, *names):
+    """perfbench's modules, imported from its directory; nothing there is edited."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return [importlib.import_module(n) for n in names]
 
 
 def test_benchmark_trace_sites_resolve(monkeypatch):
     # the traced benchmark pass wraps each site at the module attribute its
     # caller looks up; a renamed or deleted function would break that pass
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    layers = importlib.import_module("layers")
+    (layers,) = _perfbench(monkeypatch, "layers")
     for module, attr, *_ in layers.SITES:
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
     assert callable(fedswarm.federation.SimNetwork.send)
+
+
+@pytest.mark.parametrize("strategy", fedswarm.STRATEGIES)
+def test_benchmark_trace_counts_match_the_config(monkeypatch, strategy):
+    # the traced pass checks its sample and link counters against what the
+    # config implies; a wrapped function that stops being called where the
+    # tracer looks, or is called with other arguments, shows up here
+    spans, layers, workloads = _perfbench(monkeypatch, "spans", "layers", "workloads")
+    base = fedswarm.default_config(strategy, seed=7)
+    cfg = replace(base, loss=replace(base.loss, local_epochs_per_round=1),
+                  train=fedswarm.TrainSpec(t0_epochs=1, rounds_per_session=1))
+    untraced = fedswarm.run_experiment(cfg)
+    tracer = spans.Tracer()
+    with spans.installed(layers.patches(tracer)):
+        traced = fedswarm.harness.run_experiment(cfg)
+    messages = workloads.link_messages(cfg)
+    assert tracer.counts["losses.total_loss.samples"] == workloads.train_samples(cfg)
+    assert tracer.counts["federation.link_messages"] == len(messages)
+    assert tracer.counts["federation.link_bytes"] == sum(messages)
+    assert traced == untraced

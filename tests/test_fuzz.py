@@ -1,4 +1,4 @@
-"""Hostile-input fuzzing: mutated configs, manifests and containers.
+"""Hostile-input fuzzing: mutated configs, manifests and the backbone container.
 
 Every test runs in process (no subprocess per example) under the
 conftest hypothesis profile. A malformed input may be rejected, but
@@ -22,12 +22,9 @@ from fedswarm import (
     config_to_dict,
     default_config,
     gen_synthetic,
-    init_head,
     read_backbone,
-    read_head,
     read_manifest,
     write_backbone,
-    write_head,
     write_manifest,
 )
 from fedswarm.cli import main
@@ -164,17 +161,6 @@ def _mutate_bytes(data, raw: bytes) -> bytes:
     at = data.draw(st.integers(0, len(raw) - 1))
     patch = data.draw(st.binary(min_size=1, max_size=8))
     return raw[:at] + patch + raw[at + len(patch):]
-
-
-@given(data=st.data())
-def test_mutated_head_container_raises_only_package_errors(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("fch") / "head.fch"
-    write_head(init_head(6, 5, 3, np.random.default_rng(0)), path)
-    path.write_bytes(_mutate_bytes(data, path.read_bytes()))
-    try:
-        read_head(path)
-    except FedswarmError:
-        pass
 
 
 @given(data=st.data())

@@ -23,9 +23,7 @@ from fedswarm import (
     init_head,
     quantize,
     QuantParams,
-    read_head,
     unflatten_params,
-    write_head,
 )
 from fedswarm.gradcheck import REL_TOL, check_case
 from fedswarm.losses import ClassPartition, LossConfig
@@ -247,51 +245,3 @@ def test_unflatten_length_mismatch():
     h = _zero_head()
     with pytest.raises(DimensionError):
         unflatten_params(h, np.zeros((h.parameter_count + 1,), np.float32))
-
-
-# -- checkpoint container --------------------------------------------------------
-
-
-def test_head_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    h = init_head(7, 4, 6, rng)
-    path = tmp_path / "head.fch"
-    write_head(h, path)
-    assert read_head(path) == h
-
-
-def test_head_checkpoint_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.fch"
-    path.write_bytes(b"WHAT" + b"\x00" * 32)
-    with pytest.raises(NumericError):
-        read_head(path)
-
-
-def test_head_checkpoint_rejects_truncated_file(tmp_path):
-    path = tmp_path / "head.fch"
-    write_head(init_head(7, 4, 6, np.random.default_rng(8)), path)
-    blob = path.read_bytes()
-    for cut in range(len(blob)):  # inside the header and inside the parameters
-        path.write_bytes(blob[:cut])
-        with pytest.raises(NumericError):
-            read_head(path)
-
-
-def test_head_checkpoint_rejects_non_finite_values(tmp_path):
-    path = tmp_path / "head.fch"
-    write_head(init_head(7, 4, 6, np.random.default_rng(8)), path)
-    blob = bytearray(path.read_bytes())
-    blob[-4:] = np.float32(np.nan).tobytes()  # the last classifier bias
-    path.write_bytes(bytes(blob))
-    with pytest.raises(NumericError, match="cls_b"):
-        read_head(path)
-
-
-def test_head_checkpoint_rejects_trailing_bytes(tmp_path):
-    path = tmp_path / "head.fch"
-    write_head(init_head(7, 4, 6, np.random.default_rng(8)), path)
-    blob = path.read_bytes()
-    for pad in (b"\x00", b"\x00" * 4, b"FCH1" + blob[4:16]):
-        path.write_bytes(blob + pad)
-        with pytest.raises(NumericError):
-            read_head(path)

@@ -638,7 +638,9 @@ def test_check_view_masks_mark_only_classes_in_range(classes, new, old):
 
 
 _DEFECTS = ("flat", "deep", "columns", "length", "targets_2d", "ragged", "pairs",
-            "target_range")
+            "target_range", "float_targets", "bool_targets", "str_targets")
+# defects that need a target: an empty targets array passes whatever its dtype
+_TYPED = ("target_range", "float_targets", "bool_targets", "str_targets")
 
 
 @st.composite
@@ -649,7 +651,7 @@ def _views(draw):
     target, which only the MOL term (mu != 0) checks."""
     c_feat, classes = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     defect = draw(st.sampled_from((None,) + _DEFECTS))
-    m = draw(st.integers(2 if defect == "ragged" else 1 if defect == "target_range" else 0, 6))
+    m = draw(st.integers(2 if defect == "ragged" else 1 if defect in _TYPED else 0, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = _sparse(rng, (m, c_feat), draw(st.sampled_from([0.0, 0.5])))
     targets = rng.integers(0, classes, m)
@@ -675,6 +677,12 @@ def _views(draw):
         view = (rows, targets)
     elif defect == "pairs":  # a list of (features, target) pairs
         view = list(zip(x, targets.tolist()))
+    elif defect == "float_targets":  # even whole-number floats are not class ids
+        view = (x, targets + draw(st.sampled_from([0.0, 0.7])))
+    elif defect == "bool_targets":
+        view = (x, targets % 2 == 1)
+    elif defect == "str_targets":
+        view = (x, targets.astype(str))
     elif defect == "target_range":
         targets[draw(st.integers(0, m - 1))] = draw(st.sampled_from([-1, classes]))
         expected = IndexError
@@ -694,6 +702,9 @@ def _views(draw):
     return c_feat, classes, view, part, mu, expected
 
 
+# no rows: targets as an empty list come out float64, and pass
+@example(case=(2, 3, (np.zeros((0, 2), np.float32), np.array([])),
+               ClassPartition(frozenset(), frozenset({0})), 1.0, None))
 # a feature row of 3 values among rows of 4
 @example(case=(4, 3, ([np.arange(4, dtype=np.float32), np.zeros(3, np.float32)], [0, 1]),
                ClassPartition(frozenset(), frozenset({0, 1, 2})), 2.0, DimensionError))
