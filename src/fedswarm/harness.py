@@ -409,7 +409,7 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 def load_dataset(cfg: ExperimentConfig) -> tuple:
     """(train, test) of a run: generated from the data stream, or read
     from the manifest, which must hold train and test rows of every
-    planned class."""
+    planned class in frames of the backbone's channel count."""
     if cfg.data.kind == "synthetic":
         return gen_synthetic(cfg.data.synthetic_spec(cfg.plan.num_classes), _rng(cfg.seed, 0))
     train, test = read_manifest(cfg.data.manifest_dir)
@@ -417,6 +417,9 @@ def load_dataset(cfg: ExperimentConfig) -> tuple:
         missing = sorted(set(range(cfg.plan.num_classes)) - set(ds.classes.tolist()))
         if missing:
             raise ConfigError(f"manifest lacks {rows} classes {missing}")
+        if ds.frames.shape[1] != cfg.backbone.layer_dims[0]:
+            raise ConfigError(f"manifest {rows} frames have {ds.frames.shape[1]} channels, "
+                              f"the backbone takes {cfg.backbone.layer_dims[0]}")
     return train, test
 
 

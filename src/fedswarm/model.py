@@ -1,4 +1,4 @@
-"""Split model: frozen quantized backbone plus a small trainable head.
+"""The trainable head that runs on the frozen backbone's features.
 
 The head is a pointwise conv over the pooled feature vector, relu, and
 a linear classifier whose row count grows as new classes appear. A
@@ -17,20 +17,16 @@ enter as constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, NumericError, RegistryError
-from .quant import FrozenBackbone, QuantTensor, backbone_forward
 from .tensor import _SCAN_BLOCK, Fold
 
 __all__ = [
     "TrainableHead",
-    "SplitModel",
     "check_finite",
     "init_head",
-    "forward",
     "head_logits",
     "expand_classifier",
     "flatten_params",
@@ -125,19 +121,6 @@ def check_finite(h: TrainableHead) -> None:
                 raise NumericError(f"non-finite values in {name}")
 
 
-@dataclass(frozen=True)
-class SplitModel:
-    backbone: FrozenBackbone
-    head: TrainableHead
-
-    def __post_init__(self):
-        if self.backbone.feature_dim != self.head.c_feat:
-            raise DimensionError(
-                f"backbone features {self.backbone.feature_dim} do not match "
-                f"head input {self.head.c_feat}"
-            )
-
-
 def init_head(
     c_feat: int,
     c_out: int,
@@ -229,11 +212,6 @@ def head_logits(head: TrainableHead, features) -> np.ndarray:
         fwd.run(weights, chunk.T[:, :, None, None])
         out[lo : lo + len(chunk)] = fwd.logits[:, 0]
     return out.reshape(f.shape[:-1] + (head.num_classes,))
-
-
-def forward(m: SplitModel, x: QuantTensor) -> np.ndarray:
-    """logits = cls(relu(conv(backbone(x)))); backbone sees no gradient."""
-    return head_logits(m.head, backbone_forward(m.backbone, x))
 
 
 def expand_classifier(h: TrainableHead, new_class_ids) -> TrainableHead:

@@ -256,17 +256,18 @@ class _Space:
     and the requantization multiplier, formed exactly as the one-frame
     pass does; two float64 GEMM buffers that the layers write in turn,
     each as wide as the widest layer it holds, ``2 * _BLOCK`` elements
-    between them at most; and the pooling ``Fold``'s buffer. At the
+    between them at most; and the pooling ``Fold``. At the
     default (4, 32, 48) layers on 16x16 frames that is 3 frames per
     block, 61440 float64 in the GEMM buffers and 257 * 3 * 48 float32 in
-    the fold's, about 0.14 MB more than buffers both as wide as the
+    the fold, about 0.14 MB more than buffers both as wide as the
     widest layer, which fit 2 frames. Rows are
     pixel-major, row ``p * b + f`` holding pixel ``p`` of frame ``f``, so the last layer's
     output already is the (H*W, b * feature_dim) terms of the pooling
-    fold. A shorter last block runs on prefix views of the same buffers.
+    fold. A shorter last block runs on prefix views of the same GEMM
+    buffers and pools in a ``Fold`` of its own.
     """
 
-    __slots__ = ("layers", "rows", "hw", "zp", "out_scale", "pixels", "bufs", "fold_buf", "fold")
+    __slots__ = ("layers", "rows", "hw", "zp", "out_scale", "pixels", "bufs", "fold")
 
     def __init__(self, bb: FrozenBackbone, qp: QuantParams, n: int, hw: int):
         # buffer 0 holds the input and the outputs of layers 1, 3, ...,
@@ -286,14 +287,13 @@ class _Space:
         self.out_scale = np.float32(bb.layers[-1].out_scale)
         self.pixels = np.float32(hw)
         self.bufs = tuple(np.empty(self.rows * hw * width) for width in widths)
-        self.fold_buf = np.empty((hw + 1) * self.rows * bb.feature_dim, np.float32)
-        self.fold = Fold((hw, self.rows, bb.feature_dim), self.fold_buf)
+        self.fold = Fold((hw, self.rows, bb.feature_dim))
 
     def run(self, q: np.ndarray, out: np.ndarray) -> None:
         """Write the (b, feature_dim) features of a (b, C, H, W) block into ``out``."""
         b, c = q.shape[:2]
         m, fd = b * self.hw, out.shape[1]  # GEMM rows, features
-        fold = self.fold if b == self.rows else Fold((self.hw, b, fd), self.fold_buf)
+        fold = self.fold if b == self.rows else Fold((self.hw, b, fd))
         src, dst = self.bufs
         np.subtract(q.reshape(b, c, self.hw).transpose(2, 0, 1), self.zp,
                     out=src[: m * c].reshape(self.hw, b, c), dtype=np.float64)

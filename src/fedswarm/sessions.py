@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, EvaluationError, NumericError, PlanError, RegistryError, _is_int
-from .model import SplitModel, TrainableHead, head_logits
+from .model import TrainableHead, head_logits
 from .quant import QuantParams, QuantTensor, backbone_forward
 
 __all__ = [
@@ -277,29 +277,27 @@ def accuracy(hits: np.ndarray) -> float:
 
 
 def evaluate(
-    model: SplitModel,
+    head: TrainableHead,
     ds_test: LabeledDataset,
     seen_classes,
-    features=None,
+    features,
     sample_classes=None,
 ) -> float:
-    """Accuracy of seen-class argmax over a slice of the test set.
+    """Accuracy of seen-class argmax over a slice of the test set, scored
+    on the split's feature rows (``precompute_features``, one per sample).
 
     Prediction is the highest logit among ``seen_classes`` (lowest class
     id wins ties). By default all test samples of seen classes are
     scored; ``sample_classes`` narrows the scored samples without
     narrowing the argmax, which is how forgetting on early classes is
-    measured. Pass the split's ``precompute_features`` rows to skip the
-    integer backbone pass.
+    measured.
     """
-    if features is None:
-        features = precompute_features(model.backbone, ds_test)
     features = np.asarray(features)
     if features.shape[:1] != (len(ds_test),):
         raise DimensionError(f"features {features.shape} do not match {len(ds_test)} test rows")
     scored = seen_classes if sample_classes is None else sample_classes
     rows = np.isin(ds_test.classes, [int(c) for c in scored])
-    return accuracy(predict(model.head, features[rows], seen_classes) == ds_test.classes[rows])
+    return accuracy(predict(head, features[rows], seen_classes) == ds_test.classes[rows])
 
 
 # -- manifest I/O -----------------------------------------------------------

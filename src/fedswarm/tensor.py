@@ -45,20 +45,14 @@ class Fold:
     in index order; with W == 1 that would be a 1-D reduce, which numpy
     sums pairwise, so ``np.add.accumulate`` runs instead. A fold never
     yields -0.0, so the sign of a zero term never shows in it.
-
-    ``buf``, a flat float32 array of at least (k + 1) * prod(trail)
-    elements, lends its prefix as that buffer, so folds of several
-    lengths can share one allocation; the fold made last owns it.
     """
 
     __slots__ = ("terms", "total", "run")
 
-    def __init__(self, shape: tuple, buf: np.ndarray | None = None):
+    def __init__(self, shape: tuple):
         k, trail = shape[0], shape[1:]
         width = math.prod(trail)
-        if buf is None:
-            buf = np.empty((k + 1) * width, np.float32)
-        buf = buf[: (k + 1) * width].reshape(k + 1, width)
+        buf = np.empty((k + 1, width), np.float32)
         buf[0] = 0.0
         self.terms = buf[1:].reshape(shape)
         if width != 1:

@@ -20,7 +20,6 @@ from fedswarm import (
     RegistryEntry,
     RegistryError,
     SessionPlan,
-    SplitModel,
     TrainableHead,
     build_backbone,
     evaluate,
@@ -246,7 +245,7 @@ def _identity_world(classes=4, per_class=3):
 
 def test_perfect_model_scores_one():
     bb, ds, head = _identity_world()
-    assert evaluate(SplitModel(bb, head), ds, range(4)) == 1.0
+    assert evaluate(head, ds, range(4), precompute_features(bb, ds)) == 1.0
 
 
 def test_constant_predictor_scores_chance():
@@ -256,7 +255,7 @@ def test_constant_predictor_scores_chance():
         cls_w=np.zeros((4, 4), np.float32),
         cls_b=np.asarray([1.0, 0.0, 0.0, 0.0], np.float32),  # always argmax class 0
     )
-    assert evaluate(SplitModel(bb, biased), ds, range(4)) == 0.25
+    assert evaluate(biased, ds, range(4), precompute_features(bb, ds)) == 0.25
 
 
 def test_tie_break_is_lowest_class_id():
@@ -266,8 +265,9 @@ def test_tie_break_is_lowest_class_id():
         cls_w=np.zeros((4, 4), np.float32), cls_b=np.zeros((4,), np.float32),
     )
     # all logits equal: every sample is predicted as the lowest seen id
-    assert evaluate(SplitModel(bb, flat), ds, range(4)) == 0.25
-    assert evaluate(SplitModel(bb, flat), ds, [2, 3]) == 0.5
+    feats = precompute_features(bb, ds)
+    assert evaluate(flat, ds, range(4), feats) == 0.25
+    assert evaluate(flat, ds, [2, 3], feats) == 0.5
 
 
 def test_evaluate_permutation_invariant():
@@ -276,22 +276,21 @@ def test_evaluate_permutation_invariant():
     p = rng.permutation(len(ds))
     frames = QuantTensor(ds.frames.array[p], ds.frames.shape, ds.frames.qparams)
     shuffled = LabeledDataset(ds.ids[p], ds.classes[p], frames, "test")
-    model = SplitModel(bb, head)
-    assert evaluate(model, ds, range(4)) == evaluate(model, shuffled, range(4))
+    assert (evaluate(head, ds, range(4), precompute_features(bb, ds))
+            == evaluate(head, shuffled, range(4), precompute_features(bb, shuffled)))
 
 
 def test_evaluate_narrowed_sample_classes():
     bb, ds, head = _identity_world()
     # argmax still spans all four seen classes; only class-0 samples scored
-    assert evaluate(SplitModel(bb, head), ds, range(4), sample_classes=[0]) == 1.0
+    feats = precompute_features(bb, ds)
+    assert evaluate(head, ds, range(4), feats, sample_classes=[0]) == 1.0
 
 
 def test_evaluate_uses_feature_cache():
-    bb, ds, head = _identity_world()
-    model = SplitModel(bb, head)
+    bb, ds, _ = _identity_world()
     feats = precompute_features(bb, ds)
     assert feats.shape == (len(ds), 4) and feats.dtype == np.float32
-    assert evaluate(model, ds, range(4), features=feats) == evaluate(model, ds, range(4))
     assert not feats.flags.writeable  # shared, so read-only
 
 
@@ -310,19 +309,19 @@ def test_evaluate_matches_per_sample_argmax():
                 z = head_logits(head, f)
                 hits += seen[int(np.argmax(z[seen]))] == c
                 total += 1
-        got = evaluate(SplitModel(bb, head), test, seen, features=feats, sample_classes=scored)
+        got = evaluate(head, test, seen, feats, sample_classes=scored)
         assert got == hits / total
 
 
 def test_evaluate_error_cases():
     bb, ds, head = _identity_world()
-    model = SplitModel(bb, head)
+    feats = precompute_features(bb, ds)
     with pytest.raises(EvaluationError):
-        evaluate(model, ds, [])
+        evaluate(head, ds, [], feats)
     with pytest.raises(EvaluationError):
-        evaluate(model, ds, [9])  # beyond classifier outputs
+        evaluate(head, ds, [9], feats)  # beyond classifier outputs
     with pytest.raises(EvaluationError):
-        evaluate(model, ds, range(4), sample_classes=[17])  # nothing to score
+        evaluate(head, ds, range(4), feats, sample_classes=[17])  # nothing to score
 
 
 def test_predict_and_evaluate_reject_features_that_do_not_match_the_rows():
@@ -330,9 +329,9 @@ def test_predict_and_evaluate_reject_features_that_do_not_match_the_rows():
     feats = precompute_features(bb, ds)
     assert np.array_equal(predict(head, feats, range(4)), ds.classes)
     with pytest.raises(DimensionError):
-        evaluate(SplitModel(bb, head), ds, range(4), features=feats[1:])  # a row short
+        evaluate(head, ds, range(4), feats[1:])  # a row short
     with pytest.raises(DimensionError):
-        evaluate(SplitModel(bb, head), ds, range(4), features=feats[:, :3])
+        evaluate(head, ds, range(4), feats[:, :3])
     with pytest.raises(DimensionError):
         predict(head, feats[0], range(4))  # one vector, not rows
     with pytest.raises(DimensionError):

@@ -59,6 +59,11 @@ def test_retired_names_are_gone():
     # reads or writes a head checkpoint
     for name in ("NodeState", "write_head", "read_head"):
         assert not hasattr(fedswarm, name), name
+    # inference is a head pass over precomputed feature rows, with no
+    # backbone/head pair object and no one-frame eager path beside it
+    for name in ("SplitModel", "forward"):
+        assert not hasattr(fedswarm, name), name
+        assert not hasattr(fedswarm.model, name), name
 
 
 def _perfbench(monkeypatch, *names):

@@ -617,6 +617,24 @@ def test_cli_manifest_run_past_the_shuffle_cap_is_a_runtime_error(tmp_path):
     assert f"epochs={2**62} over" in res.stderr and "shuffle table" in res.stderr
 
 
+@pytest.mark.parametrize("split", ["training", "test"])
+def test_cli_manifest_with_the_wrong_channel_count_is_a_config_error(tmp_path, split):
+    # the config's check of synthetic channels, applied to each manifest split
+    cfg = _small_config()  # a 3-channel backbone
+    spec = cfg.data.synthetic_spec(cfg.plan.num_classes)
+    three, four = (fs.gen_synthetic(replace(spec, input_shape=shape), np.random.default_rng(0))
+                   for shape in ((3, 2, 2), (4, 2, 2)))
+    train, test = (four[0], three[1]) if split == "training" else (three[0], four[1])
+    fs.write_manifest(train, test, tmp_path / "data")
+    cfg_path = tmp_path / "config.json"
+    fs.save_config(replace(cfg, data=fs.DataSpec(kind="manifest",
+                                                 manifest_dir=str(tmp_path / "data"))), cfg_path)
+    res = _main("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert res.returncode == 1
+    assert res.stderr == (f"config error: manifest {split} frames have 4 channels, "
+                          "the backbone takes 3\n")
+
+
 def test_config_data_cap():
     # synthetic train plus test data: classes x samples x input bytes; frames
     # of 1 KiB reach this cap below the sample cap

@@ -1,4 +1,4 @@
-"""Split model: trainable head on a frozen backbone, classifier growth."""
+"""The trainable head on backbone features, and classifier growth."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,12 @@ from fedswarm import (
     DimensionError,
     NumericError,
     RegistryError,
-    SplitModel,
     TrainableHead,
     backbone_digest,
     build_backbone,
     backbone_forward,
     expand_classifier,
     flatten_params,
-    forward,
     head_logits,
     head_message_bytes,
     init_head,
@@ -99,12 +97,6 @@ def test_head_logits_rejects_wrong_feature_length():
         head_logits(h, np.asarray([1.0, 2.0], np.float32))
 
 
-def test_split_model_checks_feature_dim():
-    bb = build_backbone((3, 6), np.random.default_rng(1))
-    with pytest.raises(DimensionError):
-        SplitModel(bb, _zero_head(c_feat=4))
-
-
 def test_forward_through_backbone():
     rng = np.random.default_rng(2)
     bb = build_backbone((3, 6), rng)
@@ -112,7 +104,7 @@ def test_forward_through_backbone():
     x = quantize(
         rng.standard_normal((3, 2, 2)).astype(np.float32), QuantParams(0.05)
     )
-    z = forward(SplitModel(bb, head), x)
+    z = head_logits(head, backbone_forward(bb, x))
     assert z.shape == (5,)
     # the batched kernels equal the per-sample loop reference bit for bit
     ref = _ref_head(head, backbone_forward(bb, x))[-1]
