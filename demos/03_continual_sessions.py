@@ -1,7 +1,7 @@
 """Class-incremental sessions on a small swarm, without federation yet.
 
 Lays out the bookkeeping: a session plan deals unseen classes to
-nodes, the registry tracks what is known when, node views expose only
+nodes and records what is known when, node views expose only
 the current session's data (no replay), and the classifier grows rows
 for new classes while older logits stay bit-identical.
 """
@@ -16,16 +16,14 @@ from fedswarm import (
     init_head,
     make_plan,
     node_train_view,
-    registry_from_plan,
 )
 
 plan = make_plan(num_classes=10, num_nodes=3, base_count=4)
-registry = registry_from_plan(plan)
 print(f"base classes        : {list(plan.base_classes)}")
 for t in range(1, plan.num_sessions + 1):
     deal = {n: plan.node_classes(t, n) for n in range(plan.num_nodes)}
     print(f"session {t} deal      : {deal}")
-print(f"seen through T1     : {registry.seen_through(1)}")
+print(f"seen through T1     : {plan.seen_through(1)}")
 
 rng = np.random.default_rng(11)
 train, _ = gen_synthetic(SyntheticSpec(num_classes=10, train_per_class=6, test_per_class=2), rng)
@@ -41,7 +39,7 @@ for t in (1, 2):
 head = init_head(c_feat=48, c_out=24, num_classes=4, rng=rng)
 feats = rng.standard_normal(48).astype(np.float32)
 before = head_logits(head, feats)
-grown = expand_classifier(head, registry.introduced_at(1))
+grown = expand_classifier(head, plan.session_classes(1))
 after = head_logits(grown, feats)
 print(f"logits before       : {np.round(before, 4)}")
 print(f"logits after expand : {np.round(after, 4)}")

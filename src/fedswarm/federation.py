@@ -38,7 +38,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
-from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from .costs import LinkModel, message_time
 from .errors import AggregationError, DimensionError, NumericError
 from .losses import LossConfig, Minibatch, StepSpace, check_view, sgd_step, total_loss
 from .model import check_finite, flatten_params, unflatten_params
+from .sessions import _write_file
 
 # cap on a training call's (epochs, samples) shuffle table, and on a
 # config's peak training memory in the cost model (``harness``)
@@ -118,7 +118,7 @@ def write_trace(net: SimNetwork, path) -> None:
     lines.extend(
         f"{e.time_s!r}\t{e.node}\t{e.kind}\t{e.n_bytes}" for e in net.events
     )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_file(path, ("\n".join(lines) + "\n").encode())
 
 
 def fedavg(heads, weights=None, node_ids=None) -> np.ndarray:

@@ -58,7 +58,7 @@ from .sessions import (
     precompute_features,
     predict,
     read_manifest,
-    registry_from_plan,
+    _write_file,
 )
 from .synthetic import SyntheticSpec, gen_synthetic
 
@@ -363,7 +363,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n")
+    _write_file(path, (json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n").encode())
 
 
 # -- the experiment ----------------------------------------------------------
@@ -433,7 +433,6 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
     """
     rng_backbone, rng_head, rng_t0, rng_fed, rng_joint = (_rng(cfg.seed, i) for i in range(1, 6))
     plan = make_plan(**asdict(cfg.plan))
-    registry = registry_from_plan(plan)
     train, test = load_dataset(cfg)
     backbone = build_backbone(
         cfg.backbone.layer_dims,
@@ -486,8 +485,8 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
 
     for t in range(1, plan.num_sessions + 1):
         new_ids = plan.session_classes(t)
-        seen = registry.seen_through(t)
-        old = registry.seen_through(t - 1)
+        seen = plan.seen_through(t)
+        old = plan.seen_through(t - 1)
         head = expand_classifier(head, new_ids)
         trace = []
         if cfg.strategy == "joint":
@@ -540,7 +539,7 @@ def emit_report(r: MetricsReport, path) -> None:
     determinism checks compare.
     """
     payload = {f.name: getattr(r, f.name) for f in fields(r)}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_file(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
 
 
 def parse_report(path) -> MetricsReport:

@@ -145,11 +145,12 @@ def check_view(head: TrainableHead, view, part: ClassPartition, cfg: LossConfig)
     ``part``). Features that are not (M, c_feat), or targets that are
     not M ids, raise DimensionError; so does a nonempty targets array
     whose dtype is not an integer one (floats, bools and strings are
-    not class ids), and targets must index a logit (IndexError). With the MOL term on, each target must lie on a side
-    of ``part`` (RegistryError) and every other partition class must
-    index a logit (IndexError). A mask marks its side's classes by
-    index; a partition class outside the logits (possible only with
-    the MOL term off) marks nothing.
+    not class ids), and targets must index a logit (IndexError). With
+    the MOL term on, each target must lie on a side of ``part``
+    (RegistryError) and every other partition class must index a logit
+    (IndexError). A mask marks its side's classes by index; a partition
+    class outside the logits (possible only with the MOL term off)
+    marks nothing.
     """
     c = head.num_classes
     try:

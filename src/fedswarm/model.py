@@ -217,7 +217,7 @@ def head_logits(head: TrainableHead, features) -> np.ndarray:
 def expand_classifier(h: TrainableHead, new_class_ids) -> TrainableHead:
     """Append a zero row and bias entry per new class; old rows untouched.
 
-    New ids must continue the registry ordering: exactly
+    New ids must continue the head's class ids: exactly
     num_classes, num_classes+1, ...
     """
     ids = [int(c) for c in new_class_ids]

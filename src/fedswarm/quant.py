@@ -21,9 +21,7 @@ so an accumulator overflow raises the same error for the same frame.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +43,12 @@ __all__ = [
     "dequantize",
     "backbone_forward",
     "build_backbone",
-    "write_backbone",
-    "read_backbone",
-    "backbone_digest",
 ]
 
 INT8_MIN, INT8_MAX = -128, 127
 _INT32_MAX = 2**31 - 1
 # half the float64 elements of the batched backbone pass's two GEMM buffers
 _BLOCK = 1 << 15
-
-_MAGIC = b"FCB1"
 
 
 @dataclass(frozen=True)
@@ -142,7 +135,7 @@ class QuantLayer:
     """One quantized pointwise-conv layer; output zero point is fixed at 0.
 
     Post-relu activations are nonnegative, so a symmetric output grid
-    loses nothing and keeps the serialized container scale-only.
+    loses nothing: a layer's output needs a scale and no zero point.
     """
 
     weight: np.ndarray  # int8, (c_out, c_in)
@@ -408,63 +401,4 @@ def build_backbone(
                 out_scale=float(activation_range) / INT8_MAX,
             )
         )
-    return FrozenBackbone(layers)
-
-
-def backbone_digest(bb: FrozenBackbone) -> str:
-    """SHA-256 over all layer parameters; used to assert frozenness."""
-    h = hashlib.sha256()
-    for layer in bb.layers:
-        h.update(struct.pack("<II", layer.c_out, layer.c_in))
-        h.update(layer.weight.astype("<i1").tobytes())
-        h.update(layer.bias.astype("<i4").tobytes())
-        h.update(struct.pack("<ff", layer.weight_scale, layer.out_scale))
-    return h.hexdigest()
-
-
-def write_backbone(bb: FrozenBackbone, path) -> None:
-    """Flat binary container, little-endian throughout."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(bb.layers)))
-        for layer in bb.layers:
-            fh.write(struct.pack("<II", layer.c_out, layer.c_in))
-            fh.write(layer.weight.astype("<i1").tobytes())
-            fh.write(layer.bias.astype("<i4").tobytes())
-            fh.write(struct.pack("<ff", layer.weight_scale, layer.out_scale))
-
-
-def read_backbone(path) -> FrozenBackbone:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise NumericError(f"bad backbone container magic: {blob[:4]!r}")
-    off = 4
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise NumericError(
-                f"backbone container truncated: needs {off + n} bytes, holds {len(blob)}"
-            )
-        off += n
-        return blob[off - n : off]
-
-    (count,) = struct.unpack("<I", take(4))
-    layers = []
-    for _ in range(count):
-        c_out, c_in = struct.unpack("<II", take(8))
-        w = np.frombuffer(take(c_out * c_in), dtype="<i1")
-        b = np.frombuffer(take(4 * c_out), dtype="<i4")
-        w_scale, out_scale = struct.unpack("<ff", take(8))
-        layers.append(
-            QuantLayer(
-                weight=w.reshape(c_out, c_in).astype(np.int8),
-                bias=b.astype(np.int32),
-                weight_scale=w_scale,
-                out_scale=out_scale,
-            )
-        )
-    if off != len(blob):
-        raise NumericError(f"backbone container has {len(blob) - off} trailing bytes")
     return FrozenBackbone(layers)

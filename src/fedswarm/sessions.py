@@ -1,4 +1,4 @@
-"""Class registry, session planning and evaluation for incremental learning.
+"""Session planning, node data views and evaluation for incremental learning.
 
 A plan starts from a jointly pretrained base session (T0) and then
 deals the remaining classes out to nodes over numbered sessions. Nodes
@@ -22,16 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, EvaluationError, NumericError, PlanError, RegistryError, _is_int
+from .errors import DimensionError, EvaluationError, NumericError, PlanError, _is_int
 from .model import TrainableHead, head_logits
 from .quant import QuantParams, QuantTensor, backbone_forward
 
 __all__ = [
-    "RegistryEntry",
-    "ClassRegistry",
     "SessionPlan",
     "make_plan",
-    "registry_from_plan",
     "LabeledDataset",
     "node_train_view",
     "precompute_features",
@@ -48,40 +45,6 @@ __all__ = [
 # holds an id, a class and a feature row beyond its int8 payload.
 MAX_DATA_BYTES = 1 << 27
 MAX_SAMPLES = 1 << 18
-
-
-@dataclass(frozen=True)
-class RegistryEntry:
-    class_id: int
-    session: int  # 0 = base session
-    node: int | None = None  # owning node; None for base classes
-
-
-@dataclass(frozen=True)
-class ClassRegistry:
-    """Every known class, in registration order."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        ids = [e.class_id for e in self.entries]
-        if sorted(ids) != list(range(len(ids))):
-            raise RegistryError(f"class ids must be dense 0..K-1, got {sorted(ids)}")
-        sessions = [e.session for e in self.entries]
-        if any(b < a for a, b in zip(sessions, sessions[1:])):
-            raise RegistryError("session indices must be nondecreasing in registration order")
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.entries)
-
-    def seen_through(self, session: int) -> list:
-        """Class ids introduced in sessions 0..session, ascending."""
-        return sorted(e.class_id for e in self.entries if e.session <= session)
-
-    def introduced_at(self, session: int) -> list:
-        return sorted(e.class_id for e in self.entries if e.session == session)
 
 
 @dataclass(frozen=True)
@@ -136,6 +99,16 @@ class SessionPlan:
             out.extend(cs)
         return sorted(out)
 
+    def seen_through(self, session: int) -> list:
+        """Class ids known after sessions 0..session: the base classes
+        plus every class dealt since, ascending."""
+        if not 0 <= session <= self.num_sessions:
+            raise PlanError(f"session {session} out of range 0..{self.num_sessions}")
+        out = list(self.base_classes)
+        for t in range(1, session + 1):
+            out.extend(self.session_classes(t))
+        return sorted(out)
+
 
 def make_plan(
     num_classes: int,
@@ -170,14 +143,12 @@ def make_plan(
     return SessionPlan(num_nodes, tuple(range(base_count)), tuple(sessions))
 
 
-def registry_from_plan(plan: SessionPlan) -> ClassRegistry:
-    entries = [RegistryEntry(c, 0, None) for c in plan.base_classes]
-    for t, assignment in enumerate(plan.sessions, start=1):
-        batch = []
-        for n, cs in assignment.items():
-            batch.extend(RegistryEntry(c, t, n) for c in cs)
-        entries.extend(sorted(batch, key=lambda e: e.class_id))
-    return ClassRegistry(tuple(entries))
+def registry_from_plan(plan: SessionPlan) -> SessionPlan:
+    """The plan itself, which answers ``seen_through``.
+
+    Kept only because the frozen benchmark's ``perfbench/workloads.py``
+    calls it (lines 127 and 141); ROADMAP item 1 deletes it."""
+    return plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,31 +271,34 @@ def evaluate(
     return accuracy(predict(head, features[rows], seen_classes) == ds_test.classes[rows])
 
 
-# -- manifest I/O -----------------------------------------------------------
+# -- file and manifest I/O --------------------------------------------------
 
 _MANIFEST_NAME = "manifest.tsv"
 _COLUMNS = ("sample_id", "split", "class_id", "scale", "zero_point", "shape", "file")
 
 
-def _write_blob(path: str, frame: memoryview) -> None:
-    """Write ``frame``'s bytes as the whole of the file at ``path``, in place.
+def _write_file(path, data) -> None:
+    """Write ``data`` (bytes, or a memoryview of bytes) as the whole of
+    the file at ``path``, in place. Every file the package writes goes
+    through here.
 
     The file is opened without ``O_TRUNC``, written from the start and
-    then cut to the frame's length, so an old blob's blocks are reused
-    and a longer old blob is trimmed. A new file gets mode ``0o666`` less
+    then cut to the data's length, so an old file's blocks are reused
+    and a longer old file is trimmed. A new file gets mode ``0o666`` less
     the umask. A target that is not a regular file (a directory, a
-    device, a FIFO) is refused before anything is written; non-blocking,
-    a FIFO without a reader fails to open instead of waiting for one.
-    Every failure is an OSError naming ``path``."""
+    device such as ``/dev/full``, a FIFO) is refused before anything is
+    written; non-blocking, a FIFO without a reader fails to open instead
+    of waiting for one. Every failure is an OSError naming ``path``."""
+    path = os.fspath(path)
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK, 0o666)
         try:
             if not stat.S_ISREG(os.fstat(fd).st_mode):
                 raise OSError(errno.EINVAL, "not a regular file", path)
-            view = frame
+            view = memoryview(data)
             while view:
                 view = view[os.write(fd, view):]
-            os.ftruncate(fd, len(frame))
+            os.ftruncate(fd, len(data))
         finally:
             os.close(fd)
     except OSError as e:
@@ -340,9 +314,9 @@ def write_manifest(ds_train: LabeledDataset, ds_test: LabeledDataset, out_dir) -
     row-major int8 bytes. Rows are ordered train-then-test by sample id.
     Writing over an earlier manifest rewrites each blob in place and
     trims a longer old one, so the result is byte-identical to a fresh
-    write; blobs no row names are left alone. A blob path that cannot be
-    written, or holds something other than a regular file, is an OSError
-    naming that path.
+    write; blobs no row names are left alone. A blob or index path that
+    cannot be written, or holds something other than a regular file, is
+    an OSError naming that path.
     """
     out = Path(out_dir)
     (out / "blobs").mkdir(parents=True, exist_ok=True)
@@ -355,13 +329,13 @@ def write_manifest(ds_train: LabeledDataset, ds_test: LabeledDataset, out_dir) -
         shape = "x".join(str(d) for d in ds.frames.shape[1:])
         for i in sorted(range(len(ids)), key=ids.__getitem__):
             name = f"{ids[i]:06d}.bin"
-            _write_blob(f"{blob_dir}/{name}", data[i * size : (i + 1) * size])
+            _write_file(f"{blob_dir}/{name}", data[i * size : (i + 1) * size])
             rows.append((str(ids[i]), ds.split, str(classes[i]), repr(qp.scale),
                          str(qp.zero_point), shape, f"blobs/{name}"))
     path = out / _MANIFEST_NAME
     lines = ["\t".join(_COLUMNS)]
     lines.extend("\t".join(r) for r in rows)
-    path.write_text("\n".join(lines) + "\n")
+    _write_file(path, ("\n".join(lines) + "\n").encode())
     return path
 
 

@@ -1,4 +1,4 @@
-"""Session planning, class registry, node data views and evaluation."""
+"""Session planning, seen classes, node data views and evaluation."""
 
 import contextlib
 import os
@@ -6,9 +6,10 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedswarm import (
-    ClassRegistry,
     DimensionError,
     EvaluationError,
     FrozenBackbone,
@@ -17,8 +18,6 @@ from fedswarm import (
     QuantLayer,
     QuantParams,
     QuantTensor,
-    RegistryEntry,
-    RegistryError,
     SessionPlan,
     TrainableHead,
     build_backbone,
@@ -31,9 +30,9 @@ from fedswarm import (
     precompute_features,
     predict,
     read_manifest,
-    registry_from_plan,
     write_manifest,
 )
+import fedswarm.sessions
 from fedswarm.synthetic import SyntheticSpec
 
 DESK = dict(num_classes=10, num_nodes=3, base_count=4, classes_per_session_per_node=1)
@@ -99,26 +98,42 @@ def test_node_classes_bounds():
         plan.node_classes(1, 3)
 
 
-# -- registry ---------------------------------------------------------------------
+# -- seen classes -----------------------------------------------------------------
 
 
-def test_registry_from_plan():
-    reg = registry_from_plan(make_plan(**DESK))
-    assert reg.num_classes == 10
-    assert reg.seen_through(0) == [0, 1, 2, 3]
-    assert reg.seen_through(1) == [0, 1, 2, 3, 4, 5, 6]
-    assert reg.seen_through(2) == list(range(10))
-    assert reg.introduced_at(2) == [7, 8, 9]
+def test_seen_through_desk():
+    plan = make_plan(**DESK)
+    assert plan.seen_through(0) == [0, 1, 2, 3]
+    assert plan.seen_through(1) == [0, 1, 2, 3, 4, 5, 6]
+    assert plan.seen_through(2) == list(range(10))
 
 
-def test_registry_requires_dense_ids():
-    with pytest.raises(RegistryError):
-        ClassRegistry((RegistryEntry(0, 0), RegistryEntry(2, 1, 0)))
+def test_seen_through_bounds():
+    plan = make_plan(**DESK)
+    for session in (-1, plan.num_sessions + 1):
+        with pytest.raises(PlanError):
+            plan.seen_through(session)
 
 
-def test_registry_requires_nondecreasing_sessions():
-    with pytest.raises(RegistryError):
-        ClassRegistry((RegistryEntry(0, 1, 0), RegistryEntry(1, 0)))
+@given(nodes=st.integers(1, 4), per=st.integers(1, 3), base=st.integers(1, 6),
+       sessions=st.integers(0, 4))
+def test_seen_through_is_base_plus_dealt_classes(nodes, per, base, sessions):
+    plan = make_plan(base + sessions * nodes * per, nodes, base, per)
+    before = set()
+    for t in range(plan.num_sessions + 1):
+        seen = plan.seen_through(t)
+        dealt = [c for s in range(1, t + 1) for c in plan.session_classes(s)]
+        assert seen == sorted(list(plan.base_classes) + dealt)
+        assert all(type(c) is int for c in seen)
+        assert before <= set(seen)
+        before = set(seen)
+
+
+def test_registry_hook_is_the_plan():
+    # perfbench/workloads.py still calls registry_from_plan(plan).seen_through(t),
+    # in its joint pooling and its link-message count
+    plan = make_plan(**DESK)
+    assert fedswarm.sessions.registry_from_plan(plan) is plan
 
 
 # -- datasets and views -------------------------------------------------------------
@@ -154,9 +169,8 @@ def test_node_view_union_covers_session():
 def test_node_view_never_replays_old_classes():
     train, _ = _desk_data()
     plan = make_plan(**DESK)
-    reg = registry_from_plan(plan)
     for t in (1, 2):
-        earlier = set(reg.seen_through(t - 1))
+        earlier = set(plan.seen_through(t - 1))
         for n in range(3):
             rows = node_train_view(train, plan, t, n)
             assert not (set(train.classes[rows].tolist()) & earlier)

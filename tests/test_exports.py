@@ -1,5 +1,7 @@
-"""Every name a module exports in ``__all__`` exists on that module."""
+"""Every name a module exports in ``__all__`` exists on that module, and
+no module or demo imports a name it never uses."""
 
+import ast
 import importlib
 import pkgutil
 from dataclasses import replace
@@ -9,6 +11,7 @@ import pytest
 
 import fedswarm
 
+ROOT = Path(__file__).resolve().parents[1]
 # __main__ runs the CLI when imported
 MODULES = sorted(
     m.name for m in pkgutil.iter_modules(fedswarm.__path__) if m.name != "__main__"
@@ -64,6 +67,62 @@ def test_retired_names_are_gone():
     for name in ("SplitModel", "forward"):
         assert not hasattr(fedswarm, name), name
         assert not hasattr(fedswarm.model, name), name
+    # every run rebuilds the backbone from its seed, so nothing reads a
+    # backbone file or fingerprints one; the plan answers which classes
+    # are seen, with no second copy of it
+    for name in ("ClassRegistry", "RegistryEntry", "registry_from_plan", "write_backbone",
+                 "read_backbone", "backbone_digest"):
+        assert not hasattr(fedswarm, name), name
+    for name in ("ClassRegistry", "RegistryEntry"):
+        assert not hasattr(fedswarm.sessions, name), name
+    for name in ("write_backbone", "read_backbone", "backbone_digest", "_MAGIC"):
+        assert not hasattr(fedswarm.quant, name), name
+
+
+# the package's __init__ imports only to re-export
+IMPORTING = sorted(p for p in (ROOT / "src" / "fedswarm").glob("*.py") if p.name != "__init__.py")
+IMPORTING += sorted((ROOT / "demos").glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by an import statement that nothing in ``source`` reads.
+
+    A name counts as read when it appears as a name anywhere, or as a
+    string in ``__all__``. An import statement with ``# noqa`` on one of
+    its lines, ``from __future__`` and star imports are skipped."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}  # bound name -> line
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa" in ln for ln in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            if alias.name != "*":
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", IMPORTING, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    unused = unused_imports(path.read_text())
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_unused_import_guard_catches_leftovers():
+    source = "import hashlib\nimport math\nfrom .errors import PlanError, RegistryError\n" \
+             "__all__ = ['PlanError']\nx = math.pi\n"
+    assert unused_imports(source) == ["RegistryError (line 3)", "hashlib (line 1)"]
+    assert unused_imports("import struct  # noqa: F401\n") == []
 
 
 def _perfbench(monkeypatch, *names):

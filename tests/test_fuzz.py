@@ -1,4 +1,4 @@
-"""Hostile-input fuzzing: mutated configs, manifests and the backbone container.
+"""Hostile-input fuzzing: mutated configs and manifests.
 
 Every test runs in process (no subprocess per example) under the
 conftest hypothesis profile. A malformed input may be rejected, but
@@ -17,14 +17,11 @@ from hypothesis import strategies as st
 from fedswarm import (
     FedswarmError,
     SyntheticSpec,
-    build_backbone,
     config_from_dict,
     config_to_dict,
     default_config,
     gen_synthetic,
-    read_backbone,
     read_manifest,
-    write_backbone,
     write_manifest,
 )
 from fedswarm.cli import main
@@ -161,14 +158,3 @@ def _mutate_bytes(data, raw: bytes) -> bytes:
     at = data.draw(st.integers(0, len(raw) - 1))
     patch = data.draw(st.binary(min_size=1, max_size=8))
     return raw[:at] + patch + raw[at + len(patch):]
-
-
-@given(data=st.data())
-def test_mutated_backbone_container_raises_only_package_errors(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("fcb") / "backbone.fcb"
-    write_backbone(build_backbone((2, 3, 4), np.random.default_rng(0)), path)
-    path.write_bytes(_mutate_bytes(data, path.read_bytes()))
-    try:
-        read_backbone(path)
-    except FedswarmError:
-        pass

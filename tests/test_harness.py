@@ -19,6 +19,7 @@ import pytest
 import fedswarm as fs
 from fedswarm import sessions
 from fedswarm.cli import main
+from test_continual import _deadline
 
 
 def _small_config(strategy="odfcl", seed=5, **over):
@@ -479,6 +480,39 @@ def test_cli_gen_data_unwritable_blob_is_one_line_runtime_error(tmp_path, monkey
     assert not (out / "manifest.tsv").exists()
 
 
+def _fifo(path):
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no os.mkfifo on this platform")
+    os.mkfifo(path)
+
+
+def _dev_full(path):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    path.symlink_to("/dev/full")
+
+
+@pytest.mark.parametrize("make, reason", [
+    (_fifo, os.strerror(errno.ENXIO)),  # no reader: refused at once, never waited on
+    (_dev_full, "not a regular file"),  # every write would fail with ENOSPC
+], ids=["fifo", "dev_full"])
+@pytest.mark.parametrize("name", ["report.json", "config.json", "trace.tsv", "manifest.tsv"])
+def test_cli_unwritable_output_file_is_one_line_runtime_error(tmp_path, name, make, reason):
+    # every file the package writes goes through one writer, so each one
+    # fails alike: exit 2, one line naming the file, and no wait on a FIFO
+    cfg_path = tmp_path / "config.in.json"
+    fs.save_config(_small_config(train=fs.TrainSpec(t0_epochs=1, rounds_per_session=1)),
+                   cfg_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    make(out / name)
+    args = ["gen-data"] if name == "manifest.tsv" else ["run", "--trace"]
+    with _deadline(10):
+        res = _main(*args, "--config", str(cfg_path), "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr == f"error: cannot write {out / name}: {reason}\n"
+
+
 def test_cli_cost():
     res = _cli("cost")
     assert res.returncode == 0, res.stderr
@@ -907,8 +941,7 @@ def test_total_loss_lookups_count_every_trained_sample(monkeypatch):
         epochs = cfg.train.rounds_per_session * cfg.loss.local_epochs_per_round
         classes = cfg.train.t0_epochs * len(plan.base_classes)
         for t in range(1, plan.num_sessions + 1):
-            pooled = fs.registry_from_plan(plan).seen_through(t) if strategy == "joint" \
-                else plan.session_classes(t)
+            pooled = plan.seen_through(t) if strategy == "joint" else plan.session_classes(t)
             classes += epochs * len(pooled)
         assert sum(calls) == classes * cfg.data.train_per_class
         if strategy == "odfcl":  # one lookup per lockstep step: both nodes at once
