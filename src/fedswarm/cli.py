@@ -3,15 +3,15 @@
 Subcommands: run (config -> report), report (pretty-print), gradcheck
 (oracle battery), cost (cost table), gen-data (materialize a synthetic
 dataset). Exit codes: 0 on success, 1 for configuration problems, 2
-for runtime or numeric failures, including an output path that cannot
-be written.
+for runtime or numeric failures, including an output path or stdout
+that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,21 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_report(path: str) -> Path:
     p = Path(path)
-    return p / "report.json" if p.is_dir() else p
-
-
-@contextmanager
-def _writing(out: Path):
-    """Turn an OSError on the output path ``out`` (the directory itself,
-    a file under it or a parent directory being created) into a runtime
-    error naming that path; any other OSError propagates."""
-    try:
-        yield
-    except OSError as e:
-        path = Path(e.filename) if e.filename is not None else None
-        if path is None or not (path == out or out in path.parents or path in out.parents):
-            raise
-        raise FedswarmError(f"cannot write {path}: {e.strerror or e}") from None
+    # os.path.isdir is False on any stat error; reading the file reports it
+    return p / "report.json" if os.path.isdir(p) else p
 
 
 def _cmd_run(args) -> int:
@@ -89,12 +76,10 @@ def _cmd_run(args) -> int:
     if args.strategy:
         cfg = replace(cfg, strategy=args.strategy)
     out = Path(args.out)
-    with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
-        trace = out / "trace.tsv" if args.trace else None
-        report = run_experiment(cfg, trace_out=trace)
-        emit_report(report, out / "report.json")
-        save_config(cfg, out / "config.json")
+    out.mkdir(parents=True, exist_ok=True)
+    report = run_experiment(cfg, trace_out=out / "trace.tsv" if args.trace else None)
+    emit_report(report, out / "report.json")
+    save_config(cfg, out / "config.json")
     print(f"wrote {out / 'report.json'}")
     print(report_table([report]), end="")
     return 0
@@ -136,8 +121,7 @@ def _cmd_gen_data(args) -> int:
     if cfg.data.kind != "synthetic":
         raise ConfigError("gen-data needs a synthetic data spec")
     train, test = load_dataset(cfg)  # exactly what a run would generate
-    with _writing(Path(args.out)):
-        path = write_manifest(train, test, args.out)
+    path = write_manifest(train, test, args.out)
     print(f"wrote {path} ({len(train)} train / {len(test)} test samples)")
     return 0
 
@@ -151,15 +135,38 @@ _COMMANDS = {
 }
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so the output
+    it could not take is not retried, and reported, at interpreter exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not a file: nothing is retried
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        if sys.stdout is not None:  # None in a process started without one
+            sys.stdout.flush()
+        return code
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except FedswarmError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        # reading is checked where it happens, so this is an output that
+        # cannot be written: a path under --out, or stdout itself
+        if e.filename is None:
+            _discard_stdout()
+        where = "stdout" if e.filename is None else Path(e.filename)
+        print(f"error: cannot write {where}: {e.strerror or e}", file=sys.stderr)
         return 2
 
 

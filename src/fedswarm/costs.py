@@ -3,9 +3,11 @@
 Two calibrated operating points describe the target SoC: a low-power
 mode for background local epochs and a high-performance mode used
 during synchronized training. The link model is calibrated from a
-single measured pair (24576 bytes in 1.7 s) with zero overhead. All
-functions here are pure arithmetic over the configuration; nothing
-depends on simulation state.
+single measured pair (24576 bytes in 1.7 s): a message takes its
+bytes over the throughput. ``cost_block`` prices the report's cost
+block for a head, and both the config check and ``cost_report`` read
+their figures from it. All functions here are pure arithmetic over
+the configuration; nothing depends on simulation state.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ __all__ = [
     "message_time",
     "federated_epoch_time",
     "free_local_epochs",
-    "MemoryModel",
-    "training_memory",
     "peak_training_memory",
+    "cost_block",
     "cost_report",
 ]
 
@@ -57,20 +58,17 @@ HPM = OperatingPoint("HPM", 370.0, 800.0, 0.1176, 0.0531)
 @dataclass(frozen=True)
 class LinkModel:
     throughput_bps: float  # bytes per second
-    overhead_s: float = 0.0
 
     def __post_init__(self):
         if not self.throughput_bps > 0:
             raise NumericError(f"throughput must be positive, got {self.throughput_bps}")
-        if self.overhead_s < 0:
-            raise NumericError(f"overhead must be nonnegative, got {self.overhead_s}")
 
 
 def calibrated_uwb_link(msg_bytes: int = 24576, seconds: float = 1.7) -> LinkModel:
-    """Back out throughput from one measured transfer, zero overhead."""
+    """Back out throughput from one measured transfer."""
     if msg_bytes <= 0 or seconds <= 0:
         raise NumericError("calibration needs positive bytes and seconds")
-    return LinkModel(msg_bytes / seconds, 0.0)
+    return LinkModel(msg_bytes / seconds)
 
 
 def epoch_energy(op: OperatingPoint) -> float:
@@ -87,7 +85,7 @@ def per_sample_latency(op: OperatingPoint, samples_per_epoch: int) -> float:
 def message_time(link: LinkModel, n_bytes: int) -> float:
     if n_bytes <= 0:
         raise NumericError(f"message size must be positive, got {n_bytes}")
-    return link.overhead_s + n_bytes / link.throughput_bps
+    return n_bytes / link.throughput_bps
 
 
 def federated_epoch_time(
@@ -117,64 +115,35 @@ def free_local_epochs(fed_epoch_s: float, local_epoch_s: float) -> int:
     return int(math.floor(ratio))
 
 
-@dataclass(frozen=True)
-class MemoryModel:
-    """Byte accounting for on-node training at a given batch size."""
+def peak_training_memory(head: TrainableHead, batch_size: int = 4) -> int:
+    """Back-of-envelope working set of head training, in bytes.
 
-    param_bytes: int
-    grad_bytes: int
-    global_copy_bytes: int
-    local_copy_bytes: int
-    activation_buffer_bytes: int
-
-    def __post_init__(self):
-        for f in (
-            "param_bytes",
-            "grad_bytes",
-            "global_copy_bytes",
-            "local_copy_bytes",
-            "activation_buffer_bytes",
-        ):
-            if getattr(self, f) < 0:
-                raise NumericError(f"{f} must be nonnegative")
-
-    @property
-    def peak_working_bytes(self) -> int:
-        """Params + gradients + the widest layer's activation buffers."""
-        return self.param_bytes + self.grad_bytes + self.activation_buffer_bytes
-
-    @property
-    def resident_bytes(self) -> int:
-        """Peak working set plus the stored global and local model copies."""
-        return self.peak_working_bytes + self.global_copy_bytes + self.local_copy_bytes
-
-
-def training_memory(head: TrainableHead, batch_size: int) -> MemoryModel:
-    """Back-of-envelope footprint of head training.
-
-    Activation term: per layer, input + output + output-gradient
-    buffers for the whole batch, 4 bytes a float; the max over the two
-    layers is charged. Model copies are 4 bytes per parameter each.
+    Parameters and gradients take 4 bytes a parameter each. Per layer,
+    the input, output and output-gradient buffers of the whole batch
+    take 4 bytes a float; the max over the two layers is charged.
     """
     if batch_size < 1:
         raise NumericError(f"batch_size must be positive, got {batch_size}")
-    p_bytes = 4 * head.parameter_count
-    layer_io = [
-        (head.c_feat, head.c_out),
-        (head.c_out, head.num_classes),
-    ]
+    layer_io = [(head.c_feat, head.c_out), (head.c_out, head.num_classes)]
     act = max(4 * batch_size * (cin + 2 * cout) for cin, cout in layer_io)
-    return MemoryModel(
-        param_bytes=p_bytes,
-        grad_bytes=p_bytes,
-        global_copy_bytes=p_bytes,
-        local_copy_bytes=p_bytes,
-        activation_buffer_bytes=act,
-    )
+    return 2 * 4 * head.parameter_count + act
 
 
-def peak_training_memory(head: TrainableHead, batch_size: int = 4) -> int:
-    return training_memory(head, batch_size).peak_working_bytes
+def cost_block(head: TrainableHead, link: LinkModel, n_nodes: int, batch_size: int) -> dict:
+    """The report's cost block for ``head`` on ``link``, without the
+    run's own link clock: sync message size, HPM federated epoch of
+    ``n_nodes`` nodes, epoch energies, the LPM epochs that fit in one
+    federated epoch and peak training memory at ``batch_size``."""
+    msg_bytes = head_message_bytes(head)
+    fed_s = federated_epoch_time(HPM, link, n_nodes, msg_bytes)
+    return {
+        "message_bytes": msg_bytes,
+        "federated_epoch_s": fed_s,
+        "epoch_energy_lpm_j": epoch_energy(LPM),
+        "epoch_energy_hpm_j": epoch_energy(HPM),
+        "free_local_epochs": free_local_epochs(fed_s, LPM.local_epoch_latency_s),
+        "peak_training_memory_bytes": peak_training_memory(head, batch_size),
+    }
 
 
 def _fmt(x: float, digits: int = 4) -> str:
@@ -190,18 +159,18 @@ def cost_report(
 ) -> str:
     """Text table of per-point training costs and derived link figures."""
     link = link or calibrated_uwb_link()
+    block = cost_block(head, link, n_nodes, batch_size)
     lines = []
     lines.append("operating point   freq[MHz]  V[mV]  latency[ms]  power[mW]  energy[mJ]")
-    for op in (LPM, HPM):
+    for op, joules in ((LPM, block["epoch_energy_lpm_j"]), (HPM, block["epoch_energy_hpm_j"])):
         lines.append(
             f"{op.name:<17} {op.frequency_mhz:>9.0f} {op.voltage_mv:>6.0f}"
             f" {op.local_epoch_latency_s * 1e3:>12.1f}"
             f" {op.power_w * 1e3:>10.1f}"
-            f" {epoch_energy(op) * 1e3:>11.2f}"
+            f" {joules * 1e3:>11.2f}"
         )
-    msg_bytes = head_message_bytes(head)
-    fed_s = federated_epoch_time(HPM, link, n_nodes, msg_bytes)
-    mem = training_memory(head, batch_size)
+    msg_bytes = block["message_bytes"]
+    peak = block["peak_training_memory_bytes"]
     lines.append("")
     lines.append(f"head parameters            : {head.parameter_count}")
     lines.append(f"message size [bytes]       : {msg_bytes}")
@@ -210,10 +179,10 @@ def cost_report(
         f"per-sample latency [ms]    : {_fmt(per_sample_latency(LPM, samples_per_epoch) * 1e3)}"
         f" (LPM, {samples_per_epoch} samples)"
     )
-    lines.append(f"federated epoch [s]        : {_fmt(fed_s)} (HPM, {n_nodes} nodes)")
-    lines.append(
-        f"free local epochs          : {free_local_epochs(fed_s, LPM.local_epoch_latency_s)} (LPM)"
-    )
-    lines.append(f"peak training memory [B]   : {mem.peak_working_bytes} (batch {batch_size})")
-    lines.append(f"resident with copies [B]   : {mem.resident_bytes}")
+    lines.append(f"federated epoch [s]        : {_fmt(block['federated_epoch_s'])} "
+                 f"(HPM, {n_nodes} nodes)")
+    lines.append(f"free local epochs          : {block['free_local_epochs']} (LPM)")
+    lines.append(f"peak training memory [B]   : {peak} (batch {batch_size})")
+    # plus the global and local model copies, 4 bytes a parameter each
+    lines.append(f"resident with copies [B]   : {peak + 2 * 4 * head.parameter_count}")
     return "\n".join(lines) + "\n"

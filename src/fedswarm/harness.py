@@ -19,15 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .costs import (
-    HPM,
-    LPM,
-    calibrated_uwb_link,
-    epoch_energy,
-    federated_epoch_time,
-    free_local_epochs,
-    peak_training_memory,
-)
+from .costs import calibrated_uwb_link, cost_block, peak_training_memory
 from .errors import (ConfigError, EvaluationError, NumericError, PlanError, _is_int,
                      check_fields, json_key)
 from . import federation
@@ -42,12 +34,7 @@ from .losses import ClassPartition, LossConfig
 # not called here; kept importable because perfbench/layers.py wraps them on this module
 from .losses import sgd_step, total_loss  # noqa: F401
 from .sessions import evaluate  # noqa: F401
-from .model import (
-    _head,
-    expand_classifier,
-    head_message_bytes,
-    init_head,
-)
+from .model import _head, expand_classifier, init_head
 from .quant import INT8_MAX, INT8_MIN, build_backbone
 from .sessions import (
     MAX_DATA_BYTES,
@@ -118,6 +105,8 @@ class BackboneSpec:
         check_fields(self)
         if len(self.layer_dims) < 2 or any(d < 1 for d in self.layer_dims):
             raise ConfigError(f"layer_dims needs >= 2 positive entries, got {self.layer_dims}")
+        if not self.weight_sigma > 0:
+            raise ConfigError(f"weight_sigma must be positive, got {self.weight_sigma}")
         if not self.activation_range > 0:
             raise ConfigError(f"activation_range must be positive, got {self.activation_range}")
 
@@ -245,8 +234,7 @@ class ExperimentConfig:
         # the cost block, priced now: a link too slow to price fails before training
         try:
             link = calibrated_uwb_link(self.cost.calibration_bytes, self.cost.calibration_seconds)
-            fed_s = federated_epoch_time(HPM, link, plan.num_nodes, head_message_bytes(shape_only))
-            free_local_epochs(fed_s, LPM.local_epoch_latency_s)
+            cost_block(shape_only, link, plan.num_nodes, self.loss.batch_size)
         except NumericError as e:
             raise ConfigError(str(e)) from None
 
@@ -507,17 +495,8 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
         sessions.append({"session": t, "seen_classes": seen, "new_classes": new_ids,
                          "rounds": trace, **scores(head, seen)})
 
-    msg_bytes = head_message_bytes(head)
-    fed_s = federated_epoch_time(HPM, link, plan.num_nodes, msg_bytes)
-    cost = {
-        "message_bytes": msg_bytes,
-        "federated_epoch_s": fed_s,
-        "epoch_energy_lpm_j": epoch_energy(LPM),
-        "epoch_energy_hpm_j": epoch_energy(HPM),
-        "free_local_epochs": free_local_epochs(fed_s, LPM.local_epoch_latency_s),
-        "peak_training_memory_bytes": peak_training_memory(head, cfg.loss.batch_size),
-        "total_comm_s": net.clock_s,
-    }
+    cost = {**cost_block(head, link, plan.num_nodes, cfg.loss.batch_size),
+            "total_comm_s": net.clock_s}
     if trace_out is not None:
         write_trace(net, trace_out)
     return MetricsReport(

@@ -363,12 +363,14 @@ def read_manifest(manifest_dir) -> tuple:
     rows loads empty."""
     root = Path(manifest_dir)
     path = root / _MANIFEST_NAME
-    if not path.is_file():
+    if not os.path.isfile(path):  # False on any stat error, such as a name too long
         raise PlanError(f"no {_MANIFEST_NAME} under {root}")
     try:
         lines = path.read_text().splitlines()
     except UnicodeDecodeError as e:
         raise PlanError(f"{path} is not a text manifest ({e.reason})") from None
+    except OSError as e:
+        raise PlanError(f"cannot read {path}: {e.strerror or e}") from None
     if not lines or tuple(lines[0].split("\t")) != _COLUMNS:
         raise PlanError(f"unrecognized manifest header in {path}")
     cols = {split: ([], []) for split in ("train", "test")}  # sample ids, class ids

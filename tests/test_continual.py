@@ -1,8 +1,10 @@
 """Session planning, seen classes, node data views and evaluation."""
 
 import contextlib
+import errno
 import os
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,13 +432,21 @@ def test_manifest_without_test_rows_loads(tmp_path):
     assert precompute_features(bb, test2).shape == (0, 5)
 
 
-def test_manifest_missing_or_malformed(tmp_path):
-    with pytest.raises(PlanError):
-        read_manifest(tmp_path / "nowhere")
+def test_manifest_missing_or_malformed(tmp_path, monkeypatch):
+    for missing in ("nowhere", "x" * 300):  # absent, or a name too long to look up
+        with pytest.raises(PlanError, match="no manifest.tsv under"):
+            read_manifest(tmp_path / missing)
     bad = tmp_path / "bad"
     bad.mkdir()
     (bad / "manifest.tsv").write_text("not\ta\theader\n")
     with pytest.raises(PlanError):
+        read_manifest(bad)
+
+    def unreadable(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+    monkeypatch.setattr(Path, "read_text", unreadable)
+    with pytest.raises(PlanError, match=f"cannot read {bad / 'manifest.tsv'}: "):
         read_manifest(bad)
 
 

@@ -13,6 +13,7 @@ from fedswarm import (
     OperatingPoint,
     TrainableHead,
     calibrated_uwb_link,
+    cost_block,
     cost_report,
     epoch_energy,
     federated_epoch_time,
@@ -20,7 +21,6 @@ from fedswarm import (
     message_time,
     peak_training_memory,
     per_sample_latency,
-    training_memory,
 )
 
 
@@ -83,9 +83,10 @@ def test_calibrated_link_round_trips_measurement():
         message_time(link, 0)
 
 
-def test_message_time_includes_overhead():
-    link = LinkModel(1000.0, overhead_s=0.25)
-    assert message_time(link, 500) == 0.25 + 0.5
+def test_message_time_is_bytes_over_throughput():
+    link = LinkModel(1000.0)
+    assert message_time(link, 500) == 0.5
+    assert message_time(calibrated_uwb_link(), 8304) == 8304 / (24576 / 1.7)
 
 
 def test_federated_epoch_reference_value():
@@ -125,19 +126,48 @@ def test_free_local_epochs():
 
 def test_memory_components():
     head = _head_6144()
-    mem = training_memory(head, batch_size=4)
-    assert mem.param_bytes == mem.grad_bytes == 4 * 6144
-    assert mem.global_copy_bytes == mem.local_copy_bytes == 4 * 6144
-    # widest layer: 158 in, 32 out, activations + their gradients
-    assert mem.activation_buffer_bytes == 4 * 4 * (158 + 2 * 32)
-    assert mem.peak_working_bytes >= 2 * 4 * 6144
-    assert mem.resident_bytes == mem.peak_working_bytes + 2 * 4 * 6144
-    assert peak_training_memory(head, 4) == mem.peak_working_bytes
+    # params + grads, then the widest layer: 158 in, 32 out, activations
+    # + their gradients for a batch of 4
+    assert peak_training_memory(head, 4) == 2 * 4 * 6144 + 4 * 4 * (158 + 2 * 32)
+    assert peak_training_memory(head) == peak_training_memory(head, 4)
+    # a classifier wider than its input makes the second layer the widest
+    wide = TrainableHead(
+        conv_w=np.zeros((8, 10), np.float32),
+        conv_b=np.zeros((8,), np.float32),
+        cls_w=np.zeros((50, 8), np.float32),
+        cls_b=np.zeros((50,), np.float32),
+    )
+    assert peak_training_memory(wide, 3) == 2 * 4 * wide.parameter_count + 4 * 3 * (8 + 2 * 50)
+    assert isinstance(peak_training_memory(wide, 3), int)
 
 
 def test_memory_rejects_bad_batch():
-    with pytest.raises(NumericError):
-        training_memory(_head_6144(), 0)
+    for batch in (0, -1):
+        with pytest.raises(NumericError, match="batch_size must be positive"):
+            peak_training_memory(_head_6144(), batch)
+
+
+# -- cost block ----------------------------------------------------------------------
+
+
+def test_cost_block_is_each_figure_from_its_function():
+    head, link = _head_6144(), calibrated_uwb_link(8304, 0.5744)
+    fed_s = federated_epoch_time(HPM, link, 5, 24576)
+    assert cost_block(head, link, 5, 8) == {
+        "message_bytes": 24576,
+        "federated_epoch_s": fed_s,
+        "epoch_energy_lpm_j": epoch_energy(LPM),
+        "epoch_energy_hpm_j": epoch_energy(HPM),
+        "free_local_epochs": free_local_epochs(fed_s, LPM.local_epoch_latency_s),
+        "peak_training_memory_bytes": peak_training_memory(head, 8),
+    }
+
+
+def test_cost_block_raises_what_its_figures_raise():
+    with pytest.raises(NumericError, match="no finite count"):
+        cost_block(_head_6144(), calibrated_uwb_link(1, 1e308), 3, 4)
+    with pytest.raises(NumericError, match="batch_size"):
+        cost_block(_head_6144(), calibrated_uwb_link(), 3, 0)
 
 
 # -- report ------------------------------------------------------------------------
@@ -151,3 +181,7 @@ def test_cost_report_contents():
     assert text.endswith("\n")
     rows = [ln for ln in text.splitlines() if ln.startswith(("LPM", "HPM"))]
     assert len(rows) == 2
+    # the resident figure adds the global and local model copies to the peak
+    peak = peak_training_memory(_head_6144(), 4)
+    assert f"peak training memory [B]   : {peak} (batch 4)\n" in text
+    assert f"resident with copies [B]   : {peak + 2 * 4 * 6144}\n" in text

@@ -1,10 +1,10 @@
 """Every name a module exports in ``__all__`` exists on that module, and
-no module or demo imports a name it never uses."""
+no module, demo, test or tool imports a name it never uses."""
 
 import ast
 import importlib
 import pkgutil
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -77,11 +77,19 @@ def test_retired_names_are_gone():
         assert not hasattr(fedswarm.sessions, name), name
     for name in ("write_backbone", "read_backbone", "backbone_digest", "_MAGIC"):
         assert not hasattr(fedswarm.quant, name), name
+    # the cost block is priced in one function: peak memory is one sum,
+    # not a byte-accounting record, and a message takes its bytes over
+    # the throughput, with no per-message overhead that no run set
+    for name in ("MemoryModel", "training_memory"):
+        assert not hasattr(fedswarm, name), name
+        assert not hasattr(fedswarm.costs, name), name
+    assert [f.name for f in fields(fedswarm.LinkModel)] == ["throughput_bps"]
 
 
 # the package's __init__ imports only to re-export
 IMPORTING = sorted(p for p in (ROOT / "src" / "fedswarm").glob("*.py") if p.name != "__init__.py")
-IMPORTING += sorted((ROOT / "demos").glob("*.py"))
+for folder in ("demos", "tests", "tools"):
+    IMPORTING += sorted((ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

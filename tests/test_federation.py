@@ -111,9 +111,9 @@ def test_sync_message_validation():
 
 
 def test_network_clock_and_events():
-    net = SimNetwork(LinkModel(throughput_bps=100.0, overhead_s=0.5))
+    net = SimNetwork(LinkModel(throughput_bps=80.0))
     dt = net.send(SyncMessage("upload", 1, np.zeros((25,), np.float32)))
-    assert dt == 0.5 + 100 / 100.0
+    assert dt == 100 / 80.0
     net.send(SyncMessage("broadcast", 0, np.zeros((25,), np.float32)))
     assert net.clock_s == 2 * dt
     assert [e.kind for e in net.events] == ["upload", "broadcast"]
@@ -123,9 +123,9 @@ def test_network_clock_and_events():
 
 
 @pytest.mark.parametrize("link", [
-    LinkModel(100.0, overhead_s=0.5),
-    LinkModel(24576 / 1.7, overhead_s=0.013),
-    LinkModel(3.0, overhead_s=1e-9),
+    LinkModel(100.0),
+    LinkModel(24576 / 1.7),
+    LinkModel(3.0),
 ])
 def test_network_send_equals_cost_model_message_time(link):
     net = SimNetwork(link)

@@ -163,6 +163,9 @@ def test_config_validation():
         _small_config(data=fs.DataSpec(kind="manifest"))
     with pytest.raises(fs.ConfigError):
         fs.load_config("/nonexistent/config.json")
+    for sigma in (-0.25, 0.0):  # a flipped backbone, or an all-zero one
+        with pytest.raises(fs.ConfigError, match="weight_sigma must be positive"):
+            _small_config(backbone=fs.BackboneSpec(layer_dims=(3, 6, 8), weight_sigma=sigma))
 
 
 def test_config_omitted_keys_take_the_experiment_defaults():
@@ -299,6 +302,32 @@ def test_report_structure_and_cost_block():
     assert r.cost["message_bytes"] == 4 * p
     assert r.cost["free_local_epochs"] >= 0
     assert r.cost["total_comm_s"] > 0.0
+
+
+def _config_head_cost(cfg, total_comm_s):
+    """``cost_block`` of a head of the config's final shape, plus the link clock."""
+    head = fs.init_head(cfg.backbone.layer_dims[-1], cfg.head.hidden, cfg.plan.num_classes,
+                        np.random.default_rng(0))
+    link = fs.calibrated_uwb_link(cfg.cost.calibration_bytes, cfg.cost.calibration_seconds)
+    return {**fs.cost_block(head, link, cfg.plan.num_nodes, cfg.loss.batch_size),
+            "total_comm_s": total_comm_s}
+
+
+@pytest.mark.parametrize("case", ["sessions", "zero_sessions", "manifest"])
+@pytest.mark.parametrize("strategy", fs.STRATEGIES)
+def test_report_cost_is_the_cost_block_of_the_config_head(tmp_path, strategy, case):
+    # one pricing path: the run's cost block is the config head's, whatever
+    # the strategy, the session count or where the data comes from
+    cfg = _small_config(strategy=strategy, cost=fs.CostSpec(8304, 0.5, 40),
+                        loss=fs.LossConfig(lr=0.05, batch_size=3, local_epochs_per_round=1))
+    if case == "zero_sessions":
+        cfg = replace(cfg, plan=fs.PlanSpec(num_classes=4, num_nodes=2, base_count=4))
+    elif case == "manifest":
+        fs.write_manifest(*fs.load_dataset(cfg), tmp_path)
+        cfg = replace(cfg, data=fs.DataSpec(kind="manifest", manifest_dir=str(tmp_path)))
+    r = fs.run_experiment(cfg)
+    assert r.cost == _config_head_cost(cfg, r.cost["total_comm_s"])
+    assert (r.cost["total_comm_s"] > 0.0) == (case != "zero_sessions" and strategy != "joint")
 
 
 def test_run_experiment_deterministic():
@@ -513,11 +542,110 @@ def test_cli_unwritable_output_file_is_one_line_runtime_error(tmp_path, name, ma
     assert res.stderr == f"error: cannot write {out / name}: {reason}\n"
 
 
+_COST_DEFAULT = """\
+operating point   freq[MHz]  V[mV]  latency[ms]  power[mW]  energy[mJ]
+LPM                     240    650        178.4       24.3        4.34
+HPM                     370    800        117.6       53.1        6.24
+
+head parameters            : 6144
+message size [bytes]       : 24576
+message time [s]           : 1.7
+per-sample latency [ms]    : 6.371 (LPM, 28 samples)
+federated epoch [s]        : 10.32 (HPM, 3 nodes)
+free local epochs          : 57 (LPM)
+peak training memory [B]   : 52704 (batch 4)
+resident with copies [B]   : 101856
+"""
+_COST_SWARM = """\
+operating point   freq[MHz]  V[mV]  latency[ms]  power[mW]  energy[mJ]
+LPM                     240    650        178.4       24.3        4.34
+HPM                     370    800        117.6       53.1        6.24
+
+head parameters            : 2076
+message size [bytes]       : 8304
+message time [s]           : 0.5068
+per-sample latency [ms]    : 4.46 (LPM, 40 samples)
+federated epoch [s]        : 8.227 (HPM, 8 nodes)
+free local epochs          : 46 (LPM)
+peak training memory [B]   : 19680 (batch 8)
+resident with copies [B]   : 36288
+"""
+
+
 def test_cli_cost():
     res = _cli("cost")
-    assert res.returncode == 0, res.stderr
-    assert "24576" in res.stdout
-    assert "federated epoch" in res.stdout
+    assert (res.returncode, res.stdout, res.stderr) == (0, _COST_DEFAULT, "")
+
+
+def test_cli_cost_of_a_config_prints_the_pinned_table(tmp_path):
+    # 8 nodes over 36 classes, with its own batch, sample count and link
+    # calibration
+    path = tmp_path / "swarm.json"
+    path.write_text(json.dumps({"plan": {"num_classes": 36, "num_nodes": 8},
+                                "loss": {"batch_size": 8},
+                                "cost": {"samples_per_epoch": 40, "calibration_seconds": 1.5}}))
+    res = _main("cost", "--config", str(path))
+    assert (res.returncode, res.stdout, res.stderr) == (0, _COST_SWARM, "")
+
+
+@pytest.mark.parametrize("command", ["run", "report", "gradcheck", "cost", "gen-data"])
+def test_cli_unwritable_stdout_is_one_line_runtime_error(tmp_path, command):
+    # stdout on a full device: exit 2 with one stderr line, and no second
+    # report of the same bytes when the interpreter flushes stdout at exit
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    cfg_path = tmp_path / "config.json"
+    fs.save_config(_small_config(train=fs.TrainSpec(t0_epochs=1, rounds_per_session=1)),
+                   cfg_path)
+    args = {
+        "run": ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+        "report": ["report", str(tmp_path / "report.json")],
+        "gradcheck": ["gradcheck"],
+        "cost": ["cost"],
+        "gen-data": ["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "data")],
+    }[command]
+    if command == "report":
+        fs.emit_report(fs.run_experiment(fs.load_config(cfg_path)), tmp_path / "report.json")
+    with open("/dev/full", "w") as full:
+        res = subprocess.run([sys.executable, "-m", "fedswarm", *args], stdout=full,
+                             stderr=subprocess.PIPE, text=True)
+    assert res.returncode == 2
+    assert res.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    if command == "run":  # the report is written before stdout fails
+        assert (tmp_path / "out" / "report.json").is_file()
+
+
+def test_cli_stdout_closed_or_never_opened():
+    # a reader that has gone away is the same runtime error as a full
+    # device; a process started without stdout has nowhere to print and
+    # succeeds, as print() does then
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run([sys.executable, "-m", "fedswarm", "cost"], stdout=write_end,
+                             stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2
+    assert res.stderr == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+    res = subprocess.run([sys.executable, "-m", "fedswarm", "cost"], stderr=subprocess.PIPE,
+                         text=True, preexec_fn=lambda: os.close(1))
+    assert (res.returncode, res.stderr) == (0, "")
+
+
+def test_cli_input_path_too_long_is_not_an_output_error(tmp_path):
+    # a name the system cannot look up is an input problem, named as one,
+    # not a failure to write
+    long_name = str(tmp_path / ("x" * 300))
+    res = _main("report", long_name)
+    assert res.returncode == 1
+    assert res.stderr == f"config error: cannot read report {long_name}: " \
+                         f"{os.strerror(errno.ENAMETOOLONG)}\n"
+    cfg_path = tmp_path / "config.json"
+    fs.save_config(_small_config(data=fs.DataSpec(kind="manifest", manifest_dir=long_name)),
+                   cfg_path)
+    res = _main("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert (res.returncode, res.stderr) == (2, f"error: no manifest.tsv under {long_name}\n")
 
 
 def test_cli_gradcheck():
@@ -558,6 +686,9 @@ def test_cli_config_error_exit_code(tmp_path):
     # values the backbone and the input quantizer would refuse at run time
     {"backbone": {"activation_range": 0}},
     {"data": {"input_zero_point": 300}},
+    # a flipped backbone, or one with every weight zero
+    {"backbone": {"weight_sigma": -0.25}},
+    {"backbone": {"weight_sigma": 0}},
 ])
 def test_cli_non_integer_count_is_a_config_error(tmp_path, bad):
     path = tmp_path / "bad.json"
