@@ -3,9 +3,10 @@
 Three nodes train locally against the composite objective (CE plus
 the mean-logit separation term plus the proximal pull toward the last
 broadcast), stepped in lockstep by one ``local_epoch`` call, then
-upload their heads over a simulated serial link. The
-master averages and broadcasts one global head, which every node
-starts the next round from and is pulled toward (the prox anchor).
+upload their heads over a simulated serial link. A head crosses the
+link as its one flat float32 vector, ``head.params``. The master
+averages those vectors and broadcasts one global head, which every
+node starts the next round from and is pulled toward (the prox anchor).
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from fedswarm import (
     LossConfig,
     SimNetwork,
     fedavg,
-    flatten_params,
     init_head,
     local_epoch,
     sync_round,
@@ -39,16 +39,16 @@ cfg = LossConfig(mu=2.0, lam=3.8, lr=0.05, batch_size=3)
 # one stacked pass, bit-identical to training the nodes one by one
 trained, losses = local_epoch(heads, views, [part] * 3, cfg, rng)
 for i, (head, loss) in enumerate(zip(trained, losses)):
-    drift = np.abs(flatten_params(head) - flatten_params(shared)).max()
+    drift = np.abs(head.params - shared.params).max()
     print(f"node {i} local epoch  : mean loss {loss:.4f}, max drift {drift:.4f}")
 
-pre = [flatten_params(h) for h in trained]
+pre = [h.params for h in trained]
 # the simulated link prices each message with the costs module's model
 net = SimNetwork(LinkModel(throughput_bps=4 * p / 0.25))  # 0.25 s per message
 global_head, comm = sync_round(trained, net)
 print(f"sync round          : {len(net.events)} messages, {comm:.2f} s on the link")
 
-agree = np.array_equal(flatten_params(global_head), fedavg(pre))
+agree = np.array_equal(global_head.params, fedavg(pre))
 print(f"consensus           : {agree} (the broadcast head equals the fedavg exactly)")
 # the next round: every node starts from, and is anchored to, the broadcast head
 _, losses = local_epoch([global_head] * 3, views, [part] * 3, cfg, rng)

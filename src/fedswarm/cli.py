@@ -15,8 +15,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .costs import calibrated_uwb_link, cost_report
 from .errors import ConfigError, FedswarmError
 from .gradcheck import format_gradcheck, run_gradcheck
@@ -31,7 +29,7 @@ from .harness import (
     run_experiment,
     save_config,
 )
-from .model import init_head
+from .model import _shape_head
 from .sessions import write_manifest
 
 __all__ = ["main"]
@@ -100,18 +98,13 @@ def _cmd_gradcheck(_args) -> int:
 def _cmd_cost(args) -> int:
     if args.config:
         cfg = load_config(args.config)
-        head = init_head(
-            cfg.backbone.layer_dims[-1],
-            cfg.head.hidden,
-            cfg.plan.num_classes,
-            np.random.default_rng(0),
-        )
+        head = _shape_head(cfg.backbone.layer_dims[-1], cfg.head.hidden, cfg.plan.num_classes)
         link = calibrated_uwb_link(cfg.cost.calibration_bytes, cfg.cost.calibration_seconds)
         print(cost_report(head, link, cfg.plan.num_nodes,
                           cfg.cost.samples_per_epoch, cfg.loss.batch_size), end="")
     else:
         # reference head: 158 features -> 32 hidden -> 32 classes, 6144 params
-        head = init_head(158, 32, 32, np.random.default_rng(0))
+        head = _shape_head(158, 32, 32)
         print(cost_report(head), end="")
     return 0
 

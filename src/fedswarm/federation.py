@@ -35,6 +35,7 @@ N = 1 on the pooled data.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -44,7 +45,7 @@ import numpy as np
 from .costs import LinkModel, message_time
 from .errors import AggregationError, DimensionError, NumericError
 from .losses import LossConfig, Minibatch, StepSpace, check_view, sgd_step, total_loss
-from .model import check_finite, flatten_params, unflatten_params
+from .model import check_finite
 from .sessions import _write_file
 
 # cap on a training call's (epochs, samples) shuffle table, and on a
@@ -126,16 +127,17 @@ def fedavg(heads, weights=None, node_ids=None) -> np.ndarray:
 
     Accumulates in float64 and divides once, so averaging identical
     vectors returns them bit-exactly and reordering contributions (with
-    their ids) cannot change the result.
+    their ids) cannot change the result. Weights must be finite real
+    numbers and ids integers; neither is coerced.
     """
     vecs = list(heads)
     if not vecs:
         raise AggregationError("nothing to aggregate")
-    if weights is None:
-        weights = [1.0] * len(vecs)
-    weights = [float(w) for w in weights]
-    if node_ids is None:
-        node_ids = list(range(len(vecs)))
+    weights = [1.0] * len(vecs) if weights is None else [_weight(w) for w in weights]
+    node_ids = list(range(len(vecs))) if node_ids is None else list(node_ids)
+    for n in node_ids:  # nothing is coerced: a float or a bool is no id
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise AggregationError(f"node ids must be integers, got {n!r}")
     node_ids = [int(n) for n in node_ids]
     if len(weights) != len(vecs) or len(node_ids) != len(vecs):
         raise AggregationError(
@@ -161,6 +163,17 @@ def fedavg(heads, weights=None, node_ids=None) -> np.ndarray:
     return mean
 
 
+def _weight(w) -> float:
+    """``w`` as a float; AggregationError naming it unless it is a finite
+    real number (a bool, a string or a NaN is not)."""
+    try:
+        if not isinstance(w, bool) and isinstance(w, numbers.Real) and math.isfinite(w):
+            return float(w)
+    except OverflowError:  # an int past float's range
+        pass
+    raise AggregationError(f"aggregation weights must be finite real numbers, got {w!r}")
+
+
 def sync_round(heads, net: SimNetwork) -> tuple:
     """Upload every node's head, average them at the master (node 0),
     broadcast the result to every node.
@@ -176,13 +189,13 @@ def sync_round(heads, net: SimNetwork) -> tuple:
     elapsed = 0.0
     uploads = []
     for i, head in enumerate(heads):
-        msg = SyncMessage("upload", i, flatten_params(head))
+        msg = SyncMessage("upload", i, head.params)
         elapsed += net.send(msg)
         uploads.append(msg.payload)
     flat = fedavg(uploads)
     for _ in heads:
         elapsed += net.send(SyncMessage("broadcast", 0, flat))
-    return unflatten_params(heads[0], flat), elapsed
+    return heads[0].with_params(flat), elapsed
 
 
 def _count(value, what: str) -> int:

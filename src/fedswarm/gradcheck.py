@@ -10,8 +10,8 @@ backward pass as a whole. The float64 round is what makes the 1e-4
 tolerance reachable: differencing the float32 loss itself would drown
 in rounding noise at any usable step size. ``reference_total_loss``
 takes one parameter vector or a (T, P) stack of them, which it runs
-as one batched pass (float64 head views of the stack, batched
-matmuls, reductions along each row), and ``check_case`` puts all
+as one batched pass (float64 views of the stack's head tensors,
+batched matmuls, reductions along each row), and ``check_case`` puts all
 2P + 1 central-difference points of a case, theta0 +- h along each
 coordinate and theta0 itself, into one such stack: a few dozen numpy
 calls per case instead of that many per point. The stack holds
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericError
 from .losses import ClassPartition, LossConfig, total_loss
-from .model import TrainableHead, flatten_params
+from .model import TrainableHead, _parts
 
 __all__ = ["reference_total_loss", "check_case", "run_gradcheck", "format_gradcheck"]
 
@@ -38,11 +38,12 @@ def reference_total_loss(theta, head: TrainableHead, batch, part, w_global, mu, 
     value as a float, a (T, P) stack of them their (T,) values from one
     batched pass."""
     theta = np.asarray(theta, np.float64)
-    h64 = head.with_params(theta.reshape(-1, theta.shape[-1]))  # (T, P), float64 views
+    stack = theta.reshape(-1, theta.shape[-1])  # (T, P)
+    conv_w, conv_b, cls_w, cls_b = _parts(stack, head.dims)
     x, targets = batch
     f = np.asarray(x, np.float64)
-    hidden = np.maximum(h64.conv_w @ f.T + h64.conv_b[..., None], 0.0)  # (T, c_out, M)
-    logits = h64.cls_w @ hidden + h64.cls_b[..., None]  # (T, C, M)
+    hidden = np.maximum(conv_w @ f.T + conv_b[..., None], 0.0)  # (T, c_out, M)
+    logits = cls_w @ hidden + cls_b[..., None]  # (T, C, M)
     total = 0.0
     for m, target in enumerate(np.asarray(targets).tolist()):
         z = logits[..., m]
@@ -58,7 +59,7 @@ def reference_total_loss(theta, head: TrainableHead, batch, part, w_global, mu, 
             mol = z[:, b].mean(axis=1) ** 2
         total = total + (ce + mu * mol)
     total = total / len(targets)
-    d = h64.params - np.asarray(w_global, dtype=np.float64)
+    d = stack - np.asarray(w_global, dtype=np.float64)
     values = total + 0.5 * lam * (d * d).sum(axis=1)
     return float(values[0]) if theta.ndim == 1 else values
 
@@ -74,7 +75,7 @@ def check_case(head, batch, part, w_global, cfg: LossConfig, h: float = 1e-3) ->
     """One head instance: analytic f32 gradient vs f64 central differences."""
     loss32, grads = total_loss(head, batch, part, w_global, cfg)
     analytic = grads.astype(np.float64)
-    theta0 = flatten_params(head).astype(np.float64)
+    theta0 = head.params.astype(np.float64)
     p = theta0.size
     # every central-difference point, theta0 +- h at each coordinate, and
     # theta0 itself: one (2P + 1, P) stack through the reference
@@ -127,7 +128,7 @@ def _make_case(idx: int, seed: int):
         else:
             part = ClassPartition(frozenset(), frozenset(range(classes)))
         w_global = (
-            flatten_params(head) + rng.standard_normal(head.parameter_count).astype(np.float32) * 0.2
+            head.params + rng.standard_normal(head.parameter_count).astype(np.float32) * 0.2
         )
         if _min_preactivation(head, x) > 0.05:
             break

@@ -34,7 +34,7 @@ from .losses import ClassPartition, LossConfig
 # not called here; kept importable because perfbench/layers.py wraps them on this module
 from .losses import sgd_step, total_loss  # noqa: F401
 from .sessions import evaluate  # noqa: F401
-from .model import _head, expand_classifier, init_head
+from .model import _shape_head, expand_classifier, init_head
 from .quant import INT8_MAX, INT8_MIN, build_backbone
 from .sessions import (
     MAX_DATA_BYTES,
@@ -251,9 +251,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{name} weights of {rows}x{cols} exceed the cap of {MAX_TENSOR_ELEMENTS}"
                 )
-        # a head of the configured shape; zero strides, so nothing is allocated
-        size = hidden * (feat + 1) + classes * (hidden + 1)
-        shape_only = _head(np.broadcast_to(np.float32(0.0), (size,)), feat, hidden, classes)
+        shape_only = _shape_head(feat, hidden, classes)
         peak = peak_training_memory(shape_only, self.loss.batch_size)
         if peak > MAX_TRAINING_BYTES:
             raise ConfigError(
@@ -368,6 +366,8 @@ class MetricsReport:
     cost: dict
 
     def __post_init__(self):
+        if not self.sessions:
+            raise EvaluationError("a report needs session 0")
         last = -1
         for s in self.sessions:
             if s["session"] != last + 1:
@@ -444,7 +444,7 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
     def hits_of(h, seen) -> list:
         # one prediction vector over the seen classes' test samples; a session's
         # last round scores the head its row reports, so the row reuses that pass
-        if scored[:2] != [h, seen]:
+        if not (scored and scored[0] is h and scored[1] == seen):
             rows = np.isin(test.classes, seen)
             truth = test.classes[rows]
             scored[:] = h, seen, truth, predict(h, test_f[rows], seen) == truth

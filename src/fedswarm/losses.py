@@ -11,12 +11,13 @@ to suppressing the old-class mean directly.
 gradient of every term written out by hand. It steps N heads at once,
 node as a batch axis (the lockstep training loop), and one head on one
 training view, (x, targets) columns, is its N = 1 case. Features,
-snapshots and gradients are float32 arrays, gradients flat in
-``flatten_params`` order. Every sum is an ordered float32 fold
-(``tensor.Fold`` or an ``np.add.accumulate`` along one axis) and
-gradients accumulate in a fixed order, so each node's results are
-bit-identical to the per-sample reference in ``tests/test_objective.py``;
-the float64 oracle in ``gradcheck`` checks the math itself.
+snapshots and gradients are float32 arrays, gradients flat in the
+head's layout, which ``model._parts`` cuts into per-tensor views. Every
+sum is an ordered float32 fold (``tensor.Fold`` or an
+``np.add.accumulate`` along one axis) and gradients accumulate in a
+fixed order, so each node's results are bit-identical to the
+per-sample reference in ``tests/test_objective.py``; the float64 oracle
+in ``gradcheck`` checks the math itself.
 
 The pass runs in a ``StepSpace``: the buffers and constants of one
 width group of the training loop's lockstep state (built once per
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, RegistryError, check_fields
-from .model import TrainableHead, _Forward, _weight_views
+from .model import TrainableHead, _Forward, _parts, _weight_views
 from .tensor import _SCAN_BLOCK, Fold
 
 __all__ = [
@@ -251,7 +252,7 @@ class StepSpace:
         self.params = params
         self.weights = _weight_views(params, arch.dims)
         # cls_w k-major over classes, (num_classes, 1, n, c_out), for g_hidden
-        self.cls_w_c = arch.with_params(params.view()).cls_w.transpose(1, 0, 2)[:, None]
+        self.cls_w_c = _parts(params, arch.dims)[2].transpose(1, 0, 2)[:, None]
         self.inv_b = _ONE / np.float32(w)
         self.b = np.float32(w)
         # a weight past float32's range casts to inf: the run diverges,
@@ -306,7 +307,7 @@ class _Rows:
     """One chunk's buffers in a StepSpace: ``rows`` samples of its n heads."""
 
     def __init__(self, space: StepSpace, dims: tuple, rows: int):
-        c_feat, c_out, n_cls = dims
+        _, c_out, n_cls = dims
         n, p = space.shape
         self.fwd = _Forward(dims, rows, n)
         hidden = self.fwd.hidden
@@ -322,11 +323,8 @@ class _Rows:
         self.alive = np.empty(hidden.shape, bool)
         grad = np.zeros((rows + 1, n, p), np.float32)
         self.lead, self.fold = grad[0], grad.reshape(rows + 1, n * p)
-        ends = np.cumsum([0, c_out * c_feat, c_out, n_cls * c_out, n_cls])
-        g_conv_w, self.g_conv_b, g_cls_w, self.g_cls_b = (
-            grad[1:, :, lo:hi] for lo, hi in zip(ends, ends[1:]))
-        self.g_conv_w = g_conv_w.reshape(rows, n, c_out, c_feat)
-        self.g_cls_w = g_cls_w.reshape(rows, n, n_cls, c_out)
+        # per-sample gradient views; _parts only slices, so they write into grad
+        self.g_conv_w, self.g_conv_b, self.g_cls_w, self.g_cls_b = _parts(grad[1:], dims)
         # the gradient rows run from the last sample to the first
         self.g_hidden, self.alive_rev = self.back.total[::-1], self.alive[::-1]
         self.g_pre = self.g_conv_b[..., None]

@@ -2,11 +2,13 @@
 
 The head is a pointwise conv over the pooled feature vector, relu, and
 a linear classifier whose row count grows as new classes appear. A
-head is one read-only flat float32 array with four reshaped views, so
-``flatten_params`` returns that array, ``unflatten_params`` a reshape of
-a copy and an SGD step one vector update. Features and logits are
-float32 arrays too. ``_Forward`` is the one copy of the head math, a
-pass over preallocated buffers: ``head_logits`` runs it, and so does
+head is one read-only flat float32 array, so an SGD step is one vector
+update and the link carries one vector. ``_parts`` is the one place
+that knows its layout: the head's four attributes, the training loop's
+weight and gradient views and the float64 gradient oracle all cut the
+flat vector through it. Features and logits are float32 arrays too.
+``_Forward`` is the one copy of the head math, a pass over
+preallocated buffers: ``head_logits`` runs it, and so does
 ``losses.StepSpace`` on the (N, P) parameter rows of N heads, which
 stay in the space for a whole training call with ``_weight_views``
 built over them once, so training steps build no head objects.
@@ -17,11 +19,14 @@ enter as constants.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DimensionError, NumericError, RegistryError
 from .tensor import _SCAN_BLOCK, Fold
+
+_ZERO = np.float32(0.0)
 
 __all__ = [
     "TrainableHead",
@@ -29,20 +34,17 @@ __all__ = [
     "init_head",
     "head_logits",
     "expand_classifier",
-    "flatten_params",
-    "unflatten_params",
     "head_message_bytes",
 ]
 
 class TrainableHead:
     """The float32 trainable parameters: conv + expandable classifier.
 
-    ``params`` is one read-only vector holding conv_w (c_out, c_feat),
-    conv_b (c_out,), cls_w (num_classes, c_out) and cls_b (num_classes,)
-    in that order, each row-major; the four attributes are reshaped
-    read-only views of it. ``with_params`` also takes an (N, P) stack
-    of N same-architecture heads, whose views gain the leading node
-    axis; the training loop itself steps bare (N, P) rows.
+    ``params`` is one read-only vector in ``_parts``'s layout, and
+    conv_w, conv_b, cls_w and cls_b are its views. ``with_params`` also
+    takes an (N, P) stack of N same-architecture heads, whose views gain
+    the leading node axis; the training loop itself steps bare (N, P)
+    rows.
 
     The constructor checks shapes and finiteness. Heads derived from
     another head (``with_params``, SGD steps, expansion, averaging) skip
@@ -71,27 +73,22 @@ class TrainableHead:
             )
         if min(conv_w.shape + cls_w.shape) < 1:
             raise DimensionError("head needs at least one class, feature and hidden unit")
-        for name, t in zip(_PARTS, parts):
-            if not np.isfinite(t).all():
-                raise NumericError(f"non-finite values in {name}")
-        flat = np.concatenate([t.reshape(-1) for t in parts])
-        _fill(self, flat, conv_w.shape[1], c_out, cls_w.shape[0])
+        self.params = np.concatenate(parts, axis=None)
+        self.params.flags.writeable = False
+        self.c_feat, self.c_out, self.num_classes = conv_w.shape[1], c_out, cls_w.shape[0]
+        check_finite(self)
 
     def with_params(self, params: np.ndarray) -> "TrainableHead":
         """A head of this architecture over ``params``, (P,) or (N, P),
         unchecked and uncopied: the caller hands the array over."""
         return _head(params, *self.dims)
 
-    def _view(self, start: int, shape: tuple) -> np.ndarray:
-        lead = self.params.shape[:-1]
-        return self.params[..., start : start + math.prod(shape)].reshape(lead + shape)
-
     dims = property(lambda h: (h.c_feat, h.c_out, h.num_classes))
     parameter_count = property(lambda h: h.params.shape[-1])
-    conv_w = property(lambda h: h._view(0, (h.c_out, h.c_feat)))
-    conv_b = property(lambda h: h._view(h.c_out * h.c_feat, (h.c_out,)))
-    cls_w = property(lambda h: h._view(h.c_out * (h.c_feat + 1), (h.num_classes, h.c_out)))
-    cls_b = property(lambda h: h._view(h.c_out * (h.c_feat + 1 + h.num_classes), (h.num_classes,)))
+    conv_w = property(lambda h: _parts(h.params, h.dims)[0])
+    conv_b = property(lambda h: _parts(h.params, h.dims)[1])
+    cls_w = property(lambda h: _parts(h.params, h.dims)[2])
+    cls_b = property(lambda h: _parts(h.params, h.dims)[3])
 
     def __eq__(self, other):
         if not isinstance(other, TrainableHead):
@@ -102,22 +99,43 @@ class TrainableHead:
 _PARTS = ("conv_w", "conv_b", "cls_w", "cls_b")
 
 
-def _fill(h: TrainableHead, params: np.ndarray, c_feat: int, c_out: int, num_classes: int):
+def _parts(params: np.ndarray, dims: tuple) -> tuple:
+    """The flat layout: conv_w (c_out, c_feat), conv_b (c_out,), cls_w
+    (num_classes, c_out), cls_b (num_classes,), in that order, each
+    row-major. Returns their views of a (P,) vector, or of each row of
+    an (..., P) stack with its leading axes kept; views share
+    ``params``'s memory and writeable flag."""
+    c_feat, c_out, n_cls = dims
+    shapes = ((c_out, c_feat), (c_out,), (n_cls, c_out), (n_cls,))
+    ends = list(accumulate(math.prod(shape) for shape in shapes))
+    if params.shape[-1:] != (ends[-1],):
+        raise DimensionError(f"flat parameters of shape {params.shape}, head needs ({ends[-1]},)")
+    lead = params.shape[:-1]
+    return tuple(params[..., lo:hi].reshape(lead + shape)
+                 for shape, lo, hi in zip(shapes, [0] + ends, ends))
+
+
+def _head(params: np.ndarray, c_feat: int, c_out: int, num_classes: int) -> TrainableHead:
+    """The unchecked constructor: a head over ``params`` as given, which
+    it makes read-only."""
+    h = TrainableHead.__new__(TrainableHead)
     params.flags.writeable = False
     h.params, h.c_feat, h.c_out, h.num_classes = params, c_feat, c_out, num_classes
     return h
 
 
-def _head(params: np.ndarray, c_feat: int, c_out: int, num_classes: int) -> TrainableHead:
-    """The unchecked constructor: a head over ``params`` as given."""
-    return _fill(TrainableHead.__new__(TrainableHead), params, c_feat, c_out, num_classes)
+def _shape_head(c_feat: int, c_out: int, num_classes: int) -> TrainableHead:
+    """A head of this shape for pricing it: its parameters are one zero
+    broadcast to the parameter count, zero strides, so nothing is allocated."""
+    size = c_out * (c_feat + 1) + num_classes * (c_out + 1)
+    return _head(np.broadcast_to(_ZERO, (size,)), c_feat, c_out, num_classes)
 
 
 def check_finite(h: TrainableHead) -> None:
     """NumericError naming the first head tensor that holds a NaN or inf."""
     if not np.isfinite(h.params).all():
-        for name in _PARTS:
-            if not np.isfinite(getattr(h, name)).all():
+        for name, t in zip(_PARTS, _parts(h.params, h.dims)):
+            if not np.isfinite(t).all():
                 raise NumericError(f"non-finite values in {name}")
 
 
@@ -139,16 +157,12 @@ def init_head(
         )
 
 
-_ZERO = np.float32(0.0)
-
-
 def _weight_views(params: np.ndarray, dims: tuple) -> tuple:
     """(conv_w, conv_b, cls_w, cls_b) of an (n, P) head stack as the
     forward reads them: the weights k-major, (c_feat, 1, n, c_out) and
     (c_out, 1, n, num_classes); the biases (n, c_out) and (n, num_classes)."""
-    h = _head(params.view(), *dims)
-    return (h.conv_w.transpose(2, 0, 1)[:, None], h.conv_b,
-            h.cls_w.transpose(2, 0, 1)[:, None], h.cls_b)
+    conv_w, conv_b, cls_w, cls_b = _parts(params, dims)
+    return conv_w.transpose(2, 0, 1)[:, None], conv_b, cls_w.transpose(2, 0, 1)[:, None], cls_b
 
 
 class _Forward:
@@ -232,31 +246,10 @@ def expand_classifier(h: TrainableHead, new_class_ids) -> TrainableHead:
             f"(head already has {h.num_classes} classes)"
         )
     n_new = len(ids)
-    end_w = h.c_out * (h.c_feat + 1 + h.num_classes)  # conv_w, conv_b, cls_w
-    params = np.concatenate([
-        h.params[:end_w], np.zeros(n_new * h.c_out, np.float32),
-        h.params[end_w:], np.zeros(n_new, np.float32),
-    ])
+    conv_w, conv_b, cls_w, cls_b = _parts(h.params, h.dims)
+    params = np.concatenate((conv_w, conv_b, cls_w, np.zeros((n_new, h.c_out), np.float32),
+                             cls_b, np.zeros(n_new, np.float32)), axis=None)
     return _head(params, h.c_feat, h.c_out, h.num_classes + n_new)
-
-
-def flatten_params(h: TrainableHead) -> np.ndarray:
-    """Canonical flat order: conv_w, conv_b, cls_w, cls_b, each row-major.
-
-    The head's own read-only vector; nothing is copied.
-    """
-    return h.params
-
-
-def unflatten_params(h: TrainableHead, v: np.ndarray) -> TrainableHead:
-    """A head with ``h``'s architecture over a float32 copy of a flat
-    vector (a reshape)."""
-    flat = np.array(v, np.float32)
-    if flat.shape != (h.parameter_count,):
-        raise DimensionError(
-            f"flat vector of shape {flat.shape}, head needs ({h.parameter_count},)"
-        )
-    return h.with_params(flat)
 
 
 def head_message_bytes(h: TrainableHead) -> int:

@@ -168,9 +168,9 @@ def test_criterion_6_consensus_and_privacy():
     rounds, consensus = 4, True
     for _ in range(rounds):
         trained, _ = fs.local_epoch(heads, views, [part] * len(heads), cfg, rng)
-        expected = fs.fedavg([fs.flatten_params(h) for h in trained])
+        expected = fs.fedavg([h.params for h in trained])
         head, _ = fs.sync_round(trained, net)
-        consensus = consensus and np.array_equal(fs.flatten_params(head), expected)
+        consensus = consensus and np.array_equal(head.params, expected)
         heads = [head] * len(heads)
     events = net.events
     privacy = (

@@ -84,6 +84,13 @@ def test_retired_names_are_gone():
         assert not hasattr(fedswarm, name), name
         assert not hasattr(fedswarm.costs, name), name
     assert [f.name for f in fields(fedswarm.LinkModel)] == ["throughput_bps"]
+    # a head's flat layout is written once, in model._parts: its vector is
+    # h.params, a head over another vector is h.with_params(v)
+    for name in ("flatten_params", "unflatten_params"):
+        assert not hasattr(fedswarm, name), name
+        assert not hasattr(fedswarm.model, name), name
+    assert not hasattr(fedswarm.TrainableHead, "_view")
+    assert not hasattr(fedswarm.model, "_fill")
 
 
 # the package's __init__ imports only to re-export

@@ -1,6 +1,7 @@
 """Parameter averaging, sync rounds and the simulated link."""
 
 import json
+import math
 import re
 import tracemalloc
 from collections import Counter
@@ -22,7 +23,6 @@ from fedswarm import (
     SyncMessage,
     calibrated_uwb_link,
     fedavg,
-    flatten_params,
     init_head,
     local_epoch,
     message_time,
@@ -71,6 +71,18 @@ def test_fedavg_input_validation():
         fedavg([_vec(1.0), _vec(2.0)], node_ids=[1, 1])
     with pytest.raises(NumericError):  # the sync boundary checks finiteness
         fedavg([_vec(1.0, np.inf), _vec(2.0, 3.0)])
+    # weights are finite real numbers and ids integers: nothing is coerced
+    pair = [_vec(1.0), _vec(2.0)]
+    for bad in ("1", True, np.bool_(True), math.nan, math.inf, -np.inf, np.float32(np.inf),
+                10**400):
+        with pytest.raises(AggregationError, match=re.escape(repr(bad)[:20])):
+            fedavg(pair, weights=[bad, 3])
+    for bad in (0.5, 1.0, True, np.float64(2.0), "1"):
+        with pytest.raises(AggregationError, match=re.escape(repr(bad))):
+            fedavg(pair, node_ids=[bad, 7])
+    # numpy scalars are numbers
+    out = fedavg(pair, weights=[np.float32(1.0), np.int64(3)], node_ids=[np.int64(4), np.int32(1)])
+    assert out[0] == 1.75
 
 
 def test_fedavg_algebra_seeded():
@@ -150,14 +162,14 @@ def _swarm(n_nodes, c_feat=5, hidden=4, classes=3, seed=0):
 def test_sync_round_single_node_is_identity():
     (h,) = _swarm(1)
     head, _ = sync_round([h], SimNetwork(LinkModel(1e6)))
-    assert np.array_equal(flatten_params(head), flatten_params(h))
+    assert np.array_equal(head.params, h.params)
 
 
 def test_sync_round_reaches_consensus():
     heads = _swarm(3)
     net = SimNetwork(LinkModel(1e6))
     head, _ = sync_round(heads, net)
-    assert np.array_equal(flatten_params(head), fedavg([flatten_params(h) for h in heads]))
+    assert np.array_equal(head.params, fedavg([h.params for h in heads]))
     # node i uploads i-th, then the master broadcasts once per node
     assert [(e.node, e.kind) for e in net.events] == (
         [(0, "upload"), (1, "upload"), (2, "upload")] + [(0, "broadcast")] * 3)
@@ -288,7 +300,7 @@ def _reanchored_epoch(head, view, part, cfg, rng):
     losses = []
     for i in range(0, len(order), cfg.batch_size):
         rows = order[i : i + cfg.batch_size]
-        loss, grads = total_loss(head, (x[rows], targets[rows]), part, flatten_params(head), cfg)
+        loss, grads = total_loss(head, (x[rows], targets[rows]), part, head.params, cfg)
         head = sgd_step(head, grads, cfg.lr)
         losses.append(loss)
     return head, float(sum(losses) / len(losses))
@@ -310,7 +322,7 @@ def test_local_epoch_at_zero_lam_ignores_the_snapshot(seed, n, batch_size, mu):
     cfg = LossConfig(mu=mu, lam=0.0, lr=0.1, batch_size=batch_size)
     (out,), (loss,) = local_epoch([head], [view], [part], cfg, np.random.default_rng(seed))
     ref, ref_loss = _reanchored_epoch(head, view, part, cfg, np.random.default_rng(seed))
-    assert np.array_equal(flatten_params(out), flatten_params(ref))
+    assert np.array_equal(out.params, ref.params)
     assert loss == ref_loss
 
 
@@ -321,7 +333,7 @@ def _sequential_epochs(heads, views, parts, cfg, rng, epochs):
     node's mean loss over its last epoch."""
     out, losses = [], []
     for head, (x, targets), part in zip(heads, views, parts):
-        loss, w_global = 0.0, flatten_params(head)
+        loss, w_global = 0.0, head.params
         for _ in range(epochs if len(targets) else 0):
             order = rng.permutation(len(targets))
             batch_losses = []
@@ -481,7 +493,7 @@ def test_run_session_all_empty_views_keeps_head():
     parts = [ClassPartition(frozenset(), frozenset({0}))] * 3
     out, trace = run_session(head, SimNetwork(LinkModel(1e6)), 4, views, parts,
                              LossConfig(lr=0.1), np.random.default_rng(0))
-    assert np.array_equal(flatten_params(out), flatten_params(head))
+    assert np.array_equal(out.params, head.params)
     assert all(e["mean_loss"] == {"0": 0.0, "1": 0.0, "2": 0.0} for e in trace)
 
 
@@ -493,7 +505,7 @@ def test_run_session_trace_reproducible():
         head, trace = run_session(head, net, 3, views, parts,
                                   LossConfig(mu=2.0, lam=3.8, lr=0.05),
                                   np.random.default_rng(11))
-        return flatten_params(head), json.dumps(trace, sort_keys=True)
+        return head.params, json.dumps(trace, sort_keys=True)
 
     h1, t1 = go()
     h2, t2 = go()

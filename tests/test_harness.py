@@ -374,6 +374,8 @@ def test_metrics_report_validation():
     with pytest.raises(fs.EvaluationError):
         fs.MetricsReport(0, "naive", {}, [{"session": 0, "accuracy_seen": 1.5,
                                            "accuracy_base": 0.5}], {})
+    with pytest.raises(fs.EvaluationError, match="session 0"):  # every run writes it
+        fs.MetricsReport(0, "naive", {}, [], {})
 
 
 # -- report files and tables --------------------------------------------------------
@@ -1124,6 +1126,7 @@ _ROW = {"session": 0, "accuracy_seen": 1.0, "accuracy_base": 1.0}
 _REPORT = {"seed": 1, "strategy": "odfcl", "config": {}, "sessions": [_ROW], "cost": {}}
 HOSTILE_REPORTS = {
     "sessions_not_a_list": dict(_REPORT, sessions=5),
+    "sessions_empty": dict(_REPORT, sessions=[]),
     "row_without_session": dict(_REPORT, sessions=[{}]),
     "accuracy_is_a_string": dict(_REPORT, sessions=[dict(_ROW, accuracy_seen="0.9")]),
     "accuracy_above_one": dict(_REPORT, sessions=[dict(_ROW, accuracy_seen=1.5)]),

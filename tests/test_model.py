@@ -14,16 +14,15 @@ from fedswarm import (
     build_backbone,
     backbone_forward,
     expand_classifier,
-    flatten_params,
     head_logits,
     head_message_bytes,
     init_head,
     quantize,
     QuantParams,
-    unflatten_params,
 )
 from fedswarm.gradcheck import REL_TOL, check_case
 from fedswarm.losses import ClassPartition, LossConfig
+from fedswarm.model import _parts, _shape_head
 from test_objective import _ref_head
 from test_quant import _layer_copies, _same_layers
 
@@ -125,7 +124,7 @@ def test_gradients_flow_into_head_only():
     cfg = LossConfig(mu=2.0, lam=3.8, lr=0.1)
     part = ClassPartition(frozenset({0, 1}), frozenset({2, 3}))
     for _ in range(5):
-        _, grads = total_loss(head, (feats[None], [2]), part, flatten_params(head), cfg)
+        _, grads = total_loss(head, (feats[None], [2]), part, head.params, cfg)
         head = sgd_step(head, grads, cfg.lr)
     assert _same_layers(bb, before)  # frozen through training
 
@@ -140,7 +139,7 @@ def test_head_gradient_matches_finite_differences():
     batch = (backbone_forward(bb, x)[None], [1])
     part = ClassPartition(frozenset(), frozenset(range(4)))
     cfg = LossConfig(mu=0.0, lam=0.0, lr=0.01, batch_size=1)
-    r = check_case(head, batch, part, flatten_params(head), cfg)
+    r = check_case(head, batch, part, head.params, cfg)
     assert r["max_scaled_err"] < REL_TOL
 
 
@@ -188,26 +187,23 @@ def test_expand_rejects_bad_ids():
 # -- flat parameter vector ------------------------------------------------------
 
 
-def test_flatten_unflatten_round_trip():
+def test_with_params_round_trip():
     rng = np.random.default_rng(7)
     h = init_head(6, 5, 3, rng)
-    assert unflatten_params(h, flatten_params(h)) == h
+    assert h.with_params(h.params.copy()) == h
 
 
 def test_head_parameters_are_read_only():
     rng = np.random.default_rng(9)
     h = init_head(4, 3, 5, rng)
     with pytest.raises(ValueError):
-        flatten_params(h)[0] = 1.0
+        h.params[0] = 1.0
     with pytest.raises(ValueError):
         h.cls_w[0, 0] = 1.0
-    # unflatten_params keeps a float32 copy: the caller's vector stays its own
-    v = rng.standard_normal(h.parameter_count)
-    h2 = unflatten_params(h, v)
-    before = v.astype(np.float32)
-    assert np.array_equal(h2.params, before)
-    v[:] = 0.0
-    assert np.array_equal(h2.params, before)
+    # with_params takes the array it is handed, uncopied, and freezes it
+    v = rng.standard_normal(h.parameter_count).astype(np.float32)
+    h2 = h.with_params(v)
+    assert h2.params is v and not v.flags.writeable
 
 
 def test_flatten_canonical_order():
@@ -218,8 +214,44 @@ def test_flatten_canonical_order():
         cls_b=np.asarray([6.0, 7.0], np.float32),
     )
     assert np.array_equal(
-        flatten_params(h), np.array([1, 2, 3, 4, 5, 6, 7], np.float32)
+        h.params, np.array([1, 2, 3, 4, 5, 6, 7], np.float32)
     )
+
+
+@given(
+    st.integers(1, 12), st.integers(1, 8), st.integers(1, 10), st.integers(1, 5),
+    st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1),
+)
+def test_parts_are_views_of_each_row(c_feat, hidden, classes, n, n_new, writeable, seed):
+    rng = np.random.default_rng(seed)
+    heads = [init_head(c_feat, hidden, classes, rng, sigma=1.0) for _ in range(n)]
+    stack = np.stack([h.params for h in heads])
+    stack.flags.writeable = writeable
+    parts = _parts(stack, heads[0].dims)
+    for i, h in enumerate(heads):
+        for name, part in zip(("conv_w", "conv_b", "cls_w", "cls_b"), parts):
+            assert part[i].tobytes() == getattr(h, name).tobytes()
+    for part in parts:
+        # views, never copies: the training loop writes its gradients through them
+        assert np.shares_memory(part, stack)
+        assert part.flags.writeable == writeable
+    if writeable:
+        parts[3][-1, -1] = 5.0
+        assert stack[-1, -1] == 5.0
+    # the head's attributes are the same cut of its own vector
+    h = heads[0]
+    assert all(np.shares_memory(getattr(h, name), h.params) for name in ("conv_w", "cls_b"))
+    # growing the classifier keeps every old parameter bit for bit
+    grown = expand_classifier(h, range(classes, classes + n_new))
+    conv_w, conv_b, cls_w, cls_b = _parts(grown.params, grown.dims)
+    assert conv_w.tobytes() == h.conv_w.tobytes() and conv_b.tobytes() == h.conv_b.tobytes()
+    assert cls_w[:classes].tobytes() == h.cls_w.tobytes()
+    assert cls_b[:classes].tobytes() == h.cls_b.tobytes()
+    assert not cls_w[classes:].any() and not cls_b[classes:].any()
+    # a shape-only head prices the same shape and allocates nothing
+    shape_only = _shape_head(c_feat, hidden, classes)
+    assert shape_only.dims == h.dims and shape_only.parameter_count == h.parameter_count
+    assert shape_only.params.strides == (0,)
 
 
 def test_parameter_count_64_64_10():
@@ -233,7 +265,8 @@ def test_message_bytes_6144_param_head():
     assert head_message_bytes(h) == 24576
 
 
-def test_unflatten_length_mismatch():
+def test_parts_length_mismatch():
     h = _zero_head()
-    with pytest.raises(DimensionError):
-        unflatten_params(h, np.zeros((h.parameter_count + 1,), np.float32))
+    for size in (h.parameter_count - 1, h.parameter_count + 1):
+        with pytest.raises(DimensionError, match=f"head needs \\({h.parameter_count},\\)"):
+            _parts(np.zeros((2, size), np.float32), h.dims)

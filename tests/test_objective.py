@@ -16,7 +16,6 @@ from fedswarm import (
     LossConfig,
     RegistryError,
     TrainableHead,
-    flatten_params,
     head_logits,
     init_head,
     sgd_step,
@@ -46,7 +45,7 @@ def cross_entropy(logits: np.ndarray, target: int) -> float:
     head = _logit_head(logits)
     part = ClassPartition(frozenset(), frozenset(range(logits.size)))
     batch = (np.zeros((1, 1), np.float32), [target])
-    return total_loss(head, batch, part, flatten_params(head), LossConfig(mu=0.0, lam=0.0))[0]
+    return total_loss(head, batch, part, head.params, LossConfig(mu=0.0, lam=0.0))[0]
 
 
 def test_ce_uniform_logits():
@@ -96,7 +95,7 @@ def mol_loss(logits: np.ndarray, target: int, part: ClassPartition) -> float:
         z[target] = np.max(z) + np.float32(200.0)  # exp(-200) is 0 in float32
     head = _logit_head(z)
     batch = (np.zeros((1, 1), np.float32), [target])
-    return total_loss(head, batch, part, flatten_params(head), LossConfig(mu=1.0, lam=0.0))[0]
+    return total_loss(head, batch, part, head.params, LossConfig(mu=1.0, lam=0.0))[0]
 
 
 def test_mol_zero_for_equal_logits():
@@ -161,13 +160,13 @@ def prox_loss(head, w_global: np.ndarray, lam: float) -> float:
 
 def test_prox_zero_at_global():
     h = init_head(3, 2, 2, np.random.default_rng(10))
-    assert prox_loss(h, flatten_params(h), 3.8) == 0.0
+    assert prox_loss(h, h.params, 3.8) == 0.0
 
 
 def test_prox_reference_value():
     h = init_head(3, 2, 2, np.random.default_rng(11))
     diff = np.where(np.arange(h.parameter_count) % 2 == 0, 1.0, -1.0).astype(np.float32)
-    wg = flatten_params(h) - diff
+    wg = h.params - diff
     # (3.8 / 2) * P squared unit differences, as tight as 1e-6 on 3.8
     assert prox_loss(h, wg, 3.8) == pytest.approx(1.9 * h.parameter_count, rel=2.6e-7)
 
@@ -200,7 +199,7 @@ def test_total_loss_reduces_to_mean_ce():
     batch = _batch(rng, head, 3, 5)
     part = ClassPartition(frozenset({0, 1}), frozenset({2, 3, 4}))
     cfg = LossConfig(mu=0.0, lam=0.0, lr=0.01)
-    val, _ = total_loss(head, batch, part, flatten_params(head), cfg)
+    val, _ = total_loss(head, batch, part, head.params, cfg)
     # standalone path: eager per-sample CE, same fixed-order mean
     ces = np.array(
         [cross_entropy(head_logits(head, f), t) for f, t in zip(*batch)], np.float32
@@ -214,7 +213,7 @@ def test_total_loss_single_sample_at_global_is_ce():
     f = rng.standard_normal(4).astype(np.float32)
     part = ClassPartition(frozenset(), frozenset(range(4)))
     cfg = LossConfig(mu=0.0, lam=3.8, lr=0.01)
-    val, _ = total_loss(head, (f[None], [2]), part, flatten_params(head), cfg)
+    val, _ = total_loss(head, (f[None], [2]), part, head.params, cfg)
     assert val == cross_entropy(head_logits(head, f), 2)
 
 
@@ -224,7 +223,7 @@ def test_total_loss_gradient_matches_finite_differences():
     targets = 2 + rng.integers(0, 2, 3)
     batch = (rng.standard_normal((3, 3)).astype(np.float32), targets)
     part = ClassPartition(frozenset({0, 1}), frozenset({2, 3}))
-    wg = flatten_params(head) + 0.1
+    wg = head.params + 0.1
     cfg = LossConfig(mu=2.0, lam=3.8, lr=0.01)
     r = check_case(head, batch, part, wg, cfg)
     assert r["max_scaled_err"] < REL_TOL
@@ -236,7 +235,7 @@ def test_reference_loss_of_a_stack_equals_its_rows(idx):
     # the value of its own call, across all MOL branches and weights
     _, head, batch, part, w_global, cfg = _make_case(idx, 3)
     rng = np.random.default_rng(idx)
-    theta0 = flatten_params(head).astype(np.float64)
+    theta0 = head.params.astype(np.float64)
     stack = theta0 + rng.standard_normal((5, theta0.size)) * 0.1
     stack[0] = theta0
     args = (head, batch, part, w_global, cfg.mu, cfg.lam)
@@ -258,7 +257,7 @@ def test_gradient_battery_inputs_are_pinned():
     digest = hashlib.sha256()
     for idx in range(20):
         _, head, (x, targets), _, w_global, _ = _make_case(idx, 7)
-        for a in (flatten_params(head), np.ascontiguousarray(x, np.float32),
+        for a in (head.params, np.ascontiguousarray(x, np.float32),
                   np.asarray(targets, np.int64), np.asarray(w_global, np.float32)):
             digest.update(a.tobytes())
     assert digest.hexdigest() == _BATTERY_DIGEST
@@ -269,7 +268,7 @@ def test_total_loss_empty_batch():
     part = ClassPartition(frozenset(), frozenset({0, 1}))
     empty = (np.empty((0, 3), np.float32), np.empty(0, np.intp))
     with pytest.raises(DimensionError, match="nonempty"):
-        total_loss(head, empty, part, flatten_params(head), LossConfig())
+        total_loss(head, empty, part, head.params, LossConfig())
 
 
 # -- SGD step ----------------------------------------------------------------------
@@ -289,14 +288,14 @@ def test_sgd_zero_lr_is_identity():
     head = init_head(4, 3, 2, rng)
     part = ClassPartition(frozenset(), frozenset({0, 1}))
     _, grads = total_loss(
-        head, _batch(rng, head, 2, 2), part, flatten_params(head), LossConfig()
+        head, _batch(rng, head, 2, 2), part, head.params, LossConfig()
     )
     assert sgd_step(head, grads, 0.0) == head
 
 
 def test_sgd_single_step_arithmetic():
     head = _unit_head(1.0)
-    grads = np.full(4, 2.0, np.float32)  # flat, in flatten_params order
+    grads = np.full(4, 2.0, np.float32)  # flat, in the head's parameter order
     stepped = sgd_step(head, grads, 0.5)
     assert stepped == _unit_head(0.0)
 
@@ -318,7 +317,7 @@ def test_sgd_drives_down_separable_toy_loss():
     cfg = LossConfig(mu=0.0, lam=0.0, lr=0.1, batch_size=8)
     losses = []
     for _ in range(150):
-        val, grads = total_loss(head, batch, part, flatten_params(head), cfg)
+        val, grads = total_loss(head, batch, part, head.params, cfg)
         head = sgd_step(head, grads, cfg.lr)
         losses.append(val)
     windows = [sum(losses[i : i + 10]) / 10 for i in range(0, 150, 10)]
@@ -395,7 +394,7 @@ def _ref_total_loss(head, batch, part, w_global, cfg):
     n = np.float32(len(targets))
     inv_n = np.float32(1.0) / n
     mu, lam = np.float32(cfg.mu), np.float32(cfg.lam)
-    d = flatten_params(head) - w_global
+    d = head.params - w_global
     # every leaf gradient starts from +0.0 plus its prox part
     grads, off = [], 0
     for p in params:
@@ -502,7 +501,7 @@ def _node_case(rng, c_feat, hidden, classes, n, branch, zero_frac):
     if branch == "fallback":
         members = [classes - 1]
     batch = (_sparse(rng, (n, c_feat), zero_frac), rng.choice(members, n))
-    w_global = flatten_params(head) + _sparse(rng, head.parameter_count, zero_frac, 0.2)
+    w_global = head.params + _sparse(rng, head.parameter_count, zero_frac, 0.2)
     return head, batch, part, w_global
 
 
@@ -560,7 +559,7 @@ def test_steps_return_arrays_they_do_not_reuse():
     head = init_head(4, 3, 5, rng)
     part = ClassPartition(frozenset({0, 1}), frozenset({2, 3, 4}))
     cfg = LossConfig(batch_size=3)
-    wg = flatten_params(head)
+    wg = head.params
     _, first = total_loss(head, _batch(rng, head, 3, 5), part, wg, cfg)
     kept = first.tobytes()
     _, second = total_loss(head, _batch(rng, head, 3, 5), part, wg, cfg)
@@ -592,7 +591,7 @@ def test_fused_total_loss_keeps_sign_of_zero_gradients():
     part = ClassPartition(frozenset({0}), frozenset({1, 2}))
     for mu, lam in ((0.0, 0.0), (2.0, 0.0), (0.0, 3.8), (2.0, 3.8)):
         cfg = LossConfig(mu=mu, lam=lam)
-        wg = flatten_params(head) * np.float32(-1.0)
+        wg = head.params * np.float32(-1.0)
         assert _bits(*total_loss(head, batch, part, wg, cfg)) == _bits(
             *_ref_total_loss(head, batch, part, wg, cfg)
         )
@@ -600,7 +599,7 @@ def test_fused_total_loss_keeps_sign_of_zero_gradients():
 
 def test_total_loss_input_checks():
     head = init_head(3, 2, 4, np.random.default_rng(9))
-    wg = flatten_params(head)
+    wg = head.params
     part = ClassPartition(frozenset({0, 1}), frozenset({2, 3}))
     f = np.asarray([[1.0, 2.0, 3.0]], np.float32)
     cfg = LossConfig()
