@@ -45,7 +45,6 @@ import numpy as np
 from .costs import LinkModel, message_time
 from .errors import AggregationError, DimensionError, NumericError
 from .losses import LossConfig, Minibatch, StepSpace, check_view, sgd_step, total_loss
-from .model import check_finite
 from .sessions import _write_file
 
 # cap on a training call's (epochs, samples) shuffle table, and on a
@@ -315,7 +314,9 @@ class _Lockstep:
         node's prox anchor: they are copied into the stack and its anchor
         copy. Returns (heads, each node's mean batch loss over its last
         epoch): a new head per trained node, a node with no rows keeping
-        the one it brought. The heads must share the state's architecture."""
+        the one it brought. The heads must share the state's architecture.
+        A trained node whose parameters hold a NaN or inf raises
+        NumericError, naming the tensor, when its head is built."""
         heads = list(heads)
         n, epochs, steps = self.n, self.epochs, self.steps
         if steps is None:
@@ -330,7 +331,7 @@ class _Lockstep:
         np.stack([heads[i].params for i in self.rank], out=params)
         np.copyto(self.snaps, params)
         step_losses, lr, cfg, picks = self.step_losses, self.lr, self.cfg, self.picks
-        # diverging runs overflow here; finiteness is checked once at the end
+        # diverging runs overflow here; each trained head is checked when built
         with np.errstate(all="ignore"):
             for e in range(epochs):
                 np.take(order[e], self.gather, out=picks)
@@ -343,15 +344,11 @@ class _Lockstep:
                     sgd_step(space.params, grads, lr)
                     if last:
                         step_losses[rows, j] = values
-        # one scan of the stack; only a diverged round looks for its first bad node
-        finite = bool(np.isfinite(params).all())
         by_row = step_losses.tolist()
         losses = [0.0] * n
         for i in self.live:
             r = row[i]
             heads[i] = self.arch.with_params(params[r].copy())
-            if not finite:
-                check_finite(heads[i])
             count = -(-sizes[r] // self.b)
             losses[i] = float(sum(by_row[r][:count]) / count)
         return heads, losses

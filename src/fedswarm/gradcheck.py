@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericError
 from .losses import ClassPartition, LossConfig, total_loss
-from .model import TrainableHead, _parts
+from .model import TrainableHead, _parts, _size
 
 __all__ = ["reference_total_loss", "check_case", "run_gradcheck", "format_gradcheck"]
 
@@ -107,14 +107,12 @@ def _make_case(idx: int, seed: int):
     dims = [(2, 2, 4), (3, 2, 5), (4, 3, 6), (2, 3, 3), (5, 2, 4)][idx % 5]
     mu, lam = [(2.0, 3.8), (0.0, 3.8), (2.0, 0.0), (0.7, 1.3)][idx % 4]
     branch = ("both", "fallback", "no_old")[idx % 3]
-    c_feat, hidden, classes = dims
+    c_feat, _, classes = dims
     for _ in range(50):
-        head = TrainableHead(
-            conv_w=rng.standard_normal((hidden, c_feat)).astype(np.float32) * 0.6,
-            conv_b=rng.standard_normal(hidden).astype(np.float32) * 0.6,
-            cls_w=rng.standard_normal((classes, hidden)).astype(np.float32) * 0.6,
-            cls_b=rng.standard_normal(classes).astype(np.float32) * 0.6,
-        )
+        params = np.empty(_size(dims), np.float32)
+        for view in _parts(params, dims):  # drawn in layout order
+            view[...] = rng.standard_normal(view.shape).astype(np.float32) * 0.6
+        head = TrainableHead(params, dims)
         targets = rng.integers(0, classes, size=3)
         x = rng.standard_normal((3, c_feat)).astype(np.float32)
         if branch == "both":

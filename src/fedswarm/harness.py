@@ -357,7 +357,12 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Everything one run produced: per-session metrics plus cost summary."""
+    """Everything one run produced: per-session metrics plus cost summary.
+
+    EvaluationError unless ``strategy`` is a string and ``sessions`` a
+    list of mappings, one per session from 0 on, each with an integer
+    ``session`` and accuracies that are numbers in [0, 1]; a parsed
+    report and a report built in code get the same checks."""
 
     seed: int
     strategy: str
@@ -366,16 +371,24 @@ class MetricsReport:
     cost: dict
 
     def __post_init__(self):
-        if not self.sessions:
+        if not isinstance(self.strategy, str):
+            raise EvaluationError(f"strategy must be a string, got {self.strategy!r}")
+        rows = self.sessions
+        if not isinstance(rows, list) or not all(isinstance(s, dict) for s in rows):
+            raise EvaluationError("sessions must be a list of mappings")
+        if not rows:
             raise EvaluationError("a report needs session 0")
-        last = -1
-        for s in self.sessions:
-            if s["session"] != last + 1:
+        for i, s in enumerate(rows):
+            if not _is_int(s.get("session")):
+                raise EvaluationError(f"sessions[{i}] needs an integer 'session'")
+            if s["session"] != i:
                 raise EvaluationError("sessions must be consecutive from 0")
-            last = s["session"]
             for key in ("accuracy_seen", "accuracy_base"):
-                if not 0.0 <= s[key] <= 1.0:
-                    raise EvaluationError(f"{key}={s[key]} outside [0, 1]")
+                v = s.get(key)
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise EvaluationError(f"sessions[{i}].{key} must be a number, got {v!r}")
+                if not 0.0 <= v <= 1.0:
+                    raise EvaluationError(f"{key}={v} outside [0, 1]")
 
     def final_accuracy(self) -> float:
         return self.sessions[-1]["accuracy_seen"]
@@ -529,27 +542,10 @@ def parse_report(path) -> MetricsReport:
     missing = [k for k in keys if k not in raw]
     if missing:
         raise ConfigError(f"report {p} lacks keys {missing}")
-    if not isinstance(raw["strategy"], str):
-        raise ConfigError(f"report {p}: strategy must be a string, got {raw['strategy']!r}")
-    _check_session_rows(raw["sessions"], p)
     try:
         return MetricsReport(**{k: raw[k] for k in keys})
     except EvaluationError as e:
         raise ConfigError(f"report {p}: {e}") from None
-
-
-def _check_session_rows(rows, p: Path) -> None:
-    """ConfigError unless ``rows`` is a list of mappings, each with an
-    int ``session`` and numeric accuracies; ranges stay with MetricsReport."""
-    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
-        raise ConfigError(f"report {p}: sessions must be a list of mappings")
-    for i, row in enumerate(rows):
-        if not _is_int(row.get("session")):
-            raise ConfigError(f"report {p}: sessions[{i}] needs an integer 'session'")
-        for key in ("accuracy_seen", "accuracy_base"):
-            v = row.get(key)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"report {p}: sessions[{i}].{key} must be a number, got {v!r}")
 
 
 def strategy_block_bytes(r: MetricsReport) -> bytes:

@@ -256,7 +256,7 @@ class StepSpace:
         self.inv_b = _ONE / np.float32(w)
         self.b = np.float32(w)
         # a weight past float32's range casts to inf: the run diverges,
-        # and the trained heads' finiteness check reports it
+        # and the constructor of the trained heads reports it
         with np.errstate(over="ignore"):
             mu, lam = np.float32(cfg.mu), np.float32(cfg.lam)
         self.mu = mu if cfg.mu != 0.0 else None
@@ -416,10 +416,12 @@ def sgd_step(head, grads: np.ndarray, lr: float):
     """One vanilla descent step, w <- w - lr * g, on the flat parameters,
     as two float32 operations: lr * g rounded, then the subtraction.
 
-    One head: returns a new head. Lockstep, as the training loop calls
-    it: ``head`` is the (N, P) parameter rows of a ``StepSpace``, which
-    are updated in place (elementwise, so each head steps as it would
-    alone) and returned; ``grads`` is overwritten with lr * g.
+    One head: returns a new head, or raises NumericError when the step
+    leaves a NaN or inf, as a training round does. Lockstep, as the
+    training loop calls it: ``head`` is the (N, P) parameter rows of a
+    ``StepSpace``, which are updated in place (elementwise, so each head
+    steps as it would alone) and returned; ``grads`` is overwritten
+    with lr * g.
     """
     one = isinstance(head, TrainableHead)
     params = head.params if one else head

@@ -3,10 +3,13 @@
 The head is a pointwise conv over the pooled feature vector, relu, and
 a linear classifier whose row count grows as new classes appear. A
 head is one read-only flat float32 array, so an SGD step is one vector
-update and the link carries one vector. ``_parts`` is the one place
-that knows its layout: the head's four attributes, the training loop's
-weight and gradient views and the float64 gradient oracle all cut the
-flat vector through it. Features and logits are float32 arrays too.
+update and the link carries one vector. ``_shapes`` states its layout
+once and ``_parts`` cuts a vector by it: the head's four attributes,
+its initialization and growth, the training loop's weight and gradient
+views and the float64 gradient oracle all go through ``_parts``.
+``TrainableHead(params, dims)`` is the one way to build a head, and it
+checks the vector's length and finiteness, so no head disagrees with
+its own dims. Features and logits are float32 arrays too.
 ``_Forward`` is the one copy of the head math, a pass over
 preallocated buffers: ``head_logits`` runs it, and so does
 ``losses.StepSpace`` on the (N, P) parameter rows of N heads, which
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
+from numbers import Integral
 
 import numpy as np
 
@@ -30,7 +34,6 @@ _ZERO = np.float32(0.0)
 
 __all__ = [
     "TrainableHead",
-    "check_finite",
     "init_head",
     "head_logits",
     "expand_classifier",
@@ -40,48 +43,38 @@ __all__ = [
 class TrainableHead:
     """The float32 trainable parameters: conv + expandable classifier.
 
-    ``params`` is one read-only vector in ``_parts``'s layout, and
-    conv_w, conv_b, cls_w and cls_b are its views. ``with_params`` also
-    takes an (N, P) stack of N same-architecture heads, whose views gain
-    the leading node axis; the training loop itself steps bare (N, P)
-    rows.
-
-    The constructor checks shapes and finiteness. Heads derived from
-    another head (``with_params``, SGD steps, expansion, averaging) skip
-    both; training checks finiteness at its epoch and sync boundaries.
+    ``params`` is one read-only vector in ``_parts``'s layout, or an
+    (N, P) stack of N heads of one architecture, and ``dims`` is
+    (c_feat, c_out, num_classes); conv_w, conv_b, cls_w and cls_b are
+    views of ``params``, with the stack's node axis leading. The
+    constructor is the only way to build a head, and it checks what it
+    is given: three integer dims, each at least 1, a last axis of the
+    parameter count (a shape compare, so building a head stays cheap)
+    and finite values. It keeps a float32 array uncopied and makes it
+    read-only, so the caller hands the array over. The training loop itself steps bare
+    (N, P) rows and builds a head per trained node when a round ends.
     """
 
     __slots__ = ("params", "c_feat", "c_out", "num_classes")
 
-    def __init__(self, conv_w, conv_b, cls_w, cls_b):
-        parts = [np.asarray(t, np.float32) for t in (conv_w, conv_b, cls_w, cls_b)]
-        conv_w, conv_b, cls_w, cls_b = parts
-        if conv_w.ndim != 2 or cls_w.ndim != 2:
-            raise DimensionError("conv_w and cls_w must be matrices")
-        c_out = conv_w.shape[0]
-        if conv_b.shape != (c_out,):
-            raise DimensionError(
-                f"conv bias {conv_b.shape} does not match conv weights {conv_w.shape}"
-            )
-        if cls_w.shape[1] != c_out:
-            raise DimensionError(
-                f"classifier weights {cls_w.shape} do not match conv output {c_out}"
-            )
-        if cls_b.shape != (cls_w.shape[0],):
-            raise DimensionError(
-                f"classifier bias {cls_b.shape} does not match weights {cls_w.shape}"
-            )
-        if min(conv_w.shape + cls_w.shape) < 1:
-            raise DimensionError("head needs at least one class, feature and hidden unit")
-        self.params = np.concatenate(parts, axis=None)
-        self.params.flags.writeable = False
-        self.c_feat, self.c_out, self.num_classes = conv_w.shape[1], c_out, cls_w.shape[0]
-        check_finite(self)
+    def __init__(self, params, dims: tuple):
+        params = np.asarray(params, np.float32)
+        if len(dims) != 3 or not all(isinstance(d, Integral) and d >= 1 for d in dims):
+            raise DimensionError(f"head dims {dims!r} must be three integers, each at least 1")
+        size = _size(dims)
+        if params.shape[-1:] != (size,) or params.ndim > 2:
+            raise DimensionError(f"flat parameters of shape {params.shape}, head needs ({size},)")
+        if not np.isfinite(params).all():
+            for name, t in zip(_PARTS, _parts(params, dims)):
+                if not np.isfinite(t).all():
+                    raise NumericError(f"non-finite values in {name}")
+        params.flags.writeable = False
+        self.params = params
+        self.c_feat, self.c_out, self.num_classes = dims
 
     def with_params(self, params: np.ndarray) -> "TrainableHead":
-        """A head of this architecture over ``params``, (P,) or (N, P),
-        unchecked and uncopied: the caller hands the array over."""
-        return _head(params, *self.dims)
+        """A head of this architecture over ``params``, (P,) or (N, P)."""
+        return TrainableHead(params, self.dims)
 
     dims = property(lambda h: (h.c_feat, h.c_out, h.num_classes))
     parameter_count = property(lambda h: h.params.shape[-1])
@@ -99,15 +92,25 @@ class TrainableHead:
 _PARTS = ("conv_w", "conv_b", "cls_w", "cls_b")
 
 
-def _parts(params: np.ndarray, dims: tuple) -> tuple:
+def _shapes(dims: tuple) -> tuple:
     """The flat layout: conv_w (c_out, c_feat), conv_b (c_out,), cls_w
     (num_classes, c_out), cls_b (num_classes,), in that order, each
-    row-major. Returns their views of a (P,) vector, or of each row of
-    an (..., P) stack with its leading axes kept; views share
-    ``params``'s memory and writeable flag."""
+    row-major."""
     c_feat, c_out, n_cls = dims
-    shapes = ((c_out, c_feat), (c_out,), (n_cls, c_out), (n_cls,))
-    ends = list(accumulate(math.prod(shape) for shape in shapes))
+    return (c_out, c_feat), (c_out,), (n_cls, c_out), (n_cls,)
+
+
+def _size(dims: tuple) -> int:
+    """The parameter count P of a head of these dims."""
+    return sum(map(math.prod, _shapes(dims)))
+
+
+def _parts(params: np.ndarray, dims: tuple) -> tuple:
+    """The (conv_w, conv_b, cls_w, cls_b) views of a (P,) vector, or of
+    each row of an (..., P) stack with its leading axes kept; views
+    share ``params``'s memory and writeable flag."""
+    shapes = _shapes(dims)
+    ends = list(accumulate(map(math.prod, shapes)))
     if params.shape[-1:] != (ends[-1],):
         raise DimensionError(f"flat parameters of shape {params.shape}, head needs ({ends[-1]},)")
     lead = params.shape[:-1]
@@ -115,28 +118,12 @@ def _parts(params: np.ndarray, dims: tuple) -> tuple:
                  for shape, lo, hi in zip(shapes, [0] + ends, ends))
 
 
-def _head(params: np.ndarray, c_feat: int, c_out: int, num_classes: int) -> TrainableHead:
-    """The unchecked constructor: a head over ``params`` as given, which
-    it makes read-only."""
-    h = TrainableHead.__new__(TrainableHead)
-    params.flags.writeable = False
-    h.params, h.c_feat, h.c_out, h.num_classes = params, c_feat, c_out, num_classes
-    return h
-
-
 def _shape_head(c_feat: int, c_out: int, num_classes: int) -> TrainableHead:
     """A head of this shape for pricing it: its parameters are one zero
-    broadcast to the parameter count, zero strides, so nothing is allocated."""
-    size = c_out * (c_feat + 1) + num_classes * (c_out + 1)
-    return _head(np.broadcast_to(_ZERO, (size,)), c_feat, c_out, num_classes)
-
-
-def check_finite(h: TrainableHead) -> None:
-    """NumericError naming the first head tensor that holds a NaN or inf."""
-    if not np.isfinite(h.params).all():
-        for name, t in zip(_PARTS, _parts(h.params, h.dims)):
-            if not np.isfinite(t).all():
-                raise NumericError(f"non-finite values in {name}")
+    broadcast to the parameter count, zero strides, so its vector takes
+    no memory."""
+    dims = (c_feat, c_out, num_classes)
+    return TrainableHead(np.broadcast_to(_ZERO, (_size(dims),)), dims)
 
 
 def init_head(
@@ -146,15 +133,15 @@ def init_head(
     rng: np.random.Generator,
     sigma: float = 0.1,
 ) -> TrainableHead:
-    """Seeded Gaussian initialization for all four parameter tensors."""
+    """Seeded Gaussian initialization for all four parameter tensors,
+    drawn in layout order, each rounded once from float64 to float32."""
+    dims = (c_feat, c_out, num_classes)
+    params = np.empty(_size(dims), np.float32)
     # a sigma past float32's range casts to inf, which the head rejects
     with np.errstate(over="ignore"):
-        return TrainableHead(
-            conv_w=(rng.standard_normal((c_out, c_feat)) * sigma).astype(np.float32),
-            conv_b=(rng.standard_normal(c_out) * sigma).astype(np.float32),
-            cls_w=(rng.standard_normal((num_classes, c_out)) * sigma).astype(np.float32),
-            cls_b=(rng.standard_normal(num_classes) * sigma).astype(np.float32),
-        )
+        for part in _parts(params, dims):
+            part[...] = rng.standard_normal(part.shape) * sigma
+    return TrainableHead(params, dims)
 
 
 def _weight_views(params: np.ndarray, dims: tuple) -> tuple:
@@ -245,11 +232,12 @@ def expand_classifier(h: TrainableHead, new_class_ids) -> TrainableHead:
             f"expansion ids {sorted(ids)} must be exactly {expected} "
             f"(head already has {h.num_classes} classes)"
         )
-    n_new = len(ids)
-    conv_w, conv_b, cls_w, cls_b = _parts(h.params, h.dims)
-    params = np.concatenate((conv_w, conv_b, cls_w, np.zeros((n_new, h.c_out), np.float32),
-                             cls_b, np.zeros(n_new, np.float32)), axis=None)
-    return _head(params, h.c_feat, h.c_out, h.num_classes + n_new)
+    dims = (h.c_feat, h.c_out, h.num_classes + len(ids))
+    params = np.zeros(_size(dims), np.float32)
+    # each part grows along its leading axis at most: only cls_w and cls_b gain rows
+    for new, old in zip(_parts(params, dims), _parts(h.params, h.dims)):
+        new[: len(old)] = old
+    return TrainableHead(params, dims)
 
 
 def head_message_bytes(h: TrainableHead) -> int:

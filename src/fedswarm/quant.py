@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericError
-from .tensor import Fold, _scan
+from .tensor import Fold
 
 try:
     from numpy._core.umath import clip as _clip  # np.clip without its Python wrapper
@@ -229,8 +229,11 @@ def _forward_checked(bb: FrozenBackbone, frame: np.ndarray, qp: QuantParams) -> 
         acts = q.astype(np.int64)
         in_scale = layer.out_scale
         in_zp = 0
-    feats = q.astype(np.float32) * np.float32(bb.layers[-1].out_scale)
-    return _scan(feats.T) / np.float32(h * w)
+    # pooled as ``_Space`` pools: the float32 products, folded over H*W
+    fold = Fold((h * w, bb.feature_dim))
+    np.multiply(q.T, np.float32(bb.layers[-1].out_scale), out=fold.terms)
+    fold.run()
+    return fold.total / np.float32(h * w)
 
 
 def _acc_bound(layer: QuantLayer, peak):

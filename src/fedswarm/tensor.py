@@ -3,13 +3,13 @@
 Float data (features, head parameters, gradients, averaged weights) is
 float32 numpy arrays throughout the package; this module holds no
 type of its own. Every contraction is a float32 sum in a fixed index
-order, seeded with +0.0, in one numpy call: ``_scan`` folds an array it
-is given, ``Fold`` folds a preallocated buffer that its caller writes
-the terms into, so a step that repeats runs on the same memory.
-Determinism rests on that order, not on precision. The head pass
-(``model._Forward``), the objective's step (``losses.StepSpace``) and
-the backbone's pooling (``quant``) call these kernels directly, on one
-head or on a stack of lockstep heads.
+order, seeded with +0.0, in one numpy call: ``Fold`` folds a
+preallocated buffer that its caller writes the terms into, so a step
+that repeats runs on the same memory. Determinism rests on that order,
+not on precision. The head pass (``model._Forward``), the objective's
+step (``losses.StepSpace``) and the backbone's pooling (``quant``, in
+the batched pass and its one-frame exact fallback alike) all run on
+it, on one head or on a stack of lockstep heads.
 """
 
 from __future__ import annotations
@@ -22,17 +22,6 @@ import numpy as np
 # elements per preallocated step buffer: a step longer than this runs in
 # chunks of samples, which bounds its memory whatever the batch size
 _SCAN_BLOCK = 1 << 17
-
-
-def _scan(x: np.ndarray) -> np.ndarray:
-    """Float32 sum of ``x`` over its leading axis, in index order from +0.0:
-    the loop ``acc = 0.0; for v in x: acc += v`` at every trailing index.
-    ``x`` is copied into a ``Fold``, whatever its layout or dtype."""
-    x = np.asarray(x)
-    fold = Fold(x.shape)
-    fold.terms[...] = x
-    fold.run()
-    return fold.total.copy()
 
 
 class Fold:

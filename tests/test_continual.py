@@ -35,6 +35,7 @@ from fedswarm import (
     write_manifest,
 )
 import fedswarm.sessions
+from fedswarm.model import _parts, _size
 from fedswarm.synthetic import SyntheticSpec
 
 DESK = dict(num_classes=10, num_nodes=3, base_count=4, classes_per_session_per_node=1)
@@ -251,11 +252,11 @@ def _identity_world(classes=4, per_class=3):
     q[np.arange(len(labels)), labels] = 5  # feature 0.5 on the class channel
     frames = QuantTensor(q, (len(labels), classes, 1, 1), QuantParams(0.1))
     ds = LabeledDataset(np.arange(len(labels)), labels, frames, "test")
-    eye = np.eye(classes, dtype=np.float32)
-    perfect = TrainableHead(
-        conv_w=eye, conv_b=np.zeros((classes,), np.float32),
-        cls_w=eye, cls_b=np.zeros((classes,), np.float32),
-    )
+    dims = (classes, classes, classes)
+    params = np.zeros(_size(dims), np.float32)
+    conv_w, _, cls_w, _ = _parts(params, dims)
+    conv_w[...] = cls_w[...] = np.eye(classes, dtype=np.float32)
+    perfect = TrainableHead(params, dims)
     return bb, ds, perfect
 
 
@@ -266,20 +267,15 @@ def test_perfect_model_scores_one():
 
 def test_constant_predictor_scores_chance():
     bb, ds, _ = _identity_world()
-    biased = TrainableHead(
-        conv_w=np.zeros((4, 4), np.float32), conv_b=np.zeros((4,), np.float32),
-        cls_w=np.zeros((4, 4), np.float32),
-        cls_b=np.asarray([1.0, 0.0, 0.0, 0.0], np.float32),  # always argmax class 0
-    )
+    params = np.zeros(4 * 4 + 4 + 4 * 4 + 4, np.float32)
+    params[-4] = 1.0  # cls_b[0]: always argmax class 0
+    biased = TrainableHead(params, (4, 4, 4))
     assert evaluate(biased, ds, range(4), precompute_features(bb, ds)) == 0.25
 
 
 def test_tie_break_is_lowest_class_id():
     bb, ds, _ = _identity_world()
-    flat = TrainableHead(
-        conv_w=np.zeros((4, 4), np.float32), conv_b=np.zeros((4,), np.float32),
-        cls_w=np.zeros((4, 4), np.float32), cls_b=np.zeros((4,), np.float32),
-    )
+    flat = TrainableHead(np.zeros(4 * 4 + 4 + 4 * 4 + 4, np.float32), (4, 4, 4))
     # all logits equal: every sample is predicted as the lowest seen id
     feats = precompute_features(bb, ds)
     assert evaluate(flat, ds, range(4), feats) == 0.25

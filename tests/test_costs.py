@@ -25,12 +25,8 @@ from fedswarm import (
 
 
 def _head_6144() -> TrainableHead:
-    return TrainableHead(
-        conv_w=np.zeros((32, 158), np.float32),
-        conv_b=np.zeros((32,), np.float32),
-        cls_w=np.zeros((32, 32), np.float32),
-        cls_b=np.zeros((32,), np.float32),
-    )
+    # 158 features -> 32 hidden -> 32 classes
+    return TrainableHead(np.zeros(6144, np.float32), (158, 32, 32))
 
 
 # -- operating points -----------------------------------------------------------
@@ -131,12 +127,7 @@ def test_memory_components():
     assert peak_training_memory(head, 4) == 2 * 4 * 6144 + 4 * 4 * (158 + 2 * 32)
     assert peak_training_memory(head) == peak_training_memory(head, 4)
     # a classifier wider than its input makes the second layer the widest
-    wide = TrainableHead(
-        conv_w=np.zeros((8, 10), np.float32),
-        conv_b=np.zeros((8,), np.float32),
-        cls_w=np.zeros((50, 8), np.float32),
-        cls_b=np.zeros((50,), np.float32),
-    )
+    wide = TrainableHead(np.zeros(8 * 10 + 8 + 50 * 8 + 50, np.float32), (10, 8, 50))
     assert peak_training_memory(wide, 3) == 2 * 4 * wide.parameter_count + 4 * 3 * (8 + 2 * 50)
     assert isinstance(peak_training_memory(wide, 3), int)
 

@@ -91,6 +91,16 @@ def test_retired_names_are_gone():
         assert not hasattr(fedswarm.model, name), name
     assert not hasattr(fedswarm.TrainableHead, "_view")
     assert not hasattr(fedswarm.model, "_fill")
+    # TrainableHead(params, dims) is the one head constructor, and it
+    # checks finiteness itself; a report checks its own rows; every
+    # ordered sum runs on a Fold
+    assert not hasattr(fedswarm.model, "_head")
+    for module in (fedswarm, fedswarm.model):
+        assert not hasattr(module, "check_finite")
+    assert not hasattr(fedswarm.tensor, "_scan")
+    assert not hasattr(fedswarm.harness, "_check_session_rows")
+    with pytest.raises(TypeError):
+        fedswarm.TrainableHead(conv_w=[[0.0]], conv_b=[0.0], cls_w=[[0.0]], cls_b=[0.0])
 
 
 # the package's __init__ imports only to re-export

@@ -1157,6 +1157,25 @@ def test_cli_hostile_report_is_a_config_error(tmp_path, case):
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: ")
 
 
+# a report built in code gets the checks a parsed one gets
+_MALFORMED_BODIES = sorted(
+    [(case, body) for case, body in HOSTILE_REPORTS.items()
+     if isinstance(body, dict) and body.keys() == _REPORT.keys()]
+    + [("session_is_a_bool", dict(_REPORT, sessions=[dict(_ROW, session=False)])),
+       ("session_is_a_string", dict(_REPORT, sessions=[dict(_ROW, session="0")])),
+       ("accuracy_is_a_bool", dict(_REPORT, sessions=[dict(_ROW, accuracy_base=True)])),
+       ("accuracy_missing", dict(_REPORT, sessions=[{"session": 0, "accuracy_seen": 1.0}])),
+       ("row_not_a_mapping", dict(_REPORT, sessions=[_ROW, [1]])),
+       ("strategy_is_a_number", dict(_REPORT, strategy=3))]
+)
+
+
+@pytest.mark.parametrize("case, body", _MALFORMED_BODIES, ids=[c for c, _ in _MALFORMED_BODIES])
+def test_directly_built_malformed_report_is_an_evaluation_error(case, body):
+    with pytest.raises(fs.EvaluationError):
+        fs.MetricsReport(**body)
+
+
 def test_well_formed_report_body_parses(tmp_path):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(_REPORT))

@@ -22,18 +22,14 @@ from fedswarm import (
 )
 from fedswarm.gradcheck import REL_TOL, check_case
 from fedswarm.losses import ClassPartition, LossConfig
-from fedswarm.model import _parts, _shape_head
+from fedswarm.model import _parts, _shape_head, _size
 from test_objective import _ref_head
 from test_quant import _layer_copies, _same_layers
 
 
 def _zero_head(c_feat=4, c_out=3, classes=5) -> TrainableHead:
-    return TrainableHead(
-        conv_w=np.zeros((c_out, c_feat), np.float32),
-        conv_b=np.zeros((c_out,), np.float32),
-        cls_w=np.zeros((classes, c_out), np.float32),
-        cls_b=np.zeros((classes,), np.float32),
-    )
+    dims = (c_feat, c_out, classes)
+    return TrainableHead(np.zeros(_size(dims), np.float32), dims)
 
 
 # -- head construction and forward --------------------------------------------
@@ -55,20 +51,61 @@ def test_single_class_softmax_is_one():
 
 
 def test_head_shape_validation():
-    with pytest.raises(DimensionError):
-        TrainableHead(
-            conv_w=np.zeros((3, 4), np.float32),
-            conv_b=np.zeros((2,), np.float32),  # wrong bias length
-            cls_w=np.zeros((5, 3), np.float32),
-            cls_b=np.zeros((5,), np.float32),
-        )
-    with pytest.raises(NumericError):
-        TrainableHead(
-            conv_w=np.array([[np.inf]], np.float32),
-            conv_b=np.zeros((1,), np.float32),
-            cls_w=np.zeros((1, 1), np.float32),
-            cls_b=np.zeros((1,), np.float32),
-        )
+    # a head never disagrees with its own dims: with_params checks too
+    h = init_head(4, 3, 5, np.random.default_rng(0))
+    with pytest.raises(DimensionError, match=r"head needs \(35,\)"):
+        h.with_params(np.zeros(3, np.float32))
+    bad = h.params.copy()
+    bad[-1] = np.nan
+    with pytest.raises(NumericError, match="cls_b"):
+        h.with_params(bad)
+
+
+@st.composite
+def _constructor_cases(draw):
+    """(params, dims, the kind of case, and the tensor a non-finite value sits in)."""
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    size = _size(dims)
+    lead = draw(st.sampled_from([(), (1,), (3,)]))
+    kind = draw(st.sampled_from(["ok", "short", "long", "dims", "nonfinite", "deep"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("short", "long"):
+        size += draw(st.integers(1, size)) * (-1 if kind == "short" else 1)
+    params = rng.standard_normal(lead + (size,)).astype(np.float32)
+    if kind == "deep":
+        params = params[None, None]
+    if kind == "dims":  # a dim below 1 or not an integer, or not three dims
+        i = draw(st.integers(0, 2))
+        bad = draw(st.sampled_from([-2, -1, 0, float(dims[i]), None]))
+        dims = dims[:i] + dims[i + 1 :] if bad is None else dims[:i] + (bad,) + dims[i + 1 :]
+    bad_tensor = None
+    if kind == "nonfinite":
+        at = draw(st.integers(0, size - 1))
+        params[..., at] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        c_feat, c_out, n_cls = dims
+        ends = np.cumsum([c_out * c_feat, c_out, n_cls * c_out, n_cls])
+        bad_tensor = ("conv_w", "conv_b", "cls_w", "cls_b")[int(np.searchsorted(ends, at, "right"))]
+    return params, dims, kind, bad_tensor
+
+
+@given(_constructor_cases())
+def test_constructor_checks_what_it_is_given(case):
+    params, dims, kind, bad_tensor = case
+    if kind in ("short", "long", "deep"):
+        with pytest.raises(DimensionError, match=rf"head needs \({_size(dims)},\)"):
+            TrainableHead(params, dims)
+    elif kind == "dims":
+        with pytest.raises(DimensionError, match="must be three integers"):
+            TrainableHead(params, dims)
+    elif kind == "nonfinite":
+        with pytest.raises(NumericError, match=f"non-finite values in {bad_tensor}$"):
+            TrainableHead(params, dims)
+    else:
+        h = TrainableHead(params, dims)
+        # a float32 array is handed over: kept uncopied and made read-only
+        assert h.params is params and not params.flags.writeable
+        assert h.dims == dims and h.parameter_count == _size(dims)
+        assert h.cls_b.shape == params.shape[:-1] + (dims[2],)
 
 
 @given(
@@ -207,15 +244,12 @@ def test_head_parameters_are_read_only():
 
 
 def test_flatten_canonical_order():
-    h = TrainableHead(
-        conv_w=np.asarray([[1.0, 2.0]], np.float32),
-        conv_b=np.asarray([3.0], np.float32),
-        cls_w=np.asarray([[4.0], [5.0]], np.float32),
-        cls_b=np.asarray([6.0, 7.0], np.float32),
-    )
-    assert np.array_equal(
-        h.params, np.array([1, 2, 3, 4, 5, 6, 7], np.float32)
-    )
+    # 2 features, 1 hidden unit, 2 classes: conv_w, conv_b, cls_w, cls_b in order
+    h = TrainableHead(np.arange(1, 8, dtype=np.float32), (2, 1, 2))
+    assert h.conv_w.tolist() == [[1.0, 2.0]]
+    assert h.conv_b.tolist() == [3.0]
+    assert h.cls_w.tolist() == [[4.0], [5.0]]
+    assert h.cls_b.tolist() == [6.0, 7.0]
 
 
 @given(

@@ -14,6 +14,7 @@ from fedswarm import (
     ConfigError,
     DimensionError,
     LossConfig,
+    NumericError,
     RegistryError,
     TrainableHead,
     head_logits,
@@ -24,7 +25,9 @@ from fedswarm import (
 from fedswarm import losses
 from fedswarm.gradcheck import REL_TOL, _make_case, check_case, reference_total_loss
 from fedswarm.losses import Minibatch, StepSpace, check_view
-from fedswarm.tensor import Fold, _scan
+from fedswarm.model import _parts, _size
+from fedswarm.tensor import Fold
+from test_tensor import _fold
 
 
 # -- cross-entropy --------------------------------------------------------------
@@ -33,10 +36,9 @@ from fedswarm.tensor import Fold, _scan
 def _logit_head(logits: np.ndarray) -> TrainableHead:
     """A head whose logits are ``logits`` for any input: zero weights, the
     logits as the classifier bias."""
-    return TrainableHead(
-        conv_w=np.zeros((1, 1), np.float32), conv_b=np.zeros(1, np.float32),
-        cls_w=np.zeros((logits.size, 1), np.float32), cls_b=logits,
-    )
+    # one feature, one hidden unit: conv_w, conv_b and cls_w are zero
+    params = np.concatenate([np.zeros(2 + logits.size, np.float32), logits])
+    return TrainableHead(params, (1, 1, logits.size))
 
 
 def cross_entropy(logits: np.ndarray, target: int) -> float:
@@ -204,7 +206,7 @@ def test_total_loss_reduces_to_mean_ce():
     ces = np.array(
         [cross_entropy(head_logits(head, f), t) for f, t in zip(*batch)], np.float32
     )
-    assert val == float(np.float32(_scan(ces) / np.float32(len(ces))))
+    assert val == float(np.float32(_fold(ces) / np.float32(len(ces))))
 
 
 def test_total_loss_single_sample_at_global_is_ce():
@@ -275,12 +277,7 @@ def test_total_loss_empty_batch():
 
 
 def _unit_head(value: float) -> TrainableHead:
-    return TrainableHead(
-        conv_w=np.asarray([[value]], np.float32),
-        conv_b=np.asarray([value], np.float32),
-        cls_w=np.asarray([[value]], np.float32),
-        cls_b=np.asarray([value], np.float32),
-    )
+    return TrainableHead(np.full(4, value, np.float32), (1, 1, 1))
 
 
 def test_sgd_zero_lr_is_identity():
@@ -305,6 +302,9 @@ def test_sgd_shape_mismatch():
     grads = np.full(5, 2.0, np.float32)  # one value too many
     with pytest.raises(DimensionError):
         sgd_step(head, grads, 0.5)
+    # a step to a non-finite head fails as a training round does
+    with pytest.raises(NumericError, match="non-finite values in conv_w"):
+        sgd_step(head, np.full(4, np.inf, np.float32), 0.5)
 
 
 def test_sgd_drives_down_separable_toy_loss():
@@ -477,12 +477,13 @@ def _objective_cases(draw):
 
 def _node_case(rng, c_feat, hidden, classes, n, branch, zero_frac):
     """(head, batch, partition, snapshot) of one node."""
-    head = TrainableHead(
-        conv_w=_sparse(rng, (hidden, c_feat), zero_frac / 2),
-        conv_b=_sparse(rng, hidden, zero_frac, 0.5),
-        cls_w=_sparse(rng, (classes, hidden), zero_frac / 2),
-        cls_b=_sparse(rng, classes, zero_frac, 0.5),
-    )
+    dims = (c_feat, hidden, classes)
+    params = np.empty(_size(dims), np.float32)
+    # conv_w, conv_b, cls_w, cls_b in layout order: weights half as sparse as biases
+    for view, frac, scale in zip(_parts(params, dims), (zero_frac / 2, zero_frac) * 2,
+                                 (1.0, 0.5) * 2):
+        view[...] = _sparse(rng, view.shape, frac, scale)
+    head = TrainableHead(params, dims)
     if branch == "both":
         split = int(rng.integers(1, classes))
         part = ClassPartition(frozenset(range(split)), frozenset(range(split, classes)))
@@ -581,12 +582,11 @@ def test_steps_return_arrays_they_do_not_reuse():
 
 def test_fused_total_loss_keeps_sign_of_zero_gradients():
     # zero features and a dead relu make every product a signed zero
-    head = TrainableHead(
-        conv_w=np.asarray([[-1.0, 2.0], [0.5, -0.5]], np.float32),
-        conv_b=np.asarray([0.0, -1.0], np.float32),
-        cls_w=np.asarray([[-1.0, 0.0], [1.0, -2.0], [0.0, 0.0]], np.float32),
-        cls_b=np.asarray([0.0, 0.0, -0.0], np.float32),
-    )
+    head = TrainableHead(np.asarray([-1.0, 2.0, 0.5, -0.5,  # conv_w (2, 2)
+                                     0.0, -1.0,  # conv_b
+                                     -1.0, 0.0, 1.0, -2.0, 0.0, 0.0,  # cls_w (3, 2)
+                                     0.0, 0.0, -0.0], np.float32),  # cls_b
+                         (2, 2, 3))
     batch = (np.asarray([[0.0, -0.0], [0.0, 0.0]], np.float32), [1, 2])
     part = ClassPartition(frozenset({0}), frozenset({1, 2}))
     for mu, lam in ((0.0, 0.0), (2.0, 0.0), (0.0, 3.8), (2.0, 3.8)):
@@ -764,13 +764,13 @@ def _fold_mm(a, b):
 def test_scan_kernels_match_python_loops(ab):
     a, b = ab
     assert _fold_mm(a, b).tobytes() == _loop_mm_f32(a, b).tobytes()
-    assert _scan(a.T).tobytes() == _loop_sum_cols(a).tobytes()
+    assert _fold(a.T).tobytes() == _loop_sum_cols(a).tobytes()
     for row in a:
-        assert _scan(row).tobytes() == _loop_seq_sum(row).tobytes()
+        assert _fold(row).tobytes() == _loop_seq_sum(row).tobytes()
 
 
 def test_scan_turns_negative_zero_sums_positive():
     a, b = _NEG_ZERO_PRODUCTS
     assert np.signbit(a[:, :1] * b[:1, :]).all()  # every product is -0.0
     assert not np.signbit(_fold_mm(a, b)).any()
-    assert not np.signbit(_scan(np.full(4, -0.0, np.float32)))
+    assert not np.signbit(_fold(np.full(4, -0.0, np.float32)))

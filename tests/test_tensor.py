@@ -4,12 +4,21 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fedswarm.tensor import _scan
+from fedswarm.tensor import Fold
 
 # magnitudes that cancel: 2**24 + 1 rounds back to 2**24 in float32, so
 # any change in the order of a sum changes its bits; the signed zeros
 # catch a sum that lost its +0.0 seed
 _CANCELLING = np.array([2.0**24, 1.0, -(2.0**24), 0.0, -0.0, 0.5, -3.0], np.float32)
+
+
+def _fold(x):
+    """``x`` summed over its leading axis by a ``Fold``: written into its
+    terms (a copy, whatever the layout or dtype), then one run."""
+    fold = Fold(x.shape)
+    fold.terms[...] = x
+    fold.run()
+    return fold.total
 
 
 def _loop_fold(x):
@@ -53,4 +62,4 @@ def _fold_cases(draw):
 @example(-np.zeros((5, 3), np.float32))  # all -0.0: the sum is +0.0
 @example(-np.zeros((5, 1), np.float32))
 def test_scan_folds_in_index_order(x):
-    assert _scan(x).tobytes() == _loop_fold(x).tobytes()
+    assert _fold(x).tobytes() == _loop_fold(x).tobytes()
