@@ -275,17 +275,17 @@ class ExperimentConfig:
         """ConfigError if a ``local_epoch`` call of the run would draw a
         shuffle table past ``MAX_TRAINING_BYTES``: T0 over the base
         classes, joint over the seen pool of the last session, a
-        federated round over the largest node view. Synthetic data
+        federated round over one node's view. Synthetic data
         only; a manifest's sizes are checked by ``local_epoch``."""
         per_class, rounds = self.data.train_per_class, self.train.rounds_per_session
         local = self.loss.local_epochs_per_round
-        views = [len(cs) for s in plan.sessions for cs in s.values()]
-        calls = [("t0_epochs", self.train.t0_epochs, len(plan.base_classes))]
+        calls = [("t0_epochs", self.train.t0_epochs, plan.base_count)]
         if self.strategy == "joint":
             calls.append(("rounds_per_session x local_epochs_per_round", rounds * local,
-                          len(plan.base_classes) + sum(views)))
+                          plan.num_classes))
         elif rounds:
-            calls.append(("local_epochs_per_round", local, max(views, default=0)))
+            view = plan.classes_per_session_per_node if plan.num_sessions else 0
+            calls.append(("local_epochs_per_round", local, view))
         for name, epochs, classes in calls:
             n_bytes = _table_bytes(epochs, classes * per_class)
             if n_bytes > MAX_TRAINING_BYTES:

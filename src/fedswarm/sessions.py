@@ -1,9 +1,11 @@
 """Session planning, node data views and evaluation for incremental learning.
 
 A plan starts from a jointly pretrained base session (T0) and then
-deals the remaining classes out to nodes over numbered sessions. Nodes
-never see data from earlier sessions again (no replay), and evaluation
-always runs over every class seen so far.
+deals the remaining classes out to nodes over numbered sessions. It is
+its four counts (classes, nodes, base classes, classes per node per
+session), and every deal is computed from them. Nodes never see data
+from earlier sessions again (no replay), and evaluation always runs
+over every class seen so far.
 
 A split is columnar: one array of sample ids, one of classes and one
 N x C x H x W int8 tensor of frames under one quantization. Its
@@ -15,9 +17,10 @@ from __future__ import annotations
 
 import errno
 import math
+import numbers
 import os
 import stat
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,65 +52,69 @@ MAX_SAMPLES = 1 << 18
 
 @dataclass(frozen=True)
 class SessionPlan:
-    """Base classes plus one class assignment map per incremental session."""
+    """A feasible deal, held as its four counts: classes
+    ``0..base_count-1`` are session 0, and each later session deals the
+    next ``S = num_nodes * classes_per_session_per_node`` ids in order,
+    cycling over the nodes. Every answer is computed from the counts."""
 
+    num_classes: int
     num_nodes: int
-    base_classes: tuple
-    sessions: tuple  # each entry: dict node id -> tuple of class ids
+    base_count: int
+    classes_per_session_per_node: int
 
     def __post_init__(self):
-        if self.num_nodes < 1:
-            raise PlanError(f"need at least one node, got {self.num_nodes}")
-        object.__setattr__(self, "base_classes", tuple(int(c) for c in self.base_classes))
-        norm = []
-        for assignment in self.sessions:
-            norm.append(
-                {int(n): tuple(int(c) for c in cs) for n, cs in sorted(assignment.items())}
+        for f in fields(self):  # nothing is coerced: a float or a bool is no count
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise PlanError(f"{f.name} must be an integer, got {v!r}")
+            object.__setattr__(self, f.name, int(v))
+        k, per = self.num_classes, self.classes_per_session_per_node
+        if k < 1 or self.num_nodes < 1 or per < 1:
+            raise PlanError("num_classes, num_nodes and per-node count must be positive")
+        if not 0 < self.base_count <= k:
+            raise PlanError(f"base_count {self.base_count} out of range for {k} classes")
+        remaining = k - self.base_count
+        if remaining % self._per_session != 0:
+            raise PlanError(
+                f"{remaining} incremental classes do not divide into sessions of "
+                f"{self._per_session} ({self.num_nodes} nodes x {per})"
             )
-        object.__setattr__(self, "sessions", tuple(norm))
-        seen = set(self.base_classes)
-        if len(seen) != len(self.base_classes):
-            raise PlanError("duplicate base classes")
-        for t, assignment in enumerate(self.sessions, start=1):
-            for n, cs in assignment.items():
-                if not 0 <= n < self.num_nodes:
-                    raise PlanError(f"session {t} assigns classes to unknown node {n}")
-                for c in cs:
-                    if c in seen:
-                        raise PlanError(f"class {c} assigned twice (session {t})")
-                    seen.add(c)
+
+    @property
+    def _per_session(self) -> int:
+        return self.num_nodes * self.classes_per_session_per_node
+
+    @property
+    def base_classes(self) -> tuple:
+        return tuple(range(self.base_count))
 
     @property
     def num_sessions(self) -> int:
         """Incremental sessions only; the base session is session 0."""
-        return len(self.sessions)
+        return (self.num_classes - self.base_count) // self._per_session
 
-    def node_classes(self, session: int, node: int) -> tuple:
-        if not 1 <= session <= self.num_sessions:
-            raise PlanError(
-                f"session {session} out of range 1..{self.num_sessions}"
-            )
-        if not 0 <= node < self.num_nodes:
-            raise PlanError(f"node {node} out of range for {self.num_nodes} nodes")
-        return self.sessions[session - 1].get(node, ())
-
-    def session_classes(self, session: int) -> list:
+    def _first(self, session: int) -> int:
+        """The first class id of incremental session ``session``."""
         if not 1 <= session <= self.num_sessions:
             raise PlanError(f"session {session} out of range 1..{self.num_sessions}")
-        out = []
-        for cs in self.sessions[session - 1].values():
-            out.extend(cs)
-        return sorted(out)
+        return self.base_count + (session - 1) * self._per_session
+
+    def node_classes(self, session: int, node: int) -> tuple:
+        first = self._first(session)
+        if not 0 <= node < self.num_nodes:
+            raise PlanError(f"node {node} out of range for {self.num_nodes} nodes")
+        return tuple(range(first + node, first + self._per_session, self.num_nodes))
+
+    def session_classes(self, session: int) -> list:
+        first = self._first(session)
+        return list(range(first, first + self._per_session))
 
     def seen_through(self, session: int) -> list:
         """Class ids known after sessions 0..session: the base classes
         plus every class dealt since, ascending."""
         if not 0 <= session <= self.num_sessions:
             raise PlanError(f"session {session} out of range 0..{self.num_sessions}")
-        out = list(self.base_classes)
-        for t in range(1, session + 1):
-            out.extend(self.session_classes(t))
-        return sorted(out)
+        return list(range(self.base_count + session * self._per_session))
 
 
 def make_plan(
@@ -120,27 +127,10 @@ def make_plan(
 
     Classes base_count..K-1 are handed out in id order, cycling over
     node ids, classes_per_session_per_node each before a session closes.
+    A count that is not an integer (a bool is not one) or a deal that
+    does not come out even is a PlanError.
     """
-    if num_classes < 1 or num_nodes < 1 or classes_per_session_per_node < 1:
-        raise PlanError("num_classes, num_nodes and per-node count must be positive")
-    if not 0 < base_count <= num_classes:
-        raise PlanError(f"base_count {base_count} out of range for {num_classes} classes")
-    remaining = num_classes - base_count
-    per_session = num_nodes * classes_per_session_per_node
-    if remaining % per_session != 0:
-        raise PlanError(
-            f"{remaining} incremental classes do not divide into sessions of "
-            f"{per_session} ({num_nodes} nodes x {classes_per_session_per_node})"
-        )
-    sessions = []
-    next_id = base_count
-    for _ in range(remaining // per_session):
-        assignment = {n: [] for n in range(num_nodes)}
-        for i in range(per_session):
-            assignment[i % num_nodes].append(next_id)
-            next_id += 1
-        sessions.append({n: tuple(cs) for n, cs in assignment.items()})
-    return SessionPlan(num_nodes, tuple(range(base_count)), tuple(sessions))
+    return SessionPlan(num_classes, num_nodes, base_count, classes_per_session_per_node)
 
 
 def registry_from_plan(plan: SessionPlan) -> SessionPlan:
@@ -200,8 +190,7 @@ def node_train_view(
 ) -> np.ndarray:
     """Row mask of the train samples of the classes this node learns now.
 
-    Earlier sessions' classes never reappear here; an unassigned node
-    gets an empty view and sits out local training.
+    Earlier sessions' classes never reappear here.
     """
     if ds.split != "train":
         raise PlanError(f"training views come from the train split, got {ds.split!r}")

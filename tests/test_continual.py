@@ -4,6 +4,7 @@ import contextlib
 import errno
 import os
 import signal
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from fedswarm import (
     QuantLayer,
     QuantParams,
     QuantTensor,
-    SessionPlan,
     TrainableHead,
     build_backbone,
     evaluate,
@@ -48,8 +48,8 @@ def test_make_plan_desk_configuration():
     plan = make_plan(**DESK)
     assert plan.base_classes == (0, 1, 2, 3)
     assert plan.num_sessions == 2
-    assert plan.sessions[0] == {0: (4,), 1: (5,), 2: (6,)}
-    assert plan.sessions[1] == {0: (7,), 1: (8,), 2: (9,)}
+    assert [plan.node_classes(1, n) for n in range(3)] == [(4,), (5,), (6,)]
+    assert [plan.node_classes(2, n) for n in range(3)] == [(7,), (8,), (9,)]
 
 
 def test_make_plan_no_incremental_classes():
@@ -59,7 +59,8 @@ def test_make_plan_no_incremental_classes():
 
 def test_make_plan_two_nodes():
     plan = make_plan(5, 2, 3)
-    assert plan.sessions == ({0: (3,), 1: (4,)},)
+    assert plan.num_sessions == 1
+    assert [plan.node_classes(1, n) for n in range(2)] == [(3,), (4,)]
 
 
 def test_make_plan_infeasible():
@@ -73,6 +74,28 @@ def test_make_plan_infeasible():
         make_plan(10, 0, 4)
 
 
+@pytest.mark.parametrize("counts, name", [
+    ((10.0, 3, 4), "num_classes"),
+    ((10, 3.0, 4), "num_nodes"),
+    ((10, 3, 4.0), "base_count"),
+    ((10, 3, 4, 1.0), "classes_per_session_per_node"),
+    (("10", 3, 4), "num_classes"),
+    ((True, 1, 1), "num_classes"),
+    ((10, 3, 4, True), "classes_per_session_per_node"),
+    ((10, 3, np.float32(4)), "base_count"),
+])
+def test_make_plan_refuses_counts_that_are_not_integers(counts, name):
+    with pytest.raises(PlanError, match=f"^{name} must be an integer"):
+        make_plan(*counts)
+
+
+def test_make_plan_stores_numpy_counts_as_int():
+    plan = make_plan(np.int64(10), np.int32(3), np.uint8(4), np.int16(1))
+    assert plan == make_plan(**DESK)
+    assert all(type(v) is int for v in astuple(plan))
+    assert plan.node_classes(np.int64(2), np.int64(1)) == (8,)
+
+
 def test_plan_classes_partition_everything():
     for k, n, base, per in [(10, 3, 4, 1), (16, 4, 4, 1), (14, 2, 4, 5), (7, 3, 4, 1)]:
         plan = make_plan(k, n, base, per)
@@ -82,13 +105,6 @@ def test_plan_classes_partition_everything():
             assert not (set(cs) & seen)
             seen |= set(cs)
         assert seen == set(range(k))
-
-
-def test_plan_rejects_duplicate_assignment():
-    with pytest.raises(PlanError):
-        SessionPlan(2, (0, 1), ({0: (2,), 1: (2,)},))
-    with pytest.raises(PlanError):
-        SessionPlan(2, (0, 1), ({5: (2,)},))  # unknown node
 
 
 def test_node_classes_bounds():
@@ -130,6 +146,42 @@ def test_seen_through_is_base_plus_dealt_classes(nodes, per, base, sessions):
         assert all(type(c) is int for c in seen)
         assert before <= set(seen)
         before = set(seen)
+
+
+def _dealing_loop(num_classes, num_nodes, base_count, per):
+    """The reference deal: per session, a {node: classes} map filled by
+    handing out ids in order, cycling over the nodes."""
+    sessions, next_id = [], base_count
+    for _ in range((num_classes - base_count) // (num_nodes * per)):
+        assignment = {n: [] for n in range(num_nodes)}
+        for i in range(num_nodes * per):
+            assignment[i % num_nodes].append(next_id)
+            next_id += 1
+        sessions.append({n: tuple(cs) for n, cs in assignment.items()})
+    return sessions
+
+
+@given(nodes=st.integers(1, 4), per=st.integers(1, 3), base=st.integers(1, 6),
+       sessions=st.integers(0, 4))
+def test_plan_answers_equal_the_dealing_loop(nodes, per, base, sessions):
+    plan = make_plan(base + sessions * nodes * per, nodes, base, per)
+    deal = _dealing_loop(base + sessions * nodes * per, nodes, base, per)
+    assert plan.num_sessions == len(deal) == sessions
+
+    def ints(xs, kind):
+        return type(xs) is kind and all(type(c) is int for c in xs)
+
+    assert plan.base_classes == tuple(range(base)) and ints(plan.base_classes, tuple)
+    seen = list(range(base))
+    assert plan.seen_through(0) == seen and ints(plan.seen_through(0), list)
+    for t, assignment in enumerate(deal, start=1):
+        for n in range(nodes):
+            got = plan.node_classes(t, n)
+            assert got == assignment[n] and ints(got, tuple)
+        dealt = sorted(c for cs in assignment.values() for c in cs)
+        assert plan.session_classes(t) == dealt and ints(plan.session_classes(t), list)
+        seen = sorted(seen + dealt)
+        assert plan.seen_through(t) == seen and ints(plan.seen_through(t), list)
 
 
 def test_registry_hook_is_the_plan():
@@ -177,14 +229,6 @@ def test_node_view_never_replays_old_classes():
         for n in range(3):
             rows = node_train_view(train, plan, t, n)
             assert not (set(train.classes[rows].tolist()) & earlier)
-
-
-def test_unassigned_node_gets_empty_view():
-    plan = SessionPlan(2, (0, 1), ({0: (2,)},))  # node 1 sits this one out
-    spec = SyntheticSpec(num_classes=3, train_per_class=4, test_per_class=2)
-    train, _ = gen_synthetic(spec, np.random.default_rng(1))
-    assert np.count_nonzero(node_train_view(train, plan, 1, 1)) == 0
-    assert np.count_nonzero(node_train_view(train, plan, 1, 0)) == 4
 
 
 def test_view_requires_train_split():

@@ -101,6 +101,10 @@ def test_retired_names_are_gone():
     assert not hasattr(fedswarm.harness, "_check_session_rows")
     with pytest.raises(TypeError):
         fedswarm.TrainableHead(conv_w=[[0.0]], conv_b=[0.0], cls_w=[[0.0]], cls_b=[0.0])
+    # a session plan is its four counts, with no stored per-session maps
+    assert not hasattr(fedswarm.make_plan(10, 3, 4), "sessions")
+    with pytest.raises(TypeError):
+        fedswarm.SessionPlan(2, (0, 1), ({0: (2,)},))
 
 
 # the package's __init__ imports only to re-export
