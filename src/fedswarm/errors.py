@@ -14,7 +14,7 @@ class DimensionError(FedswarmError):
 
 
 class NumericError(FedswarmError):
-    """Non-finite value or integer-accumulator overflow in a kernel."""
+    """Non-finite value, or a backbone whose int32 accumulator could overflow."""
 
 
 class RegistryError(FedswarmError):

@@ -35,7 +35,7 @@ from .losses import ClassPartition, LossConfig
 from .losses import sgd_step, total_loss  # noqa: F401
 from .sessions import evaluate  # noqa: F401
 from .model import _shape_head, expand_classifier, init_head
-from .quant import INT8_MAX, INT8_MIN, build_backbone
+from .quant import INT8_MAX, INT8_MIN, _check_acc_bound, build_backbone
 from .sessions import (
     MAX_DATA_BYTES,
     MAX_SAMPLES,
@@ -105,6 +105,12 @@ class BackboneSpec:
         check_fields(self)
         if len(self.layer_dims) < 2 or any(d < 1 for d in self.layer_dims):
             raise ConfigError(f"layer_dims needs >= 2 positive entries, got {self.layer_dims}")
+        # build_backbone's weights are within +-127 and its biases zero
+        for li, c_in in enumerate(self.layer_dims[:-1]):
+            try:
+                _check_acc_bound(li, [0], [c_in * INT8_MAX])
+            except NumericError as e:
+                raise ConfigError(str(e)) from None
         if not self.weight_sigma > 0:
             raise ConfigError(f"weight_sigma must be positive, got {self.weight_sigma}")
         if not self.activation_range > 0:

@@ -83,11 +83,6 @@ class TrainableHead:
     cls_w = property(lambda h: _parts(h.params, h.dims)[2])
     cls_b = property(lambda h: _parts(h.params, h.dims)[3])
 
-    def __eq__(self, other):
-        if not isinstance(other, TrainableHead):
-            return NotImplemented
-        return self.dims == other.dims and bool(np.array_equal(self.params, other.params))
-
 
 _PARTS = ("conv_w", "conv_b", "cls_w", "cls_b")
 

@@ -12,11 +12,10 @@ frames, in one workspace (``_Space``) allocated per call: its rows are
 pixel-major, each layer is one float64 GEMM into a preallocated
 buffer, and the last layer is dequantized straight into the buffer of
 the pooling fold. Integer sums are exact in any order as long as no
-partial sum leaves the exactly representable range, so a per-frame
-bound (every |prefix sum| <= INT32_MAX) proves the GEMM equals the
-channel-by-channel int32 accumulation bit for bit. A block with a
-frame whose bound fails takes that exact pass frame by frame instead,
-so an accumulator overflow raises the same error for the same frame.
+partial sum leaves the exactly representable range. ``FrozenBackbone``
+refuses a chain whose worst-case prefix sum can pass INT32_MAX on any
+input, so every GEMM equals the channel-by-channel int32 accumulation
+bit for bit.
 """
 
 from __future__ import annotations
@@ -25,14 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.umath import clip as _clip  # np.clip without its Python wrapper
 
 from .errors import DimensionError, NumericError
 from .tensor import Fold
-
-try:
-    from numpy._core.umath import clip as _clip  # np.clip without its Python wrapper
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as _clip
 
 __all__ = [
     "QuantParams",
@@ -96,18 +91,6 @@ class QuantTensor:
     def array(self) -> np.ndarray:
         return self.data.reshape(self.shape)
 
-    def __eq__(self, other):
-        if not isinstance(other, QuantTensor):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and self.qparams == other.qparams
-            and bool(np.array_equal(self.data, other.data))
-        )
-
-    def __repr__(self):
-        return f"QuantTensor(shape={self.shape}, qparams={self.qparams})"
-
 
 def quantize(x: np.ndarray, qp: QuantParams) -> QuantTensor:
     """q = clamp(round_half_even(x / scale) + zero_point, -128, 127) of
@@ -170,8 +153,31 @@ class QuantLayer:
         return self.weight.shape[1]
 
 
+def _check_acc_bound(index: int, abs_bias, abs_weight_sum) -> None:
+    """NumericError naming backbone layer ``index`` if a prefix sum of an
+    output channel can pass INT32_MAX.
+
+    The bound is ``max_co(|b_co| + sum_ci |w_co,ci| * peak)``, given as
+    the per-channel ``|b_co|`` and ``sum_ci |w_co,ci|`` (Python ints),
+    with ``peak`` the largest ``|input - zero_point|`` the layer reads:
+    255 in layer 0, which any int8 zero point allows, and 127 (post-relu)
+    after it.
+    """
+    peak = INT8_MAX - INT8_MIN if index == 0 else INT8_MAX
+    bound = max((b + s * peak for b, s in zip(abs_bias, abs_weight_sum)), default=0)
+    if bound > _INT32_MAX:
+        raise NumericError(
+            f"backbone layer {index} can accumulate |acc| = {bound}, which exceeds "
+            f"the int32 maximum {_INT32_MAX}"
+        )
+
+
 class FrozenBackbone:
-    """Immutable chain of QuantLayers ending in a global average pool."""
+    """Immutable chain of QuantLayers ending in a global average pool.
+
+    A chain is refused when a layer's int32 accumulator could overflow
+    on some input (see ``_check_acc_bound``).
+    """
 
     __slots__ = ("layers",)
 
@@ -184,6 +190,9 @@ class FrozenBackbone:
                 raise DimensionError(
                     f"layer chain mismatch: {prev.c_out} outputs feed {cur.c_in} inputs"
                 )
+        for li, layer in enumerate(layers):
+            _check_acc_bound(li, np.abs(layer.bias.astype(np.int64)).tolist(),
+                             np.abs(layer.weight.astype(np.int64)).sum(axis=1).tolist())
         self.layers = layers
 
     @property
@@ -195,62 +204,15 @@ class FrozenBackbone:
         return self.layers[0].c_in
 
 
-def _check_int32(acc: np.ndarray, layer_idx: int) -> None:
-    peak = int(np.abs(acc).max())
-    if peak > _INT32_MAX:
-        raise NumericError(
-            f"int32 accumulator overflow in layer {layer_idx}: |acc| reached {peak}"
-        )
-
-
-def _forward_checked(bb: FrozenBackbone, frame: np.ndarray, qp: QuantParams) -> np.ndarray:
-    """One C x H x W frame, accumulated channel by channel, every prefix checked.
-
-    The exact fallback of the batched pass: the first prefix sum that
-    leaves the int32 range raises, naming its layer and magnitude.
-    """
-    c, h, w = frame.shape
-    acts = frame.reshape(c, h * w).astype(np.int64)
-    in_scale = float(qp.scale)
-    in_zp = int(qp.zero_point)
-    q = None
-    for li, layer in enumerate(bb.layers):
-        acc = np.broadcast_to(
-            layer.bias.astype(np.int64)[:, None], (layer.c_out, h * w)
-        ).copy()
-        _check_int32(acc, li)
-        centered = acts - in_zp
-        wgt = layer.weight.astype(np.int64)
-        for ci in range(layer.c_in):
-            acc += wgt[:, ci, None] * centered[ci, :]
-            _check_int32(acc, li)
-        multiplier = in_scale * layer.weight_scale / layer.out_scale
-        q = np.clip(np.rint(acc.astype(np.float64) * multiplier), 0, INT8_MAX)
-        acts = q.astype(np.int64)
-        in_scale = layer.out_scale
-        in_zp = 0
-    # pooled as ``_Space`` pools: the float32 products, folded over H*W
-    fold = Fold((h * w, bb.feature_dim))
-    np.multiply(q.T, np.float32(bb.layers[-1].out_scale), out=fold.terms)
-    fold.run()
-    return fold.total / np.float32(h * w)
-
-
-def _acc_bound(layer: QuantLayer, peak):
-    """Largest |prefix sum| a channel can reach with inputs in [-peak, peak],
-    one bound per entry of an integer array ``peak``."""
-    absw = np.abs(layer.weight.astype(np.int64)).sum(axis=1)
-    return (np.abs(layer.bias.astype(np.int64)) + absw * np.asarray(peak)[..., None]).max(axis=-1)
-
-
 class _Space:
     """The constants and buffers of one ``backbone_forward`` call.
 
     Built once per call and sized for its largest block of ``rows``
     frames (the whole batch, when that is smaller): per layer the
     float64 weights as (c_in, c_out), the float64 bias (None when zero)
-    and the requantization multiplier, formed exactly as the one-frame
-    pass does; two float64 GEMM buffers that the layers write in turn,
+    and the requantization multiplier ``in_scale * weight_scale /
+    out_scale``, formed in that order (a regrouped one misses ties by an
+    ulp); two float64 GEMM buffers that the layers write in turn,
     each as wide as the widest layer it holds, ``2 * _BLOCK`` elements
     between them at most; and the pooling ``Fold``. At the
     default (4, 32, 48) layers on 16x16 frames that is 3 frames per
@@ -319,10 +281,10 @@ def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
     float32 ``(N, feature_dim)`` array comes back; an empty batch is
     not checked further).
 
-    Per layer: int32-range accumulation over input channels (overflow
-    detected, never wrapped), requantization by a float multiply and
-    round-half-even, relu as a clamp at the zero point. The last layer
-    is dequantized and average-pooled with an ordered float32 sum.
+    Per layer: int32 accumulation over input channels, requantization
+    by a float multiply and round-half-even, relu as a clamp at the
+    zero point. The last layer is dequantized and average-pooled with an
+    ordered float32 sum.
 
     Frames run in blocks, sized so that the two GEMM buffers the layers
     write in turn hold at most ``2 * _BLOCK`` elements between them (each
@@ -330,16 +292,13 @@ def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
     0.6 MB with the fold's buffer, at the default backbone on 16x16
     frames), in one ``_Space`` allocated for the call: one float64 GEMM per layer
     over pixel-major rows, the last layer's output dequantized straight
-    into the pooling fold. A frame's bound ``max_co(|b_co| + sum_ci |w_co,ci| * peak)``
-    is checked against INT32_MAX for every layer, with ``peak`` the
-    frame's largest ``|q - zero_point|`` in layer 0 and 127 (post-relu)
-    after it. When it holds for every frame of a block, no prefix sum
-    can overflow and every partial sum is an integer below
-    2**31 < 2**53, so the GEMM is exact in any summation order and the
-    features equal the channel-by-channel integer pass bit for bit.
-    When it fails, the block's frames take that exact pass one by one,
-    checking every prefix sum, so an overflow raises the same
-    ``NumericError`` for the same first frame.
+    into the pooling fold. ``FrozenBackbone`` checked, when it was built,
+    that no layer's bound ``max_co(|b_co| + sum_ci |w_co,ci| * peak)``
+    passes INT32_MAX, with ``peak`` 255 in layer 0 and 127 (post-relu)
+    after it. So no prefix sum can overflow and every partial sum is an
+    integer below 2**31 < 2**53: the GEMM is exact in any summation
+    order, and the features equal the channel-by-channel integer pass
+    bit for bit.
     """
     if len(x.shape) not in (3, 4):
         raise DimensionError(f"backbone input must be C x H x W or N x C x H x W, got {x.shape}")
@@ -349,25 +308,12 @@ def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
         raise DimensionError(f"input channels {c} do not match first layer {bb.input_channels}")
     out = np.empty((n, bb.feature_dim), np.float32)
     if n:
-        # later layers read post-relu activations in [0, 127]
-        later_bound = max((int(_acc_bound(layer, INT8_MAX)) for layer in bb.layers[1:]), default=0)
-        # each frame's peak |q - zero_point| from int8 reductions, and whether it fits
-        flat, zp = frames.reshape(n, -1), x.qparams.zero_point
-        peaks = np.maximum(flat.max(axis=1).astype(np.int16) - zp,
-                           zp - flat.min(axis=1).astype(np.int16))
-        fits = _acc_bound(bb.layers[0], np.arange(256)) <= _INT32_MAX
-        exact = fits[peaks] & (later_bound <= _INT32_MAX)
         # a scale past float32's range, or a multiplier past float64's,
         # gives inf or NaN features, which the head's finiteness checks refuse
         with np.errstate(over="ignore", invalid="ignore"):
             space = _Space(bb, x.qparams, n, h * w)
             for lo in range(0, n, space.rows):
-                hi = min(n, lo + space.rows)
-                if exact[lo:hi].all():
-                    space.run(frames[lo:hi], out[lo:hi])
-                else:
-                    out[lo:hi] = [_forward_checked(bb, frame, x.qparams)
-                                  for frame in frames[lo:hi]]
+                space.run(frames[lo:lo + space.rows], out[lo:lo + space.rows])
     return out if len(x.shape) == 4 else out[0]
 
 

@@ -177,13 +177,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __eq__(self, other):
-        if not isinstance(other, LabeledDataset):
-            return NotImplemented
-        same = self.split == other.split and self.frames == other.frames
-        same = same and np.array_equal(self.ids, other.ids)
-        return same and np.array_equal(self.classes, other.classes)
-
 
 def node_train_view(
     ds: LabeledDataset, plan: SessionPlan, session: int, node: int

@@ -7,9 +7,8 @@ order, seeded with +0.0, in one numpy call: ``Fold`` folds a
 preallocated buffer that its caller writes the terms into, so a step
 that repeats runs on the same memory. Determinism rests on that order,
 not on precision. The head pass (``model._Forward``), the objective's
-step (``losses.StepSpace``) and the backbone's pooling (``quant``, in
-the batched pass and its one-frame exact fallback alike) all run on
-it, on one head or on a stack of lockstep heads.
+step (``losses.StepSpace``) and the backbone's pooling (``quant``) all
+run on it, on one head or on a stack of lockstep heads.
 """
 
 from __future__ import annotations

@@ -105,6 +105,14 @@ def test_retired_names_are_gone():
     assert not hasattr(fedswarm.make_plan(10, 3, 4), "sessions")
     with pytest.raises(TypeError):
         fedswarm.SessionPlan(2, (0, 1), ({0: (2,)},))
+    # a backbone is checked against int32 when it is built, so the
+    # forward pass has no exact per-frame fallback
+    for name in ("_forward_checked", "_check_int32"):
+        assert not hasattr(fedswarm.quant, name), name
+    # tests compare heads, splits and int8 tensors field by field
+    for cls in (fedswarm.TrainableHead, fedswarm.LabeledDataset, fedswarm.QuantTensor):
+        assert cls.__eq__ is object.__eq__, cls.__name__
+    assert fedswarm.QuantTensor.__repr__ is object.__repr__
 
 
 # the package's __init__ imports only to re-export

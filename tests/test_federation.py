@@ -259,7 +259,7 @@ def test_local_epoch_trains_and_counts():
     (out,), (loss,) = local_epoch([head], views, parts, LossConfig(lr=0.1),
                                   np.random.default_rng(0))
     assert type(loss) is float and loss > 0.0
-    assert out != head and head.params.tobytes() == before
+    assert not np.array_equal(out.params, head.params) and head.params.tobytes() == before
 
 
 def test_local_epoch_memory_stays_per_step():
@@ -430,8 +430,10 @@ def test_local_epoch_takes_any_nonnegative_integral_count():
     views, parts = _views(2, 3)
     cfg = LossConfig(lr=0.1)
     heads = _swarm(2)
-    assert local_epoch(heads, views, parts, cfg, np.random.default_rng(0), 0) == (heads,
-                                                                                [0.0, 0.0])
+    out, losses = local_epoch(heads, views, parts, cfg, np.random.default_rng(0), 0)
+    assert losses == [0.0, 0.0] and len(out) == len(heads)
+    for got, head in zip(out, heads):
+        assert got.dims == head.dims and np.array_equal(got.params, head.params)
     runs = []
     for epochs in (2, np.int64(2)):
         trained, got = local_epoch(heads, views, parts, cfg, np.random.default_rng(0), epochs)

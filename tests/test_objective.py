@@ -287,14 +287,16 @@ def test_sgd_zero_lr_is_identity():
     _, grads = total_loss(
         head, _batch(rng, head, 2, 2), part, head.params, LossConfig()
     )
-    assert sgd_step(head, grads, 0.0) == head
+    stepped = sgd_step(head, grads, 0.0)
+    assert stepped.dims == head.dims and np.array_equal(stepped.params, head.params)
 
 
 def test_sgd_single_step_arithmetic():
     head = _unit_head(1.0)
     grads = np.full(4, 2.0, np.float32)  # flat, in the head's parameter order
     stepped = sgd_step(head, grads, 0.5)
-    assert stepped == _unit_head(0.0)
+    want = _unit_head(0.0)
+    assert stepped.dims == want.dims and np.array_equal(stepped.params, want.params)
 
 
 def test_sgd_shape_mismatch():

@@ -84,8 +84,8 @@ def test_quant_tensor_shape_check_and_eq():
         QuantTensor(np.zeros(3, np.int8), (2, 2), QuantParams(0.1))
     a = QuantTensor(np.arange(4, dtype=np.int8), (2, 2), QuantParams(0.1))
     b = QuantTensor(np.arange(4, dtype=np.int8), (2, 2), QuantParams(0.1))
-    assert a == b
-    assert a != QuantTensor(np.arange(4, dtype=np.int8), (2, 2), QuantParams(0.2))
+    assert a.shape == b.shape and a.qparams == b.qparams and np.array_equal(a.data, b.data)
+    assert QuantTensor(np.arange(4, dtype=np.int8), (2, 2), QuantParams(0.2)).qparams != a.qparams
 
 
 def test_quant_tensor_copies_unless_handed_a_frozen_owned_array():
@@ -188,15 +188,15 @@ def test_backbone_input_validation():
 
 
 def test_accumulator_overflow_detected():
+    # 127 * 255 more than the bias can reach past int32: refused when built
     layer = QuantLayer(
         weight=np.array([[127]], np.int8),
         bias=np.array([2**31 - 1], np.int32),
         weight_scale=0.01,
         out_scale=1.0,
     )
-    x = QuantTensor(np.array([100], np.int8), (1, 1, 1), QuantParams(1.0, 0))
-    with pytest.raises(NumericError):
-        backbone_forward(FrozenBackbone([layer]), x)
+    with pytest.raises(NumericError, match="backbone layer 0 can accumulate"):
+        FrozenBackbone([layer])
 
 
 def test_layer_chain_shape_check():
@@ -357,12 +357,13 @@ def test_empty_batch_gives_no_features():
     assert feats.shape == (0, 5) and feats.dtype == np.float32
 
 
-def _overflow_backbone() -> FrozenBackbone:
-    # layer 0 doubles channel 0 and overflows channel 1 when x - zp > 50;
-    # layer 1 overflows when channel 0 arrives above 60
+def _overflow_layers(bias0: int = 2**31 - 1 - 127 * 50) -> list:
+    # layer 0 doubles channel 0 and, at the default bias0, overflows
+    # channel 1 when x - zp > 50; layer 1 overflows when channel 0
+    # arrives above 60
     l0 = QuantLayer(
         weight=np.array([[2], [127]], np.int8),
-        bias=np.array([0, 2**31 - 1 - 127 * 50], np.int32),
+        bias=np.array([0, bias0], np.int32),
         weight_scale=1.0,
         out_scale=1.0,
     )
@@ -372,44 +373,44 @@ def _overflow_backbone() -> FrozenBackbone:
         weight_scale=2.0**-25,
         out_scale=1.0,
     )
-    return FrozenBackbone([l0, l1])
+    return [l0, l1]
 
 
-def _scalar_batch(values, zp: int = 3) -> QuantTensor:
-    data = np.array(values, np.int64) + zp
-    return QuantTensor(data.astype(np.int8), (len(data), 1, 1, 1), QuantParams(1.0, zp))
+@pytest.mark.parametrize("bias0, layer", [(2**31 - 1 - 127 * 50, 0), (0, 1)],
+                         ids=["layer0", "layer1"])
+def test_overflowing_chain_is_refused_naming_its_layer(bias0, layer):
+    # refused whatever the inputs would be: a chain that overflows only on
+    # some frames, or on none of those it is given, is refused too
+    with pytest.raises(NumericError, match=f"^backbone layer {layer} can accumulate"):
+        FrozenBackbone(_overflow_layers(bias0))
 
 
-def _reference_error(bb, batch) -> str:
-    with pytest.raises(NumericError) as err:
-        for x in _frames(batch):
-            _reference_features(bb, x)
-    return str(err.value)
+def _bound_chain(layer: int, extra: int) -> list:
+    """A chain whose layer ``layer`` has a worst case of INT32_MAX + ``extra``
+    from a -128 weight: at peak 255 in layer 0 with a positive bias, at
+    peak 127 (layer 0 saturates at 127) in layer 1 with a negative one."""
+    if layer == 0:
+        return [QuantLayer(np.array([[-128]], np.int8),
+                           np.array([2**31 - 1 - 128 * 255 + extra], np.int32), 1.0, 1.0)]
+    saturate = QuantLayer(np.array([[127]], np.int8), np.zeros(1, np.int32), 1.0, 1.0)
+    return [saturate, QuantLayer(np.array([[-128]], np.int8),
+                                 np.array([-(2**31 - 1 - 128 * 127 + extra)], np.int32), 1.0, 1.0)]
 
 
-@pytest.mark.parametrize("order", [
-    (10, 10, 10, 40, 10, 55),  # first fault: frame 3 in layer 1
-    (10, 10, 55, 10, 40),  # first fault: frame 2 in layer 0
-    (40, 55),
-    (55,),
-])
-def test_overflow_mid_batch_raises_the_reference_error(order):
-    bb = _overflow_backbone()
-    batch = _scalar_batch(order)
-    expected = _reference_error(bb, batch)
-    with pytest.raises(NumericError) as err:
-        backbone_forward(bb, batch)
-    assert str(err.value) == expected
-
-
-def test_loose_bound_without_overflow_stays_exact():
-    # the static bound of layer 1 fails, yet no prefix sum overflows
-    bb = _overflow_backbone()
-    for zp in (-5, 3):
-        batch = _scalar_batch((0, 7, 30, -9), zp)
+@pytest.mark.parametrize("layer", [0, 1], ids=["layer0", "layer1"])
+def test_int32_bound_is_accepted_and_one_past_it_refused(layer):
+    bb = FrozenBackbone(_bound_chain(layer, 0))
+    # frames at the worst case: q = -128 under zp = 127 takes layer 0's
+    # prefix sum to INT32_MAX; any q above zp = -128 saturates layer 0, which
+    # takes layer 1's to -INT32_MAX; the batched pass stays exact
+    for zp in (127, -128):
+        batch = QuantTensor(np.array([-128, 0, 127], np.int8), (3, 1, 1, 1), QuantParams(1.0, zp))
         got = backbone_forward(bb, batch)
         for row, x in zip(got, _frames(batch)):
             assert row.tobytes() == _reference_features(bb, x).tobytes()
+    with pytest.raises(NumericError, match=f"^backbone layer {layer} can accumulate "
+                                           r"\|acc\| = 2147483648, which exceeds"):
+        FrozenBackbone(_bound_chain(layer, 1))
 
 
 # -- frozenness ---------------------------------------------------------------
