@@ -1,6 +1,8 @@
 """Affine int8 quantization and the frozen integer backbone."""
 
+import re
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -383,6 +385,32 @@ def test_overflowing_chain_is_refused_naming_its_layer(bias0, layer):
     # some frames, or on none of those it is given, is refused too
     with pytest.raises(NumericError, match=f"^backbone layer {layer} can accumulate"):
         FrozenBackbone(_overflow_layers(bias0))
+
+
+def _scalar_batch(values, zp: int = 3) -> QuantTensor:
+    data = np.array(values, np.int64) + zp
+    return QuantTensor(data.astype(np.int8), (len(data), 1, 1, 1), QuantParams(1.0, zp))
+
+
+@pytest.mark.parametrize("order", [
+    (10, 10, 10, 40, 10, 55),  # first fault: frame 3 in layer 1
+    (10, 10, 55, 10, 40),  # first fault: frame 2 in layer 0
+    (40, 55),
+    (55,),
+])
+def test_overflow_mid_batch_raises_the_reference_error(order):
+    # the per-frame reference overflows part way through each batch; the
+    # chain is refused with the same error type before any frame runs, at a
+    # layer no later than the reference's first fault
+    layers = _overflow_layers()
+    chain = SimpleNamespace(layers=layers, feature_dim=layers[-1].c_out)
+    with pytest.raises(NumericError, match="^int32 accumulator overflow in layer") as ref:
+        for x in _frames(_scalar_batch(order)):
+            _reference_features(chain, x)
+    with pytest.raises(NumericError, match="^backbone layer") as err:
+        FrozenBackbone(layers)
+    first_fault = int(re.search(r"in layer (\d+)", str(ref.value)).group(1))
+    assert int(re.search(r"^backbone layer (\d+) can accumulate", str(err.value)).group(1)) <= first_fault
 
 
 def _bound_chain(layer: int, extra: int) -> list:
