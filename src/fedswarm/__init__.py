@@ -8,6 +8,7 @@ bandwidth) for the target hardware operating points.
 """
 
 from .errors import (
+    HOST_BUDGET,
     AggregationError,
     ConfigError,
     DimensionError,

@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and config field checks."""
+"""Exception types shared across the library, config field checks, the host budget."""
 
 import math
 import sys
@@ -35,6 +35,17 @@ class EvaluationError(FedswarmError):
 
 class ConfigError(FedswarmError):
     """Malformed or internally inconsistent experiment configuration."""
+
+
+HOST_BUDGET = 1 << 30  # bytes of host memory a run may take, priced before it allocates
+
+
+def check_budget(terms: dict, error: type = ConfigError, where: str = "") -> None:
+    """``error``, naming the largest term, if byte counts ``terms`` pass ``HOST_BUDGET``."""
+    if (total := sum(terms.values())) > HOST_BUDGET:
+        name = max(terms, key=terms.get)
+        raise error(f"{where}a price of {total} bytes exceeds the host budget of "
+                    f"{HOST_BUDGET} bytes; the largest term is {name} at {terms[name]}")
 
 
 def json_key(f: Field) -> str:

@@ -43,13 +43,11 @@ from itertools import accumulate
 import numpy as np
 
 from .costs import LinkModel, message_time
-from .errors import AggregationError, DimensionError, NumericError
+from .errors import AggregationError, DimensionError, NumericError, check_budget
 from .losses import LossConfig, Minibatch, StepSpace, check_view, sgd_step, total_loss
+from .model import _size
+from .tensor import _SCAN_BLOCK
 from .sessions import _write_file
-
-# cap on a training call's (epochs, samples) shuffle table, and on a
-# config's peak training memory in the cost model (``harness``)
-MAX_TRAINING_BYTES = 1 << 26
 
 __all__ = [
     "SyncMessage",
@@ -205,10 +203,21 @@ def _count(value, what: str) -> int:
     return int(value)
 
 
-def _table_bytes(epochs: int, samples: int) -> int:
-    """Bytes of the (epochs, samples) intp shuffle table that training
-    ``epochs`` passes over ``samples`` rows draws up front."""
-    return epochs * samples * np.dtype(np.intp).itemsize
+def _lockstep_bytes(dims: tuple, sizes, batch_size: int, epochs: int) -> int:
+    """Host bytes at most of a lockstep call of heads of ``dims`` over
+    views of ``sizes`` rows: per row five feature copies (the caller's
+    views and its last set, ``x``, ``xe``, the gather's buffer), its
+    targets and gather schedule, 8 bytes per epoch of shuffle table;
+    the stacks and heads; a record per step; two ``StepSpace``s per
+    distinct view length, each with two chunk sizes of under
+    3 P + 16 (c_out + C + 2) floats a (sample, node) cell."""
+    m, n, p, longest = sum(sizes), len(sizes), _size(dims), max(sizes)
+    w = min(batch_size, longest)  # the widest batch
+    groups = 2 * len(set(sizes)) if w else 0
+    cells = n * max(1, min(w, _SCAN_BLOCK // (n * p)))
+    space = 8 * cells * (3 * p + 16 * (dims[1] + dims[2] + 2)) + 32 * n * (p + w)
+    return (m * (20 * dims[0] + 256 + 8 * epochs) + 4 * (3 * n + 16) * p
+            + 2048 * (-(-longest // batch_size) + groups) + groups * space)
 
 
 def _check_arch(heads, dims) -> None:
@@ -244,12 +253,9 @@ class _Lockstep:
         self.arch = arch
         stacked = [check_view(arch, view, part, cfg) for view, part in zip(views, parts)]
         sizes = [len(t) for _, t, _ in stacked]
-        table = _table_bytes(epochs, sum(sizes))
-        if table > MAX_TRAINING_BYTES:
-            raise AggregationError(
-                f"epochs={epochs} over {sum(sizes)} samples needs a shuffle table of {table} "
-                f"bytes, which exceeds the cap of {MAX_TRAINING_BYTES}"
-            )
+        price = _lockstep_bytes(arch.dims, sizes, cfg.batch_size, epochs)
+        check_budget({"the lockstep state": price}, AggregationError,
+                     f"epochs={epochs} over {sum(sizes)} samples: ")
         n, longest, b = len(views), max(sizes), cfg.batch_size
         self.n, self.steps = n, None
         if not longest:
@@ -359,32 +365,21 @@ def local_epoch(heads, views, parts, cfg: LossConfig, rng: np.random.Generator,
     """``epochs`` shuffled passes of each node over its own view.
 
     Node i starts from ``heads[i]`` and trains on ``views[i]``, its
-    (x, targets) view, with ``parts[i]``, its class partition. Minibatch
+    (x, targets) view, with ``parts[i]``, its class partition: minibatch
     SGD against the composite loss, the proximal term anchored to the
-    head the node brought. Every node's
-    permutations are drawn up front, node-major, which is the order of
-    running the nodes one after another: one ``rng.permuted`` call per
-    node shuffles each row of an (epochs, size) block, the same draws
-    as one ``rng.permutation`` per epoch. The (N, P) parameter stack,
-    masks and anchors hold the nodes longest view first (a stable
-    sort), so minibatch k of the nodes whose batch has width w is one
-    contiguous run of rows: one ``total_loss`` pass, then one
-    ``sgd_step``, through the ``StepSpace`` the group gets over its
-    slice of the stack, which steps in place. Each epoch gathers every
-    step's batch into one buffer before its first step. Returns
-    (heads, losses) in node order: each node's trained head and mean
-    batch loss over its last epoch (a view with no rows gets its own
-    head back and 0.0, and draws nothing); earlier epochs skip the loss
-    values, which leaves the gradients unchanged.
-
-    The call builds that state (``check_view`` of every view, the
-    sort, the stacks, the ``StepSpace``s and the gather schedule) and
-    runs one round on it; ``run_session`` builds it once per session
-    and runs every round on it.
+    head the node brought, all nodes in lockstep (see the module
+    docstring). Every node's permutations are drawn up front,
+    node-major, one ``rng.permuted`` call per node over an (epochs,
+    size) block: the same draws as one ``rng.permutation`` per epoch of
+    the nodes run one after another. Returns (heads, losses) in node
+    order: each node's trained head and mean batch loss over its last
+    epoch (a view with no rows gets its own head back and 0.0, and
+    draws nothing). The call builds the lockstep state and runs one
+    round on it; ``run_session`` builds it once per session.
     AggregationError unless there is at least one head and one view and
     partition each, the heads share one architecture, ``epochs`` is a
-    nonnegative integer and the (epochs, samples) shuffle table fits
-    ``MAX_TRAINING_BYTES``.
+    nonnegative integer and the call's priced host memory
+    (``_lockstep_bytes``, shuffle table included) fits the budget.
     """
     heads = list(heads)
     _check_counts(len(heads), views, parts)
@@ -410,10 +405,8 @@ def run_session(
     ``local_epoch`` (a view with no rows sits out and uploads the head
     unchanged), and ``sync_round`` averages the results into the next
     global head. The views do not change within a session, so the
-    training state (``check_view`` of every view, the sort, the stacks,
-    the ``StepSpace``s and the gather schedule) is built once per
-    session and each round only draws its shuffles, copies the head in
-    and trains. Returns (global head, per-round trace). Each trace entry
+    lockstep state is built once per session. Returns (global head,
+    per-round trace). Each trace entry
     records the round number, mean local loss per node (over its last
     local epoch), communication seconds and, when an ``evaluator``
     callable is given, its value on the new global head.

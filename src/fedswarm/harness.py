@@ -14,31 +14,26 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .costs import calibrated_uwb_link, cost_block, peak_training_memory
+from .costs import calibrated_uwb_link, cost_block
 from .errors import (ConfigError, EvaluationError, NumericError, PlanError, _is_int,
-                     check_fields, json_key)
+                     check_budget, check_fields, json_key)
 from . import federation
-from .federation import (
-    MAX_TRAINING_BYTES,
-    SimNetwork,
-    _table_bytes,
-    run_session,
-    write_trace,
-)
+from .federation import SimNetwork, _lockstep_bytes, run_session, write_trace
 from .losses import ClassPartition, LossConfig
 # not called here; kept importable because perfbench/layers.py wraps them on this module
 from .losses import sgd_step, total_loss  # noqa: F401
 from .sessions import evaluate  # noqa: F401
-from .model import _shape_head, expand_classifier, init_head
-from .quant import INT8_MAX, INT8_MIN, _check_acc_bound, build_backbone
+from .model import _shape_head, _size, expand_classifier, init_head
+from .quant import INT8_MAX, INT8_MIN, _backbone_bytes, _check_acc_bound, build_backbone
 from .sessions import (
-    MAX_DATA_BYTES,
-    MAX_SAMPLES,
+    _MANIFEST_NAME,
+    _split_bytes,
     accuracy,
     make_plan,
     node_train_view,
@@ -47,13 +42,10 @@ from .sessions import (
     read_manifest,
     _write_file,
 )
-from .synthetic import SyntheticSpec, gen_synthetic
+from .synthetic import _DRAW_BLOCK, SyntheticSpec, gen_synthetic
+from .tensor import _SCAN_BLOCK
 
 __all__ = [
-    "MAX_TENSOR_ELEMENTS",
-    "MAX_TRAINING_BYTES",
-    "MAX_DATA_BYTES",
-    "MAX_SAMPLES",
     "BackboneSpec",
     "HeadSpec",
     "PlanSpec",
@@ -77,13 +69,6 @@ __all__ = [
 ]
 
 STRATEGIES = ("naive", "odfcl", "joint")
-# size caps: a config is rejected before anything is allocated when a
-# head or backbone weight tensor holds more elements, the cost model's
-# peak training memory or a training call's shuffle table is larger
-# than ``federation.MAX_TRAINING_BYTES``, or its synthetic train+test
-# data holds more int8 bytes than ``sessions.MAX_DATA_BYTES`` or more
-# samples than ``sessions.MAX_SAMPLES``
-MAX_TENSOR_ELEMENTS = 1 << 20
 
 
 def _take(d: dict, allowed, where: str) -> dict:
@@ -222,7 +207,6 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        shape_only = self._check_sizes()
         if self.data.kind == "synthetic":
             self.data.synthetic_spec(self.plan.num_classes)  # checks shape and counts
             if self.backbone.layer_dims[0] != self.data.input_shape[0]:
@@ -235,71 +219,64 @@ class ExperimentConfig:
             plan = make_plan(**asdict(self.plan))
         except PlanError as e:
             raise ConfigError(str(e))
-        if self.data.kind == "synthetic":
-            self._check_shuffle_tables(plan)
+        check_budget(_host_price(self, plan))  # a manifest's rows again once read
         # the cost block, priced now: a link too slow to price fails before training
         try:
             link = calibrated_uwb_link(self.cost.calibration_bytes, self.cost.calibration_seconds)
-            cost_block(shape_only, link, plan.num_nodes, self.loss.batch_size)
+            head = _shape_head(self.backbone.layer_dims[-1], self.head.hidden, plan.num_classes)
+            cost_block(head, link, plan.num_nodes, self.loss.batch_size)
         except NumericError as e:
             raise ConfigError(str(e)) from None
 
-    def _check_sizes(self):
-        """ConfigError if a weight tensor, training memory or data exceeds
-        its cap; returns a shape-only head of the final shape."""
-        dims = self.backbone.layer_dims
-        # a class count below 1 is the plan's to reject
-        feat, hidden, classes = dims[-1], self.head.hidden, max(self.plan.num_classes, 1)
-        tensors = [("backbone layer", a, b) for a, b in zip(dims, dims[1:])]
-        tensors += [("head conv", hidden, feat), ("head classifier", classes, hidden)]
-        for name, rows, cols in tensors:
-            if rows * cols > MAX_TENSOR_ELEMENTS:
-                raise ConfigError(
-                    f"{name} weights of {rows}x{cols} exceed the cap of {MAX_TENSOR_ELEMENTS}"
-                )
-        shape_only = _shape_head(feat, hidden, classes)
-        peak = peak_training_memory(shape_only, self.loss.batch_size)
-        if peak > MAX_TRAINING_BYTES:
-            raise ConfigError(
-                f"peak training memory of {peak} bytes exceeds the cap of {MAX_TRAINING_BYTES}"
-            )
-        d = self.data  # nonpositive counts are the data spec's to reject
-        counts = (self.plan.num_classes, d.train_per_class + d.test_per_class, *d.input_shape)
-        n_bytes = math.prod(max(n, 0) for n in counts)
-        n_samples = math.prod(max(n, 0) for n in counts[:2])
-        if d.kind == "synthetic" and n_bytes > MAX_DATA_BYTES:
-            raise ConfigError(
-                f"synthetic data of {n_bytes} int8 bytes exceeds the cap of {MAX_DATA_BYTES}"
-            )
-        if d.kind == "synthetic" and n_samples > MAX_SAMPLES:
-            raise ConfigError(
-                f"synthetic data of {n_samples} samples exceeds the cap of {MAX_SAMPLES}"
-            )
-        return shape_only
 
-    def _check_shuffle_tables(self, plan):
-        """ConfigError if a ``local_epoch`` call of the run would draw a
-        shuffle table past ``MAX_TRAINING_BYTES``: T0 over the base
-        classes, joint over the seen pool of the last session, a
-        federated round over one node's view. Synthetic data
-        only; a manifest's sizes are checked by ``local_epoch``."""
-        per_class, rounds = self.data.train_per_class, self.train.rounds_per_session
-        local = self.loss.local_epochs_per_round
-        calls = [("t0_epochs", self.train.t0_epochs, plan.base_count)]
-        if self.strategy == "joint":
-            calls.append(("rounds_per_session x local_epochs_per_round", rounds * local,
-                          plan.num_classes))
-        elif rounds:
-            view = plan.classes_per_session_per_node if plan.num_sessions else 0
-            calls.append(("local_epochs_per_round", local, view))
-        for name, epochs, classes in calls:
-            n_bytes = _table_bytes(epochs, classes * per_class)
-            if n_bytes > MAX_TRAINING_BYTES:
-                raise ConfigError(
-                    f"{name} = {epochs} over {classes * per_class} training samples needs a "
-                    f"shuffle table of {n_bytes} bytes, which exceeds the cap of "
-                    f"{MAX_TRAINING_BYTES}"
-                )
+def _host_price(cfg: ExperimentConfig, plan, splits=None) -> dict:
+    """Host bytes a run of ``cfg`` under ``plan`` takes at most, by term,
+    as arithmetic on counts: from the config for synthetic data, from the
+    read (train, test) ``splits`` for a manifest (no rows before it is
+    read). Terms never held at once are added all the same; the report's
+    accuracy entries grow as the sum of base + t * S over sessions t."""
+    d, k, n, base = cfg.data, plan.num_classes, plan.num_nodes, plan.base_count
+    last, per_session = plan.num_sessions, n * plan.classes_per_session_per_node
+    fd, b, local = cfg.backbone.layer_dims[-1], cfg.loss.batch_size, cfg.loss.local_epochs_per_round
+    if splits is None:  # synthetic data, priced at the last session, or a manifest unread
+        tr, te, shape = ((d.train_per_class, d.test_per_class, d.input_shape)
+                         if d.kind == "synthetic" else (0, 0, (1, 1, 1)))
+        shapes, sizes, dim = (shape,) * 2, (k * tr, k * te), math.prod(shape)
+        # the generator's float64 class centers and one draw's blocks
+        data = 8 * dim * (k + 6 * min(max(tr, te), max(1, _DRAW_BLOCK // dim))) if tr else 0
+        rows, sessions = (lambda classes: len(classes) * tr), range(max(last, 1), last + 1)
+    else:  # a manifest, priced at each session
+        shapes, sizes = [ds.frames.shape[1:] for ds in splits], [len(ds) for ds in splits]
+        data = _split_bytes(0, 0, os.path.getsize(Path(d.manifest_dir) / _MANIFEST_NAME))
+        classes = splits[0].classes
+        counts = np.bincount(classes[(classes >= 0) & (classes < k)], minlength=k)
+        rows, sessions = (lambda ids: int(counts[list(ids)].sum())), range(1, last + 1)
+    dims = lambda classes: (fd, cfg.head.hidden, classes)  # noqa: E731
+    rounds, p = cfg.train.rounds_per_session, _size(dims(k))
+    if cfg.strategy == "joint":  # its pool grows to every class
+        session = _lockstep_bytes(dims(k), [rows(range(k))], b, rounds * local) if last else 0
+        entries = 0
+    else:  # a round holds each node's loss and link events
+        session = max([_lockstep_bytes(dims(base + t * per_session),
+                                       [rows(plan.node_classes(t, i)) for i in range(n)], b, local)
+                       for t in sessions if rounds], default=0)
+        entries = last * rounds * (3 * n + 4)
+    return {
+        "data frames": data + sum(map(_split_bytes, sizes, map(math.prod, shapes))),
+        "train features": 4 * fd * sizes[0],
+        "test features": 4 * fd * sizes[1],
+        "backbone": _backbone_bytes(cfg.backbone.layer_dims,
+                                    max(math.prod(s[1:]) for s in shapes)),
+        "T0 lockstep": _lockstep_bytes(dims(base), [rows(plan.base_classes)], b,
+                                       cfg.train.t0_epochs),
+        # with the row masks of two sessions' node views and of the pools
+        "session lockstep": session + (2 * n + 64) * sizes[0],
+        # the scored rows' features, logits and masks, and head_logits' chunks
+        "evaluation": sizes[1] * (4 * fd + 8 * k + 64) + 8 * p
+        + 16 * p * min(max(1, sizes[1]), max(1, _SCAN_BLOCK // p)),
+        # 256 bytes an entry at most (measured: about 150 an accuracy entry)
+        "report rows": 256 * (entries + (last + 1) * base + per_session * last * (last + 1) // 2),
+    }
 
 
 def default_config(strategy: str = "odfcl", seed: int = 1234) -> ExperimentConfig:
@@ -416,7 +393,8 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 def load_dataset(cfg: ExperimentConfig) -> tuple:
     """(train, test) of a run: generated from the data stream, or read
     from the manifest, which must hold train and test rows of every
-    planned class in frames of the backbone's channel count."""
+    planned class in frames of the backbone's channel count and keep the
+    run's price within the host budget (ConfigErrors otherwise)."""
     if cfg.data.kind == "synthetic":
         return gen_synthetic(cfg.data.synthetic_spec(cfg.plan.num_classes), _rng(cfg.seed, 0))
     train, test = read_manifest(cfg.data.manifest_dir)
@@ -427,6 +405,7 @@ def load_dataset(cfg: ExperimentConfig) -> tuple:
         if ds.frames.shape[1] != cfg.backbone.layer_dims[0]:
             raise ConfigError(f"manifest {rows} frames have {ds.frames.shape[1]} channels, "
                               f"the backbone takes {cfg.backbone.layer_dims[0]}")
+    check_budget(_host_price(cfg, make_plan(**asdict(cfg.plan)), (train, test)))
     return train, test
 
 

@@ -204,6 +204,13 @@ class FrozenBackbone:
         return self.layers[0].c_in
 
 
+def _block(layer_dims, hw: int) -> tuple:
+    """(frames per block, widths of the two GEMM buffers) on ``hw``-pixel frames: buffer
+    0 holds the input and the outputs of layers 1, 3, ..., buffer 1 those of 0, 2, ..."""
+    widths = (max(layer_dims[0::2]), max(layer_dims[1::2]))
+    return max(1, 2 * _BLOCK // (sum(widths) * hw)), widths
+
+
 class _Space:
     """The constants and buffers of one ``backbone_forward`` call.
 
@@ -212,27 +219,23 @@ class _Space:
     float64 weights as (c_in, c_out), the float64 bias (None when zero)
     and the requantization multiplier ``in_scale * weight_scale /
     out_scale``, formed in that order (a regrouped one misses ties by an
-    ulp); two float64 GEMM buffers that the layers write in turn,
-    each as wide as the widest layer it holds, ``2 * _BLOCK`` elements
-    between them at most; and the pooling ``Fold``. At the
-    default (4, 32, 48) layers on 16x16 frames that is 3 frames per
-    block, 61440 float64 in the GEMM buffers and 257 * 3 * 48 float32 in
-    the fold, about 0.14 MB more than buffers both as wide as the
-    widest layer, which fit 2 frames. Rows are
-    pixel-major, row ``p * b + f`` holding pixel ``p`` of frame ``f``, so the last layer's
-    output already is the (H*W, b * feature_dim) terms of the pooling
-    fold. A shorter last block runs on prefix views of the same GEMM
-    buffers and pools in a ``Fold`` of its own.
+    ulp); two float64 GEMM buffers that the layers write in turn, each
+    as wide as the widest layer it holds, ``2 * _BLOCK`` elements between
+    them at most (``_block``); and the pooling ``Fold``. At the default
+    (4, 32, 48) layers on 16x16 frames that is 3 frames per block, 61440
+    float64 in the GEMM buffers and 257 * 3 * 48 float32 in the fold.
+    Rows are pixel-major, row ``p * b + f`` holding pixel ``p`` of frame
+    ``f``, so the last layer's output already is the (H*W, b *
+    feature_dim) terms of the pooling fold. A shorter last block runs on
+    prefix views of the same GEMM buffers and pools in a ``Fold`` of its
+    own.
     """
 
     __slots__ = ("layers", "rows", "hw", "zp", "out_scale", "pixels", "bufs", "fold")
 
     def __init__(self, bb: FrozenBackbone, qp: QuantParams, n: int, hw: int):
-        # buffer 0 holds the input and the outputs of layers 1, 3, ...,
-        # buffer 1 those of layers 0, 2, ...
-        held = [bb.layers[0].c_in] + [layer.c_out for layer in bb.layers]
-        widths = (max(held[0::2]), max(held[1::2]))
-        self.rows = min(n, max(1, 2 * _BLOCK // (sum(widths) * hw)))
+        rows, widths = _block([bb.layers[0].c_in] + [layer.c_out for layer in bb.layers], hw)
+        self.rows = min(n, rows)
         self.hw = hw
         self.zp = qp.zero_point
         in_scales = [float(qp.scale)] + [layer.out_scale for layer in bb.layers[:-1]]
@@ -273,6 +276,15 @@ class _Space:
         np.divide(fold.total, self.pixels, out=out)
 
 
+def _backbone_bytes(layer_dims, hw: int) -> int:
+    """Host bytes at most of building a backbone of ``layer_dims`` (64 a
+    weight: int8, the float64 copy and draws) and running it over frames
+    of ``hw`` pixels: a ``_Space`` of the most frames a block holds."""
+    weights = sum(a * b for a, b in zip(layer_dims, layer_dims[1:]))
+    rows, widths = _block(layer_dims, hw)  # GEMM buffers, then two pooling folds
+    return 64 * weights + 8 * rows * (hw * sum(widths) + (hw + 1) * layer_dims[-1])
+
+
 def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
     """Integer inference through the frozen chain; float features out.
 
@@ -286,16 +298,13 @@ def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
     zero point. The last layer is dequantized and average-pooled with an
     ordered float32 sum.
 
-    Frames run in blocks, sized so that the two GEMM buffers the layers
-    write in turn hold at most ``2 * _BLOCK`` elements between them (each
-    as wide as the widest layer it holds: 3 frames per block, about
-    0.6 MB with the fold's buffer, at the default backbone on 16x16
-    frames), in one ``_Space`` allocated for the call: one float64 GEMM per layer
-    over pixel-major rows, the last layer's output dequantized straight
-    into the pooling fold. ``FrozenBackbone`` checked, when it was built,
-    that no layer's bound ``max_co(|b_co| + sum_ci |w_co,ci| * peak)``
-    passes INT32_MAX, with ``peak`` 255 in layer 0 and 127 (post-relu)
-    after it. So no prefix sum can overflow and every partial sum is an
+    Frames run in blocks (``_block``) in one ``_Space`` allocated for
+    the call: one float64 GEMM per layer over pixel-major rows, the last
+    layer's output dequantized straight into the pooling fold.
+    ``FrozenBackbone`` checked, when it was built, that no layer's bound
+    ``max_co(|b_co| + sum_ci |w_co,ci| * peak)`` passes INT32_MAX, with
+    ``peak`` 255 in layer 0 and 127 (post-relu) after it. So no prefix
+    sum can overflow and every partial sum is an
     integer below 2**31 < 2**53: the GEMM is exact in any summation
     order, and the features equal the channel-by-channel integer pass
     bit for bit.

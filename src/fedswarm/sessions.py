@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, EvaluationError, NumericError, PlanError, _is_int
+from .errors import (DimensionError, EvaluationError, NumericError, PlanError, _is_int,
+                     check_budget)
 from .model import TrainableHead, head_logits
 from .quant import QuantParams, QuantTensor, backbone_forward
 
@@ -42,12 +43,16 @@ __all__ = [
     "read_manifest",
 ]
 
-# int8 bytes and samples a run's data may hold, train plus test:
-# ``read_manifest`` checks a manifest's rows against them, ``harness`` a
-# synthetic config. Samples are capped apart from bytes because each one
-# holds an id, a class and a feature row beyond its int8 payload.
-MAX_DATA_BYTES = 1 << 27
-MAX_SAMPLES = 1 << 18
+# host bytes at most of a split row beyond its frame (its columns, or its
+# parsed manifest cells: measured about 600 with its line), and per byte
+# of a manifest index as read and split into lines (measured: 9.6 for a
+# file of newlines, 29.6 for one of "\u0109\n" lines, the worst found)
+_ROW_BYTES, _INDEX_BYTE_COST = 1 << 10, 30
+
+
+def _split_bytes(rows: int, frame_size: int, index_size: int = 0) -> int:
+    """Host bytes at most of ``rows`` frames of ``frame_size`` bytes, and their index."""
+    return rows * (_ROW_BYTES + frame_size) + index_size * _INDEX_BYTE_COST
 
 
 @dataclass(frozen=True)
@@ -332,13 +337,14 @@ def _blob_inside(rel: str) -> bool:
 def read_manifest(manifest_dir) -> tuple:
     """Load (train, test) datasets back from a manifest directory.
 
+    The index is priced against the host budget by its size before it
+    is read, and each row as it is parsed (``_split_bytes``): a PlanError
+    names the file, or the line, that takes the price past the budget.
     A sample id may appear once across both splits, and every row of a
-    split shares the split's first row's shape, scale and zero point. A
-    row that breaks either rule, and rows declaring more than
-    ``MAX_DATA_BYTES`` int8 bytes or ``MAX_SAMPLES`` samples in all, are
-    a PlanError naming the line. Every row is checked before any blob is
-    read; then the blobs are read in line order straight into one frame
-    buffer per split, one read each. A blob that is not a regular file
+    split shares its first row's shape, scale and zero point; a row that
+    breaks either rule is a PlanError naming the line. Every row is
+    checked before any blob is read; then the blobs are read in line
+    order straight into one frame buffer per split, one read each. A blob that is not a regular file
     (a directory, a device, a FIFO) is a PlanError naming the line, and
     one of another length than its shape declares is one too, its
     length taken from its size without reading it. A split without
@@ -348,6 +354,8 @@ def read_manifest(manifest_dir) -> tuple:
     if not os.path.isfile(path):  # False on any stat error, such as a name too long
         raise PlanError(f"no {_MANIFEST_NAME} under {root}")
     try:
+        index = _split_bytes(0, 0, os.path.getsize(path))
+        check_budget({"the index as read": index}, PlanError, f"{path}: ")
         lines = path.read_text().splitlines()
     except UnicodeDecodeError as e:
         raise PlanError(f"{path} is not a text manifest ({e.reason})") from None
@@ -358,7 +366,7 @@ def read_manifest(manifest_dir) -> tuple:
     cols = {split: ([], []) for split in ("train", "test")}  # sample ids, class ids
     layouts = {}  # split -> (shape, QuantParams, line) of its first row
     blobs = []  # (line, split, row in split, blob path) of every row
-    n_bytes = 0
+    n_bytes = 0  # the rows' price
     id_lines = {}  # sample id -> the line that declared it
     shapes = {}  # shape cell -> (shape, int8 bytes)
     for lineno, ln in enumerate(lines[1:], start=2):
@@ -381,16 +389,12 @@ def read_manifest(manifest_dir) -> tuple:
         if not (_is_int(sid) and _is_int(cid)):
             raise PlanError(f"{where}: sample and class ids must be 64-bit integers")
         shape, size = shapes[shape_s]
-        n_bytes += size
-        if n_bytes > MAX_DATA_BYTES:
-            raise PlanError(f"{path}: rows through line {lineno} hold {n_bytes} "
-                            f"int8 bytes, over the cap of {MAX_DATA_BYTES}")
+        n_bytes += _ROW_BYTES + size
+        check_budget({"the index as read": index, "the rows through this line": n_bytes},
+                     PlanError, where + ": ")
         first = id_lines.setdefault(sid, lineno)
         if first != lineno:
             raise PlanError(f"{where}: sample id {sid} repeats line {first}")
-        if len(id_lines) > MAX_SAMPLES:
-            raise PlanError(f"{path}: rows through line {lineno} hold {len(id_lines)} "
-                            f"samples, over the cap of {MAX_SAMPLES}")
         if split not in layouts:
             if len(shape) != 3 or min(shape) < 1:
                 raise PlanError(f"{where}: shape {shape} is not C x H x W")

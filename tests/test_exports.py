@@ -109,6 +109,16 @@ def test_retired_names_are_gone():
     # forward pass has no exact per-frame fallback
     for name in ("_forward_checked", "_check_int32"):
         assert not hasattr(fedswarm.quant, name), name
+    # one host budget, priced from the config, replaced the four size caps
+    # and the checks built on them
+    caps = ("MAX_TENSOR_ELEMENTS", "MAX_TRAINING_BYTES", "MAX_DATA_BYTES", "MAX_SAMPLES")
+    for module in (fedswarm, fedswarm.harness, fedswarm.federation, fedswarm.sessions):
+        for name in caps:
+            assert not hasattr(module, name), (module.__name__, name)
+    for name in ("_check_sizes", "_check_shuffle_tables"):
+        assert not hasattr(fedswarm.ExperimentConfig, name), name
+    for module in (fedswarm, fedswarm.harness, fedswarm.federation):
+        assert not hasattr(module, "_table_bytes"), module.__name__
     # tests compare heads, splits and int8 tensors field by field
     for cls in (fedswarm.TrainableHead, fedswarm.LabeledDataset, fedswarm.QuantTensor):
         assert cls.__eq__ is object.__eq__, cls.__name__

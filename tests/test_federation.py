@@ -32,7 +32,7 @@ from fedswarm import (
     total_loss,
     write_trace,
 )
-from fedswarm import federation, losses
+from fedswarm import errors, federation, losses
 
 
 def _vec(*values):
@@ -442,12 +442,24 @@ def test_local_epoch_takes_any_nonnegative_integral_count():
 
 
 def test_local_epoch_rejects_a_shuffle_table_past_the_cap():
-    # 2**62 epochs of 12 rows would need a 4e20-byte shuffle table
+    # 2**62 epochs of 12 rows would need a 4e20-byte shuffle table; a call
+    # is priced against the host budget before its state is built, and one
+    # that fits it exactly runs
     views, parts = _views(2, 3)
+    heads, cfg = _swarm(2), LossConfig()
     rng = np.random.default_rng(0)
-    with pytest.raises(AggregationError, match=f"epochs={2**62} over 12 samples"):
-        local_epoch(_swarm(2), views, parts, LossConfig(), rng, 2**62)
+    with pytest.raises(AggregationError, match=rf"^epochs={2**62} over 12 samples: a price of "
+                       r"\d+ bytes exceeds the host budget of \d+ bytes; the largest term is "
+                       r"the lockstep state at \d+$"):
+        local_epoch(heads, views, parts, cfg, rng, 2**62)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    price = federation._lockstep_bytes(heads[0].dims, [6, 6], cfg.batch_size, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(errors, "HOST_BUDGET", price)
+        local_epoch(heads, views, parts, cfg, rng, 3)
+        mp.setattr(errors, "HOST_BUDGET", price - 1)
+        with pytest.raises(AggregationError, match=f"a price of {price} bytes exceeds"):
+            local_epoch(heads, views, parts, cfg, rng, 3)
 
 
 def test_local_epoch_steps_its_own_rows_and_hands_out_fresh_heads(monkeypatch):

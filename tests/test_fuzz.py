@@ -26,11 +26,10 @@ from fedswarm import (
 )
 from fedswarm.cli import main
 
-# Sizes beyond the config caps (harness.MAX_TENSOR_ELEMENTS,
-# MAX_TRAINING_BYTES and MAX_DATA_BYTES) must be rejected before the
-# cost table allocates a head, or a run its data, of the configured
-# size; 10**400 still reaches every int field as an integer that no
-# float can hold.
+# A config whose priced host memory passes the budget (HOST_BUDGET) must
+# be rejected before the cost table allocates a head, or a run its data,
+# of the configured size; 10**400 still reaches every int field as an
+# integer that no float can hold.
 _LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -99,9 +98,15 @@ def _cli(argv):
 @example(d={"data": {"input_shape": []}})  # IndexError in the channel check
 @example(d={"head": {"hidden": 2**62}})  # ValueError: array is too big
 @example(d={"plan": {"num_classes": 10**7}})  # plan and head of 10**7 classes: no end
-@example(d={"data": {"train_per_class": 2**40}})  # synthetic data past MAX_DATA_BYTES
+@example(d={"data": {"train_per_class": 2**40}})  # synthetic data past the budget
 @example(d={"data": {"test_per_class": 2**40}})
 @example(d={"data": {"input_shape": [4, 4096, 4096]}})
+# 508 GiB of train features, and 1.8e9 report entries, under every old cap
+@example(d={"backbone": {"layer_dims": [2, 524288]}, "head": {"hidden": 2},
+            "data": {"train_per_class": 20000, "test_per_class": 6000, "input_shape": [2, 1, 1]},
+            "train": {"t0_epochs": 1, "rounds_per_session": 1}})
+@example(d={"plan": {"num_classes": 60000, "num_nodes": 1, "base_count": 1},
+            "head": {"hidden": 16}, "data": {"train_per_class": 1, "test_per_class": 1}})
 def test_mutated_config_raises_only_package_errors(tmp_path_factory, d):
     try:
         config_from_dict(d)

@@ -11,13 +11,15 @@ import sys
 import tracemalloc
 import warnings
 import typing
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fedswarm as fs
-from fedswarm import sessions
+from fedswarm import errors, harness, sessions
 from fedswarm.cli import main
 from test_continual import _deadline
 
@@ -709,18 +711,31 @@ def test_cli_non_integer_count_is_a_config_error(tmp_path, bad):
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: ")
 
 
+_WIDE_FEATURES = {"backbone": {"layer_dims": [2, 524288]}, "head": {"hidden": 2},
+                  "data": {"train_per_class": 20000, "test_per_class": 6000,
+                           "input_shape": [2, 1, 1]},
+                  "train": {"t0_epochs": 1, "rounds_per_session": 1}}
+_LONG_REPORT = {"plan": {"num_classes": 60000, "num_nodes": 1, "base_count": 1},
+                "head": {"hidden": 16}, "data": {"train_per_class": 1, "test_per_class": 1}}
+
+
 @pytest.mark.parametrize("bad", [
     {"head": {"hidden": 2**62}},
     {"plan": {"num_classes": 10**7}},
     {"data": {"train_per_class": 2**40}},
     {"data": {"test_per_class": 2**40}},
     {"data": {"input_shape": [4, 4096, 4096]}},
-    # 120 MB of int8 data, under the byte cap, but 30 million samples
+    # 120 MB of int8 data, but 30 million samples, each with its columns
     {"data": {"input_shape": [4, 1, 1], "train_per_class": 3000000}},
     # shuffle tables of T0, of a joint session and of a federated round
     {"train": {"t0_epochs": 4611686018427387904}},
     {"strategy": "joint", "train": {"rounds_per_session": 2**40}},
     {"loss": {"local_epochs_per_round": 2**50}},
+    # 260000 x 524288 float32 train features, 508 GiB, under every old cap
+    _WIDE_FEATURES,
+    # 1.8e9 accuracy_per_class entries: report rows grow as the sum of the
+    # classes seen over 60000 sessions
+    _LONG_REPORT,
 ], ids=json.dumps)
 def test_cli_size_cap_is_a_config_error(tmp_path, bad):
     path = tmp_path / "huge.json"
@@ -730,30 +745,50 @@ def test_cli_size_cap_is_a_config_error(tmp_path, bad):
         res = _main(*args)
         assert res.returncode == 1, res.stderr
         assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: ")
-        assert "exceed" in res.stderr
+        assert "exceeds the host budget" in res.stderr and "the largest term is" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def _price(d) -> dict:
+    cfg = fs.config_from_dict(d) if isinstance(d, dict) else d
+    return harness._host_price(cfg, fs.make_plan(**asdict(cfg.plan)))
+
+
+def _refused(d, term):
+    """Assert the config ``d`` is refused, naming ``term`` as its largest."""
+    with pytest.raises(fs.ConfigError, match=rf"exceeds the host budget of {fs.HOST_BUDGET} "
+                       rf"bytes; the largest term is {term} at \d+$"):
+        fs.config_from_dict(d)
+
+
+@pytest.mark.parametrize("d, term", [(_WIDE_FEATURES, "T0 lockstep"),
+                                     (_LONG_REPORT, "report rows")], ids=["wide", "long"])
+def test_motivating_configs_name_their_largest_term(d, term):
+    # built as configs only: the price is arithmetic on counts
+    _refused(d, term)
 
 
 def test_config_size_caps():
-    # every weight tensor and the training memory have a cap; the
-    # defaults sit far below them
-    d = fs.config_to_dict(fs.default_config())
-    feat = d["backbone"]["layer_dims"][-1]
-    for section, key, value, message in [
-        ("head", "hidden", fs.MAX_TENSOR_ELEMENTS // feat + 1, "head conv"),
-        ("plan", "num_classes", fs.MAX_TENSOR_ELEMENTS, "head classifier"),
-        ("loss", "batch_size", fs.MAX_TRAINING_BYTES, "peak training memory"),
-    ]:
-        bad = fs.config_to_dict(fs.default_config())
-        bad[section][key] = value
-        with pytest.raises(fs.ConfigError, match=message):
-            fs.config_from_dict(bad)
-    bad["backbone"]["layer_dims"] = [4, fs.MAX_TENSOR_ELEMENTS // 4 + 1]
-    with pytest.raises(fs.ConfigError, match="backbone layer"):
-        fs.config_from_dict(bad)
-    # a tensor of exactly the cap is allowed
-    at_cap = fs.config_to_dict(fs.default_config())
-    at_cap["head"]["hidden"] = fs.MAX_TENSOR_ELEMENTS // feat
-    fs.config_from_dict(at_cap)
+    # one host budget bounds heads and backbones: the defaults sit far
+    # below it; a head tensor just past 2**20 elements and a batch of
+    # 2**26 samples (the widest batch is a view's 28 rows) fit; a wider
+    # head, a backbone layer of 2**20 weights or 2**20 classes do not
+    assert sum(_price(fs.default_config()).values()) < fs.HOST_BUDGET // 100
+    feat = fs.default_config().backbone.layer_dims[-1]
+    for d in ({"head": {"hidden": 2**20 // feat + 1}}, {"loss": {"batch_size": 2**26}}):
+        fs.config_from_dict(d)
+    _refused({"head": {"hidden": 2**16}}, "session lockstep")
+    _refused({"backbone": {"layer_dims": [4, 2**20 // 4 + 1]}}, "session lockstep")
+    _refused({"plan": {"num_classes": 2**20}}, "evaluation")
+    # the check is price <= budget, exactly
+    price = sum(_price(fs.default_config()).values())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(errors, "HOST_BUDGET", price)
+        fs.default_config()
+        mp.setattr(errors, "HOST_BUDGET", price - 1)
+        with pytest.raises(fs.ConfigError, match=f"a price of {price} bytes exceeds the host "
+                           f"budget of {price - 1} bytes"):
+            fs.default_config()
 
 
 @pytest.mark.parametrize("fits, past", [([66311, 1], [66312, 1]),
@@ -761,8 +796,8 @@ def test_config_size_caps():
 def test_backbone_past_the_int32_bound_is_a_config_error(tmp_path, fits, past):
     # build_backbone's weights are within +-127 and its biases zero, so a
     # layer's worst case is c_in * 127 * 255 in layer 0 and c_in * 127 * 127
-    # after it; 4 x 133145 weights are under MAX_TENSOR_ELEMENTS, so only
-    # the bound refuses them. Configs only: nothing is built.
+    # after it; 4 x 133145 weights fit the host budget, so only the bound
+    # refuses them. Configs only: nothing is built.
     fs.config_from_dict({"backbone": {"layer_dims": fits},
                          "data": {"input_shape": [fits[0], 1, 1]}})
     path = tmp_path / "wide.json"
@@ -776,14 +811,15 @@ def test_backbone_past_the_int32_bound_is_a_config_error(tmp_path, fits, past):
 
 def test_config_shuffle_table_cap():
     # T0 draws a t0_epochs x base-samples intp table: 4 classes x 32 pairs
-    # is 1 KiB per epoch, so 65536 epochs meet the cap exactly
+    # is 1 KiB per epoch of the price, so the last epoch count that fits
+    # the budget follows from the price at 0 epochs
     d = fs.config_to_dict(fs.default_config())
     d["data"]["train_per_class"] = 32
-    d["train"]["t0_epochs"] = fs.MAX_TRAINING_BYTES // 1024
-    fs.config_from_dict(d)
+    d["train"]["t0_epochs"] = 0
+    d["train"]["t0_epochs"] = (fs.HOST_BUDGET - sum(_price(d).values())) // 1024
+    assert fs.HOST_BUDGET - 1024 < sum(_price(d).values()) <= fs.HOST_BUDGET
     d["train"]["t0_epochs"] += 1
-    with pytest.raises(fs.ConfigError, match="t0_epochs = 65537 over 128 training samples"):
-        fs.config_from_dict(d)
+    _refused(d, "T0 lockstep")
     # a federated round's table counts only when there are rounds; joint
     # trains its pool for rounds_per_session x local_epochs_per_round epochs
     d = fs.config_to_dict(fs.default_config())
@@ -791,23 +827,23 @@ def test_config_shuffle_table_cap():
     d["train"]["rounds_per_session"] = 0
     fs.config_from_dict(d)
     d["train"]["rounds_per_session"] = 1
-    with pytest.raises(fs.ConfigError, match="local_epochs_per_round"):
-        fs.config_from_dict(d)
+    _refused(d, "session lockstep")
     d["strategy"] = "joint"
-    with pytest.raises(fs.ConfigError, match="rounds_per_session x local_epochs_per_round"):
-        fs.config_from_dict(d)
+    _refused(d, "session lockstep")
 
 
-def test_cli_manifest_run_past_the_shuffle_cap_is_a_runtime_error(tmp_path):
-    # a manifest's sizes are not in the config, so training refuses the count
+def test_cli_manifest_run_past_the_budget_is_a_config_error(tmp_path):
+    # a manifest's sizes are not in the config: the run prices them once
+    # the manifest is read, before any feature is computed
     cfg, data, _ = _manifest_dir(tmp_path)
     cfg_path = tmp_path / "config.json"
     fs.save_config(replace(cfg, data=fs.DataSpec(kind="manifest", manifest_dir=str(data)),
                            train=replace(cfg.train, t0_epochs=2**62)), cfg_path)
     res = _main("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
-    assert res.returncode == 2
-    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
-    assert f"epochs={2**62} over" in res.stderr and "shuffle table" in res.stderr
+    assert res.returncode == 1
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("config error: ")
+    assert "exceeds the host budget" in res.stderr
+    assert "the largest term is T0 lockstep" in res.stderr
 
 
 @pytest.mark.parametrize("split", ["training", "test"])
@@ -829,31 +865,89 @@ def test_cli_manifest_with_the_wrong_channel_count_is_a_config_error(tmp_path, s
 
 
 def test_config_data_cap():
-    # synthetic train plus test data: classes x samples x input bytes; frames
-    # of 1 KiB reach this cap below the sample cap
+    # synthetic train plus test data: classes x samples x (input bytes and
+    # a row's columns); 64 KiB frames make the frames the largest term
     d = fs.config_to_dict(fs.default_config())
-    d["data"]["input_shape"] = [4, 16, 16]
-    per_sample = math.prod(d["data"]["input_shape"])
-    per_class = fs.MAX_DATA_BYTES // (d["plan"]["num_classes"] * per_sample)
-    d["data"]["train_per_class"] = per_class - d["data"]["test_per_class"]
-    fs.config_from_dict(d)  # exactly at the cap, or just below it
-    d["data"]["train_per_class"] += 1
-    with pytest.raises(fs.ConfigError, match="synthetic data of .* exceeds the cap"):
-        fs.config_from_dict(d)
-    # a manifest's data is checked when it is read, not in the config
+    d["data"]["input_shape"] = [4, 128, 128]
+    price = _price(d)
+    samples = 10 * (28 + 7)
+    assert price["data frames"] == (samples * (2**16 + sessions._ROW_BYTES)
+                                    + 8 * (10 * 2**16 + 6 * 2**16))
+    d["data"]["train_per_class"] = 1600
+    _refused(d, "data frames")
+    # a manifest's data is priced when it is read, not in the config
     d["data"].update(kind="manifest", manifest_dir="unread")
     fs.config_from_dict(d)
 
 
 def test_config_sample_cap():
-    # synthetic train plus test samples: classes x samples per class
+    # tiny frames: each sample still costs its columns, feature rows and
+    # training rows, so a million of them pass the budget
     d = fs.config_to_dict(fs.default_config())
-    d["plan"]["num_classes"] = 16  # divides the cap
-    d["data"]["train_per_class"] = fs.MAX_SAMPLES // 16 - d["data"]["test_per_class"]
-    fs.config_from_dict(d)  # exactly at the cap
-    d["data"]["train_per_class"] += 1
-    with pytest.raises(fs.ConfigError, match="synthetic data of 262160 samples exceeds the cap"):
-        fs.config_from_dict(d)
+    d["plan"]["num_classes"] = 16
+    d["data"]["input_shape"] = [4, 1, 1]
+    d["data"]["train_per_class"] = 2**18 // 16  # 262256 samples, past the old cap: they fit
+    fs.config_from_dict(d)
+    d["data"]["train_per_class"] = 2**20 // 16
+    _refused(d, "data frames")
+
+
+@st.composite
+def _small_runs(draw):
+    """A small accepted config as a dict, and whether to run it from a
+    manifest of its own synthetic data."""
+    nodes, per, base = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    c = draw(st.integers(1, 4))
+    d = {
+        "strategy": draw(st.sampled_from(fs.STRATEGIES)),
+        "plan": {"num_classes": base + draw(st.integers(0, 2)) * nodes * per, "num_nodes": nodes,
+                 "base_count": base, "classes_per_session_per_node": per},
+        "backbone": {"layer_dims": [c, draw(st.integers(1, 16)), draw(st.integers(1, 24))]},
+        "head": {"hidden": draw(st.integers(1, 16))},
+        "loss": {"batch_size": draw(st.integers(1, 6)), "mu": draw(st.sampled_from([0.0, 2.0])),
+                 "local_epochs_per_round": draw(st.integers(1, 3))},
+        "train": {"t0_epochs": draw(st.integers(0, 3)),
+                  "rounds_per_session": draw(st.integers(0, 3))},
+        "data": {"train_per_class": draw(st.integers(1, 9)),
+                 "test_per_class": draw(st.integers(1, 4)),
+                 "input_shape": [c, draw(st.integers(1, 4)), draw(st.integers(1, 4))]},
+    }
+    return d, draw(st.booleans())
+
+
+@pytest.fixture(scope="module")
+def warm_runs(tmp_path_factory):
+    """Run each strategy and read a manifest once, so that numpy's and the
+    interpreter's first-call allocations are not charged to a run."""
+    cfg = _small_config(train=fs.TrainSpec(t0_epochs=1, rounds_per_session=1))
+    for strategy in fs.STRATEGIES:
+        fs.run_experiment(replace(cfg, strategy=strategy))
+    fs.read_manifest(_manifest_dir(tmp_path_factory.mktemp("warm"))[1])
+
+
+@settings(max_examples=16)
+@given(case=_small_runs())
+@example(case=({}, False))  # the desk default
+@example(case=({"plan": {"num_classes": 36, "num_nodes": 8, "base_count": 4}}, False))  # swarm
+def test_run_peak_stays_within_its_price(tmp_path_factory, warm_runs, case):
+    # tracemalloc sees numpy's buffers as well as Python's objects
+    d, manifest = case
+    cfg = fs.config_from_dict(d)
+    splits = None
+    if manifest:
+        out = tmp_path_factory.mktemp("manifest")
+        fs.write_manifest(*fs.load_dataset(cfg), out)
+        cfg = replace(cfg, data=replace(cfg.data, kind="manifest", manifest_dir=str(out)))
+        splits = fs.read_manifest(out)
+    price = sum(harness._host_price(cfg, fs.make_plan(**asdict(cfg.plan)), splits).values())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fs.run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= price
 
 
 def _manifest_dir(tmp_path):
@@ -865,27 +959,38 @@ def _manifest_dir(tmp_path):
     return cfg, data, train.frames.data.size + test.frames.data.size
 
 
+def _read_price(data) -> tuple:
+    """(index term, rows term) of the small manifest's price as read."""
+    manifest = data / "manifest.tsv"
+    rows = sum(sessions._split_bytes(len(ds), math.prod(ds.frames.shape[1:]))
+               for ds in fs.read_manifest(data))
+    return sessions._split_bytes(0, 0, manifest.stat().st_size), rows
+
+
 def test_manifest_data_cap(tmp_path, monkeypatch):
-    _, data, n_bytes = _manifest_dir(tmp_path)
-    monkeypatch.setattr(sessions, "MAX_DATA_BYTES", n_bytes)
-    train, test = fs.read_manifest(data)  # exactly at the cap
-    assert len(train) + len(test) > 0
-    monkeypatch.setattr(sessions, "MAX_DATA_BYTES", n_bytes - 1)
-    with pytest.raises(fs.PlanError, match=r"manifest\.tsv: rows through line \d+ hold"):
+    # the index by its size, then every row with its frame, within the budget
+    _, data, _ = _manifest_dir(tmp_path)
+    index, rows = _read_price(data)
+    lines = (data / "manifest.tsv").read_text().splitlines()
+    monkeypatch.setattr(errors, "HOST_BUDGET", index + rows)
+    train, test = fs.read_manifest(data)  # exactly at the budget
+    assert len(train) + len(test) == len(lines) - 1
+    monkeypatch.setattr(errors, "HOST_BUDGET", index + rows - 1)
+    with pytest.raises(fs.PlanError, match=rf"manifest\.tsv line {len(lines)}: a price of "
+                       rf"{index + rows} bytes exceeds the host budget of {index + rows - 1} "):
         fs.read_manifest(data)
 
 
 def test_manifest_sample_cap(tmp_path, monkeypatch):
+    # a row of a one-byte frame still costs its parsed cells and columns
     _, data, _ = _manifest_dir(tmp_path)
+    index, rows = _read_price(data)
     lines = (data / "manifest.tsv").read_text().splitlines()
-    monkeypatch.setattr(sessions, "MAX_SAMPLES", len(lines) - 1)
-    train, test = fs.read_manifest(data)  # exactly at the cap
-    assert len(train) + len(test) == len(lines) - 1
-    # the row past the cap fails before its blob is read
+    last = sessions._ROW_BYTES + 3 * 2 * 2  # the last test row's price
+    # the row past the budget fails before its blob is read
     (data / lines[-1].split("\t")[-1]).unlink()
-    monkeypatch.setattr(sessions, "MAX_SAMPLES", len(lines) - 2)
-    with pytest.raises(fs.PlanError, match=rf"manifest\.tsv: rows through line {len(lines)} "
-                       rf"hold {len(lines) - 1} samples, over the cap of {len(lines) - 2}"):
+    monkeypatch.setattr(errors, "HOST_BUDGET", index + rows - last)
+    with pytest.raises(fs.PlanError, match=rf"manifest\.tsv line {len(lines)}: a price of "):
         fs.read_manifest(data)
 
 
@@ -925,12 +1030,12 @@ def test_cli_manifest_with_repeated_sample_ids_is_a_runtime_error(tmp_path):
 
 
 def test_cli_manifest_over_the_data_cap_is_a_runtime_error(tmp_path):
-    # one row declares a frame far past the cap; its blob is never read
+    # one row declares a frame far past the budget; its blob is never read
     cfg, data, _ = _manifest_dir(tmp_path)
     manifest = data / "manifest.tsv"
     lines = manifest.read_text().splitlines()
     cells = lines[1].split("\t")
-    cells[5] = "3x8192x8192"
+    cells[5] = "3x32768x32768"
     lines[1] = "\t".join(cells)
     manifest.write_text("\n".join(lines) + "\n")
     cfg_path = tmp_path / "config.json"
@@ -939,8 +1044,34 @@ def test_cli_manifest_over_the_data_cap_is_a_runtime_error(tmp_path):
     res = _main("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
     assert res.returncode == 2
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
-    assert f"{manifest}: rows through line 2 hold" in res.stderr
-    assert "over the cap" in res.stderr
+    assert res.stderr.startswith(f"error: {manifest} line 2: a price of ")
+    assert "exceeds the host budget" in res.stderr
+    assert "the largest term is the rows through this line at" in res.stderr
+
+
+def test_manifest_index_past_the_budget_is_refused_before_it_is_read(tmp_path):
+    # blank lines are skipped, so no row is priced for a file of newlines;
+    # its index is priced by its size, at the worst per-byte cost of a file
+    # of short lines as read. A sparse file one byte past that takes no disk
+    # blocks
+    cfg = _small_config()
+    data = tmp_path / "data"
+    data.mkdir()
+    manifest = data / "manifest.tsv"
+    size = fs.HOST_BUDGET // sessions._INDEX_BYTE_COST + 1
+    manifest.touch()
+    os.truncate(manifest, size)
+    with pytest.raises(fs.PlanError, match=rf"^{manifest}: a price of "
+                       rf"{size * sessions._INDEX_BYTE_COST} bytes exceeds the host budget"):
+        fs.read_manifest(data)
+    cfg_path = tmp_path / "config.json"
+    fs.save_config(replace(cfg, data=fs.DataSpec(kind="manifest", manifest_dir=str(data))),
+                   cfg_path)
+    res = _main("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1
+    assert res.stderr.startswith(f"error: {manifest}: a price of ")
+    assert "the largest term is the index as read" in res.stderr
 
 
 def _manifest_run(tmp_path, capsys, edit):
