@@ -8,7 +8,6 @@ bandwidth) for the target hardware operating points.
 """
 
 from .errors import (
-    HOST_BUDGET,
     AggregationError,
     ConfigError,
     DimensionError,

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -203,17 +204,17 @@ def _count(value, what: str) -> int:
     return int(value)
 
 
-def _lockstep_bytes(dims: tuple, sizes, batch_size: int, epochs: int) -> int:
-    """Host bytes at most of a lockstep call of heads of ``dims`` over
-    views of ``sizes`` rows: per row five feature copies (the caller's
-    views and its last set, ``x``, ``xe``, the gather's buffer), its
-    targets and gather schedule, 8 bytes per epoch of shuffle table;
-    the stacks and heads; a record per step; two ``StepSpace``s per
-    distinct view length, each with two chunk sizes of under
-    3 P + 16 (c_out + C + 2) floats a (sample, node) cell."""
-    m, n, p, longest = sum(sizes), len(sizes), _size(dims), max(sizes)
+def _lockstep_bytes(dims: tuple, sizes: dict, batch_size: int, epochs: int) -> int:
+    """Host bytes at most of a lockstep call of heads of ``dims`` over views
+    whose ``sizes`` map a row count to its node count: a row's five feature
+    copies (views, the last views, ``x``, ``xe``, the gather's buffer), its
+    targets and schedule, 8 bytes an epoch of shuffle table; stacks, heads
+    and step records; two ``StepSpace``s a view length, each two chunk
+    sizes of under 3 P + 16 (c_out + C + 2) floats a (sample, node) cell."""
+    m, n = sum(rows * nodes for rows, nodes in sizes.items()), sum(sizes.values())
+    p, longest = _size(dims), max(sizes)
     w = min(batch_size, longest)  # the widest batch
-    groups = 2 * len(set(sizes)) if w else 0
+    groups = 2 * len(sizes) if w else 0
     cells = n * max(1, min(w, _SCAN_BLOCK // (n * p)))
     space = 8 * cells * (3 * p + 16 * (dims[1] + dims[2] + 2)) + 32 * n * (p + w)
     return (m * (20 * dims[0] + 256 + 8 * epochs) + 4 * (3 * n + 16) * p
@@ -253,7 +254,7 @@ class _Lockstep:
         self.arch = arch
         stacked = [check_view(arch, view, part, cfg) for view, part in zip(views, parts)]
         sizes = [len(t) for _, t, _ in stacked]
-        price = _lockstep_bytes(arch.dims, sizes, cfg.batch_size, epochs)
+        price = _lockstep_bytes(arch.dims, Counter(sizes), cfg.batch_size, epochs)
         check_budget({"the lockstep state": price}, AggregationError,
                      f"epochs={epochs} over {sum(sizes)} samples: ")
         n, longest, b = len(views), max(sizes), cfg.batch_size
@@ -406,10 +407,10 @@ def run_session(
     unchanged), and ``sync_round`` averages the results into the next
     global head. The views do not change within a session, so the
     lockstep state is built once per session. Returns (global head,
-    per-round trace). Each trace entry
-    records the round number, mean local loss per node (over its last
-    local epoch), communication seconds and, when an ``evaluator``
-    callable is given, its value on the new global head.
+    per-round trace). Each trace entry records the round number, mean
+    local loss per node (over its last local epoch), communication
+    seconds and, when an ``evaluator`` callable is given, its value on
+    the new global head.
     """
     rounds = _count(rounds, "rounds")
     _check_counts(len(views), views, parts)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -236,30 +237,33 @@ def _host_price(cfg: ExperimentConfig, plan, splits=None) -> dict:
     read). Terms never held at once are added all the same; the report's
     accuracy entries grow as the sum of base + t * S over sessions t."""
     d, k, n, base = cfg.data, plan.num_classes, plan.num_nodes, plan.base_count
-    last, per_session = plan.num_sessions, n * plan.classes_per_session_per_node
+    last, per = plan.num_sessions, plan.classes_per_session_per_node
     fd, b, local = cfg.backbone.layer_dims[-1], cfg.loss.batch_size, cfg.loss.local_epochs_per_round
+    # train rows of T0, and {view rows: nodes} of each session priced
     if splits is None:  # synthetic data, priced at the last session, or a manifest unread
         tr, te, shape = ((d.train_per_class, d.test_per_class, d.input_shape)
                          if d.kind == "synthetic" else (0, 0, (1, 1, 1)))
         shapes, sizes, dim = (shape,) * 2, (k * tr, k * te), math.prod(shape)
         # the generator's float64 class centers and one draw's blocks
         data = 8 * dim * (k + 6 * min(max(tr, te), max(1, _DRAW_BLOCK // dim))) if tr else 0
-        rows, sessions = (lambda classes: len(classes) * tr), range(max(last, 1), last + 1)
+        t0, views = base * tr, [(last, {per * tr: n})] if last else []
     else:  # a manifest, priced at each session
         shapes, sizes = [ds.frames.shape[1:] for ds in splits], [len(ds) for ds in splits]
         data = _split_bytes(0, 0, os.path.getsize(Path(d.manifest_dir) / _MANIFEST_NAME))
         classes = splits[0].classes
         counts = np.bincount(classes[(classes >= 0) & (classes < k)], minlength=k)
-        rows, sessions = (lambda ids: int(counts[list(ids)].sum())), range(1, last + 1)
+        t0 = int(counts[:base].sum())
+        # node i of session t learns every n-th of its classes from the i-th on
+        views = [(t, Counter(counts[plan.session_classes(t)].reshape(per, n).sum(0).tolist()))
+                 for t in range(1, last + 1)]
     dims = lambda classes: (fd, cfg.head.hidden, classes)  # noqa: E731
     rounds, p = cfg.train.rounds_per_session, _size(dims(k))
-    if cfg.strategy == "joint":  # its pool grows to every class
-        session = _lockstep_bytes(dims(k), [rows(range(k))], b, rounds * local) if last else 0
+    if cfg.strategy == "joint":  # its pool grows to every class, at most every row
+        session = _lockstep_bytes(dims(k), {sizes[0]: 1}, b, rounds * local) if last else 0
         entries = 0
     else:  # a round holds each node's loss and link events
-        session = max([_lockstep_bytes(dims(base + t * per_session),
-                                       [rows(plan.node_classes(t, i)) for i in range(n)], b, local)
-                       for t in sessions if rounds], default=0)
+        session = max([_lockstep_bytes(dims(base + t * n * per), nodes, b, local)
+                       for t, nodes in views if rounds], default=0)
         entries = last * rounds * (3 * n + 4)
     return {
         "data frames": data + sum(map(_split_bytes, sizes, map(math.prod, shapes))),
@@ -267,15 +271,14 @@ def _host_price(cfg: ExperimentConfig, plan, splits=None) -> dict:
         "test features": 4 * fd * sizes[1],
         "backbone": _backbone_bytes(cfg.backbone.layer_dims,
                                     max(math.prod(s[1:]) for s in shapes)),
-        "T0 lockstep": _lockstep_bytes(dims(base), [rows(plan.base_classes)], b,
-                                       cfg.train.t0_epochs),
+        "T0 lockstep": _lockstep_bytes(dims(base), {t0: 1}, b, cfg.train.t0_epochs),
         # with the row masks of two sessions' node views and of the pools
         "session lockstep": session + (2 * n + 64) * sizes[0],
         # the scored rows' features, logits and masks, and head_logits' chunks
         "evaluation": sizes[1] * (4 * fd + 8 * k + 64) + 8 * p
         + 16 * p * min(max(1, sizes[1]), max(1, _SCAN_BLOCK // p)),
         # 256 bytes an entry at most (measured: about 150 an accuracy entry)
-        "report rows": 256 * (entries + (last + 1) * base + per_session * last * (last + 1) // 2),
+        "report rows": 256 * (entries + (last + 1) * base + n * per * last * (last + 1) // 2),
     }
 
 

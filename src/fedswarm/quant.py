@@ -205,8 +205,7 @@ class FrozenBackbone:
 
 
 def _block(layer_dims, hw: int) -> tuple:
-    """(frames per block, widths of the two GEMM buffers) on ``hw``-pixel frames: buffer
-    0 holds the input and the outputs of layers 1, 3, ..., buffer 1 those of 0, 2, ..."""
+    """(frames per block, GEMM buffer widths: input and layers 1, 3, ...; layers 0, 2, ...)."""
     widths = (max(layer_dims[0::2]), max(layer_dims[1::2]))
     return max(1, 2 * _BLOCK // (sum(widths) * hw)), widths
 
@@ -277,12 +276,12 @@ class _Space:
 
 
 def _backbone_bytes(layer_dims, hw: int) -> int:
-    """Host bytes at most of building a backbone of ``layer_dims`` (64 a
-    weight: int8, the float64 copy and draws) and running it over frames
-    of ``hw`` pixels: a ``_Space`` of the most frames a block holds."""
-    weights = sum(a * b for a, b in zip(layer_dims, layer_dims[1:]))
+    """Host bytes at most of building a backbone of ``layer_dims`` (64 a weight:
+    int8, float64 copy, draws) and running it on ``hw``-pixel frames: a ``_Space``
+    of the most frames a block holds, and numpy's casting buffers."""
     rows, widths = _block(layer_dims, hw)  # GEMM buffers, then two pooling folds
-    return 64 * weights + 8 * rows * (hw * sum(widths) + (hw + 1) * layer_dims[-1])
+    block = 8 * rows * (hw * sum(widths) + (hw + 1) * layer_dims[-1]) + 32 * np.getbufsize()
+    return 64 * sum(a * b for a, b in zip(layer_dims, layer_dims[1:])) + block
 
 
 def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:

@@ -453,7 +453,7 @@ def test_local_epoch_rejects_a_shuffle_table_past_the_cap():
                        r"the lockstep state at \d+$"):
         local_epoch(heads, views, parts, cfg, rng, 2**62)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
-    price = federation._lockstep_bytes(heads[0].dims, [6, 6], cfg.batch_size, 3)
+    price = federation._lockstep_bytes(heads[0].dims, {6: 2}, cfg.batch_size, 3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(errors, "HOST_BUDGET", price)
         local_epoch(heads, views, parts, cfg, rng, 3)

@@ -736,6 +736,9 @@ _LONG_REPORT = {"plan": {"num_classes": 60000, "num_nodes": 1, "base_count": 1},
     # 1.8e9 accuracy_per_class entries: report rows grow as the sum of the
     # classes seen over 60000 sessions
     _LONG_REPORT,
+    # priced in O(1) of nodes and classes: 2**40 nodes, 2**62 base classes
+    {"plan": {"num_classes": 2**40 + 4, "num_nodes": 2**40}},
+    {"plan": {"num_classes": 2**62, "base_count": 2**62}},
 ], ids=json.dumps)
 def test_cli_size_cap_is_a_config_error(tmp_path, bad):
     path = tmp_path / "huge.json"
@@ -756,7 +759,7 @@ def _price(d) -> dict:
 
 def _refused(d, term):
     """Assert the config ``d`` is refused, naming ``term`` as its largest."""
-    with pytest.raises(fs.ConfigError, match=rf"exceeds the host budget of {fs.HOST_BUDGET} "
+    with pytest.raises(fs.ConfigError, match=rf"exceeds the host budget of {errors.HOST_BUDGET} "
                        rf"bytes; the largest term is {term} at \d+$"):
         fs.config_from_dict(d)
 
@@ -773,7 +776,7 @@ def test_config_size_caps():
     # below it; a head tensor just past 2**20 elements and a batch of
     # 2**26 samples (the widest batch is a view's 28 rows) fit; a wider
     # head, a backbone layer of 2**20 weights or 2**20 classes do not
-    assert sum(_price(fs.default_config()).values()) < fs.HOST_BUDGET // 100
+    assert sum(_price(fs.default_config()).values()) < errors.HOST_BUDGET // 100
     feat = fs.default_config().backbone.layer_dims[-1]
     for d in ({"head": {"hidden": 2**20 // feat + 1}}, {"loss": {"batch_size": 2**26}}):
         fs.config_from_dict(d)
@@ -816,8 +819,8 @@ def test_config_shuffle_table_cap():
     d = fs.config_to_dict(fs.default_config())
     d["data"]["train_per_class"] = 32
     d["train"]["t0_epochs"] = 0
-    d["train"]["t0_epochs"] = (fs.HOST_BUDGET - sum(_price(d).values())) // 1024
-    assert fs.HOST_BUDGET - 1024 < sum(_price(d).values()) <= fs.HOST_BUDGET
+    d["train"]["t0_epochs"] = (errors.HOST_BUDGET - sum(_price(d).values())) // 1024
+    assert errors.HOST_BUDGET - 1024 < sum(_price(d).values()) <= errors.HOST_BUDGET
     d["train"]["t0_epochs"] += 1
     _refused(d, "T0 lockstep")
     # a federated round's table counts only when there are rounds; joint
@@ -982,7 +985,7 @@ def test_manifest_data_cap(tmp_path, monkeypatch):
 
 
 def test_manifest_sample_cap(tmp_path, monkeypatch):
-    # a row of a one-byte frame still costs its parsed cells and columns
+    # a row of a 12-byte frame still costs its parsed cells and columns
     _, data, _ = _manifest_dir(tmp_path)
     index, rows = _read_price(data)
     lines = (data / "manifest.tsv").read_text().splitlines()
@@ -1058,7 +1061,7 @@ def test_manifest_index_past_the_budget_is_refused_before_it_is_read(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
     manifest = data / "manifest.tsv"
-    size = fs.HOST_BUDGET // sessions._INDEX_BYTE_COST + 1
+    size = errors.HOST_BUDGET // sessions._INDEX_BYTE_COST + 1
     manifest.touch()
     os.truncate(manifest, size)
     with pytest.raises(fs.PlanError, match=rf"^{manifest}: a price of "
