@@ -1,8 +1,10 @@
-"""Exception types shared across the library, config field checks, the host budget."""
+"""Exception types, the two number rules and the field checks built on them, the host budget."""
 
 import math
 import sys
 from dataclasses import Field, fields
+
+import numpy as np
 
 
 class FedswarmError(Exception):
@@ -53,13 +55,14 @@ def json_key(f: Field) -> str:
     return f.metadata.get("key", f.name)
 
 
-def check_fields(obj) -> None:
-    """ConfigError unless each field of the dataclass ``obj`` holds a
+def check_fields(obj, error: type = ConfigError) -> None:
+    """``error`` unless each field of the dataclass ``obj`` holds a
     value of its annotated type, named by its ``json_key``.
 
-    ``int`` is a 64-bit int (not a bool); ``float`` a finite number, ints
-    included; ``tuple`` a list or tuple of such ints, stored back as a
-    tuple; ``str`` a string. Other annotations, such as a config's nested
+    ``int`` is ``_is_int``; ``float`` is ``_is_finite``, where a Python
+    int stays an int; ``tuple`` a list or tuple of such ints, stored back
+    as a tuple; ``str`` a string. A numpy number is stored as the Python
+    number it equals. Other annotations, such as a config's nested
     sections, are not checked. Counts from a JSON config may arrive as
     floats, booleans or integers too large for an array size, and any
     value as a string or null; catching them here keeps ``range()``,
@@ -71,28 +74,38 @@ def check_fields(obj) -> None:
         if kind not in _KINDS:
             continue
         v = getattr(obj, f.name)
-        ok, what = _KINDS[kind]
+        ok, what, plain = _KINDS[kind]
         if not ok(v):
-            raise ConfigError(f"{json_key(f)} must be {what}, got {v!r}")
-        if kind == "tuple":
-            object.__setattr__(obj, f.name, tuple(v))
-
-
-def _is_finite(v) -> bool:
-    if isinstance(v, float):
-        return math.isfinite(v)
-    # an int beyond the float range is not a usable number either
-    return isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+            raise error(f"{json_key(f)} must be {what}, got {v!r}")
+        object.__setattr__(obj, f.name, plain(v))
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and -(2**63) <= v < 2**63
+    """A 64-bit integer, Python's or numpy's; never a bool."""
+    if type(v) is int:  # the fast path
+        return -(2**63) <= v < 2**63
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and _is_int(int(v))
+
+
+def _is_finite(v) -> bool:
+    """A finite real, Python's or numpy's; never a bool, nor an int past
+    float's range."""
+    if type(v) is float:  # the fast path
+        return math.isfinite(v)
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return abs(int(v)) <= sys.float_info.max
+    return isinstance(v, (float, np.floating)) and math.isfinite(v)
+
+
+def _plain(v):
+    """``v`` as the Python number it equals if it is a numpy one, else ``v``."""
+    return v.item() if isinstance(v, np.generic) else v
 
 
 _KINDS = {
-    "int": (_is_int, "a 64-bit integer"),
-    "float": (_is_finite, "a finite number"),
+    "int": (_is_int, "a 64-bit integer", int),
+    "float": (_is_finite, "a finite number", _plain),
     "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
-              "a list of integers"),
-    "str": (lambda v: isinstance(v, str), "a string"),
+              "a list of integers", lambda v: tuple(map(int, v))),
+    "str": (lambda v: isinstance(v, str), "a string", str),
 }

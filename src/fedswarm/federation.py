@@ -35,8 +35,6 @@ N = 1 on the pooled data.
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -44,7 +42,8 @@ from itertools import accumulate
 import numpy as np
 
 from .costs import LinkModel, message_time
-from .errors import AggregationError, DimensionError, NumericError, check_budget
+from .errors import (AggregationError, DimensionError, NumericError, _is_finite, _is_int,
+                     check_budget)
 from .losses import LossConfig, Minibatch, StepSpace, check_view, sgd_step, total_loss
 from .model import _size
 from .tensor import _SCAN_BLOCK
@@ -126,17 +125,20 @@ def fedavg(heads, weights=None, node_ids=None) -> np.ndarray:
     Accumulates in float64 and divides once, so averaging identical
     vectors returns them bit-exactly and reordering contributions (with
     their ids) cannot change the result. Weights must be finite real
-    numbers and ids integers; neither is coerced.
+    numbers and ids 64-bit integers; neither is coerced.
     """
     vecs = list(heads)
     if not vecs:
         raise AggregationError("nothing to aggregate")
-    weights = [1.0] * len(vecs) if weights is None else [_weight(w) for w in weights]
+    weights = [1.0] * len(vecs) if weights is None else list(weights)
     node_ids = list(range(len(vecs))) if node_ids is None else list(node_ids)
-    for n in node_ids:  # nothing is coerced: a float or a bool is no id
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise AggregationError(f"node ids must be integers, got {n!r}")
-    node_ids = [int(n) for n in node_ids]
+    for w in weights:  # nothing is coerced: a bool, a string or a NaN is no weight
+        if not _is_finite(w):
+            raise AggregationError(f"aggregation weights must be finite real numbers, got {w!r}")
+    for n in node_ids:  # and a float or a bool is no id
+        if not _is_int(n):
+            raise AggregationError(f"node ids must be 64-bit integers, got {n!r}")
+    weights, node_ids = [float(w) for w in weights], [int(n) for n in node_ids]
     if len(weights) != len(vecs) or len(node_ids) != len(vecs):
         raise AggregationError(
             f"{len(vecs)} vectors, {len(weights)} weights, {len(node_ids)} ids"
@@ -159,17 +161,6 @@ def fedavg(heads, weights=None, node_ids=None) -> np.ndarray:
     if not np.isfinite(mean).all():
         raise NumericError("non-finite values in the averaged parameters")
     return mean
-
-
-def _weight(w) -> float:
-    """``w`` as a float; AggregationError naming it unless it is a finite
-    real number (a bool, a string or a NaN is not)."""
-    try:
-        if not isinstance(w, bool) and isinstance(w, numbers.Real) and math.isfinite(w):
-            return float(w)
-    except OverflowError:  # an int past float's range
-        pass
-    raise AggregationError(f"aggregation weights must be finite real numbers, got {w!r}")
 
 
 def sync_round(heads, net: SimNetwork) -> tuple:
@@ -198,8 +189,8 @@ def sync_round(heads, net: SimNetwork) -> tuple:
 
 def _count(value, what: str) -> int:
     """``value`` as a nonnegative int; AggregationError naming it when it
-    is not an integral number (a bool is not one) or is negative."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+    is not a 64-bit integer (a bool is not one) or is negative."""
+    if not _is_int(value) or value < 0:
         raise AggregationError(f"{what} must be a nonnegative integer, got {value!r}")
     return int(value)
 

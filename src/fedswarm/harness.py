@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .costs import calibrated_uwb_link, cost_block
-from .errors import (ConfigError, EvaluationError, NumericError, PlanError, _is_int,
-                     check_budget, check_fields, json_key)
+from .errors import (ConfigError, EvaluationError, NumericError, PlanError, _is_finite,
+                     _is_int, _plain, check_budget, check_fields, json_key)
 from . import federation
 from .federation import SimNetwork, _lockstep_bytes, run_session, write_trace
 from .losses import ClassPartition, LossConfig
@@ -253,8 +253,7 @@ def _host_price(cfg: ExperimentConfig, plan, splits=None) -> dict:
         classes = splits[0].classes
         counts = np.bincount(classes[(classes >= 0) & (classes < k)], minlength=k)
         t0 = int(counts[:base].sum())
-        # node i of session t learns every n-th of its classes from the i-th on
-        views = [(t, Counter(counts[plan.session_classes(t)].reshape(per, n).sum(0).tolist()))
+        views = [(t, Counter(int(counts[list(plan.node_classes(t, i))].sum()) for i in range(n)))
                  for t in range(1, last + 1)]
     dims = lambda classes: (fd, cfg.head.hidden, classes)  # noqa: E731
     rounds, p = cfg.train.rounds_per_session, _size(dims(k))
@@ -347,8 +346,9 @@ class MetricsReport:
 
     EvaluationError unless ``strategy`` is a string and ``sessions`` a
     list of mappings, one per session from 0 on, each with an integer
-    ``session`` and accuracies that are numbers in [0, 1]; a parsed
-    report and a report built in code get the same checks."""
+    ``session`` and accuracies that are finite numbers in [0, 1], a
+    numpy one stored as the Python number it equals; a parsed report and
+    a report built in code get the same checks."""
 
     seed: int
     strategy: str
@@ -369,22 +369,17 @@ class MetricsReport:
                 raise EvaluationError(f"sessions[{i}] needs an integer 'session'")
             if s["session"] != i:
                 raise EvaluationError("sessions must be consecutive from 0")
+            s["session"] = i
             for key in ("accuracy_seen", "accuracy_base"):
                 v = s.get(key)
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise EvaluationError(f"sessions[{i}].{key} must be a number, got {v!r}")
+                if not _is_finite(v):
+                    raise EvaluationError(f"sessions[{i}].{key} must be finite, got {v!r}")
                 if not 0.0 <= v <= 1.0:
                     raise EvaluationError(f"{key}={v} outside [0, 1]")
+                s[key] = _plain(v)
 
     def final_accuracy(self) -> float:
         return self.sessions[-1]["accuracy_seen"]
-
-
-def _central_epochs(head, view, cfg: LossConfig, epochs: int, part, rng):
-    """Central training (T0, joint): local epochs of one node on pooled data."""
-    # looked up at call time, so a wrapper on federation (a tracer) sees it
-    (head,), _ = federation.local_epoch([head], [view], [part], cfg, rng, epochs)
-    return head
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -437,8 +432,9 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
     base_part = ClassPartition(frozenset(), frozenset(base))
     head = init_head(backbone.feature_dim, cfg.head.hidden, len(base), rng_head, cfg.head.init_sigma)
     rows = np.isin(train.classes, base)
-    head = _central_epochs(head, (train_f[rows], train.classes[rows]), ce_cfg,
-                           cfg.train.t0_epochs, base_part, rng_t0)
+    # looked up on federation at call time, so a wrapper there (a tracer) sees it
+    (head,), _ = federation.local_epoch([head], [(train_f[rows], train.classes[rows])],
+                                        [base_part], ce_cfg, rng_t0, cfg.train.t0_epochs)
 
     scored = []  # head, seen, truth, hits of the last scoring
 
@@ -452,13 +448,14 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
         return scored[2:]
 
     def scores(h, seen) -> dict:
-        # the base and per-class rates narrow the scored samples, never
-        # the argmax (the usual forgetting measurement)
+        # the base and per-class rates narrow the scored samples, never the
+        # argmax (the usual forgetting measurement); seen is 0..len(seen) - 1
         truth, hits = hits_of(h, seen)
+        rows, right = (np.bincount(t, minlength=len(seen)).tolist() for t in (truth, truth[hits]))
         return {
             "accuracy_seen": accuracy(hits),
             "accuracy_base": accuracy(hits[np.isin(truth, base)]),
-            "accuracy_per_class": {str(c): accuracy(hits[truth == c]) for c in seen},
+            "accuracy_per_class": {str(c): right[c] / rows[c] for c in seen},
         }
 
     sessions = [{"session": 0, "seen_classes": base, "new_classes": base, "rounds": [],
@@ -482,8 +479,8 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
             rows = np.isin(train.classes, seen)
             epochs = cfg.train.rounds_per_session * cfg.loss.local_epochs_per_round
             part = ClassPartition(frozenset(), frozenset(seen))
-            head = _central_epochs(head, (train_f[rows], train.classes[rows]), ce_cfg, epochs,
-                                   part, rng_joint)
+            (head,), _ = federation.local_epoch([head], [(train_f[rows], train.classes[rows])],
+                                                [part], ce_cfg, rng_joint, epochs)
         else:
             masks = [node_train_view(train, plan, t, n) for n in range(plan.num_nodes)]
             views = [(train_f[m], train.classes[m]) for m in masks]

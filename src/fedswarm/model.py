@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, RegistryError
+from .errors import DimensionError, NumericError, RegistryError, _is_int
 from .tensor import _SCAN_BLOCK, Fold
 
 _ZERO = np.float32(0.0)
@@ -48,19 +47,21 @@ class TrainableHead:
     (c_feat, c_out, num_classes); conv_w, conv_b, cls_w and cls_b are
     views of ``params``, with the stack's node axis leading. The
     constructor is the only way to build a head, and it checks what it
-    is given: three integer dims, each at least 1, a last axis of the
-    parameter count (a shape compare, so building a head stays cheap)
-    and finite values. It keeps a float32 array uncopied and makes it
-    read-only, so the caller hands the array over. The training loop itself steps bare
-    (N, P) rows and builds a head per trained node when a round ends.
+    is given: three 64-bit integer dims of at least 1 (stored as Python
+    ints), a last axis of the parameter count (a shape compare, so
+    building a head stays cheap) and finite values. It keeps a float32
+    array uncopied and makes it read-only, so the caller hands the array
+    over. The training loop itself steps bare (N, P) rows and builds a
+    head per trained node when a round ends.
     """
 
     __slots__ = ("params", "c_feat", "c_out", "num_classes")
 
     def __init__(self, params, dims: tuple):
         params = np.asarray(params, np.float32)
-        if len(dims) != 3 or not all(isinstance(d, Integral) and d >= 1 for d in dims):
-            raise DimensionError(f"head dims {dims!r} must be three integers, each at least 1")
+        if len(dims) != 3 or not all(_is_int(d) and d >= 1 for d in dims):
+            raise DimensionError(f"head dims {dims!r} must be three 64-bit integers >= 1")
+        dims = tuple(map(int, dims))
         size = _size(dims)
         if params.shape[-1:] != (size,) or params.ndim > 2:
             raise DimensionError(f"flat parameters of shape {params.shape}, head needs ({size},)")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy._core.umath import clip as _clip  # np.clip without its Python wrapper
 
-from .errors import DimensionError, NumericError
+from .errors import DimensionError, NumericError, _is_finite, check_fields
 from .tensor import Fold
 
 __all__ = [
@@ -54,8 +54,9 @@ class QuantParams:
     zero_point: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise NumericError(f"scale must be a positive finite float, got {self.scale}")
+        check_fields(self, NumericError)
+        if not self.scale > 0:
+            raise NumericError(f"scale must be positive, got {self.scale}")
         if not INT8_MIN <= self.zero_point <= INT8_MAX:
             raise NumericError(f"zero_point out of int8 range: {self.zero_point}")
 
@@ -141,8 +142,9 @@ class QuantLayer:
         object.__setattr__(self, "bias", b)
         for name in ("weight_scale", "out_scale"):
             s = getattr(self, name)
-            if not (np.isfinite(s) and s > 0):
-                raise NumericError(f"{name} must be positive and finite, got {s}")
+            if not (_is_finite(s) and s > 0):
+                raise NumericError(f"{name} must be positive and finite, got {s!r}")
+        check_fields(self, NumericError)  # stores a numpy scale as the Python number
 
     @property
     def c_out(self) -> int:

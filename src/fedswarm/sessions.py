@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import errno
 import math
-import numbers
 import os
 import stat
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (DimensionError, EvaluationError, NumericError, PlanError, _is_int,
-                     check_budget)
+                     check_budget, check_fields)
 from .model import TrainableHead, head_logits
 from .quant import QuantParams, QuantTensor, backbone_forward
 
@@ -68,11 +67,7 @@ class SessionPlan:
     classes_per_session_per_node: int
 
     def __post_init__(self):
-        for f in fields(self):  # nothing is coerced: a float or a bool is no count
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise PlanError(f"{f.name} must be an integer, got {v!r}")
-            object.__setattr__(self, f.name, int(v))
+        check_fields(self, PlanError)  # nothing is coerced: a float or a bool is no count
         k, per = self.num_classes, self.classes_per_session_per_node
         if k < 1 or self.num_nodes < 1 or per < 1:
             raise PlanError("num_classes, num_nodes and per-node count must be positive")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .quant import QuantParams, QuantTensor, quantize
 from .sessions import LabeledDataset
 
@@ -24,7 +24,7 @@ _DRAW_BLOCK = 1 << 13
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Cluster geometry and counts for a generated dataset."""
+    """Cluster geometry and counts for a generated dataset, checked as a config is."""
 
     num_classes: int
     train_per_class: int = 28
@@ -36,7 +36,7 @@ class SyntheticSpec:
     input_zero_point: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
+        check_fields(self)
         if self.num_classes < 1:
             raise ConfigError(f"num_classes must be positive, got {self.num_classes}")
         if self.train_per_class < 1 or self.test_per_class < 1:

@@ -83,9 +83,14 @@ def test_make_plan_infeasible():
     ((True, 1, 1), "num_classes"),
     ((10, 3, 4, True), "classes_per_session_per_node"),
     ((10, 3, np.float32(4)), "base_count"),
+    # numpy's integers are counts, as Python's are, and neither past 64 bits
+    ((2**70, 1, 2**70), "num_classes"),
+    ((10, 3, 4, -(2**63) - 1), "classes_per_session_per_node"),
+    ((10, np.uint64(2**63), 4), "num_nodes"),
+    ((10, 3, np.bool_(True)), "base_count"),
 ])
 def test_make_plan_refuses_counts_that_are_not_integers(counts, name):
-    with pytest.raises(PlanError, match=f"^{name} must be an integer"):
+    with pytest.raises(PlanError, match=f"^{name} must be a 64-bit integer"):
         make_plan(*counts)
 
 

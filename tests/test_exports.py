@@ -119,6 +119,8 @@ def test_retired_names_are_gone():
         assert not hasattr(fedswarm.ExperimentConfig, name), name
     for module in (fedswarm, fedswarm.harness, fedswarm.federation):
         assert not hasattr(module, "_table_bytes"), module.__name__
+    # central training calls federation.local_epoch itself
+    assert not hasattr(fedswarm.harness, "_central_epochs")
     # tests compare heads, splits and int8 tensors field by field
     for cls in (fedswarm.TrainableHead, fedswarm.LabeledDataset, fedswarm.QuantTensor):
         assert cls.__eq__ is object.__eq__, cls.__name__
@@ -170,6 +172,40 @@ def test_unused_import_guard_catches_leftovers():
              "__all__ = ['PlanError']\nx = math.pi\n"
     assert unused_imports(source) == ["RegistryError (line 3)", "hashlib (line 1)"]
     assert unused_imports("import struct  # noqa: F401\n") == []
+
+
+def number_rules(source: str) -> list:
+    """Lines of ``source`` that decide for themselves what a number is:
+    an import of ``numbers``, or an ``isinstance`` call that names
+    ``bool``. ``errors._is_int`` and ``errors._is_finite`` decide it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            names = [n.id for arg in node.args[1:] for n in ast.walk(arg)
+                     if isinstance(n, ast.Name)]
+            names = ["isinstance(..., bool)"] if "bool" in names else []
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name in ("numbers", "isinstance(..., bool)")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in (ROOT / "src" / "fedswarm").glob("*.py")
+                                         if p.name != "errors.py"), ids=lambda p: p.name)
+def test_only_errors_decides_what_a_number_is(path):
+    assert not number_rules(path.read_text())
+
+
+def test_number_rule_guard_catches_leftovers():
+    source = ("import numbers\nfrom numbers import Integral\nimport math\n"
+              "ok = isinstance(v, (int, float))\nbad = isinstance(v, (bool, int))\n")
+    assert number_rules(source) == ["numbers (line 1)", "numbers (line 2)",
+                                    "isinstance(..., bool) (line 5)"]
 
 
 def _perfbench(monkeypatch, *names):

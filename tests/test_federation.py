@@ -77,7 +77,7 @@ def test_fedavg_input_validation():
                 10**400):
         with pytest.raises(AggregationError, match=re.escape(repr(bad)[:20])):
             fedavg(pair, weights=[bad, 3])
-    for bad in (0.5, 1.0, True, np.float64(2.0), "1"):
+    for bad in (0.5, 1.0, True, np.float64(2.0), "1", 2**70, np.uint64(2**64 - 1)):
         with pytest.raises(AggregationError, match=re.escape(repr(bad))):
             fedavg(pair, node_ids=[bad, 7])
     # numpy scalars are numbers
@@ -416,7 +416,8 @@ def test_chunked_lockstep_local_epoch_equals_nodes_one_by_one(case):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("epochs", [-1, 2.5, "3", None, True, np.float64(2.0)])
+@pytest.mark.parametrize("epochs", [-1, 2.5, "3", None, True, np.float64(2.0),
+                                    2**63, np.bool_(False), np.int64(-1)])
 def test_local_epoch_rejects_bad_epoch_counts(epochs):
     views, parts = _views(2, 3)
     rng = np.random.default_rng(0)

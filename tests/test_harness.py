@@ -262,6 +262,53 @@ def test_config_rejects_mistyped_values(bad):
         fs.config_from_dict(d)
 
 
+def _report_row(**row):
+    """The sessions of a one-session report built from ``row``."""
+    row = {"session": 0, "accuracy_seen": 1.0, "accuracy_base": 1.0, **row}
+    return fs.MetricsReport(0, "naive", {}, [row], {}).sessions
+
+
+# (what is built, the error it maps to, or what it holds, compared by repr
+# so that a numpy number does not pass for the Python one it equals)
+NUMBERS = {
+    # numpy numbers are taken and stored as the Python numbers they equal;
+    # a Python int in a float field stays an int
+    "numpy_seed": (lambda: fs.config_to_dict(fs.default_config(seed=np.int64(3)))["seed"], 3),
+    "numpy_float32_lr": (lambda: fs.LossConfig(lr=np.float32(0.1)).lr, float(np.float32(0.1))),
+    "numpy_float64_lr": (lambda: fs.LossConfig(lr=np.float64(0.1)).lr, 0.1),
+    "numpy_int_mu": (lambda: fs.LossConfig(mu=np.int64(2)).mu, 2),
+    "int_mu_echo": (lambda: fs.config_to_dict(fs.config_from_dict({"loss": {"mu": 2}}))["loss"]
+                    ["mu"], 2),
+    "numpy_shape": (lambda: fs.SyntheticSpec(2, input_shape=[np.int8(4), 3, 3]).input_shape,
+                    (4, 3, 3)),
+    "numpy_report_row": (lambda: _report_row(session=np.int64(0), accuracy_seen=np.float32(0.5)),
+                         [{"session": 0, "accuracy_seen": 0.5, "accuracy_base": 1.0}]),
+    # bools, fractions and strings are no integers, and nothing is truncated
+    "spec_bool_classes": (lambda: fs.SyntheticSpec(num_classes=True), fs.ConfigError),
+    "spec_fraction_count": (lambda: fs.SyntheticSpec(3, train_per_class=2.5), fs.ConfigError),
+    "spec_string_classes": (lambda: fs.SyntheticSpec(num_classes="3"), fs.ConfigError),
+    "spec_fraction_shape": (lambda: fs.SyntheticSpec(3, input_shape=(4, 3.5, 3)), fs.ConfigError),
+    "numpy_bool_seed": (lambda: fs.default_config(seed=np.bool_(True)), fs.ConfigError),
+    "seed_past_64_bits": (lambda: fs.default_config(seed=np.uint64(2**63)), fs.ConfigError),
+    "numpy_nan_lr": (lambda: fs.LossConfig(lr=np.float32("nan")), fs.ConfigError),
+    "numpy_bool_accuracy": (lambda: _report_row(accuracy_base=np.bool_(True)),
+                            fs.EvaluationError),
+    "numpy_nan_accuracy": (lambda: _report_row(accuracy_seen=np.float64("nan")),
+                           fs.EvaluationError),
+    "session_past_64_bits": (lambda: _report_row(session=2**64), fs.EvaluationError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMBERS))
+def test_config_spec_and_report_numbers_follow_the_two_rules(case):
+    build, expected = NUMBERS[case]
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            build()
+    else:
+        assert repr(build()) == repr(expected)
+
+
 def test_default_config_is_desk_scale():
     cfg = fs.default_config()
     assert cfg.plan.num_classes == 10
@@ -932,6 +979,17 @@ def warm_runs(tmp_path_factory):
 @given(case=_small_runs())
 @example(case=({}, False))  # the desk default
 @example(case=({"plan": {"num_classes": 36, "num_nodes": 8, "base_count": 4}}, False))  # swarm
+# allocations in chunks: T0 steps of 112 rows x 1276 parameters and a
+# 16-node lockstep each pass tensor._SCAN_BLOCK, and 40 rows of 4x8x8
+# frames are two draws of 32 rows
+@example(case=({"loss": {"batch_size": 128, "local_epochs_per_round": 1},
+                "train": {"t0_epochs": 2, "rounds_per_session": 1}}, False))
+@example(case=({"plan": {"num_classes": 36, "num_nodes": 16, "base_count": 4},
+                "loss": {"batch_size": 8, "local_epochs_per_round": 1},
+                "train": {"t0_epochs": 2, "rounds_per_session": 1}}, False))
+@example(case=({"data": {"input_shape": [4, 8, 8], "train_per_class": 40},
+                "loss": {"local_epochs_per_round": 1},
+                "train": {"t0_epochs": 2, "rounds_per_session": 1}}, False))
 def test_run_peak_stays_within_its_price(tmp_path_factory, warm_runs, case):
     # tracemalloc sees numpy's buffers as well as Python's objects
     d, manifest = case
@@ -1264,6 +1322,33 @@ def test_every_step_calls_total_loss_and_sgd_step_once(monkeypatch, strategy):
         monkeypatch.setattr(fs.federation, name, counting(name, getattr(fs.federation, name)))
     fs.run_experiment(fs.default_config(strategy))
     assert (counts["total_loss"], counts["sgd_step"], counts["samples"]) == _DESK_STEPS[strategy]
+
+
+def test_per_class_accuracy_matches_a_mask_per_class(monkeypatch):
+    # accuracy_per_class counts each session's one prediction vector by
+    # class; the reference narrows it with one mask per seen class
+    scored = []  # (seen, predictions) of every scoring pass, in order
+    kernel = harness.predict
+
+    def recorded(head, features, seen):
+        scored.append((list(seen), kernel(head, features, seen)))
+        return scored[-1][1]
+
+    monkeypatch.setattr(harness, "predict", recorded)
+    cfg = _small_config(plan=fs.PlanSpec(num_classes=52, num_nodes=4, base_count=4),
+                        train=fs.TrainSpec(t0_epochs=2, rounds_per_session=1),
+                        data=fs.DataSpec(input_shape=(3, 2, 2), train_per_class=2,
+                                         test_per_class=3))
+    report = fs.run_experiment(cfg)
+    test = fs.load_dataset(cfg)[1]
+    assert len(report.sessions) == 13
+    for row in report.sessions:
+        seen = row["seen_classes"]
+        pred = [p for s, p in scored if s == seen][-1]  # the pass the row reports
+        truth = test.classes[np.isin(test.classes, seen)]
+        hits = pred == truth
+        assert row["accuracy_per_class"] == {str(c): fs.accuracy(hits[truth == c]) for c in seen}
+        assert row["accuracy_seen"] == fs.accuracy(hits)
 
 
 def test_central_training_goes_through_federation_local_epoch(monkeypatch):

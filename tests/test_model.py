@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fedswarm.model
@@ -74,9 +74,9 @@ def _constructor_cases(draw):
     params = rng.standard_normal(lead + (size,)).astype(np.float32)
     if kind == "deep":
         params = params[None, None]
-    if kind == "dims":  # a dim below 1 or not an integer, or not three dims
+    if kind == "dims":  # a dim below 1, not a 64-bit integer, or not three dims
         i = draw(st.integers(0, 2))
-        bad = draw(st.sampled_from([-2, -1, 0, float(dims[i]), None]))
+        bad = draw(st.sampled_from([-2, -1, 0, float(dims[i]), True, 2**64, None]))
         dims = dims[:i] + dims[i + 1 :] if bad is None else dims[:i] + (bad,) + dims[i + 1 :]
     bad_tensor = None
     if kind == "nonfinite":
@@ -89,13 +89,16 @@ def _constructor_cases(draw):
 
 
 @given(_constructor_cases())
+@example(case=(np.zeros(3, np.float32), (True, 1, 1), "dims", None))
+@example(case=(np.zeros(_size((2, 3, 4)), np.float32), (np.int64(2), np.uint8(3), np.int32(4)),
+               "ok", None))
 def test_constructor_checks_what_it_is_given(case):
     params, dims, kind, bad_tensor = case
     if kind in ("short", "long", "deep"):
         with pytest.raises(DimensionError, match=rf"head needs \({_size(dims)},\)"):
             TrainableHead(params, dims)
     elif kind == "dims":
-        with pytest.raises(DimensionError, match="must be three integers"):
+        with pytest.raises(DimensionError, match="must be three 64-bit integers >= 1"):
             TrainableHead(params, dims)
     elif kind == "nonfinite":
         with pytest.raises(NumericError, match=f"non-finite values in {bad_tensor}$"):
@@ -105,6 +108,7 @@ def test_constructor_checks_what_it_is_given(case):
         # a float32 array is handed over: kept uncopied and made read-only
         assert h.params is params and not params.flags.writeable
         assert h.dims == dims and h.parameter_count == _size(dims)
+        assert all(type(d) is int for d in h.dims)  # numpy dims are stored as Python ints
         assert h.cls_b.shape == params.shape[:-1] + (dims[2],)
 
 

@@ -66,6 +66,39 @@ def test_quant_params_validation():
         QuantParams(0.1, 200)
 
 
+def _quant_params(scale, zero_point=0) -> tuple:
+    qp = QuantParams(scale, zero_point)
+    return qp.scale, qp.zero_point
+
+
+def _layer_scales(weight_scale, out_scale) -> tuple:
+    layer = QuantLayer(np.zeros((1, 1), np.int8), np.zeros(1, np.int32), weight_scale, out_scale)
+    return layer.weight_scale, layer.out_scale
+
+
+@pytest.mark.parametrize("build, args, expected", [
+    (_quant_params, (0.05, 1.5), NumericError),
+    (_quant_params, (0.05, True), NumericError),
+    (_quant_params, (0.05, np.int64(128)), NumericError),
+    (_quant_params, ("x",), NumericError),
+    (_quant_params, (np.bool_(True),), NumericError),
+    (_quant_params, (10**400,), NumericError),
+    (_layer_scales, ("a", 1.0), NumericError),
+    (_layer_scales, (1.0, np.float32("inf")), NumericError),
+    # numpy numbers are stored as the Python numbers they equal
+    (_quant_params, (np.float32(0.5), np.int8(-3)), (0.5, -3)),
+    (_layer_scales, (np.float64(0.25), 2), (0.25, 2)),
+])
+def test_scales_and_zero_points_follow_the_two_rules(build, args, expected):
+    # a scale is a finite real and a zero point a 64-bit integer, never a
+    # bool: anything else is a NumericError, not a TypeError or a truncation
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            build(*args)
+    else:
+        assert repr(build(*args)) == repr(expected)
+
+
 def test_dequantize_values():
     assert dequantize(_q([0.0], 0.1))[0] == 0.0
     assert abs(dequantize(_q([0.3], 0.1))[0] - 0.3) < 1e-7
