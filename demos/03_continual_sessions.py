@@ -39,7 +39,7 @@ for t in (1, 2):
 head = init_head(c_feat=48, c_out=24, num_classes=4, rng=rng)
 feats = rng.standard_normal(48).astype(np.float32)
 before = head_logits(head, feats)
-grown = expand_classifier(head, plan.session_classes(1))
+grown = expand_classifier(head, len(plan.session_classes(1)))
 after = head_logits(grown, feats)
 print(f"logits before       : {np.round(before, 4)}")
 print(f"logits after expand : {np.round(after, 4)}")

@@ -34,6 +34,7 @@ from .model import _shape_head, _size, expand_classifier, init_head
 from .quant import INT8_MAX, INT8_MIN, _backbone_bytes, _check_acc_bound, build_backbone
 from .sessions import (
     _MANIFEST_NAME,
+    _head_rows,
     _split_bytes,
     accuracy,
     make_plan,
@@ -436,21 +437,23 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
     (head,), _ = federation.local_epoch([head], [(train_f[rows], train.classes[rows])],
                                         [base_part], ce_cfg, rng_t0, cfg.train.t0_epochs)
 
-    scored = []  # head, seen, truth, hits of the last scoring
+    scored = []  # head, truth, hits of the last scoring
 
-    def hits_of(h, seen) -> list:
-        # one prediction vector over the seen classes' test samples; a session's
-        # last round scores the head its row reports, so the row reuses that pass
-        if not (scored and scored[0] is h and scored[1] == seen):
-            rows = np.isin(test.classes, seen)
+    def hits_of(h) -> list:
+        # one prediction vector over the test samples of the head's classes; a
+        # session's last round scores the head its row reports, so the row
+        # reuses that pass
+        if not (scored and scored[0] is h):
+            rows = _head_rows(h, test.classes)
             truth = test.classes[rows]
-            scored[:] = h, seen, truth, predict(h, test_f[rows], seen) == truth
-        return scored[2:]
+            scored[:] = h, truth, predict(h, test_f[rows]) == truth
+        return scored[1:]
 
-    def scores(h, seen) -> dict:
+    def scores(h) -> dict:
         # the base and per-class rates narrow the scored samples, never the
-        # argmax (the usual forgetting measurement); seen is 0..len(seen) - 1
-        truth, hits = hits_of(h, seen)
+        # argmax (the usual forgetting measurement)
+        truth, hits = hits_of(h)
+        seen = range(h.num_classes)
         rows, right = (np.bincount(t, minlength=len(seen)).tolist() for t in (truth, truth[hits]))
         return {
             "accuracy_seen": accuracy(hits),
@@ -459,7 +462,7 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
         }
 
     sessions = [{"session": 0, "seen_classes": base, "new_classes": base, "rounds": [],
-                 **scores(head, base)}]
+                 **scores(head)}]
 
     link = calibrated_uwb_link(cfg.cost.calibration_bytes, cfg.cost.calibration_seconds)
     net = SimNetwork(link)
@@ -473,7 +476,7 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
         new_ids = plan.session_classes(t)
         seen = plan.seen_through(t)
         old = plan.seen_through(t - 1)
-        head = expand_classifier(head, new_ids)
+        head = expand_classifier(head, len(new_ids))
         trace = []
         if cfg.strategy == "joint":
             rows = np.isin(train.classes, seen)
@@ -488,10 +491,10 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
                      for n in range(plan.num_nodes)]
             head, trace = run_session(
                 head, net, cfg.train.rounds_per_session, views, parts, fed_cfg,
-                rng_fed, evaluator=lambda h: accuracy(hits_of(h, seen)[1]),
+                rng_fed, evaluator=lambda h: accuracy(hits_of(h)[1]),
             )
         sessions.append({"session": t, "seen_classes": seen, "new_classes": new_ids,
-                         "rounds": trace, **scores(head, seen)})
+                         "rounds": trace, **scores(head)})
 
     cost = {**cost_block(head, link, plan.num_nodes, cfg.loss.batch_size),
             "total_comm_s": net.clock_s}

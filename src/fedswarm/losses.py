@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, RegistryError, check_fields
+from .errors import ConfigError, DimensionError, RegistryError, _is_int, check_fields
 from .model import TrainableHead, _Forward, _parts, _weight_views
 from .tensor import _SCAN_BLOCK, Fold
 
@@ -101,8 +101,11 @@ class ClassPartition:
     new_classes: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "old_classes", frozenset(int(c) for c in self.old_classes))
-        object.__setattr__(self, "new_classes", frozenset(int(c) for c in self.new_classes))
+        for name in ("old_classes", "new_classes"):
+            ids = getattr(self, name)
+            if not all(map(_is_int, ids)):
+                raise RegistryError(f"{name} {ids!r} must be 64-bit integer class ids")
+            object.__setattr__(self, name, frozenset(map(int, ids)))
         overlap = self.old_classes & self.new_classes
         if overlap:
             raise RegistryError(f"classes in both partitions: {sorted(overlap)}")

@@ -42,17 +42,15 @@ __all__ = [
 class TrainableHead:
     """The float32 trainable parameters: conv + expandable classifier.
 
-    ``params`` is one read-only vector in ``_parts``'s layout, or an
-    (N, P) stack of N heads of one architecture, and ``dims`` is
-    (c_feat, c_out, num_classes); conv_w, conv_b, cls_w and cls_b are
-    views of ``params``, with the stack's node axis leading. The
-    constructor is the only way to build a head, and it checks what it
-    is given: three 64-bit integer dims of at least 1 (stored as Python
-    ints), a last axis of the parameter count (a shape compare, so
-    building a head stays cheap) and finite values. It keeps a float32
-    array uncopied and makes it read-only, so the caller hands the array
-    over. The training loop itself steps bare (N, P) rows and builds a
-    head per trained node when a round ends.
+    ``params`` is one read-only (P,) vector in ``_parts``'s layout and
+    ``dims`` is (c_feat, c_out, num_classes); conv_w, conv_b, cls_w and
+    cls_b are views of ``params``. The constructor is the only way to
+    build a head, and it checks what it is given: three 64-bit integer
+    dims of at least 1 (stored as Python ints), a shape of (P,) (a shape
+    compare, so building a head stays cheap) and finite values. It keeps
+    a float32 array uncopied and makes it read-only, so the caller hands
+    the array over. The training loop itself steps bare (N, P) rows and
+    builds a head per trained node when a round ends.
     """
 
     __slots__ = ("params", "c_feat", "c_out", "num_classes")
@@ -63,7 +61,7 @@ class TrainableHead:
             raise DimensionError(f"head dims {dims!r} must be three 64-bit integers >= 1")
         dims = tuple(map(int, dims))
         size = _size(dims)
-        if params.shape[-1:] != (size,) or params.ndim > 2:
+        if params.shape != (size,):
             raise DimensionError(f"flat parameters of shape {params.shape}, head needs ({size},)")
         if not np.isfinite(params).all():
             for name, t in zip(_PARTS, _parts(params, dims)):
@@ -74,11 +72,11 @@ class TrainableHead:
         self.c_feat, self.c_out, self.num_classes = dims
 
     def with_params(self, params: np.ndarray) -> "TrainableHead":
-        """A head of this architecture over ``params``, (P,) or (N, P)."""
+        """A head of this architecture over the (P,) vector ``params``."""
         return TrainableHead(params, self.dims)
 
     dims = property(lambda h: (h.c_feat, h.c_out, h.num_classes))
-    parameter_count = property(lambda h: h.params.shape[-1])
+    parameter_count = property(lambda h: h.params.size)
     conv_w = property(lambda h: _parts(h.params, h.dims)[0])
     conv_b = property(lambda h: _parts(h.params, h.dims)[1])
     cls_w = property(lambda h: _parts(h.params, h.dims)[2])
@@ -211,24 +209,15 @@ def head_logits(head: TrainableHead, features) -> np.ndarray:
     return out.reshape(f.shape[:-1] + (head.num_classes,))
 
 
-def expand_classifier(h: TrainableHead, new_class_ids) -> TrainableHead:
-    """Append a zero row and bias entry per new class; old rows untouched.
-
-    New ids must continue the head's class ids: exactly
-    num_classes, num_classes+1, ...
-    """
-    ids = [int(c) for c in new_class_ids]
-    if not ids:
+def expand_classifier(h: TrainableHead, count: int) -> TrainableHead:
+    """Append ``count`` zero rows and bias entries, the classes
+    num_classes .. num_classes + count - 1; old rows untouched. A count
+    that is not a nonnegative 64-bit integer is a RegistryError."""
+    if not _is_int(count) or count < 0:
+        raise RegistryError(f"expansion count {count!r} must be a 64-bit integer >= 0")
+    if not count:
         return h
-    if len(set(ids)) != len(ids):
-        raise RegistryError(f"duplicate class ids in expansion: {sorted(ids)}")
-    expected = list(range(h.num_classes, h.num_classes + len(ids)))
-    if sorted(ids) != expected:
-        raise RegistryError(
-            f"expansion ids {sorted(ids)} must be exactly {expected} "
-            f"(head already has {h.num_classes} classes)"
-        )
-    dims = (h.c_feat, h.c_out, h.num_classes + len(ids))
+    dims = (h.c_feat, h.c_out, h.num_classes + int(count))
     params = np.zeros(_size(dims), np.float32)
     # each part grows along its leading axis at most: only cls_w and cls_b gain rows
     for new, old in zip(_parts(params, dims), _parts(h.params, h.dims)):

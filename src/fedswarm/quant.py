@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy._core.umath import clip as _clip  # np.clip without its Python wrapper
 
-from .errors import DimensionError, NumericError, _is_finite, check_fields
+from .errors import DimensionError, NumericError, _is_finite, _is_int, check_fields
 from .tensor import Fold
 
 __all__ = [
@@ -73,7 +73,10 @@ class QuantTensor:
     __slots__ = ("shape", "data", "qparams")
 
     def __init__(self, data, shape, qparams: QuantParams):
-        shape = tuple(int(s) for s in shape)
+        shape = tuple(shape)
+        if not all(map(_is_int, shape)):
+            raise DimensionError(f"shape entries must be 64-bit integers, got {shape!r}")
+        shape = tuple(map(int, shape))
         frame = shape[1:] if len(shape) == 4 else shape  # a batch may hold no frames
         if any(s < 0 for s in shape) or any(s < 1 for s in frame):
             raise DimensionError(f"shape entries must be positive, got {shape}")
@@ -340,9 +343,10 @@ def build_backbone(
     activations up to ``activation_range`` on its int8 output grid.
     Biases are zero.
     """
-    dims = [int(d) for d in layer_dims]
-    if len(dims) < 2:
-        raise DimensionError(f"need at least input and output dims, got {dims}")
+    dims = list(layer_dims)
+    if len(dims) < 2 or not all(_is_int(d) and d >= 1 for d in dims):
+        raise DimensionError(f"layer dims {dims!r} must be at least two 64-bit integers >= 1")
+    dims = list(map(int, dims))
     layers = []
     for c_in, c_out in zip(dims, dims[1:]):
         # weights past float64's range give an inf scale, which QuantLayer refuses

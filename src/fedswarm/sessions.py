@@ -203,22 +203,19 @@ def precompute_features(backbone, ds: LabeledDataset) -> np.ndarray:
     return feats
 
 
-def predict(head: TrainableHead, features, seen_classes) -> np.ndarray:
-    """Seen-class argmax of each (B, c_feat) feature row's logits, one
-    batched head pass. The lowest class id wins ties."""
-    seen = sorted(int(c) for c in seen_classes)
-    if not seen:
-        raise EvaluationError("no classes to evaluate on")
-    if max(seen) >= head.num_classes or min(seen) < 0:
-        raise EvaluationError(
-            f"seen classes {seen} exceed classifier outputs {head.num_classes}"
-        )
+def predict(head: TrainableHead, features) -> np.ndarray:
+    """Argmax over all of the head's classes of each (B, c_feat) feature
+    row's logits, one batched head pass. The lowest class id wins ties."""
     if np.ndim(features) != 2:
         raise DimensionError(f"features must be (rows, {head.c_feat}), got {np.shape(features)}")
     # rows equal the per-sample logits bit for bit
-    z = head_logits(head, features)
-    idx = np.array(seen)
-    return idx[np.argmax(z[:, idx], axis=1)]  # first max = lowest class id
+    return np.argmax(head_logits(head, features), axis=1)  # first max = lowest class id
+
+
+def _head_rows(head: TrainableHead, classes: np.ndarray) -> np.ndarray:
+    """Row mask of the classes a head scores, 0 .. num_classes - 1; a row
+    of any other id (a manifest may hold one) is never scored."""
+    return (classes >= 0) & (classes < head.num_classes)
 
 
 def accuracy(hits: np.ndarray) -> float:
@@ -229,28 +226,28 @@ def accuracy(hits: np.ndarray) -> float:
     return int(np.count_nonzero(hits)) / hits.size
 
 
-def evaluate(
-    head: TrainableHead,
-    ds_test: LabeledDataset,
-    seen_classes,
-    features,
-    sample_classes=None,
-) -> float:
-    """Accuracy of seen-class argmax over a slice of the test set, scored
+def evaluate(head: TrainableHead, ds_test: LabeledDataset, features,
+             sample_classes=None) -> float:
+    """Accuracy of the head's argmax over a slice of the test set, scored
     on the split's feature rows (``precompute_features``, one per sample).
 
-    Prediction is the highest logit among ``seen_classes`` (lowest class
-    id wins ties). By default all test samples of seen classes are
-    scored; ``sample_classes`` narrows the scored samples without
+    By default the test samples of the head's classes (``_head_rows``)
+    are scored; ``sample_classes`` narrows the scored samples without
     narrowing the argmax, which is how forgetting on early classes is
-    measured.
+    measured. A sample class that is not a 64-bit integer is an
+    EvaluationError.
     """
     features = np.asarray(features)
     if features.shape[:1] != (len(ds_test),):
         raise DimensionError(f"features {features.shape} do not match {len(ds_test)} test rows")
-    scored = seen_classes if sample_classes is None else sample_classes
-    rows = np.isin(ds_test.classes, [int(c) for c in scored])
-    return accuracy(predict(head, features[rows], seen_classes) == ds_test.classes[rows])
+    if sample_classes is None:
+        rows = _head_rows(head, ds_test.classes)
+    else:
+        scored = list(sample_classes)
+        if not all(map(_is_int, scored)):
+            raise EvaluationError(f"sample classes {scored!r} must be 64-bit integers")
+        rows = np.isin(ds_test.classes, scored)
+    return accuracy(predict(head, features[rows]) == ds_test.classes[rows])
 
 
 # -- file and manifest I/O --------------------------------------------------

@@ -59,17 +59,17 @@ class SyntheticSpec:
 def gen_synthetic(spec: SyntheticSpec, rng) -> tuple:
     """Returns (train, test) LabeledDatasets with globally unique sample ids.
 
-    ``rng`` is an integer seed or a numpy Generator. Centers are drawn
-    first (one per class), then per-sample noise in a fixed order:
-    class by class, train before test, sample ids counting up in that
-    order. Each split of a class is drawn as (rows, dim) blocks of at
-    most ``_DRAW_BLOCK`` values, each quantized in one call and written
-    into its rows of the split's frame buffer; consecutive draws of any
-    shape are the same stream as one draw per sample. The same seed
-    always yields byte-identical datasets.
+    ``rng`` is a numpy Generator, anything else a ConfigError. Centers
+    are drawn first (one per class), then per-sample noise in a fixed
+    order: class by class, train before test, sample ids counting up in
+    that order. Each split of a class is drawn as (rows, dim) blocks of
+    at most ``_DRAW_BLOCK`` values, each quantized in one call and
+    written into its rows of the split's frame buffer; consecutive draws
+    of any shape are the same stream as one draw per sample. The same
+    seed always yields byte-identical datasets.
     """
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(int(rng))
+        raise ConfigError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     k, dim, qp = spec.num_classes, math.prod(spec.input_shape), spec.qparams
     step = max(1, _DRAW_BLOCK // dim)
     counts = (spec.train_per_class, spec.test_per_class)

@@ -13,6 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedswarm import (
+    ClassPartition,
+    ConfigError,
     DimensionError,
     EvaluationError,
     FrozenBackbone,
@@ -21,6 +23,7 @@ from fedswarm import (
     QuantLayer,
     QuantParams,
     QuantTensor,
+    RegistryError,
     TrainableHead,
     build_backbone,
     evaluate,
@@ -311,7 +314,12 @@ def _identity_world(classes=4, per_class=3):
 
 def test_perfect_model_scores_one():
     bb, ds, head = _identity_world()
-    assert evaluate(head, ds, range(4), precompute_features(bb, ds)) == 1.0
+    assert evaluate(head, ds, precompute_features(bb, ds)) == 1.0
+    # rows of ids the head has no class for (-1 and 4) are not scored
+    frames = QuantTensor(np.concatenate([ds.frames.array, ds.frames.array[:2]]),
+                         (len(ds) + 2,) + ds.frames.shape[1:], ds.frames.qparams)
+    more = LabeledDataset(np.arange(len(ds) + 2), np.append(ds.classes, [-1, 4]), frames, "test")
+    assert evaluate(head, more, precompute_features(bb, more)) == 1.0
 
 
 def test_constant_predictor_scores_chance():
@@ -319,16 +327,16 @@ def test_constant_predictor_scores_chance():
     params = np.zeros(4 * 4 + 4 + 4 * 4 + 4, np.float32)
     params[-4] = 1.0  # cls_b[0]: always argmax class 0
     biased = TrainableHead(params, (4, 4, 4))
-    assert evaluate(biased, ds, range(4), precompute_features(bb, ds)) == 0.25
+    assert evaluate(biased, ds, precompute_features(bb, ds)) == 0.25
 
 
 def test_tie_break_is_lowest_class_id():
     bb, ds, _ = _identity_world()
     flat = TrainableHead(np.zeros(4 * 4 + 4 + 4 * 4 + 4, np.float32), (4, 4, 4))
-    # all logits equal: every sample is predicted as the lowest seen id
+    # all logits equal: every sample is predicted as the lowest class id
     feats = precompute_features(bb, ds)
-    assert evaluate(flat, ds, range(4), feats) == 0.25
-    assert evaluate(flat, ds, [2, 3], feats) == 0.5
+    assert evaluate(flat, ds, feats) == 0.25
+    assert predict(flat, feats).tolist() == [0] * len(ds)
 
 
 def test_evaluate_permutation_invariant():
@@ -337,15 +345,15 @@ def test_evaluate_permutation_invariant():
     p = rng.permutation(len(ds))
     frames = QuantTensor(ds.frames.array[p], ds.frames.shape, ds.frames.qparams)
     shuffled = LabeledDataset(ds.ids[p], ds.classes[p], frames, "test")
-    assert (evaluate(head, ds, range(4), precompute_features(bb, ds))
-            == evaluate(head, shuffled, range(4), precompute_features(bb, shuffled)))
+    assert (evaluate(head, ds, precompute_features(bb, ds))
+            == evaluate(head, shuffled, precompute_features(bb, shuffled)))
 
 
 def test_evaluate_narrowed_sample_classes():
     bb, ds, head = _identity_world()
-    # argmax still spans all four seen classes; only class-0 samples scored
+    # argmax still spans all four of the head's classes; only class-0 samples scored
     feats = precompute_features(bb, ds)
-    assert evaluate(head, ds, range(4), feats, sample_classes=[0]) == 1.0
+    assert evaluate(head, ds, feats, sample_classes=[0]) == 1.0
 
 
 def test_evaluate_uses_feature_cache():
@@ -362,15 +370,14 @@ def test_evaluate_matches_per_sample_argmax():
     bb = build_backbone((3, 8, 12), np.random.default_rng(5))
     head = init_head(12, 5, 6, np.random.default_rng(6), sigma=1.0)
     feats = precompute_features(bb, test)
-    for seen, scored in (([0, 1, 2, 3, 4, 5], None), ([1, 3, 4], [3]), ([0, 2], [0, 2, 5])):
-        wanted = seen if scored is None else scored
+    for scored in (None, [3], [0, 2, 5]):
+        wanted = range(6) if scored is None else scored
         hits = total = 0
         for f, c in zip(feats, test.classes.tolist()):
             if c in wanted:
-                z = head_logits(head, f)
-                hits += seen[int(np.argmax(z[seen]))] == c
+                hits += int(np.argmax(head_logits(head, f))) == c
                 total += 1
-        got = evaluate(head, test, seen, feats, sample_classes=scored)
+        got = evaluate(head, test, feats, sample_classes=scored)
         assert got == hits / total
 
 
@@ -378,25 +385,81 @@ def test_evaluate_error_cases():
     bb, ds, head = _identity_world()
     feats = precompute_features(bb, ds)
     with pytest.raises(EvaluationError):
-        evaluate(head, ds, [], feats)
-    with pytest.raises(EvaluationError):
-        evaluate(head, ds, [9], feats)  # beyond classifier outputs
-    with pytest.raises(EvaluationError):
-        evaluate(head, ds, range(4), feats, sample_classes=[17])  # nothing to score
+        evaluate(head, ds, feats, sample_classes=[17])  # nothing to score
+
+
+def _scored(sample_classes):
+    bb, ds, head = _identity_world()
+    return evaluate(head, ds, precompute_features(bb, ds), sample_classes=sample_classes)
+
+
+def _partition(old, new) -> tuple:
+    part = ClassPartition(frozenset(old), frozenset(new))
+    return part.old_classes, part.new_classes
+
+
+_QP = QuantParams(0.1)
+_SPEC = SyntheticSpec(num_classes=2, train_per_class=1, test_per_class=1)
+
+# (what is built, the error it maps to or what it holds, compared by repr
+# so that a numpy number does not pass for the Python one it equals, and
+# what the error's message ends with)
+IDS_AND_DIMS = {
+    "tensor_fraction_shape": (lambda: QuantTensor(np.zeros(4, np.int8), (2, 2.9), _QP),
+                              DimensionError),
+    "tensor_string_and_bool_shape": (
+        lambda: QuantTensor(np.zeros(4, np.int8), ("2", True, 2), _QP), DimensionError),
+    "backbone_fraction_dim": (lambda: build_backbone((3.7, 6), np.random.default_rng(0)),
+                              DimensionError),
+    "backbone_zero_dim": (lambda: build_backbone((3, 0), np.random.default_rng(0)),
+                          DimensionError),
+    "partition_fraction_id": (lambda: _partition({2.9}, {"3"}), RegistryError),
+    "partition_bool_id": (lambda: _partition({True}, ()), RegistryError),
+    "evaluate_fraction_class": (lambda: _scored([2.9]), EvaluationError),
+    "evaluate_string_class": (lambda: _scored(["0"]), EvaluationError),
+    # a seed is no Generator, and the error names what it got
+    "synthetic_int_seed": (lambda: gen_synthetic(_SPEC, 3), ConfigError, "got int$"),
+    "synthetic_fraction_seed": (lambda: gen_synthetic(_SPEC, 3.9), ConfigError, "got float$"),
+    "synthetic_numpy_seed": (lambda: gen_synthetic(_SPEC, np.int64(3)), ConfigError,
+                             "got int64$"),
+    # numpy integers are taken and stored as the Python ints they equal
+    "numpy_tensor_shape": (
+        lambda: QuantTensor(np.zeros(4, np.int8), (np.int64(2), np.uint8(2)), _QP).shape, (2, 2)),
+    "numpy_backbone_dims": (
+        lambda: [layer.weight.shape for layer in
+                 build_backbone((np.int64(3), np.int32(6)), np.random.default_rng(0)).layers],
+        [(6, 3)]),
+    "numpy_partition_ids": (lambda: _partition({np.int64(2)}, {np.uint8(3)}),
+                            (frozenset({2}), frozenset({3}))),
+    "numpy_sample_classes": (lambda: _scored([np.int64(0), np.int16(1)]), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDS_AND_DIMS))
+def test_ids_and_dims_follow_the_integer_rule(case):
+    # a shape, a layer dim, a class id or a sample class is a 64-bit
+    # integer, never a bool, fraction or string: anything else is its
+    # module's error, not a truncation
+    build, expected, *match = IDS_AND_DIMS[case]
+    if isinstance(expected, type):
+        with pytest.raises(expected, match=match[0] if match else None):
+            build()
+    else:
+        assert repr(build()) == repr(expected)
 
 
 def test_predict_and_evaluate_reject_features_that_do_not_match_the_rows():
     bb, ds, head = _identity_world()
     feats = precompute_features(bb, ds)
-    assert np.array_equal(predict(head, feats, range(4)), ds.classes)
+    assert np.array_equal(predict(head, feats), ds.classes)
     with pytest.raises(DimensionError):
-        evaluate(head, ds, range(4), feats[1:])  # a row short
+        evaluate(head, ds, feats[1:])  # a row short
     with pytest.raises(DimensionError):
-        evaluate(head, ds, range(4), feats[:, :3])
+        evaluate(head, ds, feats[:, :3])
     with pytest.raises(DimensionError):
-        predict(head, feats[0], range(4))  # one vector, not rows
+        predict(head, feats[0])  # one vector, not rows
     with pytest.raises(DimensionError):
-        predict(head, np.zeros((len(ds), 5), np.float32), range(4))  # rows wider than the head
+        predict(head, np.zeros((len(ds), 5), np.float32))  # rows wider than the head
 
 
 # -- manifest I/O -----------------------------------------------------------------

@@ -415,6 +415,31 @@ def test_manifest_runs_match_synthetic_runs(tmp_path):
     assert a.sessions == b.sessions  # data stream does not perturb training
 
 
+def test_manifest_rows_outside_the_plan_are_never_scored(tmp_path):
+    # the desk-default data as a manifest plus train and test rows of
+    # class -1 and class 10 (the plan has 0..9): no view, pool or score
+    # takes them, so the run's bytes are those of the synthetic data and
+    # of the manifest without them
+    for name in ("plain", "extra"):
+        fs.write_manifest(*fs.load_dataset(fs.default_config()), tmp_path / name)
+    manifest = tmp_path / "extra" / "manifest.tsv"
+    rows = [ln.split("\t") for ln in manifest.read_text().splitlines()[1:]]
+    sid = 1 + max(int(r[0]) for r in rows)
+    with manifest.open("a") as f:
+        for split in ("train", "test"):
+            first = next(r for r in rows if r[1] == split)  # its blob is shared
+            for cid in (-1, 10):
+                f.write("\t".join([str(sid), split, str(cid)] + first[3:]) + "\n")
+                sid += 1
+    assert np.isin([-1, 10], fs.read_manifest(tmp_path / "extra")[1].classes).all()
+    cfg = fs.default_config()
+    runs = [cfg] + [replace(cfg, data=replace(cfg.data, kind="manifest",
+                                              manifest_dir=str(tmp_path / name)))
+                    for name in ("plain", "extra")]
+    synthetic, plain, extra = (fs.strategy_block_bytes(fs.run_experiment(c)) for c in runs)
+    assert extra == plain == synthetic
+
+
 def test_trace_output(tmp_path):
     cfg = _small_config()
     path = tmp_path / "trace.tsv"
@@ -818,7 +843,7 @@ def test_motivating_configs_name_their_largest_term(d, term):
     _refused(d, term)
 
 
-def test_config_size_caps():
+def test_config_budget_prices_heads_and_backbones():
     # one host budget bounds heads and backbones: the defaults sit far
     # below it; a head tensor just past 2**20 elements and a batch of
     # 2**26 samples (the widest batch is a view's 28 rows) fit; a wider
@@ -859,7 +884,7 @@ def test_backbone_past_the_int32_bound_is_a_config_error(tmp_path, fits, past):
     assert res.stderr.startswith(f"config error: backbone layer {len(past) - 2} can accumulate")
 
 
-def test_config_shuffle_table_cap():
+def test_config_budget_prices_shuffle_tables():
     # T0 draws a t0_epochs x base-samples intp table: 4 classes x 32 pairs
     # is 1 KiB per epoch of the price, so the last epoch count that fits
     # the budget follows from the price at 0 epochs
@@ -914,7 +939,7 @@ def test_cli_manifest_with_the_wrong_channel_count_is_a_config_error(tmp_path, s
                           "the backbone takes 3\n")
 
 
-def test_config_data_cap():
+def test_config_budget_prices_synthetic_frames():
     # synthetic train plus test data: classes x samples x (input bytes and
     # a row's columns); 64 KiB frames make the frames the largest term
     d = fs.config_to_dict(fs.default_config())
@@ -930,7 +955,7 @@ def test_config_data_cap():
     fs.config_from_dict(d)
 
 
-def test_config_sample_cap():
+def test_config_budget_prices_each_sample():
     # tiny frames: each sample still costs its columns, feature rows and
     # training rows, so a million of them pass the budget
     d = fs.config_to_dict(fs.default_config())
@@ -1028,7 +1053,7 @@ def _read_price(data) -> tuple:
     return sessions._split_bytes(0, 0, manifest.stat().st_size), rows
 
 
-def test_manifest_data_cap(tmp_path, monkeypatch):
+def test_manifest_budget_prices_index_and_rows(tmp_path, monkeypatch):
     # the index by its size, then every row with its frame, within the budget
     _, data, _ = _manifest_dir(tmp_path)
     index, rows = _read_price(data)
@@ -1042,7 +1067,7 @@ def test_manifest_data_cap(tmp_path, monkeypatch):
         fs.read_manifest(data)
 
 
-def test_manifest_sample_cap(tmp_path, monkeypatch):
+def test_manifest_budget_prices_each_row(tmp_path, monkeypatch):
     # a row of a 12-byte frame still costs its parsed cells and columns
     _, data, _ = _manifest_dir(tmp_path)
     index, rows = _read_price(data)
@@ -1090,7 +1115,7 @@ def test_cli_manifest_with_repeated_sample_ids_is_a_runtime_error(tmp_path):
     assert f"{manifest} line 66: sample id 0 repeats line 2" in res.stderr
 
 
-def test_cli_manifest_over_the_data_cap_is_a_runtime_error(tmp_path):
+def test_cli_manifest_row_past_the_budget_is_a_runtime_error(tmp_path):
     # one row declares a frame far past the budget; its blob is never read
     cfg, data, _ = _manifest_dir(tmp_path)
     manifest = data / "manifest.tsv"
@@ -1327,11 +1352,11 @@ def test_every_step_calls_total_loss_and_sgd_step_once(monkeypatch, strategy):
 def test_per_class_accuracy_matches_a_mask_per_class(monkeypatch):
     # accuracy_per_class counts each session's one prediction vector by
     # class; the reference narrows it with one mask per seen class
-    scored = []  # (seen, predictions) of every scoring pass, in order
+    scored = []  # (head's class count, predictions) of every scoring pass, in order
     kernel = harness.predict
 
-    def recorded(head, features, seen):
-        scored.append((list(seen), kernel(head, features, seen)))
+    def recorded(head, features):
+        scored.append((head.num_classes, kernel(head, features)))
         return scored[-1][1]
 
     monkeypatch.setattr(harness, "predict", recorded)
@@ -1344,7 +1369,7 @@ def test_per_class_accuracy_matches_a_mask_per_class(monkeypatch):
     assert len(report.sessions) == 13
     for row in report.sessions:
         seen = row["seen_classes"]
-        pred = [p for s, p in scored if s == seen][-1]  # the pass the row reports
+        pred = [p for c, p in scored if c == len(seen)][-1]  # the pass the row reports
         truth = test.classes[np.isin(test.classes, seen)]
         hits = pred == truth
         assert row["accuracy_per_class"] == {str(c): fs.accuracy(hits[truth == c]) for c in seen}

@@ -63,7 +63,9 @@ def test_head_shape_validation():
 
 @st.composite
 def _constructor_cases(draw):
-    """(params, dims, the kind of case, and the tensor a non-finite value sits in)."""
+    """(params, dims, the kind of case, and the tensor a non-finite value sits in).
+
+    A ``lead`` of (1,) or (3,) makes an (N, P) stack, which no head is."""
     dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
     size = _size(dims)
     lead = draw(st.sampled_from([(), (1,), (3,)]))
@@ -94,7 +96,7 @@ def _constructor_cases(draw):
                "ok", None))
 def test_constructor_checks_what_it_is_given(case):
     params, dims, kind, bad_tensor = case
-    if kind in ("short", "long", "deep"):
+    if kind in ("short", "long", "deep") or (params.ndim > 1 and kind != "dims"):
         with pytest.raises(DimensionError, match=rf"head needs \({_size(dims)},\)"):
             TrainableHead(params, dims)
     elif kind == "dims":
@@ -109,7 +111,7 @@ def test_constructor_checks_what_it_is_given(case):
         assert h.params is params and not params.flags.writeable
         assert h.dims == dims and h.parameter_count == _size(dims)
         assert all(type(d) is int for d in h.dims)  # numpy dims are stored as Python ints
-        assert h.cls_b.shape == params.shape[:-1] + (dims[2],)
+        assert h.cls_b.shape == (dims[2],)
 
 
 @given(
@@ -189,13 +191,13 @@ def test_head_gradient_matches_finite_differences():
 
 def test_expand_by_nothing_is_identity():
     h = _zero_head()
-    assert expand_classifier(h, []) is h
+    assert expand_classifier(h, 0) is h
 
 
 def test_expand_appends_zero_rows():
     rng = np.random.default_rng(5)
     h = init_head(6, 4, 4, rng)
-    h7 = expand_classifier(h, [4, 5, 6])
+    h7 = expand_classifier(h, 3)
     assert h7.num_classes == 7
     assert np.array_equal(h7.cls_w[:4], h.cls_w)
     assert np.array_equal(h7.cls_b[:4], h.cls_b)
@@ -209,20 +211,20 @@ def test_expand_appends_zero_rows():
 def test_expand_preserves_old_logits_exactly():
     rng = np.random.default_rng(6)
     h = init_head(5, 4, 4, rng)
-    h6 = expand_classifier(h, [4, 5])
+    h6 = expand_classifier(h, 2)
     for _ in range(10):
         f = rng.standard_normal(5).astype(np.float32)
         assert np.array_equal(head_logits(h6, f)[:4], head_logits(h, f))
 
 
 def test_expand_rejects_bad_ids():
+    # a count names the new ids, num_classes onward: anything but a
+    # nonnegative 64-bit integer is refused, an id list among them
     h = _zero_head(classes=4)
-    with pytest.raises(RegistryError):
-        expand_classifier(h, [4, 4])
-    with pytest.raises(RegistryError):
-        expand_classifier(h, [5, 6])  # gap: head has classes 0..3
-    with pytest.raises(RegistryError):
-        expand_classifier(h, [3])  # already present
+    for bad in (-1, 2.9, True, np.bool_(True), "3", 2**64, None, [4, 5]):
+        with pytest.raises(RegistryError, match="must be a 64-bit integer >= 0"):
+            expand_classifier(h, bad)
+    assert repr(expand_classifier(h, np.int64(2)).dims) == repr((4, 3, 6))
 
 
 # -- flat parameter vector ------------------------------------------------------
@@ -281,7 +283,7 @@ def test_parts_are_views_of_each_row(c_feat, hidden, classes, n, n_new, writeabl
     h = heads[0]
     assert all(np.shares_memory(getattr(h, name), h.params) for name in ("conv_w", "cls_b"))
     # growing the classifier keeps every old parameter bit for bit
-    grown = expand_classifier(h, range(classes, classes + n_new))
+    grown = expand_classifier(h, n_new)
     conv_w, conv_b, cls_w, cls_b = _parts(grown.params, grown.dims)
     assert conv_w.tobytes() == h.conv_w.tobytes() and conv_b.tobytes() == h.conv_b.tobytes()
     assert cls_w[:classes].tobytes() == h.cls_w.tobytes()

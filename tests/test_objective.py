@@ -576,8 +576,8 @@ def test_steps_return_arrays_they_do_not_reuse():
     assert (values.tobytes(), grads.tobytes()) == kept
     assert not any(np.shares_memory(a, b) for a in (values, grads) for b in again)
     # the lockstep form reads only the rows its space was built over: not
-    # equal rows, a view of them or a head stack over them
-    for rows in (args[0].copy(), args[0][:], head.with_params(args[0].view())):
+    # equal rows or a view of them
+    for rows in (args[0].copy(), args[0][:]):
         with pytest.raises(DimensionError):
             total_loss(rows, *args[1:], cfg)
 
