@@ -1,4 +1,4 @@
-"""Exception types, the two number rules and the field checks built on them, the host budget."""
+"""Exception types, the number rules, the field and array checks, the host budget."""
 
 import math
 import sys
@@ -40,6 +40,7 @@ class ConfigError(FedswarmError):
 
 
 HOST_BUDGET = 1 << 30  # bytes of host memory a run may take, priced before it allocates
+_NOT_INTS = (bool, np.timedelta64)  # subclasses of int and of np.integer that are no integer
 
 
 def check_budget(terms: dict, error: type = ConfigError, where: str = "") -> None:
@@ -81,10 +82,10 @@ def check_fields(obj, error: type = ConfigError) -> None:
 
 
 def _is_int(v) -> bool:
-    """A 64-bit integer, Python's or numpy's; never a bool."""
+    """A 64-bit integer, Python's or numpy's; never a bool or a timedelta."""
     if type(v) is int:  # the fast path
         return -(2**63) <= v < 2**63
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and _is_int(int(v))
+    return isinstance(v, (int, np.integer)) and type(v) not in _NOT_INTS and _is_int(int(v))
 
 
 def _is_finite(v) -> bool:
@@ -92,7 +93,7 @@ def _is_finite(v) -> bool:
     float's range."""
     if type(v) is float:  # the fast path
         return math.isfinite(v)
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+    if isinstance(v, (int, np.integer)) and type(v) not in _NOT_INTS:
         return abs(int(v)) <= sys.float_info.max
     return isinstance(v, (float, np.floating)) and math.isfinite(v)
 
@@ -100,6 +101,22 @@ def _is_finite(v) -> bool:
 def _plain(v):
     """``v`` as the Python number it equals if it is a numpy one, else ``v``."""
     return v.item() if isinstance(v, np.generic) else v
+
+
+def _int_array(values, dtype, what: str, error: type) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array; ``error`` naming ``what`` unless each
+    is an integer (``_is_int``) that fits. A frozen C-ordered owning array is kept."""
+    a = values if isinstance(values, np.ndarray) else np.asarray(values, object)
+    a = a.astype(np.int64) if a.dtype == object and all(map(_is_int, a.flat)) else a
+    lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+    if a.size and not (a.dtype.kind in "iu" and (np.can_cast(a.dtype, dtype)
+                                                 or lo <= a.min() and a.max() <= hi)):
+        bad = next(v for v in a.flat if not (_is_int(v) and lo <= v <= hi))
+        raise error(f"{what} must be integers that fit {np.dtype(dtype)}, got {_plain(bad)!r}")
+    if a.dtype != dtype or a.flags.writeable or not (a.flags.owndata and a.flags.c_contiguous):
+        a = a.astype(dtype)
+        a.flags.writeable = False
+    return a
 
 
 _KINDS = {

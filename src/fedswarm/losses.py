@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, RegistryError, _is_int, check_fields
+from .errors import ConfigError, DimensionError, RegistryError, _int_array, _is_int, check_fields
 from .model import TrainableHead, _Forward, _parts, _weight_views
 from .tensor import _SCAN_BLOCK, Fold
 
@@ -145,40 +145,32 @@ def check_view(head: TrainableHead, view, part: ClassPartition, cfg: LossConfig)
     """Check one node's training view against the head and partition.
 
     ``view`` is (x, targets): (M, c_feat) float32 features and M integer
-    class ids. Returns (x, targets as intp, (new, old) class masks of
-    ``part``). Features that are not (M, c_feat), or targets that are
-    not M ids, raise DimensionError; so does a nonempty targets array
-    whose dtype is not an integer one (floats, bools and strings are
-    not class ids), and targets must index a logit (IndexError). With
+    class ids. Returns (x, targets as read-only intp, (new, old) class
+    masks of ``part``). Features that are not (M, c_feat), or targets
+    that are not M integers (``errors._int_array``: floats, bools and
+    strings are not class ids), raise DimensionError, and targets must
+    index a logit (IndexError). With
     the MOL term on, each target must lie on a side of ``part``
     (RegistryError) and every other partition class must index a logit
     (IndexError). A mask marks its side's classes by index; a partition
     class outside the logits (possible only with the MOL term off)
     marks nothing.
     """
-    c = head.num_classes
+    c, form = head.num_classes, f"a training view (features (M, {head.c_feat}), targets (M,))"
     try:
         x, targets = view
-        x, targets = np.asarray(x, np.float32), np.asarray(targets)
+        x = np.asarray(x, np.float32)
     except (TypeError, ValueError):  # not two arrays: ragged, or a list of pairs
-        raise DimensionError(
-            f"a training view is (features (M, {head.c_feat}), targets (M,)) arrays"
-        ) from None
+        raise DimensionError(f"{form} is two arrays") from None
+    targets = _int_array(targets, np.intp, f"the targets of {form}", DimensionError)
     if x.ndim != 2 or x.shape[1] != head.c_feat or targets.shape != x.shape[:1]:
         raise DimensionError(
             f"features {x.shape} and targets {targets.shape} do not match head input "
             f"(M, {head.c_feat}) and (M,)"
         )
-    # an empty list is float64; a class id is any integer, never a float's floor
-    if targets.size and targets.dtype.kind not in "iu":
-        raise DimensionError(
-            f"targets of dtype {targets.dtype} are not class ids: a training view is "
-            f"(features (M, {head.c_feat}), targets (M,)) with integer targets"
-        )
     bad = (targets < 0) | (targets >= c)
     if bad.any():
         raise IndexError(f"target {targets[bad][0]} out of range for {c} classes")
-    targets = targets.astype(np.intp, copy=False)
     if cfg.mu != 0.0:
         stray = [k for k in sorted(part.new_classes) + sorted(part.old_classes) if not 0 <= k < c]
         for t in dict.fromkeys(targets.tolist()):

@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, RegistryError, _is_int
+from .errors import DimensionError, NumericError, RegistryError, _is_int, check_budget
 from .tensor import _SCAN_BLOCK, Fold
 
 _ZERO = np.float32(0.0)
@@ -212,12 +212,15 @@ def head_logits(head: TrainableHead, features) -> np.ndarray:
 def expand_classifier(h: TrainableHead, count: int) -> TrainableHead:
     """Append ``count`` zero rows and bias entries, the classes
     num_classes .. num_classes + count - 1; old rows untouched. A count
-    that is not a nonnegative 64-bit integer is a RegistryError."""
+    that is not a nonnegative 64-bit integer, or a grown head past the
+    host budget (priced before it is allocated), is a RegistryError."""
     if not _is_int(count) or count < 0:
         raise RegistryError(f"expansion count {count!r} must be a 64-bit integer >= 0")
     if not count:
         return h
     dims = (h.c_feat, h.c_out, h.num_classes + int(count))
+    check_budget({"the grown parameter vector": 4 * _size(dims)}, RegistryError,
+                 f"expanding {h.num_classes} classes by {count}: ")
     params = np.zeros(_size(dims), np.float32)
     # each part grows along its leading axis at most: only cls_w and cls_b gain rows
     for new, old in zip(_parts(params, dims), _parts(h.params, h.dims)):

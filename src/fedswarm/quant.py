@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy._core.umath import clip as _clip  # np.clip without its Python wrapper
 
-from .errors import DimensionError, NumericError, _is_finite, _is_int, check_fields
+from .errors import DimensionError, NumericError, _int_array, _is_finite, _is_int, check_fields
 from .tensor import Fold
 
 __all__ = [
@@ -65,9 +65,8 @@ class QuantTensor:
     """Immutable int8 payload with shape and quantization parameters.
 
     A 4-D tensor is a batch of N x C x H x W frames, and may hold none.
-    The payload is a read-only copy of ``data``, except that a read-only
-    C-ordered int8 array owning its memory is shared as it is: a caller
-    that froze a buffer it filled hands it over without a second copy.
+    ``data`` is int8 as ``errors._int_array`` holds it (else a NumericError):
+    read-only, a frozen buffer the caller filled shared, not copied again.
     """
 
     __slots__ = ("shape", "data", "qparams")
@@ -80,10 +79,7 @@ class QuantTensor:
         frame = shape[1:] if len(shape) == 4 else shape  # a batch may hold no frames
         if any(s < 0 for s in shape) or any(s < 1 for s in frame):
             raise DimensionError(f"shape entries must be positive, got {shape}")
-        flat = np.asarray(data, dtype=np.int8)
-        if flat.flags.writeable or not (flat.flags.owndata and flat.flags.c_contiguous):
-            flat = flat.copy()
-            flat.flags.writeable = False
+        flat = _int_array(data, np.int8, "QuantTensor data", NumericError)
         expected = math.prod(shape)
         if flat.size != expected:
             raise DimensionError(f"shape {shape} expects {expected} elements, got {flat.size}")
@@ -123,6 +119,8 @@ class QuantLayer:
 
     Post-relu activations are nonnegative, so a symmetric output grid
     loses nothing: a layer's output needs a scale and no zero point.
+    Weights are int8 and biases int32 as ``errors._int_array`` gives
+    them: read-only, and a value that does not fit is a NumericError.
     """
 
     weight: np.ndarray  # int8, (c_out, c_in)
@@ -131,16 +129,12 @@ class QuantLayer:
     out_scale: float
 
     def __post_init__(self):
-        w = np.asarray(self.weight, dtype=np.int8)
-        b = np.asarray(self.bias, dtype=np.int32)
+        w = _int_array(self.weight, np.int8, "layer weights", NumericError)
+        b = _int_array(self.bias, np.int32, "layer bias", NumericError)
         if w.ndim != 2:
             raise DimensionError(f"layer weights must be 2-D, got {w.shape}")
         if b.shape != (w.shape[0],):
             raise DimensionError(f"bias {b.shape} does not match weights {w.shape}")
-        w = np.array(w, copy=True)
-        b = np.array(b, copy=True)
-        w.flags.writeable = False
-        b.flags.writeable = False
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "bias", b)
         for name in ("weight_scale", "out_scale"):

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DimensionError, EvaluationError, NumericError, PlanError, _is_int,
-                     check_budget, check_fields)
+from .errors import (DimensionError, EvaluationError, NumericError, PlanError, _int_array,
+                     _is_int, check_budget, check_fields)
 from .model import TrainableHead, head_logits
 from .quant import QuantParams, QuantTensor, backbone_forward
 
@@ -146,9 +146,9 @@ class LabeledDataset:
     """One split as columns: row i is sample ``ids[i]`` of class
     ``classes[i]`` with frame ``frames.array[i]``.
 
-    ``ids`` and ``classes`` are read-only int64 arrays; ``frames`` is one
-    N x C x H x W ``QuantTensor``, so a split has one frame shape and one
-    quantization. Sample ids are unique within a split.
+    ``ids`` and ``classes`` are int64 as ``errors._int_array`` holds them
+    (else a PlanError); ``frames`` is one N x C x H x W ``QuantTensor``, so
+    a split has one frame shape and one quantization. Sample ids are unique.
     """
 
     ids: np.ndarray
@@ -160,9 +160,8 @@ class LabeledDataset:
         if self.split not in ("train", "test"):
             raise PlanError(f"split must be train or test, got {self.split!r}")
         for name in ("ids", "classes"):
-            col = np.array(getattr(self, name), np.int64).reshape(-1)
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+            col = _int_array(getattr(self, name), np.int64, f"LabeledDataset {name}", PlanError)
+            object.__setattr__(self, name, col.reshape(-1))
         if len(self.frames.shape) != 4:
             raise DimensionError(f"frames must be N x C x H x W, got {self.frames.shape}")
         if not len(self.ids) == len(self.classes) == self.frames.shape[0]:
@@ -234,8 +233,8 @@ def evaluate(head: TrainableHead, ds_test: LabeledDataset, features,
     By default the test samples of the head's classes (``_head_rows``)
     are scored; ``sample_classes`` narrows the scored samples without
     narrowing the argmax, which is how forgetting on early classes is
-    measured. A sample class that is not a 64-bit integer is an
-    EvaluationError.
+    measured. A sample class that is not a 64-bit integer, or not one of
+    the head's classes, is an EvaluationError naming it.
     """
     features = np.asarray(features)
     if features.shape[:1] != (len(ds_test),):
@@ -243,9 +242,10 @@ def evaluate(head: TrainableHead, ds_test: LabeledDataset, features,
     if sample_classes is None:
         rows = _head_rows(head, ds_test.classes)
     else:
-        scored = list(sample_classes)
-        if not all(map(_is_int, scored)):
-            raise EvaluationError(f"sample classes {scored!r} must be 64-bit integers")
+        scored = _int_array(list(sample_classes), np.int64, "sample classes", EvaluationError)
+        if (stray := scored[(scored < 0) | (scored >= head.num_classes)]).size:
+            raise EvaluationError(f"sample class {stray[0]} is not one of the head's "
+                                  f"{head.num_classes} classes")
         rows = np.isin(ds_test.classes, scored)
     return accuracy(predict(head, features[rows]) == ds_test.classes[rows])
 

@@ -388,6 +388,21 @@ def test_evaluate_error_cases():
         evaluate(head, ds, feats, sample_classes=[17])  # nothing to score
 
 
+def test_evaluate_refuses_sample_classes_the_head_has_no_row_for():
+    # a 4-class head over a 6-class split: class 5 has no logit, so its
+    # rows could only ever count as misses
+    _, test = gen_synthetic(SyntheticSpec(num_classes=6, train_per_class=1, test_per_class=3,
+                                          input_shape=(3, 2, 2)), np.random.default_rng(4))
+    head = init_head(12, 5, 4, np.random.default_rng(6))
+    feats = precompute_features(build_backbone((3, 8, 12), np.random.default_rng(5)), test)
+    for scored, stray in (([5], 5), ([0, 5], 5), ([-1, 2], -1), ([4], 4)):
+        with pytest.raises(EvaluationError, match=f"^sample class {stray} is not one of the "
+                                                  "head's 4 classes$"):
+            evaluate(head, test, feats, sample_classes=scored)
+    assert evaluate(head, test, feats, sample_classes=[0, 3]) == evaluate(
+        head, test, feats, sample_classes=np.array([0, 3], np.uint8))
+
+
 def _scored(sample_classes):
     bb, ds, head = _identity_world()
     return evaluate(head, ds, precompute_features(bb, ds), sample_classes=sample_classes)

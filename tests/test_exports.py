@@ -174,24 +174,42 @@ def test_unused_import_guard_catches_leftovers():
     assert unused_imports("import struct  # noqa: F401\n") == []
 
 
+def _int_conversion(call: ast.Call):
+    """The dtype named by an ``np.asarray`` or ``np.array`` call that
+    converts to int8, int32 or int64, as its second argument or its
+    ``dtype`` keyword; else None."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr in ("asarray", "array")
+            and getattr(func.value, "id", None) in ("np", "numpy")):
+        return None
+    for d in call.args[1:2] + [k.value for k in call.keywords if k.arg == "dtype"]:
+        name = getattr(d, "attr", None) or getattr(d, "value", None)
+        if name in ("int8", "int32", "int64"):
+            return f"np.{func.attr}(..., {name})"
+    return None
+
+
 def number_rules(source: str) -> list:
     """Lines of ``source`` that decide for themselves what a number is:
-    an import of ``numbers``, or an ``isinstance`` call that names
-    ``bool``. ``errors._is_int`` and ``errors._is_finite`` decide it."""
+    an import of ``numbers``, an ``isinstance`` call that names ``bool``,
+    or an ``np.asarray``/``np.array`` conversion to int8, int32 or int64.
+    ``errors._is_int``, ``errors._is_finite`` and ``errors._int_array``
+    decide it."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            names = [alias.name for alias in node.names if alias.name == "numbers"]
         elif isinstance(node, ast.ImportFrom):
-            names = [node.module]
+            names = [node.module] if node.module == "numbers" else []
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
             names = [n.id for arg in node.args[1:] for n in ast.walk(arg)
                      if isinstance(n, ast.Name)]
             names = ["isinstance(..., bool)"] if "bool" in names else []
+        elif isinstance(node, ast.Call):
+            names = [name] if (name := _int_conversion(node)) else []
         else:
             continue
-        found += [f"{name} (line {node.lineno})" for name in names
-                  if name in ("numbers", "isinstance(..., bool)")]
+        found += [f"{name} (line {node.lineno})" for name in names]
     return found
 
 
@@ -203,9 +221,15 @@ def test_only_errors_decides_what_a_number_is(path):
 
 def test_number_rule_guard_catches_leftovers():
     source = ("import numbers\nfrom numbers import Integral\nimport math\n"
-              "ok = isinstance(v, (int, float))\nbad = isinstance(v, (bool, int))\n")
+              "ok = isinstance(v, (int, float))\nbad = isinstance(v, (bool, int))\n"
+              "w = np.asarray(weight, dtype=np.int8)\nids = np.array(ids, np.int64)\n"
+              "b = numpy.asarray(b, 'int32')\nx = np.asarray(x, np.float32)\n"
+              "n = np.array(gather, np.intp)\nv = np.asarray(v)\n")
     assert number_rules(source) == ["numbers (line 1)", "numbers (line 2)",
-                                    "isinstance(..., bool) (line 5)"]
+                                    "isinstance(..., bool) (line 5)",
+                                    "np.asarray(..., int8) (line 6)",
+                                    "np.array(..., int64) (line 7)",
+                                    "np.asarray(..., int32) (line 8)"]
 
 
 def _perfbench(monkeypatch, *names):

@@ -227,6 +227,18 @@ def test_expand_rejects_bad_ids():
     assert repr(expand_classifier(h, np.int64(2)).dims) == repr((4, 3, 6))
 
 
+def test_expand_prices_the_grown_head_before_it_allocates():
+    # 2**62 more classes pass the count check; the grown vector is priced
+    # against the host budget before numpy is asked for it
+    h = init_head(2, 2, 2, np.random.default_rng(0))
+    with pytest.raises(RegistryError, match="largest term is the grown parameter vector"):
+        expand_classifier(h, 2**62)
+    # (c_out + 1) * 4 bytes a class: 2**27 more classes of a 2-wide head pass 1 GiB
+    with pytest.raises(RegistryError, match="exceeds the host budget"):
+        expand_classifier(h, 2**27)
+    assert expand_classifier(h, 2**10).num_classes == 2 + 2**10
+
+
 # -- flat parameter vector ------------------------------------------------------
 
 
