@@ -16,7 +16,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +36,8 @@ from .sessions import (
     _MANIFEST_NAME,
     _head_rows,
     _split_bytes,
+    SessionPlan,
     accuracy,
-    make_plan,
     node_train_view,
     precompute_features,
     predict,
@@ -50,7 +50,6 @@ from .tensor import _SCAN_BLOCK
 __all__ = [
     "BackboneSpec",
     "HeadSpec",
-    "PlanSpec",
     "TrainSpec",
     "CostSpec",
     "DataSpec",
@@ -71,6 +70,8 @@ __all__ = [
 ]
 
 STRATEGIES = ("naive", "odfcl", "joint")
+# the plan section's old name, kept only for the frozen perfbench/workloads.py
+PlanSpec = SessionPlan
 
 
 def _take(d: dict, allowed, where: str) -> dict:
@@ -115,17 +116,6 @@ class HeadSpec:
             raise ConfigError(f"hidden must be positive, got {self.hidden}")
         if not self.init_sigma > 0:
             raise ConfigError(f"init_sigma must be positive, got {self.init_sigma}")
-
-
-@dataclass(frozen=True)
-class PlanSpec:
-    num_classes: int = 10
-    num_nodes: int = 3
-    base_count: int = 4
-    classes_per_session_per_node: int = 1
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -195,7 +185,7 @@ class ExperimentConfig:
     strategy: str = "odfcl"
     backbone: BackboneSpec = field(default_factory=BackboneSpec)
     head: HeadSpec = field(default_factory=HeadSpec)
-    plan: PlanSpec = field(default_factory=PlanSpec)
+    plan: SessionPlan = field(default_factory=SessionPlan)
     # desk default trains hotter than the LossConfig baseline: few sync
     # rounds of several local epochs is where the prox anchor pays off
     loss: LossConfig = field(default_factory=lambda: LossConfig(lr=0.1, local_epochs_per_round=5))
@@ -216,27 +206,23 @@ class ExperimentConfig:
                     f"backbone input channels {self.backbone.layer_dims[0]} do not match "
                     f"data channels {self.data.input_shape[0]}"
                 )
-        # surfaces infeasible class counts early, as a config problem
-        try:
-            plan = make_plan(**asdict(self.plan))
-        except PlanError as e:
-            raise ConfigError(str(e))
-        check_budget(_host_price(self, plan))  # a manifest's rows again once read
+        check_budget(_host_price(self))  # a manifest's rows again once read
         # the cost block, priced now: a link too slow to price fails before training
         try:
             link = calibrated_uwb_link(self.cost.calibration_bytes, self.cost.calibration_seconds)
-            head = _shape_head(self.backbone.layer_dims[-1], self.head.hidden, plan.num_classes)
-            cost_block(head, link, plan.num_nodes, self.loss.batch_size)
+            head = _shape_head(self.backbone.layer_dims[-1], self.head.hidden, self.plan.num_classes)
+            cost_block(head, link, self.plan.num_nodes, self.loss.batch_size)
         except NumericError as e:
             raise ConfigError(str(e)) from None
 
 
-def _host_price(cfg: ExperimentConfig, plan, splits=None) -> dict:
-    """Host bytes a run of ``cfg`` under ``plan`` takes at most, by term,
-    as arithmetic on counts: from the config for synthetic data, from the
-    read (train, test) ``splits`` for a manifest (no rows before it is
-    read). Terms never held at once are added all the same; the report's
+def _host_price(cfg: ExperimentConfig, splits=None) -> dict:
+    """Host bytes a run of ``cfg`` takes at most, by term, as arithmetic
+    on counts: from the config for synthetic data, from the read
+    (train, test) ``splits`` for a manifest (no rows before it is read).
+    Terms never held at once are added all the same; the report's
     accuracy entries grow as the sum of base + t * S over sessions t."""
+    plan = cfg.plan
     d, k, n, base = cfg.data, plan.num_classes, plan.num_nodes, plan.base_count
     last, per = plan.num_sessions, plan.classes_per_session_per_node
     fd, b, local = cfg.backbone.layer_dims[-1], cfg.loss.batch_size, cfg.loss.local_epochs_per_round
@@ -303,14 +289,18 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def config_from_dict(d: dict) -> ExperimentConfig:
     """The config ``d`` describes: its keys replace those of
     ``ExperimentConfig()`` section by section, so a key it leaves out
-    keeps the experiment's default."""
+    keeps the experiment's default; a plan that cannot be dealt is a ConfigError."""
     base = ExperimentConfig()
     changes = {}
     for name, value in _take(d, [f.name for f in fields(base)], "config").items():
         section = getattr(base, name)
         if is_dataclass(section):
             names = {json_key(f): f.name for f in fields(section)}
-            value = replace(section, **{names[k]: v for k, v in _take(value, names, name).items()})
+            value = {names[k]: v for k, v in _take(value, names, name).items()}
+            try:  # the plan section checks itself as it is built
+                value = replace(section, **value)
+            except PlanError as e:
+                raise ConfigError(str(e)) from None
         changes[name] = value
     return replace(base, **changes)
 
@@ -404,7 +394,7 @@ def load_dataset(cfg: ExperimentConfig) -> tuple:
         if ds.frames.shape[1] != cfg.backbone.layer_dims[0]:
             raise ConfigError(f"manifest {rows} frames have {ds.frames.shape[1]} channels, "
                               f"the backbone takes {cfg.backbone.layer_dims[0]}")
-    check_budget(_host_price(cfg, make_plan(**asdict(cfg.plan)), (train, test)))
+    check_budget(_host_price(cfg, (train, test)))
     return train, test
 
 
@@ -417,7 +407,7 @@ def run_experiment(cfg: ExperimentConfig, trace_out=None) -> MetricsReport:
     ``trace_out`` to dump the simulated link's event log.
     """
     rng_backbone, rng_head, rng_t0, rng_fed, rng_joint = (_rng(cfg.seed, i) for i in range(1, 6))
-    plan = make_plan(**asdict(cfg.plan))
+    plan = cfg.plan
     train, test = load_dataset(cfg)
     backbone = build_backbone(
         cfg.backbone.layer_dims,

@@ -67,11 +67,14 @@ class QuantTensor:
     A 4-D tensor is a batch of N x C x H x W frames, and may hold none.
     ``data`` is int8 as ``errors._int_array`` holds it (else a NumericError):
     read-only, a frozen buffer the caller filled shared, not copied again.
+    ``qparams`` is a ``QuantParams``, else a NumericError.
     """
 
     __slots__ = ("shape", "data", "qparams")
 
     def __init__(self, data, shape, qparams: QuantParams):
+        if not isinstance(qparams, QuantParams):
+            raise NumericError(f"QuantTensor qparams must be a QuantParams, got {qparams!r}")
         shape = tuple(shape)
         if not all(map(_is_int, shape)):
             raise DimensionError(f"shape entries must be 64-bit integers, got {shape!r}")

@@ -59,17 +59,20 @@ class SessionPlan:
     """A feasible deal, held as its four counts: classes
     ``0..base_count-1`` are session 0, and each later session deals the
     next ``S = num_nodes * classes_per_session_per_node`` ids in order,
-    cycling over the nodes. Every answer is computed from the counts."""
+    cycling over the nodes. Every answer is computed from the counts.
+    A config's ``plan`` section is one, defaulting to the desk's deal."""
 
-    num_classes: int
-    num_nodes: int
-    base_count: int
-    classes_per_session_per_node: int
+    num_classes: int = 10
+    num_nodes: int = 3
+    base_count: int = 4
+    classes_per_session_per_node: int = 1
 
     def __post_init__(self):
         check_fields(self, PlanError)  # nothing is coerced: a float or a bool is no count
         k, per = self.num_classes, self.classes_per_session_per_node
-        if k < 1 or self.num_nodes < 1 or per < 1:
+        if k < 1:  # worded as a synthetic data spec words it
+            raise PlanError(f"num_classes must be positive, got {k}")
+        if self.num_nodes < 1 or per < 1:
             raise PlanError("num_classes, num_nodes and per-node count must be positive")
         if not 0 < self.base_count <= k:
             raise PlanError(f"base_count {self.base_count} out of range for {k} classes")
@@ -137,7 +140,7 @@ def registry_from_plan(plan: SessionPlan) -> SessionPlan:
     """The plan itself, which answers ``seen_through``.
 
     Kept only because the frozen benchmark's ``perfbench/workloads.py``
-    calls it (lines 127 and 141); ROADMAP item 1 deletes it."""
+    calls it (lines 127 and 141); ROADMAP item 1a deletes it."""
     return plan
 
 
@@ -147,8 +150,9 @@ class LabeledDataset:
     ``classes[i]`` with frame ``frames.array[i]``.
 
     ``ids`` and ``classes`` are int64 as ``errors._int_array`` holds them
-    (else a PlanError); ``frames`` is one N x C x H x W ``QuantTensor``, so
-    a split has one frame shape and one quantization. Sample ids are unique.
+    (else a PlanError); ``frames`` is one N x C x H x W ``QuantTensor`` (else
+    a DimensionError), so a split has one frame shape and one quantization.
+    Sample ids are unique.
     """
 
     ids: np.ndarray
@@ -162,6 +166,8 @@ class LabeledDataset:
         for name in ("ids", "classes"):
             col = _int_array(getattr(self, name), np.int64, f"LabeledDataset {name}", PlanError)
             object.__setattr__(self, name, col.reshape(-1))
+        if not isinstance(self.frames, QuantTensor):
+            raise DimensionError(f"frames must be a QuantTensor, got {type(self.frames).__name__}")
         if len(self.frames.shape) != 4:
             raise DimensionError(f"frames must be N x C x H x W, got {self.frames.shape}")
         if not len(self.ids) == len(self.classes) == self.frames.shape[0]:

@@ -275,6 +275,14 @@ def test_dataset_columns_are_read_only_and_frames_batched():
                        "test")
 
 
+@pytest.mark.parametrize("frames", [np.zeros((1, 4, 1, 1), np.int8),
+                                    np.zeros((1, 4, 1, 1), np.int8).data, [[[[0]]]] * 4])
+def test_dataset_refuses_frames_that_are_not_a_quant_tensor(frames):
+    # a stored wrong kind would fail only later, in precompute_features or write_manifest
+    with pytest.raises(DimensionError, match="frames must be a QuantTensor"):
+        LabeledDataset([0], [0], frames, "train")
+
+
 def test_empty_split_is_representable():
     bb = build_backbone((4, 6), np.random.default_rng(0))
     empty = LabeledDataset([], [], _frames(0), "test")

@@ -11,7 +11,7 @@ import sys
 import tracemalloc
 import warnings
 import typing
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -30,8 +30,8 @@ def _small_config(strategy="odfcl", seed=5, **over):
         strategy=strategy,
         backbone=fs.BackboneSpec(layer_dims=(3, 6, 8)),
         head=fs.HeadSpec(hidden=5),
-        plan=fs.PlanSpec(num_classes=8, num_nodes=2, base_count=4,
-                         classes_per_session_per_node=1),
+        plan=fs.make_plan(num_classes=8, num_nodes=2, base_count=4,
+                          classes_per_session_per_node=1),
         loss=fs.LossConfig(mu=2.0, lam=3.8, lr=0.05, batch_size=4,
                            local_epochs_per_round=2),
         train=fs.TrainSpec(t0_epochs=4, rounds_per_session=3),
@@ -168,11 +168,15 @@ def test_config_validation():
         _small_config(data=fs.DataSpec(input_shape=(4, 2, 2)))
     with pytest.raises(fs.ConfigError):
         # 2 incremental classes cannot be dealt to 3 nodes, 1 each
-        _small_config(plan=fs.PlanSpec(num_classes=6, num_nodes=3, base_count=4))
+        fs.config_from_dict({"plan": {"num_classes": 6, "num_nodes": 3, "base_count": 4}})
     with pytest.raises(fs.ConfigError):
         _small_config(data=fs.DataSpec(kind="manifest"))
     with pytest.raises(fs.ConfigError):
         fs.load_config("/nonexistent/config.json")
+    # a plan built in Python is checked where it is built, as the plan it is
+    with pytest.raises(fs.PlanError):
+        fs.SessionPlan(6, 3, 4)
+    assert fs.default_config().plan == fs.make_plan(10, 3, 4)
     for sigma in (-0.25, 0.0):  # a flipped backbone, or an all-zero one
         with pytest.raises(fs.ConfigError, match="weight_sigma must be positive"):
             _small_config(backbone=fs.BackboneSpec(layer_dims=(3, 6, 8), weight_sigma=sigma))
@@ -326,7 +330,7 @@ def test_default_config_is_desk_scale():
 def test_zero_incremental_sessions_identical_across_strategies():
     cfgs = {
         s: _small_config(strategy=s,
-                         plan=fs.PlanSpec(num_classes=4, num_nodes=2, base_count=4),
+                         plan=fs.make_plan(num_classes=4, num_nodes=2, base_count=4),
                          data=fs.DataSpec(input_shape=(3, 2, 2), train_per_class=8,
                                           test_per_class=3))
         for s in fs.STRATEGIES
@@ -378,7 +382,7 @@ def test_report_cost_is_the_cost_block_of_the_config_head(tmp_path, strategy, ca
     cfg = _small_config(strategy=strategy, cost=fs.CostSpec(8304, 0.5, 40),
                         loss=fs.LossConfig(lr=0.05, batch_size=3, local_epochs_per_round=1))
     if case == "zero_sessions":
-        cfg = replace(cfg, plan=fs.PlanSpec(num_classes=4, num_nodes=2, base_count=4))
+        cfg = replace(cfg, plan=fs.make_plan(num_classes=4, num_nodes=2, base_count=4))
     elif case == "manifest":
         fs.write_manifest(*fs.load_dataset(cfg), tmp_path)
         cfg = replace(cfg, data=fs.DataSpec(kind="manifest", manifest_dir=str(tmp_path)))
@@ -773,6 +777,9 @@ def test_cli_config_error_exit_code(tmp_path):
     # a flipped backbone, or one with every weight zero
     {"backbone": {"weight_sigma": -0.25}},
     {"backbone": {"weight_sigma": 0}},
+    # the plan section is a SessionPlan: its PlanError is a config error here
+    {"plan": {"num_classes": 7, "num_nodes": 2}},
+    {"plan": {"base_count": 4.0}},
 ])
 def test_cli_non_integer_count_is_a_config_error(tmp_path, bad):
     path = tmp_path / "bad.json"
@@ -826,7 +833,7 @@ def test_cli_size_cap_is_a_config_error(tmp_path, bad):
 
 def _price(d) -> dict:
     cfg = fs.config_from_dict(d) if isinstance(d, dict) else d
-    return harness._host_price(cfg, fs.make_plan(**asdict(cfg.plan)))
+    return harness._host_price(cfg)
 
 
 def _refused(d, term):
@@ -1025,7 +1032,7 @@ def test_run_peak_stays_within_its_price(tmp_path_factory, warm_runs, case):
         fs.write_manifest(*fs.load_dataset(cfg), out)
         cfg = replace(cfg, data=replace(cfg.data, kind="manifest", manifest_dir=str(out)))
         splits = fs.read_manifest(out)
-    price = sum(harness._host_price(cfg, fs.make_plan(**asdict(cfg.plan)), splits).values())
+    price = sum(harness._host_price(cfg, splits).values())
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -1313,7 +1320,7 @@ def test_total_loss_lookups_count_every_trained_sample(monkeypatch):
         cfg = _small_config(strategy)
         calls.clear()
         fs.run_experiment(cfg)
-        plan = fs.make_plan(**fs.config_to_dict(cfg)["plan"])
+        plan = cfg.plan
         epochs = cfg.train.rounds_per_session * cfg.loss.local_epochs_per_round
         classes = cfg.train.t0_epochs * len(plan.base_classes)
         for t in range(1, plan.num_sessions + 1):
@@ -1360,7 +1367,7 @@ def test_per_class_accuracy_matches_a_mask_per_class(monkeypatch):
         return scored[-1][1]
 
     monkeypatch.setattr(harness, "predict", recorded)
-    cfg = _small_config(plan=fs.PlanSpec(num_classes=52, num_nodes=4, base_count=4),
+    cfg = _small_config(plan=fs.make_plan(num_classes=52, num_nodes=4, base_count=4),
                         train=fs.TrainSpec(t0_epochs=2, rounds_per_session=1),
                         data=fs.DataSpec(input_shape=(3, 2, 2), train_per_class=2,
                                          test_per_class=3))

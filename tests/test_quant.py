@@ -137,6 +137,13 @@ def test_quant_tensor_copies_unless_handed_a_frozen_owned_array():
     assert empty.array.shape == (0, 4, 2, 2)
 
 
+@pytest.mark.parametrize("qparams", ["not qparams", None, (0.1, 0), 0.1])
+def test_quant_tensor_refuses_qparams_that_are_not_quant_params(qparams):
+    # a stored wrong kind would fail only later, in backbone_forward
+    with pytest.raises(NumericError, match="QuantTensor qparams must be a QuantParams"):
+        QuantTensor(np.zeros(4, np.int8), (1, 4, 1, 1), qparams)
+
+
 @pytest.mark.parametrize("shape", [(4, -1, -9), (-1, -1), (3, 0), (0,),
                                    (0, 4, 0, 2), (-1, 4, 1, 1)])
 def test_quant_tensor_rejects_non_positive_shape(shape):

@@ -168,6 +168,28 @@ def test_traced_runs_alternate_and_fill_the_table(tmp_path, monkeypatch, capsys)
     assert "1 runs flagged" in out and "run_s: no complete pairs" in out
 
 
+def test_summary_gives_each_checkouts_library_line_count(tmp_path, monkeypatch, capsys):
+    # wc -l counts newlines: a last line without one is not counted
+    sources = {"parent": {"a.py": "X = 1\nY = 2\n", "b.py": "Z = 3\n"},
+               "change": {"a.py": "X = 1\n", "b.py": "Z = 3\nW = 4"}}
+    for side, files in sources.items():
+        lib = tmp_path / side / "src" / "fedswarm"
+        lib.mkdir(parents=True)
+        for name, text in files.items():
+            (lib / name).write_text(text)
+        (lib / "notes.txt").write_text("not\ncounted\n")
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 30,
+            "end_to_end": [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    assert pairs.library_lines(tmp_path / "parent") == 3
+    monkeypatch.setattr(pairs, "run_once", lambda root, args, seconds, trace=0: {
+        "correct": True, "failed": 0, "metrics": {"run_s": {"value": 0.2}}})
+    pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "desk",
+                "--pairs", "1"])
+    out = capsys.readouterr().out
+    assert "library lines (src/fedswarm/*.py): parent 3, change 2 (-1)\n" in out
+
+
 def _tree(root):
     """Every file under ``root``: path -> (bytes, mtime_ns)."""
     return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in root.rglob("*") if p.is_file()}

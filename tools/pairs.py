@@ -18,7 +18,10 @@ differ, in its favour, by more than the distance between PARENT's
 quartiles; ``unresolved`` otherwise. A run whose result is not
 ``correct`` or counts failed passes is flagged; its pair keeps its
 place in the pair count as a pair CHANGE did not win, its metrics are
-left out of the quartiles, and the verdict is ``unresolved``.
+left out of the quartiles, and the verdict is ``unresolved``. The
+summary also gives each checkout's library line count, the newlines in
+its ``src/fedswarm/*.py`` as ``wc -l`` counts them, so a change that
+cuts code can quote both counts from the run that gives its verdicts.
 
 With ``--traced N`` (``--traced`` alone is N = 1), after the pairs each
 checkout runs ``--trace 1`` N times, alternating as the pairs do, and a
@@ -138,6 +141,11 @@ def bytecode_state(root: Path) -> Counter:
                    for source in (root / top).rglob("*.py"))
 
 
+def library_lines(root: Path) -> int:
+    """Newlines in ``root``'s ``src/fedswarm/*.py``: the total of ``wc -l``."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "fedswarm").glob("*.py"))
+
+
 def run_once(root: Path, args, seconds, trace: int = 0) -> dict:
     """One benchmark run in ``root``; its last output line is the result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
@@ -197,6 +205,9 @@ def main(argv=None) -> int:
                         values[name][metric].append(r["metrics"][metric]["value"])
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s, "
           f"{flagged} runs flagged")
+    lines = {name: library_lines(root) for name, root in sides.items()}
+    print(f"library lines (src/fedswarm/*.py): parent {lines['parent']}, "
+          f"change {lines['change']} ({lines['change'] - lines['parent']:+d})")
     for m in spec:
         parent, change = values["parent"][m["name"]], values["change"][m["name"]]
         if not parent or len(parent) != len(change):
