@@ -20,13 +20,13 @@ backbone = build_backbone((4, 32, 48), rng)
 print(f"layers               : {[l.weight.shape for l in backbone.layers]}")
 print(f"feature width        : {backbone.feature_dim}")
 
-# a fake 4-channel 3x3 frame, quantized like the sensor would
-frame = rng.uniform(-0.5, 0.5, size=(4, 3, 3)).astype(np.float32)
-qframe = quantize(frame, QuantParams(scale=0.05, zero_point=0))
-print(f"int8 frame range     : [{qframe.data.min()}, {qframe.data.max()}]")
-err = np.abs(dequantize(qframe) - frame).max()
+# a batch of one fake 4-channel 3x3 frame, quantized like the sensor would
+frames = rng.uniform(-0.5, 0.5, size=(1, 4, 3, 3)).astype(np.float32)
+qframes = quantize(frames, QuantParams(scale=0.05, zero_point=0))
+print(f"int8 frame range     : [{qframes.array.min()}, {qframes.array.max()}]")
+err = np.abs(dequantize(qframes) - frames).max()
 print(f"quantization error   : {err:.4f} (half step = {0.05 / 2})")
 
-feats = backbone_forward(backbone, qframe)
-print(f"features[:4]         : {feats[:4]}")
+feats = backbone_forward(backbone, qframes)  # one (feature_dim,) row per frame
+print(f"features[0, :4]      : {feats[0, :4]}")
 

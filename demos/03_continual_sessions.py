@@ -37,10 +37,10 @@ for t in (1, 2):
 
 # growing the classifier must not disturb what the old classes compute
 head = init_head(c_feat=48, c_out=24, num_classes=4, rng=rng)
-feats = rng.standard_normal(48).astype(np.float32)
-before = head_logits(head, feats)
+feats = rng.standard_normal((1, 48)).astype(np.float32)  # a batch of one feature row
+before = head_logits(head, feats)[0]
 grown = expand_classifier(head, len(plan.session_classes(1)))
-after = head_logits(grown, feats)
+after = head_logits(grown, feats)[0]
 print(f"logits before       : {np.round(before, 4)}")
 print(f"logits after expand : {np.round(after, 4)}")
 assert np.array_equal(before, after[:4])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericError
+from .errors import NumericError, _is_finite, _is_int, check_fields
 from .model import TrainableHead, head_message_bytes
 
 __all__ = [
@@ -46,6 +46,7 @@ class OperatingPoint:
     power_w: float
 
     def __post_init__(self):
+        check_fields(self, NumericError)
         for f in ("frequency_mhz", "voltage_mv", "local_epoch_latency_s", "power_w"):
             if not getattr(self, f) > 0:
                 raise NumericError(f"{f} must be positive, got {getattr(self, f)}")
@@ -60,14 +61,24 @@ class LinkModel:
     throughput_bps: float  # bytes per second
 
     def __post_init__(self):
+        check_fields(self, NumericError)
         if not self.throughput_bps > 0:
             raise NumericError(f"throughput must be positive, got {self.throughput_bps}")
 
 
+def _count(name: str, v, low: int = 1) -> None:
+    """NumericError naming ``v`` unless it is a 64-bit integer
+    (``errors._is_int``) of at least ``low``."""
+    if not (_is_int(v) and v >= low):
+        sign = "positive" if low else "nonnegative"
+        raise NumericError(f"{name} must be {sign} and a 64-bit integer, got {v!r}")
+
+
 def calibrated_uwb_link(msg_bytes: int = 24576, seconds: float = 1.7) -> LinkModel:
     """Back out throughput from one measured transfer."""
-    if msg_bytes <= 0 or seconds <= 0:
-        raise NumericError("calibration needs positive bytes and seconds")
+    _count("calibration bytes", msg_bytes)
+    if not (_is_finite(seconds) and seconds > 0):
+        raise NumericError(f"calibration seconds must be positive and finite, got {seconds!r}")
     return LinkModel(msg_bytes / seconds)
 
 
@@ -77,14 +88,12 @@ def epoch_energy(op: OperatingPoint) -> float:
 
 
 def per_sample_latency(op: OperatingPoint, samples_per_epoch: int) -> float:
-    if samples_per_epoch <= 0:
-        raise NumericError(f"samples_per_epoch must be positive, got {samples_per_epoch}")
+    _count("samples_per_epoch", samples_per_epoch)
     return op.local_epoch_latency_s / samples_per_epoch
 
 
 def message_time(link: LinkModel, n_bytes: int) -> float:
-    if n_bytes <= 0:
-        raise NumericError(f"message size must be positive, got {n_bytes}")
+    _count("message size", n_bytes)
     return n_bytes / link.throughput_bps
 
 
@@ -96,8 +105,8 @@ def federated_epoch_time(
     Nodes train simultaneously (one epoch latency total) while uplink
     and downlink transfers share the single link.
     """
-    if n_nodes < 0:
-        raise NumericError(f"node count must be nonnegative, got {n_nodes}")
+    _count("node count", n_nodes, 0)
+    _count("message size", msg_bytes)
     if n_nodes == 0:
         return op_train.local_epoch_latency_s
     per_node = message_time(link, msg_bytes) * 2.0
@@ -122,8 +131,7 @@ def peak_training_memory(head: TrainableHead, batch_size: int = 4) -> int:
     the input, output and output-gradient buffers of the whole batch
     take 4 bytes a float; the max over the two layers is charged.
     """
-    if batch_size < 1:
-        raise NumericError(f"batch_size must be positive, got {batch_size}")
+    _count("batch_size", batch_size)
     layer_io = [(head.c_feat, head.c_out), (head.c_out, head.num_classes)]
     act = max(4 * batch_size * (cin + 2 * cout) for cin, cout in layer_io)
     return 2 * 4 * head.parameter_count + act

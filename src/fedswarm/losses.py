@@ -176,9 +176,8 @@ def check_view(head: TrainableHead, view, part: ClassPartition, cfg: LossConfig)
         for t in dict.fromkeys(targets.tolist()):
             if t not in part.new_classes and t not in part.old_classes:
                 raise RegistryError(f"target {t} is in neither side of the partition")
-            for k in stray:
-                if k != t:
-                    raise IndexError(f"partition class {k} out of range for {c} logits")
+            if stray:  # every target is in [0, c), so no stray class is a target
+                raise IndexError(f"partition class {stray[0]} out of range for {c} logits")
     masks = (np.zeros(c, bool), np.zeros(c, bool))
     for m, side in zip(masks, (part.new_classes, part.old_classes)):
         m[[k for k in side if 0 <= k < c]] = True

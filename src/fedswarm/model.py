@@ -181,20 +181,16 @@ class _Forward:
 
 
 def head_logits(head: TrainableHead, features) -> np.ndarray:
-    """Eager head pass over one feature vector or a (B, c_feat) batch.
+    """Eager head pass over (rows, c_feat) features, else a DimensionError.
 
-    Same kernel as the training objective; a batch gives
-    (B, num_classes) logits whose rows equal the one-vector results
-    exactly. Long batches run in chunks of rows whose count times the
-    parameter count (which bounds each buffer's size per row) stays
-    within ``tensor._SCAN_BLOCK``.
+    Same kernel as the training objective; the (rows, num_classes)
+    logits of each row equal its one-row batch's exactly. Long batches
+    run in chunks of rows whose count times the parameter count (which
+    bounds each buffer's size per row) stays within ``tensor._SCAN_BLOCK``.
     """
-    f = np.asarray(features, np.float32)
-    if f.shape[-1:] != (head.c_feat,) or f.ndim > 2:
-        raise DimensionError(
-            f"features {f.shape} do not match head input ({head.c_feat},)"
-        )
-    rows = f.reshape(-1, head.c_feat)
+    rows = np.asarray(features, np.float32)
+    if rows.ndim != 2 or rows.shape[1] != head.c_feat:
+        raise DimensionError(f"features must be (rows, {head.c_feat}), got {rows.shape}")
     out = np.empty((len(rows), head.num_classes), np.float32)
     step = max(1, _SCAN_BLOCK // head.parameter_count)
     # fixed for the call: contiguous copies make the products' inner loops unit-stride
@@ -206,7 +202,7 @@ def head_logits(head: TrainableHead, features) -> np.ndarray:
             fwd = _Forward(head.dims, len(chunk), 1)
         fwd.run(weights, chunk.T[:, :, None, None])
         out[lo : lo + len(chunk)] = fwd.logits[:, 0]
-    return out.reshape(f.shape[:-1] + (head.num_classes,))
+    return out
 
 
 def expand_classifier(h: TrainableHead, count: int) -> TrainableHead:

@@ -20,7 +20,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,37 +61,28 @@ class QuantParams:
 
 
 class QuantTensor:
-    """Immutable int8 payload with shape and quantization parameters.
+    """Immutable int8 array with its quantization parameters.
 
-    A 4-D tensor is a batch of N x C x H x W frames, and may hold none.
-    ``data`` is int8 as ``errors._int_array`` holds it (else a NumericError):
-    read-only, a frozen buffer the caller filled shared, not copied again.
-    ``qparams`` is a ``QuantParams``, else a NumericError.
+    ``array`` is int8 as ``errors._int_array`` holds it (else a
+    NumericError): read-only, a frozen buffer the caller filled shared,
+    not copied again. ``shape`` is its shape. A 4-D tensor is a batch of
+    N x C x H x W frames, and may hold none; a frame with a zero-size dim
+    is a DimensionError. ``qparams`` is a ``QuantParams``, else a
+    NumericError.
     """
 
-    __slots__ = ("shape", "data", "qparams")
+    __slots__ = ("array", "qparams")
 
-    def __init__(self, data, shape, qparams: QuantParams):
+    def __init__(self, array, qparams: QuantParams):
         if not isinstance(qparams, QuantParams):
             raise NumericError(f"QuantTensor qparams must be a QuantParams, got {qparams!r}")
-        shape = tuple(shape)
-        if not all(map(_is_int, shape)):
-            raise DimensionError(f"shape entries must be 64-bit integers, got {shape!r}")
-        shape = tuple(map(int, shape))
-        frame = shape[1:] if len(shape) == 4 else shape  # a batch may hold no frames
-        if any(s < 0 for s in shape) or any(s < 1 for s in frame):
-            raise DimensionError(f"shape entries must be positive, got {shape}")
-        flat = _int_array(data, np.int8, "QuantTensor data", NumericError)
-        expected = math.prod(shape)
-        if flat.size != expected:
-            raise DimensionError(f"shape {shape} expects {expected} elements, got {flat.size}")
-        self.shape = shape
-        self.data = flat.reshape(-1)
+        a = _int_array(array, np.int8, "QuantTensor data", NumericError)
+        if 0 in (a.shape[1:] if a.ndim == 4 else a.shape):  # a batch may hold no frames
+            raise DimensionError(f"frame dims must be positive, got {a.shape}")
+        self.array = a
         self.qparams = qparams
 
-    @property
-    def array(self) -> np.ndarray:
-        return self.data.reshape(self.shape)
+    shape = property(lambda t: t.array.shape)
 
 
 def quantize(x: np.ndarray, qp: QuantParams) -> QuantTensor:
@@ -107,7 +97,7 @@ def quantize(x: np.ndarray, qp: QuantParams) -> QuantTensor:
         # rounding computed in double precision to keep huge quotients exact
         q = np.rint(vals.astype(np.float64) / float(qp.scale)) + qp.zero_point
     q = np.clip(q, INT8_MIN, INT8_MAX)
-    return QuantTensor(q.astype(np.int8), vals.shape, qp)
+    return QuantTensor(q.astype(np.int8), qp)
 
 
 def dequantize(q: QuantTensor) -> np.ndarray:
@@ -289,10 +279,9 @@ def _backbone_bytes(layer_dims, hw: int) -> int:
 def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
     """Integer inference through the frozen chain; float features out.
 
-    ``x`` is one C x H x W frame (a float32 ``(feature_dim,)`` array
-    comes back) or an N x C x H x W batch under its one quantization (a
-    float32 ``(N, feature_dim)`` array comes back; an empty batch is
-    not checked further).
+    ``x`` is an N x C x H x W batch under its one quantization, else a
+    DimensionError; a float32 ``(N, feature_dim)`` array comes back (an
+    empty batch is not checked further).
 
     Per layer: int32 accumulation over input channels, requantization
     by a float multiply and round-half-even, relu as a clamp at the
@@ -310,10 +299,9 @@ def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
     order, and the features equal the channel-by-channel integer pass
     bit for bit.
     """
-    if len(x.shape) not in (3, 4):
-        raise DimensionError(f"backbone input must be C x H x W or N x C x H x W, got {x.shape}")
-    frames = x.data.reshape((-1,) + x.shape[-3:])
-    n, c, h, w = frames.shape
+    if len(x.shape) != 4:
+        raise DimensionError(f"backbone input must be an N x C x H x W batch, got {x.shape}")
+    n, c, h, w = x.shape
     if n and c != bb.input_channels:
         raise DimensionError(f"input channels {c} do not match first layer {bb.input_channels}")
     out = np.empty((n, bb.feature_dim), np.float32)
@@ -323,8 +311,8 @@ def backbone_forward(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             space = _Space(bb, x.qparams, n, h * w)
             for lo in range(0, n, space.rows):
-                space.run(frames[lo:lo + space.rows], out[lo:lo + space.rows])
-    return out if len(x.shape) == 4 else out[0]
+                space.run(x.array[lo:lo + space.rows], out[lo:lo + space.rows])
+    return out
 
 
 def build_backbone(

@@ -210,9 +210,8 @@ def precompute_features(backbone, ds: LabeledDataset) -> np.ndarray:
 
 def predict(head: TrainableHead, features) -> np.ndarray:
     """Argmax over all of the head's classes of each (B, c_feat) feature
-    row's logits, one batched head pass. The lowest class id wins ties."""
-    if np.ndim(features) != 2:
-        raise DimensionError(f"features must be (rows, {head.c_feat}), got {np.shape(features)}")
+    row's logits, one batched head pass (``head_logits`` checks the rows).
+    The lowest class id wins ties."""
     # rows equal the per-sample logits bit for bit
     return np.argmax(head_logits(head, features), axis=1)  # first max = lowest class id
 
@@ -310,7 +309,8 @@ def write_manifest(ds_train: LabeledDataset, ds_test: LabeledDataset, out_dir) -
     for ds in (ds_train, ds_test):
         ids, classes, qp = ds.ids.tolist(), ds.classes.tolist(), ds.frames.qparams
         size = math.prod(ds.frames.shape[1:])
-        data = memoryview(ds.frames.data).cast("B")  # flat and C-ordered
+        # flat, since cast refuses a shape with a zero in it (a split of no frames)
+        data = memoryview(ds.frames.array.reshape(-1)).cast("B")
         shape = "x".join(str(d) for d in ds.frames.shape[1:])
         for i in sorted(range(len(ids)), key=ids.__getitem__):
             name = f"{ids[i]:06d}.bin"
@@ -439,6 +439,6 @@ def read_manifest(manifest_dir) -> tuple:
     out = []
     for split, (ids, classes) in cols.items():
         frames[split].flags.writeable = False  # so the QuantTensor shares it
-        qt = QuantTensor(frames[split], frames[split].shape, layout[split][1])
+        qt = QuantTensor(frames[split], layout[split][1])
         out.append(LabeledDataset(ids, classes, qt, split))
     return tuple(out)

@@ -62,25 +62,26 @@ def gen_synthetic(spec: SyntheticSpec, rng) -> tuple:
     ``rng`` is a numpy Generator, anything else a ConfigError. Centers
     are drawn first (one per class), then per-sample noise in a fixed
     order: class by class, train before test, sample ids counting up in
-    that order. Each split of a class is drawn as (rows, dim) blocks of
-    at most ``_DRAW_BLOCK`` values, each quantized in one call and
-    written into its rows of the split's frame buffer; consecutive draws
-    of any shape are the same stream as one draw per sample. The same
-    seed always yields byte-identical datasets.
+    that order. Each split's frames are allocated once as (k * n, C, H, W),
+    and a class's n frames are drawn in blocks of at most ``_DRAW_BLOCK``
+    values, each quantized in one call and written into its rows of that
+    buffer; consecutive draws of any shape are the same stream as one
+    draw per sample. The same seed always yields byte-identical datasets.
     """
     if not isinstance(rng, np.random.Generator):
         raise ConfigError(f"rng must be a numpy Generator, got {type(rng).__name__}")
-    k, dim, qp = spec.num_classes, math.prod(spec.input_shape), spec.qparams
-    step = max(1, _DRAW_BLOCK // dim)
+    k, shape, qp = spec.num_classes, spec.input_shape, spec.qparams
+    step = max(1, _DRAW_BLOCK // math.prod(shape))
     counts = (spec.train_per_class, spec.test_per_class)
-    frames = [np.empty((k, n, dim), np.int8) for n in counts]
+    frames = [np.empty((k * n,) + shape, np.int8) for n in counts]
     # sigmas near float64's limit give inf or NaN values, which quantize refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        centers = rng.standard_normal((k, dim)) * spec.sigma_between
+        centers = rng.standard_normal((k,) + shape) * spec.sigma_between
         for class_id in range(k):
             for buf, n in zip(frames, counts):
+                split = buf.reshape((k, n) + shape)[class_id]  # a view of its n frames
                 for lo in range(0, n, step):
-                    rows = buf[class_id, lo : lo + step]
+                    rows = split[lo : lo + step]
                     x = rng.standard_normal(rows.shape)
                     x *= spec.sigma_within
                     x += centers[class_id]
@@ -91,7 +92,6 @@ def gen_synthetic(spec: SyntheticSpec, rng) -> tuple:
     classes = np.broadcast_to(np.arange(k)[:, None], ids.shape)
     cols = (slice(None, counts[0]), slice(counts[0], None))
     return tuple(
-        LabeledDataset(ids[:, c], classes[:, c],
-                       QuantTensor(buf, (k * n,) + spec.input_shape, qp), split)
-        for c, buf, n, split in zip(cols, frames, counts, ("train", "test"))
+        LabeledDataset(ids[:, c], classes[:, c], QuantTensor(buf, qp), split)
+        for c, buf, split in zip(cols, frames, ("train", "test"))
     )

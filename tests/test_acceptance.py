@@ -65,7 +65,7 @@ def test_criterion_2_quantizer_round_trip():
         bounds_ok = bounds_ok and err <= scale / 2 + 1e-6
         worst_ratio = max(worst_ratio, err / (scale / 2))
     sat = fs.quantize(np.array([1e4, -1e4], np.float32), fs.QuantParams(0.1, 0))
-    sat_ok = sat.data.tolist() == [127, -128]
+    sat_ok = sat.array.tolist() == [127, -128]
     ok = bounds_ok and sat_ok
     assert _verdict(2, "quantizer round trip", ok,
                     f"worst err {worst_ratio:.3f}x the half-step bound, "

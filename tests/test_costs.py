@@ -161,6 +161,46 @@ def test_cost_block_raises_what_its_figures_raise():
         cost_block(_head_6144(), calibrated_uwb_link(), 3, 0)
 
 
+# a count is a 64-bit integer and a field or a calibration time a finite
+# real, never a bool or a string: each used to be priced, built or a bare
+# TypeError, and is a NumericError naming the value
+COST_INPUTS = {
+    "fraction_of_a_node": (lambda: cost_block(_head_6144(), calibrated_uwb_link(), 2.5, 4),
+                           "node count .* got 2.5$"),
+    "float_batch": (lambda: cost_block(_head_6144(), calibrated_uwb_link(), 3, 4.0),
+                    "batch_size .* got 4.0$"),
+    "bool_batch": (lambda: peak_training_memory(_head_6144(), True), "batch_size .* got True$"),
+    "bool_samples": (lambda: per_sample_latency(LPM, True), "samples_per_epoch .* got True$"),
+    "bool_calibration_bytes": (lambda: calibrated_uwb_link(True, 1.7),
+                               "calibration bytes .* got True$"),
+    "nan_calibration_seconds": (lambda: calibrated_uwb_link(24576, math.nan),
+                                "calibration seconds .* got nan$"),
+    "fraction_message": (lambda: federated_epoch_time(HPM, calibrated_uwb_link(), 0, 2.5),
+                         "message size .* got 2.5$"),
+    "string_message": (lambda: message_time(calibrated_uwb_link(), "5"),
+                       "message size .* got '5'$"),
+    "infinite_link": (lambda: LinkModel(math.inf), "throughput_bps .* got inf$"),
+    "bool_frequency": (lambda: OperatingPoint("x", True, 1.0, 1.0, 1.0),
+                       "frequency_mhz .* got True$"),
+    "string_frequency": (lambda: OperatingPoint("x", "1", 1.0, 1.0, 1.0),
+                         "frequency_mhz .* got '1'$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COST_INPUTS))
+def test_cost_inputs_follow_the_number_rules(case):
+    build, match = COST_INPUTS[case]
+    with pytest.raises(NumericError, match=match):
+        build()
+
+
+def test_numpy_cost_inputs_are_taken():
+    assert peak_training_memory(_head_6144(), np.int32(4)) == peak_training_memory(_head_6144(), 4)
+    assert LinkModel(np.float32(2.0)).throughput_bps == 2.0
+    assert cost_block(_head_6144(), calibrated_uwb_link(np.int64(24576), 1.7), np.int16(3), 4) == (
+        cost_block(_head_6144(), calibrated_uwb_link(), 3, 4))
+
+
 # -- report ------------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import pkgutil
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedswarm
@@ -133,6 +134,9 @@ def test_retired_names_are_gone():
     for cls in (fedswarm.TrainableHead, fedswarm.LabeledDataset, fedswarm.QuantTensor):
         assert cls.__eq__ is object.__eq__, cls.__name__
     assert fedswarm.QuantTensor.__repr__ is object.__repr__
+    # an int8 tensor is one shaped array: no flat payload beside a shape
+    qt = fedswarm.QuantTensor(np.zeros((1, 2, 1, 1), np.int8), fedswarm.QuantParams(0.1))
+    assert not hasattr(qt, "data") and qt.shape == qt.array.shape == (1, 2, 1, 1)
 
 
 # the package's __init__ imports only to re-export

@@ -73,7 +73,7 @@ def test_synthetic_deterministic():
         return (x.split == y.split and np.array_equal(x.ids, y.ids)
                 and np.array_equal(x.classes, y.classes) and x.frames.shape == y.frames.shape
                 and x.frames.qparams == y.frames.qparams
-                and np.array_equal(x.frames.data, y.frames.data))
+                and np.array_equal(x.frames.array, y.frames.array))
 
     assert same(a[0], b[0]) and same(a[1], b[1])
     assert not same(a[0], c[0])
@@ -97,7 +97,7 @@ def _per_sample_synthetic(spec, rng):
             for _ in range(count):
                 x = centers[class_id] + rng.standard_normal(dim) * spec.sigma_within
                 q = fs.quantize(x.reshape(spec.input_shape), spec.qparams)
-                bucket.append((sample_id, class_id, q.data.tobytes(), q.shape, q.qparams))
+                bucket.append((sample_id, class_id, q.array.tobytes(), q.shape, q.qparams))
                 sample_id += 1
     return splits
 
@@ -1049,7 +1049,7 @@ def _manifest_dir(tmp_path):
                                    np.random.default_rng(0))
     data = tmp_path / "data"
     fs.write_manifest(train, test, data)
-    return cfg, data, train.frames.data.size + test.frames.data.size
+    return cfg, data, train.frames.array.size + test.frames.array.size
 
 
 def _read_price(data) -> tuple:

@@ -97,7 +97,7 @@ _QP = QuantParams(0.1)
 
 
 def _frames(n):
-    return QuantTensor(np.zeros(n, np.int8), (n, 1, 1, 1), _QP)
+    return QuantTensor(np.zeros((n, 1, 1, 1), np.int8), _QP)
 
 
 def _view(targets):
@@ -108,9 +108,9 @@ def _view(targets):
 
 # each used to come back wrapped or truncated, or as numpy's OverflowError
 REFUSED = {
-    "tensor_int16_wraps": (lambda: QuantTensor(np.array([200, 7], np.int16), (2,), _QP),
+    "tensor_int16_wraps": (lambda: QuantTensor(np.array([200, 7], np.int16), _QP),
                            NumericError, "QuantTensor data .* got 200$"),
-    "tensor_floats_truncate": (lambda: QuantTensor(np.array([200, 1.7, -3.9]), (3,), _QP),
+    "tensor_floats_truncate": (lambda: QuantTensor(np.array([200, 1.7, -3.9]), _QP),
                                NumericError, "QuantTensor data .* got 200.0$"),
     "layer_wraps_both": (lambda: QuantLayer(np.array([[200, 3]], np.int16), np.array([2**40]),
                                             0.1, 0.1), NumericError, "layer weights .* got 200$"),
@@ -140,7 +140,7 @@ def test_payloads_that_used_to_wrap_are_refused_with_one_line(case):
 
 
 def test_integers_that_fit_are_accepted_whatever_their_width():
-    assert QuantTensor(np.array([100, -7], np.int16), (2,), _QP).data.tolist() == [100, -7]
+    assert QuantTensor(np.array([100, -7], np.int16), _QP).array.tolist() == [100, -7]
     layer = QuantLayer(np.array([[20, 3]], np.uint16), [2**31 - 1], 0.1, 0.1)
     assert layer.weight.dtype == np.int8 and layer.bias.tolist() == [2**31 - 1]
     ds = LabeledDataset(np.array([5, 6, 7], np.uint32), (np.int8(2), 1, np.uint64(0)),

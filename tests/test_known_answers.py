@@ -6,10 +6,16 @@ committed here. A report digest that fails on another host says only
 that the bytes moved; these cases say which primitive moved. Float32
 ``exp`` and ``log`` take numpy's SIMD dispatch path, which rounds
 differently on different CPU targets, so a failure lists the targets
-numpy is running on.
+numpy is running on; a subprocess case reruns them on each x86 target
+below the one this CPU would pick.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,7 +68,7 @@ def _backbone():
                    np.arange(co, dtype=np.int32) * 7 - 20, 0.02, 0.05)
         for i, (co, ci) in enumerate(dims)
     ]
-    frames = QuantTensor(_int8(5 * 4 * 6 * 6, 31), (5, 4, 6, 6), QuantParams(0.1, 3))
+    frames = QuantTensor(_int8(5 * 4 * 6 * 6, 31).reshape(5, 4, 6, 6), QuantParams(0.1, 3))
     return backbone_forward(FrozenBackbone(layers), frames)
 
 
@@ -128,3 +134,53 @@ def test_known_answer(name):
     run, want = CASES[name]
     got = _digest(run())
     assert got == want, f"{name} moved: sha256 {got}, known answer {want}; {_dispatch()}"
+
+
+# x86 targets from the baseline up, and the cases that differ from the
+# known answers when numpy runs on that target, every one above it turned
+# off: the baseline's float32 exp and log round differently (known defect 1)
+X86_TARGETS = {
+    "X86_V2": {"np.exp float32", "np.log float32"},
+    "X86_V3": set(),
+    "X86_V4": set(),
+    "AVX512_ICL": set(),
+    "AVX512_SPR": set(),
+}
+
+# the differing cases and the dispatch targets in force, as the subprocess sees them
+_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import test_known_answers as t
+print(json.dumps({
+    "enabled": [d for d in t.__cpu_dispatch__ if t.__cpu_features__.get(d)],
+    "differ": sorted(n for n, (run, want) in t.CASES.items() if t._digest(run()) != want),
+}))
+"""
+
+
+@pytest.mark.parametrize("target", list(X86_TARGETS))
+def test_known_answers_on_each_dispatch_target(target):
+    # numpy runs on its baseline or a dispatch target, listed from the lowest up
+    reachable = list(__cpu_baseline__[-1:]) + list(__cpu_dispatch__)
+    if not __cpu_features__.get(target):
+        reason = f"this CPU lacks {target}"
+    elif target not in reachable:
+        reason = f"numpy {np.__version__} does not run on {target}"
+    else:
+        reason = None
+    if reason:
+        print(f"skipping the {target} known answers: {reason}")
+        pytest.skip(reason)
+    # turn off what this CPU enables above the target; a feature it lacks may not be named
+    above = [t for t in reachable[reachable.index(target) + 1:] if __cpu_features__.get(t)]
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(above))
+    src = str(here.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    res = subprocess.run([sys.executable, "-c", _CHILD, str(here)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout)
+    assert (got["enabled"] or reachable[:1])[-1] == target, got["enabled"]
+    assert set(got["differ"]) == X86_TARGETS[target], (target, got["differ"])

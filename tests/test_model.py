@@ -37,14 +37,14 @@ def _zero_head(c_feat=4, c_out=3, classes=5) -> TrainableHead:
 
 def test_zero_head_gives_zero_logits():
     h = _zero_head()
-    z = head_logits(h, np.asarray([1.0, -2.0, 3.0, 0.5], np.float32))
-    assert np.array_equal(z, np.zeros(5, np.float32))
+    z = head_logits(h, np.asarray([[1.0, -2.0, 3.0, 0.5]], np.float32))
+    assert np.array_equal(z, np.zeros((1, 5), np.float32))
 
 
 def test_single_class_softmax_is_one():
     rng = np.random.default_rng(0)
     h = init_head(4, 3, 1, rng)
-    z = head_logits(h, rng.standard_normal(4).astype(np.float32))
+    z = head_logits(h, rng.standard_normal((1, 4)).astype(np.float32))[0]
     assert z.shape == (1,)
     probs = np.exp(z - z.max())
     assert probs.sum() == 1.0
@@ -125,8 +125,8 @@ def test_batched_head_logits_rows_match_single_vectors(c_feat, hidden, classes, 
     x[rng.random(x.shape) < zero_frac] = 0.0
     z = head_logits(h, x)
     assert z.shape == (n, classes)
-    for row, f in zip(z, x):
-        assert row.tobytes() == head_logits(h, f).tobytes()
+    for i, row in enumerate(z):
+        assert row.tobytes() == head_logits(h, x[i : i + 1]).tobytes()
     # a long batch runs in chunks of rows through reused buffers
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fedswarm.model, "_SCAN_BLOCK", 2 * h.parameter_count)
@@ -136,7 +136,15 @@ def test_batched_head_logits_rows_match_single_vectors(c_feat, hidden, classes, 
 def test_head_logits_rejects_wrong_feature_length():
     h = _zero_head(c_feat=4)
     with pytest.raises(DimensionError):
-        head_logits(h, np.asarray([1.0, 2.0], np.float32))
+        head_logits(h, np.asarray([[1.0, 2.0]], np.float32))
+
+
+def test_head_logits_takes_rows_only():
+    # a lone feature vector, even one of the head's width, is no batch of rows
+    h = _zero_head(c_feat=4)
+    with pytest.raises(DimensionError, match=r"must be \(rows, 4\), got \(4,\)"):
+        head_logits(h, np.zeros(4, np.float32))
+    assert head_logits(h, np.zeros((1, 4), np.float32)).shape == (1, 5)
 
 
 def test_forward_through_backbone():
@@ -144,13 +152,13 @@ def test_forward_through_backbone():
     bb = build_backbone((3, 6), rng)
     head = init_head(6, 4, 5, rng)
     x = quantize(
-        rng.standard_normal((3, 2, 2)).astype(np.float32), QuantParams(0.05)
+        rng.standard_normal((1, 3, 2, 2)).astype(np.float32), QuantParams(0.05)
     )
     z = head_logits(head, backbone_forward(bb, x))
-    assert z.shape == (5,)
+    assert z.shape == (1, 5)
     # the batched kernels equal the per-sample loop reference bit for bit
-    ref = _ref_head(head, backbone_forward(bb, x))[-1]
-    assert z.tobytes() == ref.tobytes()
+    ref = _ref_head(head, backbone_forward(bb, x)[0])[-1]
+    assert z[0].tobytes() == ref.tobytes()
 
 
 def test_gradients_flow_into_head_only():
@@ -158,7 +166,7 @@ def test_gradients_flow_into_head_only():
     bb = build_backbone((3, 5, 4), rng)
     head = init_head(4, 3, 4, rng)
     x = quantize(
-        rng.standard_normal((3, 2, 2)).astype(np.float32), QuantParams(0.05)
+        rng.standard_normal((1, 3, 2, 2)).astype(np.float32), QuantParams(0.05)
     )
     before = _layer_copies(bb)
     feats = backbone_forward(bb, x)
@@ -167,7 +175,7 @@ def test_gradients_flow_into_head_only():
     cfg = LossConfig(mu=2.0, lam=3.8, lr=0.1)
     part = ClassPartition(frozenset({0, 1}), frozenset({2, 3}))
     for _ in range(5):
-        _, grads = total_loss(head, (feats[None], [2]), part, head.params, cfg)
+        _, grads = total_loss(head, (feats, [2]), part, head.params, cfg)
         head = sgd_step(head, grads, cfg.lr)
     assert _same_layers(bb, before)  # frozen through training
 
@@ -177,9 +185,9 @@ def test_head_gradient_matches_finite_differences():
     bb = build_backbone((3, 4), rng)
     head = init_head(4, 3, 4, rng)
     x = quantize(
-        rng.uniform(-1, 1, (3, 2, 2)).astype(np.float32), QuantParams(0.05)
+        rng.uniform(-1, 1, (1, 3, 2, 2)).astype(np.float32), QuantParams(0.05)
     )
-    batch = (backbone_forward(bb, x)[None], [1])
+    batch = (backbone_forward(bb, x), [1])
     part = ClassPartition(frozenset(), frozenset(range(4)))
     cfg = LossConfig(mu=0.0, lam=0.0, lr=0.01, batch_size=1)
     r = check_case(head, batch, part, head.params, cfg)
@@ -213,8 +221,8 @@ def test_expand_preserves_old_logits_exactly():
     h = init_head(5, 4, 4, rng)
     h6 = expand_classifier(h, 2)
     for _ in range(10):
-        f = rng.standard_normal(5).astype(np.float32)
-        assert np.array_equal(head_logits(h6, f)[:4], head_logits(h, f))
+        f = rng.standard_normal((1, 5)).astype(np.float32)
+        assert np.array_equal(head_logits(h6, f)[:, :4], head_logits(h, f))
 
 
 def test_expand_rejects_bad_ids():

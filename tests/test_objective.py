@@ -204,7 +204,7 @@ def test_total_loss_reduces_to_mean_ce():
     val, _ = total_loss(head, batch, part, head.params, cfg)
     # standalone path: eager per-sample CE, same fixed-order mean
     ces = np.array(
-        [cross_entropy(head_logits(head, f), t) for f, t in zip(*batch)], np.float32
+        [cross_entropy(head_logits(head, f[None])[0], t) for f, t in zip(*batch)], np.float32
     )
     assert val == float(np.float32(_fold(ces) / np.float32(len(ces))))
 
@@ -216,7 +216,7 @@ def test_total_loss_single_sample_at_global_is_ce():
     part = ClassPartition(frozenset(), frozenset(range(4)))
     cfg = LossConfig(mu=0.0, lam=3.8, lr=0.01)
     val, _ = total_loss(head, (f[None], [2]), part, head.params, cfg)
-    assert val == cross_entropy(head_logits(head, f), 2)
+    assert val == cross_entropy(head_logits(head, f[None])[0], 2)
 
 
 def test_total_loss_gradient_matches_finite_differences():

@@ -36,18 +36,18 @@ def _q(values, scale, zp=0, shape=None):
 
 
 def test_quantize_basic():
-    assert _q([0.3], 0.1).data[0] == 3
+    assert _q([0.3], 0.1).array[0] == 3
 
 
 def test_quantize_saturates_at_int8_limits():
     q = _q([100.0, -100.0], 0.1)
-    assert q.data[0] == 127
-    assert q.data[1] == -128
+    assert q.array[0] == 127
+    assert q.array[1] == -128
 
 
 def test_quantize_rounds_half_to_even():
     q = _q([0.5, 1.5, 2.5, -0.5, -1.5], 1.0)
-    assert list(q.data) == [0, 2, 2, 0, -2]
+    assert list(q.array) == [0, 2, 2, 0, -2]
 
 
 def test_quantize_rejects_non_finite():
@@ -102,7 +102,7 @@ def test_scales_and_zero_points_follow_the_two_rules(build, args, expected):
 def test_dequantize_values():
     assert dequantize(_q([0.0], 0.1))[0] == 0.0
     assert abs(dequantize(_q([0.3], 0.1))[0] - 0.3) < 1e-7
-    q = QuantTensor(np.array([-128], np.int8), (1,), QuantParams(0.5, -28))
+    q = QuantTensor(np.array([-128], np.int8), QuantParams(0.5, -28))
     assert dequantize(q)[0] == -50.0
 
 
@@ -115,41 +115,42 @@ def test_round_trip_error_within_half_scale():
 
 
 def test_quant_tensor_shape_check_and_eq():
-    with pytest.raises(DimensionError):
-        QuantTensor(np.zeros(3, np.int8), (2, 2), QuantParams(0.1))
-    a = QuantTensor(np.arange(4, dtype=np.int8), (2, 2), QuantParams(0.1))
-    b = QuantTensor(np.arange(4, dtype=np.int8), (2, 2), QuantParams(0.1))
-    assert a.shape == b.shape and a.qparams == b.qparams and np.array_equal(a.data, b.data)
-    assert QuantTensor(np.arange(4, dtype=np.int8), (2, 2), QuantParams(0.2)).qparams != a.qparams
+    # the shape is the array's own: there is no separate shape to disagree with it
+    a = QuantTensor(np.arange(4, dtype=np.int8).reshape(2, 2), QuantParams(0.1))
+    b = QuantTensor(np.arange(4, dtype=np.int8).reshape(2, 2), QuantParams(0.1))
+    assert a.shape == b.shape == (2, 2) and a.qparams == b.qparams
+    assert np.array_equal(a.array, b.array)
+    assert QuantTensor(np.arange(4, dtype=np.int8).reshape(2, 2),
+                       QuantParams(0.2)).qparams != a.qparams
 
 
 def test_quant_tensor_copies_unless_handed_a_frozen_owned_array():
     qp = QuantParams(0.1)
-    writable = np.arange(6, dtype=np.int8)
-    a = QuantTensor(writable, (1, 2, 3), qp)
-    writable[0] = 9
-    assert a.data[0] == 0 and not a.data.flags.writeable
-    frozen = np.arange(6, dtype=np.int8)
+    writable = np.arange(6, dtype=np.int8).reshape(1, 2, 3)
+    a = QuantTensor(writable, qp)
+    writable[0, 0, 0] = 9
+    assert a.array[0, 0, 0] == 0 and not a.array.flags.writeable
+    frozen = np.arange(6, dtype=np.int8).reshape(1, 2, 3).copy()  # owning, C-ordered
     frozen.flags.writeable = False
-    assert np.shares_memory(QuantTensor(frozen, (1, 2, 3), qp).data, frozen)
-    assert not np.shares_memory(QuantTensor(frozen[::2], (3,), qp).data, frozen)
-    empty = QuantTensor(np.zeros(0, np.int8), (0, 4, 2, 2), qp)  # a batch of no frames
-    assert empty.array.shape == (0, 4, 2, 2)
+    assert np.shares_memory(QuantTensor(frozen, qp).array, frozen)
+    assert not np.shares_memory(QuantTensor(frozen[..., ::2], qp).array, frozen)
+    empty = QuantTensor(np.zeros((0, 4, 2, 2), np.int8), qp)  # a batch of no frames
+    assert empty.array.shape == empty.shape == (0, 4, 2, 2)
 
 
 @pytest.mark.parametrize("qparams", ["not qparams", None, (0.1, 0), 0.1])
 def test_quant_tensor_refuses_qparams_that_are_not_quant_params(qparams):
     # a stored wrong kind would fail only later, in backbone_forward
     with pytest.raises(NumericError, match="QuantTensor qparams must be a QuantParams"):
-        QuantTensor(np.zeros(4, np.int8), (1, 4, 1, 1), qparams)
+        QuantTensor(np.zeros((1, 4, 1, 1), np.int8), qparams)
 
 
-@pytest.mark.parametrize("shape", [(4, -1, -9), (-1, -1), (3, 0), (0,),
-                                   (0, 4, 0, 2), (-1, 4, 1, 1)])
+# an array has no negative dims: the cases that had one hold a zero there
+@pytest.mark.parametrize("shape", [(4, 0, 0), (0, 0), (3, 0), (0,),
+                                   (0, 4, 0, 2), (0, 4, 1, 0)])
 def test_quant_tensor_rejects_non_positive_shape(shape):
-    size = abs(int(np.prod(shape)))
     with pytest.raises(DimensionError, match="must be positive"):
-        QuantTensor(np.zeros(size, np.int8), shape, QuantParams(0.1))
+        QuantTensor(np.zeros(shape, np.int8), QuantParams(0.1))
 
 
 # -- backbone forward ---------------------------------------------------------
@@ -170,10 +171,10 @@ def _identity_backbone(channels: int, scale: float) -> FrozenBackbone:
 
 def test_identity_layer_matches_pooled_dequantize():
     rng = np.random.default_rng(0)
-    x = _q(rng.uniform(0.0, 3.0, (3, 2, 2)).astype(np.float32), 0.05)
+    x = _q(rng.uniform(0.0, 3.0, (1, 3, 2, 2)).astype(np.float32), 0.05)
     bb = _identity_backbone(3, 0.05)
     feats = backbone_forward(bb, x)
-    ref = dequantize(x).reshape(3, 4).mean(axis=1)
+    ref = dequantize(x).reshape(1, 3, 4).mean(axis=2)
     assert np.allclose(feats, ref, atol=bb.layers[0].out_scale)
 
 
@@ -184,17 +185,17 @@ def test_zero_weights_give_zero_features():
         weight_scale=0.01,
         out_scale=0.05,
     )
-    x = _q(np.linspace(-1, 1, 12).astype(np.float32), 0.05, shape=(3, 2, 2))
+    x = _q(np.linspace(-1, 1, 12).astype(np.float32), 0.05, shape=(1, 3, 2, 2))
     feats = backbone_forward(FrozenBackbone([layer]), x)
-    assert np.array_equal(feats, np.zeros(4, np.float32))
+    assert np.array_equal(feats, np.zeros((1, 4), np.float32))
 
 
 def test_two_layer_backbone_close_to_float_reference():
     for seed in range(5):
         rng = np.random.default_rng(700 + seed)
         bb = build_backbone((3, 4, 5), rng, weight_sigma=0.25, activation_range=4.0)
-        x = _q(rng.uniform(-0.5, 0.5, (3, 2, 2)).astype(np.float32), 0.05)
-        feats = backbone_forward(bb, x).astype(np.float64)
+        x = _q(rng.uniform(-0.5, 0.5, (1, 3, 2, 2)).astype(np.float32), 0.05)
+        feats = backbone_forward(bb, x)[0].astype(np.float64)
 
         # float chain over dequantized weights, same clamps, no requantization
         act = dequantize(x).reshape(3, 4).astype(np.float64)
@@ -209,7 +210,7 @@ def test_two_layer_backbone_close_to_float_reference():
 def test_backbone_forward_deterministic():
     rng = np.random.default_rng(5)
     bb = build_backbone((4, 8, 6), rng)
-    x = _q(rng.standard_normal((4, 3, 3)).astype(np.float32), 0.05)
+    x = _q(rng.standard_normal((1, 4, 3, 3)).astype(np.float32), 0.05)
     a = backbone_forward(bb, x)
     b = backbone_forward(bb, x)
     assert np.array_equal(a, b)
@@ -222,11 +223,20 @@ def test_backbone_input_validation():
     with pytest.raises(DimensionError):
         backbone_forward(bb, _q(np.zeros(12, np.float32), 0.1, shape=(3, 2, 2)))
     with pytest.raises(DimensionError):
-        backbone_forward(bb, QuantTensor(np.zeros(0, np.int8), (4, 0, 3), QuantParams(0.1)))
+        backbone_forward(bb, QuantTensor(np.zeros((4, 0, 3), np.int8), QuantParams(0.1)))
     with pytest.raises(DimensionError):  # a batch whose frames lack the backbone's channels
-        backbone_forward(bb, QuantTensor(np.zeros(12, np.int8), (2, 3, 2, 1), QuantParams(0.1)))
+        backbone_forward(bb, QuantTensor(np.zeros((2, 3, 2, 1), np.int8), QuantParams(0.1)))
     with pytest.raises(DimensionError):
-        backbone_forward(bb, QuantTensor(np.zeros(8, np.int8), (1, 2, 4, 1, 1), QuantParams(0.1)))
+        backbone_forward(bb, QuantTensor(np.zeros((1, 2, 4, 1, 1), np.int8), QuantParams(0.1)))
+
+
+def test_backbone_forward_takes_batches_only():
+    # a lone C x H x W frame, even one of the backbone's channels, is no batch
+    bb = build_backbone((4, 6), np.random.default_rng(1))
+    frame = _q(np.zeros(16, np.float32), 0.1, shape=(4, 2, 2))
+    with pytest.raises(DimensionError, match="must be an N x C x H x W batch, got \\(4, 2, 2\\)"):
+        backbone_forward(bb, frame)
+    assert backbone_forward(bb, QuantTensor(frame.array[None], frame.qparams)).shape == (1, 6)
 
 
 def test_accumulator_overflow_detected():
@@ -257,7 +267,7 @@ def _reference_features(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
     """Integer chain one sample and one input channel at a time, every
     prefix sum checked; pooled by a left-to-right float32 loop."""
     c, h, w = x.shape
-    acts = x.data.reshape(c, h * w).astype(np.int64) - int(x.qparams.zero_point)
+    acts = x.array.reshape(c, h * w).astype(np.int64) - int(x.qparams.zero_point)
     in_scale = float(x.qparams.scale)
     for li, layer in enumerate(bb.layers):
         acc = np.repeat(layer.bias.astype(np.int64)[:, None], h * w, axis=1)
@@ -284,7 +294,7 @@ def _reference_features(bb: FrozenBackbone, x: QuantTensor) -> np.ndarray:
 
 def _frames(batch: QuantTensor) -> list:
     """The C x H x W frames of an N x C x H x W batch, one QuantTensor each."""
-    return [QuantTensor(f, f.shape, batch.qparams) for f in batch.array]
+    return [QuantTensor(f, batch.qparams) for f in batch.array]
 
 
 @st.composite
@@ -303,13 +313,14 @@ def _backbone_and_batch(draw):
     bb = FrozenBackbone(layers)
     shape = (draw(st.integers(0, 40)), dims[0], draw(st.integers(1, 12)), draw(st.integers(1, 12)))
     qp = QuantParams(draw(st.floats(1e-3, 1.0)), draw(st.integers(-128, 127)))
-    batch = QuantTensor(rng.integers(-128, 128, int(np.prod(shape))).astype(np.int8), shape, qp)
+    batch = QuantTensor(rng.integers(-128, 128, int(np.prod(shape))).astype(np.int8).reshape(shape),
+                        qp)
     # a small block budget splits the batch into several blocks
     return bb, batch, draw(st.sampled_from([quant._BLOCK, 1, 200, 2000]))
 
 
 def _empty_batch(channels: int) -> QuantTensor:
-    return QuantTensor(np.zeros(0, np.int8), (0, channels, 2, 2), QuantParams(0.1))
+    return QuantTensor(np.zeros((0, channels, 2, 2), np.int8), QuantParams(0.1))
 
 
 @given(_backbone_and_batch())
@@ -335,7 +346,7 @@ def test_requantization_ties_follow_the_one_sample_multiplier(
     layer = QuantLayer(np.ones((1, 1), np.int8), np.zeros(1, np.int32),
                        weight_scale, out_scale)
     bb = FrozenBackbone([layer])
-    batch = QuantTensor(np.array([acc, acc + 1, acc], np.int8), (3, 1, 1, 1),
+    batch = QuantTensor(np.array([acc, acc + 1, acc], np.int8).reshape(3, 1, 1, 1),
                         QuantParams(in_scale))
     got = backbone_forward(bb, batch)
     tie = np.float32(np.rint(in_scale * weight_scale / out_scale * acc))
@@ -353,7 +364,8 @@ def test_batched_features_cross_block_boundaries():
     got = backbone_forward(bb, batch)
     for row, x in zip(got, _frames(batch)):
         assert row.tobytes() == _reference_features(bb, x).tobytes()
-    assert np.array_equal(backbone_forward(bb, _frames(batch)[-1]), got[-1])
+    assert np.array_equal(backbone_forward(bb, QuantTensor(batch.array[-1:], batch.qparams)),
+                          got[-1:])
 
 
 def test_one_feature_pools_in_index_order_not_pairwise():
@@ -363,15 +375,14 @@ def test_one_feature_pools_in_index_order_not_pairwise():
     layer = QuantLayer(rng.integers(-128, 128, (1, 3)).astype(np.int8), np.zeros(1, np.int32),
                        0.01, 0.0137)
     bb = FrozenBackbone([layer])
-    x = QuantTensor(rng.integers(-128, 128, 3 * 12 * 12).astype(np.int8), (3, 12, 12),
+    x = QuantTensor(rng.integers(-128, 128, 3 * 12 * 12).astype(np.int8).reshape(3, 12, 12),
                     QuantParams(0.05))
-    acc = layer.weight.astype(np.int64) @ x.data.reshape(3, 144).astype(np.int64)
+    acc = layer.weight.astype(np.int64) @ x.array.reshape(3, 144).astype(np.int64)
     q = np.clip(np.rint(acc[0] * (0.05 * 0.01 / 0.0137)), 0, 127)
     pairwise = np.sum(q.astype(np.float32) * np.float32(0.0137)) / np.float32(144)
     ref = _reference_features(bb, x)
     assert pairwise != ref[0]
-    assert backbone_forward(bb, x).tobytes() == ref.tobytes()
-    batch = QuantTensor(x.data, (1,) + x.shape, x.qparams)
+    batch = QuantTensor(x.array[None], x.qparams)
     assert backbone_forward(bb, batch).tobytes() == ref.tobytes()
 
 
@@ -379,8 +390,8 @@ def test_batched_forward_memory_stays_per_block():
     # one workspace per call: its buffers are sized by quant._BLOCK, not the batch
     rng = np.random.default_rng(4)
     bb = build_backbone((4, 32, 48), rng)
-    batch = QuantTensor(rng.integers(-128, 128, 1000 * 4 * 16 * 16).astype(np.int8),
-                        (1000, 4, 16, 16), QuantParams(0.05, -7))
+    batch = QuantTensor(rng.integers(-128, 128, (1000, 4, 16, 16)).astype(np.int8),
+                        QuantParams(0.05, -7))
     tracemalloc.start()
     try:
         backbone_forward(bb, batch)
@@ -429,7 +440,7 @@ def test_overflowing_chain_is_refused_naming_its_layer(bias0, layer):
 
 def _scalar_batch(values, zp: int = 3) -> QuantTensor:
     data = np.array(values, np.int64) + zp
-    return QuantTensor(data.astype(np.int8), (len(data), 1, 1, 1), QuantParams(1.0, zp))
+    return QuantTensor(data.astype(np.int8).reshape(-1, 1, 1, 1), QuantParams(1.0, zp))
 
 
 @pytest.mark.parametrize("order", [
@@ -472,7 +483,8 @@ def test_int32_bound_is_accepted_and_one_past_it_refused(layer):
     # prefix sum to INT32_MAX; any q above zp = -128 saturates layer 0, which
     # takes layer 1's to -INT32_MAX; the batched pass stays exact
     for zp in (127, -128):
-        batch = QuantTensor(np.array([-128, 0, 127], np.int8), (3, 1, 1, 1), QuantParams(1.0, zp))
+        batch = QuantTensor(np.array([-128, 0, 127], np.int8).reshape(3, 1, 1, 1),
+                            QuantParams(1.0, zp))
         got = backbone_forward(bb, batch)
         for row, x in zip(got, _frames(batch)):
             assert row.tobytes() == _reference_features(bb, x).tobytes()
@@ -511,5 +523,5 @@ def test_parameters_stable_across_forwards():
     bb = build_backbone((3, 6, 4), rng)
     before = _layer_copies(bb)
     for _ in range(5):
-        backbone_forward(bb, _q(rng.standard_normal((3, 2, 2)).astype(np.float32), 0.05))
+        backbone_forward(bb, _q(rng.standard_normal((1, 3, 2, 2)).astype(np.float32), 0.05))
     assert _same_layers(bb, before)

@@ -1,4 +1,5 @@
-"""The pair rule of ``tools/pairs.py`` on canned samples."""
+"""The pair rule of ``tools/pairs.py`` on canned samples, and the
+statement listing of ``tools/traffic.py`` on a canned module."""
 
 import importlib.util
 import json
@@ -12,6 +13,10 @@ _SPEC = importlib.util.spec_from_file_location(
     "pairs", Path(__file__).resolve().parents[1] / "tools" / "pairs.py")
 pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(pairs)
+_TRAFFIC = importlib.util.spec_from_file_location(
+    "traffic", Path(__file__).resolve().parents[1] / "tools" / "traffic.py")
+traffic = importlib.util.module_from_spec(_TRAFFIC)
+_TRAFFIC.loader.exec_module(traffic)
 
 PARENT = [0.60, 0.59, 0.61, 0.60, 0.62, 0.58, 0.60, 0.61, 0.59, 0.60]
 
@@ -243,3 +248,44 @@ def test_bytecode_caches_are_checked_before_the_pairs(tmp_path, monkeypatch, cap
     Path(importlib.util.cache_from_source(parent / "perfbench/run.py")).unlink()
     assert pairs.main(argv) == 0
     assert "FLAG" not in capsys.readouterr().out
+
+
+_CANNED = '''"""A module with one branch that the call below never takes."""
+
+LIMIT = 3
+
+
+def clip(values):
+    """Each value, or LIMIT where it is larger."""
+    out = []
+    for v in values:
+        if v > LIMIT:
+            out.append(
+                LIMIT)
+        else:
+            out.append(v)
+    return out
+
+
+class Box:
+    def size(self):
+        return len(clip([1, 2]))
+'''
+
+
+def test_traffic_lists_exactly_the_statements_never_run(tmp_path):
+    pkg = tmp_path / "canned"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(_CANNED)
+    spec = importlib.util.spec_from_file_location("canned_mod", pkg / "mod.py")
+    with traffic.Lines(pkg) as traced:
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)  # module set-up is traced too
+        assert mod.Box().size() == 2
+    rows = traffic.unrun(pkg, traced.hits)
+    # the untaken branch's statement, named by its first line; the
+    # docstrings compile to no code and are not statements
+    assert rows == [("canned.mod", "clip", 11, "out.append(")]
+    assert traffic.listing(rows) == "canned.mod\n  clip\n       11  out.append(\n"
+    # the same module untraced: each of its six simple statements is listed
+    assert len(traffic.unrun(pkg, {})) == 6
