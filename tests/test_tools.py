@@ -1,10 +1,14 @@
 """The pair rule of ``tools/pairs.py`` on canned samples, and the
-statement listing of ``tools/traffic.py`` on a canned module."""
+statement listing of ``tools/traffic.py`` on a canned module and a
+canned checkout."""
 
 import importlib.util
 import json
 import os
 import py_compile
+import subprocess
+import sys
+import trace
 from pathlib import Path
 
 import pytest
@@ -278,14 +282,90 @@ def test_traffic_lists_exactly_the_statements_never_run(tmp_path):
     pkg.mkdir()
     (pkg / "mod.py").write_text(_CANNED)
     spec = importlib.util.spec_from_file_location("canned_mod", pkg / "mod.py")
-    with traffic.Lines(pkg) as traced:
+
+    def run():
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)  # module set-up is traced too
-        assert mod.Box().size() == 2
-    rows = traffic.unrun(pkg, traced.hits)
+        return mod.Box().size()
+
+    tracer = trace.Trace(count=1, trace=0)
+    assert tracer.runfunc(run) == 2
+    rows = traffic.unrun(pkg, tracer.results().counts)
     # the untaken branch's statement, named by its first line; the
     # docstrings compile to no code and are not statements
     assert rows == [("canned.mod", "clip", 11, "out.append(")]
     assert traffic.listing(rows) == "canned.mod\n  clip\n       11  out.append(\n"
     # the same module untraced: each of its six simple statements is listed
     assert len(traffic.unrun(pkg, {})) == 6
+
+
+# a stand-in for perfbench's workloads: each pass calls the canned
+# library, and ``check`` fails the pass named in FAIL, or any pass not
+# set up as perfbench sets it up (its seed, its work directory, run
+# from the checkout)
+_WORKLOADS = '''import os
+from pathlib import Path
+
+import fedswarm
+
+NAMES = ("a", "b")
+DIGEST_SEED = 1234
+FAIL = {fail!r}
+
+
+def setup(name, seed, work):
+    return name, seed, work, os.getcwd()
+
+
+def run_pass(w):
+    return fedswarm.Box().size()
+
+
+def report_bytes(w, out):
+    return repr(out).encode()
+
+
+def check(w, out, raw, t):
+    name, seed, work, cwd = w
+    if (seed, work, cwd, raw) != (DIGEST_SEED, Path(".bench_work"), {root!r}, b"2"):
+        return [f"set up as {{w}}, read {{raw}}"]
+    return ["digest differs", "accuracy low"] if name == FAIL else []
+'''
+
+
+def _traffic_checkout(tmp_path, fail):
+    root = tmp_path / "checkout"
+    (root / "src" / "fedswarm").mkdir(parents=True)
+    (root / "perfbench").mkdir()
+    (root / "src" / "fedswarm" / "__init__.py").write_text(_CANNED)
+    (root / "perfbench" / "workloads.py").write_text(
+        _WORKLOADS.format(fail=fail, root=str(root.resolve())))
+    return subprocess.run(
+        [sys.executable, str(Path(traffic.__file__)), str(root)],
+        capture_output=True, text=True, timeout=60)
+
+
+def test_traffic_runs_each_workload_and_lists_what_none_ran(tmp_path):
+    res = _traffic_checkout(tmp_path, fail=None)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    assert res.stdout == (
+        "fedswarm.__init__\n  clip\n       11  out.append(\n"
+        "5 of 6 library statements ran\n")
+
+
+def test_traffic_stops_at_a_pass_that_fails_its_check(tmp_path):
+    res = _traffic_checkout(tmp_path, fail="a")
+    assert res.returncode == 1
+    assert res.stdout == ""  # no listing follows a failed pass
+    assert res.stderr == ("traffic: a failed its check: digest differs\n"
+                          "traffic: a failed its check: accuracy low\n")
+
+
+def test_traffic_refuses_to_run_after_fedswarm_is_imported(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "fedswarm", object())
+    cwd = os.getcwd()
+    assert traffic.main([str(tmp_path)]) == 2
+    assert os.getcwd() == cwd  # it stops before it moves into the checkout
+    assert capsys.readouterr().err == (
+        "traffic: fedswarm is already imported, so its set-up would go unseen\n")

@@ -1,62 +1,33 @@
 """The library statements the benchmark's workloads never run.
 
-    python3 tools/traffic.py [CHECKOUT] [--workload NAME ...] [--seed 1234]
+    python3 tools/traffic.py [CHECKOUT]
 
 CHECKOUT (by default the checkout this file is in) becomes the working
-directory, its ``src/`` and ``perfbench/`` go first on the path, and a
-``sys.settrace`` line tracer is installed on the files under its
-``src/fedswarm`` before ``fedswarm`` is imported, so module set-up is
-traced too. Each workload (all of perfbench's by default) then runs as
-perfbench runs it: ``workloads.setup(name, seed, Path(".bench_work"))``,
-one ``run_pass``, ``report_bytes`` and ``check``. The work directory is
-perfbench's own, so the ingest manifest path echoed into the report,
-and with it the report's digest, is the benchmark's. A pass that fails
-its check aborts the listing (exit status 1).
+directory, its ``src/`` and ``perfbench/`` go first on the path, and
+the standard library's ``trace`` module counts the lines run from
+before ``fedswarm`` is imported, so module set-up is traced too. Each
+of perfbench's workloads then runs as perfbench runs it:
+``workloads.setup(name, DIGEST_SEED, Path(".bench_work"))``, one
+``run_pass``, ``report_bytes`` and ``check``. The seed and the work
+directory are perfbench's own, so the ingest manifest path echoed into
+the report, and with it each report's digest, is the benchmark's. A
+pass that fails its check aborts the listing (exit status 1).
 
 The listing gives, per module and function, each simple statement
-(one that holds no other statements) that no workload ran: its line
-and its first line of source. A statement counts as run when the
-tracer saw any line it spans; docstrings and other bare constants,
-which compile to no code, are not statements here. Run it in a fresh
-process: the tracer sees nothing of a module imported before it.
+(one that holds no other statements) under the checkout's
+``src/fedswarm`` that no workload ran: its line and its first line of
+source. A statement counts as run when any line it spans ran;
+docstrings and other bare constants, which compile to no code, are not
+statements here. Run it in a fresh process: the tracer sees nothing of
+a module imported before it.
 """
 
 import argparse
 import ast
 import os
 import sys
-from collections import defaultdict
+import trace
 from pathlib import Path
-
-
-class Lines:
-    """The lines run in the ``.py`` files under ``root`` while this
-    context is entered, as ``hits[file] = {line, ...}``."""
-
-    def __init__(self, root: Path):
-        self.root = str(Path(root).resolve()) + os.sep
-        self.hits = defaultdict(set)
-        self._old = None
-
-    def _call(self, frame, event, arg):
-        if not frame.f_code.co_filename.startswith(self.root):
-            return None
-        lines = self.hits[frame.f_code.co_filename]
-
-        def line(frame, event, arg):
-            if event == "line":
-                lines.add(frame.f_lineno)
-            return line
-
-        return line
-
-    def __enter__(self):
-        self._old = sys.gettrace()
-        sys.settrace(self._call)
-        return self
-
-    def __exit__(self, *exc):
-        sys.settrace(self._old)
 
 
 def _blocks(node) -> list:
@@ -84,20 +55,21 @@ def simple_statements(tree, scope: str = "<module>"):
             yield from simple_statements(block, inner)
 
 
-def unrun(root: Path, hits) -> list:
+def unrun(root: Path, counts) -> list:
     """(module, scope, line, source) of each simple statement in the
-    ``.py`` files under ``root`` that ``hits`` (file -> lines run) never
-    reached, module by module in path order; the modules are named
-    from ``root``'s own name down."""
+    ``.py`` files under ``root`` that ``counts`` (``(file, line)`` of
+    each line run, as ``trace.Trace(...).results().counts`` keys them)
+    never reached, module by module in path order; the modules are
+    named from ``root``'s own name down."""
     root = Path(root).resolve()
     rows = []
     for path in sorted(root.rglob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
-        ran = hits.get(str(path), set())
+        file = str(path)
         module = ".".join((root.name,) + path.relative_to(root).with_suffix("").parts)
         for scope, node in simple_statements(ast.parse(source)):
-            if ran.isdisjoint(range(node.lineno, node.end_lineno + 1)):
+            if not any((file, n) in counts for n in range(node.lineno, node.end_lineno + 1)):
                 rows.append((module, scope, node.lineno, lines[node.lineno - 1].strip()))
     return rows
 
@@ -119,29 +91,32 @@ def listing(rows) -> str:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
-    p.add_argument("--workload", action="append", help="a perfbench workload (repeatable)")
-    p.add_argument("--seed", type=int, default=1234)
-    args = p.parse_args(argv)
+    root = p.parse_args(argv).checkout.resolve()
     if "fedswarm" in sys.modules:
         print("traffic: fedswarm is already imported, so its set-up would go unseen",
               file=sys.stderr)
         return 2
-    root = args.checkout.resolve()
     os.chdir(root)
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    library = root / "src" / "fedswarm"
-    with Lines(library) as traced:
+
+    def passes() -> int:
         import workloads  # perfbench's, which imports fedswarm
 
-        for name in args.workload or workloads.NAMES:
-            w = workloads.setup(name, args.seed, Path(".bench_work"))
+        for name in workloads.NAMES:
+            w = workloads.setup(name, workloads.DIGEST_SEED, Path(".bench_work"))
             out = workloads.run_pass(w)
             problems = workloads.check(w, out, workloads.report_bytes(w, out), None)
+            for problem in problems:
+                print(f"traffic: {name} failed its check: {problem}", file=sys.stderr)
             if problems:
-                for problem in problems:
-                    print(f"traffic: {name} failed its check: {problem}", file=sys.stderr)
                 return 1
-    rows = unrun(library, traced.hits)
+        return 0
+
+    tracer = trace.Trace(count=1, trace=0)
+    if tracer.runfunc(passes):
+        return 1
+    library = root / "src" / "fedswarm"
+    rows = unrun(library, tracer.results().counts)
     total = len(unrun(library, {}))  # with nothing run, every statement is listed
     sys.stdout.write(listing(rows))
     print(f"{total - len(rows)} of {total} library statements ran")
